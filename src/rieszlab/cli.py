@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -84,8 +85,16 @@ def _parse_kv(spec: str):
                 kv[k] = float(v) if "." in v or "e" in v.lower() or v.lstrip("-").isdigit() is False else int(v)
             except ValueError:
                 kv[k] = v
+            _require_finite(f"{k} in {spec!r}", kv[k])
         return name, kv
     return spec, {}
+
+
+def _require_finite(name, value):
+    """ConfigError unless every float in value (or its items) is finite."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def parse_surface(spec: str):
@@ -466,6 +475,8 @@ def parse_args(argv=None) -> RunConfig:
     unknown = set(merged) - fields
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in merged.items():
+        _require_finite(key, val)
     return RunConfig(**merged)
 
 

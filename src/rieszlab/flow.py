@@ -344,8 +344,9 @@ class ContactReport:
 def contact_monitor(state: FlowState, ceiling: float | None = None) -> ContactReport:
     """Min distance between non-adjacent mesh elements and the current energy.
 
-    Flags when the energy exceeds the configured ceiling while the minimum
-    distance shrinks along the recorded trajectory.
+    ceiling_exceeded flags an energy above the configured ceiling (never
+    set without a ceiling); closing_in reports, separately, whether the
+    minimum distance shrank along the recorded trajectory.
     """
     dmin = state.mesh.min_nonneighbor_distance()
     energy = state.energy()
@@ -354,9 +355,7 @@ def contact_monitor(state: FlowState, ceiling: float | None = None) -> ContactRe
         closing = state.trajectory[-1].min_distance < state.trajectory[0].min_distance
     exceeded = bool(ceiling is not None and energy > ceiling)
     return ContactReport(min_distance=dmin, energy=energy, ceiling=ceiling,
-                         ceiling_exceeded=exceeded and closing or
-                         (exceeded if ceiling is not None else False),
-                         closing_in=closing)
+                         ceiling_exceeded=exceeded, closing_in=closing)
 
 
 def write_trajectory_csv(state: FlowState, path) -> None:

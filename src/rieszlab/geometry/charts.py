@@ -271,13 +271,13 @@ def _unit_sphere_maps():
         s, co = np.sin(th), np.cos(th)
         return np.stack([s * np.cos(ph), s * np.sin(ph), co], axis=-1)
 
-    def jacobian(u):
+    def tangents(u):
         th, ph = u[..., 0], u[..., 1]
         s, co = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         d_th = np.stack([co * cp, co * sp, -s], axis=-1)
         d_ph = np.stack([-s * sp, s * cp, np.zeros_like(s)], axis=-1)
-        return np.stack([d_th, d_ph], axis=-1)
+        return d_th, d_ph
 
     def hessian(u):
         th, ph = u[..., 0], u[..., 1]
@@ -290,20 +290,21 @@ def _unit_sphere_maps():
         return np.stack([np.stack([d_tt, d_tp], axis=-1),
                          np.stack([d_tp, d_pp], axis=-1)], axis=-1)
 
-    return value, jacobian, hessian
+    return value, tangents, hessian
 
 
 def _spheroid_chart(ax, ctr, rot, base_nodes, component, name):
     """Chart u -> ctr + diag(ax) rot sph(u); repatch rotates the basepoint
     onto the equator where the parametrization is best conditioned."""
-    sval, sjac, shess = _unit_sphere_maps()
+    sval, stangents, shess = _unit_sphere_maps()
     A = np.diag(ax) @ rot
 
     def value(u):
         return ctr + sval(u) @ A.T
 
     def jacobian(u):
-        return np.einsum("ij,...jp->...ip", A, sjac(u))
+        # one plain matrix product per column keeps A off (..., 3, 3) stacks
+        return np.stack([c @ A.T for c in stangents(u)], axis=-1)
 
     def hessian(u):
         return np.einsum("ij,...jpq->...ipq", A, shess(u))

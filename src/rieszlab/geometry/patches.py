@@ -3,8 +3,10 @@
 A graph patch at a surface point x is the map h from a ball in the tangent
 plane to the normal space with h(0)=0, grad h(0)=0, so that eta |-> x +
 T eta + N h(eta) parametrizes the surface near x. Chart surfaces get h by
-Newton inversion of the chart map; meshes get h from weighted least-squares
-quadratic fits over 2-ring neighborhoods.
+Newton inversion of the chart map, and also solve for the points at a given
+chord distance directly in chart parameters (`GraphPatch.chord_solve`);
+meshes get h from weighted least-squares quadratic fits over 2-ring
+neighborhoods.
 """
 
 from __future__ import annotations
@@ -46,13 +48,47 @@ def _solve_small(A, b):
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
+def _inv_small(A):
+    """Batched inverse of (..., m, m) stacks, closed form for m in {1, 2}."""
+    m = A.shape[-1]
+    if m == 1:
+        return 1.0 / A
+    if m == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        inv = np.stack([np.stack([A[..., 1, 1], -A[..., 0, 1]], axis=-1),
+                        np.stack([-A[..., 1, 0], A[..., 0, 0]], axis=-1)],
+                       axis=-2)
+        return inv / det[..., None, None]
+    return np.linalg.inv(A)
+
+
+def _project(frame, J):
+    """frame^T J over a (..., n, m) stack of Jacobians, as one matrix product.
+
+    frame has shape (n, c); the result has shape (..., c, m).
+    """
+    n, m = J.shape[-2:]
+    rows = np.swapaxes(J, -1, -2).reshape(-1, n) @ frame
+    return np.swapaxes(rows.reshape(J.shape[:-2] + (m, frame.shape[1])),
+                       -1, -2)
+
+
 # ----------------------------------------------------------------------
 # graph patches
 # ----------------------------------------------------------------------
 
 @dataclass
 class GraphPatch:
-    """Local graph representation of the surface over its tangent plane."""
+    """Local graph representation of the surface over its tangent plane.
+
+    Every patch evaluates its height h and height Jacobian at tangent
+    coordinates eta. Chart patches also carry chord_solve(v, t): for unit
+    tangent directions v (K, m) and chord radii t (K,) > 0 it returns
+    (xi, h, grad h), the radius xi >= 0 with xi^2 + |h(xi v)|^2 = t^2 and
+    the height data at that point, from one Newton solve per row in the
+    chart parameters. Patches without it (mesh fits) are inverted along
+    the ray by `radial.radial_inverse`.
+    """
 
     base_point: np.ndarray        # (n,)
     tangent: np.ndarray           # (n, m) orthonormal, oriented
@@ -60,7 +96,7 @@ class GraphPatch:
     radius: float                 # validated radius
     height: object                # eta (..., m) -> (..., n-m)
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
-    height_and_jac: object = None  # optional fused evaluator
+    chord_solve: object = None    # (v, t) -> (xi, h, grad h), chart patches
     kind: str = "analytic"
     derivative_bound: float = math.nan
     fit_residual: float = 0.0
@@ -73,11 +109,6 @@ class GraphPatch:
     @property
     def n(self) -> int:
         return self.tangent.shape[0]
-
-    def height_with_jacobian(self, eta):
-        if self.height_and_jac is not None:
-            return self.height_and_jac(eta)
-        return self.height(eta), self.height_jacobian(eta)
 
     def embed(self, eta):
         """Map tangent coordinates back to ambient points."""
@@ -144,9 +175,8 @@ def _chart_patch(surface: ChartSurface, chart_idx: int, u0: np.ndarray,
                 idx = idx[:0]
                 break
             sel = idx[bad]
-            J = chart.jacobian(u[sel])
-            M = np.einsum("ni,...nj->...ij", tangent, J)
-            step = _solve_small(M, res[bad])
+            step = _solve_small(_project(tangent, chart.jacobian(u[sel])),
+                                res[bad])
             # clamp wild steps near chart degeneracies
             u[sel] -= np.clip(step, -1.0, 1.0)
             idx = sel
@@ -162,23 +192,82 @@ def _chart_patch(surface: ChartSurface, chart_idx: int, u0: np.ndarray,
         d = chart.value(u) - x0
         return d @ normal
 
-    def height_jacobian(eta):
-        eta = np.asarray(eta, dtype=float)
-        u = solve_params(eta)
-        J = chart.jacobian(u)
-        tj = np.einsum("ni,...nj->...ij", tangent, J)
-        nj = np.einsum("nc,...nj->...cj", normal, J)
-        inv = np.linalg.inv(tj)
-        return nj @ inv
+    def grad_height(J):
+        # (N^T J)(T^T J)^-1 with the inverse in closed form
+        return np.einsum("...ci,...ij->...cj", _project(normal, J),
+                         _inv_small(_project(tangent, J)))
 
-    def height_and_jac(eta):
-        eta = np.asarray(eta, dtype=float)
-        u = solve_params(eta)
-        d = chart.value(u) - x0
-        J = chart.jacobian(u)
-        tj = np.einsum("ni,...nj->...ij", tangent, J)
-        nj = np.einsum("nc,...nj->...cj", normal, J)
-        return d @ normal, nj @ np.linalg.inv(tj)
+    def height_jacobian(eta):
+        return grad_height(chart.jacobian(solve_params(
+            np.asarray(eta, dtype=float))))
+
+    # Absolute stopping floor of the chord Newton: 16 ulps of the
+    # coordinates, above the rounding that x(u) - x0 leaves in the residuals
+    # (a floor near one ulp stalls at the smallest radii).
+    floor = 16.0 * np.finfo(float).eps * (float(np.linalg.norm(x0))
+                                           + float(radius))
+
+    def chord_solve(v, t, max_iter=60):
+        """(xi, h, grad h) at chord distance t along tangent directions v.
+
+        Newton in the chart parameter u, one row per (v, t), on
+        |x(u) - x0| = t together with <v_perp, T^T (x(u) - x0)> = 0 for
+        m = 2 (the distance equation alone for m = 1); the converged point
+        must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
+        as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
+        about 1e-12 relative at the smallest radii.
+        """
+        v = np.asarray(v, dtype=float)
+        t = np.asarray(t, dtype=float)
+        d_out = np.empty((len(t), surface.n))
+        J_out = np.empty((len(t), surface.n, surface.m))
+        # active rows: parameter, radius, tolerance, row index and, for
+        # m = 2, the second equation's ambient direction T v_perp
+        uk = u0 + (t[:, None] * v) @ A0.T
+        tk, tolk, idx = t, 1e-13 * t + floor, np.arange(len(t))
+        pk = (np.stack([-v[:, 1], v[:, 0]], axis=-1) @ tangent.T
+              if surface.m == 2 else None)
+        for _ in range(max_iter):
+            d = chart.value(uk) - x0
+            J = chart.jacobian(uk)
+            # (|d|^2 - t^2) / (2 t): the distance residual in length units
+            res = [(np.einsum("kn,kn->k", d, d) - tk * tk) / (2.0 * tk)]
+            if pk is not None:
+                res.append(np.einsum("kn,kn->k", d, pk))
+            bad = np.abs(res[0]) > tolk
+            for r in res[1:]:
+                bad |= np.abs(r) > tolk
+            n_bad = int(np.count_nonzero(bad))
+            if n_bad == 0 or 4 * n_bad < 3 * len(bad):
+                # retire the converged rows once they are a quarter of the
+                # batch; until then they stay in it with a zero step
+                done = ~bad
+                d_out[idx[done]] = d[done]
+                J_out[idx[done]] = J[done]
+                if not n_bad:
+                    break
+                uk, tk, tolk, idx, d, J = (
+                    a[bad] for a in (uk, tk, tolk, idx, d, J))
+                res = [r[bad] for r in res]
+                pk = None if pk is None else pk[bad]
+                bad = bad[bad]
+            rows = [np.einsum("kn,knj->kj", d, J) / tk[:, None]]
+            if pk is not None:
+                rows.append(np.einsum("kn,knj->kj", pk, J))
+            step = _solve_small(np.stack(rows, axis=-2),
+                                np.stack(res, axis=-1))
+            # clamp wild steps near chart degeneracies
+            uk = uk - np.where(bad[:, None], np.clip(step, -1.0, 1.0), 0.0)
+        else:
+            raise NumericalError(
+                f"chord Newton did not converge on {len(idx)} rows "
+                f"(chart {chart_idx}); is t beyond the patch?")
+        if np.any(np.einsum("kj,kj->k", d_out @ tangent, v) <= 0.0):
+            raise NumericalError(
+                f"chord Newton left the ray's side (chart {chart_idx})")
+        h = d_out @ normal
+        xi = np.sqrt(np.maximum(t * t - np.einsum("kc,kc->k", h, h), 0.0))
+        return xi, h, grad_height(J_out)
 
     # Validate the radius on a coarse polar grid (rim plus interior rings).
     r = float(radius)
@@ -204,7 +293,7 @@ def _chart_patch(surface: ChartSurface, chart_idx: int, u0: np.ndarray,
     patch = GraphPatch(base_point=x0, tangent=tangent, normal=normal,
                        radius=r, height=height,
                        height_jacobian=height_jacobian,
-                       height_and_jac=height_and_jac, kind="chart",
+                       chord_solve=chord_solve, kind="chart",
                        meta={"chart_index": chart_idx, "param": u0.copy()})
     if measure_bound:
         patch.derivative_bound = patch.measure_derivative_bound(

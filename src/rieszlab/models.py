@@ -163,6 +163,8 @@ def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
     val = np.asarray(values, dtype=float)
     if len(cut) < 3:
         raise PreconditionError("need at least 3 cutoff samples")
+    if not (np.all(np.isfinite(cut)) and np.all(np.isfinite(val))):
+        raise PreconditionError("cutoffs and values must be finite")
     if np.any(np.diff(cut) >= 0):
         raise PreconditionError("cutoffs must be strictly decreasing")
     inc = np.abs(np.diff(val))
@@ -534,13 +536,13 @@ def two_body_sweep(m: int, alpha: float, radius: float, gaps,
     lam = np.array([lambda_bound_sum(m, alpha, g, rho0) for g in gaps])
     dominates = bool(np.all(energies >= lam))
     if abs(alpha + 2 * m) < 1e-12:
-        slope, _, r2, _ = _linfit(np.log(1.0 / gaps), energies)
+        _, _, r2, _ = _linfit(np.log(1.0 / gaps), energies)
         return TwoBodySweepResult(m, alpha, radius, gaps, energies, lam,
                                   "logarithmic", None, r2, dominates)
     if alpha < -2 * m:
         slope, _, r2, _ = _linfit(np.log(gaps), np.log(energies))
         return TwoBodySweepResult(m, alpha, radius, gaps, energies, lam,
                                   "power", float(slope), r2, dominates)
-    slope, _, r2, _ = _linfit(np.log(gaps), energies)
+    _, _, r2, _ = _linfit(np.log(gaps), energies)
     return TwoBodySweepResult(m, alpha, radius, gaps, energies, lam,
                               "bounded", None, r2, dominates)

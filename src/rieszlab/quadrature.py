@@ -23,7 +23,6 @@ __all__ = [
     "power_poly_integral",
     "power_deflated_spline_integral",
     "poly_weighted_spline_integral",
-    "dyadic_box_integral_2d",
     "compensated_sum",
     "BlendKernel",
 ]
@@ -91,35 +90,45 @@ def graded_power_integral(f, a: float, b: float, exponent_floor: float,
     return total, err_total + tail
 
 
-def power_poly_integral(coeffs, gamma: float, a: float, b: float) -> float:
-    """Exact integral of t^gamma * sum_i coeffs[i] t^i over [a, b].
+def power_poly_integral(coeffs, gamma: float, a, b):
+    """Exact integral of t^gamma * sum_i coeffs[..., i] t^i over [a, b].
 
-    Uses the x^0/0 = log x convention at exponent collisions (requires a > 0
-    when gamma + i + 1 <= 0 terms are present).
+    Batched: leading axes of coeffs are separate polynomials, with a and b
+    broadcast against them. Uses the x^0/0 = log x convention at exponent
+    collisions (requires a > 0 when gamma + i + 1 <= 0 terms are present).
     """
-    s = 0.0
-    for i, ci in enumerate(coeffs):
-        if ci == 0.0:
+    coeffs = np.asarray(coeffs, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], a.shape, b.shape))
+    for i in range(coeffs.shape[-1]):
+        ci = coeffs[..., i]
+        if not np.any(ci):
             continue
         e = gamma + i + 1.0
         if abs(e) < 1e-12:
-            s += ci * (math.log(b) - math.log(a))
+            s += ci * (np.log(b) - np.log(a))
         else:
             s += ci * (b ** e - a ** e) / e
-    return s
+    return float(s) if s.ndim == 0 else s
 
 
-def _piece_in_t_basis(spline, k, max_deg):
-    """Expand spline piece k from (t - x_k)-basis into plain t powers."""
-    x0 = spline.x[k]
-    pc = spline.c[:, k][::-1]   # ascending in (t - x0)
-    tb = np.zeros(max(len(pc), max_deg + 1))
-    for j, cj in enumerate(pc):
-        if cj == 0.0:
-            continue
+def _pieces_in_t_basis(spline, a, b, degree):
+    """Spline pieces meeting [a, b] in plain t powers, with their limits.
+
+    Returns (coefficients (P, max(4, degree + 1)) ascending in t, lower
+    limits, upper limits), the limits clipped to [a, b].
+    """
+    xs = np.asarray(spline.x)
+    lo, hi = xs[:-1], xs[1:]
+    keep = (hi > a) & (lo < b)
+    x0 = lo[keep]
+    pc = np.asarray(spline.c)[::-1, keep].T   # ascending in (t - x0)
+    tb = np.zeros((len(x0), max(pc.shape[1], degree + 1)))
+    for j in range(pc.shape[1]):
         for i in range(j + 1):
-            tb[i] += cj * math.comb(j, i) * (-x0) ** (j - i)
-    return tb
+            tb[:, i] += pc[:, j] * math.comb(j, i) * (-x0) ** (j - i)
+    return tb, np.maximum(x0, a), np.minimum(hi[keep], b)
 
 
 def power_deflated_spline_integral(spline, jet, gamma: float,
@@ -129,63 +138,22 @@ def power_deflated_spline_integral(spline, jet, gamma: float,
     jet holds plain power-basis coefficients. The subtraction happens at
     coefficient level inside each spline interval, so near-cancelling values
     are never formed; the power factor is then integrated in closed form.
+    All intervals are handled in one batch.
     """
     jet = np.asarray(jet, dtype=float)
-    xs = spline.x
-    total = 0.0
-    for k in range(len(xs) - 1):
-        lo, hi = float(xs[k]), float(xs[k + 1])
-        if hi <= a or lo >= b:
-            continue
-        tb = _piece_in_t_basis(spline, k, len(jet) - 1)
-        tb[:len(jet)] -= jet
-        total += power_poly_integral(tb, gamma, max(lo, a), min(hi, b))
-    return total
+    tb, lo, hi = _pieces_in_t_basis(spline, a, b, len(jet) - 1)
+    tb[:, :len(jet)] -= jet
+    return float(np.sum(power_poly_integral(tb, gamma, lo, hi)))
 
 
 def poly_weighted_spline_integral(spline, poly, a: float, b: float) -> float:
     """Exact integral of poly(t) * spline(t) over [a, b] (poly in t powers)."""
     poly = np.asarray(poly, dtype=float)
-    xs = spline.x
-    total = 0.0
-    for k in range(len(xs) - 1):
-        lo, hi = float(xs[k]), float(xs[k + 1])
-        if hi <= a or lo >= b:
-            continue
-        tb = _piece_in_t_basis(spline, k, 3)
-        prod = np.convolve(tb, poly)
-        total += power_poly_integral(prod, 0.0, max(lo, a), min(hi, b))
-    return total
-
-
-def dyadic_box_integral_2d(f, level_count: int, gl_order: int = 12,
-                           outer_scale: float = 1.0):
-    """Per-level integrals of ``f(x, y)`` over dyadic L-shells of [0, s]^2.
-
-    Level k covers max(x, y) in (s*2^-(k+1), s*2^-k]; each L-shell is split
-    into three rectangles on which f is smooth away from the origin. Returns
-    the list of level sums (useful for divergence-onset classification).
-    """
-    s = outer_scale
-    xg, wg = np.polynomial.legendre.leggauss(gl_order)
-
-    def box(x0, x1, y0, y1):
-        xs = 0.5 * (x1 - x0) * (xg + 1.0) + x0
-        ys = 0.5 * (y1 - y0) * (xg + 1.0) + y0
-        wx = 0.5 * (x1 - x0) * wg
-        wy = 0.5 * (y1 - y0) * wg
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = f(X, Y)
-        return float(np.einsum("i,j,ij->", wx, wy, vals))
-
-    sums = []
-    hi = s
-    for _ in range(level_count):
-        lo = 0.5 * hi
-        v = box(lo, hi, lo, hi) + box(lo, hi, 0.0, lo) + box(0.0, lo, lo, hi)
-        sums.append(v)
-        hi = lo
-    return sums
+    tb, lo, hi = _pieces_in_t_basis(spline, a, b, 3)
+    prod = np.zeros((len(tb), tb.shape[1] + len(poly) - 1))
+    for i, p in enumerate(poly):
+        prod[:, i:i + tb.shape[1]] += p * tb
+    return float(np.sum(power_poly_integral(prod, 0.0, lo, hi)))
 
 
 class BlendKernel:

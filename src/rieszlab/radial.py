@@ -6,6 +6,13 @@ phi is smooth and even at t = 0 with phi(0) = sigma_{m-1}. This module
 builds phi by angular quadrature of the chord-radius change of variables
 and evaluates finite parts Pf. of integrals t^(alpha+m-1) phi(t) dt, using
 the convention x^0/0 = log x at exponent collisions.
+
+Each (direction v, chord radius t) row of the quadrature needs the radius
+xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h there.
+Chart patches solve each row with one Newton iteration in the chart
+parameters (`GraphPatch.chord_solve`); patches with only an explicit
+height (mesh fits) are inverted along the ray by `radial_inverse`, a
+bracketed Newton in xi.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ class EnergyParams:
     at_pole: bool = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(float(self.alpha)):
+            raise PreconditionError(f"alpha must be finite, got {self.alpha!r}")
         a = -float(self.alpha)
         a_int = round(a)
         if abs(a - a_int) < POLE_SNAP_TOL:
@@ -130,8 +139,8 @@ def radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
         if not active.any():
             break
         eta = xi[active, None] * v[active]
-        h, dh = patch.height_with_jacobian(eta)
-        h = np.atleast_2d(h)
+        h = np.atleast_2d(patch.height(eta))
+        dh = patch.height_jacobian(eta)
         F = xi[active] ** 2 + np.sum(h * h, axis=-1) - t_arr[active] ** 2
         hv = np.einsum("kcj,kj->kc", dh, v[active])
         slope = xi[active] + np.einsum("kc,kc->k", hv, h)
@@ -157,8 +166,8 @@ def radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
                              "(patch bound violated?)")
     # dxi/dt = t / (xi + <grad_v h, h>)
     eta = xi[:, None] * v
-    h, dh = patch.height_with_jacobian(eta)
-    h = np.atleast_2d(h)
+    h = np.atleast_2d(patch.height(eta))
+    dh = patch.height_jacobian(eta)
     hv = np.einsum("kcj,kj->kc", dh, v)
     denom = xi + np.einsum("kc,kc->k", hv, h)
     dxi = np.ones(K)
@@ -265,26 +274,44 @@ class RadialProfile:
                    fit_residual=float(header.get("fit_residual", 0.0)))
 
 
+def _chord_rows(patch, v, t):
+    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0.
+
+    Chart patches solve each row once in chart parameters (chord_solve);
+    other patches invert their explicit height along the ray.
+    """
+    solve = getattr(patch, "chord_solve", None)
+    if solve is None:
+        xi, dxi = radial_inverse(patch, v, t)
+        return xi, dxi, patch.height_jacobian(xi[:, None] * v)
+    xi, h, dh = solve(v, t)
+    # dxi/dt = t / (xi + <grad_v h, h>)
+    hv = np.einsum("kcj,kj->kc", dh, v)
+    return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh
+
+
 def _profile_batch(patch, v, w, ts, m):
-    """phi at many chord radii in one batched radial inversion."""
+    """phi at many chord radii in one batched pass over (direction, t) rows."""
     ts = np.asarray(ts, dtype=float)
+    vals = np.full(len(ts), float(np.sum(w)))    # phi(0) = sigma_{m-1}
+    pos = ts > 0
+    if not pos.any():
+        return vals
     K = len(v)
-    T = len(ts)
-    vv = np.tile(v, (T, 1))
-    tt = np.repeat(ts, K)
-    xi, dxi = radial_inverse(patch, vv, tt)
-    eta = xi[:, None] * vv
-    dh = patch.height_jacobian(eta)
-    gram = np.einsum("kci,kcj->kij", dh, dh)
-    gram[:, range(m), range(m)] += 1.0
+    tt = np.repeat(ts[pos], K)
+    xi, dxi, dh = _chord_rows(patch, np.tile(v, (len(tt) // K, 1)), tt)
+    # area element sqrt(det(I + dh^T dh)) of the graph, in closed form
+    d0 = dh[..., 0]
+    g00 = 1.0 + np.einsum("kc,kc->k", d0, d0)
     if m == 1:
-        jac = np.sqrt(gram[:, 0, 0])
+        jac = np.sqrt(g00)
+        ratio = 1.0
     else:
-        jac = np.sqrt(np.linalg.det(gram))
-    safe_t = np.where(tt > 0, tt, 1.0)
-    ratio = np.ones_like(xi) if m == 1 else (xi / safe_t) ** (m - 1)
-    vals = (jac * ratio * dxi).reshape(T, K) @ w
-    vals[ts == 0.0] = float(np.sum(w))
+        d1 = dh[..., 1]
+        g11 = 1.0 + np.einsum("kc,kc->k", d1, d1)
+        jac = np.sqrt(g00 * g11 - np.einsum("kc,kc->k", d0, d1) ** 2)
+        ratio = xi / tt
+    vals[pos] = (jac * ratio * dxi).reshape(-1, K) @ w
     return vals
 
 

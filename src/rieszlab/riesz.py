@@ -175,10 +175,6 @@ def _half_inner_nodes(surface, config: QuadratureConfig) -> _NodeSet:
     return _mesh_inner_nodes(surface, max(config.mesh_inner_subdiv - 1, 0))
 
 
-def _surface_dim(surface):
-    return surface.m
-
-
 # ----------------------------------------------------------------------
 # the regularized energy
 # ----------------------------------------------------------------------
@@ -193,7 +189,7 @@ def riesz_energy(surface, alpha, eps0=None, config: QuadratureConfig | None = No
     input for the regularized regime).
     """
     config = config or QuadratureConfig()
-    m = _surface_dim(surface)
+    m = surface.m
     params = alpha if isinstance(alpha, EnergyParams) else EnergyParams(float(alpha), m)
     if params.m != m:
         raise PreconditionError("EnergyParams dimension does not match surface")
@@ -445,7 +441,7 @@ def scaling_check(surface, alpha, lam, config: QuadratureConfig | None = None,
     estimate; at poles the report instead carries the fitted log(lam)
     coefficient of the anomaly (which equals the beta-function residue).
     """
-    m = _surface_dim(surface)
+    m = surface.m
     params = EnergyParams(float(alpha), m)
     rep_base = riesz_energy(surface, params, config=config)
     rep_scaled = riesz_energy(_scaled_surface(surface, lam), params, config=config)

@@ -1,17 +1,25 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rieszlab
 from rieszlab.cli import RunConfig, dump_json, main, parse_surface, run
 from rieszlab.geometry import TriMesh
+
+# the child process imports the same rieszlab as the tests, installed or not
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(rieszlab.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")]))}
 
 
 def _run_cli(args, tmp_path=None):
     proc = subprocess.run([sys.executable, "-m", "rieszlab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_CHILD_ENV)
     return proc
 
 
@@ -138,3 +146,48 @@ def test_dump_json_17_digits():
     text = dump_json({"x": 1.0 / 3.0})
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == 1.0 / 3.0
+
+
+# ----------------------------------------------------------------------
+# non-finite numeric input: exit 2 with a JSON error, never a traceback
+# ----------------------------------------------------------------------
+
+def _config_error(argv, capsys):
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err)
+    return code, err
+
+
+def test_nan_surface_parameter_exits_2(capsys):
+    code, err = _config_error(["energy", "--surface", "sphere:r=nan",
+                               "--alpha", "-1"], capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "sphere:r=nan" in err["message"]
+
+
+def test_nan_alpha_flag_exits_2(capsys):
+    code, err = _config_error(["energy", "--surface", "circle",
+                               "--alpha", "nan"], capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "alpha" in err["message"]
+
+
+def test_infinite_beta_z_exits_2(capsys):
+    code, err = _config_error(["beta", "--surface", "sphere", "--z", "inf"],
+                              capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "z" in err["message"]
+
+
+def test_nan_model_alpha_exits_2(capsys):
+    code, err = _config_error(["model", "cone", "--alpha", "nan"], capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+
+
+def test_nan_config_file_value_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"alpha": NaN}')
+    code, err = _config_error(["energy", "--config", str(cfg_path),
+                               "--surface", "circle"], capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "alpha" in err["message"]

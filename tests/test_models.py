@@ -111,6 +111,17 @@ def test_classifier_preconditions():
         classify_cutoff_law([0.1, 0.05], [1, 2])
 
 
+def test_classifier_rejects_non_finite_values():
+    # five NaN values once classified as "log" with R^2 = 1
+    cuts = 10.0 ** -np.arange(1, 6, dtype=float)
+    with pytest.raises(PreconditionError):
+        classify_cutoff_law(cuts, np.full(5, math.nan))
+    with pytest.raises(PreconditionError):
+        classify_cutoff_law(cuts, [1.0, 2.0, 3.0, 4.0, math.inf])
+    with pytest.raises(PreconditionError):
+        classify_cutoff_law([math.inf, 0.1, 0.01], [1.0, 2.0, 3.0])
+
+
 def test_classifier_synthetic_laws():
     cuts = 10.0 ** -np.arange(1, 6, dtype=float)
     fin = classify_cutoff_law(cuts, 5.0 - cuts ** 0.8)

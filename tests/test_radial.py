@@ -1,13 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from rieszlab.errors import PreconditionError
-from rieszlab.geometry import graph_patch_at, make_circle, make_ellipsoid, make_sphere
-from rieszlab.radial import (EnergyParams, RadialProfile, finite_part,
-                             radial_inverse, radial_profile, safe_ratio,
+from rieszlab.errors import NumericalError, PreconditionError
+from rieszlab.geometry import (graph_patch_at, make_circle, make_ellipsoid,
+                               make_sphere, make_torus)
+from rieszlab.quadrature import (poly_weighted_spline_integral,
+                                 power_deflated_spline_integral)
+from rieszlab.radial import (EnergyParams, RadialProfile, _angular_rule,
+                             _chord_rows, finite_part, radial_inverse,
+                             radial_profile, safe_ratio,
                              safe_ratio_derivatives)
 
 
@@ -30,6 +36,12 @@ def test_energy_params(alpha, m, order, pole):
     p = EnergyParams(alpha, m)
     assert p.taylor_order == order
     assert p.at_pole == pole
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_energy_params_reject_non_finite_alpha(alpha):
+    with pytest.raises(PreconditionError):
+        EnergyParams(alpha, 2)
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +107,6 @@ def test_radial_inverse_flat():
             return np.zeros(np.asarray(eta).shape[:-1] + (1,))
         def height_jacobian(self, eta):
             return np.zeros(np.asarray(eta).shape[:-1] + (1, 2))
-        def height_with_jacobian(self, eta):
-            return self.height(eta), self.height_jacobian(eta)
     v = np.array([[1.0, 0.0], [0.0, 1.0]])
     xi, dxi = radial_inverse(Flat(), v, 0.37)
     np.testing.assert_allclose(xi, 0.37, atol=1e-14)
@@ -126,6 +136,63 @@ def test_radial_inverse_zero():
 
 
 # ----------------------------------------------------------------------
+# chord solve in chart parameters
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("surface,locator,radius", [
+    (make_sphere(1.0, center=(0.3, -0.2, 0.4)), (0, [0.9, 2.0]), 0.9),
+    (make_ellipsoid(1.0, 1.0, 1.2), (0, [1.0, 0.7]), 0.5),
+    (make_torus(), (0, [0.4, 1.0]), 0.4),
+    (make_circle(), (0, [1.1]), 0.9),
+], ids=["sphere", "ellipsoid", "torus", "circle"])
+def test_chord_solve_matches_nested_inversion(surface, locator, radius):
+    # the one-level chart solve against radial_inverse on the same patch's
+    # explicit height, on the profile's dense t grid (down to 1e-4 eps0)
+    patch = graph_patch_at(surface, locator, radius, measure_bound=False)
+    prof = radial_profile(patch, patch.radius, spline_eval=True)
+    ts = np.asarray(prof.spline.x)[1:]
+    assert ts[0] == pytest.approx(1e-4 * patch.radius)
+    v, _ = _angular_rule(patch.m, 16)
+    vv = np.tile(v, (len(ts), 1))
+    tt = np.repeat(ts, len(v))
+    xi, dxi, dh = _chord_rows(patch, vv, tt)
+    nested = dataclasses.replace(patch, chord_solve=None)
+    xi_ref, dxi_ref, dh_ref = _chord_rows(nested, vv, tt)
+    np.testing.assert_allclose(xi, xi_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dxi, dxi_ref, rtol=1e-12, atol=0)
+    # grad h ~ curvature * t: at t = 1e-4 eps0 both solves place the point
+    # to ~1e-14 absolute, so grad h is compared at the patch's own scale
+    dh_err = np.linalg.norm(dh - dh_ref, axis=(-2, -1))
+    assert dh_err.max() <= 1e-12 * np.linalg.norm(dh_ref, axis=(-2, -1)).max()
+
+
+def test_chord_solve_circle_rays_keep_their_side():
+    circ = make_circle()
+    theta0 = 1.1
+    patch = graph_patch_at(circ, (0, [theta0]), 0.9)
+    ts = np.array([1e-4, 0.05, 0.4, 0.85])
+    for sign in (1.0, -1.0):
+        v = np.full((len(ts), 1), sign)
+        xi, h, _ = patch.chord_solve(v, ts)
+        points = (patch.base_point + (xi[:, None] * v) @ patch.tangent.T
+                  + h @ patch.normal.T)
+        # chord t subtends 2 asin(t / 2) on the unit circle, on the ray's side
+        theta = theta0 + sign * 2.0 * np.arcsin(ts / 2.0)
+        expected = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        np.testing.assert_allclose(points, expected, atol=1e-14)
+        assert np.all(xi > 0)
+
+
+def test_chord_solve_beyond_patch_raises():
+    sph = make_sphere()
+    patch = graph_patch_at(sph, (0, [1.3, 0.4]), 0.9)
+    v = np.array([[1.0, 0.0], [0.6, 0.8]])
+    # no point of the unit sphere lies at chord distance 2.5
+    with pytest.raises(NumericalError, match="did not converge on 1 rows"):
+        patch.chord_solve(v, np.array([0.5, 2.5]))
+
+
+# ----------------------------------------------------------------------
 # radial profiles
 # ----------------------------------------------------------------------
 
@@ -137,8 +204,6 @@ def test_profile_flat_patch():
             return np.zeros(np.asarray(eta).shape[:-1] + (1,))
         def height_jacobian(self, eta):
             return np.zeros(np.asarray(eta).shape[:-1] + (1, 2))
-        def height_with_jacobian(self, eta):
-            return self.height(eta), self.height_jacobian(eta)
     prof = radial_profile(Flat(), 1.0)
     np.testing.assert_allclose(prof.values, 2 * math.pi, atol=1e-13)
     np.testing.assert_allclose(prof.taylor[1:], 0.0, atol=1e-10)
@@ -321,3 +386,50 @@ def test_finite_part_requires_taylor_data():
         [2.0, 0.0], 1, 1.0)
     with pytest.raises(PreconditionError):
         finite_part(EnergyParams(-4.0, 1), prof)
+
+
+# ----------------------------------------------------------------------
+# exact spline integrals (batched over pieces) against a per-piece loop
+# ----------------------------------------------------------------------
+
+def _loop_spline_integral(spline, gamma, a, b, poly=(1.0,), jet=(0.0,)):
+    """Per-piece reference: integral of t^gamma * (spline * poly - jet)(t)
+    over [a, b], each piece expanded with numpy's polynomial algebra."""
+    P = np.polynomial.Polynomial
+    total = 0.0
+    for k in range(len(spline.x) - 1):
+        lo, hi = max(spline.x[k], a), min(spline.x[k + 1], b)
+        if hi <= lo:
+            continue
+        shift = P([-spline.x[k], 1.0])
+        piece = sum(c * shift ** j
+                    for j, c in enumerate(spline.c[::-1, k]))
+        for i, c in enumerate((piece * P(poly) - P(jet)).coef):
+            e = gamma + i + 1.0
+            total += (c * (math.log(hi) - math.log(lo)) if abs(e) < 1e-12
+                      else c * (hi ** e - lo ** e) / e)
+    return total
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -2.5, 0.5])
+def test_power_deflated_spline_integral_matches_loop(gamma):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0], np.geomspace(1e-4, 0.08, 14),
+                        np.linspace(0.1, 1.0, 48)])
+    spline = CubicSpline(x, 2.0 + np.cos(3.0 * x) + 0.01 * rng.random(len(x)))
+    jet = np.array([3.0, 0.0, -4.5, 0.0, 3.375, 0.0, -1.0])
+    a, b = float(x[1]), 0.97
+    got = power_deflated_spline_integral(spline, jet, gamma, a, b)
+    ref = _loop_spline_integral(spline, gamma, a, b, jet=jet)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_poly_weighted_spline_integral_matches_loop():
+    x = np.concatenate([[0.0], np.geomspace(1e-4, 0.08, 14),
+                        np.linspace(0.1, 1.0, 48)])
+    spline = CubicSpline(x, 1.0 / np.sqrt(1.0 - x ** 2 / 4.0))
+    poly = np.array([0.0, 0.5, 0.0, -2.0, 0.0, 1.5])
+    for a, b in ((0.0, 1.0), (0.013, 0.7)):
+        got = poly_weighted_spline_integral(spline, poly, a, b)
+        ref = _loop_spline_integral(spline, 0.0, a, b, poly=poly)
+        assert got == pytest.approx(ref, rel=1e-12)
