@@ -376,24 +376,29 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Defaults live in RunConfig: a flag the user did not give leaves no
+    # attribute, so it overrides neither the config file nor the same flag
+    # given before the subcommand.
+    def parser(**kw):
+        return argparse.ArgumentParser(argument_default=argparse.SUPPRESS,
+                                       **kw)
+
+    common = parser(add_help=False)
     common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("RIESZ_LAB_THREADS", "1")))
-    p = argparse.ArgumentParser(
-        prog="rieszlab", parents=[common],
-        description="Regularized Riesz, Kusner-Sullivan and Auckly-Sadun "
-                    "energies of closed curves and surfaces")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--threads", type=int)
+    p = parser(prog="rieszlab", parents=[common],
+               description="Regularized Riesz, Kusner-Sullivan and "
+                           "Auckly-Sadun energies of closed curves and "
+                           "surfaces")
     sub = p.add_subparsers(dest="command", parser_class=lambda **kw:
-                           argparse.ArgumentParser(parents=[common], **kw))
+                           parser(parents=[common], **kw))
 
     def add_common(sp):
         sp.add_argument("--surface")
         sp.add_argument("--alpha", type=float)
-        sp.add_argument("--energy", default="riesz",
-                        choices=["riesz", "ks", "as"])
-        sp.add_argument("--s", type=float, default=0.0)
+        sp.add_argument("--energy", choices=["riesz", "ks", "as"])
+        sp.add_argument("--s", type=float)
         sp.add_argument("--eps0", type=float)
         sp.add_argument("--outer-scale", type=float, dest="outer_scale")
         sp.add_argument("--inner-scale", type=float, dest="inner_scale")
@@ -406,33 +411,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("beta", help="closed-form beta oracle")
     sp.add_argument("--surface", choices=["circle", "sphere"], required=True)
     sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--radius", type=float, default=1.0)
+    sp.add_argument("--radius", type=float)
     sp.add_argument("--output", "-o")
     sp.add_argument("--data")
 
     sp = sub.add_parser("model", help="double-point model integrals")
     sp.add_argument("model", choices=["orthogonal", "tangent", "cone"])
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--rho", type=float, default=1.0)
-    sp.add_argument("--extent", type=float, default=0.5)
+    sp.add_argument("--rho", type=float)
+    sp.add_argument("--extent", type=float)
     sp.add_argument("--output", "-o")
     sp.add_argument("--data")
 
     sp = sub.add_parser("sweep", help="two-body blow-up sweep")
-    sp.add_argument("--m", type=int, default=2, choices=[1, 2])
+    sp.add_argument("--m", type=int, choices=[1, 2])
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--gaps", type=lambda s: [float(x) for x in s.split(",")],
-                    default=[0.1, 0.05, 0.025, 0.0125])
+    sp.add_argument("--radius", type=float)
+    sp.add_argument("--gaps", type=lambda s: [float(x) for x in s.split(",")])
     sp.add_argument("--csv")
     sp.add_argument("--output", "-o")
     sp.add_argument("--data")
 
     sp = sub.add_parser("flow", help="gradient descent of a mesh embedding")
     add_common(sp)
-    sp.add_argument("--steps", type=int, default=50)
-    sp.add_argument("--step-size", type=float, default=1e-2,
-                    dest="step_size")
+    sp.add_argument("--steps", type=int)
+    sp.add_argument("--step-size", type=float, dest="step_size")
     sp.add_argument("--trajectory", help="trajectory CSV path")
     sp.add_argument("--mesh-out", dest="mesh_out", help="final mesh OFF path")
 
@@ -444,10 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="uniform patch-class validation")
     sp.add_argument("--surface", required=True)
-    sp.add_argument("--k", type=int, default=3)
-    sp.add_argument("--eps0", type=float, default=0.1)
-    sp.add_argument("--b", type=float, default=10.0)
-    sp.add_argument("--V", type=float, default=100.0, dest="volume_bound")
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--eps0", type=float)
+    sp.add_argument("--b", type=float)
+    sp.add_argument("--V", type=float, dest="volume_bound")
     sp.add_argument("--output", "-o")
     sp.add_argument("--data")
     return p
@@ -459,18 +462,23 @@ def parse_args(argv=None) -> RunConfig:
     if ns.command is None:
         parser.print_help()
         raise ConfigError("no command given")
+    # RunConfig defaults < RIESZ_LAB_THREADS < config file < given flags
     merged = {}
-    if getattr(ns, "config", None):
+    env_threads = os.environ.get("RIESZ_LAB_THREADS")
+    if env_threads is not None:
         try:
-            with open(ns.config) as fh:
+            merged["threads"] = int(env_threads)
+        except ValueError:
+            raise ConfigError("RIESZ_LAB_THREADS must be an integer, got "
+                              f"{env_threads!r}") from None
+    flags = vars(ns)
+    if "config" in flags:
+        try:
+            with open(flags.pop("config")) as fh:
                 merged.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    for key, val in vars(ns).items():
-        if key == "config" or val is None:
-            continue
-        merged[key] = val
-    merged.setdefault("command", ns.command)
+    merged.update(flags)
     fields = {f for f in RunConfig.__dataclass_fields__}
     unknown = set(merged) - fields
     if unknown:

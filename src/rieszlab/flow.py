@@ -1,9 +1,10 @@
 """Gradient descent of mesh embeddings with contact monitoring.
 
-The flow's discrete Kusner-Sullivan energy is a self-contained vertex-based
-quadrature written with complex-analytic primitives only (plain-transpose
-Gram-Schmidt and normal-equation solves), so its exact gradient is available
-through complex-step differentiation alongside central finite differences.
+The flow's discrete Kusner-Sullivan energy is a vertex-based quadrature
+written with complex-analytic primitives only (plain-transpose Gram-Schmidt,
+normal-equation solves and the pair kernel shared with `ks_energy`), so its
+exact gradient is available through complex-step differentiation alongside
+central finite differences.
 Riesz and Auckly-Sadun selectors differentiate by finite differences.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError, UnsupportedInputError
 from .geometry.meshes import TriMesh
+from .moebius import ks_pair_kernel
 
 __all__ = [
     "EnergySelector",
@@ -54,7 +56,7 @@ class _KSDiscretization:
 
     def __init__(self, mesh: TriMesh):
         self.m = mesh.m
-        self.faces = mesh.faces.copy()
+        self.faces = mesh.faces
         self.num_vertices = mesh.num_vertices
         rings = mesh.vertex_rings(depth=2)
         rmax = max(len(r) for r in rings)
@@ -64,13 +66,7 @@ class _KSDiscretization:
             self.ring_idx[i, :len(r)] = r
             self.ring_mask[i, :len(r)] = 1.0
         if mesh.m == 1:
-            nxt = np.empty(mesh.num_vertices, dtype=int)
-            prv = np.empty(mesh.num_vertices, dtype=int)
-            for a, b in mesh.faces:
-                nxt[int(a)] = int(b)
-                prv[int(b)] = int(a)
-            self.next_vertex = nxt
-            self.prev_vertex = prv
+            self.next_vertex, self.prev_vertex = mesh.topology.next_prev
 
     def energy(self, vertices):
         """KS double sum over vertex nodes; analytic in the vertex positions."""
@@ -117,22 +113,9 @@ class _KSDiscretization:
             e1 = _normalize(w1)
             e2 = _normalize(w2 - _dotp(w2, e1)[:, None] * e1)
             frames = np.stack([e1, e2], axis=-1)            # (V, 3, 2)
-        diff = vertices[None, :, :] - vertices[:, None, :]
-        d2 = _dotp(diff, diff)
-        np.fill_diagonal(d2, 1.0)
-        dist = np.sqrt(d2)
-        v = diff / dist[..., None]
-        a = np.einsum("xyn,xnk->xyk", v, frames)
-        b = np.einsum("xyn,ynl->xyl", v, frames)
-        ew = np.einsum("xnk,ynl->xykl", frames, frames)
-        G = 2.0 * a[..., :, None] * b[..., None, :] - ew
-        if m == 1:
-            cos = G[..., 0, 0]
-        else:
-            cos = -(G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0])
-        omc = 1.0 - cos
-        np.fill_diagonal(omc, 0.0)
-        q = omc ** m / dist ** (2 * m)
+        omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = omc ** m / dist ** (2 * m)
         np.fill_diagonal(q, 0.0)
         return weights @ q @ weights
 

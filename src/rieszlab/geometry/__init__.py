@@ -5,13 +5,14 @@ from .charts import (Chart, ChartSurface, SurfaceQuadrature, make_circle,
                      make_ellipsoid, make_graph_patch_surface,
                      make_paraboloid_surface, make_saddle_surface, make_sphere,
                      make_torus, orthonormal_frames)
-from .meshes import (TriMesh, euler_characteristic, icosphere,
+from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      mesh_disjoint_union, polygon_circle, read_obj, read_off,
                      torus_mesh, write_obj, write_off)
 from .patches import (CurvatureData, GraphPatch, PatchClassParams,
                       PatchValidationReport, curvature_at,
                       default_patch_radius, fit_quadratic_patch,
                       graph_patch_at, tangent_frame, validate_patch_class)
+from .surface import NodeSet, Surface, as_surface
 
 __all__ = [
     "Chart", "ChartSurface", "SurfaceQuadrature",
@@ -19,11 +20,11 @@ __all__ = [
     "make_cylinder_patch", "make_graph_patch_surface", "make_saddle_surface",
     "make_paraboloid_surface", "make_disk", "make_disjoint_union",
     "orthonormal_frames",
-    "TriMesh", "euler_characteristic", "icosphere", "torus_mesh",
+    "MeshTopology", "TriMesh", "euler_characteristic", "icosphere", "torus_mesh",
     "polygon_circle", "mesh_disjoint_union",
     "read_off", "write_off", "read_obj", "write_obj",
     "CurvatureData", "GraphPatch", "PatchClassParams",
     "PatchValidationReport", "tangent_frame", "graph_patch_at",
     "curvature_at", "validate_patch_class", "default_patch_radius",
-    "fit_quadratic_patch",
+    "fit_quadratic_patch", "NodeSet", "Surface", "as_surface",
 ]

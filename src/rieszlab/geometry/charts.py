@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import RankDeficiencyError, UnsupportedInputError
+from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
+                      UnsupportedInputError)
+from .patches import CurvatureData, GraphPatch, orthonormal_frames
+from .surface import NodeSet, Surface
 
 __all__ = [
     "Chart",
@@ -33,42 +36,42 @@ __all__ = [
 ]
 
 
-def orthonormal_frames(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split R^n into tangent/normal frames from a (..., n, m) Jacobian stack.
+def _solve_small(A, b):
+    """Batched solve for (..., m, m) systems, closed form for m in {1, 2}."""
+    m = A.shape[-1]
+    if m == 1:
+        return b / A[..., 0, 0][..., None]
+    if m == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
+        x1 = (b[..., 1] * A[..., 0, 0] - b[..., 0] * A[..., 1, 0]) / det
+        return np.stack([x0, x1], axis=-1)
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
-    Tangent columns are orthonormalized preserving the orientation of the
-    parameter order; the normal frame completes a positively oriented basis
-    of R^n. Frames are orthonormal to machine precision.
+
+def _inv_small(A):
+    """Batched inverse of (..., m, m) stacks, closed form for m in {1, 2}."""
+    m = A.shape[-1]
+    if m == 1:
+        return 1.0 / A
+    if m == 2:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        inv = np.stack([np.stack([A[..., 1, 1], -A[..., 0, 1]], axis=-1),
+                        np.stack([-A[..., 1, 0], A[..., 0, 0]], axis=-1)],
+                       axis=-2)
+        return inv / det[..., None, None]
+    return np.linalg.inv(A)
+
+
+def _project(frame, J):
+    """frame^T J over a (..., n, m) stack of Jacobians, as one matrix product.
+
+    frame has shape (n, c); the result has shape (..., c, m).
     """
-    jac = np.asarray(jac, dtype=float)
-    single = jac.ndim == 2
-    if single:
-        jac = jac[None]
-    n, m = jac.shape[-2], jac.shape[-1]
-    q, r = np.linalg.qr(jac)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(np.abs(diag) < 1e-13 * np.abs(diag).max(initial=1.0)):
-        raise RankDeficiencyError("chart Jacobian is rank deficient")
-    # QR sign fix: make diag(R) > 0 so Q's orientation matches the columns.
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    tangent = q * sign[..., None, :]
-    # Orthonormal complement via full SVD.
-    u, _, _ = np.linalg.svd(jac, full_matrices=True)
-    normal = u[..., m:]
-    # Re-orthogonalize the complement against the tangent block (paranoia at
-    # machine level) and fix total orientation det([T | N]) > 0.
-    proj = np.einsum("...ij,...ik->...jk", tangent, normal)
-    normal = normal - np.einsum("...ij,...jk->...ik", tangent, proj)
-    normal /= np.linalg.norm(normal, axis=-2, keepdims=True)
-    full = np.concatenate([tangent, normal], axis=-1)
-    det = np.linalg.det(full)
-    flip = det < 0.0
-    if np.any(flip):
-        normal = normal.copy()
-        normal[flip, ..., -1] *= -1.0
-    if single:
-        return tangent[0], normal[0]
-    return tangent, normal
+    n, m = J.shape[-2:]
+    rows = np.swapaxes(J, -1, -2).reshape(-1, n) @ frame
+    return np.swapaxes(rows.reshape(J.shape[:-2] + (m, frame.shape[1])),
+                       -1, -2)
 
 
 class Chart:
@@ -95,12 +98,12 @@ class Chart:
 
 @dataclass
 class SurfaceQuadrature:
-    """Global integration rule over a chart surface or mesh."""
+    """Global integration rule over a chart surface."""
 
     points: np.ndarray       # (N, n)
     weights: np.ndarray      # (N,) includes the volume element
-    params: np.ndarray       # (N, m) chart parameters (NaN for meshes)
-    chart_index: np.ndarray  # (N,) chart id (or -1)
+    params: np.ndarray       # (N, m) chart parameters
+    chart_index: np.ndarray  # (N,) chart id
     jacobians: np.ndarray    # (N, n, m)
     spacing: np.ndarray      # (N,) ambient local node spacing estimate
     component: np.ndarray    # (N,) connected-component id
@@ -119,8 +122,12 @@ class SurfaceQuadrature:
 
 
 @dataclass
-class ChartSurface:
-    """Closed (or open) m-submanifold of R^n given by parametric charts."""
+class ChartSurface(Surface):
+    """Closed (or open) m-submanifold of R^n given by parametric charts.
+
+    Implements the surface protocol (`surface.py`). A locator is a pair
+    (chart index, parameter u) or a bare u on chart 0.
+    """
 
     m: int
     n: int
@@ -128,6 +135,9 @@ class ChartSurface:
     closed: bool
     euler_char: int | None
     name: str
+
+    oriented = True          # by the parameter order of every chart
+    patches_fitted = False
 
     def quadrature(self, scale: float = 1.0) -> SurfaceQuadrature:
         pts, wts, prm, idx, jacs, spc, comp = [], [], [], [], [], [], []
@@ -159,9 +169,263 @@ class ChartSurface:
             component=np.concatenate(comp),
         )
 
-    @property
-    def components(self):
-        return sorted({c.component for c in self.charts})
+    # -- surface protocol ----------------------------------------------
+
+    def locate(self, locator):
+        """(chart index, parameter u) of a locator."""
+        if (isinstance(locator, tuple) and len(locator) == 2
+                and np.isscalar(locator[0])):
+            return int(locator[0]), np.atleast_1d(np.asarray(locator[1],
+                                                             dtype=float))
+        return 0, np.atleast_1d(np.asarray(locator, dtype=float))
+
+    @staticmethod
+    def _node_set(q: SurfaceQuadrature) -> NodeSet:
+        return NodeSet(points=q.points, weights=q.weights,
+                       component=q.component, volume=q.total,
+                       locators=[(int(k), u)
+                                 for k, u in zip(q.chart_index, q.params)],
+                       spacing=q.spacing)
+
+    def nodes(self, scale, subdiv=None) -> NodeSet:
+        return self._node_set(self.quadrature(scale))
+
+    def tangent_nodes(self, scale):
+        q = self.quadrature(scale)
+
+        def probe(i, e, scales):
+            # steps of s node spacings along e, in chart parameters
+            chart = self.charts[q.chart_index[i]]
+            step = e / np.linalg.norm(q.jacobians[i] @ e)
+            for s in scales:
+                u = q.params[i] + step * (q.spacing[i] * s)
+                yield chart.value(u), chart.jacobian(u)
+
+        return self._node_set(q), q.frames()[0], probe
+
+    def basis_at(self, locator):
+        idx, u = self.locate(locator)
+        chart = self.charts[idx]
+        return chart.value(u), chart.jacobian(u)
+
+    def frame_at(self, locator):
+        return orthonormal_frames(self.basis_at(locator)[1])
+
+    def curvature_at(self, locator) -> CurvatureData:
+        idx, u = self.locate(locator)
+        chart = self.charts[idx]
+        jac = chart.jacobian(u)
+        hess = chart.hessian(u)
+        tangent, normal = orthonormal_frames(jac)
+        A = np.linalg.inv(tangent.T @ jac)
+        # pull the ambient Hessian back through eta-coordinates
+        sff = np.einsum("nc,npq,pa,qb->abc", normal, hess, A, A)
+        return CurvatureData(second_fundamental=sff, tangent=tangent,
+                             normal=normal)
+
+    def transformed(self, value_map, jac_map, hess_map, name=None):
+        """Every chart composed with an ambient map given by its rules.
+
+        value_map(x) -> y, jac_map(x) -> (..., n, n), hess_map(x) ->
+        (..., n, n, n) with hess_map[..., i, a, b] = d^2 y_i / dx_a dx_b
+        (None for affine maps). Quadrature weights are rebuilt from the
+        composed Jacobians, so the rule stays consistent on the image.
+        """
+        def wrap_chart(chart):
+            f, J, H = chart.value, chart.jacobian, chart.hessian
+
+            def value(u, f=f):
+                return value_map(f(u))
+
+            def jacobian(u, f=f, J=J):
+                return np.einsum("...ij,...jp->...ip", jac_map(f(u)), J(u))
+
+            def hessian(u, f=f, J=J, H=H):
+                x = f(u)
+                Ju = J(u)
+                first = np.einsum("...ij,...jpq->...ipq", jac_map(x), H(u))
+                if hess_map is None:
+                    return first
+                second = np.einsum("...ijk,...jp,...kq->...ipq",
+                                   hess_map(x), Ju, Ju)
+                return first + second
+
+            repatch = None
+            if chart.repatch is not None:
+                def repatch(u0, chart=chart):
+                    base2, u02 = chart.repatch(u0)
+                    return wrap_chart(base2), u02
+
+            return Chart(chart.m, chart.n, value, jacobian, hessian,
+                         chart.param_rule, chart.name, chart.component,
+                         repatch=repatch)
+
+        return ChartSurface(self.m, self.n, [wrap_chart(c) for c in self.charts],
+                            self.closed, self.euler_char,
+                            name or f"mapped({self.name})")
+
+    def euler_characteristic(self) -> int:
+        if self.euler_char is None:
+            raise PreconditionError("surface needs a known Euler characteristic")
+        return self.euler_char
+
+    def min_nonneighbor_distance(self) -> float:
+        return math.inf
+
+    def patch_at(self, locator, radius, shrink=True,
+                 measure_bound=True) -> GraphPatch:
+        """Graph patch at the located point; the radius is validated on a
+        polar grid and shrunk until the graph Newton converges there (unless
+        shrink=False). Patches also carry `chord_solve`."""
+        chart_idx, u0 = self.locate(locator)
+        chart = self.charts[chart_idx]
+        if chart.repatch is not None:
+            chart, u0 = chart.repatch(u0)
+        x0 = chart.value(u0)
+        jac0 = chart.jacobian(u0)
+        tangent, normal = orthonormal_frames(jac0)
+        A0 = np.linalg.inv(tangent.T @ jac0)
+
+        def solve_params(eta, tol=1e-13, max_iter=60):
+            eta = np.asarray(eta, dtype=float)
+            single = eta.ndim == 1
+            eta2 = eta[None] if single else eta
+            u = u0 + eta2 @ A0.T
+            target = eta2 + (tangent.T @ x0)
+            tol_row = tol * (1.0 + np.linalg.norm(eta2, axis=-1))
+            idx = np.arange(len(eta2))
+            for _ in range(max_iter):
+                res = chart.value(u[idx]) @ tangent - target[idx]
+                bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
+                if not bad.any():
+                    idx = idx[:0]
+                    break
+                sel = idx[bad]
+                step = _solve_small(_project(tangent, chart.jacobian(u[sel])),
+                                    res[bad])
+                # clamp wild steps near chart degeneracies
+                u[sel] -= np.clip(step, -1.0, 1.0)
+                idx = sel
+            if len(idx):
+                raise PatchRadiusError(
+                    "graph-patch Newton did not converge inside the requested "
+                    f"radius (chart {chart_idx})")
+            return u[0] if single else u
+
+        def height(eta):
+            eta = np.asarray(eta, dtype=float)
+            u = solve_params(eta)
+            d = chart.value(u) - x0
+            return d @ normal
+
+        def grad_height(J):
+            # (N^T J)(T^T J)^-1 with the inverse in closed form
+            return np.einsum("...ci,...ij->...cj", _project(normal, J),
+                             _inv_small(_project(tangent, J)))
+
+        def height_jacobian(eta):
+            return grad_height(chart.jacobian(solve_params(
+                np.asarray(eta, dtype=float))))
+
+        # Absolute stopping floor of the chord Newton: 16 ulps of the
+        # coordinates, above the rounding that x(u) - x0 leaves in the residuals
+        # (a floor near one ulp stalls at the smallest radii).
+        floor = 16.0 * np.finfo(float).eps * (float(np.linalg.norm(x0))
+                                               + float(radius))
+
+        def chord_solve(v, t, max_iter=60):
+            """(xi, h, grad h) at chord distance t along tangent directions v.
+
+            Newton in the chart parameter u, one row per (v, t), on
+            |x(u) - x0| = t together with <v_perp, T^T (x(u) - x0)> = 0 for
+            m = 2 (the distance equation alone for m = 1); the converged point
+            must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
+            as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
+            about 1e-12 relative at the smallest radii.
+            """
+            v = np.asarray(v, dtype=float)
+            t = np.asarray(t, dtype=float)
+            d_out = np.empty((len(t), self.n))
+            J_out = np.empty((len(t), self.n, self.m))
+            # active rows: parameter, radius, tolerance, row index and, for
+            # m = 2, the second equation's ambient direction T v_perp
+            uk = u0 + (t[:, None] * v) @ A0.T
+            tk, tolk, idx = t, 1e-13 * t + floor, np.arange(len(t))
+            pk = (np.stack([-v[:, 1], v[:, 0]], axis=-1) @ tangent.T
+                  if self.m == 2 else None)
+            for _ in range(max_iter):
+                d = chart.value(uk) - x0
+                J = chart.jacobian(uk)
+                # (|d|^2 - t^2) / (2 t): the distance residual in length units
+                res = [(np.einsum("kn,kn->k", d, d) - tk * tk) / (2.0 * tk)]
+                if pk is not None:
+                    res.append(np.einsum("kn,kn->k", d, pk))
+                bad = np.abs(res[0]) > tolk
+                for r in res[1:]:
+                    bad |= np.abs(r) > tolk
+                n_bad = int(np.count_nonzero(bad))
+                if n_bad == 0 or 4 * n_bad < 3 * len(bad):
+                    # retire the converged rows once they are a quarter of the
+                    # batch; until then they stay in it with a zero step
+                    done = ~bad
+                    d_out[idx[done]] = d[done]
+                    J_out[idx[done]] = J[done]
+                    if not n_bad:
+                        break
+                    uk, tk, tolk, idx, d, J = (
+                        a[bad] for a in (uk, tk, tolk, idx, d, J))
+                    res = [r[bad] for r in res]
+                    pk = None if pk is None else pk[bad]
+                    bad = bad[bad]
+                rows = [np.einsum("kn,knj->kj", d, J) / tk[:, None]]
+                if pk is not None:
+                    rows.append(np.einsum("kn,knj->kj", pk, J))
+                step = _solve_small(np.stack(rows, axis=-2),
+                                    np.stack(res, axis=-1))
+                # clamp wild steps near chart degeneracies
+                uk = uk - np.where(bad[:, None], np.clip(step, -1.0, 1.0), 0.0)
+            else:
+                raise NumericalError(
+                    f"chord Newton did not converge on {len(idx)} rows "
+                    f"(chart {chart_idx}); is t beyond the patch?")
+            if np.any(np.einsum("kj,kj->k", d_out @ tangent, v) <= 0.0):
+                raise NumericalError(
+                    f"chord Newton left the ray's side (chart {chart_idx})")
+            h = d_out @ normal
+            xi = np.sqrt(np.maximum(t * t - np.einsum("kc,kc->k", h, h), 0.0))
+            return xi, h, grad_height(J_out)
+
+        # Validate the radius on a coarse polar grid (rim plus interior rings).
+        r = float(radius)
+        attempts = 0
+        while True:
+            try:
+                if self.m == 1:
+                    probe = np.array([[r], [-r], [0.5 * r], [-0.5 * r]])
+                else:
+                    ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+                    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+                    rads = np.array([0.35, 0.7, 0.98]) * r
+                    probe = (dirs[None] * rads[:, None, None]).reshape(-1, 2)
+                solve_params(probe)
+                break
+            except PatchRadiusError:
+                if not shrink:
+                    raise
+                attempts += 1
+                r *= 0.85
+                if attempts > 40:
+                    raise
+        patch = GraphPatch(base_point=x0, tangent=tangent, normal=normal,
+                           radius=r, height=height,
+                           height_jacobian=height_jacobian,
+                           chord_solve=chord_solve, kind="chart",
+                           meta={"chart_index": chart_idx, "param": u0.copy()})
+        if measure_bound:
+            patch.derivative_bound = patch.measure_derivative_bound(
+                n_angular=8, n_radial=4)
+        return patch
+
 
 
 # ----------------------------------------------------------------------
@@ -510,51 +774,6 @@ def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,
     chart = Chart(2, 3, value, jacobian, hessian, rule, name="disk",
                   component=component)
     return ChartSurface(2, 3, [chart], False, None, f"disk(r={r1},z={z})")
-
-
-def transform_surface(surface: ChartSurface, value_map, jac_map, hess_map,
-                      name=None, closed=None, euler_char="keep") -> ChartSurface:
-    """Compose every chart with an ambient map given by value/derivative rules.
-
-    value_map(x) -> y, jac_map(x) -> (..., n, n), hess_map(x) -> (..., n, n, n)
-    with hess_map[..., i, a, b] = d^2 y_i / dx_a dx_b (hess_map may be None
-    for affine maps). Quadrature weights are rebuilt from the composed
-    Jacobians, so the rule stays consistent on the image surface.
-    """
-    def wrap_chart(chart):
-        f, J, H = chart.value, chart.jacobian, chart.hessian
-
-        def value(u, f=f):
-            return value_map(f(u))
-
-        def jacobian(u, f=f, J=J):
-            return np.einsum("...ij,...jp->...ip", jac_map(f(u)), J(u))
-
-        def hessian(u, f=f, J=J, H=H):
-            x = f(u)
-            Ju = J(u)
-            first = np.einsum("...ij,...jpq->...ipq", jac_map(x), H(u))
-            if hess_map is None:
-                return first
-            second = np.einsum("...ijk,...jp,...kq->...ipq",
-                               hess_map(x), Ju, Ju)
-            return first + second
-
-        repatch = None
-        if chart.repatch is not None:
-            def repatch(u0, chart=chart):
-                base2, u02 = chart.repatch(u0)
-                return wrap_chart(base2), u02
-
-        return Chart(chart.m, chart.n, value, jacobian, hessian,
-                     chart.param_rule, chart.name, chart.component,
-                     repatch=repatch)
-
-    charts = [wrap_chart(c) for c in surface.charts]
-    chi = surface.euler_char if euler_char == "keep" else euler_char
-    return ChartSurface(surface.m, surface.n, charts,
-                        surface.closed if closed is None else closed,
-                        chi, name or f"mapped({surface.name})")
 
 
 def make_disjoint_union(a: ChartSurface, b: ChartSurface) -> ChartSurface:

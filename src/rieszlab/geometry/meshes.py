@@ -2,19 +2,28 @@
 
 Faces are oriented simplices given by vertex index tuples; a mesh is closed
 when every (m-1)-face is shared by exactly two m-faces with opposite induced
-orientation. OFF and OBJ readers/writers round-trip coordinates losslessly.
+orientation. The connectivity is computed once per set of faces
+(`MeshTopology`). OFF and OBJ readers/writers round-trip coordinates
+losslessly.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from ..errors import TopologyError, UnsupportedInputError
+from .patches import (CurvatureData, GraphPatch, fit_quadratic_patch,
+                      graph_patch_at)
+from .surface import NodeSet, Surface
 
 __all__ = [
+    "MeshTopology",
     "TriMesh",
     "euler_characteristic",
     "icosphere",
@@ -28,29 +37,123 @@ __all__ = [
 ]
 
 
-@dataclass
-class TriMesh:
-    """Oriented simplicial m-manifold mesh (m in {1, 2})."""
+class MeshTopology:
+    """Connectivity of a simplicial mesh, built once from its faces.
 
-    vertices: np.ndarray   # (V, n) float
-    faces: np.ndarray      # (F, m+1) int
-    m: int
+    Everything here depends on the faces alone, so meshes on the same faces
+    (`TriMesh.with_vertices`, `translated`) share one instance. The faces
+    are read-only; rings, vertex faces and components are built on first
+    use.
+    """
 
-    closed: bool = field(init=False)
-    oriented: bool = field(init=False)
+    def __init__(self, faces, m, num_vertices):
+        self.faces = faces
+        self.faces.flags.writeable = False
+        self.m = m
+        self.num_vertices = num_vertices
+        self._rings = {}
+        V = num_vertices
+        if m == 1:
+            heads = np.bincount(faces[:, 1], minlength=V)
+            tails = np.bincount(faces[:, 0], minlength=V)
+            used = heads + tails > 0
+            closed = bool(np.all(heads[used] == 1) and np.all(tails[used] == 1))
+            self.closed = self.oriented = closed
+            return
+        # each directed edge (a, b) of the triangles, counted with (b, a)
+        e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        keys, count = np.unique(e[:, 0] * V + e[:, 1], return_counts=True)
+        rev_keys = keys % V * V + keys // V
+        pos = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
+        rev = np.where(keys[pos] == rev_keys, count[pos], 0)
+        self.oriented = not np.any((count > 1) | (rev > 1))
+        self.closed = self.oriented and bool(np.all(count + rev == 2))
 
-    def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        self.faces = np.ascontiguousarray(self.faces, dtype=int)
-        if self.m not in (1, 2):
+    @cached_property
+    def adjacency(self):
+        """Sparse (V, V) pattern of the vertex pairs that share a face."""
+        k = np.arange(self.m + 1)
+        a, b = np.nonzero(k[:, None] != k[None, :])
+        V = self.num_vertices
+        return sparse.csr_matrix((np.ones(len(self.faces) * len(a)),
+                                  (self.faces[:, a].ravel(),
+                                   self.faces[:, b].ravel())), shape=(V, V))
+
+    def rings(self, depth):
+        """Sorted vertex ids within `depth` edges of each vertex, itself
+        excluded (depth 1: the vertices sharing a face with it)."""
+        if depth not in self._rings:
+            reach = self.adjacency
+            for _ in range(depth - 1):
+                reach = reach + reach @ self.adjacency
+            reach = (reach - sparse.diags(reach.diagonal())).tocsr()
+            reach.eliminate_zeros()
+            reach.sort_indices()
+            self._rings[depth] = np.split(reach.indices, reach.indptr[1:-1])
+        return self._rings[depth]
+
+    @cached_property
+    def vertex_faces(self):
+        """Ids of the faces at each vertex, ascending."""
+        flat = self.faces.ravel()
+        order = np.argsort(flat, kind="stable") // (self.m + 1)
+        counts = np.bincount(flat, minlength=self.num_vertices)
+        return np.split(order, np.cumsum(counts)[:-1])
+
+    @cached_property
+    def components(self):
+        """Connected-component id per vertex (via shared faces)."""
+        # imported here: loading csgraph adds ~3 MB to every process's
+        # resident set, and most runs never ask for components
+        from scipy.sparse.csgraph import connected_components
+        return connected_components(self.adjacency, directed=False)[1]
+
+    @cached_property
+    def next_prev(self):
+        """Successor and predecessor of each vertex along a curve (m = 1)."""
+        nxt = np.full(self.num_vertices, -1)
+        prv = np.full(self.num_vertices, -1)
+        nxt[self.faces[:, 0]] = self.faces[:, 1]
+        prv[self.faces[:, 1]] = self.faces[:, 0]
+        return nxt, prv
+
+
+def _unit_normals(p):
+    """Unit normals of triangles with corners p (F, 3, 3), by winding."""
+    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+
+
+class TriMesh(Surface):
+    """Oriented simplicial m-manifold mesh (m in {1, 2}).
+
+    Implements the surface protocol (`surface.py`); a locator is a vertex
+    id. The connectivity lives in a `MeshTopology` shared by every mesh
+    made from this one by `with_vertices` or `translated`; each new vertex
+    array is checked for finite coordinates and non-degenerate simplices.
+    """
+
+    patches_fitted = True
+
+    def __init__(self, vertices, faces, m):
+        if m not in (1, 2):
             raise UnsupportedInputError("mesh dimension m must be 1 or 2")
-        if self.faces.shape[1] != self.m + 1:
+        faces = np.array(faces, dtype=int)
+        if faces.shape[1] != m + 1:
             raise UnsupportedInputError("face tuples must have m+1 vertex ids")
+        self.m = m
+        self.faces = faces
+        self._set_vertices(vertices)
+        self.topology = MeshTopology(faces, m, self.num_vertices)
+        self.closed = self.topology.closed
+        self.oriented = self.topology.oriented
+
+    def _set_vertices(self, vertices):
+        self.vertices = np.ascontiguousarray(vertices, dtype=float)
         if not np.all(np.isfinite(self.vertices)):
             raise UnsupportedInputError("mesh has non-finite vertex coordinates")
         if np.any(self.measures() <= 0.0):
             raise TopologyError("mesh contains a degenerate simplex")
-        self.closed, self.oriented = self._check_topology()
 
     # -- structure -----------------------------------------------------
 
@@ -66,36 +169,9 @@ class TriMesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def _sub_faces(self):
-        """Directed (m-1)-faces with induced orientation, per face."""
-        f = self.faces
-        if self.m == 1:
-            # boundary of the segment (a, b): +b, -a
-            return [(f[:, 1], +1), (f[:, 0], -1)]
-        # edges of (a, b, c): (a,b), (b,c), (c,a)
-        return [(f[:, [0, 1]], None), (f[:, [1, 2]], None), (f[:, [2, 0]], None)]
-
-    def _check_topology(self):
-        if self.m == 1:
-            heads = np.bincount(self.faces[:, 1], minlength=self.num_vertices)
-            tails = np.bincount(self.faces[:, 0], minlength=self.num_vertices)
-            used = heads + tails > 0
-            closed = bool(np.all(heads[used] == 1) and np.all(tails[used] == 1))
-            return closed, closed
-        edges = np.concatenate([self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                                self.faces[:, [2, 0]]])
-        key_dir = {}
-        for a, b in edges:
-            key_dir[(int(a), int(b))] = key_dir.get((int(a), int(b)), 0) + 1
-        closed = True
-        oriented = True
-        for (a, b), cnt in key_dir.items():
-            rev = key_dir.get((b, a), 0)
-            if cnt > 1 or rev > 1:
-                oriented = False
-            if cnt + rev != 2:
-                closed = False
-        return closed and oriented, oriented
+    @property
+    def name(self) -> str:
+        return f"mesh(m={self.m}, V={self.num_vertices})"
 
     def measures(self) -> np.ndarray:
         """Per-face m-volume (edge lengths / triangle areas)."""
@@ -119,102 +195,187 @@ class TriMesh:
         """Unit normals from the face winding (m=2, n=3 only)."""
         if self.m != 2 or self.n != 3:
             raise UnsupportedInputError("face normals need m=2 meshes in R^3")
-        p = self.vertices[self.faces]
-        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+        return _unit_normals(self.vertices[self.faces])
 
     def vertex_neighbors(self):
-        """Adjacency lists (1-ring) from shared faces."""
-        nbr = [set() for _ in range(self.num_vertices)]
-        for f in self.faces:
-            for i in f:
-                for j in f:
-                    if i != j:
-                        nbr[int(i)].add(int(j))
-        return [sorted(s) for s in nbr]
+        """Sorted 1-rings: the vertices sharing a face with each vertex."""
+        return self.topology.rings(1)
 
     def vertex_rings(self, depth=2):
-        one = self.vertex_neighbors()
-        rings = []
-        for v in range(self.num_vertices):
-            seen = {v}
-            frontier = set(one[v])
-            seen |= frontier
-            for _ in range(depth - 1):
-                nxt = set()
-                for u in frontier:
-                    nxt |= set(one[u])
-                frontier = nxt - seen
-                seen |= frontier
-            seen.discard(v)
-            rings.append(sorted(seen))
-        return rings
+        return self.topology.rings(depth)
 
     def vertex_faces(self):
-        vf = [[] for _ in range(self.num_vertices)]
-        for k, f in enumerate(self.faces):
-            for i in f:
-                vf[int(i)].append(k)
-        return vf
+        return self.topology.vertex_faces
 
     def vertex_weights(self) -> np.ndarray:
         """Lumped quadrature weights: 1/(m+1) of adjacent face measures."""
         w = np.zeros(self.num_vertices)
-        meas = self.measures()
-        for k, f in enumerate(self.faces):
-            share = meas[k] / (self.m + 1)
-            for i in f:
-                w[int(i)] += share
+        np.add.at(w, self.faces.ravel(),
+                  np.repeat(self.measures() / (self.m + 1), self.m + 1))
         return w
 
     def components(self) -> np.ndarray:
         """Connected-component id per vertex (via shared faces)."""
-        parent = np.arange(self.num_vertices)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for f in self.faces:
-            r = find(int(f[0]))
-            for i in f[1:]:
-                parent[find(int(i))] = r
-        roots = np.array([find(i) for i in range(self.num_vertices)])
-        _, comp = np.unique(roots, return_inverse=True)
-        return comp
+        return self.topology.components
 
     def local_scale(self) -> np.ndarray:
         """Mean incident edge length per vertex."""
-        nbr = self.vertex_neighbors()
+        # np.mean per vertex: its pairwise summation order sets the last bits
         out = np.zeros(self.num_vertices)
-        for v, ns in enumerate(nbr):
-            if ns:
+        for v, ns in enumerate(self.vertex_neighbors()):
+            if len(ns):
                 d = np.linalg.norm(self.vertices[ns] - self.vertices[v], axis=-1)
                 out[v] = float(np.mean(d))
         return out
 
     def min_nonneighbor_distance(self) -> float:
         """Min distance between vertices not sharing any face."""
-        nbr = self.vertex_neighbors()
-        pts = self.vertices
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        mask = np.ones_like(d2, dtype=bool)
-        np.fill_diagonal(mask, False)
-        for v, ns in enumerate(nbr):
-            mask[v, ns] = False
-        if not mask.any():
+        pts, V = self.vertices, self.num_vertices
+        adj = self.topology.adjacency
+        nbr = np.repeat(np.arange(V), np.diff(adj.indptr)) * V + adj.indices
+        # the nearest (largest 1-ring) + 2 vertices of each vertex hold a
+        # non-neighbour; the winning pairs are remeasured with the dense
+        # all-pairs formula, so the value does not depend on the tree
+        k = min(V, int(np.diff(adj.indptr).max(initial=0)) + 2)
+        dist, idx = cKDTree(pts).query(pts, np.arange(1, k + 1))
+        rows = np.arange(V)[:, None]
+        dist = np.where((rows != idx) & ~np.isin(rows * V + idx, nbr), dist,
+                        np.inf)
+        if not np.isfinite(dist.min()):
             return math.inf
-        return float(np.sqrt(d2[mask].min()))
+        v, j = np.nonzero(dist == dist.min())
+        d2 = np.sum((pts[v] - pts[idx[v, j]]) ** 2, axis=-1)
+        return float(np.sqrt(d2.min()))
 
     def translated(self, shift) -> "TriMesh":
-        return TriMesh(self.vertices + np.asarray(shift, dtype=float),
-                       self.faces.copy(), self.m)
+        return self.with_vertices(self.vertices + np.asarray(shift, dtype=float))
 
     def with_vertices(self, vertices) -> "TriMesh":
-        return TriMesh(np.asarray(vertices, dtype=float), self.faces.copy(),
-                       self.m)
+        """Mesh on the same faces, sharing this mesh's topology."""
+        if len(vertices) != self.num_vertices:
+            raise UnsupportedInputError("with_vertices needs one row per vertex")
+        mesh = copy.copy(self)
+        mesh._set_vertices(vertices)
+        return mesh
+
+    # -- surface protocol ----------------------------------------------
+
+    def nodes(self, scale=None, subdiv=None) -> NodeSet:
+        """Vertex nodes with lumped weights, or with subdiv the centroids of
+        every face subdivided subdiv times; scale is not used."""
+        comp = self.components()
+        if subdiv is None:
+            return NodeSet(points=self.vertices, weights=self.vertex_weights(),
+                           component=comp, volume=self.total_volume(),
+                           locators=list(range(self.num_vertices)),
+                           spacing=self.local_scale())
+        p = self.vertices[self.faces]                       # (F, m+1, n)
+        if self.m == 1:
+            k = max(1, 2 ** subdiv)
+            ts = ((np.arange(k) + 0.5) / k)[:, None]
+            pts = p[:, None, 0] + ts * (p[:, None, 1] - p[:, None, 0])
+        else:
+            tris = p[:, None]                               # (F, T, 3, n)
+            for _ in range(subdiv):
+                a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
+                ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+                kids = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+                tris = np.stack([np.stack(t, axis=2) for t in kids], axis=2)
+                tris = tris.reshape(len(p), -1, 3, self.n)
+            pts = (tris[:, :, 0] + tris[:, :, 1] + tris[:, :, 2]) / 3.0
+        k = pts.shape[1]
+        return NodeSet(points=pts.reshape(-1, self.n),
+                       weights=np.repeat(self.measures() / k, k),
+                       component=np.repeat(comp[self.faces[:, 0]], k),
+                       volume=self.total_volume())
+
+    def tangent_nodes(self, scale=None):
+        nodes = self.nodes()
+        patches = [graph_patch_at(self, i, None, measure_bound=False)
+                   for i in range(self.num_vertices)]
+
+        def probe(i, e, scales):
+            # steps along e in the vertex's fitted patch, s times the
+            # smaller of the mean edge and the patch radius
+            p = patches[i]
+            for s in scales:
+                eta = (e * min(nodes.spacing[i], p.radius) * s)[None]
+                yield (p.embed(eta)[0],
+                       p.tangent + p.normal @ p.height_jacobian(eta)[0])
+
+        return nodes, np.stack([p.tangent for p in patches]), probe
+
+    def basis_at(self, locator):
+        return self.vertices[int(locator)], self.frame_at(locator)[0]
+
+    def frame_at(self, locator):
+        patch = self.patch_at(locator, None, measure_bound=False)
+        return patch.tangent, patch.normal
+
+    def curvature_at(self, locator) -> CurvatureData:
+        patch = self.patch_at(locator, None, measure_bound=False)
+        sff = np.moveaxis(patch.meta["coeffs"], 0, -1)   # coeffs (n-m, m, m)
+        return CurvatureData(second_fundamental=sff, tangent=patch.tangent,
+                             normal=patch.normal)
+
+    def transformed(self, value_map, jac_map, hess_map, name=None):
+        return self.with_vertices(value_map(self.vertices))
+
+    def euler_characteristic(self) -> int:
+        return euler_characteristic(self)
+
+    def patch_at(self, locator, radius, shrink=True,
+                 measure_bound=True) -> GraphPatch:
+        """Quadratic graph fit over the vertex's 2-ring, capped at 0.9x the
+        ring's extent (radius None takes the cap; shrink is not used)."""
+        vertex = int(locator)
+        if self.m == 2 and self.n != 3:
+            raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
+        rings = self.vertex_rings(depth=2)[vertex]
+        base = self.vertices[vertex]
+        pts = self.vertices[rings]
+        tangent, normal, coeffs, rms = fit_quadratic_patch(base, pts, self.m)
+        faces = self.faces[self.vertex_faces()[vertex]]
+        if self.m == 1:
+            # orient the tangent along the outgoing winding edge
+            out_edges = faces[faces[:, 0] == vertex]
+            if len(out_edges):
+                edge_dir = self.vertices[out_edges[0, 1]] - base
+                if float(tangent[:, 0] @ edge_dir) < 0:
+                    tangent = -tangent   # quadratic height is even: coeffs keep
+            new_normal = np.array([-tangent[1, 0], tangent[0, 0]]).reshape(2, 1)
+            coeffs = coeffs * float(np.sign(new_normal[:, 0] @ normal[:, 0]))
+            normal = new_normal
+        else:
+            # orient against the face-winding normal
+            ref_normal = _unit_normals(self.vertices[faces]).mean(axis=0)
+            if float(normal[:, 0] @ ref_normal) < 0:
+                normal = -normal
+                coeffs = -coeffs
+            cross = np.cross(tangent[:, 0], tangent[:, 1])
+            if float(cross @ normal[:, 0]) < 0:
+                tangent = tangent[:, ::-1].copy()
+                coeffs = coeffs[:, ::-1, :][:, :, ::-1].copy()
+        extent = 0.9 * float(np.max(np.linalg.norm(pts - base, axis=-1)))
+        r = min(float(radius), extent) if radius is not None else extent
+
+        def height(eta):
+            eta = np.asarray(eta, dtype=float)
+            vals = 0.5 * np.einsum("...i,cij,...j->...c", eta, coeffs, eta)
+            return vals
+
+        def height_jacobian(eta):
+            eta = np.asarray(eta, dtype=float)
+            return np.einsum("cij,...j->...ci", coeffs, eta)
+
+        patch = GraphPatch(base_point=base, tangent=tangent, normal=normal,
+                           radius=r, height=height,
+                           height_jacobian=height_jacobian, kind="mesh-fit",
+                           fit_residual=rms,
+                           meta={"vertex": int(vertex), "coeffs": coeffs})
+        if measure_bound:
+            patch.derivative_bound = patch.measure_derivative_bound()
+        return patch
 
 
 def euler_characteristic(mesh: TriMesh) -> int:

@@ -6,7 +6,8 @@ T eta + N h(eta) parametrizes the surface near x. Chart surfaces get h by
 Newton inversion of the chart map, and also solve for the points at a given
 chord distance directly in chart parameters (`GraphPatch.chord_solve`);
 meshes get h from weighted least-squares quadratic fits over 2-ring
-neighborhoods.
+neighborhoods. The surfaces build their own patches (`patch_at` of the
+surface protocol); the functions here reach them through that protocol.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
-                      UnsupportedInputError)
-from .charts import ChartSurface, orthonormal_frames
-from .meshes import TriMesh
+                      RankDeficiencyError)
+from .surface import as_surface
 
 __all__ = [
+    "orthonormal_frames",
     "GraphPatch",
     "CurvatureData",
     "PatchClassParams",
@@ -35,42 +36,42 @@ __all__ = [
 ]
 
 
-def _solve_small(A, b):
-    """Batched solve for (..., m, m) systems, closed form for m in {1, 2}."""
-    m = A.shape[-1]
-    if m == 1:
-        return b / A[..., 0, 0][..., None]
-    if m == 2:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
-        x1 = (b[..., 1] * A[..., 0, 0] - b[..., 0] * A[..., 1, 0]) / det
-        return np.stack([x0, x1], axis=-1)
-    return np.linalg.solve(A, b[..., None])[..., 0]
+def orthonormal_frames(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split R^n into tangent/normal frames from a (..., n, m) Jacobian stack.
 
-
-def _inv_small(A):
-    """Batched inverse of (..., m, m) stacks, closed form for m in {1, 2}."""
-    m = A.shape[-1]
-    if m == 1:
-        return 1.0 / A
-    if m == 2:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        inv = np.stack([np.stack([A[..., 1, 1], -A[..., 0, 1]], axis=-1),
-                        np.stack([-A[..., 1, 0], A[..., 0, 0]], axis=-1)],
-                       axis=-2)
-        return inv / det[..., None, None]
-    return np.linalg.inv(A)
-
-
-def _project(frame, J):
-    """frame^T J over a (..., n, m) stack of Jacobians, as one matrix product.
-
-    frame has shape (n, c); the result has shape (..., c, m).
+    Tangent columns are orthonormalized preserving the orientation of the
+    parameter order; the normal frame completes a positively oriented basis
+    of R^n. Frames are orthonormal to machine precision.
     """
-    n, m = J.shape[-2:]
-    rows = np.swapaxes(J, -1, -2).reshape(-1, n) @ frame
-    return np.swapaxes(rows.reshape(J.shape[:-2] + (m, frame.shape[1])),
-                       -1, -2)
+    jac = np.asarray(jac, dtype=float)
+    single = jac.ndim == 2
+    if single:
+        jac = jac[None]
+    n, m = jac.shape[-2], jac.shape[-1]
+    q, r = np.linalg.qr(jac)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.any(np.abs(diag) < 1e-13 * np.abs(diag).max(initial=1.0)):
+        raise RankDeficiencyError("chart Jacobian is rank deficient")
+    # QR sign fix: make diag(R) > 0 so Q's orientation matches the columns.
+    sign = np.where(diag < 0.0, -1.0, 1.0)
+    tangent = q * sign[..., None, :]
+    # Orthonormal complement via full SVD.
+    u, _, _ = np.linalg.svd(jac, full_matrices=True)
+    normal = u[..., m:]
+    # Re-orthogonalize the complement against the tangent block (paranoia at
+    # machine level) and fix total orientation det([T | N]) > 0.
+    proj = np.einsum("...ij,...ik->...jk", tangent, normal)
+    normal = normal - np.einsum("...ij,...jk->...ik", tangent, proj)
+    normal /= np.linalg.norm(normal, axis=-2, keepdims=True)
+    full = np.concatenate([tangent, normal], axis=-1)
+    det = np.linalg.det(full)
+    flip = det < 0.0
+    if np.any(flip):
+        normal = normal.copy()
+        normal[flip, ..., -1] *= -1.0
+    if single:
+        return tangent[0], normal[0]
+    return tangent, normal
 
 
 # ----------------------------------------------------------------------
@@ -149,158 +150,6 @@ class GraphPatch:
         return sup
 
 
-def _chart_patch(surface: ChartSurface, chart_idx: int, u0: np.ndarray,
-                 radius: float, shrink=True, measure_bound=True) -> GraphPatch:
-    chart = surface.charts[chart_idx]
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if chart.repatch is not None:
-        chart, u0 = chart.repatch(u0)
-    x0 = chart.value(u0)
-    jac0 = chart.jacobian(u0)
-    tangent, normal = orthonormal_frames(jac0)
-    A0 = np.linalg.inv(tangent.T @ jac0)
-
-    def solve_params(eta, tol=1e-13, max_iter=60):
-        eta = np.asarray(eta, dtype=float)
-        single = eta.ndim == 1
-        eta2 = eta[None] if single else eta
-        u = u0 + eta2 @ A0.T
-        target = eta2 + (tangent.T @ x0)
-        tol_row = tol * (1.0 + np.linalg.norm(eta2, axis=-1))
-        idx = np.arange(len(eta2))
-        for _ in range(max_iter):
-            res = chart.value(u[idx]) @ tangent - target[idx]
-            bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
-            if not bad.any():
-                idx = idx[:0]
-                break
-            sel = idx[bad]
-            step = _solve_small(_project(tangent, chart.jacobian(u[sel])),
-                                res[bad])
-            # clamp wild steps near chart degeneracies
-            u[sel] -= np.clip(step, -1.0, 1.0)
-            idx = sel
-        if len(idx):
-            raise PatchRadiusError(
-                "graph-patch Newton did not converge inside the requested "
-                f"radius (chart {chart_idx})")
-        return u[0] if single else u
-
-    def height(eta):
-        eta = np.asarray(eta, dtype=float)
-        u = solve_params(eta)
-        d = chart.value(u) - x0
-        return d @ normal
-
-    def grad_height(J):
-        # (N^T J)(T^T J)^-1 with the inverse in closed form
-        return np.einsum("...ci,...ij->...cj", _project(normal, J),
-                         _inv_small(_project(tangent, J)))
-
-    def height_jacobian(eta):
-        return grad_height(chart.jacobian(solve_params(
-            np.asarray(eta, dtype=float))))
-
-    # Absolute stopping floor of the chord Newton: 16 ulps of the
-    # coordinates, above the rounding that x(u) - x0 leaves in the residuals
-    # (a floor near one ulp stalls at the smallest radii).
-    floor = 16.0 * np.finfo(float).eps * (float(np.linalg.norm(x0))
-                                           + float(radius))
-
-    def chord_solve(v, t, max_iter=60):
-        """(xi, h, grad h) at chord distance t along tangent directions v.
-
-        Newton in the chart parameter u, one row per (v, t), on
-        |x(u) - x0| = t together with <v_perp, T^T (x(u) - x0)> = 0 for
-        m = 2 (the distance equation alone for m = 1); the converged point
-        must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
-        as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
-        about 1e-12 relative at the smallest radii.
-        """
-        v = np.asarray(v, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d_out = np.empty((len(t), surface.n))
-        J_out = np.empty((len(t), surface.n, surface.m))
-        # active rows: parameter, radius, tolerance, row index and, for
-        # m = 2, the second equation's ambient direction T v_perp
-        uk = u0 + (t[:, None] * v) @ A0.T
-        tk, tolk, idx = t, 1e-13 * t + floor, np.arange(len(t))
-        pk = (np.stack([-v[:, 1], v[:, 0]], axis=-1) @ tangent.T
-              if surface.m == 2 else None)
-        for _ in range(max_iter):
-            d = chart.value(uk) - x0
-            J = chart.jacobian(uk)
-            # (|d|^2 - t^2) / (2 t): the distance residual in length units
-            res = [(np.einsum("kn,kn->k", d, d) - tk * tk) / (2.0 * tk)]
-            if pk is not None:
-                res.append(np.einsum("kn,kn->k", d, pk))
-            bad = np.abs(res[0]) > tolk
-            for r in res[1:]:
-                bad |= np.abs(r) > tolk
-            n_bad = int(np.count_nonzero(bad))
-            if n_bad == 0 or 4 * n_bad < 3 * len(bad):
-                # retire the converged rows once they are a quarter of the
-                # batch; until then they stay in it with a zero step
-                done = ~bad
-                d_out[idx[done]] = d[done]
-                J_out[idx[done]] = J[done]
-                if not n_bad:
-                    break
-                uk, tk, tolk, idx, d, J = (
-                    a[bad] for a in (uk, tk, tolk, idx, d, J))
-                res = [r[bad] for r in res]
-                pk = None if pk is None else pk[bad]
-                bad = bad[bad]
-            rows = [np.einsum("kn,knj->kj", d, J) / tk[:, None]]
-            if pk is not None:
-                rows.append(np.einsum("kn,knj->kj", pk, J))
-            step = _solve_small(np.stack(rows, axis=-2),
-                                np.stack(res, axis=-1))
-            # clamp wild steps near chart degeneracies
-            uk = uk - np.where(bad[:, None], np.clip(step, -1.0, 1.0), 0.0)
-        else:
-            raise NumericalError(
-                f"chord Newton did not converge on {len(idx)} rows "
-                f"(chart {chart_idx}); is t beyond the patch?")
-        if np.any(np.einsum("kj,kj->k", d_out @ tangent, v) <= 0.0):
-            raise NumericalError(
-                f"chord Newton left the ray's side (chart {chart_idx})")
-        h = d_out @ normal
-        xi = np.sqrt(np.maximum(t * t - np.einsum("kc,kc->k", h, h), 0.0))
-        return xi, h, grad_height(J_out)
-
-    # Validate the radius on a coarse polar grid (rim plus interior rings).
-    r = float(radius)
-    attempts = 0
-    while True:
-        try:
-            if surface.m == 1:
-                probe = np.array([[r], [-r], [0.5 * r], [-0.5 * r]])
-            else:
-                ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-                dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-                rads = np.array([0.35, 0.7, 0.98]) * r
-                probe = (dirs[None] * rads[:, None, None]).reshape(-1, 2)
-            solve_params(probe)
-            break
-        except PatchRadiusError:
-            if not shrink:
-                raise
-            attempts += 1
-            r *= 0.85
-            if attempts > 40:
-                raise
-    patch = GraphPatch(base_point=x0, tangent=tangent, normal=normal,
-                       radius=r, height=height,
-                       height_jacobian=height_jacobian,
-                       chord_solve=chord_solve, kind="chart",
-                       meta={"chart_index": chart_idx, "param": u0.copy()})
-    if measure_bound:
-        patch.derivative_bound = patch.measure_derivative_bound(
-            n_angular=8, n_radial=4)
-    return patch
-
-
 def fit_quadratic_patch(base_point, points, m, init_tangent=None,
                         iterations=4):
     """Weighted LSQ quadratic graph fit h(eta) = eta^T A eta / 2 around base.
@@ -351,73 +200,9 @@ def fit_quadratic_patch(base_point, points, m, init_tangent=None,
     return tangent, normal, coeffs, rms
 
 
-def _mesh_patch(mesh: TriMesh, vertex: int, radius: float | None,
-                measure_bound=True) -> GraphPatch:
-    if mesh.m == 2 and mesh.n != 3:
-        raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
-    rings = mesh.vertex_rings(depth=2)[vertex]
-    base = mesh.vertices[vertex]
-    pts = mesh.vertices[rings]
-    tangent, normal, coeffs, rms = fit_quadratic_patch(base, pts, mesh.m)
-    if mesh.m == 1:
-        # orient the tangent along the outgoing winding edge
-        out_edges = mesh.faces[mesh.faces[:, 0] == vertex]
-        if len(out_edges):
-            edge_dir = mesh.vertices[out_edges[0, 1]] - base
-            if float(tangent[:, 0] @ edge_dir) < 0:
-                tangent = -tangent   # quadratic height is even: coeffs keep
-        new_normal = np.array([-tangent[1, 0], tangent[0, 0]]).reshape(2, 1)
-        coeffs = coeffs * float(np.sign(new_normal[:, 0] @ normal[:, 0]))
-        normal = new_normal
-    else:
-        # orient against the face-winding normal
-        vf = mesh.vertex_faces()[vertex]
-        ref_normal = mesh.face_normals()[vf].mean(axis=0)
-        if float(normal[:, 0] @ ref_normal) < 0:
-            normal = -normal
-            coeffs = -coeffs
-        cross = np.cross(tangent[:, 0], tangent[:, 1])
-        if float(cross @ normal[:, 0]) < 0:
-            tangent = tangent[:, ::-1].copy()
-            coeffs = coeffs[:, ::-1, :][:, :, ::-1].copy()
-    extent = 0.9 * float(np.max(np.linalg.norm(pts - base, axis=-1)))
-    r = min(float(radius), extent) if radius is not None else extent
-
-    def height(eta):
-        eta = np.asarray(eta, dtype=float)
-        vals = 0.5 * np.einsum("...i,cij,...j->...c", eta, coeffs, eta)
-        return vals
-
-    def height_jacobian(eta):
-        eta = np.asarray(eta, dtype=float)
-        return np.einsum("cij,...j->...ci", coeffs, eta)
-
-    patch = GraphPatch(base_point=base, tangent=tangent, normal=normal,
-                       radius=r, height=height,
-                       height_jacobian=height_jacobian, kind="mesh-fit",
-                       fit_residual=rms,
-                       meta={"vertex": int(vertex), "coeffs": coeffs})
-    if measure_bound:
-        patch.derivative_bound = patch.measure_derivative_bound()
-    return patch
-
-
-def _resolve_chart_locator(surface: ChartSurface, locator):
-    if isinstance(locator, tuple) and len(locator) == 2 and np.isscalar(locator[0]):
-        return int(locator[0]), np.atleast_1d(np.asarray(locator[1], dtype=float))
-    return 0, np.atleast_1d(np.asarray(locator, dtype=float))
-
-
 def tangent_frame(surface, locator):
     """Orthonormal (tangent, normal) frames at a point of the surface."""
-    if isinstance(surface, ChartSurface):
-        idx, u = _resolve_chart_locator(surface, locator)
-        jac = surface.charts[idx].jacobian(u)
-        return orthonormal_frames(jac)
-    if isinstance(surface, TriMesh):
-        patch = _mesh_patch(surface, int(locator), None)
-        return patch.tangent, patch.normal
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    return as_surface(surface).frame_at(locator)
 
 
 def graph_patch_at(surface, locator, radius, shrink=True,
@@ -428,14 +213,8 @@ def graph_patch_at(surface, locator, radius, shrink=True,
     when shrink=False and the requested radius is not graph-representable.
     measure_bound=False skips the derivative-bound sampling (hot loops).
     """
-    if isinstance(surface, ChartSurface):
-        idx, u = _resolve_chart_locator(surface, locator)
-        return _chart_patch(surface, idx, u, radius, shrink=shrink,
-                            measure_bound=measure_bound)
-    if isinstance(surface, TriMesh):
-        return _mesh_patch(surface, int(locator), radius,
-                           measure_bound=measure_bound)
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    return as_surface(surface).patch_at(locator, radius, shrink=shrink,
+                                        measure_bound=measure_bound)
 
 
 # ----------------------------------------------------------------------
@@ -494,24 +273,7 @@ class CurvatureData:
 
 def curvature_at(surface, locator) -> CurvatureData:
     """Second fundamental form (and derived scalars) at a surface point."""
-    if isinstance(surface, ChartSurface):
-        idx, u = _resolve_chart_locator(surface, locator)
-        chart = surface.charts[idx]
-        jac = chart.jacobian(u)
-        hess = chart.hessian(u)
-        tangent, normal = orthonormal_frames(jac)
-        A = np.linalg.inv(tangent.T @ jac)
-        # pull the ambient Hessian back through eta-coordinates
-        sff = np.einsum("nc,npq,pa,qb->abc", normal, hess, A, A)
-        return CurvatureData(second_fundamental=sff, tangent=tangent,
-                             normal=normal)
-    if isinstance(surface, TriMesh):
-        patch = _mesh_patch(surface, int(locator), None)
-        coeffs = patch.meta["coeffs"]  # (n-m, m, m)
-        sff = np.moveaxis(coeffs, 0, -1)
-        return CurvatureData(second_fundamental=sff, tangent=patch.tangent,
-                             normal=patch.normal)
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    return as_surface(surface).curvature_at(locator)
 
 
 def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25,
@@ -524,28 +286,15 @@ def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25,
     separately (per-pair true kernel) disable that cap, since their chord
     balls only ever see one sheet.
     """
-    quad = surface.quadrature(scale) if isinstance(surface, ChartSurface) else None
+    nodes = as_surface(surface).nodes(scale)
     kmax = 0.0
-    if isinstance(surface, ChartSurface):
-        take = np.linspace(0, len(quad.points) - 1, samples).astype(int)
-        for i in take:
-            data = curvature_at(surface,
-                                (int(quad.chart_index[i]), quad.params[i]))
-            if data.second_fundamental.shape[2] == 1:
-                kmax = max(kmax, float(np.max(np.abs(data.principal))))
-            else:
-                kmax = max(kmax, data.hs_norm)
-        sep = _component_separation(quad.points, quad.component)
-    else:
-        verts = np.linspace(0, surface.num_vertices - 1, samples).astype(int)
-        for v in verts:
-            data = curvature_at(surface, int(v))
-            if data.second_fundamental.shape[2] == 1:
-                kmax = max(kmax, float(np.max(np.abs(data.principal))))
-            else:
-                kmax = max(kmax, data.hs_norm)
-        comp = surface.components()
-        sep = _component_separation(surface.vertices, comp)
+    for i in np.linspace(0, len(nodes.points) - 1, samples).astype(int):
+        data = curvature_at(surface, nodes.locators[i])
+        if data.second_fundamental.shape[2] == 1:
+            kmax = max(kmax, float(np.max(np.abs(data.principal))))
+        else:
+            kmax = max(kmax, data.hs_norm)
+    sep = _component_separation(nodes.points, nodes.component)
     r = factor / kmax if kmax > 0 else math.inf
     if cap_by_separation and sep < math.inf:
         r = min(r, 0.45 * sep)
@@ -623,22 +372,14 @@ def validate_patch_class(surface, params: PatchClassParams, samples=24):
     b_sup = 0.0
     b_res = 0.0
     comps_in_ball = []
-    if isinstance(surface, ChartSurface):
-        quad = surface.quadrature(0.25)
-        take = np.linspace(0, len(quad.points) - 1, samples).astype(int)
-        locators = [(int(quad.chart_index[i]), quad.params[i]) for i in take]
-        volume = quad.total
-        all_points = quad.points
-        all_comp = quad.component
-        base_pts = quad.points[take]
-    else:
-        take = np.linspace(0, surface.num_vertices - 1,
-                           min(samples, surface.num_vertices)).astype(int)
-        locators = [int(v) for v in take]
-        volume = surface.total_volume()
-        all_points = surface.vertices
-        all_comp = surface.components()
-        base_pts = surface.vertices[take]
+    nodes = as_surface(surface).nodes(0.25)
+    take = np.linspace(0, len(nodes.points) - 1,
+                       min(samples, len(nodes.points))).astype(int)
+    locators = [nodes.locators[i] for i in take]
+    volume = nodes.volume
+    all_points = nodes.points
+    all_comp = nodes.component
+    base_pts = nodes.points[take]
     max_order = min(params.k, 3)
     for loc, x0 in zip(locators, base_pts):
         try:

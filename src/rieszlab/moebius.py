@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import (OrientationError, PreconditionError, SingularMapError,
                      SingularPairError, UnsupportedInputError)
-from .geometry.charts import ChartSurface, orthonormal_frames, transform_surface
-from .geometry.meshes import TriMesh, euler_characteristic
-from .geometry.patches import curvature_at, graph_patch_at, tangent_frame
+from .geometry.patches import curvature_at, orthonormal_frames
+from .geometry.surface import as_surface
 from .quadrature import compensated_sum
 from .riesz import EnergyReport, QuadratureConfig, riesz_energy
 
@@ -64,24 +63,10 @@ def combined_angle_cos_frames(x, tangent_x, y, basis_y):
     return min(1.0, max(-1.0, cosv))
 
 
-def _point_and_basis(surface, locator):
-    if isinstance(surface, ChartSurface):
-        if isinstance(locator, tuple) and np.isscalar(locator[0]):
-            idx, u = int(locator[0]), np.atleast_1d(np.asarray(locator[1], float))
-        else:
-            idx, u = 0, np.atleast_1d(np.asarray(locator, float))
-        chart = surface.charts[idx]
-        return chart.value(u), chart.jacobian(u)
-    if isinstance(surface, TriMesh):
-        T, _ = tangent_frame(surface, int(locator))
-        return surface.vertices[int(locator)], T
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
-
-
 def combined_angle_cos(surface, loc_x, loc_y) -> float:
     """cos theta(x, y) for two located points of an oriented surface."""
-    x, jac_x = _point_and_basis(surface, loc_x)
-    y, basis_y = _point_and_basis(surface, loc_y)
+    x, jac_x = as_surface(surface).basis_at(loc_x)
+    y, basis_y = surface.basis_at(loc_y)
     tx, _ = orthonormal_frames(jac_x)
     return combined_angle_cos_frames(x, tx, y, basis_y)
 
@@ -90,17 +75,18 @@ def combined_angle_cos(surface, loc_x, loc_y) -> float:
 # pairwise quadrature of the (1 - cos)^m / |x-y|^(2m) kernel
 # ----------------------------------------------------------------------
 
-def _pairwise_one_minus_cos(x_pts, x_frames, y_pts, y_frames):
+def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     """(1 - cos theta) and distances for all point pairs, O(n) frames.
 
-    Both frame stacks must be oriented orthonormal; returns (omc, dist)
-    with zeros on coincident pairs (caller must mask them).
+    Both frame stacks must be oriented orthonormal. Every product is a plain
+    (non-conjugating) one, so the kernel is complex-analytic in the inputs
+    and complex-step derivatives through it are exact. Coincident pairs get
+    0 in both outputs; 1 - cos is not clipped to [0, 2].
     """
     m = x_frames.shape[-1]
     diff = y_pts[None, :, :] - x_pts[:, None, :]          # (Nx, Ny, n)
-    dist = np.linalg.norm(diff, axis=-1)
-    safe = np.where(dist > 0, dist, 1.0)
-    v = diff / safe[..., None]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    v = diff / np.where(dist == 0.0, 1.0, dist)[..., None]
     # a_k = <v, e_k(x)>, G_kl = <ehat_k, w_l> = 2 a_k b_l - <e_k, w_l>
     a = np.einsum("xyn,xnk->xyk", v, x_frames)
     b = np.einsum("xyn,ynl->xyl", v, y_frames)
@@ -111,77 +97,37 @@ def _pairwise_one_minus_cos(x_pts, x_frames, y_pts, y_frames):
     else:
         # (-1)^(m-1) det(G) with m = 2
         cos = -(G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0])
-    omc = 1.0 - np.clip(cos, -1.0, 1.0)
+    omc = 1.0 - cos
     omc[dist == 0.0] = 0.0
     return omc, dist
 
 
-def _chart_diag_limits(surface, quad, cutoff, n_dirs=4):
-    """Extrapolated diagonal limits of (1-cos)/|x-y|^2 per chart node."""
-    limits = np.zeros(len(quad.points))
-    scales = np.array([0.5, 0.25, 0.125])
-    tx, _ = quad.frames()
-    for i in range(len(quad.points)):
-        chart = surface.charts[quad.chart_index[i]]
-        u0 = quad.params[i]
-        J0 = quad.jacobians[i]
-        x0 = quad.points[i]
-        target = quad.spacing[i]
-        vals = []
-        m = surface.m
-        if m == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            ang = np.linspace(0, math.pi, n_dirs, endpoint=False)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        for e in dirs:
-            step = e / np.linalg.norm(J0 @ e)
-            samples = []
-            for s in scales:
-                u = u0 + step * (target * s)
-                y = chart.value(u)
-                wy = chart.jacobian(u)
-                d = float(np.linalg.norm(y - x0))
-                c = combined_angle_cos_frames(x0, tx[i], y, wy)
-                samples.append(((1.0 - c) / d ** 2, d))
-            # quadratic extrapolation to d = 0
-            ds = np.array([s[1] for s in samples])
-            fs = np.array([s[0] for s in samples])
-            V = np.vander(ds, 3, increasing=True)
-            coef = np.linalg.solve(V, fs)
-            vals.append(coef[0])
-        limits[i] = float(np.mean(vals))
-    return limits
+def _diag_limits(points, frames, probe, m):
+    """Extrapolated diagonal limits of (1-cos)/|x-y|^2 per node.
 
-
-def _mesh_diag_limits(mesh, patches, cutoff):
-    limits = np.zeros(mesh.num_vertices)
-    scales = np.array([0.5, 0.25, 0.125])
-    local = mesh.local_scale()
-    for i, patch in enumerate(patches):
-        m = mesh.m
-        if m == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            ang = np.linspace(0, math.pi, 4, endpoint=False)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        x0 = patch.base_point
+    probe(i, e, scales) gives, for each s in scales, a point s node spacings
+    from node i along the tangent direction e and a tangent basis there;
+    along each direction the values at three shrinking steps are
+    extrapolated quadratically to distance 0, and the limits averaged over
+    the directions.
+    """
+    if m == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        ang = np.linspace(0, math.pi, 4, endpoint=False)
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    limits = np.zeros(len(points))
+    for i, (x0, tx) in enumerate(zip(points, frames)):
         vals = []
         for e in dirs:
-            samples = []
-            for s in scales:
-                eta = e * min(local[i], patch.radius) * s
-                y = patch.embed(eta[None])[0]
-                dh = patch.height_jacobian(eta[None])[0]
-                wy = patch.tangent + patch.normal @ dh
+            fs, ds = [], []
+            for y, wy in probe(i, e, (0.5, 0.25, 0.125)):
                 d = float(np.linalg.norm(y - x0))
-                c = combined_angle_cos_frames(x0, patch.tangent, y, wy)
-                samples.append(((1.0 - c) / d ** 2, d))
-            ds = np.array([s[1] for s in samples])
-            fs = np.array([s[0] for s in samples])
-            V = np.vander(ds, 3, increasing=True)
-            coef = np.linalg.solve(V, fs)
-            vals.append(coef[0])
+                fs.append((1.0 - combined_angle_cos_frames(x0, tx, y, wy))
+                          / d ** 2)
+                ds.append(d)
+            V = np.vander(np.array(ds), 3, increasing=True)
+            vals.append(np.linalg.solve(V, np.array(fs))[0])
         limits[i] = float(np.mean(vals))
     return limits
 
@@ -192,17 +138,13 @@ def _ks_assemble(pts, frames, weights, spacing, limits, m, block=512):
     total_rows = []
     for lo in range(0, N, block):
         hi = min(lo + block, N)
-        omc, dist = _pairwise_one_minus_cos(pts[lo:hi], frames[lo:hi],
-                                            pts, frames)
+        omc, dist = ks_pair_kernel(pts[lo:hi], frames[lo:hi], pts, frames)
+        omc = np.clip(omc, 0.0, 2.0)
         cut = spacing[lo:hi, None] * 0.25
         near = dist < cut
         with np.errstate(divide="ignore", invalid="ignore"):
             q = omc ** m / dist ** (2 * m)
-        if limits is not None:
-            lim_block = (limits[lo:hi, None] ** m) * np.ones((1, N))
-            q = np.where(near, lim_block, q)
-        else:
-            q = np.where(near, 0.0, q)
+        q = np.where(near, limits[lo:hi, None] ** m, q)
         row = q @ weights
         total_rows.append(row * weights[lo:hi])
     return compensated_sum(np.concatenate(total_rows))
@@ -220,55 +162,38 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
     (a double cover scores zero while nearby embedded pairs blow up).
     """
     config = config or QuadratureConfig()
-    m = surface.m
-    if isinstance(surface, ChartSurface):
-        if not surface.closed and not allow_open:
-            raise PreconditionError("ks_energy needs a closed surface "
-                                    "(allow_open overrides)")
-        q = surface.quadrature(scale if scale is not None else 0.5)
-        frames, _ = q.frames()
-        limits = _chart_diag_limits(surface, q, 0.25)
-        value = _ks_assemble(q.points, frames, q.weights, q.spacing, limits, m)
-        return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
-                            error_estimate=0.0)
-    if isinstance(surface, TriMesh):
-        if not surface.closed and not allow_open:
-            raise PreconditionError("ks_energy needs a closed mesh")
-        if not surface.oriented:
-            raise OrientationError("ks_energy needs consistent orientation")
-        if not allow_unembedded:
-            sep = surface.min_nonneighbor_distance()
-            scale_local = float(np.median(surface.local_scale()))
-            if sep < 0.3 * scale_local:
-                raise UnsupportedInputError(
-                    "mesh looks self-intersecting or immersed "
-                    f"(non-neighbor separation {sep:.3g} vs local scale "
-                    f"{scale_local:.3g}); E_KS is discontinuous there")
-        patches = [graph_patch_at(surface, i, None, measure_bound=False)
-                   for i in range(surface.num_vertices)]
-        frames = np.stack([p.tangent for p in patches])
-        pts = surface.vertices
-        weights = surface.vertex_weights()
-        spacing = surface.local_scale()
-        limits = _mesh_diag_limits(surface, patches, 0.25)
-        value = _ks_assemble(pts, frames, weights, spacing, limits, m)
-        return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
-                            error_estimate=0.0)
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    m = as_surface(surface).m
+    if not surface.closed and not allow_open:
+        raise PreconditionError("ks_energy needs a closed surface "
+                                "(allow_open overrides)")
+    if not surface.oriented:
+        raise OrientationError("ks_energy needs consistent orientation")
+    scale = scale if scale is not None else 0.5
+    if not allow_unembedded:
+        sep = surface.min_nonneighbor_distance()
+        scale_local = float(np.median(surface.nodes(scale).spacing))
+        if sep < 0.3 * scale_local:
+            raise UnsupportedInputError(
+                "mesh looks self-intersecting or immersed "
+                f"(non-neighbor separation {sep:.3g} vs local scale "
+                f"{scale_local:.3g}); E_KS is discontinuous there")
+    nodes, frames, probe = surface.tangent_nodes(scale)
+    limits = _diag_limits(nodes.points, frames, probe, m)
+    value = _ks_assemble(nodes.points, frames, nodes.weights, nodes.spacing,
+                         limits, m)
+    return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
+                        error_estimate=0.0)
 
 
 def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     """Cross term of the Kusner-Sullivan energy between two disjoint pieces."""
-    qa = surface_a.quadrature(scale)
-    qb = surface_b.quadrature(scale)
-    fa, _ = qa.frames()
-    fb, _ = qb.frames()
-    m = surface_a.m
-    omc, dist = _pairwise_one_minus_cos(qa.points, fa, qb.points, fb)
+    na, fa, _ = as_surface(surface_a).tangent_nodes(scale)
+    nb, fb, _ = as_surface(surface_b).tangent_nodes(scale)
+    omc, dist = ks_pair_kernel(na.points, fa, nb.points, fb)
     if np.any(dist == 0.0):
         raise SingularPairError("pieces touch: cross energy undefined")
-    q = omc ** m / dist ** (2 * m)
-    return float(qa.weights @ q @ qb.weights)
+    q = np.clip(omc, 0.0, 2.0) ** surface_a.m / dist ** (2 * surface_a.m)
+    return float(na.weights @ q @ nb.weights)
 
 
 # ----------------------------------------------------------------------
@@ -282,21 +207,11 @@ def as_energy(surface, s: float, config: QuadratureConfig | None = None) -> Ener
     is extended by 0 at umbilic points. Surfaces only (m = 2).
     """
     config = config or QuadratureConfig()
-    if surface.m != 2:
+    if as_surface(surface).m != 2:
         raise UnsupportedInputError("as_energy is defined for m = 2 surfaces")
-    if isinstance(surface, ChartSurface):
-        if surface.euler_char is None:
-            raise PreconditionError("surface needs a known Euler characteristic")
-        chi = surface.euler_char
-        q = surface.quadrature(config.inner_scale * 0.5)
-        locs = [(int(q.chart_index[i]), q.params[i]) for i in range(len(q.points))]
-        weights = q.weights
-    elif isinstance(surface, TriMesh):
-        chi = euler_characteristic(surface)
-        locs = list(range(surface.num_vertices))
-        weights = surface.vertex_weights()
-    else:
-        raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    chi = surface.euler_characteristic()
+    nodes = surface.nodes(config.inner_scale * 0.5)
+    locs, weights = nodes.locators, nodes.weights
     deltas = np.array([curvature_at(surface, loc).delta for loc in locs])
     dlogd = np.where(deltas > 1e-14, deltas * np.log(np.maximum(deltas, 1e-300)),
                      0.0)
@@ -367,9 +282,6 @@ class MoebiusMap:
         return self.radius ** 2 * (-2.0 * (t1 + t2 + t3) / rho2 ** 2
                                    + 8.0 * t4 / rho2 ** 3)
 
-    def orientation_reversing(self, n: int) -> bool:
-        return self.kind == "inversion"
-
 
 def apply_moebius(surface, mmap: MoebiusMap):
     """Image surface under the Moebius map (charts composed; vertices mapped).
@@ -378,22 +290,14 @@ def apply_moebius(surface, mmap: MoebiusMap):
     The n-dimensional orientation flips under inversion, which is consistent
     across the whole image; combined angles are insensitive to a global flip.
     """
-    if isinstance(surface, TriMesh):
-        if mmap.kind == "inversion":
-            dmin = np.min(np.linalg.norm(surface.vertices - mmap.center, axis=-1))
-            if dmin < 1e-9:
-                raise SingularMapError("inversion center lies on the mesh")
-        return surface.with_vertices(mmap.value(surface.vertices))
-    if isinstance(surface, ChartSurface):
-        if mmap.kind == "inversion":
-            pts = surface.quadrature(0.25).points
-            dmin = np.min(np.linalg.norm(pts - mmap.center, axis=-1))
-            if dmin < 1e-6:
-                raise SingularMapError("inversion center lies on the surface")
-        hess = None if mmap.kind == "similarity" else mmap.hessian
-        return transform_surface(surface, mmap.value, mmap.jacobian, hess,
-                                 name=f"{mmap.kind}({surface.name})")
-    raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
+    surface = as_surface(surface)
+    if mmap.kind == "inversion":
+        pts = surface.nodes(0.25).points
+        if np.min(np.linalg.norm(pts - mmap.center, axis=-1)) < 1e-6:
+            raise SingularMapError("inversion center lies on the surface")
+    hess = None if mmap.kind == "similarity" else mmap.hessian
+    return surface.transformed(mmap.value, mmap.jacobian, hess,
+                               name=f"{mmap.kind}({surface.name})")
 
 
 # ----------------------------------------------------------------------

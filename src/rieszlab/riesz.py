@@ -24,9 +24,8 @@ from scipy.special import gamma as sp_gamma, rgamma
 
 from .errors import (NumericalError, PoleError, PreconditionError,
                      UnsupportedInputError)
-from .geometry.charts import ChartSurface, transform_surface
-from .geometry.meshes import TriMesh
 from .geometry.patches import default_patch_radius, graph_patch_at
+from .geometry.surface import as_surface
 from .quadrature import (BlendKernel, compensated_sum,
                          poly_weighted_spline_integral)
 from .radial import EnergyParams, finite_part, radial_profile
@@ -97,85 +96,6 @@ class EnergyReport:
 
 
 # ----------------------------------------------------------------------
-# node sets
-# ----------------------------------------------------------------------
-
-@dataclass
-class _NodeSet:
-    points: np.ndarray
-    weights: np.ndarray
-    component: np.ndarray
-    locators: list | None = None   # patch locators (outer sets only)
-
-
-def _chart_nodes(surface: ChartSurface, scale: float,
-                 with_locators: bool) -> _NodeSet:
-    q = surface.quadrature(scale)
-    locs = None
-    if with_locators:
-        locs = [(int(q.chart_index[i]), q.params[i]) for i in range(len(q.points))]
-    return _NodeSet(points=q.points, weights=q.weights,
-                    component=q.component, locators=locs)
-
-
-def _mesh_outer_nodes(mesh: TriMesh) -> _NodeSet:
-    comp = mesh.components()
-    return _NodeSet(points=mesh.vertices.copy(),
-                    weights=mesh.vertex_weights(),
-                    component=comp,
-                    locators=list(range(mesh.num_vertices)))
-
-
-def _mesh_inner_nodes(mesh: TriMesh, subdiv: int) -> _NodeSet:
-    comp_v = mesh.components()
-    pts_list, wts_list, comp_list = [], [], []
-    verts = mesh.vertices
-    for f, meas in zip(mesh.faces, mesh.measures()):
-        corners = verts[f]
-        fcomp = comp_v[f[0]]
-        if mesh.m == 1:
-            k = max(1, 2 ** subdiv)
-            ts = (np.arange(k) + 0.5) / k
-            pts = corners[0] + ts[:, None] * (corners[1] - corners[0])
-            w = np.full(k, meas / k)
-        else:
-            tris = [corners]
-            for _ in range(subdiv):
-                nxt = []
-                for (a, b, c) in tris:
-                    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-                    nxt += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-                tris = nxt
-            pts = np.array([(a + b + c) / 3.0 for (a, b, c) in tris])
-            w = np.full(len(tris), meas / len(tris))
-        pts_list.append(pts)
-        wts_list.append(w)
-        comp_list.append(np.full(len(w), fcomp, dtype=int))
-    return _NodeSet(points=np.concatenate(pts_list),
-                    weights=np.concatenate(wts_list),
-                    component=np.concatenate(comp_list))
-
-
-def _node_sets(surface, config: QuadratureConfig):
-    if isinstance(surface, ChartSurface):
-        outer = _chart_nodes(surface, config.outer_scale, True)
-        inner = _chart_nodes(surface, config.inner_scale, False)
-    elif isinstance(surface, TriMesh):
-        outer = _mesh_outer_nodes(surface)
-        inner = _mesh_inner_nodes(surface, config.mesh_inner_subdiv)
-    else:
-        raise UnsupportedInputError(f"unsupported surface type {type(surface)!r}")
-    return outer, inner
-
-
-def _half_inner_nodes(surface, config: QuadratureConfig) -> _NodeSet:
-    """Coarsened inner rule used for the two-level quadrature error estimate."""
-    if isinstance(surface, ChartSurface):
-        return _chart_nodes(surface, config.inner_scale * 0.5, False)
-    return _mesh_inner_nodes(surface, max(config.mesh_inner_subdiv - 1, 0))
-
-
-# ----------------------------------------------------------------------
 # the regularized energy
 # ----------------------------------------------------------------------
 
@@ -189,20 +109,20 @@ def riesz_energy(surface, alpha, eps0=None, config: QuadratureConfig | None = No
     input for the regularized regime).
     """
     config = config or QuadratureConfig()
-    m = surface.m
+    m = as_surface(surface).m
     params = alpha if isinstance(alpha, EnergyParams) else EnergyParams(float(alpha), m)
     if params.m != m:
         raise PreconditionError("EnergyParams dimension does not match surface")
-    if isinstance(surface, TriMesh) and not fit_patches and params.needs_regularization:
+    if surface.patches_fitted and not fit_patches and params.needs_regularization:
         raise UnsupportedInputError(
             "alpha <= -m on a raw mesh without fitted patches is unsupported")
-    if isinstance(surface, ChartSurface) and not surface.closed:
+    if not surface.closed:
         raise PreconditionError("riesz_energy requires a closed surface")
-    if isinstance(surface, TriMesh) and not surface.closed:
-        raise PreconditionError("riesz_energy requires a closed mesh")
 
-    outer, inner = _node_sets(surface, config)
-    inner_half = _half_inner_nodes(surface, config)
+    outer = surface.nodes(config.outer_scale)
+    inner = surface.nodes(config.inner_scale, subdiv=config.mesh_inner_subdiv)
+    inner_half = surface.nodes(config.inner_scale * 0.5,
+                               subdiv=max(config.mesh_inner_subdiv - 1, 0))
     requested = config.patch_radius if config.patch_radius is not None else eps0
     if requested is None:
         # cross-component pairs see the true kernel directly, so the chord
@@ -419,18 +339,13 @@ class ScalingReport:
 
 
 def _scaled_surface(surface, lam: float):
-    if isinstance(surface, TriMesh):
-        return surface.with_vertices(surface.vertices * lam)
-
-    def value_map(x):
-        return lam * x
-
     def jac_map(x):
         eye = np.eye(x.shape[-1]) * lam
         return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
 
-    return transform_surface(surface, value_map, jac_map, None,
-                             name=f"scaled({surface.name}, {lam})")
+    return as_surface(surface).transformed(
+        lambda x: lam * x, jac_map, None,
+        name=f"scaled({surface.name}, {lam})")
 
 
 def scaling_check(surface, alpha, lam, config: QuadratureConfig | None = None,
@@ -441,7 +356,7 @@ def scaling_check(surface, alpha, lam, config: QuadratureConfig | None = None,
     estimate; at poles the report instead carries the fitted log(lam)
     coefficient of the anomaly (which equals the beta-function residue).
     """
-    m = surface.m
+    m = as_surface(surface).m
     params = EnergyParams(float(alpha), m)
     rep_base = riesz_energy(surface, params, config=config)
     rep_scaled = riesz_energy(_scaled_surface(surface, lam), params, config=config)

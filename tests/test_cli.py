@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import rieszlab
-from rieszlab.cli import RunConfig, dump_json, main, parse_surface, run
+from rieszlab.cli import (RunConfig, dump_json, main, parse_args,
+                         parse_surface, run)
 from rieszlab.geometry import TriMesh
 
 # the child process imports the same rieszlab as the tests, installed or not
@@ -191,3 +192,47 @@ def test_nan_config_file_value_exits_2(tmp_path, capsys):
                                "--surface", "circle"], capsys)
     assert code == 2 and err["error"] == "ConfigError"
     assert "alpha" in err["message"]
+
+
+# ----------------------------------------------------------------------
+# flag merging: only flags the user gave override the config file
+# ----------------------------------------------------------------------
+
+def test_global_flags_before_subcommand_are_kept():
+    cfg = parse_args(["--seed", "7", "--threads", "2", "beta", "--surface",
+                      "circle", "--z", "1"])
+    assert cfg.seed == 7 and cfg.threads == 2
+    assert parse_args(["beta", "--surface", "circle", "--z", "1",
+                       "--seed", "5"]).seed == 5
+
+
+def test_config_file_value_not_overridden_by_flag_default(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"alpha": 1.0}))
+    code = main(["--config", str(cfg_path), "energy", "--surface", "circle"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["alpha"] == 1.0
+    assert data["report"]["value"] == pytest.approx(16 * math.pi, rel=1e-6)
+
+
+def test_energy_kind_read_from_config_file(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"energy": "ks"}))
+    code = main(["energy", "--config", str(cfg_path), "--surface", "circle"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["energy"] == "ks"
+    # a flag the user gives still wins over the file
+    cfg = parse_args(["--config", str(cfg_path), "energy", "--surface",
+                      "circle", "--energy", "riesz", "--alpha", "1"])
+    assert cfg.energy == "riesz"
+
+
+def test_non_integer_threads_environment_exits_2():
+    proc = subprocess.run([sys.executable, "-m", "rieszlab", "beta",
+                           "--surface", "circle", "--z", "1"],
+                          capture_output=True, text=True,
+                          env={**_CHILD_ENV, "RIESZ_LAB_THREADS": "two"})
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "RIESZ_LAB_THREADS" in err["message"]
