@@ -193,13 +193,22 @@ class ChartSurface(Surface):
     def tangent_nodes(self, scale):
         q = self.quadrature(scale)
 
-        def probe(i, e, scales):
-            # steps of s node spacings along e, in chart parameters
-            chart = self.charts[q.chart_index[i]]
-            step = e / np.linalg.norm(q.jacobians[i] @ e)
-            for s in scales:
-                u = q.params[i] + step * (q.spacing[i] * s)
-                yield chart.value(u), chart.jacobian(u)
+        def probe(dirs, scales):
+            # steps of s node spacings along each direction, in chart
+            # parameters: one value and one Jacobian call per chart
+            shape = (len(q.points), len(dirs), len(scales))
+            points = np.empty(shape + (self.n,))
+            bases = np.empty(shape + (self.n, self.m))
+            s = np.asarray(scales, dtype=float)[:, None]
+            for k, chart in enumerate(self.charts):
+                idx = np.nonzero(q.chart_index == k)[0]
+                speed = np.linalg.norm(q.jacobians[idx] @ dirs.T, axis=-2)
+                step = dirs / speed[..., None]                  # (Nk, D, m)
+                u = (q.params[idx, None, None]
+                     + step[:, :, None] * (q.spacing[idx, None, None, None] * s))
+                points[idx] = chart.value(u)
+                bases[idx] = chart.jacobian(u)
+            return points, bases
 
         return self._node_set(q), q.frames()[0], probe
 
@@ -271,6 +280,12 @@ class ChartSurface(Surface):
 
     def min_nonneighbor_distance(self) -> float:
         return math.inf
+
+    def distance_to(self, point) -> float:
+        """Distance from a point to the nearest quadrature node at scale
+        0.25 (an upper bound of its distance to the surface)."""
+        pts = self.quadrature(0.25).points
+        return float(np.min(np.linalg.norm(pts - point, axis=-1)))
 
     def patch_at(self, locator, radius, shrink=True,
                  measure_bound=True) -> GraphPatch:

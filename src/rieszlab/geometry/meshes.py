@@ -124,6 +124,13 @@ def _unit_normals(p):
     return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
 
+def _segment_distance(x, a, b):
+    """Distance from the point x to each segment [a, b] (stacks (F, n))."""
+    e = b - a
+    t = np.clip(np.sum((x - a) * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
+    return np.linalg.norm(x - a - t[:, None] * e, axis=-1)
+
+
 class TriMesh(Surface):
     """Oriented simplicial m-manifold mesh (m in {1, 2}).
 
@@ -247,6 +254,27 @@ class TriMesh(Surface):
         d2 = np.sum((pts[v] - pts[idx[v, j]]) ** 2, axis=-1)
         return float(np.sqrt(d2.min()))
 
+    def distance_to(self, point) -> float:
+        """Distance from a point to the nearest simplex of the mesh."""
+        p = self.vertices[self.faces]                       # (F, m+1, n)
+        x = np.asarray(point, dtype=float)
+        if self.m == 1:
+            return float(np.min(_segment_distance(x, p[:, 0], p[:, 1])))
+        # foot point on each triangle's plane, in barycentric coordinates
+        e1, e2, d = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], x - p[:, 0]
+        g11, g12, g22 = (np.sum(e1 * e1, -1), np.sum(e1 * e2, -1),
+                         np.sum(e2 * e2, -1))
+        b1, b2 = np.sum(d * e1, -1), np.sum(d * e2, -1)
+        det = g11 * g22 - g12 * g12
+        s = (g22 * b1 - g12 * b2) / det
+        t = (g11 * b2 - g12 * b1) / det
+        inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+        plane = np.linalg.norm(d - s[:, None] * e1 - t[:, None] * e2, axis=-1)
+        # outside the triangle the nearest point lies on its boundary
+        rim = np.minimum.reduce([_segment_distance(x, p[:, k], p[:, (k + 1) % 3])
+                                 for k in range(3)])
+        return float(np.min(np.where(inside, plane, rim)))
+
     def translated(self, shift) -> "TriMesh":
         return self.with_vertices(self.vertices + np.asarray(shift, dtype=float))
 
@@ -293,17 +321,23 @@ class TriMesh(Surface):
         nodes = self.nodes()
         patches = [graph_patch_at(self, i, None, measure_bound=False)
                    for i in range(self.num_vertices)]
+        base = nodes.points[:, None, None, :, None]             # (V, 1, 1, n, 1)
+        tangent = np.stack([p.tangent for p in patches])[:, None, None]
+        normal = np.stack([p.normal for p in patches])[:, None, None]
+        coeffs = np.stack([p.meta["coeffs"] for p in patches])[:, None, None]
+        reach = np.minimum(nodes.spacing, [p.radius for p in patches])
 
-        def probe(i, e, scales):
-            # steps along e in the vertex's fitted patch, s times the
-            # smaller of the mean edge and the patch radius
-            p = patches[i]
-            for s in scales:
-                eta = (e * min(nodes.spacing[i], p.radius) * s)[None]
-                yield (p.embed(eta)[0],
-                       p.tangent + p.normal @ p.height_jacobian(eta)[0])
+        def probe(dirs, scales):
+            # steps along each direction in every vertex's fitted patch, s
+            # times the smaller of the mean edge and the patch radius
+            eta = (dirs[None, :, None] * reach[:, None, None, None]
+                   * np.asarray(scales, dtype=float)[:, None])[..., None]
+            jac = (coeffs @ eta[..., None, :, :])[..., 0]       # (V, D, S, c, m)
+            height = 0.5 * (jac @ eta)
+            return ((base + tangent @ eta + normal @ height)[..., 0],
+                    tangent + normal @ jac)
 
-        return nodes, np.stack([p.tangent for p in patches]), probe
+        return nodes, tangent[:, 0, 0], probe
 
     def basis_at(self, locator):
         return self.vertices[int(locator)], self.frame_at(locator)[0]

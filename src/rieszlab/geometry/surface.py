@@ -11,9 +11,13 @@ that turns any other object away.
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
 - `tangent_nodes(scale)`: `nodes(scale)` with oriented orthonormal tangent
-  frames (N, n, m) and a probe: `probe(i, e, scales)` yields, for each s,
-  the point a fraction s of node i's spacing away along the tangent
-  direction e and a positively oriented tangent basis there.
+  frames (N, n, m) and a batched probe: `probe(dirs, scales)` takes unit
+  tangent directions (D, m) and S step fractions and returns, for every
+  node, direction e and fraction s, the point a fraction s of the node's
+  spacing away along e and a positively oriented tangent basis there, as
+  arrays (N, D, S, n) and (N, D, S, n, m). Charts make one value and one
+  Jacobian call per chart; meshes step in their fitted quadratic patches,
+  all vertices at once.
 - `patch_at(locator, radius, shrink=True, measure_bound=True)`: a
   `GraphPatch` at the located point.
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
@@ -23,6 +27,9 @@ that turns any other object away.
   an ambient map with the given derivatives (hess_map None when affine).
 - `euler_characteristic()` and `min_nonneighbor_distance()` (inf on charts,
   which carry no neighbour relation).
+- `distance_to(point)`: distance from a point of R^n to the surface; on
+  meshes to the nearest simplex (edge or triangle), on charts to the
+  nearest quadrature node at scale 0.25.
 """
 
 from __future__ import annotations

@@ -37,30 +37,39 @@ __all__ = [
 ]
 
 
+def _combined_angle_cos(x, tangent_x, y, basis_y):
+    """cos of the combined angle over stacks of point pairs.
+
+    x, y are (..., n) points, tangent_x (..., n, m) oriented orthonormal
+    frames at x and basis_y (..., n, m) positively oriented tangent bases
+    at y. Values are clipped to [-1, 1]; a pair closer than 1e-14 raises
+    SingularPairError.
+    """
+    d = y - x
+    dist = np.sqrt(np.sum(d * d, axis=-1))
+    if np.any(dist < 1e-14):
+        raise SingularPairError("combined angle needs two distinct points")
+    v = (d / dist[..., None])[..., :, None]                   # (..., n, 1)
+    m = tangent_x.shape[-1]
+    ehat = 2.0 * v * (np.swapaxes(v, -1, -2) @ tangent_x) - tangent_x
+    G = np.swapaxes(ehat, -1, -2) @ basis_y
+    W = np.swapaxes(basis_y, -1, -2) @ basis_y
+    if m == 1:
+        cosv = G[..., 0, 0] / np.sqrt(W[..., 0, 0])
+    else:
+        # (-1)^(m-1) det(G) / sqrt(det(W)) with m = 2
+        detG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        detW = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
+        cosv = -detG / np.sqrt(detW)
+    return np.clip(cosv, -1.0, 1.0)
+
+
 def combined_angle_cos_frames(x, tangent_x, y, basis_y):
     """cos of the combined angle from an oriented orthonormal frame at x and
     any positively oriented tangent basis at y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = y - x
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-14:
-        raise SingularPairError("combined angle needs two distinct points")
-    v = d / dist
-    tx = np.asarray(tangent_x, dtype=float)
-    wy = np.asarray(basis_y, dtype=float)
-    m = tx.shape[1]
-    ehat = 2.0 * np.outer(v, v @ tx) - tx
-    G = ehat.T @ wy
-    W = wy.T @ wy
-    if m == 1:
-        cosv = float(G[0, 0]) / math.sqrt(float(W[0, 0]))
-    else:
-        detG = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        detW = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-        cosv = float(detG) / math.sqrt(float(detW))
-    cosv *= (-1.0) ** (m - 1)
-    return min(1.0, max(-1.0, cosv))
+    rows = [np.asarray(a, dtype=float)[None]
+            for a in (x, tangent_x, y, basis_y)]
+    return float(_combined_angle_cos(*rows)[0])
 
 
 def combined_angle_cos(surface, loc_x, loc_y) -> float:
@@ -83,20 +92,26 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     and complex-step derivatives through it are exact. Coincident pairs get
     0 in both outputs; 1 - cos is not clipped to [0, 2].
     """
-    m = x_frames.shape[-1]
+    (Nx, n), Ny, m = x_pts.shape, len(y_pts), x_frames.shape[-1]
     diff = y_pts[None, :, :] - x_pts[:, None, :]          # (Nx, Ny, n)
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     v = diff / np.where(dist == 0.0, 1.0, dist)[..., None]
-    # a_k = <v, e_k(x)>, G_kl = <ehat_k, w_l> = 2 a_k b_l - <e_k, w_l>
-    a = np.einsum("xyn,xnk->xyk", v, x_frames)
-    b = np.einsum("xyn,ynl->xyl", v, y_frames)
-    ew = np.einsum("xnk,ynl->xykl", x_frames, y_frames)
-    G = 2.0 * a[..., :, None] * b[..., None, :] - ew
+    # a_k = <v, e_k(x)>, b_l = <v, w_l(y)>, one matrix product per point
+    a = v @ x_frames                                       # (Nx, Ny, m)
+    b = np.swapaxes(np.swapaxes(v, 0, 1) @ y_frames, 0, 1)
+    # <e_k, w_l> for every pair as one (Nx m, n) x (n, Ny m) product
+    ew = (np.swapaxes(x_frames, 1, 2).reshape(Nx * m, n)
+          @ np.moveaxis(y_frames, 1, 0).reshape(n, Ny * m)).reshape(Nx, m, Ny, m)
+
+    def G(k, l):
+        """<ehat_k, w_l> = 2 a_k b_l - <e_k, w_l>"""
+        return 2.0 * a[..., k] * b[..., l] - ew[:, k, :, l]
+
     if m == 1:
-        cos = G[..., 0, 0]
+        cos = G(0, 0)
     else:
         # (-1)^(m-1) det(G) with m = 2
-        cos = -(G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0])
+        cos = -(G(0, 0) * G(1, 1) - G(0, 1) * G(1, 0))
     omc = 1.0 - cos
     omc[dist == 0.0] = 0.0
     return omc, dist
@@ -105,31 +120,30 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
 def _diag_limits(points, frames, probe, m):
     """Extrapolated diagonal limits of (1-cos)/|x-y|^2 per node.
 
-    probe(i, e, scales) gives, for each s in scales, a point s node spacings
-    from node i along the tangent direction e and a tangent basis there;
-    along each direction the values at three shrinking steps are
-    extrapolated quadratically to distance 0, and the limits averaged over
-    the directions.
+    probe(dirs, scales) gives, for every node, tangent direction e in dirs
+    (D, m) and step s in scales, the point s node spacings away along e
+    and a positively oriented tangent basis there, as arrays (N, D, S, n)
+    and (N, D, S, n, m). Along each direction the values at the three
+    shrinking steps are extrapolated quadratically to distance 0 (Lagrange
+    weights of the three distances), and the limits averaged over the
+    directions. All nodes go through in one array pass.
     """
     if m == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
         ang = np.linspace(0, math.pi, 4, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    limits = np.zeros(len(points))
-    for i, (x0, tx) in enumerate(zip(points, frames)):
-        vals = []
-        for e in dirs:
-            fs, ds = [], []
-            for y, wy in probe(i, e, (0.5, 0.25, 0.125)):
-                d = float(np.linalg.norm(y - x0))
-                fs.append((1.0 - combined_angle_cos_frames(x0, tx, y, wy))
-                          / d ** 2)
-                ds.append(d)
-            V = np.vander(np.array(ds), 3, increasing=True)
-            vals.append(np.linalg.solve(V, np.array(fs))[0])
-        limits[i] = float(np.mean(vals))
-    return limits
+    y, basis = probe(dirs, (0.5, 0.25, 0.125))
+    x = points[:, None, None, :]
+    d = y - x
+    dist = np.sqrt(np.sum(d * d, axis=-1))                 # (N, D, S)
+    f = ((1.0 - _combined_angle_cos(x, frames[:, None, None], y, basis))
+         / dist ** 2)
+    d0, d1, d2 = dist[..., 0], dist[..., 1], dist[..., 2]
+    at_zero = (d1 * d2 / ((d0 - d1) * (d0 - d2)) * f[..., 0]
+               + d0 * d2 / ((d1 - d0) * (d1 - d2)) * f[..., 1]
+               + d0 * d1 / ((d2 - d0) * (d2 - d1)) * f[..., 2])
+    return np.mean(at_zero, axis=1)
 
 
 def _ks_assemble(pts, frames, weights, spacing, limits, m, block=512):
@@ -292,8 +306,8 @@ def apply_moebius(surface, mmap: MoebiusMap):
     """
     surface = as_surface(surface)
     if mmap.kind == "inversion":
-        pts = surface.nodes(0.25).points
-        if np.min(np.linalg.norm(pts - mmap.center, axis=-1)) < 1e-6:
+        center = mmap.center if mmap.center is not None else np.zeros(surface.n)
+        if surface.distance_to(center) < 1e-6:
             raise SingularMapError("inversion center lies on the surface")
     hess = None if mmap.kind == "similarity" else mmap.hessian
     return surface.transformed(mmap.value, mmap.jacobian, hess,

@@ -7,7 +7,8 @@ from rieszlab.errors import (PreconditionError, SingularMapError,
                              SingularPairError, UnsupportedInputError)
 from rieszlab.geometry import (icosphere, make_circle, make_disk,
                                make_ellipsoid, make_saddle_surface,
-                               make_sphere, mesh_disjoint_union)
+                               make_sphere, mesh_disjoint_union,
+                               polygon_circle)
 from rieszlab.moebius import (MoebiusMap, apply_moebius, as_energy,
                               combined_angle_cos, combined_angle_cos_frames,
                               ks_cross_energy, ks_energy,
@@ -272,6 +273,48 @@ def test_inversion_center_on_surface_rejected():
     mmap = MoebiusMap("inversion", center=tuple(mesh.vertices[0]), radius=1.0)
     with pytest.raises(SingularMapError):
         apply_moebius(mesh, mmap)
+
+
+def test_inversion_center_on_face_or_edge_rejected():
+    mesh = icosphere(1)
+    a, b = mesh.vertices[mesh.faces[0, :2]]
+    curve = polygon_circle(64)
+    for surface, center in [(mesh, mesh.face_centroids()[0]),
+                            (mesh, 0.5 * (a + b)),
+                            (curve, curve.vertices[:2].mean(axis=0))]:
+        with pytest.raises(SingularMapError, match="lies on the surface"):
+            apply_moebius(surface, MoebiusMap("inversion", center=center))
+
+
+def test_inversion_center_off_surface_maps():
+    mesh = icosphere(1)
+    off = mesh.face_centroids()[0] + 1e-3 * mesh.face_normals()[0]
+    for center in (off, mesh.face_centroids()[0] - 1e-3 * mesh.face_normals()[0]):
+        image = apply_moebius(mesh, MoebiusMap("inversion", center=center))
+        assert np.all(np.isfinite(image.vertices))
+    curve = polygon_circle(64)
+    mid = curve.vertices[:2].mean(axis=0)
+    image = apply_moebius(curve, MoebiusMap("inversion", center=mid * 0.999))
+    assert np.all(np.isfinite(image.vertices))
+    # no centre given: the unit sphere about the origin, which fixes the
+    # vertices of the inscribed icosphere
+    image = apply_moebius(mesh, MoebiusMap("inversion"))
+    assert np.allclose(image.vertices, mesh.vertices, rtol=0, atol=1e-15)
+
+
+def test_mesh_distance_to_matches_sampled_faces():
+    mesh = icosphere(1)
+    rng = np.random.default_rng(4)
+    bary = rng.dirichlet([1.0, 1.0, 1.0], size=2000)
+    samples = np.einsum("fkn,sk->fsn", mesh.vertices[mesh.faces], bary)
+    for x in rng.normal(size=(20, 3)) * 0.8:
+        d = mesh.distance_to(x)
+        sampled = np.min(np.linalg.norm(samples - x, axis=-1))
+        assert d <= sampled + 1e-12
+        assert d >= sampled - 0.05     # sample gaps are far below 0.05
+    # the faces at a vertex of the inscribed mesh fall away from its ray
+    assert mesh.distance_to(mesh.vertices[5] * 1.5) == pytest.approx(
+        0.5, rel=1e-12)
 
 
 def test_inversion_derivatives_consistent():
