@@ -21,9 +21,8 @@ from .geometry import (ChartSurface, CurvatureData, GraphPatch,
                        make_torus, mesh_disjoint_union, polygon_circle,
                        read_obj, read_off, tangent_frame, torus_mesh,
                        validate_patch_class, write_obj, write_off)
-from .models import (BlowupPrediction, CutoffFit, DegenerationFamily,
-                     classify_cutoff_law, cone_model_scan, lambda_bound,
-                     lambda_bound_sum, orthogonal_model_closed_form,
+from .models import (CutoffFit, classify_cutoff_law, cone_model_scan,
+                     lambda_bound, lambda_bound_sum, orthogonal_model_closed_form,
                      orthogonal_model_integral, sphere_pair_cross_energy,
                      sphere_pair_cross_energy_bruteforce, tangent_model_scan,
                      two_body_sweep)
@@ -31,8 +30,8 @@ from .moebius import (InvarianceReport, MoebiusMap, apply_moebius, as_energy,
                       combined_angle_cos, combined_angle_cos_frames,
                       ks_cross_energy, ks_energy, moebius_invariance_check)
 from .radial import (EnergyParams, FinitePartResult, RadialProfile,
-                     finite_part, radial_inverse, radial_profile, safe_ratio,
-                     safe_ratio_derivatives, unit_sphere_volume_m1)
+                     finite_part, radial_inverse, radial_profile,
+                     unit_sphere_volume_m1)
 from .riesz import (BetaOracle, EnergyReport, QuadratureConfig, beta_oracle,
                     beta_residue, finite_part_at_pole, riesz_energy,
                     scaling_check)

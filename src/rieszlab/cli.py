@@ -158,6 +158,10 @@ def parse_surface(spec: str):
 
 def parse_map(spec: str) -> MoebiusMap:
     name, kv = _parse_kv(spec)
+    for k, v in kv.items():
+        if isinstance(v, str):
+            raise ConfigError(f"map parameter {k} in {spec!r} must be a "
+                              f"number, got {v!r}")
     if name == "inversion":
         return MoebiusMap("inversion",
                           center=(kv.get("cx", 0.0), kv.get("cy", 0.0),

@@ -50,7 +50,7 @@ class SingularMapError(PreconditionError):
 
 
 class ProfileFitError(NumericalError):
-    """Radial profile Taylor fit residual exceeded its tolerance."""
+    """Radial profile not resolved by its largest Chebyshev interpolant."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -21,8 +21,6 @@ from .errors import PreconditionError
 from .quadrature import compensated_sum, gauss_legendre
 
 __all__ = [
-    "DegenerationFamily",
-    "BlowupPrediction",
     "CutoffFit",
     "classify_cutoff_law",
     "orthogonal_model_integral",
@@ -40,73 +38,6 @@ __all__ = [
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit m-ball (2 for m=1, pi for m=2, ...)."""
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
-
-
-@dataclass
-class DegenerationFamily:
-    """Parametrized two-patch configuration approaching a double point."""
-
-    kind: str                    # two-spheres-gap | orthogonal-planes |
-                                 # tangent-sphere-plane | double-cone
-    alpha: float
-    gap: float = 0.0             # delta
-    radius: float = 1.0          # sphere radius / patch extent rho or R
-    m: int = 2
-
-    def __post_init__(self):
-        kinds = ("two-spheres-gap", "orthogonal-planes",
-                 "tangent-sphere-plane", "double-cone")
-        if self.kind not in kinds:
-            raise PreconditionError(f"unknown family kind {self.kind!r}")
-        if self.kind == "two-spheres-gap" and self.gap <= 0:
-            raise PreconditionError("embedded two-sphere family needs gap > 0")
-        if self.radius <= 0:
-            raise PreconditionError("patch extent must be positive")
-
-    def prediction(self) -> "BlowupPrediction":
-        """Predicted blow-up law of the family as the degeneration closes.
-
-        For "two-spheres-gap" these are the laws of the annulus-cascade
-        lower bound sum_j lambda(gap, rho0 / 2^j): log(1/gap) at
-        alpha = -2m and gap^(2m + alpha) below it. The cross energy of two
-        round spheres dominates the bound but grows faster, like
-        gap^(alpha + 3m/2) (see `two_body_sweep`).
-        """
-        a, m = self.alpha, self.m
-        if self.kind == "two-spheres-gap":
-            if a < -2 * m:
-                return BlowupPrediction("power", 2 * m + a, m)
-            if a == -2 * m:
-                return BlowupPrediction("logarithmic", 0.0, m)
-            return BlowupPrediction("finite-limit", 0.0, m)
-        if self.kind == "orthogonal-planes":
-            threshold = -4.0
-        elif self.kind == "tangent-sphere-plane":
-            threshold = -3.0
-        else:
-            threshold = -4.0
-        if a > threshold:
-            return BlowupPrediction("finite-limit", 0.0, m)
-        if a == threshold:
-            return BlowupPrediction("logarithmic", 0.0, m)
-        expo = {"orthogonal-planes": a + 4.0,
-                "tangent-sphere-plane": 2.0 * a + 6.0,
-                "double-cone": a + 4.0}[self.kind]
-        return BlowupPrediction("power", expo, m)
-
-
-@dataclass
-class BlowupPrediction:
-    """Predicted cutoff/blow-up law for a degeneration family."""
-
-    law: str          # power | logarithmic | finite-limit
-    exponent: float
-    m: int
-
-    @property
-    def c1(self) -> float:
-        """Annulus volume constant 0.9 (1 - 2^-m) Vol(B^m)."""
-        return 0.9 * (1.0 - 0.5 ** self.m) * unit_ball_volume(self.m)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,20 @@
 
 For a point x with graph patch h, the volume psi(t) of the patch within
 chord distance t satisfies psi'(t) = t^(m-1) * phi(t), where the density
-phi is smooth and even at t = 0 with phi(0) = sigma_{m-1}. This module
-builds phi by angular quadrature of the chord-radius change of variables
-and evaluates finite parts Pf. of integrals t^(alpha+m-1) phi(t) dt, using
-the convention x^0/0 = log x at exponent collisions.
+phi is smooth and even at t = 0 with phi(0) = sigma_{m-1}. phi is
+therefore a smooth function of s = t^2, and a profile holds it as one
+Chebyshev interpolant in s on [0, eps0^2]: samples at 17, 33 or 65
+Chebyshev-Lobatto points (each level reuses the samples of the one
+before), chopped where the coefficients fall below CHOP_TOL. The s = 0
+sample is sigma_{m-1} itself; the smallest positive radius sampled is
+about 0.1 eps0 (0.025 eps0 at 65 points). The interpolant's monomial
+coefficients give the finite part Pf. of integral_0^eps t^(alpha+m-1)
+phi(t) dt in closed form for every alpha and every eps <= eps0, with the
+convention x^0/0 = log x at exponent collisions.
 
-Each (direction v, chord radius t) row of the quadrature needs the radius
-xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h there.
-Chart patches solve each row with one Newton iteration in the chart
+Each (direction v, chord radius t) row of the angular quadrature needs the
+radius xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h
+there. Chart patches solve each row with one Newton iteration in the chart
 parameters (`GraphPatch.chord_solve`); patches with only an explicit
 height (mesh fits) are inverted along the ray by `radial_inverse`, a
 bracketed Newton in xi.
@@ -24,24 +30,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.fft import dct
 
-from .errors import (NumericalError, PreconditionError, ProfileFitError)
-from .quadrature import graded_power_integral, power_deflated_spline_integral
+from .errors import NumericalError, PreconditionError, ProfileFitError
 
 __all__ = [
     "EnergyParams",
     "RadialProfile",
     "FinitePartResult",
     "unit_sphere_volume_m1",
-    "safe_ratio",
-    "safe_ratio_derivatives",
     "radial_inverse",
     "radial_profile",
     "finite_part",
 ]
 
 POLE_SNAP_TOL = 1e-12
+# Chebyshev coefficients below CHOP_TOL of the largest are dropped; a
+# profile is resolved when its last quarter of coefficients is dropped.
+CHOP_TOL = 1e-14
+# Chebyshev intervals of the sampling levels (17, 33, 65 points).
+_LEVELS = (16, 32, 64)
 
 
 def unit_sphere_volume_m1(m: int) -> float:
@@ -78,43 +86,6 @@ class EnergyParams:
 
 
 # ----------------------------------------------------------------------
-# safe division g(t)/t for g(0) = g'(0) = 0
-# ----------------------------------------------------------------------
-
-def safe_ratio(g, dg=None, check_step=1e-6, tol=1e-8):
-    """Return gbar(t) = g(t)/t extended by gbar(0) = 0.
-
-    Requires g(0) = g'(0) = 0 (checked, with g'(0) taken from dg when given,
-    else by central differences).
-    """
-    g0 = float(g(0.0))
-    if dg is not None:
-        g1 = float(dg(0.0))
-    else:
-        g1 = (float(g(check_step)) - float(g(-check_step))) / (2 * check_step)
-    if abs(g0) > tol or abs(g1) > tol:
-        raise PreconditionError(
-            f"safe_ratio requires g(0)=g'(0)=0, got g(0)={g0:.3g}, g'(0)={g1:.3g}")
-
-    def gbar(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        nz = t != 0.0
-        out[nz] = np.asarray(g(t[nz])) / t[nz]
-        return out if out.ndim else float(out)
-
-    return gbar
-
-
-def safe_ratio_derivatives(g_derivs_at_zero):
-    """Derivatives of g(t)/t at 0 from those of g: gbar^(j) = g^(j+1)/(j+1)."""
-    g = np.asarray(g_derivs_at_zero, dtype=float)
-    if len(g) < 2 or abs(g[0]) > 0 or abs(g[1]) > 0:
-        raise PreconditionError("need g(0)=g'(0)=0 and derivatives from order 0")
-    return np.array([g[j + 1] / (j + 1) for j in range(len(g) - 1)])
-
-
-# ----------------------------------------------------------------------
 # chord radius inversion xi(v, t)
 # ----------------------------------------------------------------------
 
@@ -124,7 +95,8 @@ def radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
     v has shape (K, m); t is a scalar or (K,). Returns (xi, dxi_dt). The
     Newton iteration is bracketed on [0, t] (the residual is negative at 0
     and nonnegative at t), falling back to bisection when a step leaves the
-    bracket.
+    bracket; a row that meets the residual tolerance takes one more Newton
+    step.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     K = len(v)
@@ -154,7 +126,9 @@ def radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
         cand = xi[active] - step
         bad = (cand <= la) | (cand >= ha) | ~np.isfinite(cand)
         cand = np.where(bad, 0.5 * (la + ha), cand)
-        xi_new = np.where(done, xi[active], cand)
+        # converged rows take one last unbracketed Newton step, so xi and
+        # dxi/dt carry rounding error rather than the stopping tolerance
+        xi_new = np.where(done, xi[active] - step, cand)
         lo[active] = la
         hi[active] = ha
         xi[active] = xi_new
@@ -191,48 +165,80 @@ def _angular_rule(m: int, nodes: int):
 # radial profile
 # ----------------------------------------------------------------------
 
+def _lobatto_radii(n: int, eps0: float) -> np.ndarray:
+    """Radii t_j with s_j = t_j^2 the n + 1 Chebyshev-Lobatto points of
+    [0, eps0^2], ascending: t_j = eps0 sin(pi j / 2n)."""
+    return eps0 * np.sin(0.5 * math.pi * np.arange(n + 1) / n)
+
+
+def _shifted_chebyshev(n: int) -> np.ndarray:
+    """Row j holds the coefficients of T_j(2u - 1) in powers of u, j < n."""
+    out = np.zeros((n, n))
+    out[0, 0] = 1.0
+    if n > 1:
+        out[1, :2] = (-1.0, 2.0)
+    for j in range(1, n - 1):
+        out[j + 1, 1:] = 4.0 * out[j, :-1]
+        out[j + 1] -= 2.0 * out[j] + out[j - 1]
+    return out
+
+
 @dataclass
 class RadialProfile:
-    """Chord density phi(t) with its even Taylor data at t = 0."""
+    """Chord density phi as a Chebyshev interpolant in s = t^2.
 
-    ts: np.ndarray            # sample abscissae in (0, eps0]
-    values: np.ndarray        # phi at ts
-    taylor: np.ndarray        # taylor[j] = phi^(j)(0) / j!
+    ts are the radii of the Chebyshev-Lobatto points of [0, eps0^2] (see
+    `_lobatto_radii`, ts[0] = 0) and values the samples of phi there; the
+    rest is derived from them. coefficients are the interpolant's Chebyshev
+    coefficients in x = 2 s / eps0^2 - 1, chopped below CHOP_TOL of the
+    largest; fit_residual is the largest chopped one, the level of
+    truncation error and sampling noise per coefficient; taylor[j] is the
+    interpolant's coefficient of t^j, up to the first power past its
+    degree (odd ones and the last zero, so taylor[2] is phi''(0) / 2).
+    """
+
+    ts: np.ndarray
+    values: np.ndarray
     m: int
     eps0: float
-    sigma: float              # phi(0) = volume of unit (m-1)-sphere
-    evaluator: object = None  # optional direct evaluator t -> phi(t)
-    fit_residual: float = 0.0
-    odd_coefficients: np.ndarray | None = None
-    spline: object = None     # piecewise-cubic representation when built
-    remainder_fn: object = None  # optional exact phi(t) - full-jet(t)
+    sigma: float                  # phi(0) = volume of unit (m-1)-sphere
+    coefficients: np.ndarray = field(init=False)
+    fit_residual: float = field(init=False)
+    taylor: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.ts = np.asarray(self.ts, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        n = len(self.values) - 1
+        if (n < 1 or self.ts.shape != self.values.shape or not np.allclose(
+                self.ts, _lobatto_radii(n, self.eps0), rtol=1e-12, atol=0)):
+            raise PreconditionError("profile samples must sit at two or more "
+                                    "Chebyshev-Lobatto radii of [0, eps0]")
+        # DCT-I of the samples ordered by x = -cos(pi j / n)
+        c = dct(self.values, type=1) / n
+        c[[0, -1]] *= 0.5
+        c[1::2] *= -1.0
+        big = np.abs(c) > CHOP_TOL * np.max(np.abs(c))
+        keep = int(np.nonzero(big)[0][-1]) + 1 if big.any() else 1
+        self.coefficients = c[:keep]
+        tail = np.abs(c[keep:])
+        self.fit_residual = float(tail.max()) if len(tail) else 0.0
+        s_pow = (self.eps0 ** 2) ** np.arange(keep)
+        self.taylor = np.zeros(2 * keep + 1)
+        self.taylor[:-1:2] = (self.coefficients @ _shifted_chebyshev(keep)
+                              / s_pow)
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
-        if self.evaluator is not None:
-            return self.evaluator(t)
-        if self.spline is None:
-            ts = np.concatenate([[0.0], self.ts])
-            vs = np.concatenate([[self.sigma], self.values])
-            object.__setattr__(self, "spline", CubicSpline(ts, vs))
-        out = self.spline(t)
+        x = 2.0 * (t / self.eps0) ** 2 - 1.0
+        out = np.polynomial.chebyshev.chebval(x, self.coefficients)
         return float(out) if t.ndim == 0 else out
 
-    def taylor_sum(self, t, order):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for j in range(min(order, len(self.taylor) - 1), -1, -1):
-            out = out * t + self.taylor[j]
-        return out
-
     @classmethod
-    def from_function(cls, fn, taylor, m, eps0, samples=64, remainder_fn=None):
-        ts = np.linspace(eps0 / samples, eps0, samples)
-        taylor = np.asarray(taylor, dtype=float)
-        return cls(ts=ts, values=np.asarray(fn(ts), dtype=float),
-                   taylor=taylor, m=m, eps0=float(eps0),
-                   sigma=float(taylor[0]), evaluator=fn,
-                   remainder_fn=remainder_fn)
+    def from_function(cls, fn, m, eps0) -> "RadialProfile":
+        """Profile of a given even density fn(t), sampled like a patch's."""
+        return _interpolate(lambda t: np.asarray(fn(t), dtype=float),
+                            m, float(eps0), float(fn(0.0)))
 
     # -- serialization: CSV table with a JSON header line ----------------
 
@@ -267,11 +273,31 @@ class RadialProfile:
             rows = [r for r in reader if r and r[0] != "t"]
         ts = np.array([float(r[0]) for r in rows])
         vals = np.array([float(r[1]) for r in rows])
-        return cls(ts=ts, values=vals,
-                   taylor=np.asarray(header["taylor"], dtype=float),
-                   m=int(header["m"]), eps0=float(header["eps0"]),
-                   sigma=float(header["sigma"]),
-                   fit_residual=float(header.get("fit_residual", 0.0)))
+        return cls(ts=ts, values=vals, m=int(header["m"]),
+                   eps0=float(header["eps0"]), sigma=float(header["sigma"]))
+
+
+def _interpolate(sample, m, eps0, sigma) -> RadialProfile:
+    """Sample phi at 17, 33 and then 65 Chebyshev-Lobatto points in s until
+    the interpolant is resolved; each level reuses the earlier samples."""
+    n = _LEVELS[0]
+    values = sample(_lobatto_radii(n, eps0))
+    while True:
+        profile = RadialProfile(ts=_lobatto_radii(n, eps0), values=values,
+                                m=m, eps0=eps0, sigma=sigma)
+        if 4 * (len(profile.coefficients) - 1) <= 3 * n:
+            return profile
+        if n == _LEVELS[-1]:
+            c = np.abs(profile.coefficients)
+            tail = float(np.max(c[3 * n // 4 + 1:]))
+            raise ProfileFitError(
+                f"radial profile unresolved at {n + 1} Chebyshev points: its "
+                f"last quarter of coefficients reaches {tail / c.max():.3g} "
+                f"of the largest (chop level {CHOP_TOL:g})", residual=tail)
+        finer = np.empty(2 * n + 1)
+        finer[::2] = values
+        finer[1::2] = sample(_lobatto_radii(2 * n, eps0)[1::2])
+        values, n = finer, 2 * n
 
 
 def _chord_rows(patch, v, t):
@@ -315,19 +341,12 @@ def _profile_batch(patch, v, w, ts, m):
     return vals
 
 
-def radial_profile(patch, eps0=None, angular_nodes=64, fit_samples=48,
-                   table_samples=64, fit_range=0.5, fit_degree=6,
-                   include_odd=False, fit_tol=1e-3,
-                   spline_eval=False) -> RadialProfile:
+def radial_profile(patch, eps0=None, angular_nodes=64) -> RadialProfile:
     """Construct the chord density phi for a graph patch.
 
-    Taylor coefficients at 0 come from an even-polynomial least-squares fit
-    on (0, fit_range * eps0] with phi(0) pinned to sigma_{m-1} exactly; odd
-    powers are excluded unless include_odd is set (then they are reported
-    separately for diagnostics, the stored Taylor data stays even).
-    With spline_eval the evaluator is a cubic spline through one dense
-    batched sampling pass (much cheaper inside adaptive quadrature, with
-    interpolation error around 1e-9 relative on smooth patches).
+    phi is sampled by the angular rule at Chebyshev-Lobatto points in
+    s = t^2 (see `RadialProfile`); ProfileFitError is raised when 65
+    points do not resolve it.
     """
     m = patch.m
     eps0 = float(eps0 if eps0 is not None else patch.radius)
@@ -335,67 +354,8 @@ def radial_profile(patch, eps0=None, angular_nodes=64, fit_samples=48,
         raise PreconditionError("profile radius exceeds the validated patch radius")
     sigma = unit_sphere_volume_m1(m)
     v, w = _angular_rule(m, angular_nodes)
-
-    def exact_evaluator(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        vals = _profile_batch(patch, v, w, np.atleast_1d(t), m)
-        return float(vals[0]) if scalar else vals
-
-    spline = None
-    if spline_eval:
-        # one dense batched pass feeds the spline, the Taylor fit and the
-        # sample table; extra exact evaluations are avoided in hot loops
-        n_lin = max(48, 2 * fit_samples)
-        t_dense = np.concatenate([
-            [0.0],
-            np.geomspace(eps0 * 1e-4, eps0 * 0.08, 14),
-            np.linspace(eps0 * 0.1, eps0, n_lin),
-        ])
-        dense_vals = _profile_batch(patch, v, w, t_dense, m)
-        spline = CubicSpline(t_dense, dense_vals)
-
-        def evaluator(t):
-            t = np.asarray(t, dtype=float)
-            out = spline(t)
-            return float(out) if t.ndim == 0 else out
-
-        take = np.linspace(1, len(t_dense) - 1, table_samples).astype(int)
-        ts = t_dense[take]
-        values = dense_vals[take]
-        fit_mask = (t_dense > 0) & (t_dense <= eps0 * fit_range + 1e-15)
-        t_fit = t_dense[fit_mask]
-        y = dense_vals[fit_mask] - sigma
-    else:
-        evaluator = exact_evaluator
-        ts = np.linspace(eps0 / table_samples, eps0, table_samples)
-        values = exact_evaluator(ts)
-        t_fit = np.linspace(eps0 * fit_range / fit_samples,
-                            eps0 * fit_range, fit_samples)
-        y = exact_evaluator(t_fit) - sigma
-    tau = t_fit / (eps0 * fit_range)
-    even_pows = list(range(2, fit_degree + 1, 2))
-    odd_pows = list(range(1, fit_degree + 1, 2)) if include_odd else []
-    cols = [tau ** p for p in even_pows] + [tau ** p for p in odd_pows]
-    X = np.stack(cols, axis=-1)
-    sol, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.sqrt(np.mean((X @ sol - y) ** 2))) / max(sigma, 1.0)
-    if resid > fit_tol:
-        raise ProfileFitError(
-            f"radial profile fit residual {resid:.3g} exceeds {fit_tol:.3g}",
-            residual=resid)
-    scale = eps0 * fit_range
-    taylor = np.zeros(fit_degree + 1)
-    taylor[0] = sigma
-    for c, p in zip(sol[:len(even_pows)], even_pows):
-        taylor[p] = c / scale ** p
-    odd = None
-    if include_odd:
-        odd = np.array([c / scale ** p
-                        for c, p in zip(sol[len(even_pows):], odd_pows)])
-    return RadialProfile(ts=ts, values=values, taylor=taylor, m=m, eps0=eps0,
-                         sigma=sigma, evaluator=evaluator, fit_residual=resid,
-                         odd_coefficients=odd, spline=spline)
+    return _interpolate(lambda t: _profile_batch(patch, v, w, t, m),
+                        m, eps0, sigma)
 
 
 # ----------------------------------------------------------------------
@@ -418,13 +378,16 @@ class FinitePartResult:
 
 
 def finite_part(params: EnergyParams, profile: RadialProfile,
-                eps0: float | None = None, quad_rtol=1e-11) -> FinitePartResult:
-    """Pf. of integral_0^eps0 t^(alpha+m-1) phi(t) dt.
+                eps0: float | None = None) -> FinitePartResult:
+    """Pf. of integral_0^eps0 t^(alpha+m-1) phi(t) dt, in closed form.
 
-    Power terms of the Taylor jet are integrated in closed form with the
-    convention x^0/0 = log x at exponent collisions; the remainder integrand
-    t^(alpha+m-1) (phi - jet) is integrable and handled by graded adaptive
-    quadrature toward 0.
+    With phi = sum_k a_k t^(2k) (profile.taylor) this is
+    sum_k a_k eps0^(e_k) / e_k, e_k = alpha + m + 2k, where a collision
+    e_k = 0 contributes a_k log(eps0) (the convention x^0/0 = log x). Any
+    eps0 up to the profile's own radius may be used. The error estimate
+    pushes the profile's tail level through the same sum for each
+    Chebyshev basis polynomial up to one past the kept degree (the last
+    entry of taylor), and adds the rounding of the sum.
     """
     alpha, m = params.alpha, params.m
     if m != profile.m:
@@ -432,69 +395,18 @@ def finite_part(params: EnergyParams, profile: RadialProfile,
     eps0 = float(eps0 if eps0 is not None else profile.eps0)
     if eps0 > profile.eps0 * (1 + 1e-12):
         raise PreconditionError("eps0 exceeds the profile range")
-    abar = params.taylor_order
-    if abar > len(profile.taylor) - 1:
-        raise PreconditionError(
-            f"profile Taylor data (order {len(profile.taylor) - 1}) cannot "
-            f"regularize alpha={alpha} (needs order {abar})")
-    value = 0.0
-    subtracted = []
-    log_coef = 0.0
-    for j in range(abar + 1):
-        e = alpha + m + j
-        coef = float(profile.taylor[j])
-        if abs(e) < POLE_SNAP_TOL:
-            if abs(alpha - round(alpha)) > 1e-9:
-                raise NumericalError(
-                    "exponent collision at non-integer alpha")  # unreachable
-            log_coef = coef
-            value += coef * math.log(eps0)
-        else:
-            value += coef / e * eps0 ** e
-            if e < 0:
-                subtracted.append((e, coef / e))
-
-    # The numeric remainder subtracts the full stored jet (not just the
-    # order-abar part) to avoid integrating near-cancelling differences
-    # against a steep power; the terms between abar and the jet degree are
-    # then added back in closed form. Their exponents all exceed
-    # alpha + m + abar > -1, so no collision is possible here.
-    deg = len(profile.taylor) - 1
-    for j in range(abar + 1, deg + 1):
-        coef = float(profile.taylor[j])
-        if coef != 0.0:
-            e = alpha + m + j
-            value += coef / e * eps0 ** e
-
-    gamma = alpha + m - 1.0
-    if profile.spline is not None:
-        # exact piecewise integration of the spline representation; the
-        # first interval [0, t_cut] would amplify frozen sampling noise
-        # through the power factor, so its true mass (next Taylor order)
-        # is bounded into the error estimate instead
-        t_cut = float(profile.spline.x[1]) if len(profile.spline.x) > 2 else 0.0
-        rem = power_deflated_spline_integral(profile.spline, profile.taylor,
-                                             gamma, t_cut, eps0)
-        q_cut = abs(float(profile.evaluate(t_cut))
-                    - float(profile.taylor_sum(np.asarray(t_cut), deg)))
-        err = q_cut * t_cut ** (gamma + 1.0) * t_cut
-    elif profile.remainder_fn is not None:
-        # cancellation-free tail supplied by the profile (the jet cancels
-        # against the leading terms analytically)
-        def remainder(t):
-            return t ** gamma * profile.remainder_fn(t)
-
-        rem, err = graded_power_integral(remainder, 0.0, eps0,
-                                         exponent_floor=-0.5,
-                                         rtol=quad_rtol)
-    else:
-        def remainder(t):
-            return t ** gamma * (profile.evaluate(t)
-                                 - profile.taylor_sum(t, deg))
-
-        floor = max(alpha + m + 1.0, -0.9)
-        rem, err = graded_power_integral(remainder, 0.0, eps0,
-                                         exponent_floor=floor,
-                                         rtol=quad_rtol)
-    return FinitePartResult(value=value + rem, subtracted_powers=subtracted,
+    a = profile.taylor[::2]
+    k = np.arange(len(a))
+    e = alpha + m + 2.0 * k
+    pole = np.abs(e) < POLE_SNAP_TOL
+    w = np.where(pole, math.log(eps0), eps0 ** e / np.where(pole, 1.0, e))
+    terms = a * w
+    value = math.fsum(terms)
+    log_coef = float(np.sum(a[pole]))
+    subtracted = [(float(e_k), float(a_k / e_k))
+                  for e_k, a_k in zip(e, a) if e_k < -POLE_SNAP_TOL]
+    basis = _shifted_chebyshev(len(w)) @ (w / (profile.eps0 ** 2) ** k)
+    err = (profile.fit_residual * float(np.sum(np.abs(basis)))
+           + 8.0 * np.finfo(float).eps * float(np.sum(np.abs(terms))))
+    return FinitePartResult(value=value, subtracted_powers=subtracted,
                             log_coefficient=log_coef, error_estimate=err)

@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial import polynomial as P
 from scipy.special import gamma as sp_gamma, rgamma
 
 from .errors import (NumericalError, PoleError, PreconditionError,
                      UnsupportedInputError)
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
-from .quadrature import (BlendKernel, compensated_sum,
-                         poly_weighted_spline_integral)
+from .quadrature import BlendKernel, compensated_sum
 from .radial import EnergyParams, finite_part, radial_profile
 
 __all__ = [
@@ -50,7 +49,6 @@ class QuadratureConfig:
     outer_scale: float = 0.25        # scale on the surface base rule (outer x)
     inner_scale: float = 1.0         # far-field rule (inner y)
     angular_nodes: int = 64          # S^{m-1} rule for radial profiles
-    fit_samples: int = 32            # radial profile Taylor fit samples
     mesh_inner_subdiv: int = 1       # face subdivision for mesh inner nodes
     patch_radius: float | None = None
     threads: int = 1
@@ -60,7 +58,6 @@ class QuadratureConfig:
             outer_scale=self.outer_scale * factor,
             inner_scale=self.inner_scale * factor,
             angular_nodes=self.angular_nodes,
-            fit_samples=self.fit_samples,
             mesh_inner_subdiv=self.mesh_inner_subdiv,
             patch_radius=self.patch_radius,
             threads=self.threads,
@@ -163,25 +160,19 @@ def riesz_energy(surface, alpha, eps0=None, config: QuadratureConfig | None = No
             ) from exc
         eps_i = patch.radius
         profile = radial_profile(patch, eps_i,
-                                 angular_nodes=config.angular_nodes,
-                                 fit_samples=config.fit_samples,
-                                 table_samples=8, spline_eval=True)
+                                 angular_nodes=config.angular_nodes)
         pf = finite_part(params, profile, eps_i)
         blend = BlendKernel(alpha_f, eps_i)
 
-        # blend-kernel mass of the chord ball, integrated radially
+        # blend-kernel mass of the chord ball: the blend polynomial times
+        # t^(m-1) phi, integrated in closed form; the profile's tail level
+        # bounds phi's error at (number of coefficients) * tail
         weight_poly = np.concatenate([np.zeros(m - 1),
                                       blend.inside_poly_coeffs()])
-        if profile.spline is not None:
-            corr = poly_weighted_spline_integral(profile.spline, weight_poly,
-                                                 0.0, eps_i)
-            corr_err = 0.0
-        else:
-            def ball_blend_mass(t):
-                return blend(t) * t ** (m - 1) * profile.evaluate(t)
-
-            corr, corr_err = quad(ball_blend_mass, 0.0, eps_i,
-                                  epsabs=1e-12, epsrel=1e-10, limit=100)
+        corr = P.polyval(eps_i, P.polyint(np.convolve(weight_poly,
+                                                      profile.taylor)))
+        corr_err = (len(profile.coefficients) * profile.fit_residual
+                    * P.polyval(eps_i, P.polyint(np.abs(weight_poly))))
 
         far_val, ball_blend, cross_val = smooth_sum(inner, x,
                                                     outer.component[i],

@@ -328,11 +328,7 @@ def test_c11_finite_part_splitting():
             t = np.asarray(t, dtype=float)
             return sigma + c[0] * t ** 2 + c[1] * t ** 4 + c[2] * t ** 6
 
-        taylor = np.zeros(7)
-        taylor[0], taylor[2], taylor[4], taylor[6] = sigma, c[0], c[1], c[2]
-        prof = RadialProfile.from_function(
-            fn, taylor, m, eps0,
-            remainder_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        prof = RadialProfile.from_function(fn, m, eps0)
         params = EnergyParams(alpha, m)
         lhs = finite_part(params, prof, eps0).value
         inner = finite_part(params, prof, eps1).value

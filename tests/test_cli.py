@@ -236,3 +236,12 @@ def test_non_integer_threads_environment_exits_2():
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError"
     assert "RIESZ_LAB_THREADS" in err["message"]
+
+
+def test_non_numeric_map_parameter_exits_2():
+    proc = _run_cli(["invariance", "--surface", "sphere", "--map",
+                     "inversion:cx=abc", "--energy", "ks"])
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "cx" in err["message"] and "abc" in err["message"]

@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from rieszlab.errors import PreconditionError
-from rieszlab.models import (BlowupPrediction, DegenerationFamily,
-                             classify_cutoff_law, cone_model_scan,
+from rieszlab.models import (classify_cutoff_law, cone_model_scan,
                              lambda_bound,
                              orthogonal_model_closed_form,
                              orthogonal_model_integral,
@@ -140,9 +139,11 @@ def test_classifier_synthetic_laws():
 # ----------------------------------------------------------------------
 
 def test_lambda_constant_m2():
-    # c1 = 0.9 (1 - 1/4) Vol(B^2) = 0.675 pi
-    pred = BlowupPrediction("power", 0.0, 2)
-    assert pred.c1 == pytest.approx(0.675 * math.pi, rel=1e-12)
+    # c1 = 0.9 (1 - 1/4) Vol(B^2) = 0.675 pi; at alpha = 0 and rho = 1 the
+    # bound is c1^2 for every gap
+    for delta in (0.1, 1.0):
+        c1 = math.sqrt(lambda_bound(2, 0.0, delta, 1.0))
+        assert c1 == pytest.approx(0.675 * math.pi, rel=1e-12)
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
 
@@ -237,16 +238,3 @@ def test_sweep_m1_critical():
 def test_sweep_preconditions():
     with pytest.raises(PreconditionError):
         two_body_sweep(2, -4.0, 1.0, [0.1, -0.05])
-
-
-def test_family_predictions():
-    fam = DegenerationFamily("two-spheres-gap", alpha=-5.0, gap=0.1, m=2)
-    assert fam.prediction().law == "power"
-    assert fam.prediction().exponent == pytest.approx(-1.0)
-    fam2 = DegenerationFamily("tangent-sphere-plane", alpha=-4.0)
-    assert fam2.prediction().law == "power"
-    assert fam2.prediction().exponent == pytest.approx(-2.0)
-    fam3 = DegenerationFamily("double-cone", alpha=-4.0)
-    assert fam3.prediction().law == "logarithmic"
-    with pytest.raises(PreconditionError):
-        DegenerationFamily("two-spheres-gap", alpha=-4.0, gap=0.0)

@@ -111,6 +111,25 @@ def test_sphere_energy_regularized():
     assert rep.value == pytest.approx(-math.pi ** 2, rel=0.01)
 
 
+@pytest.mark.parametrize("alpha", [-2.5, -3.5, -4.5, -5.5])
+def test_circle_energy_below_critical_exponent(alpha):
+    # alpha <= -2m, the regime of the self-repulsiveness theorem
+    rep = riesz_energy(make_circle(), alpha)
+    err = abs(rep.value - beta_oracle("circle", 1.0, alpha))
+    assert err <= 1e-7 * abs(rep.value)
+    assert err <= rep.error_estimate
+
+
+@pytest.mark.parametrize("alpha", [-4.5, -5.0, -5.5, -6.0, -7.0])
+def test_sphere_energy_below_critical_exponent(alpha):
+    # the finer far-field rule leaves the finite part as the error's source
+    rep = riesz_energy(make_sphere(), alpha,
+                       config=QuadratureConfig(inner_scale=2.0))
+    err = abs(rep.value - beta_oracle("sphere", 1.0, alpha))
+    assert err <= 1e-8 * abs(rep.value)
+    assert err <= rep.error_estimate
+
+
 def test_sphere_energy_at_pole_matches_continuation():
     cfg = QuadratureConfig(outer_scale=0.15, inner_scale=0.6)
     rep = riesz_energy(make_sphere(), -2.0, config=cfg)
