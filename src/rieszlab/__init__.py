@@ -30,7 +30,7 @@ from .moebius import (InvarianceReport, MoebiusMap, apply_moebius, as_energy,
                       combined_angle_cos, combined_angle_cos_frames,
                       ks_cross_energy, ks_energy, moebius_invariance_check)
 from .radial import (EnergyParams, FinitePartResult, RadialProfile,
-                     finite_part, radial_inverse, radial_profile,
+                     finite_part, radial_profile,
                      unit_sphere_volume_m1)
 from .riesz import (BetaOracle, EnergyReport, QuadratureConfig, beta_oracle,
                     beta_residue, finite_part_at_pole, riesz_energy,

@@ -58,13 +58,7 @@ class _KSDiscretization:
         self.m = mesh.m
         self.faces = mesh.faces
         self.num_vertices = mesh.num_vertices
-        rings = mesh.vertex_rings(depth=2)
-        rmax = max(len(r) for r in rings)
-        self.ring_idx = np.zeros((mesh.num_vertices, rmax), dtype=int)
-        self.ring_mask = np.zeros((mesh.num_vertices, rmax))
-        for i, r in enumerate(rings):
-            self.ring_idx[i, :len(r)] = r
-            self.ring_mask[i, :len(r)] = 1.0
+        self.ring_idx, self.ring_mask = mesh.topology.ring_table
         if mesh.m == 1:
             self.next_vertex, self.prev_vertex = mesh.topology.next_prev
 

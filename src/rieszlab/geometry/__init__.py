@@ -10,7 +10,7 @@ from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      torus_mesh, write_obj, write_off)
 from .patches import (CurvatureData, GraphPatch, PatchClassParams,
                       PatchValidationReport, curvature_at,
-                      default_patch_radius, fit_quadratic_patch,
+                      default_patch_radius, fit_quadratic_patches,
                       graph_patch_at, tangent_frame, validate_patch_class)
 from .surface import NodeSet, Surface, as_surface
 
@@ -26,5 +26,5 @@ __all__ = [
     "CurvatureData", "GraphPatch", "PatchClassParams",
     "PatchValidationReport", "tangent_frame", "graph_patch_at",
     "curvature_at", "validate_patch_class", "default_patch_radius",
-    "fit_quadratic_patch", "NodeSet", "Surface", "as_surface",
+    "fit_quadratic_patches", "NodeSet", "Surface", "as_surface",
 ]

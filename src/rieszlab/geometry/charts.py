@@ -137,7 +137,6 @@ class ChartSurface(Surface):
     name: str
 
     oriented = True          # by the parameter order of every chart
-    patches_fitted = False
 
     def quadrature(self, scale: float = 1.0) -> SurfaceQuadrature:
         pts, wts, prm, idx, jacs, spc, comp = [], [], [], [], [], [], []

@@ -18,8 +18,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from ..errors import TopologyError, UnsupportedInputError
-from .patches import (CurvatureData, GraphPatch, fit_quadratic_patch,
-                      graph_patch_at)
+from .patches import CurvatureData, GraphPatch, fit_quadratic_patches
 from .surface import NodeSet, Surface
 
 __all__ = [
@@ -93,6 +92,17 @@ class MeshTopology:
         return self._rings[depth]
 
     @cached_property
+    def ring_table(self):
+        """The 2-rings padded to one width: ids (V, R), padding id 0, and a
+        float mask (V, R), 1 on ring entries and 0 on padding."""
+        rings = self.rings(2)
+        count = np.array([len(r) for r in rings])
+        mask = np.arange(count.max(initial=0)) < count[:, None]
+        idx = np.zeros(mask.shape, dtype=int)
+        idx[mask] = np.concatenate(rings)
+        return idx, mask.astype(float)
+
+    @cached_property
     def vertex_faces(self):
         """Ids of the faces at each vertex, ascending."""
         flat = self.faces.ravel()
@@ -138,9 +148,10 @@ class TriMesh(Surface):
     id. The connectivity lives in a `MeshTopology` shared by every mesh
     made from this one by `with_vertices` or `translated`; each new vertex
     array is checked for finite coordinates and non-degenerate simplices.
+    The quadratic vertex fits behind `patch_at`, `frame_at`,
+    `curvature_at` and `tangent_nodes` are made for all vertices at once,
+    on first use, and dropped with the vertex array they fit.
     """
-
-    patches_fitted = True
 
     def __init__(self, vertices, faces, m):
         if m not in (1, 2):
@@ -161,6 +172,9 @@ class TriMesh(Surface):
             raise UnsupportedInputError("mesh has non-finite vertex coordinates")
         if np.any(self.measures() <= 0.0):
             raise TopologyError("mesh contains a degenerate simplex")
+        # with_vertices copies the mesh, and with it the fit of the old
+        # vertices
+        self.__dict__.pop("_fits", None)
 
     # -- structure -----------------------------------------------------
 
@@ -317,15 +331,48 @@ class TriMesh(Surface):
                        component=np.repeat(comp[self.faces[:, 0]], k),
                        volume=self.total_volume())
 
+    @cached_property
+    def _fits(self):
+        """Quadratic graph fits of every vertex over its 2-ring, as arrays
+        (tangent, normal, coeffs, rms, extent), extent 0.9x the ring's
+        largest offset. The seed frames come from the oriented faces: for
+        m = 2 the normal is the normalised sum of the unit face normals at
+        the vertex and the first tangent the offset to its first 2-ring
+        vertex projected off that normal; for m = 1 the tangent is the mean
+        unit winding direction of its edges."""
+        if self.m == 2 and self.n != 3:
+            raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
+        idx, mask = self.topology.ring_table
+        d = self.vertices[idx] - self.vertices[:, None]      # (V, R, n)
+        p = self.vertices[self.faces]
+        if self.m == 1:
+            face_dirs = p[:, 1] - p[:, 0]
+            face_dirs /= np.linalg.norm(face_dirs, axis=-1, keepdims=True)
+        else:
+            face_dirs = _unit_normals(p)
+        vertex_dirs = np.zeros_like(self.vertices)
+        for col in range(self.m + 1):
+            np.add.at(vertex_dirs, self.faces[:, col], face_dirs)
+        if self.m == 1:
+            seed = vertex_dirs[..., None]
+        else:
+            nrm = vertex_dirs / np.linalg.norm(vertex_dirs, axis=-1,
+                                               keepdims=True)
+            e = d[:, 0] - np.sum(d[:, 0] * nrm, axis=-1)[:, None] * nrm
+            e /= np.linalg.norm(e, axis=-1, keepdims=True)
+            seed = np.stack([e, np.cross(nrm, e)], axis=-1)
+        extent = 0.9 * np.max(np.linalg.norm(d, axis=-1) * mask, axis=1)
+        fits = (*fit_quadratic_patches(d, mask, seed), extent)
+        for a in fits:
+            a.flags.writeable = False      # patches and frames are views
+        return fits
+
     def tangent_nodes(self, scale=None):
         nodes = self.nodes()
-        patches = [graph_patch_at(self, i, None, measure_bound=False)
-                   for i in range(self.num_vertices)]
+        tangent, normal, coeffs, _, extent = (a[:, None, None]
+                                              for a in self._fits)
         base = nodes.points[:, None, None, :, None]             # (V, 1, 1, n, 1)
-        tangent = np.stack([p.tangent for p in patches])[:, None, None]
-        normal = np.stack([p.normal for p in patches])[:, None, None]
-        coeffs = np.stack([p.meta["coeffs"] for p in patches])[:, None, None]
-        reach = np.minimum(nodes.spacing, [p.radius for p in patches])
+        reach = np.minimum(nodes.spacing, extent[:, 0, 0])
 
         def probe(dirs, scales):
             # steps along each direction in every vertex's fitted patch, s
@@ -343,14 +390,13 @@ class TriMesh(Surface):
         return self.vertices[int(locator)], self.frame_at(locator)[0]
 
     def frame_at(self, locator):
-        patch = self.patch_at(locator, None, measure_bound=False)
-        return patch.tangent, patch.normal
+        tangent, normal = self._fits[:2]
+        return tangent[int(locator)], normal[int(locator)]
 
     def curvature_at(self, locator) -> CurvatureData:
-        patch = self.patch_at(locator, None, measure_bound=False)
-        sff = np.moveaxis(patch.meta["coeffs"], 0, -1)   # coeffs (n-m, m, m)
-        return CurvatureData(second_fundamental=sff, tangent=patch.tangent,
-                             normal=patch.normal)
+        tangent, normal, coeffs = (a[int(locator)] for a in self._fits[:3])
+        return CurvatureData(second_fundamental=np.moveaxis(coeffs, 0, -1),
+                             tangent=tangent, normal=normal)
 
     def transformed(self, value_map, jac_map, hess_map, name=None):
         return self.with_vertices(value_map(self.vertices))
@@ -360,53 +406,38 @@ class TriMesh(Surface):
 
     def patch_at(self, locator, radius, shrink=True,
                  measure_bound=True) -> GraphPatch:
-        """Quadratic graph fit over the vertex's 2-ring, capped at 0.9x the
-        ring's extent (radius None takes the cap; shrink is not used)."""
+        """The vertex's quadratic graph fit, its radius capped at 0.9x the
+        2-ring's extent (radius None takes the cap; shrink is not used).
+
+        Chord rows are solved in closed form: along eta = xi v the height
+        is xi^2 kappa / 2 with kappa_c = v^T C_c v, so xi^2 + |h|^2 = t^2
+        gives xi^2 = 2 t^2 / (1 + sqrt(1 + |kappa|^2 t^2)).
+        """
         vertex = int(locator)
-        if self.m == 2 and self.n != 3:
-            raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
-        rings = self.vertex_rings(depth=2)[vertex]
-        base = self.vertices[vertex]
-        pts = self.vertices[rings]
-        tangent, normal, coeffs, rms = fit_quadratic_patch(base, pts, self.m)
-        faces = self.faces[self.vertex_faces()[vertex]]
-        if self.m == 1:
-            # orient the tangent along the outgoing winding edge
-            out_edges = faces[faces[:, 0] == vertex]
-            if len(out_edges):
-                edge_dir = self.vertices[out_edges[0, 1]] - base
-                if float(tangent[:, 0] @ edge_dir) < 0:
-                    tangent = -tangent   # quadratic height is even: coeffs keep
-            new_normal = np.array([-tangent[1, 0], tangent[0, 0]]).reshape(2, 1)
-            coeffs = coeffs * float(np.sign(new_normal[:, 0] @ normal[:, 0]))
-            normal = new_normal
-        else:
-            # orient against the face-winding normal
-            ref_normal = _unit_normals(self.vertices[faces]).mean(axis=0)
-            if float(normal[:, 0] @ ref_normal) < 0:
-                normal = -normal
-                coeffs = -coeffs
-            cross = np.cross(tangent[:, 0], tangent[:, 1])
-            if float(cross @ normal[:, 0]) < 0:
-                tangent = tangent[:, ::-1].copy()
-                coeffs = coeffs[:, ::-1, :][:, :, ::-1].copy()
-        extent = 0.9 * float(np.max(np.linalg.norm(pts - base, axis=-1)))
-        r = min(float(radius), extent) if radius is not None else extent
+        tangent, normal, coeffs, rms, extent = (a[vertex] for a in self._fits)
+        r = float(extent if radius is None else min(radius, extent))
 
         def height(eta):
             eta = np.asarray(eta, dtype=float)
-            vals = 0.5 * np.einsum("...i,cij,...j->...c", eta, coeffs, eta)
-            return vals
+            return 0.5 * np.einsum("...i,cij,...j->...c", eta, coeffs, eta)
 
         def height_jacobian(eta):
             eta = np.asarray(eta, dtype=float)
             return np.einsum("cij,...j->...ci", coeffs, eta)
 
-        patch = GraphPatch(base_point=base, tangent=tangent, normal=normal,
-                           radius=r, height=height,
-                           height_jacobian=height_jacobian, kind="mesh-fit",
-                           fit_residual=rms,
-                           meta={"vertex": int(vertex), "coeffs": coeffs})
+        def chord_solve(v, t):
+            cv = np.einsum("cij,kj->kci", coeffs, v)            # C_c v
+            kappa = np.einsum("kci,ki->kc", cv, v)
+            kt = np.linalg.norm(kappa, axis=-1) * t
+            xi = t * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 + kt * kt)))
+            return xi, 0.5 * xi[:, None] ** 2 * kappa, xi[:, None, None] * cv
+
+        patch = GraphPatch(base_point=self.vertices[vertex], tangent=tangent,
+                           normal=normal, radius=r, height=height,
+                           height_jacobian=height_jacobian,
+                           chord_solve=chord_solve, kind="mesh-fit",
+                           fit_residual=float(rms),
+                           meta={"vertex": vertex, "coeffs": coeffs})
         if measure_bound:
             patch.derivative_bound = patch.measure_derivative_bound()
         return patch

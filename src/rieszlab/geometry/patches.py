@@ -6,8 +6,10 @@ T eta + N h(eta) parametrizes the surface near x. Chart surfaces get h by
 Newton inversion of the chart map, and also solve for the points at a given
 chord distance directly in chart parameters (`GraphPatch.chord_solve`);
 meshes get h from weighted least-squares quadratic fits over 2-ring
-neighborhoods. The surfaces build their own patches (`patch_at` of the
-surface protocol); the functions here reach them through that protocol.
+neighborhoods, all vertices in one batch (`fit_quadratic_patches`), and
+solve chord rows in closed form. The surfaces build their own patches
+(`patch_at` of the surface protocol); the functions here reach them through
+that protocol.
 """
 
 from __future__ import annotations
@@ -32,8 +34,12 @@ __all__ = [
     "curvature_at",
     "validate_patch_class",
     "default_patch_radius",
-    "fit_quadratic_patch",
+    "fit_quadratic_patches",
 ]
+
+# Most passes of the quadratic fit; each one folds the fitted linear term
+# into the frame.
+FIT_PASSES = 5
 
 
 def orthonormal_frames(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,12 +89,12 @@ class GraphPatch:
     """Local graph representation of the surface over its tangent plane.
 
     Every patch evaluates its height h and height Jacobian at tangent
-    coordinates eta. Chart patches also carry chord_solve(v, t): for unit
-    tangent directions v (K, m) and chord radii t (K,) > 0 it returns
+    coordinates eta, and solves chord rows with chord_solve(v, t): for
+    unit tangent directions v (K, m) and chord radii t (K,) > 0 it returns
     (xi, h, grad h), the radius xi >= 0 with xi^2 + |h(xi v)|^2 = t^2 and
-    the height data at that point, from one Newton solve per row in the
-    chart parameters. Patches without it (mesh fits) are inverted along
-    the ray by `radial.radial_inverse`.
+    the height data at that point. Chart patches solve each row by one
+    Newton iteration in the chart parameters; the quadratic patches of
+    meshes solve it in closed form.
     """
 
     base_point: np.ndarray        # (n,)
@@ -97,7 +103,7 @@ class GraphPatch:
     radius: float                 # validated radius
     height: object                # eta (..., m) -> (..., n-m)
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
-    chord_solve: object = None    # (v, t) -> (xi, h, grad h), chart patches
+    chord_solve: object           # (v, t) -> (xi, h, grad h)
     kind: str = "analytic"
     derivative_bound: float = math.nan
     fit_residual: float = 0.0
@@ -150,53 +156,56 @@ class GraphPatch:
         return sup
 
 
-def fit_quadratic_patch(base_point, points, m, init_tangent=None,
-                        iterations=4):
-    """Weighted LSQ quadratic graph fit h(eta) = eta^T A eta / 2 around base.
+def fit_quadratic_patches(offsets, mask, seed_tangent):
+    """Weighted LSQ quadratic graph fits h(eta) = eta^T A eta / 2, batched.
 
-    Returns (tangent, normal, coeffs, rms) where coeffs has shape
-    (n-m, m, m) (symmetric per normal component). The frame is rotated
-    between passes so the fitted linear term vanishes, matching the
-    graph-patch normalization h(0)=0, grad h(0)=0. Orientation of the
-    returned frame is arbitrary; callers fix it against their convention.
+    offsets (P, R, n) are neighbour points minus each base point, padded
+    rows flagged 0 in mask (P, R); seed_tangent (P, n, m) is an oriented
+    first guess of each tangent plane. Rows are weighted by
+    exp(-(|d| / mean |d|)^2) over the unpadded rows. Each pass fits linear
+    and quadratic terms by one stacked QR solve and folds the linear term
+    into the frame, until max |lin| < 1e-13 or FIT_PASSES passes, so that
+    h(0) = 0, grad h(0) = 0 up to that term. The frames keep the seed's
+    orientation. Returns (tangent (P, n, m), normal (P, n, n-m), coeffs
+    (P, n-m, m, m), rms (P,)), coeffs symmetric per normal component and
+    rms the weighted residual of the last pass.
     """
-    base = np.asarray(base_point, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    n = base.shape[0]
-    d = pts - base
-    if len(pts) < (m * (m + 1)) // 2 + m:
-        raise NumericalError("not enough neighbors for a quadratic fit")
-    if init_tangent is not None:
-        tangent, normal = orthonormal_frames(np.asarray(init_tangent, dtype=float))
-    else:
-        _, _, vt = np.linalg.svd(d, full_matrices=True)
-        tangent, normal = orthonormal_frames(vt[:m].T)
-    scale = float(np.mean(np.linalg.norm(d, axis=-1)))
-    w = np.exp(-(np.linalg.norm(d, axis=-1) / scale) ** 2)
+    d = np.asarray(offsets, dtype=float)
+    mask = np.asarray(mask, dtype=float)
+    m = seed_tangent.shape[-1]
     quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
-    quad = None
-    rms = math.inf
-    for it in range(iterations + 1):
-        eta = d @ tangent
-        zeta = d @ normal
-        cols = [eta[:, i] for i in range(m)]
-        for (i, j) in quad_idx:
-            fac = 0.5 if i == j else 1.0
-            cols.append(fac * eta[:, i] * eta[:, j])
-        X = np.stack(cols, axis=-1) * w[:, None]
-        Y = zeta * w[:, None]
-        sol, *_ = np.linalg.lstsq(X, Y, rcond=None)
-        lin = sol[:m]            # (m, n-m)
-        quad = sol[m:]           # (n_quad, n-m)
-        rms = float(np.sqrt(np.mean((X @ sol - Y) ** 2)))
-        if np.max(np.abs(lin)) < 1e-13 or it == iterations:
+    count = mask.sum(axis=1)
+    if np.any(count < m + len(quad_idx)):
+        raise NumericalError("not enough neighbors for a quadratic fit")
+    dist = np.linalg.norm(d, axis=-1)
+    scale = np.sum(dist * mask, axis=1) / count
+    w = np.exp(-(dist / scale[:, None]) ** 2) * mask
+    tangent, normal = orthonormal_frames(seed_tangent)
+    sol = np.empty((len(d), m + len(quad_idx), normal.shape[-1]))
+    rms = np.empty(len(d))
+    rows = np.arange(len(d))       # the patches still folding their frame
+    for it in range(FIT_PASSES):
+        eta = d[rows] @ tangent[rows]
+        cols = [eta[..., i] for i in range(m)]
+        cols += [(0.5 if i == j else 1.0) * eta[..., i] * eta[..., j]
+                 for (i, j) in quad_idx]
+        X = np.stack(cols, axis=-1) * w[rows, :, None]
+        Y = (d[rows] @ normal[rows]) * w[rows, :, None]
+        q, r = np.linalg.qr(X)
+        sol[rows] = np.linalg.solve(r, np.swapaxes(q, -1, -2) @ Y)
+        res = X @ sol[rows] - Y
+        rms[rows] = np.sqrt(np.sum(res ** 2, axis=(1, 2))
+                            / (count[rows] * Y.shape[-1]))
+        lin = sol[rows, :m]                                  # (K, m, n-m)
+        go = np.max(np.abs(lin), axis=(1, 2)) >= 1e-13
+        if it == FIT_PASSES - 1 or not go.any():
             break
-        # fold the linear term into the frame and refit
-        tangent, normal = orthonormal_frames(tangent + normal @ lin.T)
-    coeffs = np.zeros((n - m, m, m))
+        rows = rows[go]
+        tangent[rows], normal[rows] = orthonormal_frames(
+            tangent[rows] + normal[rows] @ np.swapaxes(lin[go], -1, -2))
+    coeffs = np.zeros((len(d), normal.shape[-1], m, m))
     for k, (i, j) in enumerate(quad_idx):
-        coeffs[:, i, j] = quad[k]
-        coeffs[:, j, i] = quad[k]
+        coeffs[:, :, i, j] = coeffs[:, :, j, i] = sol[:, m + k]
     return tangent, normal, coeffs, rms
 
 

@@ -5,8 +5,7 @@ the members below, so none of them branches on the kind of surface.
 `ChartSurface` and `TriMesh` implement them; `as_surface` is the one gate
 that turns any other object away.
 
-- `m`, `n`, `name`, `closed`, `oriented`; `patches_fitted` is true when graph
-  patches are least-squares fits of discrete data rather than exact.
+- `m`, `n`, `name`, `closed`, `oriented`.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
@@ -19,7 +18,9 @@ that turns any other object away.
   Jacobian call per chart; meshes step in their fitted quadratic patches,
   all vertices at once.
 - `patch_at(locator, radius, shrink=True, measure_bound=True)`: a
-  `GraphPatch` at the located point.
+  `GraphPatch` at the located point, with its `chord_solve`: charts solve
+  chord rows by Newton in their parameters, meshes in closed form on the
+  vertex's quadratic fit.
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
 - `frame_at(locator)`: oriented orthonormal (tangent, normal) frames.
 - `curvature_at(locator)`: `CurvatureData` at the located point.

@@ -15,10 +15,9 @@ convention x^0/0 = log x at exponent collisions.
 
 Each (direction v, chord radius t) row of the angular quadrature needs the
 radius xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h
-there. Chart patches solve each row with one Newton iteration in the chart
-parameters (`GraphPatch.chord_solve`); patches with only an explicit
-height (mesh fits) are inverted along the ray by `radial_inverse`, a
-bracketed Newton in xi.
+there. Every patch answers these rows through `GraphPatch.chord_solve`:
+chart patches by one Newton iteration in the chart parameters, the
+quadratic patches of meshes in closed form.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct
 
-from .errors import NumericalError, PreconditionError, ProfileFitError
+from .errors import PreconditionError, ProfileFitError
 
 __all__ = [
     "EnergyParams",
     "RadialProfile",
     "FinitePartResult",
     "unit_sphere_volume_m1",
-    "radial_inverse",
     "radial_profile",
     "finite_part",
 ]
@@ -63,7 +61,6 @@ class EnergyParams:
 
     alpha: float
     m: int
-    taylor_order: int = field(init=False)
     at_pole: bool = field(init=False)
 
     def __post_init__(self):
@@ -73,8 +70,6 @@ class EnergyParams:
         a_int = round(a)
         if abs(a - a_int) < POLE_SNAP_TOL:
             a = float(a_int)
-        order = max(int(math.floor(a + 1e-15)) - self.m, 0)
-        object.__setattr__(self, "taylor_order", order)
         d = a - self.m
         pole = (d > -POLE_SNAP_TOL and abs(d - round(d)) < POLE_SNAP_TOL
                 and round(d) % 2 == 0)
@@ -83,71 +78,6 @@ class EnergyParams:
     @property
     def needs_regularization(self) -> bool:
         return self.alpha <= -self.m + POLE_SNAP_TOL
-
-
-# ----------------------------------------------------------------------
-# chord radius inversion xi(v, t)
-# ----------------------------------------------------------------------
-
-def radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
-    """Solve xi^2 + |h(xi v)|^2 = t^2 for xi >= 0 along unit directions v.
-
-    v has shape (K, m); t is a scalar or (K,). Returns (xi, dxi_dt). The
-    Newton iteration is bracketed on [0, t] (the residual is negative at 0
-    and nonnegative at t), falling back to bisection when a step leaves the
-    bracket; a row that meets the residual tolerance takes one more Newton
-    step.
-    """
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    K = len(v)
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (K,)).copy()
-    if np.any(t_arr < 0):
-        raise PreconditionError("chord length t must be nonnegative")
-    xi = t_arr.copy()
-    lo = np.zeros(K)
-    hi = t_arr.copy()
-    active = t_arr > 0
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        eta = xi[active, None] * v[active]
-        h = np.atleast_2d(patch.height(eta))
-        dh = patch.height_jacobian(eta)
-        F = xi[active] ** 2 + np.sum(h * h, axis=-1) - t_arr[active] ** 2
-        hv = np.einsum("kcj,kj->kc", dh, v[active])
-        slope = xi[active] + np.einsum("kc,kc->k", hv, h)
-        done = np.abs(F) <= tol_factor * t_arr[active] ** 2
-        # update brackets
-        la = lo[active]
-        ha = hi[active]
-        la = np.where(F < 0, xi[active], la)
-        ha = np.where(F > 0, xi[active], ha)
-        step = F / (2.0 * slope)
-        cand = xi[active] - step
-        bad = (cand <= la) | (cand >= ha) | ~np.isfinite(cand)
-        cand = np.where(bad, 0.5 * (la + ha), cand)
-        # converged rows take one last unbracketed Newton step, so xi and
-        # dxi/dt carry rounding error rather than the stopping tolerance
-        xi_new = np.where(done, xi[active] - step, cand)
-        lo[active] = la
-        hi[active] = ha
-        xi[active] = xi_new
-        sub = active.copy()
-        sub[active] = ~done
-        active = sub
-    if active.any():
-        raise NumericalError("radial inversion failed to converge "
-                             "(patch bound violated?)")
-    # dxi/dt = t / (xi + <grad_v h, h>)
-    eta = xi[:, None] * v
-    h = np.atleast_2d(patch.height(eta))
-    dh = patch.height_jacobian(eta)
-    hv = np.einsum("kcj,kj->kc", dh, v)
-    denom = xi + np.einsum("kc,kc->k", hv, h)
-    dxi = np.ones(K)
-    nz = t_arr > 0
-    dxi[nz] = t_arr[nz] / denom[nz]
-    return xi, dxi
 
 
 def _angular_rule(m: int, nodes: int):
@@ -301,16 +231,8 @@ def _interpolate(sample, m, eps0, sigma) -> RadialProfile:
 
 
 def _chord_rows(patch, v, t):
-    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0.
-
-    Chart patches solve each row once in chart parameters (chord_solve);
-    other patches invert their explicit height along the ray.
-    """
-    solve = getattr(patch, "chord_solve", None)
-    if solve is None:
-        xi, dxi = radial_inverse(patch, v, t)
-        return xi, dxi, patch.height_jacobian(xi[:, None] * v)
-    xi, h, dh = solve(v, t)
+    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0."""
+    xi, h, dh = patch.chord_solve(v, t)
     # dxi/dt = t / (xi + <grad_v h, h>)
     hv = np.einsum("kcj,kj->kc", dh, v)
     return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh

@@ -96,23 +96,19 @@ class EnergyReport:
 # the regularized energy
 # ----------------------------------------------------------------------
 
-def riesz_energy(surface, alpha, eps0=None, config: QuadratureConfig | None = None,
-                 fit_patches=True) -> EnergyReport:
+def riesz_energy(surface, alpha, eps0=None,
+                 config: QuadratureConfig | None = None) -> EnergyReport:
     """E_alpha(M): outer integral of the regularized inner Riesz integral.
 
     For alpha <= -m the inner integral is the Hadamard finite part; the
-    surface must then admit graph patches at every outer node (meshes get
-    fitted patches unless fit_patches is disabled, which is an unsupported
-    input for the regularized regime).
+    surface must then admit graph patches at every outer node (meshes use
+    their fitted quadratic patches).
     """
     config = config or QuadratureConfig()
     m = as_surface(surface).m
     params = alpha if isinstance(alpha, EnergyParams) else EnergyParams(float(alpha), m)
     if params.m != m:
         raise PreconditionError("EnergyParams dimension does not match surface")
-    if surface.patches_fitted and not fit_patches and params.needs_regularization:
-        raise UnsupportedInputError(
-            "alpha <= -m on a raw mesh without fitted patches is unsupported")
     if not surface.closed:
         raise PreconditionError("riesz_energy requires a closed surface")
 

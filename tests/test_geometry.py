@@ -5,7 +5,7 @@ import pytest
 
 from rieszlab.errors import TopologyError
 from rieszlab.geometry import (PatchClassParams, curvature_at,
-                               euler_characteristic, fit_quadratic_patch,
+                               euler_characteristic, fit_quadratic_patches,
                                graph_patch_at, icosphere, make_circle,
                                make_cylinder_patch, make_disjoint_union,
                                make_paraboloid_surface, make_sphere,
@@ -113,8 +113,11 @@ def test_cylinder_curvature_chart_and_fit():
     base = np.array([np.cos(0.2), np.sin(0.2), 0.1])
     d = np.linalg.norm(q.points - base, axis=1)
     nbrs = q.points[(d > 1e-9) & (d < 0.35)]
-    _, _, coeffs, _ = fit_quadratic_patch(base, nbrs, 2)
-    sff = np.moveaxis(coeffs, 0, -1)
+    # seeded with the tangent plane tilted by about 0.1 rad
+    seed = np.array([[-np.sin(0.2), np.cos(0.2), 0.1], [0.1, 0.0, 1.0]]).T
+    _, _, coeffs, _ = fit_quadratic_patches((nbrs - base)[None],
+                                            np.ones((1, len(nbrs))), seed[None])
+    sff = np.moveaxis(coeffs[0], 0, -1)
     kfit = np.linalg.eigvalsh(sff[..., 0])
     kfit = sorted(abs(k) for k in kfit)
     assert kfit[0] == pytest.approx(0.0, abs=1e-2)

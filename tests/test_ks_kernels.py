@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import (MoebiusMap, apply_moebius, graph_patch_at, icosphere,
-                      make_circle, make_ellipsoid, make_sphere, make_torus,
-                      polygon_circle, torus_mesh)
+from rieszlab import (MoebiusMap, TriMesh, apply_moebius, graph_patch_at,
+                      icosphere, make_circle, make_ellipsoid, make_sphere,
+                      make_torus, polygon_circle, torus_mesh)
 from rieszlab.errors import SingularPairError
 from rieszlab.moebius import (_diag_limits, combined_angle_cos_frames,
                               ks_pair_kernel)
@@ -113,7 +113,7 @@ SURFACES = {
 def test_diag_limits_match_per_node_loop(name):
     surface = SURFACES[name]()
     nodes, frames, probe = surface.tangent_nodes(0.5)
-    if surface.patches_fitted:
+    if isinstance(surface, TriMesh):
         loop_probe = _loop_mesh_probe(surface)
     else:
         loop_probe = _loop_chart_probe(surface, 0.5)

@@ -1,0 +1,134 @@
+"""The batched, face-seeded quadratic vertex fits of meshes.
+
+`_fit_one` is a one-vertex copy of the seeded fit (the same seed rule,
+weights, columns and stop rule, solved by `np.linalg.lstsq`) that the
+batched fit must reproduce.
+"""
+
+import numpy as np
+import pytest
+
+from rieszlab import (TriMesh, icosphere, ks_energy, make_torus,
+                      mesh_disjoint_union, polygon_circle, torus_mesh)
+from rieszlab.geometry import orthonormal_frames
+
+
+def _stretched(subdiv):
+    mesh = icosphere(subdiv)
+    return mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
+
+
+def _dumbbell():
+    return mesh_disjoint_union(icosphere(2, 1.0, (-1.1, 0.0, 0.0)),
+                               icosphere(2, 1.0, (1.1, 0.0, 0.0)))
+
+
+MESHES = {
+    "icosphere2_stretched": lambda: _stretched(2),
+    "icosphere3_stretched": lambda: _stretched(3),
+    "torus_mesh": lambda: torus_mesh(),
+    "polygon64": lambda: polygon_circle(64),
+    "dumbbell": _dumbbell,
+}
+
+
+def _seed(mesh, vertex, ring):
+    """Seed tangent: m = 1, the mean unit winding direction of the edges;
+    m = 2, the first 2-ring offset projected off the summed unit face
+    normals, completed by normal x first tangent."""
+    x = mesh.vertices
+    faces = mesh.faces[np.any(mesh.faces == vertex, axis=1)]
+    if mesh.m == 1:
+        dirs = x[faces[:, 1]] - x[faces[:, 0]]
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        return dirs.sum(axis=0)[:, None]
+    p = x[faces]
+    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    nrm = (nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)).sum(axis=0)
+    nrm /= np.linalg.norm(nrm)
+    e = x[ring[0]] - x[vertex]
+    e -= (e @ nrm) * nrm
+    e /= np.linalg.norm(e)
+    return np.stack([e, np.cross(nrm, e)], axis=-1)
+
+
+def _fit_one(base, points, seed):
+    d = points - base
+    m = seed.shape[1]
+    tangent, normal = orthonormal_frames(seed)
+    dist = np.linalg.norm(d, axis=-1)
+    w = np.exp(-(dist / np.mean(dist)) ** 2)
+    quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
+    for it in range(5):
+        eta = d @ tangent
+        cols = [eta[:, i] for i in range(m)]
+        cols += [(0.5 if i == j else 1.0) * eta[:, i] * eta[:, j]
+                 for (i, j) in quad_idx]
+        X = np.stack(cols, axis=-1) * w[:, None]
+        Y = (d @ normal) * w[:, None]
+        sol = np.linalg.lstsq(X, Y, rcond=None)[0]
+        rms = np.sqrt(np.mean((X @ sol - Y) ** 2))
+        lin = sol[:m]
+        if np.max(np.abs(lin)) < 1e-13 or it == 4:
+            break
+        tangent, normal = orthonormal_frames(tangent + normal @ lin.T)
+    coeffs = np.zeros((normal.shape[1], m, m))
+    for k, (i, j) in enumerate(quad_idx):
+        coeffs[:, i, j] = coeffs[:, j, i] = sol[m + k]
+    return tangent, normal, coeffs, rms
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_batched_fit_matches_per_vertex_fit(name):
+    mesh = MESHES[name]()
+    rings = mesh.vertex_rings(2)
+    for v in range(mesh.num_vertices):
+        tangent, normal, coeffs, rms = _fit_one(
+            mesh.vertices[v], mesh.vertices[rings[v]],
+            _seed(mesh, v, rings[v]))
+        patch = mesh.patch_at(v, None, measure_bound=False)
+        np.testing.assert_allclose(patch.tangent, tangent, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(patch.normal, normal, rtol=0, atol=1e-12)
+        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        np.testing.assert_allclose(patch.meta["coeffs"], coeffs, rtol=0,
+                                   atol=1e-12 * scale)
+        assert patch.fit_residual == pytest.approx(rms, rel=1e-12, abs=1e-15)
+
+
+def test_coarse_torus_fit_normals_follow_the_faces():
+    # the uncentred-SVD seed put the normal of the outer-equator vertices
+    # of this mesh in the tangent plane
+    mesh = torus_mesh(12, 24)
+    face_normals = mesh.face_normals()
+    for v, faces in enumerate(mesh.vertex_faces()):
+        ref = face_normals[faces].mean(axis=0)
+        normal = mesh.frame_at(v)[1][:, 0]
+        assert normal @ ref / np.linalg.norm(ref) > 0.9, v
+
+
+def test_coarse_torus_ks_near_chart_torus():
+    mesh_value = ks_energy(torus_mesh(12, 24)).value
+    chart_value = ks_energy(make_torus()).value
+    assert abs(mesh_value - chart_value) <= 0.05 * chart_value
+
+
+def test_moved_mesh_does_not_keep_its_parents_fit():
+    mesh = icosphere(2)
+    mesh.patch_at(0, None)
+    moved = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
+    fresh = TriMesh(moved.vertices.copy(), mesh.faces, 2)
+    v = np.array([[1.0, 0.0], [0.6, 0.8]])
+    t = np.array([0.05, 0.1])
+    for vertex in range(mesh.num_vertices):
+        a = moved.patch_at(vertex, 0.3)
+        b = fresh.patch_at(vertex, 0.3)
+        for key in ("base_point", "tangent", "normal", "radius",
+                    "derivative_bound", "fit_residual"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        assert np.array_equal(a.meta["coeffs"], b.meta["coeffs"])
+        for x, y in zip(a.chord_solve(v, t), b.chord_solve(v, t)):
+            assert np.array_equal(x, y)
+        for x, y in zip(moved.frame_at(vertex), fresh.frame_at(vertex)):
+            assert np.array_equal(x, y)
+        assert np.array_equal(moved.curvature_at(vertex).second_fundamental,
+                              fresh.curvature_at(vertex).second_fundamental)

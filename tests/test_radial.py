@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,31 +7,31 @@ from scipy.integrate import quad
 
 from rieszlab.errors import (NumericalError, PreconditionError,
                              ProfileFitError)
-from rieszlab.geometry import (graph_patch_at, make_circle, make_ellipsoid,
-                               make_sphere, make_torus)
+from rieszlab.geometry import (TriMesh, graph_patch_at, icosphere,
+                               make_circle, make_ellipsoid, make_sphere,
+                               make_torus, polygon_circle, torus_mesh)
 from rieszlab.radial import (EnergyParams, RadialProfile, _angular_rule,
                              _chord_rows, _profile_batch, finite_part,
-                             radial_inverse, radial_profile)
+                             radial_profile)
 
 
 # ----------------------------------------------------------------------
 # parameters
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha,m,order,pole", [
-    (-2.0, 1, 1, False),
-    (-1.0, 1, 0, True),
-    (-3.0, 1, 2, True),
-    (-2.0, 2, 0, True),
-    (-4.0, 2, 2, True),
-    (-3.0, 2, 1, False),
-    (-3.5, 2, 1, False),
-    (1.0, 2, 0, False),
-    (-0.5, 1, 0, False),
+@pytest.mark.parametrize("alpha,m,pole", [
+    (-2.0, 1, False),
+    (-1.0, 1, True),
+    (-3.0, 1, True),
+    (-2.0, 2, True),
+    (-4.0, 2, True),
+    (-3.0, 2, False),
+    (-3.5, 2, False),
+    (1.0, 2, False),
+    (-0.5, 1, False),
 ])
-def test_energy_params(alpha, m, order, pole):
+def test_energy_params(alpha, m, pole):
     p = EnergyParams(alpha, m)
-    assert p.taylor_order == order
     assert p.at_pole == pole
 
 
@@ -43,58 +42,53 @@ def test_energy_params_reject_non_finite_alpha(alpha):
 
 
 # ----------------------------------------------------------------------
-# radial inversion
+# chord solves
 # ----------------------------------------------------------------------
 
-def test_radial_inverse_flat():
-    par_surface = make_sphere(1e6)  # nearly flat at this scale
-    class Flat:
-        m = 2
-        def height(self, eta):
-            return np.zeros(np.asarray(eta).shape[:-1] + (1,))
-        def height_jacobian(self, eta):
-            return np.zeros(np.asarray(eta).shape[:-1] + (1, 2))
-    v = np.array([[1.0, 0.0], [0.0, 1.0]])
-    xi, dxi = radial_inverse(Flat(), v, 0.37)
-    np.testing.assert_allclose(xi, 0.37, atol=1e-14)
-    np.testing.assert_allclose(dxi, 1.0, atol=1e-14)
+def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
+    """Reference ray solve on the explicit height: xi^2 + |h(xi v)|^2 = t^2
+    by a Newton in xi bracketed on [0, t], with one more Newton step once a
+    row meets the tolerance. Returns (xi, dxi/dt)."""
+    K = len(v)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (K,)).copy()
+    xi, lo, hi = t.copy(), np.zeros(K), t.copy()
+    active = t > 0
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        va, xa = v[active], xi[active]
+        h = patch.height(xa[:, None] * va)
+        hv = np.einsum("kcj,kj->kc", patch.height_jacobian(xa[:, None] * va), va)
+        F = xa ** 2 + np.sum(h * h, axis=-1) - t[active] ** 2
+        step = F / (2.0 * (xa + np.einsum("kc,kc->k", hv, h)))
+        done = np.abs(F) <= tol_factor * t[active] ** 2
+        la = np.where(F < 0, xa, lo[active])
+        ha = np.where(F > 0, xa, hi[active])
+        cand = xa - step
+        bad = (cand <= la) | (cand >= ha) | ~np.isfinite(cand)
+        lo[active], hi[active] = la, ha
+        xi[active] = np.where(done, xa - step, np.where(bad, 0.5 * (la + ha),
+                                                        cand))
+        sub = active.copy()
+        sub[active] = ~done
+        active = sub
+    assert not active.any(), "reference ray solve did not converge"
+    h = patch.height(xi[:, None] * v)
+    hv = np.einsum("kcj,kj->kc", patch.height_jacobian(xi[:, None] * v), v)
+    return xi, t / (xi + np.einsum("kc,kc->k", hv, h))
 
-
-def test_radial_inverse_sphere_chord():
-    sph = make_sphere()
-    patch = graph_patch_at(sph, (0, [1.3, 0.4]), 0.9)
-    v = np.array([[1.0, 0.0], [0.6, 0.8]])
-    for t in (0.2, 0.5, 0.85):
-        xi, dxi = radial_inverse(patch, v, t)
-        expected = t * math.sqrt(1 - t * t / 4)
-        np.testing.assert_allclose(xi, expected, atol=1e-11)
-        # residual contract: xi^2 + |h|^2 = t^2 within 1e-12 t^2
-        h = patch.height(xi[:, None] * v)
-        res = xi ** 2 + np.sum(h * h, axis=-1) - t * t
-        assert np.max(np.abs(res)) < 1e-12 * t * t
-
-
-def test_radial_inverse_zero():
-    sph = make_sphere()
-    patch = graph_patch_at(sph, (0, [1.3, 0.4]), 0.9)
-    xi, dxi = radial_inverse(patch, np.array([[1.0, 0.0]]), 0.0)
-    assert xi[0] == 0.0
-    assert dxi[0] == 1.0
-
-
-# ----------------------------------------------------------------------
-# chord solve in chart parameters
-# ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("surface,locator,radius", [
     (make_sphere(1.0, center=(0.3, -0.2, 0.4)), (0, [0.9, 2.0]), 0.9),
     (make_ellipsoid(1.0, 1.0, 1.2), (0, [1.0, 0.7]), 0.5),
     (make_torus(), (0, [0.4, 1.0]), 0.4),
     (make_circle(), (0, [1.1]), 0.9),
-], ids=["sphere", "ellipsoid", "torus", "circle"])
+    (icosphere(2), 17, None),
+    (polygon_circle(64), 5, None),
+], ids=["sphere", "ellipsoid", "torus", "circle", "icosphere2", "polygon64"])
 def test_chord_solve_matches_nested_inversion(surface, locator, radius):
-    # the one-level chart solve against radial_inverse on the same patch's
-    # explicit height, on a dense t grid down to 1e-4 eps0
+    # each patch's chord solve against the reference ray solve on the same
+    # patch's explicit height, on a dense t grid down to 1e-4 eps0
     patch = graph_patch_at(surface, locator, radius, measure_bound=False)
     ts = patch.radius * np.concatenate([np.geomspace(1e-4, 0.08, 14),
                                         np.linspace(0.1, 1.0, 96)])
@@ -102,14 +96,51 @@ def test_chord_solve_matches_nested_inversion(surface, locator, radius):
     vv = np.tile(v, (len(ts), 1))
     tt = np.repeat(ts, len(v))
     xi, dxi, dh = _chord_rows(patch, vv, tt)
-    nested = dataclasses.replace(patch, chord_solve=None)
-    xi_ref, dxi_ref, dh_ref = _chord_rows(nested, vv, tt)
+    xi_ref, dxi_ref = _radial_inverse(patch, vv, tt)
+    dh_ref = patch.height_jacobian(xi_ref[:, None] * vv)
     np.testing.assert_allclose(xi, xi_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(dxi, dxi_ref, rtol=1e-12, atol=0)
     # grad h ~ curvature * t: at t = 1e-4 eps0 both solves place the point
     # to ~1e-14 absolute, so grad h is compared at the patch's own scale
     dh_err = np.linalg.norm(dh - dh_ref, axis=(-2, -1))
     assert dh_err.max() <= 1e-12 * np.linalg.norm(dh_ref, axis=(-2, -1)).max()
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2), torus_mesh(12, 24),
+                                  polygon_circle(64)],
+                         ids=["icosphere2", "torus_mesh", "polygon64"])
+def test_mesh_chord_solve_on_the_chord_sphere(mesh):
+    v, _ = _angular_rule(mesh.m, 16)
+    for vertex in (0, mesh.num_vertices // 2):
+        patch = graph_patch_at(mesh, vertex, None, measure_bound=False)
+        ts = patch.radius * np.geomspace(1e-4, 1.0, 24)
+        vv = np.tile(v, (len(ts), 1))
+        tt = np.repeat(ts, len(v))
+        xi, h, dh = patch.chord_solve(vv, tt)
+        assert np.all(xi > 0)
+        res = xi ** 2 + np.sum(h * h, axis=-1) - tt ** 2
+        assert np.all(np.abs(res) <= 1e-14 * tt ** 2)
+        eta = xi[:, None] * vv
+        np.testing.assert_allclose(h, patch.height(eta), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dh, patch.height_jacobian(eta),
+                                   rtol=1e-14, atol=0)
+
+
+def test_mesh_chord_solve_flat_rows():
+    # a planar grid: every fitted height vanishes, so each row has xi = t
+    g = np.arange(5.0)
+    x, y = np.meshgrid(g, 0.8 * g, indexing="ij")
+    verts = np.stack([x.ravel(), y.ravel(), np.zeros(25)], axis=-1)
+    quads = [(5 * i + j, 5 * i + j + 5, 5 * i + j + 6, 5 * i + j + 1)
+             for i in range(4) for j in range(4)]
+    faces = [f for a, b, c, d in quads for f in ((a, b, c), (a, c, d))]
+    mesh = TriMesh(verts, faces, 2)
+    v, _ = _angular_rule(2, 16)
+    for vertex in (0, 12, 24):
+        patch = graph_patch_at(mesh, vertex, None, measure_bound=False)
+        tt = np.repeat(patch.radius * np.geomspace(1e-4, 1.0, 8), len(v))
+        xi, h, dh = patch.chord_solve(np.tile(v, (8, 1)), tt)
+        assert np.array_equal(xi, tt)
 
 
 def test_chord_solve_circle_rays_keep_their_side():
@@ -146,10 +177,8 @@ def test_profile_flat_patch():
     class Flat:
         m = 2
         radius = 1.0
-        def height(self, eta):
-            return np.zeros(np.asarray(eta).shape[:-1] + (1,))
-        def height_jacobian(self, eta):
-            return np.zeros(np.asarray(eta).shape[:-1] + (1, 2))
+        def chord_solve(self, v, t):
+            return t, np.zeros((len(t), 1)), np.zeros((len(t), 1, 2))
     prof = radial_profile(Flat(), 1.0)
     np.testing.assert_allclose(prof.values, 2 * math.pi, atol=1e-13)
     np.testing.assert_allclose(prof.taylor[1:], 0.0, atol=1e-10)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.errors import PoleError, PreconditionError, UnsupportedInputError
+from rieszlab.errors import PoleError, PreconditionError
 from rieszlab.geometry import icosphere, make_circle, make_sphere
 from rieszlab.riesz import (BetaOracle, QuadratureConfig, beta_oracle,
                             beta_residue, finite_part_at_pole, riesz_energy,
@@ -168,12 +168,6 @@ def test_mesh_energy_convergence_to_oracle():
         errors.append(abs(rep.value - oracle))
     assert errors[1] <= 0.5 * errors[0]
     assert errors[2] <= 0.5 * errors[1]
-
-
-def test_mesh_regularized_unsupported_without_patches():
-    mesh = icosphere(1)
-    with pytest.raises(UnsupportedInputError):
-        riesz_energy(mesh, -4.0, fit_patches=False)
 
 
 def test_scaling_check_regular():
