@@ -1,11 +1,11 @@
 """Gradient descent of mesh embeddings with contact monitoring.
 
 The flow's discrete Kusner-Sullivan energy is a vertex-based quadrature
-written with complex-analytic primitives only (plain-transpose Gram-Schmidt,
+read straight from the mesh's shared topology and written with
+complex-analytic primitives only (plain-transpose Gram-Schmidt,
 normal-equation solves and the pair kernel shared with `ks_energy`), so its
-exact gradient is available through complex-step differentiation alongside
-central finite differences.
-Riesz and Auckly-Sadun selectors differentiate by finite differences.
+gradient is the complex-step derivative, exact to machine precision.
+Riesz and Auckly-Sadun selectors differentiate by central differences.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedInputError
+from .errors import PreconditionError
 from .geometry.meshes import TriMesh
 from .moebius import ks_pair_kernel
 
@@ -31,6 +31,9 @@ __all__ = [
     "contact_monitor",
     "write_trajectory_csv",
 ]
+
+# Most step halvings of one backtracking line search.
+MAX_HALVINGS = 20
 
 
 # ----------------------------------------------------------------------
@@ -51,78 +54,62 @@ def _face_normals_raw(vertices, faces):
     return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
 
-class _KSDiscretization:
-    """Fixed combinatorial data for the vertex-based KS quadrature."""
-
-    def __init__(self, mesh: TriMesh):
-        self.m = mesh.m
-        self.faces = mesh.faces
-        self.num_vertices = mesh.num_vertices
-        self.ring_idx, self.ring_mask = mesh.topology.ring_table
-        if mesh.m == 1:
-            self.next_vertex, self.prev_vertex = mesh.topology.next_prev
-
-    def energy(self, vertices):
-        """KS double sum over vertex nodes; analytic in the vertex positions."""
-        V = self.num_vertices
-        m = self.m
-        if m == 1:
-            tang = _normalize(vertices[self.next_vertex]
-                              - vertices[self.prev_vertex])
-            frames = tang[:, :, None]                      # (V, 2, 1)
-            edge_vec = vertices[self.faces[:, 1]] - vertices[self.faces[:, 0]]
-            meas = np.sqrt(_dotp(edge_vec, edge_vec))
-            weights = np.zeros(V, dtype=vertices.dtype)
-            np.add.at(weights, self.faces[:, 0], 0.5 * meas)
-            np.add.at(weights, self.faces[:, 1], 0.5 * meas)
-        else:
-            raw = _face_normals_raw(vertices, self.faces)
-            areas = 0.5 * np.sqrt(_dotp(raw, raw))
-            vnormal = np.zeros_like(vertices)
-            weights = np.zeros(V, dtype=vertices.dtype)
-            for col in range(3):
-                np.add.at(vnormal, self.faces[:, col], raw)
-                np.add.at(weights, self.faces[:, col], areas / 3.0)
-            nh = _normalize(vnormal)                       # (V, 3)
-            d = vertices[self.ring_idx] - vertices[:, None, :]   # (V, R, 3)
-            mask = self.ring_mask
-            e = d[:, 0, :]
-            t1 = _normalize(e - _dotp(e, nh)[:, None] * nh)
-            t2 = np.cross(nh, t1)
-            eta1 = np.einsum("vrn,vn->vr", d, t1)
-            eta2 = np.einsum("vrn,vn->vr", d, t2)
-            zeta = np.einsum("vrn,vn->vr", d, nh)
-            r2 = _dotp(d, d)
-            mean_r2 = (np.sum(r2 * mask, axis=1)
-                       / np.sum(mask, axis=1))[:, None]
-            w = np.exp(-r2 / mean_r2) * mask
-            X = np.stack([eta1, eta2, 0.5 * eta1 ** 2, eta1 * eta2,
-                          0.5 * eta2 ** 2], axis=-1)        # (V, R, 5)
-            Xw = X * w[..., None]
-            A = np.einsum("vrc,vrk->vck", X, Xw)
-            rhs = np.einsum("vrc,vr->vc", Xw, zeta)
-            sol = np.linalg.solve(A, rhs[..., None])[..., 0]   # (V, 5)
-            w1 = t1 + sol[:, 0:1] * nh
-            w2 = t2 + sol[:, 1:2] * nh
-            e1 = _normalize(w1)
-            e2 = _normalize(w2 - _dotp(w2, e1)[:, None] * e1)
-            frames = np.stack([e1, e2], axis=-1)            # (V, 3, 2)
-        omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = omc ** m / dist ** (2 * m)
-        np.fill_diagonal(q, 0.0)
-        return weights @ q @ weights
+def _ks_vertex_energy(vertices, topology):
+    """KS double sum over vertex nodes; analytic in the vertex positions."""
+    faces = topology.faces
+    V = topology.num_vertices
+    m = topology.m
+    if m == 1:
+        next_vertex, prev_vertex = topology.next_prev
+        tang = _normalize(vertices[next_vertex] - vertices[prev_vertex])
+        frames = tang[:, :, None]                          # (V, 2, 1)
+        edge_vec = vertices[faces[:, 1]] - vertices[faces[:, 0]]
+        meas = np.sqrt(_dotp(edge_vec, edge_vec))
+        weights = np.zeros(V, dtype=vertices.dtype)
+        np.add.at(weights, faces[:, 0], 0.5 * meas)
+        np.add.at(weights, faces[:, 1], 0.5 * meas)
+    else:
+        raw = _face_normals_raw(vertices, faces)
+        areas = 0.5 * np.sqrt(_dotp(raw, raw))
+        vnormal = np.zeros_like(vertices)
+        weights = np.zeros(V, dtype=vertices.dtype)
+        for col in range(3):
+            np.add.at(vnormal, faces[:, col], raw)
+            np.add.at(weights, faces[:, col], areas / 3.0)
+        nh = _normalize(vnormal)                           # (V, 3)
+        ring_idx, mask = topology.ring_table
+        d = vertices[ring_idx] - vertices[:, None, :]      # (V, R, 3)
+        e = d[:, 0, :]
+        t1 = _normalize(e - _dotp(e, nh)[:, None] * nh)
+        t2 = np.cross(nh, t1)
+        eta1 = np.einsum("vrn,vn->vr", d, t1)
+        eta2 = np.einsum("vrn,vn->vr", d, t2)
+        zeta = np.einsum("vrn,vn->vr", d, nh)
+        r2 = _dotp(d, d)
+        mean_r2 = (np.sum(r2 * mask, axis=1)
+                   / np.sum(mask, axis=1))[:, None]
+        w = np.exp(-r2 / mean_r2) * mask
+        X = np.stack([eta1, eta2, 0.5 * eta1 ** 2, eta1 * eta2,
+                      0.5 * eta2 ** 2], axis=-1)            # (V, R, 5)
+        Xw = X * w[..., None]
+        A = np.einsum("vrc,vrk->vck", X, Xw)
+        rhs = np.einsum("vrc,vr->vc", Xw, zeta)
+        sol = np.linalg.solve(A, rhs[..., None])[..., 0]   # (V, 5)
+        w1 = t1 + sol[:, 0:1] * nh
+        w2 = t2 + sol[:, 1:2] * nh
+        e1 = _normalize(w1)
+        e2 = _normalize(w2 - _dotp(w2, e1)[:, None] * e1)
+        frames = np.stack([e1, e2], axis=-1)                # (V, 3, 2)
+    omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = omc ** m / dist ** (2 * m)
+    np.fill_diagonal(q, 0.0)
+    return weights @ q @ weights
 
 
-def ks_flow_energy(mesh_or_vertices, faces=None, m=None, disc=None):
+def ks_flow_energy(mesh: TriMesh) -> float:
     """Discrete KS energy used by the flow (diagonal cell dropped)."""
-    if isinstance(mesh_or_vertices, TriMesh):
-        mesh = mesh_or_vertices
-        disc = disc or _KSDiscretization(mesh)
-        return float(np.real(disc.energy(mesh.vertices)))
-    if disc is None:
-        raise PreconditionError("need a discretization for raw vertex input")
-    return disc.energy(mesh_or_vertices)
+    return float(_ks_vertex_energy(mesh.vertices, mesh.topology))
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +137,9 @@ class EnergySelector:
             return f"as(s={self.s})"
         return "ks"
 
-    def evaluate(self, mesh: TriMesh, config=None, disc=None) -> float:
+    def evaluate(self, mesh: TriMesh, config=None) -> float:
         if self.kind == "ks":
-            return ks_flow_energy(mesh, disc=disc)
+            return ks_flow_energy(mesh)
         from .riesz import riesz_energy
         if self.kind == "riesz":
             return riesz_energy(mesh, self.alpha, config=config).value
@@ -179,61 +166,41 @@ class FlowState:
     trajectory: list = field(default_factory=list)
     stationary: bool = False
     config: object = None
-    _disc: object = field(default=None, repr=False)
-
-    def discretization(self):
-        if self.selector.kind == "ks" and self._disc is None:
-            self._disc = _KSDiscretization(self.mesh)
-        return self._disc
 
     def energy(self) -> float:
-        return self.selector.evaluate(self.mesh, self.config,
-                                      self.discretization())
+        return self.selector.evaluate(self.mesh, self.config)
 
 
-def _fd_step(mesh: TriMesh) -> float:
-    box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-    return 1e-5 * float(np.linalg.norm(box))
-
-
-def energy_gradient(state: FlowState, method: str = "fd") -> np.ndarray:
+def energy_gradient(state: FlowState) -> np.ndarray:
     """Per-vertex energy gradient.
 
-    method "fd" is a central difference with step 1e-5 x bounding-box
-    diagonal; method "exact" (KS only) differentiates the quadrature sum by
-    complex-step, which is exact to machine precision.
+    The KS quadrature sum is differentiated by complex step, which is exact
+    to machine precision; the Riesz and AS energies by central differences
+    with step 1e-5 x bounding-box diagonal.
     """
     mesh = state.mesh
     V, n = mesh.vertices.shape
-    if method == "exact":
-        if state.selector.kind != "ks":
-            raise UnsupportedInputError("exact gradients are available for "
-                                        "the KS selector only")
-        disc = state.discretization()
-        grad = np.empty((V, n))
+    grad = np.empty((V, n))
+    if state.selector.kind == "ks":
         h = 1e-20
         base = mesh.vertices.astype(complex)
         for i in range(V):
             for c in range(n):
                 z = base.copy()
                 z[i, c] += 1j * h
-                grad[i, c] = float(np.imag(disc.energy(z))) / h
+                grad[i, c] = float(np.imag(
+                    _ks_vertex_energy(z, mesh.topology))) / h
         return grad
-    if method != "fd":
-        raise PreconditionError(f"unknown gradient method {method!r}")
-    h = _fd_step(mesh)
-    disc = state.discretization()
-    grad = np.empty((V, n))
+    box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
+    h = 1e-5 * float(np.linalg.norm(box))
     for i in range(V):
         for c in range(n):
             vp = mesh.vertices.copy()
             vp[i, c] += h
-            ep = state.selector.evaluate(mesh.with_vertices(vp), state.config,
-                                         disc)
+            ep = state.selector.evaluate(mesh.with_vertices(vp), state.config)
             vm = mesh.vertices.copy()
             vm[i, c] -= h
-            em = state.selector.evaluate(mesh.with_vertices(vm), state.config,
-                                         disc)
+            em = state.selector.evaluate(mesh.with_vertices(vm), state.config)
             grad[i, c] = (ep - em) / (2.0 * h)
     return grad
 
@@ -251,50 +218,44 @@ def _orientation_ok(old: TriMesh, new_vertices: np.ndarray) -> bool:
     return bool(np.all(np.einsum("ij,ij->i", e_old, e_new) > 0.0))
 
 
-def flow_step(state: FlowState, gradient_method: str = "fd",
-              max_halvings: int = 20) -> FlowState:
+def flow_step(state: FlowState) -> FlowState:
     """One backtracking descent step; strictly decreases the energy.
 
-    When no decreasing, orientation-preserving step exists within the
-    halving budget, the state is returned with the stationary flag set
-    (a report, not an error).
+    A decreasing, orientation-preserving step is accepted and the next
+    trial step doubles it. When none exists within MAX_HALVINGS halvings,
+    the state is returned with the stationary flag set (a report, not an
+    error).
     """
     e0 = state.energy()
-    grad = energy_gradient(state, gradient_method)
-    gnorm = float(np.linalg.norm(grad))
+    grad = energy_gradient(state)
+    if float(np.linalg.norm(grad)) == 0.0:
+        return replace(state, stationary=True)
     mesh = state.mesh
-    if gnorm == 0.0:
-        state = replace(state, stationary=True)
-        return state
     step = state.step_size
-    disc = state.discretization()   # combinatorics are step-invariant
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         cand = mesh.vertices - step * grad
         if _orientation_ok(mesh, cand):
             new_mesh = mesh.with_vertices(cand)
-            e1 = state.selector.evaluate(new_mesh, state.config, disc)
+            e1 = state.selector.evaluate(new_mesh, state.config)
             if e1 < e0:
                 traj = state.trajectory + [TrajectoryPoint(
                     state.iteration + 1, e1, step,
                     new_mesh.min_nonneighbor_distance())]
-                return FlowState(mesh=new_mesh, selector=state.selector,
-                                 step_size=min(step * 2.0, state.step_size * 4),
-                                 iteration=state.iteration + 1,
-                                 trajectory=traj, stationary=False,
-                                 config=state.config, _disc=disc)
+                return replace(state, mesh=new_mesh, step_size=step * 2.0,
+                               iteration=state.iteration + 1,
+                               trajectory=traj, stationary=False)
         step *= 0.5
     return replace(state, stationary=True)
 
 
-def run_flow(state: FlowState, n_steps: int,
-             gradient_method: str = "fd") -> FlowState:
+def run_flow(state: FlowState, n_steps: int) -> FlowState:
     """Iterate flow_step until stationary or the step budget is exhausted."""
     if not state.trajectory:
         state.trajectory.append(TrajectoryPoint(
             state.iteration, state.energy(), state.step_size,
             state.mesh.min_nonneighbor_distance()))
     for _ in range(n_steps):
-        state = flow_step(state, gradient_method)
+        state = flow_step(state)
         if state.stationary:
             break
     return state

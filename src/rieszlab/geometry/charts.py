@@ -433,7 +433,7 @@ class ChartSurface(Surface):
         patch = GraphPatch(base_point=x0, tangent=tangent, normal=normal,
                            radius=r, height=height,
                            height_jacobian=height_jacobian,
-                           chord_solve=chord_solve, kind="chart",
+                           chord_solve=chord_solve,
                            meta={"chart_index": chart_idx, "param": u0.copy()})
         if measure_bound:
             patch.derivative_bound = patch.measure_derivative_bound(

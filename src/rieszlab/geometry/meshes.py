@@ -435,7 +435,7 @@ class TriMesh(Surface):
         patch = GraphPatch(base_point=self.vertices[vertex], tangent=tangent,
                            normal=normal, radius=r, height=height,
                            height_jacobian=height_jacobian,
-                           chord_solve=chord_solve, kind="mesh-fit",
+                           chord_solve=chord_solve,
                            fit_residual=float(rms),
                            meta={"vertex": vertex, "coeffs": coeffs})
         if measure_bound:

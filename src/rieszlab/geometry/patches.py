@@ -104,7 +104,6 @@ class GraphPatch:
     height: object                # eta (..., m) -> (..., n-m)
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
     chord_solve: object           # (v, t) -> (xi, h, grad h)
-    kind: str = "analytic"
     derivative_bound: float = math.nan
     fit_residual: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -285,15 +284,11 @@ def curvature_at(surface, locator) -> CurvatureData:
     return as_surface(surface).curvature_at(locator)
 
 
-def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25,
-                         cap_by_separation=True):
+def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25):
     """Curvature-capped patch radius: factor / max principal curvature.
 
-    For multi-component surfaces the radius is additionally capped by 0.45x
-    the minimal cross-component separation so a patch ball stays a single
-    graph component; callers that treat cross-component interactions
-    separately (per-pair true kernel) disable that cap, since their chord
-    balls only ever see one sheet.
+    The radius is not capped by the separation of components: chord balls
+    only ever see one sheet, and cross-component pairs take the true kernel.
     """
     nodes = as_surface(surface).nodes(scale)
     kmax = 0.0
@@ -303,26 +298,8 @@ def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25,
             kmax = max(kmax, float(np.max(np.abs(data.principal))))
         else:
             kmax = max(kmax, data.hs_norm)
-    sep = _component_separation(nodes.points, nodes.component)
     r = factor / kmax if kmax > 0 else math.inf
-    if cap_by_separation and sep < math.inf:
-        r = min(r, 0.45 * sep)
-    if not math.isfinite(r):
-        r = 1.0
-    return r
-
-
-def _component_separation(points, component):
-    comps = np.unique(component)
-    if len(comps) < 2:
-        return math.inf
-    best = math.inf
-    for a in comps:
-        pa = points[component == a]
-        pb = points[component != a]
-        d = np.sqrt(np.min(np.sum((pa[:, None] - pb[None]) ** 2, axis=-1)))
-        best = min(best, float(d))
-    return best
+    return r if math.isfinite(r) else 1.0
 
 
 # ----------------------------------------------------------------------

@@ -175,8 +175,7 @@ def orthogonal_model_closed_form(alpha: float, rho: float) -> float:
 
 
 def orthogonal_model_integral(alpha: float, rho: float = 1.0,
-                              levels: int = 60, tol: float = 1e-9,
-                              gl_order: int = 12) -> OrthogonalModelResult:
+                              levels: int = 60, gl_order: int = 12) -> OrthogonalModelResult:
     """Interaction of two orthogonal flat sheets meeting at a point.
 
     Numerically integrates (t^2+s^2)^(a/2) (2 pi)^2 t s over [0, rho]^2 by

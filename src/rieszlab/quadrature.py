@@ -1,7 +1,7 @@
 """Shared quadrature building blocks.
 
-Small deterministic rules used throughout the library: Gauss-Legendre and
-periodic-trapezoid node generators, a fixed-order sum, and a smooth
+Small deterministic rules used throughout the library: a Gauss-Legendre
+node generator, a fixed-order sum, and a smooth
 replacement kernel that equals t^alpha outside a ball and continues it
 smoothly inside.
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre",
-    "periodic_trapezoid",
     "compensated_sum",
     "BlendKernel",
 ]
@@ -25,13 +24,6 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def periodic_trapezoid(n: int, period: float = 2.0 * math.pi) -> tuple[np.ndarray, np.ndarray]:
-    """Equispaced nodes and weights for one full period (spectral on smooth data)."""
-    t = np.arange(n) * (period / n)
-    w = np.full(n, period / n)
-    return t, w
 
 
 def compensated_sum(values) -> float:

@@ -75,10 +75,6 @@ class EnergyParams:
                 and round(d) % 2 == 0)
         object.__setattr__(self, "at_pole", bool(pole))
 
-    @property
-    def needs_regularization(self) -> bool:
-        return self.alpha <= -self.m + POLE_SNAP_TOL
-
 
 def _angular_rule(m: int, nodes: int):
     if m == 1:

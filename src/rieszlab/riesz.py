@@ -96,7 +96,7 @@ class EnergyReport:
 # the regularized energy
 # ----------------------------------------------------------------------
 
-def riesz_energy(surface, alpha, eps0=None,
+def riesz_energy(surface, alpha,
                  config: QuadratureConfig | None = None) -> EnergyReport:
     """E_alpha(M): outer integral of the regularized inner Riesz integral.
 
@@ -116,11 +116,9 @@ def riesz_energy(surface, alpha, eps0=None,
     inner = surface.nodes(config.inner_scale, subdiv=config.mesh_inner_subdiv)
     inner_half = surface.nodes(config.inner_scale * 0.5,
                                subdiv=max(config.mesh_inner_subdiv - 1, 0))
-    requested = config.patch_radius if config.patch_radius is not None else eps0
+    requested = config.patch_radius
     if requested is None:
-        # cross-component pairs see the true kernel directly, so the chord
-        # ball only needs single-sheet validity on its own component
-        requested = default_patch_radius(surface, cap_by_separation=False)
+        requested = default_patch_radius(surface)
 
     alpha_f = params.alpha
     values = np.empty(len(outer.points))

@@ -296,7 +296,7 @@ def test_c10_flow_properties():
     rng = np.random.default_rng(42)
     pert = ico.with_vertices(
         ico.vertices * (1 + 0.05 * rng.standard_normal((ico.num_vertices, 1))))
-    grad = energy_gradient(FlowState(mesh=pert), "fd")
+    grad = energy_gradient(FlowState(mesh=pert))
     ok = np.linalg.norm(grad.sum(axis=0)) < 1e-6 * np.linalg.norm(grad)
     state = run_flow(FlowState(mesh=pert, step_size=1e-2), 50)
     energies = [p.energy for p in state.trajectory]

@@ -10,11 +10,29 @@ from rieszlab.geometry import (icosphere, mesh_disjoint_union, polygon_circle,
 from rieszlab.riesz import QuadratureConfig
 
 
-def _perturbed_sphere(scale=0.05, seed=42, subdiv=1):
-    ico = icosphere(subdiv)
+def _perturbed(mesh, scale=0.05, seed=42):
     rng = np.random.default_rng(seed)
-    factors = 1.0 + scale * rng.standard_normal((ico.num_vertices, 1))
-    return ico.with_vertices(ico.vertices * factors)
+    factors = 1.0 + scale * rng.standard_normal((mesh.num_vertices, 1))
+    return mesh.with_vertices(mesh.vertices * factors)
+
+
+def _perturbed_sphere(scale=0.05, seed=42, subdiv=1):
+    return _perturbed(icosphere(subdiv), scale, seed)
+
+
+def _ks_central_difference(mesh):
+    # step 1e-5 x bounding-box diagonal, as for the Riesz and AS selectors
+    h = 1e-5 * np.linalg.norm(np.ptp(mesh.vertices, axis=0))
+    grad = np.empty_like(mesh.vertices)
+    for i in range(mesh.num_vertices):
+        for c in range(mesh.n):
+            vp = mesh.vertices.copy()
+            vp[i, c] += h
+            vm = mesh.vertices.copy()
+            vm[i, c] -= h
+            grad[i, c] = (ks_flow_energy(mesh.with_vertices(vp))
+                          - ks_flow_energy(mesh.with_vertices(vm))) / (2 * h)
+    return grad
 
 
 def test_ks_flow_energy_round_sphere_is_minimal():
@@ -23,13 +41,13 @@ def test_ks_flow_energy_round_sphere_is_minimal():
 
 
 def test_gradient_near_minimizer():
-    g_round = energy_gradient(FlowState(mesh=icosphere(1)), "fd")
-    g_pert = energy_gradient(FlowState(mesh=_perturbed_sphere()), "fd")
+    g_round = energy_gradient(FlowState(mesh=icosphere(1)))
+    g_pert = energy_gradient(FlowState(mesh=_perturbed_sphere()))
     assert np.linalg.norm(g_round) < 1e-4 * np.linalg.norm(g_pert)
 
 
 def test_gradient_translation_invariance():
-    g = energy_gradient(FlowState(mesh=_perturbed_sphere()), "fd")
+    g = energy_gradient(FlowState(mesh=_perturbed_sphere()))
     assert np.linalg.norm(g.sum(axis=0)) < 1e-6 * np.linalg.norm(g)
 
 
@@ -41,16 +59,29 @@ def test_gradient_translation_invariance_riesz_polygon():
     sel = EnergySelector("riesz", alpha=1.0)
     state = FlowState(mesh=poly, selector=sel,
                       config=QuadratureConfig(mesh_inner_subdiv=1))
-    g = energy_gradient(state, "fd")
+    g = energy_gradient(state)
     assert np.linalg.norm(g.sum(axis=0)) < 1e-5 * np.linalg.norm(g)
 
 
 def test_fd_vs_exact_gradient():
-    state = FlowState(mesh=_perturbed_sphere())
-    g_fd = energy_gradient(state, "fd")
-    g_ex = energy_gradient(state, "exact")
+    mesh = _perturbed_sphere()
+    g_fd = _ks_central_difference(mesh)
+    g_ex = energy_gradient(FlowState(mesh=mesh))
     rel = np.max(np.abs(g_fd - g_ex)) / np.max(np.abs(g_ex))
     assert rel < 1e-3
+
+
+@pytest.mark.parametrize("mesh", [
+    polygon_circle(32),
+    mesh_disjoint_union(icosphere(1, 1.0, (-1.25, 0.0, 0.0)),
+                        icosphere(1, 1.0, (1.25, 0.0, 0.0))),
+], ids=["polygon", "dumbbell"])
+def test_ks_gradient_matches_central_difference(mesh):
+    # the curve (m = 1) and a two-component surface
+    mesh = _perturbed(mesh)
+    g_fd = _ks_central_difference(mesh)
+    g_ex = energy_gradient(FlowState(mesh=mesh))
+    assert np.max(np.abs(g_fd - g_ex)) < 1e-6 * np.max(np.abs(g_ex))
 
 
 def test_flow_halves_perturbed_sphere_energy():
