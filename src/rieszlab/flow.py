@@ -1,10 +1,11 @@
 """Gradient descent of mesh embeddings with contact monitoring.
 
-The flow's discrete Kusner-Sullivan energy is a vertex-based quadrature
-read straight from the mesh's shared topology and written with
-complex-analytic primitives only (plain-transpose Gram-Schmidt,
-normal-equation solves and the pair kernel shared with `ks_energy`), so its
-gradient is the complex-step derivative, exact to machine precision.
+The flow's discrete Kusner-Sullivan energy is `ks_energy`'s vertex
+quadrature without its diagonal cells: the same vertex fit frames (face
+seed, one normal-equation solve, closed-form tilt), lumped weights and pair
+kernel, read from the mesh's shared topology. Every step is
+complex-analytic, so its gradient is the complex-step derivative, exact to
+machine precision.
 Riesz and Auckly-Sadun selectors differentiate by central differences.
 """
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry.meshes import TriMesh
+from .geometry.meshes import TriMesh, seed_frames
+from .geometry.patches import cross, dot, fit_tangent_frames
 from .moebius import ks_pair_kernel
 
 __all__ = [
@@ -40,66 +42,22 @@ MAX_HALVINGS = 20
 # complex-safe discrete Kusner-Sullivan energy
 # ----------------------------------------------------------------------
 
-def _dotp(a, b):
-    """Plain (non-conjugating) dot along the last axis; complex-analytic."""
-    return np.sum(a * b, axis=-1)
-
-
-def _normalize(v):
-    return v / np.sqrt(_dotp(v, v))[..., None]
-
-
-def _face_normals_raw(vertices, faces):
-    p = vertices[faces]
-    return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-
-
 def _ks_vertex_energy(vertices, topology):
-    """KS double sum over vertex nodes; analytic in the vertex positions."""
-    faces = topology.faces
-    V = topology.num_vertices
+    """KS double sum over vertex nodes; analytic in the vertex positions.
+
+    The frames are those of the mesh's vertex fit (`seed_frames`, then the
+    frame step `fit_tangent_frames`), the weights the lumped vertex weights
+    of `TriMesh.vertex_weights`; the diagonal cells are dropped.
+    """
     m = topology.m
-    if m == 1:
-        next_vertex, prev_vertex = topology.next_prev
-        tang = _normalize(vertices[next_vertex] - vertices[prev_vertex])
-        frames = tang[:, :, None]                          # (V, 2, 1)
-        edge_vec = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-        meas = np.sqrt(_dotp(edge_vec, edge_vec))
-        weights = np.zeros(V, dtype=vertices.dtype)
-        np.add.at(weights, faces[:, 0], 0.5 * meas)
-        np.add.at(weights, faces[:, 1], 0.5 * meas)
-    else:
-        raw = _face_normals_raw(vertices, faces)
-        areas = 0.5 * np.sqrt(_dotp(raw, raw))
-        vnormal = np.zeros_like(vertices)
-        weights = np.zeros(V, dtype=vertices.dtype)
-        for col in range(3):
-            np.add.at(vnormal, faces[:, col], raw)
-            np.add.at(weights, faces[:, col], areas / 3.0)
-        nh = _normalize(vnormal)                           # (V, 3)
-        ring_idx, mask = topology.ring_table
-        d = vertices[ring_idx] - vertices[:, None, :]      # (V, R, 3)
-        e = d[:, 0, :]
-        t1 = _normalize(e - _dotp(e, nh)[:, None] * nh)
-        t2 = np.cross(nh, t1)
-        eta1 = np.einsum("vrn,vn->vr", d, t1)
-        eta2 = np.einsum("vrn,vn->vr", d, t2)
-        zeta = np.einsum("vrn,vn->vr", d, nh)
-        r2 = _dotp(d, d)
-        mean_r2 = (np.sum(r2 * mask, axis=1)
-                   / np.sum(mask, axis=1))[:, None]
-        w = np.exp(-r2 / mean_r2) * mask
-        X = np.stack([eta1, eta2, 0.5 * eta1 ** 2, eta1 * eta2,
-                      0.5 * eta2 ** 2], axis=-1)            # (V, R, 5)
-        Xw = X * w[..., None]
-        A = np.einsum("vrc,vrk->vck", X, Xw)
-        rhs = np.einsum("vrc,vr->vc", Xw, zeta)
-        sol = np.linalg.solve(A, rhs[..., None])[..., 0]   # (V, 5)
-        w1 = t1 + sol[:, 0:1] * nh
-        w2 = t2 + sol[:, 1:2] * nh
-        e1 = _normalize(w1)
-        e2 = _normalize(w2 - _dotp(w2, e1)[:, None] * e1)
-        frames = np.stack([e1, e2], axis=-1)                # (V, 3, 2)
+    idx, mask = topology.ring_table
+    frames = fit_tangent_frames(vertices[idx] - vertices[:, None], mask,
+                                *seed_frames(vertices, topology))[0]
+    p = vertices[topology.faces]
+    e = p[:, 1] - p[:, 0]
+    if m == 2:
+        e = 0.5 * cross(e, p[:, 2] - p[:, 0])
+    weights = topology.incidence @ (np.sqrt(dot(e, e)) / (m + 1))
     omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = omc ** m / dist ** (2 * m)

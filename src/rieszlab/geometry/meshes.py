@@ -18,12 +18,14 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from ..errors import TopologyError, UnsupportedInputError
-from .patches import CurvatureData, GraphPatch, fit_quadratic_patches
+from .patches import (CurvatureData, GraphPatch, cross, dot, fit_curvature,
+                      fit_tangent_frames, orthonormal_frames)
 from .surface import NodeSet, Surface
 
 __all__ = [
     "MeshTopology",
     "TriMesh",
+    "seed_frames",
     "euler_characteristic",
     "icosphere",
     "torus_mesh",
@@ -41,8 +43,8 @@ class MeshTopology:
 
     Everything here depends on the faces alone, so meshes on the same faces
     (`TriMesh.with_vertices`, `translated`) share one instance. The faces
-    are read-only; rings, vertex faces and components are built on first
-    use.
+    are read-only; rings, the 2-ring table, the vertex-face incidence
+    matrix, vertex faces and components are built on first use.
     """
 
     def __init__(self, faces, m, num_vertices):
@@ -119,19 +121,39 @@ class MeshTopology:
         return connected_components(self.adjacency, directed=False)[1]
 
     @cached_property
-    def next_prev(self):
-        """Successor and predecessor of each vertex along a curve (m = 1)."""
-        nxt = np.full(self.num_vertices, -1)
-        prv = np.full(self.num_vertices, -1)
-        nxt[self.faces[:, 0]] = self.faces[:, 1]
-        prv[self.faces[:, 1]] = self.faces[:, 0]
-        return nxt, prv
+    def incidence(self):
+        """Sparse (V, F) vertex-face incidence: 1 where the vertex is a
+        corner of the face. Face-to-vertex sums are products with it."""
+        F, k = len(self.faces), self.m + 1
+        return sparse.csr_matrix((np.ones(F * k), (self.faces.ravel(),
+                                                   np.repeat(np.arange(F), k))),
+                                 shape=(self.num_vertices, F))
 
 
-def _unit_normals(p):
-    """Unit normals of triangles with corners p (F, 3, 3), by winding."""
-    nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+def seed_frames(vertices, topology):
+    """Oriented orthonormal seed frames of every vertex, from its faces:
+    (tangent (V, n, m), normal (V, n, n-m)).
+
+    m = 1: the tangent is the sum of the unit winding directions of its
+    edges. m = 2 (in R^3 only): the normal is the normalised sum of the
+    unit face normals at the vertex, the first tangent the offset to its
+    first 2-ring vertex projected off that normal, the second normal x
+    first tangent. Every product is a plain one, so complex-step
+    derivatives go through.
+    """
+    def unit(a):
+        return a / np.sqrt(dot(a, a))[:, None]
+
+    p = vertices[topology.faces]
+    e = p[:, 1] - p[:, 0]
+    if topology.m == 1:
+        return orthonormal_frames((topology.incidence @ unit(e))[..., None])
+    if vertices.shape[1] != 3:
+        raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
+    nrm = unit(topology.incidence @ unit(cross(e, p[:, 2] - p[:, 0])))
+    e = vertices[topology.ring_table[0][:, 0]] - vertices
+    e = unit(e - dot(e, nrm)[:, None] * nrm)
+    return np.stack([e, cross(nrm, e)], axis=-1), nrm[..., None]
 
 
 def _segment_distance(x, a, b):
@@ -150,7 +172,9 @@ class TriMesh(Surface):
     array is checked for finite coordinates and non-degenerate simplices.
     The quadratic vertex fits behind `patch_at`, `frame_at`,
     `curvature_at` and `tangent_nodes` are made for all vertices at once,
-    on first use, and dropped with the vertex array they fit.
+    on first use, and dropped with the vertex array they fit: the face
+    seed (`seed_frames`), the frame step (`fit_tangent_frames`, which the
+    KS flow runs too) and the curvature step (`fit_curvature`).
     """
 
     def __init__(self, vertices, faces, m):
@@ -216,7 +240,9 @@ class TriMesh(Surface):
         """Unit normals from the face winding (m=2, n=3 only)."""
         if self.m != 2 or self.n != 3:
             raise UnsupportedInputError("face normals need m=2 meshes in R^3")
-        return _unit_normals(self.vertices[self.faces])
+        p = self.vertices[self.faces]
+        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
     def vertex_neighbors(self):
         """Sorted 1-rings: the vertices sharing a face with each vertex."""
@@ -230,10 +256,7 @@ class TriMesh(Surface):
 
     def vertex_weights(self) -> np.ndarray:
         """Lumped quadrature weights: 1/(m+1) of adjacent face measures."""
-        w = np.zeros(self.num_vertices)
-        np.add.at(w, self.faces.ravel(),
-                  np.repeat(self.measures() / (self.m + 1), self.m + 1))
-        return w
+        return self.topology.incidence @ (self.measures() / (self.m + 1))
 
     def components(self) -> np.ndarray:
         """Connected-component id per vertex (via shared faces)."""
@@ -333,36 +356,16 @@ class TriMesh(Surface):
 
     @cached_property
     def _fits(self):
-        """Quadratic graph fits of every vertex over its 2-ring, as arrays
-        (tangent, normal, coeffs, rms, extent), extent 0.9x the ring's
-        largest offset. The seed frames come from the oriented faces: for
-        m = 2 the normal is the normalised sum of the unit face normals at
-        the vertex and the first tangent the offset to its first 2-ring
-        vertex projected off that normal; for m = 1 the tangent is the mean
-        unit winding direction of its edges."""
-        if self.m == 2 and self.n != 3:
-            raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
+        """Quadratic graph fits of every vertex over its 2-ring, seeded by
+        `seed_frames`, as arrays (tangent, normal, coeffs, rms, extent),
+        extent 0.9x the ring's largest offset."""
         idx, mask = self.topology.ring_table
         d = self.vertices[idx] - self.vertices[:, None]      # (V, R, n)
-        p = self.vertices[self.faces]
-        if self.m == 1:
-            face_dirs = p[:, 1] - p[:, 0]
-            face_dirs /= np.linalg.norm(face_dirs, axis=-1, keepdims=True)
-        else:
-            face_dirs = _unit_normals(p)
-        vertex_dirs = np.zeros_like(self.vertices)
-        for col in range(self.m + 1):
-            np.add.at(vertex_dirs, self.faces[:, col], face_dirs)
-        if self.m == 1:
-            seed = vertex_dirs[..., None]
-        else:
-            nrm = vertex_dirs / np.linalg.norm(vertex_dirs, axis=-1,
-                                               keepdims=True)
-            e = d[:, 0] - np.sum(d[:, 0] * nrm, axis=-1)[:, None] * nrm
-            e /= np.linalg.norm(e, axis=-1, keepdims=True)
-            seed = np.stack([e, np.cross(nrm, e)], axis=-1)
+        tangent, normal, solve = fit_tangent_frames(
+            d, mask, *seed_frames(self.vertices, self.topology))
         extent = 0.9 * np.max(np.linalg.norm(d, axis=-1) * mask, axis=1)
-        fits = (*fit_quadratic_patches(d, mask, seed), extent)
+        fits = (tangent, normal, *fit_curvature(tangent, normal, solve),
+                extent)
         for a in fits:
             a.flags.writeable = False      # patches and frames are views
         return fits

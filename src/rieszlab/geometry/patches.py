@@ -6,10 +6,15 @@ T eta + N h(eta) parametrizes the surface near x. Chart surfaces get h by
 Newton inversion of the chart map, and also solve for the points at a given
 chord distance directly in chart parameters (`GraphPatch.chord_solve`);
 meshes get h from weighted least-squares quadratic fits over 2-ring
-neighborhoods, all vertices in one batch (`fit_quadratic_patches`), and
-solve chord rows in closed form. The surfaces build their own patches
-(`patch_at` of the surface protocol); the functions here reach them through
-that protocol.
+neighborhoods, all vertices in one batch, and solve chord rows in closed
+form. A vertex fit is one solve in a seed frame, then the fitted graph's
+tangent plane (`fit_tangent_frames`, the frame step the KS flow reads) and
+its second fundamental form there (`fit_curvature`), both in closed form;
+`fit_quadratic_patches` runs both. `orthonormal_frames` is the one
+orthonormalizer of charts and meshes. Every step is written with plain
+(non-conjugating) products, so complex-step derivatives go through. The
+surfaces build their own patches (`patch_at` of the surface protocol); the
+functions here reach them through that protocol.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
-                      RankDeficiencyError)
+                      RankDeficiencyError, UnsupportedInputError)
 from .surface import as_surface
 
 __all__ = [
@@ -34,50 +39,70 @@ __all__ = [
     "curvature_at",
     "validate_patch_class",
     "default_patch_radius",
+    "fit_tangent_frames",
+    "fit_curvature",
     "fit_quadratic_patches",
 ]
 
-# Most passes of the quadratic fit; each one folds the fitted linear term
-# into the frame.
-FIT_PASSES = 5
+
+def _floating(a):
+    """a as a float array, or as a complex one when it is complex."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a.dtype, float), copy=False)
 
 
-def orthonormal_frames(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dot(a, b):
+    """Plain (non-conjugating) dot product along the last axis, summed in
+    component order: the bits of np.sum(a * b, axis=-1) at a fraction of
+    its cost on short axes."""
+    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
+
+
+def cross(a, b):
+    """Cross product of 3-vector stacks along the last axis, as plain
+    products (np.cross costs twice as much on small stacks)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=-1)
+
+
+def orthonormal_frames(jac) -> tuple[np.ndarray, np.ndarray]:
     """Split R^n into tangent/normal frames from a (..., n, m) Jacobian stack.
 
-    Tangent columns are orthonormalized preserving the orientation of the
-    parameter order; the normal frame completes a positively oriented basis
-    of R^n. Frames are orthonormal to machine precision.
+    Gram-Schmidt on the tangent columns in parameter order keeps their
+    orientation; the normal frame completes a basis with det [T | N] > 0.
+    (n, m) is one of (2, 1), (3, 1) and (3, 2). Every product is a plain
+    (non-conjugating) one, so complex-step derivatives go through; the rank
+    check reads the real parts of the Gram-Schmidt pivots.
     """
-    jac = np.asarray(jac, dtype=float)
-    single = jac.ndim == 2
-    if single:
-        jac = jac[None]
-    n, m = jac.shape[-2], jac.shape[-1]
-    q, r = np.linalg.qr(jac)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(np.abs(diag) < 1e-13 * np.abs(diag).max(initial=1.0)):
+    jac = _floating(jac)
+    n, m = jac.shape[-2:]
+    if (n, m) not in ((2, 1), (3, 1), (3, 2)):
+        raise UnsupportedInputError(
+            f"orthonormal frames need (n, m) in (2, 1), (3, 1), (3, 2), "
+            f"got ({n}, {m})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = jac[..., 0]
+        pivots = [np.sqrt(dot(t, t))]
+        t = t / pivots[0][..., None]
+        if m == 2:
+            b = jac[..., 1]
+            b = b - dot(t, b)[..., None] * t
+            pivots.append(np.sqrt(dot(b, b)))
+            b = b / pivots[1][..., None]
+    piv = np.abs(np.array(pivots).real)
+    if not piv.min(initial=np.inf) >= 1e-13 * piv.max(initial=1.0):
         raise RankDeficiencyError("chart Jacobian is rank deficient")
-    # QR sign fix: make diag(R) > 0 so Q's orientation matches the columns.
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    tangent = q * sign[..., None, :]
-    # Orthonormal complement via full SVD.
-    u, _, _ = np.linalg.svd(jac, full_matrices=True)
-    normal = u[..., m:]
-    # Re-orthogonalize the complement against the tangent block (paranoia at
-    # machine level) and fix total orientation det([T | N]) > 0.
-    proj = np.einsum("...ij,...ik->...jk", tangent, normal)
-    normal = normal - np.einsum("...ij,...jk->...ik", tangent, proj)
-    normal /= np.linalg.norm(normal, axis=-2, keepdims=True)
-    full = np.concatenate([tangent, normal], axis=-1)
-    det = np.linalg.det(full)
-    flip = det < 0.0
-    if np.any(flip):
-        normal = normal.copy()
-        normal[flip, ..., -1] *= -1.0
-    if single:
-        return tangent[0], normal[0]
-    return tangent, normal
+    if m == 2:
+        return np.stack([t, b], axis=-1), cross(t, b)[..., None]
+    if n == 2:
+        return t[..., None], np.stack([-t[..., 1], t[..., 0]], axis=-1)[..., None]
+    # the axis least aligned with t, taken off t, then t x that
+    e = (np.arange(3) == np.argmin(np.abs(t.real), axis=-1)[..., None])
+    e = e - dot(t, e)[..., None] * t
+    e = e / np.sqrt(dot(e, e))[..., None]
+    return t[..., None], np.stack([e, cross(t, e)], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +119,8 @@ class GraphPatch:
     (xi, h, grad h), the radius xi >= 0 with xi^2 + |h(xi v)|^2 = t^2 and
     the height data at that point. Chart patches solve each row by one
     Newton iteration in the chart parameters; the quadratic patches of
-    meshes solve it in closed form.
+    meshes, h(eta) = eta^T C eta / 2 over the fitted graph's tangent plane
+    (no linear term), solve it in closed form.
     """
 
     base_point: np.ndarray        # (n,)
@@ -155,57 +181,82 @@ class GraphPatch:
         return sup
 
 
+def fit_tangent_frames(offsets, mask, tangent, normal):
+    """Frame step of the quadratic vertex fit, batched.
+
+    offsets (P, R, n) are neighbour points minus each base point, padded
+    rows flagged 0 in mask (P, R); tangent (P, n, m) and normal (P, n, n-m)
+    are an oriented orthonormal seed frame of each patch. One weighted
+    least-squares solve in the seed frame fits h(eta) = g eta + eta^T C
+    eta / 2, rows weighted by exp(-(|d| / mean |d|)^2) over the unpadded
+    rows and columns scaled by the mean offset s (eta / s, quadratic terms
+    / s^2), by normal equations. The fitted graph's tangent plane at the
+    vertex is spanned by B = T + N g^T. Returns (tangent, normal, solve):
+    the frames of B, with the seed's orientation, and what `fit_curvature`
+    reads. Complex input goes through (complex step).
+    """
+    d = _floating(offsets)
+    mask = np.asarray(mask, dtype=float)
+    m = tangent.shape[-1]
+    quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
+    k = m + len(quad_idx)
+    count = mask.sum(axis=1)
+    if np.any(count < k):
+        raise NumericalError("not enough neighbors for a quadratic fit")
+    dist2 = dot(d, d)
+    scale = ((np.sqrt(dist2) * mask).sum(axis=1) / count)[:, None, None]
+    w = np.exp(-dist2 / scale[..., 0] ** 2) * mask
+    coords = d @ np.concatenate([tangent, normal], axis=-1)
+    eta = coords[..., :m] / scale
+    cols = [eta[..., i] for i in range(m)]
+    cols += [(0.5 if i == j else 1.0) * eta[..., i] * eta[..., j]
+             for (i, j) in quad_idx]
+    cols += [coords[..., c] for c in range(m, coords.shape[-1])]
+    XY = np.stack(cols, axis=-1) * w[..., None]           # [X | Y] weighted
+    G = np.swapaxes(XY, -1, -2) @ XY
+    sol = np.linalg.solve(G[:, :k, :k], G[:, :k, k:])      # (P, k, n-m)
+    tilted = tangent + normal @ np.swapaxes(sol[:, :m] / scale, -1, -2)
+    return (*orthonormal_frames(tilted),
+            (normal, tilted, XY, sol, scale, count, quad_idx))
+
+
+def fit_curvature(tangent, normal, solve):
+    """Curvature step of the quadratic vertex fit, batched.
+
+    From the frame step's (tangent, normal, solve): the second fundamental
+    form of the fitted graph in the new frame (T', N') is L^T (N'^T N C) L
+    per normal component, L = (T'^T B)^-1, so the patch has h(0) = 0 and
+    grad h(0) = 0 by construction. Returns (coeffs (P, n-m, m, m),
+    rms (P,)), coeffs symmetric per normal component and rms the weighted
+    residual of the one solve.
+    """
+    seed_normal, tilted, XY, sol, scale, count, quad_idx = solve
+    P, k, c = sol.shape
+    m = tangent.shape[-1]
+    quad = sol[:, m:] / scale ** 2                        # (P, q, n-m)
+    C = np.zeros((P, c, m, m), dtype=sol.dtype)
+    for q, (i, j) in enumerate(quad_idx):
+        C[:, :, i, j] = C[:, :, j, i] = quad[:, q]
+    L = np.linalg.inv(np.swapaxes(tangent, -1, -2) @ tilted)[:, None]
+    C = (np.swapaxes(normal, -1, -2) @ seed_normal) @ C.reshape(P, c, -1)
+    coeffs = np.swapaxes(L, -1, -2) @ C.reshape(P, c, m, m) @ L
+    res = XY[..., :k] @ sol - XY[..., k:]
+    rms = np.sqrt((res * res).sum(axis=(1, 2)) / (count * c))
+    return 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2)), rms
+
+
 def fit_quadratic_patches(offsets, mask, seed_tangent):
     """Weighted LSQ quadratic graph fits h(eta) = eta^T A eta / 2, batched.
 
-    offsets (P, R, n) are neighbour points minus each base point, padded
-    rows flagged 0 in mask (P, R); seed_tangent (P, n, m) is an oriented
-    first guess of each tangent plane. Rows are weighted by
-    exp(-(|d| / mean |d|)^2) over the unpadded rows. Each pass fits linear
-    and quadratic terms by one stacked QR solve and folds the linear term
-    into the frame, until max |lin| < 1e-13 or FIT_PASSES passes, so that
-    h(0) = 0, grad h(0) = 0 up to that term. The frames keep the seed's
-    orientation. Returns (tangent (P, n, m), normal (P, n, n-m), coeffs
-    (P, n-m, m, m), rms (P,)), coeffs symmetric per normal component and
-    rms the weighted residual of the last pass.
+    seed_tangent (P, n, m) is an oriented guess of each tangent plane; its
+    `orthonormal_frames` seed the frame step (`fit_tangent_frames`), whose
+    frames and solve the curvature step (`fit_curvature`) completes.
+    Returns (tangent (P, n, m), normal (P, n, n-m), coeffs (P, n-m, m, m),
+    rms (P,)).
     """
-    d = np.asarray(offsets, dtype=float)
-    mask = np.asarray(mask, dtype=float)
-    m = seed_tangent.shape[-1]
-    quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
-    count = mask.sum(axis=1)
-    if np.any(count < m + len(quad_idx)):
-        raise NumericalError("not enough neighbors for a quadratic fit")
-    dist = np.linalg.norm(d, axis=-1)
-    scale = np.sum(dist * mask, axis=1) / count
-    w = np.exp(-(dist / scale[:, None]) ** 2) * mask
-    tangent, normal = orthonormal_frames(seed_tangent)
-    sol = np.empty((len(d), m + len(quad_idx), normal.shape[-1]))
-    rms = np.empty(len(d))
-    rows = np.arange(len(d))       # the patches still folding their frame
-    for it in range(FIT_PASSES):
-        eta = d[rows] @ tangent[rows]
-        cols = [eta[..., i] for i in range(m)]
-        cols += [(0.5 if i == j else 1.0) * eta[..., i] * eta[..., j]
-                 for (i, j) in quad_idx]
-        X = np.stack(cols, axis=-1) * w[rows, :, None]
-        Y = (d[rows] @ normal[rows]) * w[rows, :, None]
-        q, r = np.linalg.qr(X)
-        sol[rows] = np.linalg.solve(r, np.swapaxes(q, -1, -2) @ Y)
-        res = X @ sol[rows] - Y
-        rms[rows] = np.sqrt(np.sum(res ** 2, axis=(1, 2))
-                            / (count[rows] * Y.shape[-1]))
-        lin = sol[rows, :m]                                  # (K, m, n-m)
-        go = np.max(np.abs(lin), axis=(1, 2)) >= 1e-13
-        if it == FIT_PASSES - 1 or not go.any():
-            break
-        rows = rows[go]
-        tangent[rows], normal[rows] = orthonormal_frames(
-            tangent[rows] + normal[rows] @ np.swapaxes(lin[go], -1, -2))
-    coeffs = np.zeros((len(d), normal.shape[-1], m, m))
-    for k, (i, j) in enumerate(quad_idx):
-        coeffs[:, :, i, j] = coeffs[:, :, j, i] = sol[:, m + k]
-    return tangent, normal, coeffs, rms
+    tangent, normal, solve = fit_tangent_frames(
+        offsets, mask, *orthonormal_frames(seed_tangent))
+    return (tangent, normal, *fit_curvature(tangent, normal, solve))
 
 
 def tangent_frame(surface, locator):

@@ -34,6 +34,9 @@ __all__ = [
     "unit_ball_volume",
 ]
 
+# Gauss-Legendre nodes per panel of the two-body cross-energy rules.
+PANEL_ORDER = 16
+
 
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit m-ball (2 for m=1, pi for m=2, ...)."""
@@ -361,13 +364,13 @@ def sphere_pair_cross_energy_bruteforce(m: int, alpha: float, radius: float,
     return total
 
 
-def _graded_panels_1d(a: float, b: float, feature: float, order: int = 16):
+def _graded_panels_1d(a: float, b: float, feature: float):
     """GL panels on [a, b] dyadically graded toward a down to `feature`."""
     edges = [b]
     while edges[-1] - a > feature:
         edges.append(a + 0.5 * (edges[-1] - a))
     edges.append(a)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(PANEL_ORDER)
     nodes, weights = [], []
     for hi, lo in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (hi - lo) * (xg + 1.0) + lo)
@@ -375,15 +378,19 @@ def _graded_panels_1d(a: float, b: float, feature: float, order: int = 16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def sphere_pair_cross_energy(m: int, alpha: float, radius: float, gap: float,
-                             order: int = 16) -> float:
+def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
+                             gap: float) -> float:
     """Cross interaction of two round m-spheres at the given gap.
 
     For m = 2 the inner integral over one sphere reduces exactly to a 1D
     power integral (the surface measure between chord distances is linear
     in t^2 from any external point), leaving a single well-graded outer
-    integral; m = 1 uses a graded 2D product rule. Both resolve arbitrarily
-    small gaps.
+    integral. For m = 1, with angles measured from the facing points, the
+    outer angle runs over [0, pi] only (the pair is symmetric under the
+    reflection across the line of centres, so the result is doubled), and
+    each outer node's inner panels are graded toward its mirror point on
+    the other circle, the same panels on every row. Both resolve
+    arbitrarily small gaps.
     """
     if gap <= 0:
         raise PreconditionError("gap must be positive (touching spheres are "
@@ -400,20 +407,18 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float, gap: float,
             return (2.0 * math.pi * r / D) * ((D + r) ** (a + 2.0)
                                               - (D - r) ** (a + 2.0)) / (a + 2.0)
 
-        s, ws = _graded_panels_1d(0.0, 2.0, gap / r * 1e-3, order)  # s = 1 - u
+        s, ws = _graded_panels_1d(0.0, 2.0, gap / r * 1e-3)  # s = 1 - u
         D = np.sqrt(L ** 2 - 2.0 * L * r * (1.0 - s) + r ** 2)
         vals = inner(D)
         return float(2.0 * math.pi * r ** 2 * np.dot(ws, vals))
     if m == 1:
-        th, wt = _graded_panels_1d(0.0, math.pi, gap / r * 1e-3, order)
-        th = np.concatenate([-th[::-1], th])
-        wt = np.concatenate([wt[::-1], wt])
-        ca = np.stack([r * np.cos(th) - (r + gap / 2.0), r * np.sin(th)],
-                      axis=-1)
-        cb = np.stack([(r + gap / 2.0) - r * np.cos(th), r * np.sin(th)],
-                      axis=-1)
-        d = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=-1)
-        return float((r * wt) @ d ** a @ (r * wt))
+        th, wt = _graded_panels_1d(0.0, math.pi, gap / r * 1e-3)
+        # the inner angle: the period [th - pi, th + pi], graded toward th
+        tb = th[:, None] + np.concatenate([-th[::-1], th])
+        wb = np.concatenate([wt[::-1], wt])
+        dx = 2.0 * r + gap - r * (np.cos(th)[:, None] + np.cos(tb))
+        dy = r * (np.sin(tb) - np.sin(th)[:, None])
+        return float(2.0 * r * r * wt @ (dx * dx + dy * dy) ** (0.5 * a) @ wb)
     raise PreconditionError("two-body sweeps support m in {1, 2}")
 
 
@@ -441,8 +446,8 @@ class TwoBodySweepResult:
         }
 
 
-def two_body_sweep(m: int, alpha: float, radius: float, gaps,
-                   order: int = 16) -> TwoBodySweepResult:
+def two_body_sweep(m: int, alpha: float, radius: float,
+                   gaps) -> TwoBodySweepResult:
     """Cross-energy sweep over shrinking gaps with blow-up law fitting.
 
     alpha = -2m fits energy against log(1/gap) (reporting R^2); alpha < -2m
@@ -460,7 +465,7 @@ def two_body_sweep(m: int, alpha: float, radius: float, gaps,
     gaps = np.asarray(sorted(gaps, reverse=True), dtype=float)
     if np.any(gaps <= 0):
         raise PreconditionError("gaps must be positive and decreasing")
-    energies = np.array([sphere_pair_cross_energy(m, alpha, radius, g, order)
+    energies = np.array([sphere_pair_cross_energy(m, alpha, radius, g)
                          for g in gaps])
     rho0 = min(radius, 1.0)
     lam = np.array([lambda_bound_sum(m, alpha, g, rho0) for g in gaps])

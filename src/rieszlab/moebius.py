@@ -11,7 +11,6 @@ tangent basis at y. This avoids constructing the tangent sphere explicitly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import (OrientationError, PreconditionError, SingularMapError,
                      SingularPairError, UnsupportedInputError)
-from .geometry.patches import curvature_at, orthonormal_frames
+from .geometry.patches import curvature_at, dot, orthonormal_frames
 from .geometry.surface import as_surface
 from .quadrature import compensated_sum
 from .riesz import EnergyReport, QuadratureConfig, riesz_energy
@@ -94,7 +93,7 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     """
     (Nx, n), Ny, m = x_pts.shape, len(y_pts), x_frames.shape[-1]
     diff = y_pts[None, :, :] - x_pts[:, None, :]          # (Nx, Ny, n)
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = np.sqrt(dot(diff, diff))
     v = diff / np.where(dist == 0.0, 1.0, dist)[..., None]
     # a_k = <v, e_k(x)>, b_l = <v, w_l(y)>, one matrix product per point
     a = v @ x_frames                                       # (Nx, Ny, m)
@@ -338,9 +337,6 @@ class InvarianceReport:
             "map_params": self.map_params,
             "selector": self.selector,
         }
-
-    def to_json(self, **kw):
-        return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
 def moebius_invariance_check(surface, mmap: MoebiusMap, selector="ks",

@@ -22,9 +22,6 @@ quadratic patches of meshes in closed form.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -165,42 +162,6 @@ class RadialProfile:
         """Profile of a given even density fn(t), sampled like a patch's."""
         return _interpolate(lambda t: np.asarray(fn(t), dtype=float),
                             m, float(eps0), float(fn(0.0)))
-
-    # -- serialization: CSV table with a JSON header line ----------------
-
-    def to_csv(self, path_or_buf):
-        header = {
-            "m": self.m,
-            "eps0": self.eps0,
-            "sigma": self.sigma,
-            "taylor": [float(c) for c in self.taylor],
-            "fit_residual": self.fit_residual,
-        }
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "phi"])
-            for t, v in zip(self.ts, self.values):
-                writer.writerow([format(t, ".17g"), format(v, ".17g")])
-        finally:
-            if own:
-                fh.close()
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            first = fh.readline()
-            if not first.startswith("#"):
-                raise PreconditionError("missing JSON header line")
-            header = json.loads(first[1:].strip())
-            reader = csv.reader(io.StringIO(fh.read()))
-            rows = [r for r in reader if r and r[0] != "t"]
-        ts = np.array([float(r[0]) for r in rows])
-        vals = np.array([float(r[1]) for r in rows])
-        return cls(ts=ts, values=vals, m=int(header["m"]),
-                   eps0=float(header["eps0"]), sigma=float(header["sigma"]))
 
 
 def _interpolate(sample, m, eps0, sigma) -> RadialProfile:

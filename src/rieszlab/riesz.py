@@ -14,7 +14,6 @@ interactions stay integrable down to contact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,11 +84,6 @@ class EnergyReport:
             "pole": None if self.pole_residue is None
                     else {"residue": self.pole_residue},
         }
-
-    def to_json(self, **kw):
-        def enc(x):
-            return float(format(x, ".17g")) if isinstance(x, float) else x
-        return json.dumps(self.as_dict(), sort_keys=True, default=enc, **kw)
 
 
 # ----------------------------------------------------------------------

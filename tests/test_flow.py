@@ -6,7 +6,8 @@ from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
                            contact_monitor, energy_gradient, flow_step,
                            ks_flow_energy, run_flow, write_trajectory_csv)
 from rieszlab.geometry import (icosphere, mesh_disjoint_union, polygon_circle,
-                               read_off, write_off)
+                               read_off, torus_mesh, write_off)
+from rieszlab.moebius import _diag_limits, ks_energy
 from rieszlab.riesz import QuadratureConfig
 
 
@@ -38,6 +39,24 @@ def _ks_central_difference(mesh):
 def test_ks_flow_energy_round_sphere_is_minimal():
     assert ks_flow_energy(icosphere(1)) < 1e-12
     assert ks_flow_energy(_perturbed_sphere()) > 1e-3
+
+
+@pytest.mark.parametrize("mesh", [
+    icosphere(2).with_vertices(icosphere(2).vertices * [1.0, 1.0, 1.2]),
+    torus_mesh(),
+    _perturbed(polygon_circle(64)),
+    mesh_disjoint_union(icosphere(2, 1.0, (-1.1, 0.0, 0.0)),
+                        icosphere(2, 1.0, (1.1, 0.0, 0.0))),
+], ids=["icosphere2_stretched", "torus_mesh", "polygon64_perturbed",
+        "dumbbell"])
+def test_flow_energy_is_ks_energy_without_diagonal(mesh):
+    # the flow reads ks_energy's frames and weights and drops only the
+    # diagonal cells w_i^2 lim_i^m
+    nodes, frames, probe = mesh.tangent_nodes()
+    limits = _diag_limits(nodes.points, frames, probe, mesh.m)
+    diagonal = float(np.sum(nodes.weights ** 2 * limits ** mesh.m))
+    assert ks_flow_energy(mesh) + diagonal == pytest.approx(
+        ks_energy(mesh).value, rel=1e-12)
 
 
 def test_gradient_near_minimizer():

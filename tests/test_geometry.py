@@ -3,16 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.errors import TopologyError
+from rieszlab.errors import (RankDeficiencyError, TopologyError,
+                             UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, curvature_at,
                                euler_characteristic, fit_quadratic_patches,
                                graph_patch_at, icosphere, make_circle,
                                make_cylinder_patch, make_disjoint_union,
                                make_paraboloid_surface, make_sphere,
                                make_torus, mesh_disjoint_union,
-                               polygon_circle, read_obj, read_off,
-                               tangent_frame, torus_mesh,
+                               orthonormal_frames, polygon_circle, read_obj,
+                               read_off, tangent_frame, torus_mesh,
                                validate_patch_class, write_obj, write_off)
+
+SHAPES = [(2, 1), (3, 1), (3, 2)]
+
+
+def _qr_svd_frames(jac):
+    """Reference frames: QR with diag(R) > 0 for the tangent, the full SVD's
+    complement re-orthogonalized and flipped to det [T | N] > 0."""
+    jac = np.asarray(jac, dtype=float)
+    m = jac.shape[-1]
+    q, r = np.linalg.qr(jac)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    tangent = q * np.where(diag < 0.0, -1.0, 1.0)[..., None, :]
+    normal = np.linalg.svd(jac, full_matrices=True)[0][..., m:]
+    proj = np.einsum("...ij,...ik->...jk", tangent, normal)
+    normal = normal - np.einsum("...ij,...jk->...ik", tangent, proj)
+    normal /= np.linalg.norm(normal, axis=-2, keepdims=True)
+    flip = np.linalg.det(np.concatenate([tangent, normal], axis=-1)) < 0.0
+    normal[flip, :, -1] *= -1.0
+    return tangent, normal
+
+
+def _assert_frames_match_reference(jac, tangent, normal):
+    ref_t, ref_n = _qr_svd_frames(jac)
+    np.testing.assert_allclose(tangent, ref_t, rtol=0, atol=1e-14)
+    # the normal frame of a curve in R^3 is fixed only up to a rotation;
+    # compare its projector
+    np.testing.assert_allclose(normal @ np.swapaxes(normal, -1, -2),
+                               ref_n @ np.swapaxes(ref_n, -1, -2),
+                               rtol=0, atol=1e-14)
+    if normal.shape[-1] == 1:
+        np.testing.assert_allclose(normal, ref_n, rtol=0, atol=1e-14)
+    full = np.concatenate([tangent, normal], axis=-1)
+    np.testing.assert_allclose(np.swapaxes(full, -1, -2) @ full,
+                               np.broadcast_to(np.eye(full.shape[-1]),
+                                               full.shape), atol=1e-14)
+    assert np.all(np.linalg.det(full) > 0)
 
 
 def test_circle_frame():
@@ -44,6 +81,49 @@ def test_frame_orthonormality(u):
     full = np.concatenate([T, N], axis=1)
     np.testing.assert_allclose(full.T @ full, np.eye(3), atol=1e-12)
     assert np.linalg.det(full) > 0
+    _assert_frames_match_reference(sph.basis_at(u)[1], T, N)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_orthonormal_frames_match_qr_svd_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    jac = rng.standard_normal((200, *shape))
+    _assert_frames_match_reference(jac, *orthonormal_frames(jac))
+    # a single matrix gives the frames of its stack entry
+    for got, want in zip(orthonormal_frames(jac[3]), orthonormal_frames(jac)):
+        np.testing.assert_array_equal(got, want[3])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_orthonormal_frames_reject_rank_deficiency(shape):
+    jac = np.random.default_rng(1).standard_normal((5, *shape))
+    jac[2, :, -1] = 0.0 if shape[1] == 1 else 2.0 * jac[2, :, 0]
+    with pytest.raises(RankDeficiencyError):
+        orthonormal_frames(jac)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 1), (4, 2), (1, 1)])
+def test_orthonormal_frames_reject_other_shapes(shape):
+    with pytest.raises(UnsupportedInputError):
+        orthonormal_frames(np.ones((3, *shape)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_orthonormal_frames_complex_step(shape):
+    rng = np.random.default_rng(7)
+    jac, djac = rng.standard_normal((2, 4, *shape))
+    wt, wn = rng.standard_normal((4, shape[0], shape[1])), rng.standard_normal(
+        (4, shape[0], shape[0] - shape[1]))
+
+    def f(x):
+        t, n = orthonormal_frames(x)
+        return np.sum(wt * t) + np.sum(wn * n)
+
+    h = 1e-20
+    cs = f(jac + 1j * h * djac).imag / h
+    step = 1e-6
+    cd = (f(jac + step * djac) - f(jac - step * djac)) / (2 * step)
+    assert cs == pytest.approx(cd, rel=1e-7, abs=1e-9)
 
 
 def test_sphere_graph_patch_height():

@@ -1,8 +1,8 @@
 """The batched, face-seeded quadratic vertex fits of meshes.
 
 `_fit_one` is a one-vertex copy of the seeded fit (the same seed rule,
-weights, columns and stop rule, solved by `np.linalg.lstsq`) that the
-batched fit must reproduce.
+weights and columns, solved by `np.linalg.lstsq`, then the closed-form tilt
+to the fitted graph's tangent plane) that the batched fit must reproduce.
 """
 
 import numpy as np
@@ -52,30 +52,38 @@ def _seed(mesh, vertex, ring):
     return np.stack([e, np.cross(nrm, e)], axis=-1)
 
 
-def _fit_one(base, points, seed):
+def _seed_solve(base, points, seed):
+    """Seed frames and the weighted lstsq fit h = lin eta + eta^T C eta / 2
+    in them: (tangent, normal, lin (m, c), C (c, m, m), rms)."""
     d = points - base
     m = seed.shape[1]
     tangent, normal = orthonormal_frames(seed)
     dist = np.linalg.norm(d, axis=-1)
     w = np.exp(-(dist / np.mean(dist)) ** 2)
     quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
-    for it in range(5):
-        eta = d @ tangent
-        cols = [eta[:, i] for i in range(m)]
-        cols += [(0.5 if i == j else 1.0) * eta[:, i] * eta[:, j]
-                 for (i, j) in quad_idx]
-        X = np.stack(cols, axis=-1) * w[:, None]
-        Y = (d @ normal) * w[:, None]
-        sol = np.linalg.lstsq(X, Y, rcond=None)[0]
-        rms = np.sqrt(np.mean((X @ sol - Y) ** 2))
-        lin = sol[:m]
-        if np.max(np.abs(lin)) < 1e-13 or it == 4:
-            break
-        tangent, normal = orthonormal_frames(tangent + normal @ lin.T)
-    coeffs = np.zeros((normal.shape[1], m, m))
+    eta = d @ tangent
+    cols = [eta[:, i] for i in range(m)]
+    cols += [(0.5 if i == j else 1.0) * eta[:, i] * eta[:, j]
+             for (i, j) in quad_idx]
+    X = np.stack(cols, axis=-1) * w[:, None]
+    Y = (d @ normal) * w[:, None]
+    sol = np.linalg.lstsq(X, Y, rcond=None)[0]
+    rms = np.sqrt(np.mean((X @ sol - Y) ** 2))
+    C = np.zeros((normal.shape[1], m, m))
     for k, (i, j) in enumerate(quad_idx):
-        coeffs[:, i, j] = coeffs[:, j, i] = sol[m + k]
-    return tangent, normal, coeffs, rms
+        C[:, i, j] = C[:, j, i] = sol[m + k]
+    return tangent, normal, sol[:m], C, rms
+
+
+def _fit_one(base, points, seed):
+    """The seed-frame fit, then the fitted graph's tangent plane and second
+    fundamental form at the vertex."""
+    tangent, normal, lin, C, rms = _seed_solve(base, points, seed)
+    tilted = tangent + normal @ lin.T
+    tangent, new_normal = orthonormal_frames(tilted)
+    L = np.linalg.inv(tangent.T @ tilted)
+    coeffs = np.einsum("ia,dc,cij,jb->dab", L, new_normal.T @ normal, C, L)
+    return tangent, new_normal, coeffs, rms
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -93,6 +101,34 @@ def test_batched_fit_matches_per_vertex_fit(name):
         np.testing.assert_allclose(patch.meta["coeffs"], coeffs, rtol=0,
                                    atol=1e-12 * scale)
         assert patch.fit_residual == pytest.approx(rms, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["icosphere2_stretched", "torus_mesh",
+                                  "polygon64"])
+def test_tilted_patch_is_the_fitted_graphs_jet(name):
+    # points of the seed-frame quadric near the vertex, written in the
+    # returned frame, have heights xi^T coeffs xi / 2 up to O(|xi|^3)
+    mesh = MESHES[name]()
+    if mesh.m == 1:
+        mesh = mesh.with_vertices(mesh.vertices * [1.0, 1.3])
+    rings = mesh.vertex_rings(2)
+    m = mesh.m
+    dirs = np.array([[1.0], [-1.0]]) if m == 1 else np.stack(
+        [np.cos(np.arange(6)), np.sin(np.arange(6))], axis=-1)
+    for v in range(0, mesh.num_vertices, 7):
+        tangent, normal, lin, C, _ = _seed_solve(
+            mesh.vertices[v], mesh.vertices[rings[v]],
+            _seed(mesh, v, rings[v]))
+        patch = mesh.patch_at(v, None, measure_bound=False)
+        ratios = []
+        for eps in (1e-2, 5e-3, 2.5e-3):
+            eta = eps * dirs
+            h = eta @ lin + 0.5 * np.einsum("ki,cij,kj->kc", eta, C, eta)
+            q = eta @ tangent.T + h @ normal.T
+            xi = q @ patch.tangent
+            err = np.abs(q @ patch.normal - patch.height(xi)).max()
+            ratios.append(err / eps ** 3)
+        assert max(ratios) <= 1.5 * min(ratios) + 1e-6, (v, ratios)
 
 
 def test_coarse_torus_fit_normals_follow_the_faces():

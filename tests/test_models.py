@@ -185,6 +185,46 @@ def test_cross_energy_dual_route():
         assert red == pytest.approx(brute, rel=1e-10)
 
 
+def _two_circle_cross_energy(alpha, gap, r=1.0):
+    """Cross energy of two unit-speed round circles of radius r at a gap.
+
+    From a point at distance D from the centre of a circle, the integral
+    of |x - y|^alpha over that circle is int_0^(2 pi) (a - b cos t)^(alpha/2)
+    r dt with a = D^2 + r^2, b = 2 D r, which is 2 pi r / ((D - r)(D + r))
+    at alpha = -2 and 4 r E(k) / ((D - r)^2 (D + r)) at alpha = -3, E the
+    complete elliptic integral of the second kind with parameter
+    k = 4 D r / (D + r)^2. The outer circle is even about the line of
+    centres and its points at angle s from the facing point lie at
+    D^2 = (2r + gap - r cos s)^2 + (r sin s)^2; that integral is an
+    adaptive quadrature on [0, pi], split at multiples of sqrt(gap / r).
+    """
+    from scipy.integrate import quad
+    from scipy.special import ellipe
+
+    def inner(s):
+        D = math.hypot(2.0 * r + gap - r * math.cos(s), r * math.sin(s))
+        if alpha == -2.0:
+            return 2.0 * math.pi * r / ((D - r) * (D + r))
+        return 4.0 * r * ellipe(4.0 * D * r / (D + r) ** 2) / (
+            (D - r) ** 2 * (D + r))
+
+    w = math.sqrt(gap / r)
+    cuts = [0.0] + [c * w for c in (0.3, 1.0, 3.0, 10.0, 30.0) if c * w < 1.0]
+    cuts.append(math.pi)
+    return 2.0 * r * sum(quad(inner, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+                         for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -3.0])
+def test_circle_pair_cross_energy_at_small_gap(alpha):
+    # the facing arcs at gap 1e-3: a product rule graded only toward the
+    # facing points was 7e-4 (alpha = -2) and 2.4e-3 (alpha = -3) off
+    value = sphere_pair_cross_energy(1, alpha, 1.0, 1e-3)
+    assert value == pytest.approx(_two_circle_cross_energy(alpha, 1e-3),
+                                  rel=1e-10)
+
+
 def test_cross_energy_gap_precondition():
     with pytest.raises(PreconditionError):
         sphere_pair_cross_energy(2, -4.0, 1.0, 0.0)

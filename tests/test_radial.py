@@ -236,19 +236,6 @@ def test_profile_curvature_link_ellipsoid():
         assert 2.0 * prof.taylor[2] == pytest.approx(expected, rel=1e-8)
 
 
-def test_profile_csv_roundtrip(tmp_path):
-    circ = make_circle()
-    patch = graph_patch_at(circ, (0, [0.2]), 0.8)
-    prof = radial_profile(patch, 0.8)
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path)
-    back = RadialProfile.from_csv(path)
-    np.testing.assert_array_equal(back.ts, prof.ts)
-    np.testing.assert_array_equal(back.values, prof.values)
-    np.testing.assert_array_equal(back.taylor, prof.taylor)
-    assert back.m == prof.m and back.eps0 == prof.eps0
-
-
 def test_profile_rejects_samples_off_the_lobatto_radii():
     ts = np.linspace(0.0, 0.8, 17)
     with pytest.raises(PreconditionError, match="Chebyshev-Lobatto"):

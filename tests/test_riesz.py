@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rieszlab.cli import dump_json
 from rieszlab.errors import PoleError, PreconditionError
 from rieszlab.geometry import icosphere, make_circle, make_sphere
 from rieszlab.riesz import (BetaOracle, QuadratureConfig, beta_oracle,
@@ -201,7 +203,6 @@ def test_scaling_check_pole_log_coefficient():
 
 def test_report_json_roundtrip():
     rep = riesz_energy(make_circle(), 1.0)
-    import json
-    data = json.loads(rep.to_json())
+    data = json.loads(dump_json(rep.as_dict()))
     assert data["pole"] is None
     assert data["value"] == pytest.approx(rep.value, rel=1e-15)
