@@ -13,7 +13,7 @@ from .flow import (ContactReport, EnergySelector, FlowState, contact_monitor,
                    energy_gradient, flow_step, ks_flow_energy, run_flow,
                    write_trajectory_csv)
 from .geometry import (ChartSurface, CurvatureData, GraphPatch,
-                       PatchClassParams, TriMesh, curvature_at,
+                       PatchClassParams, PatchStack, TriMesh, curvature_at,
                        default_patch_radius, euler_characteristic,
                        graph_patch_at, icosphere, make_circle,
                        make_cylinder_patch, make_disjoint_union, make_disk,
@@ -29,8 +29,8 @@ from .models import (CutoffFit, classify_cutoff_law, cone_model_scan,
 from .moebius import (InvarianceReport, MoebiusMap, apply_moebius, as_energy,
                       combined_angle_cos, combined_angle_cos_frames,
                       ks_cross_energy, ks_energy, moebius_invariance_check)
-from .radial import (EnergyParams, FinitePartResult, RadialProfile,
-                     finite_part, radial_profile,
+from .radial import (EnergyParams, FinitePartResult, ProfileStack,
+                     RadialProfile, finite_part, radial_profile,
                      unit_sphere_volume_m1)
 from .riesz import (BetaOracle, EnergyReport, QuadratureConfig, beta_oracle,
                     beta_residue, finite_part_at_pole, riesz_energy,

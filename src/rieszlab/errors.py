@@ -14,7 +14,15 @@ class ConfigError(RieszLabError):
 
 
 class NumericalError(RieszLabError):
-    """An iteration or quadrature failed to reach its tolerance."""
+    """An iteration or quadrature failed to reach its tolerance.
+
+    node, when set, is the index of the failing point in a batched call
+    (a patch stack or a profile stack).
+    """
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class UnsupportedInputError(RieszLabError):
@@ -52,8 +60,8 @@ class SingularMapError(PreconditionError):
 class ProfileFitError(NumericalError):
     """Radial profile not resolved by its largest Chebyshev interpolant."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
+    def __init__(self, message, residual=None, node=None):
+        super().__init__(message, node=node)
         self.residual = residual
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
                       UnsupportedInputError)
-from .patches import CurvatureData, GraphPatch, orthonormal_frames
+from .patches import CurvatureData, PatchStack, dot, orthonormal_frames
 from .surface import NodeSet, Surface
 
 __all__ = [
@@ -63,15 +63,20 @@ def _inv_small(A):
     return np.linalg.inv(A)
 
 
-def _project(frame, J):
-    """frame^T J over a (..., n, m) stack of Jacobians, as one matrix product.
+def _matvec(M, x):
+    """M x per row of M (..., a, b), x (..., b), as plain products."""
+    return sum(M[..., j] * x[..., j, None] for j in range(M.shape[-1]))
 
-    frame has shape (n, c); the result has shape (..., c, m).
-    """
-    n, m = J.shape[-2:]
-    rows = np.swapaxes(J, -1, -2).reshape(-1, n) @ frame
-    return np.swapaxes(rows.reshape(J.shape[:-2] + (m, frame.shape[1])),
-                       -1, -2)
+
+def _tmatvec(M, x):
+    """M^T x per row of M (..., a, b), x (..., a) (no conjugation)."""
+    return np.einsum("...ij,...i->...j", M, x)
+
+
+def _tmatmul(F, J):
+    """F^T J per row of F (..., n, c), J (..., n, k) (no conjugation)."""
+    return np.stack([_tmatvec(F, J[..., k]) for k in range(J.shape[-1])],
+                    axis=-1)
 
 
 class Chart:
@@ -79,12 +84,18 @@ class Chart:
 
     value/jacobian/hessian accept parameter arrays of shape (..., m) and
     return (..., n), (..., n, m), (..., n, m, m). repatch, when set, maps a
-    base parameter u0 to an equivalent chart that is well conditioned around
-    that point (used to move coordinate poles away from patch centers).
+    stack of base parameters u0 (B, m) to a stack of B equivalent charts,
+    each well conditioned around its point (used to move coordinate poles
+    away from patch centers), and the points' parameters in them. The maps
+    of a stack take one parameter row per chart, u (B, m), and its
+    take(idx) is the stack of the charts idx; take is None on a single
+    chart. both, when set, gives (value(u), jacobian(u)) in one call that
+    shares their work (`value_jacobian`).
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
-                 name="chart", component=0, repatch=None):
+                 name="chart", component=0, repatch=None, take=None,
+                 both=None):
         self.m = int(m)
         self.n = int(n)
         self.value = value
@@ -94,6 +105,14 @@ class Chart:
         self.name = name
         self.component = int(component)
         self.repatch = repatch
+        self.take = take
+        self.both = both
+
+    def value_jacobian(self, u):
+        """(value(u), jacobian(u))."""
+        if self.both is not None:
+            return self.both(u)
+        return self.value(u), self.jacobian(u)
 
 
 @dataclass
@@ -258,15 +277,23 @@ class ChartSurface(Surface):
                                    hess_map(x), Ju, Ju)
                 return first + second
 
-            repatch = None
+            def both(u, chart=chart):
+                x, Ju = chart.value_jacobian(u)
+                return (value_map(x),
+                        np.einsum("...ij,...jp->...ip", jac_map(x), Ju))
+
+            repatch = take = None
             if chart.repatch is not None:
                 def repatch(u0, chart=chart):
                     base2, u02 = chart.repatch(u0)
                     return wrap_chart(base2), u02
+            if chart.take is not None:
+                def take(idx, chart=chart):
+                    return wrap_chart(chart.take(idx))
 
             return Chart(chart.m, chart.n, value, jacobian, hessian,
                          chart.param_rule, chart.name, chart.component,
-                         repatch=repatch)
+                         repatch=repatch, take=take, both=both)
 
         return ChartSurface(self.m, self.n, [wrap_chart(c) for c in self.charts],
                             self.closed, self.euler_char,
@@ -286,94 +313,118 @@ class ChartSurface(Surface):
         pts = self.quadrature(0.25).points
         return float(np.min(np.linalg.norm(pts - point, axis=-1)))
 
-    def patch_at(self, locator, radius, shrink=True,
-                 measure_bound=True) -> GraphPatch:
-        """Graph patch at the located point; the radius is validated on a
-        polar grid and shrunk until the graph Newton converges there (unless
-        shrink=False). Patches also carry `chord_solve`."""
-        chart_idx, u0 = self.locate(locator)
+    bound_grid = (8, 4)
+
+    def patches_at(self, locators, radius, shrink=True) -> PatchStack:
+        """Graph patches at the located points, one stack per run of
+        points on the same chart. Each radius is validated on a polar grid
+        and shrunk by 0.85 until the graph Newton converges there (unless
+        shrink=False). Chord rows are solved in the chart parameters."""
+        located = [self.locate(loc) for loc in locators]
+        ks = np.array([k for k, _ in located])
+        cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1), len(ks)]
+        return PatchStack.concatenate([
+            self._chart_patches(int(ks[a]),
+                                np.array([u for _, u in located[a:b]]),
+                                radius, shrink)
+            for a, b in zip(cuts[:-1], cuts[1:])])
+
+    def _chart_patches(self, chart_idx, u0, radius, shrink) -> PatchStack:
         chart = self.charts[chart_idx]
         if chart.repatch is not None:
             chart, u0 = chart.repatch(u0)
+        take = chart.take or (lambda idx: chart)    # the charts of some rows
         x0 = chart.value(u0)
         jac0 = chart.jacobian(u0)
         tangent, normal = orthonormal_frames(jac0)
-        A0 = np.linalg.inv(tangent.T @ jac0)
+        A0 = _inv_small(_tmatmul(tangent, jac0))
+        where = f"chart {chart_idx}"
 
-        def solve_params(eta, tol=1e-13, max_iter=60):
-            eta = np.asarray(eta, dtype=float)
-            single = eta.ndim == 1
-            eta2 = eta[None] if single else eta
-            u = u0 + eta2 @ A0.T
-            target = eta2 + (tangent.T @ x0)
-            tol_row = tol * (1.0 + np.linalg.norm(eta2, axis=-1))
-            idx = np.arange(len(eta2))
+        def solve_params(node, eta, tol=1e-13, max_iter=60):
+            """Chart parameters of the graph points over eta (R, m) of the
+            rows' nodes, and the rows left unconverged."""
+            u = u0[node] + _matvec(A0[node], eta)
+            T = tangent[node]
+            target = eta + _tmatvec(T, x0[node])
+            tol_row = tol * (1.0 + np.linalg.norm(eta, axis=-1))
+            idx = np.arange(len(eta))
             for _ in range(max_iter):
-                res = chart.value(u[idx]) @ tangent - target[idx]
+                res = _tmatvec(T[idx], take(node[idx]).value(u[idx])) \
+                    - target[idx]
                 bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
                 if not bad.any():
-                    idx = idx[:0]
-                    break
+                    return u, idx[:0]
                 sel = idx[bad]
-                step = _solve_small(_project(tangent, chart.jacobian(u[sel])),
-                                    res[bad])
+                J = take(node[sel]).jacobian(u[sel])
+                step = _solve_small(_tmatmul(T[sel], J), res[bad])
                 # clamp wild steps near chart degeneracies
                 u[sel] -= np.clip(step, -1.0, 1.0)
                 idx = sel
-            if len(idx):
+            return u, idx
+
+        def graph_params(node, eta):
+            node, eta = np.ravel(node), np.asarray(eta, dtype=float)
+            u, failed = solve_params(node, eta.reshape(len(node), -1))
+            if len(failed):
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
-                    f"radius (chart {chart_idx})")
-            return u[0] if single else u
+                    f"radius ({where})", node=int(node[failed[0]]))
+            return node, u
 
-        def height(eta):
-            eta = np.asarray(eta, dtype=float)
-            u = solve_params(eta)
-            d = chart.value(u) - x0
-            return d @ normal
-
-        def grad_height(J):
+        def grad_height(J, T, N):
             # (N^T J)(T^T J)^-1 with the inverse in closed form
-            return np.einsum("...ci,...ij->...cj", _project(normal, J),
-                             _inv_small(_project(tangent, J)))
+            return np.einsum("...ci,...ij->...cj", _tmatmul(N, J),
+                             _inv_small(_tmatmul(T, J)))
 
-        def height_jacobian(eta):
-            return grad_height(chart.jacobian(solve_params(
-                np.asarray(eta, dtype=float))))
+        def height(node, eta):
+            node, u = graph_params(node, eta)
+            d = take(node).value(u) - x0[node]
+            return _tmatvec(normal[node], d).reshape(
+                np.shape(eta)[:-1] + (-1,))
+
+        def height_jacobian(node, eta):
+            node, u = graph_params(node, eta)
+            dh = grad_height(take(node).jacobian(u), tangent[node],
+                             normal[node])
+            return dh.reshape(np.shape(eta)[:-1] + dh.shape[1:])
 
         # Absolute stopping floor of the chord Newton: 16 ulps of the
         # coordinates, above the rounding that x(u) - x0 leaves in the residuals
         # (a floor near one ulp stalls at the smallest radii).
-        floor = 16.0 * np.finfo(float).eps * (float(np.linalg.norm(x0))
+        floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
 
-        def chord_solve(v, t, max_iter=60):
+        def chord_solve(node, v, t, max_iter=60):
             """(xi, h, grad h) at chord distance t along tangent directions v.
 
-            Newton in the chart parameter u, one row per (v, t), on
+            Newton in the chart parameter u, one row per (node, v, t), on
             |x(u) - x0| = t together with <v_perp, T^T (x(u) - x0)> = 0 for
             m = 2 (the distance equation alone for m = 1); the converged point
             must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
             as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
             about 1e-12 relative at the smallest radii.
             """
+            node = np.asarray(node)
             v = np.asarray(v, dtype=float)
             t = np.asarray(t, dtype=float)
+            T = tangent[node]
             d_out = np.empty((len(t), self.n))
             J_out = np.empty((len(t), self.n, self.m))
-            # active rows: parameter, radius, tolerance, row index and, for
-            # m = 2, the second equation's ambient direction T v_perp
-            uk = u0 + (t[:, None] * v) @ A0.T
-            tk, tolk, idx = t, 1e-13 * t + floor, np.arange(len(t))
-            pk = (np.stack([-v[:, 1], v[:, 0]], axis=-1) @ tangent.T
+            # active rows: parameter, radius, tolerance, row index, base
+            # point, chart and, for m = 2, the second equation's ambient
+            # direction T v_perp
+            uk = u0[node] + _matvec(A0[node], t[:, None] * v)
+            tk, tolk, idx = t, 1e-13 * t + floor[node], np.arange(len(t))
+            xk, ck = x0[node], take(node)
+            pk = (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1))
                   if self.m == 2 else None)
             for _ in range(max_iter):
-                d = chart.value(uk) - x0
-                J = chart.jacobian(uk)
+                d, J = ck.value_jacobian(uk)
+                d = d - xk
                 # (|d|^2 - t^2) / (2 t): the distance residual in length units
-                res = [(np.einsum("kn,kn->k", d, d) - tk * tk) / (2.0 * tk)]
+                res = [(dot(d, d) - tk * tk) / (2.0 * tk)]
                 if pk is not None:
-                    res.append(np.einsum("kn,kn->k", d, pk))
+                    res.append(dot(d, pk))
                 bad = np.abs(res[0]) > tolk
                 for r in res[1:]:
                     bad |= np.abs(r) > tolk
@@ -386,14 +437,15 @@ class ChartSurface(Surface):
                     J_out[idx[done]] = J[done]
                     if not n_bad:
                         break
-                    uk, tk, tolk, idx, d, J = (
-                        a[bad] for a in (uk, tk, tolk, idx, d, J))
+                    uk, tk, tolk, idx, xk, d, J = (
+                        a[bad] for a in (uk, tk, tolk, idx, xk, d, J))
+                    ck = take(node[idx])
                     res = [r[bad] for r in res]
                     pk = None if pk is None else pk[bad]
                     bad = bad[bad]
-                rows = [np.einsum("kn,knj->kj", d, J) / tk[:, None]]
+                rows = [_tmatvec(J, d) / tk[:, None]]
                 if pk is not None:
-                    rows.append(np.einsum("kn,knj->kj", pk, J))
+                    rows.append(_tmatvec(J, pk))
                 step = _solve_small(np.stack(rows, axis=-2),
                                     np.stack(res, axis=-1))
                 # clamp wild steps near chart degeneracies
@@ -401,45 +453,45 @@ class ChartSurface(Surface):
             else:
                 raise NumericalError(
                     f"chord Newton did not converge on {len(idx)} rows "
-                    f"(chart {chart_idx}); is t beyond the patch?")
-            if np.any(np.einsum("kj,kj->k", d_out @ tangent, v) <= 0.0):
+                    f"({where}); is t beyond the patch?", node=int(node[idx[0]]))
+            wrong = dot(_tmatvec(T, d_out), v) <= 0.0
+            if wrong.any():
                 raise NumericalError(
-                    f"chord Newton left the ray's side (chart {chart_idx})")
-            h = d_out @ normal
-            xi = np.sqrt(np.maximum(t * t - np.einsum("kc,kc->k", h, h), 0.0))
-            return xi, h, grad_height(J_out)
+                    f"chord Newton left the ray's side ({where})",
+                    node=int(node[np.argmax(wrong)]))
+            h = _tmatvec(normal[node], d_out)
+            xi = np.sqrt(np.maximum(t * t - dot(h, h), 0.0))
+            return xi, h, grad_height(J_out, T, normal[node])
 
-        # Validate the radius on a coarse polar grid (rim plus interior rings).
-        r = float(radius)
+        # Validate each radius on a coarse polar grid (rim plus interior
+        # rings); the nodes whose grid fails shrink and are tried again.
+        if self.m == 1:
+            grid = np.array([[[1.0]], [[-1.0]], [[0.5]], [[-0.5]]])
+        else:
+            ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+            grid = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[None]
+        rings = np.array([0.35, 0.7, 0.98]) if self.m == 2 else np.ones(1)
+        r = np.full(len(u0), float(radius))
         attempts = 0
-        while True:
-            try:
-                if self.m == 1:
-                    probe = np.array([[r], [-r], [0.5 * r], [-0.5 * r]])
-                else:
-                    ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-                    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-                    rads = np.array([0.35, 0.7, 0.98]) * r
-                    probe = (dirs[None] * rads[:, None, None]).reshape(-1, 2)
-                solve_params(probe)
-                break
-            except PatchRadiusError:
-                if not shrink:
-                    raise
-                attempts += 1
-                r *= 0.85
-                if attempts > 40:
-                    raise
-        patch = GraphPatch(base_point=x0, tangent=tangent, normal=normal,
-                           radius=r, height=height,
-                           height_jacobian=height_jacobian,
-                           chord_solve=chord_solve,
-                           meta={"chart_index": chart_idx, "param": u0.copy()})
-        if measure_bound:
-            patch.derivative_bound = patch.measure_derivative_bound(
-                n_angular=8, n_radial=4)
-        return patch
-
+        todo = np.arange(len(u0))
+        while len(todo):
+            eta = grid * (rings * r[todo, None])[..., None, None]
+            node = np.repeat(todo, eta[0].size // self.m)
+            _, failed = solve_params(node, eta.reshape(-1, self.m))
+            todo = np.unique(node[failed])
+            if len(todo) and (not shrink or attempts >= 40):
+                raise PatchRadiusError(
+                    "graph-patch Newton did not converge inside the requested "
+                    f"radius ({where})", node=int(todo[0]))
+            attempts += 1
+            r[todo] *= 0.85
+        return PatchStack(base_point=x0, tangent=tangent, normal=normal,
+                          radii=r, height=height,
+                          height_jacobian=height_jacobian,
+                          chord_solve=chord_solve,
+                          fit_residual=np.zeros(len(r)),
+                          meta={"chart_index": np.full(len(r), chart_idx),
+                                "param": u0})
 
 
 # ----------------------------------------------------------------------
@@ -527,20 +579,24 @@ def make_circle(radius=1.0, center=(0.0, 0.0), base_nodes=256, component=0):
     return ChartSurface(1, 2, [chart], True, 0, f"circle(r={r})")
 
 
-def _rotation_taking_ex(target):
-    """Proper rotation R with R e_x = target (unit vector)."""
-    t = np.asarray(target, dtype=float)
-    t = t / np.linalg.norm(t)
-    e = np.array([1.0, 0.0, 0.0])
-    v = np.cross(e, t)
-    c = float(e @ t)
-    s = float(np.linalg.norm(v))
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        return np.diag([-1.0, 1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx * ((1.0 - c) / s ** 2)
+def _rotations_taking_ex(target):
+    """Proper rotations R (B, 3, 3) with R e_x = target (B, 3) unit vectors:
+    the rotations about the axis e_x x t, I + [v]x + [v]x^2 (1 - c) / s^2
+    with [v]x the cross-product matrix of v = e_x x t, c = t_x, s = |v|."""
+    t = target / np.linalg.norm(target, axis=-1)[:, None]
+    zero = np.zeros(len(t))
+    vx = np.stack([np.stack([zero, -t[:, 1], -t[:, 2]], axis=-1),
+                   np.stack([t[:, 1], zero, zero], axis=-1),
+                   np.stack([t[:, 2], zero, zero], axis=-1)], axis=-2)
+    c, s2 = t[:, 0], t[:, 1] ** 2 + t[:, 2] ** 2
+    aligned = s2 < 1e-24
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.eye(3) + vx + vx @ vx * ((1.0 - c) / s2)[:, None, None]
+    # t = +-e_x: the identity, or the half turn about e_y
+    flip = np.where(c[aligned] > 0, 1.0, -1.0)
+    R[aligned] = np.eye(3) * np.stack([flip, np.ones_like(flip), flip],
+                                      axis=-1)[:, None]
+    return R
 
 
 def _unit_sphere_maps():
@@ -572,8 +628,8 @@ def _unit_sphere_maps():
 
 
 def _spheroid_chart(ax, ctr, rot, base_nodes, component, name):
-    """Chart u -> ctr + diag(ax) rot sph(u); repatch rotates the basepoint
-    onto the equator where the parametrization is best conditioned."""
+    """Chart u -> ctr + diag(ax) rot sph(u); repatch rotates each basepoint
+    onto the equator, where the parametrization is best conditioned."""
     sval, stangents, shess = _unit_sphere_maps()
     A = np.diag(ax) @ rot
 
@@ -588,13 +644,47 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component, name):
         return np.einsum("ij,...jpq->...ipq", A, shess(u))
 
     def repatch(u0):
-        s0 = rot @ sval(np.atleast_1d(u0))
-        new_rot = _rotation_taking_ex(s0)
-        chart2 = _spheroid_chart(ax, ctr, new_rot, base_nodes, component, name)
-        return chart2, np.array([math.pi / 2.0, 0.0])
+        s0 = sval(u0) @ rot.T
+        cols = np.transpose(ax[:, None] * _rotations_taking_ex(s0), (2, 1, 0))
+        return (_spheroid_stack(np.ascontiguousarray(cols), ctr, base_nodes,
+                                component, name),
+                np.tile([math.pi / 2.0, 0.0], (len(s0), 1)))
 
     return Chart(2, 3, value, jacobian, hessian, _sphere_rule(*base_nodes),
                  name=name, component=component, repatch=repatch)
+
+
+def _spheroid_stack(cols, ctr, base_nodes, component, name):
+    """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
+    with cols[j] (3, R) the j-th columns of the A_r, stored by component
+    so that every product below runs over the rows in memory order."""
+    a0, a1, a2 = (c.T for c in cols)
+
+    def trig(u):
+        th, ph = u[..., 0, None], u[..., 1, None]
+        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+
+    def both(u):
+        # A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1
+        st, ct, sp, cp = trig(u)
+        e = cp * a0 + sp * a1
+        return (ctr + st * e + ct * a2,
+                np.stack([ct * e - st * a2, st * (cp * a1 - sp * a0)], axis=-1))
+
+    def hessian(u):
+        st, ct, sp, cp = trig(u)
+        e = cp * a0 + sp * a1
+        d_tp = ct * (cp * a1 - sp * a0)
+        return np.stack([np.stack([-(st * e + ct * a2), d_tp], axis=-1),
+                         np.stack([d_tp, -st * e], axis=-1)], axis=-1)
+
+    def take(idx):
+        return _spheroid_stack(np.take(cols, idx, axis=-1), ctr, base_nodes,
+                               component, name)
+
+    return Chart(2, 3, lambda u: both(u)[0], lambda u: both(u)[1], hessian,
+                 _sphere_rule(*base_nodes), name=name, component=component,
+                 take=take, both=both)
 
 
 def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0),

@@ -14,11 +14,9 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from ..errors import TopologyError, UnsupportedInputError
-from .patches import (CurvatureData, GraphPatch, cross, dot, fit_curvature,
+from .patches import (CurvatureData, PatchStack, cross, dot, fit_curvature,
                       fit_tangent_frames, orthonormal_frames)
 from .surface import NodeSet, Surface
 
@@ -73,6 +71,9 @@ class MeshTopology:
     @cached_property
     def adjacency(self):
         """Sparse (V, V) pattern of the vertex pairs that share a face."""
+        # scipy.sparse is imported on first use, as csgraph below: runs on
+        # charts alone never load it
+        from scipy import sparse
         k = np.arange(self.m + 1)
         a, b = np.nonzero(k[:, None] != k[None, :])
         V = self.num_vertices
@@ -84,6 +85,7 @@ class MeshTopology:
         """Sorted vertex ids within `depth` edges of each vertex, itself
         excluded (depth 1: the vertices sharing a face with it)."""
         if depth not in self._rings:
+            from scipy import sparse
             reach = self.adjacency
             for _ in range(depth - 1):
                 reach = reach + reach @ self.adjacency
@@ -124,6 +126,7 @@ class MeshTopology:
     def incidence(self):
         """Sparse (V, F) vertex-face incidence: 1 where the vertex is a
         corner of the face. Face-to-vertex sums are products with it."""
+        from scipy import sparse
         F, k = len(self.faces), self.m + 1
         return sparse.csr_matrix((np.ones(F * k), (self.faces.ravel(),
                                                    np.repeat(np.arange(F), k))),
@@ -196,9 +199,10 @@ class TriMesh(Surface):
             raise UnsupportedInputError("mesh has non-finite vertex coordinates")
         if np.any(self.measures() <= 0.0):
             raise TopologyError("mesh contains a degenerate simplex")
-        # with_vertices copies the mesh, and with it the fit of the old
-        # vertices
+        # with_vertices copies the mesh, and with it the fit and the local
+        # scale of the old vertices
         self.__dict__.pop("_fits", None)
+        self.__dict__.pop("_local_scale", None)
 
     # -- structure -----------------------------------------------------
 
@@ -264,16 +268,25 @@ class TriMesh(Surface):
 
     def local_scale(self) -> np.ndarray:
         """Mean incident edge length per vertex."""
-        # np.mean per vertex: its pairwise summation order sets the last bits
-        out = np.zeros(self.num_vertices)
-        for v, ns in enumerate(self.vertex_neighbors()):
-            if len(ns):
-                d = np.linalg.norm(self.vertices[ns] - self.vertices[v], axis=-1)
-                out[v] = float(np.mean(d))
+        return self._local_scale
+
+    @cached_property
+    def _local_scale(self):
+        # each edge's length once, summed onto both of its ends
+        adj, V = self.topology.adjacency, self.num_vertices
+        degree = np.diff(adj.indptr)
+        a, b = np.repeat(np.arange(V), degree), adj.indices
+        a, b = a[a < b], b[a < b]
+        length = np.linalg.norm(self.vertices[b] - self.vertices[a], axis=-1)
+        out = (np.bincount(a, length, minlength=V)
+               + np.bincount(b, length, minlength=V))
+        out = np.divide(out, degree, out=out, where=degree > 0)
+        out.flags.writeable = False
         return out
 
     def min_nonneighbor_distance(self) -> float:
         """Min distance between vertices not sharing any face."""
+        from scipy.spatial import cKDTree
         pts, V = self.vertices, self.num_vertices
         adj = self.topology.adjacency
         nbr = np.repeat(np.arange(V), np.diff(adj.indptr)) * V + adj.indices
@@ -407,43 +420,39 @@ class TriMesh(Surface):
     def euler_characteristic(self) -> int:
         return euler_characteristic(self)
 
-    def patch_at(self, locator, radius, shrink=True,
-                 measure_bound=True) -> GraphPatch:
-        """The vertex's quadratic graph fit, its radius capped at 0.9x the
-        2-ring's extent (radius None takes the cap; shrink is not used).
+    def patches_at(self, locators, radius, shrink=True) -> PatchStack:
+        """The vertices' quadratic graph fits, each radius capped at 0.9x
+        its 2-ring's extent (radius None takes the cap; shrink is not used).
 
         Chord rows are solved in closed form: along eta = xi v the height
         is xi^2 kappa / 2 with kappa_c = v^T C_c v, so xi^2 + |h|^2 = t^2
         gives xi^2 = 2 t^2 / (1 + sqrt(1 + |kappa|^2 t^2)).
         """
-        vertex = int(locator)
+        vertex = np.asarray(locators, dtype=int)
         tangent, normal, coeffs, rms, extent = (a[vertex] for a in self._fits)
-        r = float(extent if radius is None else min(radius, extent))
+        radii = extent.copy() if radius is None else np.minimum(radius, extent)
 
-        def height(eta):
+        def height(node, eta):
             eta = np.asarray(eta, dtype=float)
-            return 0.5 * np.einsum("...i,cij,...j->...c", eta, coeffs, eta)
+            return 0.5 * np.einsum("...i,...cij,...j->...c", eta,
+                                   coeffs[node], eta)
 
-        def height_jacobian(eta):
+        def height_jacobian(node, eta):
             eta = np.asarray(eta, dtype=float)
-            return np.einsum("cij,...j->...ci", coeffs, eta)
+            return np.einsum("...cij,...j->...ci", coeffs[node], eta)
 
-        def chord_solve(v, t):
-            cv = np.einsum("cij,kj->kci", coeffs, v)            # C_c v
+        def chord_solve(node, v, t):
+            cv = np.einsum("kcij,kj->kci", coeffs[node], v)     # C_c v
             kappa = np.einsum("kci,ki->kc", cv, v)
             kt = np.linalg.norm(kappa, axis=-1) * t
             xi = t * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 + kt * kt)))
             return xi, 0.5 * xi[:, None] ** 2 * kappa, xi[:, None, None] * cv
 
-        patch = GraphPatch(base_point=self.vertices[vertex], tangent=tangent,
-                           normal=normal, radius=r, height=height,
-                           height_jacobian=height_jacobian,
-                           chord_solve=chord_solve,
-                           fit_residual=float(rms),
-                           meta={"vertex": vertex, "coeffs": coeffs})
-        if measure_bound:
-            patch.derivative_bound = patch.measure_derivative_bound()
-        return patch
+        return PatchStack(base_point=self.vertices[vertex], tangent=tangent,
+                          normal=normal, radii=radii, height=height,
+                          height_jacobian=height_jacobian,
+                          chord_solve=chord_solve, fit_residual=rms,
+                          meta={"vertex": vertex, "coeffs": coeffs})
 
 
 def euler_characteristic(mesh: TriMesh) -> int:

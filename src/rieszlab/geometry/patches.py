@@ -2,19 +2,21 @@
 
 A graph patch at a surface point x is the map h from a ball in the tangent
 plane to the normal space with h(0)=0, grad h(0)=0, so that eta |-> x +
-T eta + N h(eta) parametrizes the surface near x. Chart surfaces get h by
-Newton inversion of the chart map, and also solve for the points at a given
-chord distance directly in chart parameters (`GraphPatch.chord_solve`);
-meshes get h from weighted least-squares quadratic fits over 2-ring
-neighborhoods, all vertices in one batch, and solve chord rows in closed
-form. A vertex fit is one solve in a seed frame, then the fitted graph's
+T eta + N h(eta) parametrizes the surface near x. Patches are built for a
+stack of points at once (`PatchStack`, one leading node axis on every
+array); a single `GraphPatch` is one node of a stack. Chart surfaces get h
+by Newton inversion of the chart map, and also solve for the points at a
+given chord distance directly in chart parameters (`chord_solve`), all
+rows of all nodes in one Newton; meshes get h from weighted least-squares
+quadratic fits over 2-ring neighborhoods, all vertices in one batch, and
+solve chord rows in closed form. A vertex fit is one solve in a seed frame, then the fitted graph's
 tangent plane (`fit_tangent_frames`, the frame step the KS flow reads) and
 its second fundamental form there (`fit_curvature`), both in closed form;
 `fit_quadratic_patches` runs both. `orthonormal_frames` is the one
 orthonormalizer of charts and meshes. Every step is written with plain
 (non-conjugating) products, so complex-step derivatives go through. The
-surfaces build their own patches (`patch_at` of the surface protocol); the
-functions here reach them through that protocol.
+surfaces build their own patches (`patches_at` and `patch_at` of the
+surface protocol); the functions here reach them through that protocol.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .surface import as_surface
 __all__ = [
     "orthonormal_frames",
     "GraphPatch",
+    "PatchStack",
     "CurvatureData",
     "PatchClassParams",
     "PatchValidationReport",
@@ -117,10 +120,8 @@ class GraphPatch:
     coordinates eta, and solves chord rows with chord_solve(v, t): for
     unit tangent directions v (K, m) and chord radii t (K,) > 0 it returns
     (xi, h, grad h), the radius xi >= 0 with xi^2 + |h(xi v)|^2 = t^2 and
-    the height data at that point. Chart patches solve each row by one
-    Newton iteration in the chart parameters; the quadratic patches of
-    meshes, h(eta) = eta^T C eta / 2 over the fitted graph's tangent plane
-    (no linear term), solve it in closed form.
+    the height data at that point. A patch is one node of a `PatchStack`
+    (its callables are the stack's, bound to that node).
     """
 
     base_point: np.ndarray        # (n,)
@@ -179,6 +180,102 @@ class GraphPatch:
                           + self.height_jacobian(eta - de)) / step ** 2
                     sup = max(sup, float(np.max(np.abs(d3))))
         return sup
+
+
+@dataclass
+class PatchStack:
+    """Graph patches of B surface points, every array with a leading node axis.
+
+    The callables take rows tagged with their node (an index into the
+    stack): height(node, eta) and height_jacobian(node, eta) for eta
+    (..., m) and node of shape eta.shape[:-1], and chord_solve(node, v, t)
+    for rows v (K, m), t (K,) > 0, with the results of
+    `GraphPatch.chord_solve`. Chart stacks solve every row by Newton in
+    the chart parameters of its node; mesh stacks in closed form on the
+    vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
+    graph's tangent plane. Errors raised for one row carry that row's node.
+    `stack[i]` is the `GraphPatch` of node i; meta maps keys to per-node
+    arrays.
+    """
+
+    base_point: np.ndarray        # (B, n)
+    tangent: np.ndarray           # (B, n, m)
+    normal: np.ndarray            # (B, n, n-m)
+    radii: np.ndarray             # (B,) validated radii
+    height: object
+    height_jacobian: object
+    chord_solve: object
+    fit_residual: np.ndarray      # (B,)
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def m(self) -> int:
+        return self.tangent.shape[-1]
+
+    @property
+    def radius(self) -> float:
+        """The smallest validated radius of the stack."""
+        return float(self.radii.min())
+
+    def __len__(self):
+        return len(self.radii)
+
+    def __getitem__(self, i) -> GraphPatch:
+        def bound(fn):
+            return lambda x, *rest: fn(np.full(np.shape(x)[:-1], i), x, *rest)
+
+        return GraphPatch(base_point=self.base_point[i],
+                          tangent=self.tangent[i], normal=self.normal[i],
+                          radius=float(self.radii[i]),
+                          height=bound(self.height),
+                          height_jacobian=bound(self.height_jacobian),
+                          chord_solve=bound(self.chord_solve),
+                          fit_residual=float(self.fit_residual[i]),
+                          meta={k: v[i] for k, v in self.meta.items()})
+
+    @staticmethod
+    def concatenate(stacks) -> "PatchStack":
+        """One stack of the nodes of several, in order."""
+        if len(stacks) == 1:
+            return stacks[0]
+        start = np.cumsum([0] + [len(s) for s in stacks])
+
+        def split(name):
+            def call(node, *args):
+                node = np.asarray(node)
+                part = np.searchsorted(start, node, side="right") - 1
+                out = None
+                for k, s in enumerate(stacks):
+                    sel = part == k
+                    if not sel.any():
+                        continue
+                    try:
+                        res = getattr(s, name)(node[sel] - start[k],
+                                               *(a[sel] for a in args))
+                    except NumericalError as exc:
+                        if exc.node is not None:
+                            exc.node += int(start[k])
+                        raise
+                    parts = res if isinstance(res, tuple) else (res,)
+                    if out is None:
+                        out = [np.empty(node.shape + p.shape[node.ndim:],
+                                        p.dtype) for p in parts]
+                    for o, p in zip(out, parts):
+                        o[sel] = p
+                return tuple(out) if isinstance(res, tuple) else out[0]
+            return call
+
+        def cat(name):
+            return np.concatenate([getattr(s, name) for s in stacks])
+
+        return PatchStack(
+            base_point=cat("base_point"), tangent=cat("tangent"),
+            normal=cat("normal"), radii=cat("radii"),
+            height=split("height"), height_jacobian=split("height_jacobian"),
+            chord_solve=split("chord_solve"),
+            fit_residual=cat("fit_residual"),
+            meta={k: np.concatenate([s.meta[k] for s in stacks])
+                  for k in stacks[0].meta})
 
 
 def fit_tangent_frames(offsets, mask, tangent, normal):
@@ -265,15 +362,20 @@ def tangent_frame(surface, locator):
 
 
 def graph_patch_at(surface, locator, radius, shrink=True,
-                   measure_bound=True) -> GraphPatch:
+                   measure_bound=True):
     """Graph patch of the surface at the located point.
 
     Returns the largest validated radius <= request; raises PatchRadiusError
     when shrink=False and the requested radius is not graph-representable.
-    measure_bound=False skips the derivative-bound sampling (hot loops).
+    measure_bound=False skips the derivative-bound sampling. A list of
+    locators gives their `PatchStack`, built in one batch (no derivative
+    bound).
     """
-    return as_surface(surface).patch_at(locator, radius, shrink=shrink,
-                                        measure_bound=measure_bound)
+    surface = as_surface(surface)
+    if isinstance(locator, list):
+        return surface.patches_at(locator, radius, shrink=shrink)
+    return surface.patch_at(locator, radius, shrink=shrink,
+                            measure_bound=measure_bound)
 
 
 # ----------------------------------------------------------------------

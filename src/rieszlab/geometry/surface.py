@@ -17,10 +17,13 @@ that turns any other object away.
   arrays (N, D, S, n) and (N, D, S, n, m). Charts make one value and one
   Jacobian call per chart; meshes step in their fitted quadratic patches,
   all vertices at once.
-- `patch_at(locator, radius, shrink=True, measure_bound=True)`: a
-  `GraphPatch` at the located point, with its `chord_solve`: charts solve
-  chord rows by Newton in their parameters, meshes in closed form on the
-  vertex's quadratic fit.
+- `patches_at(locators, radius, shrink=True)`: the `PatchStack` of a list
+  of located points, built in one batch, with its `chord_solve`: charts
+  solve chord rows by Newton in their parameters, meshes in closed form on
+  the vertex's quadratic fit. `patch_at(locator, radius, shrink=True,
+  measure_bound=True)` (here, for every surface) is its one-node case, a
+  `GraphPatch`, with the derivative bound measured on the surface's
+  `bound_grid` (angles, radii).
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
 - `frame_at(locator)`: oriented orthonormal (tangent, normal) frames.
 - `curvature_at(locator)`: `CurvatureData` at the located point.
@@ -46,6 +49,16 @@ __all__ = ["Surface", "NodeSet", "as_surface"]
 
 class Surface:
     """Base of the surfaces that implement the protocol above."""
+
+    bound_grid = (16, 16)
+
+    def patch_at(self, locator, radius, shrink=True, measure_bound=True):
+        patch = self.patches_at([locator], radius, shrink=shrink)[0]
+        if measure_bound:
+            n_angular, n_radial = self.bound_grid
+            patch.derivative_bound = patch.measure_derivative_bound(
+                n_angular=n_angular, n_radial=n_radial)
+        return patch
 
 
 @dataclass

@@ -38,43 +38,35 @@ class BlendKernel:
     the first four derivatives of t^alpha at t = eps. Used to decompose a
     singular pairwise kernel into (globally smooth part) + (radial residual
     supported in the ball), the latter being handled by the radial engine.
+    An array of radii eps (B,) gives B kernels at once: coeffs (B, order +
+    1), and the kernel then takes t with a matching leading axis.
     """
 
-    def __init__(self, alpha: float, eps: float, order: int = 4):
+    def __init__(self, alpha: float, eps, order: int = 4):
         self.alpha = float(alpha)
-        self.eps = float(eps)
+        self.eps = np.asarray(eps, dtype=float)
         self.order = int(order)
         n = self.order + 1  # number of even-polynomial coefficients
         # p(t) = sum_i c_i t^{2i}; match d^j/dt^j at t = eps for j = 0..order.
-        A = np.zeros((n, n))
-        rhs = np.zeros(n)
-        for j in range(n):
-            for i in range(n):
-                k = 2 * i
-                if k >= j:
-                    A[j, i] = math.perm(k, j) * self.eps ** (k - j)
-            a = self.alpha
-            coef = 1.0
-            for q in range(j):
-                coef *= (a - q)
-            rhs[j] = coef * self.eps ** (a - j)
-        self.coeffs = np.linalg.solve(A, rhs)
+        j = np.arange(n)[:, None]
+        k = 2 * np.arange(n)
+        perm = np.array([[math.perm(kk, jj) for kk in k] for jj in range(n)],
+                        dtype=float)
+        eps = self.eps[..., None, None]
+        A = np.where(k >= j, perm * eps ** (k - j), 0.0)
+        falling = np.array([math.prod(self.alpha - q for q in range(jj))
+                            for jj in range(n)])
+        rhs = falling * self.eps[..., None] ** (self.alpha - np.arange(n))
+        self.coeffs = np.linalg.solve(A, rhs[..., None])[..., 0]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        inside = t < self.eps
-        out = np.empty_like(t)
-        tt = t[inside] ** 2
-        acc = np.zeros_like(tt)
-        for c in self.coeffs[::-1]:
-            acc = acc * tt + c
-        out[inside] = acc
+        pad = (1,) * (t.ndim - self.eps.ndim)
+        tt = t * t
+        acc = np.zeros_like(t)
+        for c in np.moveaxis(self.coeffs, -1, 0)[::-1]:
+            acc = acc * tt + c.reshape(c.shape + pad)
         with np.errstate(divide="ignore"):
-            out[~inside] = t[~inside] ** self.alpha
+            out = np.where(t < self.eps.reshape(self.eps.shape + pad), acc,
+                           t ** self.alpha)
         return out if out.ndim else float(out)
-
-    def inside_poly_coeffs(self) -> np.ndarray:
-        """Plain power-basis coefficients of the interior polynomial."""
-        out = np.zeros(2 * self.order + 1)
-        out[::2] = self.coeffs
-        return out

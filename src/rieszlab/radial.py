@@ -15,24 +15,30 @@ convention x^0/0 = log x at exponent collisions.
 
 Each (direction v, chord radius t) row of the angular quadrature needs the
 radius xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h
-there. Every patch answers these rows through `GraphPatch.chord_solve`:
-chart patches by one Newton iteration in the chart parameters, the
-quadratic patches of meshes in closed form.
+there. Every patch answers these rows through its `chord_solve`: chart
+patches by one Newton iteration in the chart parameters, the quadratic
+patches of meshes in closed form. A `PatchStack` gives the profiles of all
+its nodes in one pass (`ProfileStack`): the rows of every node at a level
+go to one chord solve, one DCT-I fits them all, and only the nodes left
+unresolved are sampled at the next level; `finite_part` of a stack is one
+array sum. A single patch is the stack of one node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import PreconditionError, ProfileFitError
+from .geometry.patches import PatchStack
 
 __all__ = [
     "EnergyParams",
     "RadialProfile",
+    "ProfileStack",
     "FinitePartResult",
     "unit_sphere_volume_m1",
     "radial_profile",
@@ -88,12 +94,14 @@ def _angular_rule(m: int, nodes: int):
 # radial profile
 # ----------------------------------------------------------------------
 
-def _lobatto_radii(n: int, eps0: float) -> np.ndarray:
+def _lobatto_radii(n: int, eps0) -> np.ndarray:
     """Radii t_j with s_j = t_j^2 the n + 1 Chebyshev-Lobatto points of
-    [0, eps0^2], ascending: t_j = eps0 sin(pi j / 2n)."""
-    return eps0 * np.sin(0.5 * math.pi * np.arange(n + 1) / n)
+    [0, eps0^2], ascending: t_j = eps0 sin(pi j / 2n); eps0 (B,) gives one
+    row per radius."""
+    return np.multiply.outer(eps0, np.sin(0.5 * math.pi * np.arange(n + 1) / n))
 
 
+@lru_cache(maxsize=None)
 def _shifted_chebyshev(n: int) -> np.ndarray:
     """Row j holds the coefficients of T_j(2u - 1) in powers of u, j < n."""
     out = np.zeros((n, n))
@@ -103,7 +111,36 @@ def _shifted_chebyshev(n: int) -> np.ndarray:
     for j in range(1, n - 1):
         out[j + 1, 1:] = 4.0 * out[j, :-1]
         out[j + 1] -= 2.0 * out[j] + out[j - 1]
+    out.flags.writeable = False
     return out
+
+
+def _chebyshev_fit(values, eps0):
+    """Chebyshev data of profiles sampled at one Lobatto level, batched.
+
+    values (B, n + 1) holds each profile's samples at `_lobatto_radii(n,
+    eps0)`. Returns (coefficients (B, n + 1), zero past each profile's kept
+    count, kept counts (B,), fit residuals (B,), taylor (B, 2n + 3), zero
+    past each 2 * kept).
+    """
+    n = values.shape[-1] - 1
+    # DCT-I of the samples ordered by x = -cos(pi j / n): the real FFT of
+    # their even extension
+    c = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=-1),
+                    axis=-1).real / n
+    c[:, [0, -1]] *= 0.5
+    c[:, 1::2] *= -1.0
+    size = np.abs(c)
+    big = size > CHOP_TOL * size.max(axis=-1, keepdims=True)
+    keep = np.where(big.any(axis=-1), n + 1 - np.argmax(big[:, ::-1], axis=-1),
+                    1)
+    tail = np.arange(n + 1) >= keep[:, None]
+    residual = np.where(tail, size, 0.0).max(axis=-1)
+    c[tail] = 0.0
+    taylor = np.zeros((len(c), 2 * n + 3))
+    taylor[:, :-2:2] = (c @ _shifted_chebyshev(n + 1)
+                        / np.power.outer(eps0 ** 2, np.arange(n + 1)))
+    return c, keep, residual, taylor
 
 
 @dataclass
@@ -118,6 +155,7 @@ class RadialProfile:
     truncation error and sampling noise per coefficient; taylor[j] is the
     interpolant's coefficient of t^j, up to the first power past its
     degree (odd ones and the last zero, so taylor[2] is phi''(0) / 2).
+    A profile is one node of a `ProfileStack`, whose fit it shares.
     """
 
     ts: np.ndarray
@@ -137,19 +175,12 @@ class RadialProfile:
                 self.ts, _lobatto_radii(n, self.eps0), rtol=1e-12, atol=0)):
             raise PreconditionError("profile samples must sit at two or more "
                                     "Chebyshev-Lobatto radii of [0, eps0]")
-        # DCT-I of the samples ordered by x = -cos(pi j / n)
-        c = dct(self.values, type=1) / n
-        c[[0, -1]] *= 0.5
-        c[1::2] *= -1.0
-        big = np.abs(c) > CHOP_TOL * np.max(np.abs(c))
-        keep = int(np.nonzero(big)[0][-1]) + 1 if big.any() else 1
-        self.coefficients = c[:keep]
-        tail = np.abs(c[keep:])
-        self.fit_residual = float(tail.max()) if len(tail) else 0.0
-        s_pow = (self.eps0 ** 2) ** np.arange(keep)
-        self.taylor = np.zeros(2 * keep + 1)
-        self.taylor[:-1:2] = (self.coefficients @ _shifted_chebyshev(keep)
-                              / s_pow)
+        c, keep, residual, taylor = _chebyshev_fit(self.values[None],
+                                                   np.array([self.eps0]))
+        keep = int(keep[0])
+        self.coefficients = c[0, :keep]
+        self.fit_residual = float(residual[0])
+        self.taylor = taylor[0, :2 * keep + 1]
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -160,51 +191,103 @@ class RadialProfile:
     @classmethod
     def from_function(cls, fn, m, eps0) -> "RadialProfile":
         """Profile of a given even density fn(t), sampled like a patch's."""
-        return _interpolate(lambda t: np.asarray(fn(t), dtype=float),
-                            m, float(eps0), float(fn(0.0)))
+        def sample(node, t):
+            return np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
+
+        return _interpolate(sample, m, np.array([float(eps0)]),
+                            float(fn(0.0)))[0]
 
 
-def _interpolate(sample, m, eps0, sigma) -> RadialProfile:
+@dataclass
+class ProfileStack:
+    """Chord densities of B nodes, each a `RadialProfile` (`stack[i]`).
+
+    eps0 (B,) are the profiles' radii and samples their sample values (one
+    array per node, 17, 33 or 65 long); taylor (B, W) holds each node's
+    taylor row, zero past its own length, kept (B,) each node's number of
+    kept Chebyshev coefficients and fit_residual (B,) its chopped tail.
+    """
+
+    m: int
+    sigma: float
+    eps0: np.ndarray
+    samples: list
+    taylor: np.ndarray
+    kept: np.ndarray
+    fit_residual: np.ndarray
+
+    def __getitem__(self, i) -> RadialProfile:
+        values = self.samples[i]
+        return RadialProfile(ts=_lobatto_radii(len(values) - 1, self.eps0[i]),
+                             values=values, m=self.m,
+                             eps0=float(self.eps0[i]), sigma=self.sigma)
+
+
+def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
     """Sample phi at 17, 33 and then 65 Chebyshev-Lobatto points in s until
-    the interpolant is resolved; each level reuses the earlier samples."""
+    each node's interpolant is resolved; each level reuses the earlier
+    samples and samples only the nodes still unresolved. sample(node, t)
+    gives phi at radii t (b, T) of the nodes node (b,)."""
+    B = len(eps0)
+    width = 2 * _LEVELS[-1] + 3
+    samples = [None] * B
+    taylor = np.zeros((B, width))
+    kept = np.zeros(B, dtype=int)
+    residual = np.zeros(B)
+    todo = np.arange(B)
     n = _LEVELS[0]
-    values = sample(_lobatto_radii(n, eps0))
+    values = sample(todo, _lobatto_radii(n, eps0))
     while True:
-        profile = RadialProfile(ts=_lobatto_radii(n, eps0), values=values,
-                                m=m, eps0=eps0, sigma=sigma)
-        if 4 * (len(profile.coefficients) - 1) <= 3 * n:
-            return profile
+        c, keep, res, tay = _chebyshev_fit(values, eps0[todo])
+        done = 4 * (keep - 1) <= 3 * n
+        for j in np.flatnonzero(done):
+            samples[todo[j]] = values[j]
+        taylor[todo[done], :tay.shape[1]] = tay[done]
+        kept[todo[done]] = keep[done]
+        residual[todo[done]] = res[done]
+        if done.all():
+            return ProfileStack(m=m, sigma=sigma, eps0=eps0, samples=samples,
+                                taylor=taylor[:, :2 * kept.max() + 1],
+                                kept=kept, fit_residual=residual)
         if n == _LEVELS[-1]:
-            c = np.abs(profile.coefficients)
-            tail = float(np.max(c[3 * n // 4 + 1:]))
+            j = int(np.argmin(done))
+            size = np.abs(c[j])
+            tail = float(np.max(size[3 * n // 4 + 1:]))
             raise ProfileFitError(
                 f"radial profile unresolved at {n + 1} Chebyshev points: its "
-                f"last quarter of coefficients reaches {tail / c.max():.3g} "
-                f"of the largest (chop level {CHOP_TOL:g})", residual=tail)
-        finer = np.empty(2 * n + 1)
-        finer[::2] = values
-        finer[1::2] = sample(_lobatto_radii(2 * n, eps0)[1::2])
+                f"last quarter of coefficients reaches {tail / size.max():.3g} "
+                f"of the largest (chop level {CHOP_TOL:g})", residual=tail,
+                node=int(todo[j]))
+        todo, values = todo[~done], values[~done]
+        finer = np.empty((len(todo), 2 * n + 1))
+        finer[:, ::2] = values
+        finer[:, 1::2] = sample(todo, _lobatto_radii(2 * n, eps0[todo])[:, 1::2])
         values, n = finer, 2 * n
 
 
-def _chord_rows(patch, v, t):
-    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0."""
-    xi, h, dh = patch.chord_solve(v, t)
+def _chord_rows(patch, v, t, node=None):
+    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0,
+    of one patch, or of a `PatchStack` at the rows' nodes."""
+    xi, h, dh = (patch.chord_solve(v, t) if node is None
+                 else patch.chord_solve(node, v, t))
     # dxi/dt = t / (xi + <grad_v h, h>)
     hv = np.einsum("kcj,kj->kc", dh, v)
     return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh
 
 
-def _profile_batch(patch, v, w, ts, m):
-    """phi at many chord radii in one batched pass over (direction, t) rows."""
+def _profile_batch(patch, v, w, ts, m, node=None):
+    """phi at many chord radii in one batched pass over (direction, t) rows:
+    radii ts of one patch, or radii ts (b, T) of the stack nodes node (b,)."""
     ts = np.asarray(ts, dtype=float)
-    vals = np.full(len(ts), float(np.sum(w)))    # phi(0) = sigma_{m-1}
+    vals = np.full(ts.shape, float(np.sum(w)))    # phi(0) = sigma_{m-1}
     pos = ts > 0
     if not pos.any():
         return vals
     K = len(v)
     tt = np.repeat(ts[pos], K)
-    xi, dxi, dh = _chord_rows(patch, np.tile(v, (len(tt) // K, 1)), tt)
+    if node is not None:
+        node = np.repeat(np.broadcast_to(node[:, None], ts.shape)[pos], K)
+    xi, dxi, dh = _chord_rows(patch, np.tile(v, (len(tt) // K, 1)), tt, node)
     # area element sqrt(det(I + dh^T dh)) of the graph, in closed form
     d0 = dh[..., 0]
     g00 = 1.0 + np.einsum("kc,kc->k", d0, d0)
@@ -220,21 +303,32 @@ def _profile_batch(patch, v, w, ts, m):
     return vals
 
 
-def radial_profile(patch, eps0=None, angular_nodes=64) -> RadialProfile:
+def radial_profile(patch, eps0=None, angular_nodes=64):
     """Construct the chord density phi for a graph patch.
 
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
     s = t^2 (see `RadialProfile`); ProfileFitError is raised when 65
-    points do not resolve it.
+    points do not resolve it. A `PatchStack` gives the `ProfileStack` of
+    all its nodes, every level's chord rows solved at once; eps0 is then
+    per node (default the stack's radii), and errors carry the node.
     """
     m = patch.m
-    eps0 = float(eps0 if eps0 is not None else patch.radius)
-    if eps0 > patch.radius * (1 + 1e-12):
+    stacked = isinstance(patch, PatchStack)
+    radii = patch.radii if stacked else np.array([float(patch.radius)])
+    eps0 = np.broadcast_to(np.asarray(radii if eps0 is None else eps0,
+                                      dtype=float), radii.shape)
+    if np.any(eps0 > radii * (1 + 1e-12)):
         raise PreconditionError("profile radius exceeds the validated patch radius")
     sigma = unit_sphere_volume_m1(m)
     v, w = _angular_rule(m, angular_nodes)
-    return _interpolate(lambda t: _profile_batch(patch, v, w, t, m),
-                        m, eps0, sigma)
+    if stacked:
+        def sample(node, t):
+            return _profile_batch(patch, v, w, t, m, node)
+    else:
+        def sample(node, t):
+            return _profile_batch(patch, v, w, t[0], m)[None]
+    profiles = _interpolate(sample, m, eps0, sigma)
+    return profiles if stacked else profiles[0]
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +342,7 @@ class FinitePartResult:
     The truncated integral over [eps, eps0] expands as
     value - sum_j c_j eps^(e_j) - c_log * log(eps) + o(1); subtracted_powers
     lists the (e_j, c_j) with e_j < 0 and c_log is the log coefficient.
+    For a `ProfileStack` every field holds one entry per node.
     """
 
     value: float
@@ -256,8 +351,7 @@ class FinitePartResult:
     error_estimate: float
 
 
-def finite_part(params: EnergyParams, profile: RadialProfile,
-                eps0: float | None = None) -> FinitePartResult:
+def finite_part(params: EnergyParams, profile, eps0=None) -> FinitePartResult:
     """Pf. of integral_0^eps0 t^(alpha+m-1) phi(t) dt, in closed form.
 
     With phi = sum_k a_k t^(2k) (profile.taylor) this is
@@ -266,26 +360,47 @@ def finite_part(params: EnergyParams, profile: RadialProfile,
     eps0 up to the profile's own radius may be used. The error estimate
     pushes the profile's tail level through the same sum for each
     Chebyshev basis polynomial up to one past the kept degree (the last
-    entry of taylor), and adds the rounding of the sum.
+    entry of taylor), and adds the rounding of the sum. A `ProfileStack`
+    gives every node's finite part at once, eps0 per node.
     """
     alpha, m = params.alpha, params.m
     if m != profile.m:
         raise PreconditionError("profile dimension does not match params")
-    eps0 = float(eps0 if eps0 is not None else profile.eps0)
-    if eps0 > profile.eps0 * (1 + 1e-12):
+    stacked = isinstance(profile, ProfileStack)
+    if stacked:
+        radius, taylor = profile.eps0, profile.taylor
+        kept, residual = profile.kept, profile.fit_residual
+    else:
+        radius, taylor = np.array([profile.eps0]), profile.taylor[None]
+        kept = np.array([len(profile.coefficients)])
+        residual = np.array([profile.fit_residual])
+    eps0 = np.broadcast_to(np.asarray(radius if eps0 is None else eps0,
+                                      dtype=float), radius.shape)
+    if np.any(eps0 > radius * (1 + 1e-12)):
         raise PreconditionError("eps0 exceeds the profile range")
-    a = profile.taylor[::2]
-    k = np.arange(len(a))
+    a = taylor[:, ::2]
+    k = np.arange(a.shape[1])
     e = alpha + m + 2.0 * k
     pole = np.abs(e) < POLE_SNAP_TOL
-    w = np.where(pole, math.log(eps0), eps0 ** e / np.where(pole, 1.0, e))
+    with np.errstate(divide="ignore"):
+        w = np.where(pole, np.log(eps0)[:, None],
+                     np.power.outer(eps0, e) / np.where(pole, 1.0, e))
     terms = a * w
-    value = math.fsum(terms)
-    log_coef = float(np.sum(a[pole]))
-    subtracted = [(float(e_k), float(a_k / e_k))
-                  for e_k, a_k in zip(e, a) if e_k < -POLE_SNAP_TOL]
-    basis = _shifted_chebyshev(len(w)) @ (w / (profile.eps0 ** 2) ** k)
-    err = (profile.fit_residual * float(np.sum(np.abs(basis)))
-           + 8.0 * np.finfo(float).eps * float(np.sum(np.abs(terms))))
-    return FinitePartResult(value=value, subtracted_powers=subtracted,
-                            log_coefficient=log_coef, error_estimate=err)
+    value = terms.sum(axis=-1)
+    log_coef = a[:, pole].sum(axis=-1)
+    # basis polynomials j <= kept of each node; T_j has no power past j
+    basis = (w / np.power.outer(radius ** 2, k)) @ _shifted_chebyshev(
+        len(k)).T
+    own = k <= kept[:, None]
+    err = (residual * np.where(own, np.abs(basis), 0.0).sum(axis=-1)
+           + 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=-1))
+    subtracted = [[(float(e_k), float(a_k / e_k))
+                   for e_k, a_k in zip(e[:kk + 1], row) if e_k < -POLE_SNAP_TOL]
+                  for row, kk in zip(a, kept)]
+    if stacked:
+        return FinitePartResult(value=value, subtracted_powers=subtracted,
+                                log_coefficient=log_coef, error_estimate=err)
+    return FinitePartResult(value=float(value[0]),
+                            subtracted_powers=subtracted[0],
+                            log_coefficient=float(log_coef[0]),
+                            error_estimate=float(err[0]))

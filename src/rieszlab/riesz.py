@@ -10,6 +10,11 @@ removed, which makes the decomposition exact up to quadrature error.
 Pairs living on different connected components always see the true kernel:
 a chord ball is a statement about one graph sheet only, and cross-component
 interactions stay integrable down to contact.
+
+The outer nodes are taken in blocks of at most BLOCK_ROWS first-level
+chord rows and BLOCK_PAIRS node pairs: one patch stack, one profile stack
+and one finite-part sum per block, and the kernel sums over the inner
+rules as (block x inner) matrix-vector products.
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from scipy.special import gamma as sp_gamma, rgamma
 
 from .errors import (NumericalError, PoleError, PreconditionError,
                      UnsupportedInputError)
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
 from .quadrature import BlendKernel, compensated_sum
-from .radial import EnergyParams, finite_part, radial_profile
+from .radial import (_LEVELS, EnergyParams, _angular_rule, finite_part,
+                     radial_profile)
 
 __all__ = [
     "QuadratureConfig",
@@ -90,13 +94,45 @@ class EnergyReport:
 # the regularized energy
 # ----------------------------------------------------------------------
 
+# A block of outer nodes holds at most BLOCK_ROWS chord rows at the first
+# profile level and BLOCK_PAIRS (outer, inner) node pairs.
+BLOCK_ROWS = 1 << 15
+BLOCK_PAIRS = 1 << 18
+
+
+def _block_size(m, angular_nodes, inner_count) -> int:
+    """Outer nodes per block of `riesz_energy`."""
+    rows = _LEVELS[0] * len(_angular_rule(m, angular_nodes)[1])
+    return max(1, min(BLOCK_ROWS // rows, BLOCK_PAIRS // max(inner_count, 1)))
+
+
+def _kernel_sums(nodes, x, comp, blend):
+    """Sums of the blended kernel over one inner rule for a block of outer
+    nodes x (B, n): (far field, same-component blend inside each ball,
+    cross-component true kernel inside each ball), each (B,)."""
+    # |y - x| summed by component: the bits of np.linalg.norm on
+    # (B, N, n) differences, without its short last axis
+    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
+                    for y, c in zip(nodes.points.T, x.T)))
+    in_ball = d < blend.eps[:, None]
+    same = nodes.component[None] == comp[:, None]
+    with np.errstate(divide="ignore"):
+        true_kernel = np.where(d > 0, d, 1.0) ** blend.alpha
+    w = nodes.weights
+    far = np.where(in_ball, 0.0, true_kernel) @ w
+    ball = np.where(in_ball & same, blend(d), 0.0) @ w
+    cross = np.where(in_ball & ~same, true_kernel, 0.0) @ w
+    return far, ball, cross
+
+
 def riesz_energy(surface, alpha,
                  config: QuadratureConfig | None = None) -> EnergyReport:
     """E_alpha(M): outer integral of the regularized inner Riesz integral.
 
     For alpha <= -m the inner integral is the Hadamard finite part; the
     surface must then admit graph patches at every outer node (meshes use
-    their fitted quadratic patches).
+    their fitted quadratic patches). Failures of a patch, a chord solve or
+    a profile name the outer node.
     """
     config = config or QuadratureConfig()
     m = as_surface(surface).m
@@ -114,83 +150,65 @@ def riesz_energy(surface, alpha,
     if requested is None:
         requested = default_patch_radius(surface)
 
-    alpha_f = params.alpha
-    values = np.empty(len(outer.points))
-    nears = np.empty(len(outer.points))
-    fars = np.empty(len(outer.points))
-    errs = np.empty(len(outer.points))
-    logcs = np.empty(len(outer.points))
-    eps_used = np.empty(len(outer.points))
+    def where(idx, node):
+        if node is None:
+            return f"outer nodes {idx[0]}-{idx[-1]}", None
+        i = int(idx[node])
+        return f"outer node {i} (locator {outer.locators[i]!r})", i
 
-    def smooth_sum(nodes, x, comp_i, blend, eps_i):
-        """Sum of the blended kernel over one inner rule (same component
-        blended inside the ball, true kernel elsewhere)."""
-        d = np.linalg.norm(nodes.points - x, axis=-1)
-        same = nodes.component == comp_i
-        w = nodes.weights
-        in_ball = d < eps_i
-        with np.errstate(divide="ignore"):
-            true_kernel = np.where(d > 0, d, 1.0) ** alpha_f
-        far_val = float(np.sum(w[~in_ball] * true_kernel[~in_ball]))
-        ball_same = in_ball & same
-        ball_cross = in_ball & ~same
-        ball_blend = float(np.sum(w[ball_same] * blend(d[ball_same])))
-        cross_val = float(np.sum(w[ball_cross] * true_kernel[ball_cross]))
-        return far_val, ball_blend, cross_val
-
-    def one_node(i):
-        x, loc = outer.points[i], outer.locators[i]
+    def one_block(idx):
         try:
-            patch = graph_patch_at(surface, loc, requested, measure_bound=False)
+            patches = graph_patch_at(surface, [outer.locators[i] for i in idx],
+                                     requested, measure_bound=False)
         except Exception as exc:
-            raise NumericalError(
-                f"patch failure at outer node {i} (locator {loc!r}): {exc}"
-            ) from exc
-        eps_i = patch.radius
-        profile = radial_profile(patch, eps_i,
-                                 angular_nodes=config.angular_nodes)
-        pf = finite_part(params, profile, eps_i)
-        blend = BlendKernel(alpha_f, eps_i)
+            text, node = where(idx, getattr(exc, "node", None))
+            raise NumericalError(f"patch failure at {text}: {exc}",
+                                 node=node) from exc
+        eps = patches.radii
+        try:
+            profiles = radial_profile(patches, eps,
+                                      angular_nodes=config.angular_nodes)
+        except NumericalError as exc:
+            text, exc.node = where(idx, exc.node)
+            exc.args = (f"{text}: {exc}",)
+            raise
+        pf = finite_part(params, profiles, eps)
+        blend = BlendKernel(params.alpha, eps)
 
-        # blend-kernel mass of the chord ball: the blend polynomial times
+        # blend-kernel mass of each chord ball: the blend polynomial times
         # t^(m-1) phi, integrated in closed form; the profile's tail level
         # bounds phi's error at (number of coefficients) * tail
-        weight_poly = np.concatenate([np.zeros(m - 1),
-                                      blend.inside_poly_coeffs()])
-        corr = P.polyval(eps_i, P.polyint(np.convolve(weight_poly,
-                                                      profile.taylor)))
-        corr_err = (len(profile.coefficients) * profile.fit_residual
-                    * P.polyval(eps_i, P.polyint(np.abs(weight_poly))))
+        a = profiles.taylor[:, ::2]
+        expo = 2.0 * np.add.outer(np.arange(blend.coeffs.shape[1]),
+                                  np.arange(a.shape[1])) + m
+        mass = np.power.outer(eps, expo) / expo
+        corr = np.einsum("bi,bk,bik->b", blend.coeffs, a, mass)
+        corr_err = (profiles.kept * profiles.fit_residual
+                    * np.einsum("bi,bi->b", np.abs(blend.coeffs), mass[:, :, 0]))
 
-        far_val, ball_blend, cross_val = smooth_sum(inner, x,
-                                                    outer.component[i],
-                                                    blend, eps_i)
-        smooth_full = far_val + ball_blend + cross_val
-        far_h, ball_h, cross_h = smooth_sum(inner_half, x,
-                                            outer.component[i], blend, eps_i)
-        rule_err = abs(smooth_full - (far_h + ball_h + cross_h))
-        near_i = pf.value + ball_blend - corr
-        far_i = far_val + cross_val
-        err_i = pf.error_estimate + corr_err + rule_err
-        return near_i, far_i, err_i, pf.log_coefficient, eps_i
+        x, comp = outer.points[idx], outer.component[idx]
+        far_val, ball_blend, cross_val = _kernel_sums(inner, x, comp, blend)
+        rule_err = np.abs(far_val + ball_blend + cross_val
+                          - sum(_kernel_sums(inner_half, x, comp, blend)))
+        return (pf.value + ball_blend - corr, far_val + cross_val,
+                pf.error_estimate + corr_err + rule_err, pf.log_coefficient,
+                eps)
 
-    indices = range(len(outer.points))
+    size = _block_size(m, config.angular_nodes,
+                      len(inner.points) + len(inner_half.points))
+    blocks = np.split(np.arange(len(outer.points)),
+                      range(size, len(outer.points), size))
     if config.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_node, indices))
+            results = list(pool.map(one_block, blocks))
     else:
-        results = [one_node(i) for i in indices]
-    for i, (near_i, far_i, err_i, logc_i, eps_i) in enumerate(results):
-        nears[i] = near_i
-        fars[i] = far_i
-        values[i] = near_i + far_i
-        errs[i] = err_i
-        logcs[i] = logc_i
-        eps_used[i] = eps_i
+        results = [one_block(idx) for idx in blocks]
+    nears, fars, errs, logcs, eps_used = (np.concatenate(r)
+                                          for r in zip(*results))
 
     wout = outer.weights
-    total = compensated_sum(wout * values)
+    total = compensated_sum(wout * (nears + fars))
     near = compensated_sum(wout * nears)
     far = compensated_sum(wout * fars)
     err = compensated_sum(wout * errs)
@@ -205,6 +223,22 @@ def riesz_energy(surface, alpha,
 # ----------------------------------------------------------------------
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x), +-inf beyond the float range."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _rgamma(x: float) -> float:
+    """1 / Gamma(x), zero at the poles x = 0, -1, -2, ..."""
+    if x <= 0 and x == math.floor(x):
+        return 0.0
+    g = _gamma(x)
+    return 1.0 / g if g else math.inf
 
 
 def _circle_pole_index(z, tol=1e-12):
@@ -225,7 +259,7 @@ def beta_residue(tag: str, radius: float, z: float) -> float:
         if k is None:
             raise PreconditionError(f"z={z} is not a pole of the circle oracle")
         res = (2.0 * math.pi * 2.0 ** (z + 1) * _SQRT_PI
-               * 2.0 * (-1.0) ** k / math.factorial(k) * rgamma(z / 2.0 + 1.0))
+               * 2.0 * (-1.0) ** k / math.factorial(k) * _rgamma(z / 2.0 + 1.0))
         return float(res) * radius ** (2.0 + z)
     if tag == "sphere":
         if abs(z + 2.0) > 1e-12:
@@ -250,7 +284,7 @@ def beta_oracle(tag: str, radius: float, z: float) -> float:
             raise PoleError(f"circle beta oracle has a pole at z={z}",
                             residue=beta_residue(tag_l, radius, z))
         val = (2.0 * math.pi * 2.0 ** (z + 1.0) * _SQRT_PI
-               * sp_gamma((z + 1.0) / 2.0) * rgamma(z / 2.0 + 1.0))
+               * _gamma((z + 1.0) / 2.0) * _rgamma(z / 2.0 + 1.0))
         return float(val) * radius ** (2.0 + z)
     if tag_l == "sphere":
         if abs(z + 2.0) < 1e-12:

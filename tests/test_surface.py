@@ -190,3 +190,31 @@ def test_no_branch_on_surface_class(module):
     path = Path(rieszlab.__file__).parent / module
     targets = {t.rsplit(".", 1)[-1] for t in _isinstance_targets(path)}
     assert not targets & {"ChartSurface", "TriMesh"}, module
+
+
+def _loop_local_scale(mesh):
+    """Mean incident edge length per vertex, one vertex at a time."""
+    out = np.zeros(mesh.num_vertices)
+    for v, ns in enumerate(mesh.vertex_neighbors()):
+        if len(ns):
+            d = np.linalg.norm(mesh.vertices[ns] - mesh.vertices[v], axis=-1)
+            out[v] = float(np.mean(d))
+    return out
+
+
+@pytest.mark.parametrize("mesh", [icosphere(3), polygon_circle(64),
+                                  _dumbbell()],
+                         ids=["icosphere3", "polygon64", "dumbbell"])
+def test_local_scale_matches_per_vertex_loop(mesh):
+    np.testing.assert_allclose(mesh.local_scale(), _loop_local_scale(mesh),
+                               rtol=1e-15, atol=0)
+
+
+def test_local_scale_follows_with_vertices():
+    mesh = icosphere(2)
+    before = mesh.local_scale()
+    moved = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.3])
+    assert np.array_equal(mesh.local_scale(), before)
+    np.testing.assert_allclose(moved.local_scale(), _loop_local_scale(moved),
+                               rtol=1e-15, atol=0)
+    assert not np.allclose(moved.local_scale(), before)
