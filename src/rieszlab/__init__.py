@@ -24,16 +24,14 @@ from .geometry import (ChartSurface, CurvatureData, GraphPatch,
 from .models import (CutoffFit, classify_cutoff_law, cone_model_scan,
                      lambda_bound, lambda_bound_sum, orthogonal_model_closed_form,
                      orthogonal_model_integral, sphere_pair_cross_energy,
-                     sphere_pair_cross_energy_bruteforce, tangent_model_scan,
-                     two_body_sweep)
+                     tangent_model_scan, two_body_sweep)
 from .moebius import (InvarianceReport, MoebiusMap, apply_moebius, as_energy,
                       combined_angle_cos, combined_angle_cos_frames,
                       ks_cross_energy, ks_energy, moebius_invariance_check)
 from .radial import (EnergyParams, FinitePartResult, ProfileStack,
                      RadialProfile, finite_part, radial_profile,
                      unit_sphere_volume_m1)
-from .riesz import (BetaOracle, EnergyReport, QuadratureConfig, beta_oracle,
-                    beta_residue, finite_part_at_pole, riesz_energy,
-                    scaling_check)
+from .riesz import (EnergyReport, QuadratureConfig, beta_oracle, beta_residue,
+                    finite_part_at_pole, riesz_energy, scaling_check)
 
 __version__ = "0.1.0"

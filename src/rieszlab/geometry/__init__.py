@@ -2,8 +2,7 @@
 
 from .charts import (Chart, ChartSurface, SurfaceQuadrature, make_circle,
                      make_cylinder_patch, make_disjoint_union, make_disk,
-                     make_ellipsoid, make_graph_patch_surface,
-                     make_paraboloid_surface, make_saddle_surface, make_sphere,
+                     make_ellipsoid, make_saddle_surface, make_sphere,
                      make_torus, orthonormal_frames)
 from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      mesh_disjoint_union, polygon_circle, read_obj, read_off,
@@ -17,8 +16,8 @@ from .surface import NodeSet, Surface, as_surface
 __all__ = [
     "Chart", "ChartSurface", "SurfaceQuadrature",
     "make_circle", "make_sphere", "make_ellipsoid", "make_torus",
-    "make_cylinder_patch", "make_graph_patch_surface", "make_saddle_surface",
-    "make_paraboloid_surface", "make_disk", "make_disjoint_union",
+    "make_cylinder_patch", "make_saddle_surface", "make_disk",
+    "make_disjoint_union",
     "orthonormal_frames",
     "MeshTopology", "TriMesh", "euler_characteristic", "icosphere", "torus_mesh",
     "polygon_circle", "mesh_disjoint_union",

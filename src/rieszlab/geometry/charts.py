@@ -9,13 +9,13 @@ order, plus per-chart quadrature rules used for global integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
                       UnsupportedInputError)
-from .patches import CurvatureData, PatchStack, dot, orthonormal_frames
+from .patches import PatchStack, dot, orthonormal_frames
 from .surface import NodeSet, Surface
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
     "make_ellipsoid",
     "make_torus",
     "make_cylinder_patch",
-    "make_graph_patch_surface",
     "make_saddle_surface",
-    "make_paraboloid_surface",
     "make_disk",
     "make_disjoint_union",
     "orthonormal_frames",
@@ -123,17 +121,8 @@ class SurfaceQuadrature:
     weights: np.ndarray      # (N,) includes the volume element
     params: np.ndarray       # (N, m) chart parameters
     chart_index: np.ndarray  # (N,) chart id
-    jacobians: np.ndarray    # (N, n, m)
     spacing: np.ndarray      # (N,) ambient local node spacing estimate
     component: np.ndarray    # (N,) connected-component id
-
-    _frames: tuple | None = field(default=None, repr=False)
-
-    def frames(self):
-        """Orthonormal (tangent, normal) stacks, cached."""
-        if self._frames is None:
-            object.__setattr__(self, "_frames", orthonormal_frames(self.jacobians))
-        return self._frames
 
     @property
     def total(self) -> float:
@@ -158,7 +147,7 @@ class ChartSurface(Surface):
     oriented = True          # by the parameter order of every chart
 
     def quadrature(self, scale: float = 1.0) -> SurfaceQuadrature:
-        pts, wts, prm, idx, jacs, spc, comp = [], [], [], [], [], [], []
+        pts, wts, prm, idx, spc, comp = [], [], [], [], [], []
         for k, chart in enumerate(self.charts):
             u, w, du = chart.param_rule(scale)
             jac = chart.jacobian(u)
@@ -171,7 +160,6 @@ class ChartSurface(Surface):
             wts.append(w * vol)
             prm.append(u)
             idx.append(np.full(len(w), k, dtype=int))
-            jacs.append(jac)
             # Ambient spacing: largest per-axis parameter step times the
             # corresponding Jacobian column length.
             col = np.linalg.norm(jac, axis=-2)
@@ -182,7 +170,6 @@ class ChartSurface(Surface):
             weights=np.concatenate(wts),
             params=np.concatenate(prm),
             chart_index=np.concatenate(idx),
-            jacobians=np.concatenate(jacs),
             spacing=np.concatenate(spc),
             component=np.concatenate(comp),
         )
@@ -197,6 +184,15 @@ class ChartSurface(Surface):
                                                              dtype=float))
         return 0, np.atleast_1d(np.asarray(locator, dtype=float))
 
+    def _runs(self, locators):
+        """(chart index, parameters (B, m)) of each run of located points
+        on the same chart, in order."""
+        located = [self.locate(loc) for loc in locators]
+        ks = np.array([k for k, _ in located])
+        cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1), len(ks)]
+        return [(int(ks[a]), np.array([u for _, u in located[a:b]]))
+                for a, b in zip(cuts[:-1], cuts[1:])]
+
     @staticmethod
     def _node_set(q: SurfaceQuadrature) -> NodeSet:
         return NodeSet(points=q.points, weights=q.weights,
@@ -208,28 +204,6 @@ class ChartSurface(Surface):
     def nodes(self, scale, subdiv=None) -> NodeSet:
         return self._node_set(self.quadrature(scale))
 
-    def tangent_nodes(self, scale):
-        q = self.quadrature(scale)
-
-        def probe(dirs, scales):
-            # steps of s node spacings along each direction, in chart
-            # parameters: one value and one Jacobian call per chart
-            shape = (len(q.points), len(dirs), len(scales))
-            points = np.empty(shape + (self.n,))
-            bases = np.empty(shape + (self.n, self.m))
-            s = np.asarray(scales, dtype=float)[:, None]
-            for k, chart in enumerate(self.charts):
-                idx = np.nonzero(q.chart_index == k)[0]
-                speed = np.linalg.norm(q.jacobians[idx] @ dirs.T, axis=-2)
-                step = dirs / speed[..., None]                  # (Nk, D, m)
-                u = (q.params[idx, None, None]
-                     + step[:, :, None] * (q.spacing[idx, None, None, None] * s))
-                points[idx] = chart.value(u)
-                bases[idx] = chart.jacobian(u)
-            return points, bases
-
-        return self._node_set(q), q.frames()[0], probe
-
     def basis_at(self, locator):
         idx, u = self.locate(locator)
         chart = self.charts[idx]
@@ -238,17 +212,21 @@ class ChartSurface(Surface):
     def frame_at(self, locator):
         return orthonormal_frames(self.basis_at(locator)[1])
 
-    def curvature_at(self, locator) -> CurvatureData:
-        idx, u = self.locate(locator)
-        chart = self.charts[idx]
-        jac = chart.jacobian(u)
-        hess = chart.hessian(u)
-        tangent, normal = orthonormal_frames(jac)
-        A = np.linalg.inv(tangent.T @ jac)
-        # pull the ambient Hessian back through eta-coordinates
-        sff = np.einsum("nc,npq,pa,qb->abc", normal, hess, A, A)
-        return CurvatureData(second_fundamental=sff, tangent=tangent,
-                             normal=normal)
+    def curvatures(self, locators):
+        """Frames and second fundamental forms at the located points, one
+        Jacobian and one Hessian call per run of points on the same chart:
+        h = N^T H(A., A.) with A = (T^T J)^-1, the Hessian pulled back to
+        the coordinates of the orthonormal tangent frame."""
+        out = []
+        for k, u in self._runs(locators):
+            chart = self.charts[k]
+            jac = chart.jacobian(u)
+            tangent, normal = orthonormal_frames(jac)
+            A = _inv_small(np.swapaxes(tangent, -1, -2) @ jac)
+            out.append((tangent, normal,
+                        np.einsum("knc,knpq,kpa,kqb->kabc", normal,
+                                  chart.hessian(u), A, A)))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
 
     def transformed(self, value_map, jac_map, hess_map, name=None):
         """Every chart composed with an ambient map given by its rules.
@@ -320,14 +298,9 @@ class ChartSurface(Surface):
         points on the same chart. Each radius is validated on a polar grid
         and shrunk by 0.85 until the graph Newton converges there (unless
         shrink=False). Chord rows are solved in the chart parameters."""
-        located = [self.locate(loc) for loc in locators]
-        ks = np.array([k for k, _ in located])
-        cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1), len(ks)]
         return PatchStack.concatenate([
-            self._chart_patches(int(ks[a]),
-                                np.array([u for _, u in located[a:b]]),
-                                radius, shrink)
-            for a, b in zip(cuts[:-1], cuts[1:])])
+            self._chart_patches(k, u0, radius, shrink)
+            for k, u0 in self._runs(locators)])
 
     def _chart_patches(self, chart_idx, u0, radius, shrink) -> PatchStack:
         chart = self.charts[chart_idx]
@@ -777,8 +750,8 @@ def make_cylinder_patch(radius=1.0, half_length=1.0, half_angle=math.pi / 2,
     return ChartSurface(2, 3, [chart], False, None, f"cylinder(r={r})")
 
 
-def make_graph_patch_surface(g, grad_g, hess_g, extent=1.0,
-                             base_nodes=(24, 24), name="graph"):
+def _graph_patch_surface(g, grad_g, hess_g, extent=1.0,
+                         base_nodes=(24, 24), name="graph"):
     """Surface z = g(x, y) over the square [-extent, extent]^2.
 
     g, grad_g, hess_g are batched callables over (..., 2) parameter arrays
@@ -825,26 +798,7 @@ def make_saddle_surface(extent=1.0):
         h[..., 1, 0] = 1.0
         return h
 
-    return make_graph_patch_surface(g, grad_g, hess_g, extent, name="saddle")
-
-
-def make_paraboloid_surface(extent=1.0, cx=1.0, cy=1.0):
-    """The graph z = cx*x^2 + cy*y^2."""
-    def g(u):
-        return cx * u[..., 0] ** 2 + cy * u[..., 1] ** 2
-
-    def grad_g(u):
-        return np.stack([2 * cx * u[..., 0], 2 * cy * u[..., 1]], axis=-1)
-
-    def hess_g(u):
-        shape = u.shape[:-1]
-        h = np.zeros(shape + (2, 2))
-        h[..., 0, 0] = 2 * cx
-        h[..., 1, 1] = 2 * cy
-        return h
-
-    return make_graph_patch_surface(g, grad_g, hess_g, extent,
-                                    name="paraboloid")
+    return _graph_patch_surface(g, grad_g, hess_g, extent, name="saddle")
 
 
 def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,

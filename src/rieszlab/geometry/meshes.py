@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import TopologyError, UnsupportedInputError
-from .patches import (CurvatureData, PatchStack, cross, dot, fit_curvature,
+from .patches import (PatchStack, cross, dot, fit_curvature,
                       fit_tangent_frames, orthonormal_frames)
 from .surface import NodeSet, Surface
 
@@ -173,11 +173,11 @@ class TriMesh(Surface):
     id. The connectivity lives in a `MeshTopology` shared by every mesh
     made from this one by `with_vertices` or `translated`; each new vertex
     array is checked for finite coordinates and non-degenerate simplices.
-    The quadratic vertex fits behind `patch_at`, `frame_at`,
-    `curvature_at` and `tangent_nodes` are made for all vertices at once,
-    on first use, and dropped with the vertex array they fit: the face
-    seed (`seed_frames`), the frame step (`fit_tangent_frames`, which the
-    KS flow runs too) and the curvature step (`fit_curvature`).
+    The quadratic vertex fits behind `patches_at`, `frame_at` and
+    `curvatures` are made for all vertices at once, on first use, and
+    dropped with the vertex array they fit: the face seed (`seed_frames`),
+    the frame step (`fit_tangent_frames`, which the KS flow runs too) and
+    the curvature step (`fit_curvature`).
     """
 
     def __init__(self, vertices, faces, m):
@@ -383,25 +383,6 @@ class TriMesh(Surface):
             a.flags.writeable = False      # patches and frames are views
         return fits
 
-    def tangent_nodes(self, scale=None):
-        nodes = self.nodes()
-        tangent, normal, coeffs, _, extent = (a[:, None, None]
-                                              for a in self._fits)
-        base = nodes.points[:, None, None, :, None]             # (V, 1, 1, n, 1)
-        reach = np.minimum(nodes.spacing, extent[:, 0, 0])
-
-        def probe(dirs, scales):
-            # steps along each direction in every vertex's fitted patch, s
-            # times the smaller of the mean edge and the patch radius
-            eta = (dirs[None, :, None] * reach[:, None, None, None]
-                   * np.asarray(scales, dtype=float)[:, None])[..., None]
-            jac = (coeffs @ eta[..., None, :, :])[..., 0]       # (V, D, S, c, m)
-            height = 0.5 * (jac @ eta)
-            return ((base + tangent @ eta + normal @ height)[..., 0],
-                    tangent + normal @ jac)
-
-        return nodes, tangent[:, 0, 0], probe
-
     def basis_at(self, locator):
         return self.vertices[int(locator)], self.frame_at(locator)[0]
 
@@ -409,10 +390,10 @@ class TriMesh(Surface):
         tangent, normal = self._fits[:2]
         return tangent[int(locator)], normal[int(locator)]
 
-    def curvature_at(self, locator) -> CurvatureData:
-        tangent, normal, coeffs = (a[int(locator)] for a in self._fits[:3])
-        return CurvatureData(second_fundamental=np.moveaxis(coeffs, 0, -1),
-                             tangent=tangent, normal=normal)
+    def curvatures(self, locators):
+        tangent, normal, coeffs = (a[np.asarray(locators, dtype=int)]
+                                   for a in self._fits[:3])
+        return tangent, normal, np.moveaxis(coeffs, 1, -1)
 
     def transformed(self, value_map, jac_map, hess_map, name=None):
         return self.with_vertices(value_map(self.vertices))

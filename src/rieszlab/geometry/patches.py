@@ -405,10 +405,9 @@ class CurvatureData:
     @property
     def delta(self) -> float:
         """Umbilicity defect |h11 - h22|^2 + 4 |h12|^2 (m = 2)."""
-        h = self.second_fundamental
         if self.m != 2:
             raise PreconditionError("delta is defined for m = 2 only")
-        return float(np.sum((h[0, 0] - h[1, 1]) ** 2) + 4.0 * np.sum(h[0, 1] ** 2))
+        return float(umbilicity_defect(self.second_fundamental))
 
     @property
     def gauss(self) -> float:
@@ -432,6 +431,13 @@ class CurvatureData:
                 abs(self.gauss - 0.5 * (H2 - hs2)))
 
 
+def umbilicity_defect(sff):
+    """|h11 - h22|^2 + 4 |h12|^2 of second fundamental forms (..., 2, 2, c):
+    (k1 - k2)^2 on surfaces in R^3."""
+    d = sff[..., 0, 0, :] - sff[..., 1, 1, :]
+    return np.sum(d * d + 4.0 * sff[..., 0, 1, :] ** 2, axis=-1)
+
+
 def curvature_at(surface, locator) -> CurvatureData:
     """Second fundamental form (and derived scalars) at a surface point."""
     return as_surface(surface).curvature_at(locator)
@@ -444,13 +450,13 @@ def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25):
     only ever see one sheet, and cross-component pairs take the true kernel.
     """
     nodes = as_surface(surface).nodes(scale)
-    kmax = 0.0
-    for i in np.linspace(0, len(nodes.points) - 1, samples).astype(int):
-        data = curvature_at(surface, nodes.locators[i])
-        if data.second_fundamental.shape[2] == 1:
-            kmax = max(kmax, float(np.max(np.abs(data.principal))))
-        else:
-            kmax = max(kmax, data.hs_norm)
+    take = np.linspace(0, len(nodes.points) - 1, samples).astype(int)
+    sff = surface.curvatures([nodes.locators[i] for i in take])[2]
+    if sff.shape[-1] == 1:
+        # the largest principal curvature in absolute value
+        kmax = float(np.abs(np.linalg.eigvalsh(sff[..., 0])).max())
+    else:
+        kmax = float(np.sqrt(np.sum(sff ** 2, axis=(1, 2, 3))).max())
     r = factor / kmax if kmax > 0 else math.inf
     return r if math.isfinite(r) else 1.0
 
@@ -522,7 +528,8 @@ def validate_patch_class(surface, params: PatchClassParams, samples=24):
     max_order = min(params.k, 3)
     for loc, x0 in zip(locators, base_pts):
         try:
-            patch = graph_patch_at(surface, loc, params.radius, shrink=False)
+            patch = graph_patch_at(surface, loc, params.radius, shrink=False,
+                                   measure_bound=False)
         except (PatchRadiusError, NumericalError) as exc:
             violations.append({"locator": repr(loc), "reason": str(exc)})
             continue

@@ -9,14 +9,6 @@ that turns any other object away.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
-- `tangent_nodes(scale)`: `nodes(scale)` with oriented orthonormal tangent
-  frames (N, n, m) and a batched probe: `probe(dirs, scales)` takes unit
-  tangent directions (D, m) and S step fractions and returns, for every
-  node, direction e and fraction s, the point a fraction s of the node's
-  spacing away along e and a positively oriented tangent basis there, as
-  arrays (N, D, S, n) and (N, D, S, n, m). Charts make one value and one
-  Jacobian call per chart; meshes step in their fitted quadratic patches,
-  all vertices at once.
 - `patches_at(locators, radius, shrink=True)`: the `PatchStack` of a list
   of located points, built in one batch, with its `chord_solve`: charts
   solve chord rows by Newton in their parameters, meshes in closed form on
@@ -26,7 +18,13 @@ that turns any other object away.
   `bound_grid` (angles, radii).
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
 - `frame_at(locator)`: oriented orthonormal (tangent, normal) frames.
-- `curvature_at(locator)`: `CurvatureData` at the located point.
+- `curvatures(locators)`: the oriented orthonormal frames and second
+  fundamental forms at a list of located points, in one batch, as arrays
+  tangent (N, n, m), normal (N, n, n-m) and second_fundamental
+  (N, m, m, n-m) with h_ij = II(T e_i, T e_j). Charts make one Jacobian
+  and one Hessian call per run of points on the same chart; meshes slice
+  their vertex fits. `curvature_at(locator)` (here, for every surface) is
+  its one-point case, a `CurvatureData`.
 - `transformed(value_map, jac_map, hess_map, name=None)`: the image under
   an ambient map with the given derivatives (hess_map None when affine).
 - `euler_characteristic()` and `min_nonneighbor_distance()` (inf on charts,
@@ -59,6 +57,12 @@ class Surface:
             patch.derivative_bound = patch.measure_derivative_bound(
                 n_angular=n_angular, n_radial=n_radial)
         return patch
+
+    def curvature_at(self, locator):
+        from .patches import CurvatureData      # patches imports this module
+        tangent, normal, sff = self.curvatures([locator])
+        return CurvatureData(second_fundamental=sff[0], tangent=tangent[0],
+                             normal=normal[0])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .quadrature import compensated_sum, gauss_legendre
+from .quadrature import compensated_sum
 
 __all__ = [
     "CutoffFit",
@@ -302,66 +302,6 @@ def lambda_bound_sum(m: int, alpha: float, delta: float, rho0: float,
     """Sum of lambda over the dyadic annulus cascade rho0 / 2^j."""
     return compensated_sum(
         lambda_bound(m, alpha, delta, rho0 / 2.0 ** j) for j in range(terms))
-
-
-def _sphere_pair_nodes(m: int, radius: float, gap: float, n_polar: int,
-                       n_azimuth: int):
-    """Quadrature for two round m-spheres with poles facing across the gap.
-
-    Returns (points_a, weights_a, points_b, weights_b). Gauss-Legendre in
-    the polar cosine clusters nodes at the facing poles, resolving the
-    near-contact concentration scale sqrt(gap * radius).
-    """
-    r = float(radius)
-    if m == 1:
-        # two GL panels meeting at theta = 0, the facing point
-        n_half = max(16, n_polar)
-        t1, w1 = gauss_legendre(n_half, -math.pi, 0.0)
-        t2, w2 = gauss_legendre(n_half, 0.0, math.pi)
-        th = np.concatenate([t1, t2])
-        w = np.concatenate([w1, w2])
-        pa = r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        pa[:, 0] -= (r + gap / 2.0)
-        pb = pa.copy()
-        pb[:, 0] = -pb[:, 0]
-        return pa, w * r, pb, w * r
-    x, wx = np.polynomial.legendre.leggauss(n_polar)
-    theta = np.arccos(x[::-1])
-    wth = wx[::-1]                      # weight already in d(cos theta)
-    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    wph = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-    T, P = np.meshgrid(theta, phi, indexing="ij")
-    W = np.outer(wth, wph).ravel() * r ** 2
-    # pole theta=0 along +x; sphere A centered at x = -(r + gap/2)
-    pts = np.stack([np.cos(T.ravel()),
-                    np.sin(T.ravel()) * np.cos(P.ravel()),
-                    np.sin(T.ravel()) * np.sin(P.ravel())], axis=-1) * r
-    pa = pts.copy()
-    pa[:, 0] -= (r + gap / 2.0)
-    pb = pts.copy()
-    pb[:, 0] = -pb[:, 0] + (r + gap / 2.0) + 0.0
-    return pa, W, pb, W
-
-
-def sphere_pair_cross_energy_bruteforce(m: int, alpha: float, radius: float,
-                                        gap: float, n_polar: int = 48,
-                                        n_azimuth: int = 96) -> float:
-    """Cross interaction by direct product quadrature (validation route).
-
-    Resolves the near-contact concentration only while the polar node
-    spacing at the facing poles stays below the gap; the reduced evaluator
-    below is the accurate route for small gaps.
-    """
-    if gap <= 0:
-        raise PreconditionError("gap must be positive (touching spheres are "
-                                "handled by the model scans)")
-    pa, wa, pb, wb = _sphere_pair_nodes(m, radius, gap, n_polar, n_azimuth)
-    total = 0.0
-    block = 1024
-    for lo in range(0, len(pa), block):
-        d = np.linalg.norm(pa[lo:lo + block, None, :] - pb[None, :, :], axis=-1)
-        total += float(wa[lo:lo + block] @ d ** alpha @ wb)
-    return total
 
 
 def _graded_panels_1d(a: float, b: float, feature: float):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (OrientationError, PreconditionError, SingularMapError,
                      SingularPairError, UnsupportedInputError)
-from .geometry.patches import curvature_at, dot, orthonormal_frames
+from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
 from .quadrature import compensated_sum
 from .riesz import EnergyReport, QuadratureConfig, riesz_energy
@@ -36,39 +36,30 @@ __all__ = [
 ]
 
 
-def _combined_angle_cos(x, tangent_x, y, basis_y):
-    """cos of the combined angle over stacks of point pairs.
-
-    x, y are (..., n) points, tangent_x (..., n, m) oriented orthonormal
-    frames at x and basis_y (..., n, m) positively oriented tangent bases
-    at y. Values are clipped to [-1, 1]; a pair closer than 1e-14 raises
-    SingularPairError.
+def combined_angle_cos_frames(x, tangent_x, y, basis_y):
+    """cos of the combined angle from an oriented orthonormal frame
+    tangent_x (n, m) at x and any positively oriented tangent basis basis_y
+    (n, m) at y. The value is clipped to [-1, 1]; points closer than 1e-14
+    raise SingularPairError.
     """
+    x, tangent_x, y, basis_y = (np.asarray(a, dtype=float)
+                                for a in (x, tangent_x, y, basis_y))
     d = y - x
-    dist = np.sqrt(np.sum(d * d, axis=-1))
-    if np.any(dist < 1e-14):
+    dist = math.sqrt(d @ d)
+    if dist < 1e-14:
         raise SingularPairError("combined angle needs two distinct points")
-    v = (d / dist[..., None])[..., :, None]                   # (..., n, 1)
-    m = tangent_x.shape[-1]
-    ehat = 2.0 * v * (np.swapaxes(v, -1, -2) @ tangent_x) - tangent_x
-    G = np.swapaxes(ehat, -1, -2) @ basis_y
-    W = np.swapaxes(basis_y, -1, -2) @ basis_y
-    if m == 1:
-        cosv = G[..., 0, 0] / np.sqrt(W[..., 0, 0])
+    v = d / dist
+    ehat = 2.0 * np.outer(v, v @ tangent_x) - tangent_x
+    G = ehat.T @ basis_y
+    W = basis_y.T @ basis_y
+    if tangent_x.shape[-1] == 1:
+        cosv = G[0, 0] / math.sqrt(W[0, 0])
     else:
         # (-1)^(m-1) det(G) / sqrt(det(W)) with m = 2
-        detG = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        detW = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-        cosv = -detG / np.sqrt(detW)
-    return np.clip(cosv, -1.0, 1.0)
-
-
-def combined_angle_cos_frames(x, tangent_x, y, basis_y):
-    """cos of the combined angle from an oriented orthonormal frame at x and
-    any positively oriented tangent basis at y."""
-    rows = [np.asarray(a, dtype=float)[None]
-            for a in (x, tangent_x, y, basis_y)]
-    return float(_combined_angle_cos(*rows)[0])
+        detG = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+        detW = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
+        cosv = -detG / math.sqrt(detW)
+    return float(np.clip(cosv, -1.0, 1.0))
 
 
 def combined_angle_cos(surface, loc_x, loc_y) -> float:
@@ -116,35 +107,6 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     return omc, dist
 
 
-def _diag_limits(points, frames, probe, m):
-    """Extrapolated diagonal limits of (1-cos)/|x-y|^2 per node.
-
-    probe(dirs, scales) gives, for every node, tangent direction e in dirs
-    (D, m) and step s in scales, the point s node spacings away along e
-    and a positively oriented tangent basis there, as arrays (N, D, S, n)
-    and (N, D, S, n, m). Along each direction the values at the three
-    shrinking steps are extrapolated quadratically to distance 0 (Lagrange
-    weights of the three distances), and the limits averaged over the
-    directions. All nodes go through in one array pass.
-    """
-    if m == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        ang = np.linspace(0, math.pi, 4, endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    y, basis = probe(dirs, (0.5, 0.25, 0.125))
-    x = points[:, None, None, :]
-    d = y - x
-    dist = np.sqrt(np.sum(d * d, axis=-1))                 # (N, D, S)
-    f = ((1.0 - _combined_angle_cos(x, frames[:, None, None], y, basis))
-         / dist ** 2)
-    d0, d1, d2 = dist[..., 0], dist[..., 1], dist[..., 2]
-    at_zero = (d1 * d2 / ((d0 - d1) * (d0 - d2)) * f[..., 0]
-               + d0 * d2 / ((d1 - d0) * (d1 - d2)) * f[..., 1]
-               + d0 * d1 / ((d2 - d0) * (d2 - d1)) * f[..., 2])
-    return np.mean(at_zero, axis=1)
-
-
 def _ks_assemble(pts, frames, weights, spacing, limits, m, block=512):
     """Blocked double sum of (1-cos)^m / d^(2m) with near-diagonal limits."""
     N = len(pts)
@@ -170,7 +132,10 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
 
     The integrand extends continuously to the diagonal (it is O(1) there on
     C^2 surfaces); pairs closer than a quarter of the local node spacing use
-    the limit extrapolated from three shrinking radii. Non-embedded meshes
+    the m-th power of the limit of (1 - cos theta)/|x-y|^2 averaged over
+    the tangent directions e, the mean of II(e, e_perp)^2 / 2: D / 16 on
+    surfaces (D the umbilicity defect, (k1 - k2)^2 in R^3) and 0 on
+    curves. Non-embedded meshes
     are rejected by default: the energy is discontinuous on immersed inputs
     (a double cover scores zero while nearby embedded pairs blow up).
     """
@@ -181,17 +146,18 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
                                 "(allow_open overrides)")
     if not surface.oriented:
         raise OrientationError("ks_energy needs consistent orientation")
-    scale = scale if scale is not None else 0.5
+    nodes = surface.nodes(scale if scale is not None else 0.5)
     if not allow_unembedded:
         sep = surface.min_nonneighbor_distance()
-        scale_local = float(np.median(surface.nodes(scale).spacing))
+        scale_local = float(np.median(nodes.spacing))
         if sep < 0.3 * scale_local:
             raise UnsupportedInputError(
                 "mesh looks self-intersecting or immersed "
                 f"(non-neighbor separation {sep:.3g} vs local scale "
                 f"{scale_local:.3g}); E_KS is discontinuous there")
-    nodes, frames, probe = surface.tangent_nodes(scale)
-    limits = _diag_limits(nodes.points, frames, probe, m)
+    frames, _, sff = surface.curvatures(nodes.locators)
+    limits = (umbilicity_defect(sff) / 16.0 if m == 2
+              else np.zeros(len(frames)))
     value = _ks_assemble(nodes.points, frames, nodes.weights, nodes.spacing,
                          limits, m)
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
@@ -200,8 +166,9 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
 
 def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     """Cross term of the Kusner-Sullivan energy between two disjoint pieces."""
-    na, fa, _ = as_surface(surface_a).tangent_nodes(scale)
-    nb, fb, _ = as_surface(surface_b).tangent_nodes(scale)
+    na, nb = (as_surface(s).nodes(scale) for s in (surface_a, surface_b))
+    fa = surface_a.curvatures(na.locators)[0]
+    fb = surface_b.curvatures(nb.locators)[0]
     omc, dist = ks_pair_kernel(na.points, fa, nb.points, fb)
     if np.any(dist == 0.0):
         raise SingularPairError("pieces touch: cross energy undefined")
@@ -224,8 +191,8 @@ def as_energy(surface, s: float, config: QuadratureConfig | None = None) -> Ener
         raise UnsupportedInputError("as_energy is defined for m = 2 surfaces")
     chi = surface.euler_characteristic()
     nodes = surface.nodes(config.inner_scale * 0.5)
-    locs, weights = nodes.locators, nodes.weights
-    deltas = np.array([curvature_at(surface, loc).delta for loc in locs])
+    weights = nodes.weights
+    deltas = umbilicity_defect(surface.curvatures(nodes.locators)[2])
     dlogd = np.where(deltas > 1e-14, deltas * np.log(np.maximum(deltas, 1e-300)),
                      0.0)
     int_delta = compensated_sum(weights * deltas)

@@ -35,7 +35,6 @@ from .radial import (_LEVELS, EnergyParams, _angular_rule, finite_part,
 __all__ = [
     "QuadratureConfig",
     "EnergyReport",
-    "BetaOracle",
     "riesz_energy",
     "beta_oracle",
     "beta_residue",
@@ -292,23 +291,6 @@ def beta_oracle(tag: str, radius: float, z: float) -> float:
                             residue=beta_residue(tag_l, radius, z))
         return 2.0 ** (z + 5.0) * math.pi ** 2 / (z + 2.0) * radius ** (4.0 + z)
     raise UnsupportedInputError(f"unknown oracle tag {tag!r}")
-
-
-@dataclass
-class BetaOracle:
-    """Closed-form beta function of a round manifold, bound to a radius."""
-
-    tag: str
-    radius: float = 1.0
-
-    def __call__(self, z: float) -> float:
-        return beta_oracle(self.tag, self.radius, z)
-
-    def residue(self, z: float) -> float:
-        return beta_residue(self.tag, self.radius, z)
-
-    def finite_part(self, z: float) -> float:
-        return finite_part_at_pole(self.tag, self.radius, z)
 
 
 def finite_part_at_pole(tag: str, radius: float, z: float, step=1e-3) -> float:

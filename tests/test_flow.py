@@ -7,7 +7,8 @@ from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
                            ks_flow_energy, run_flow, write_trajectory_csv)
 from rieszlab.geometry import (icosphere, mesh_disjoint_union, polygon_circle,
                                read_off, torus_mesh, write_off)
-from rieszlab.moebius import _diag_limits, ks_energy
+from rieszlab.geometry.patches import umbilicity_defect
+from rieszlab.moebius import ks_energy
 from rieszlab.riesz import QuadratureConfig
 
 
@@ -51,9 +52,11 @@ def test_ks_flow_energy_round_sphere_is_minimal():
         "dumbbell"])
 def test_flow_energy_is_ks_energy_without_diagonal(mesh):
     # the flow reads ks_energy's frames and weights and drops only the
-    # diagonal cells w_i^2 lim_i^m
-    nodes, frames, probe = mesh.tangent_nodes()
-    limits = _diag_limits(nodes.points, frames, probe, mesh.m)
+    # diagonal cells w_i^2 lim_i^m, lim_i = D_i / 16 on surfaces, 0 on curves
+    nodes = mesh.nodes()
+    sff = mesh.curvatures(nodes.locators)[2]
+    limits = (umbilicity_defect(sff) / 16.0 if mesh.m == 2
+              else np.zeros(len(sff)))
     diagonal = float(np.sum(nodes.weights ** 2 * limits ** mesh.m))
     assert ks_flow_energy(mesh) + diagonal == pytest.approx(
         ks_energy(mesh).value, rel=1e-12)

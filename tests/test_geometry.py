@@ -9,13 +9,30 @@ from rieszlab.geometry import (PatchClassParams, curvature_at,
                                euler_characteristic, fit_quadratic_patches,
                                graph_patch_at, icosphere, make_circle,
                                make_cylinder_patch, make_disjoint_union,
-                               make_paraboloid_surface, make_sphere,
-                               make_torus, mesh_disjoint_union,
+                               make_sphere, make_torus, mesh_disjoint_union,
                                orthonormal_frames, polygon_circle, read_obj,
                                read_off, tangent_frame, torus_mesh,
                                validate_patch_class, write_obj, write_off)
+from rieszlab.geometry.charts import _graph_patch_surface
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
+
+
+def make_paraboloid_surface(extent=1.0, cx=1.0, cy=1.0):
+    """Reference surface: the graph z = cx*x^2 + cy*y^2."""
+    def g(u):
+        return cx * u[..., 0] ** 2 + cy * u[..., 1] ** 2
+
+    def grad_g(u):
+        return np.stack([2 * cx * u[..., 0], 2 * cy * u[..., 1]], axis=-1)
+
+    def hess_g(u):
+        h = np.zeros(u.shape[:-1] + (2, 2))
+        h[..., 0, 0] = 2 * cx
+        h[..., 1, 1] = 2 * cy
+        return h
+
+    return _graph_patch_surface(g, grad_g, hess_g, extent, name="paraboloid")
 
 
 def _qr_svd_frames(jac):
@@ -279,6 +296,38 @@ def test_validate_patch_class_volume_fail():
     assert not report.passed
     assert not report.volume_ok
     assert report.volume == pytest.approx(4 * math.pi, rel=1e-8)
+
+
+@pytest.mark.parametrize("surface", [make_sphere(), icosphere(2)],
+                         ids=["sphere", "icosphere2"])
+def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
+    import rieszlab.geometry.patches as patches
+
+    params = PatchClassParams(k=3, radius=0.1, derivative_bound=10.0,
+                              volume_bound=20.0)
+    calls = []
+    measure = patches.GraphPatch.measure_derivative_bound
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return measure(self, *args, **kwargs)
+
+    monkeypatch.setattr(patches.GraphPatch, "measure_derivative_bound",
+                        counted)
+    report = validate_patch_class(surface, params, samples=8)
+    measured = report.sample_count - len(report.violations)
+    assert measured > 0
+    assert len(calls) == measured
+    assert len({id(p) for p in calls}) == measured
+    # earlier versions measured the bound once more inside graph_patch_at;
+    # with that measurement put back the report is the same
+    place = patches.graph_patch_at
+    monkeypatch.setattr(patches, "graph_patch_at",
+                        lambda *args, measure_bound=True, **kwargs:
+                        place(*args, measure_bound=True, **kwargs))
+    calls.clear()
+    assert validate_patch_class(surface, params, samples=8) == report
+    assert len(calls) == 2 * measured
 
 
 def test_validate_two_disjoint_spheres():

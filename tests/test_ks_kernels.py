@@ -1,71 +1,96 @@
-"""The batched KS kernels against the per-node loop and einsum kernel they
-replaced (copied here as references)."""
+"""The KS diagonal limits against isotropic probing, the batched chart
+curvatures against the per-point formula they replaced, and the batched
+pair kernel against the einsum kernel it replaced (references copied
+here)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszlab import (MoebiusMap, TriMesh, apply_moebius, graph_patch_at,
-                      icosphere, make_circle, make_ellipsoid, make_sphere,
-                      make_torus, polygon_circle, torus_mesh)
-from rieszlab.errors import SingularPairError
-from rieszlab.moebius import (_diag_limits, combined_angle_cos_frames,
-                              ks_pair_kernel)
+                      icosphere, ks_energy, make_circle, make_disjoint_union,
+                      make_ellipsoid, make_sphere, make_torus, polygon_circle,
+                      torus_mesh)
+from rieszlab.geometry import orthonormal_frames
+from rieszlab.geometry.patches import umbilicity_defect
+from rieszlab.moebius import combined_angle_cos_frames, ks_pair_kernel
 
 
 # ----------------------------------------------------------------------
-# references: one node, one direction, one scale at a time
+# references: one node, one direction, one step at a time
 # ----------------------------------------------------------------------
 
-def _loop_chart_probe(surface, scale):
-    q = surface.quadrature(scale)
-
-    def probe(i, e, scales):
-        chart = surface.charts[q.chart_index[i]]
-        step = e / np.linalg.norm(q.jacobians[i] @ e)
-        for s in scales:
-            u = q.params[i] + step * (q.spacing[i] * s)
-            yield chart.value(u), chart.jacobian(u)
-
-    return probe
-
-
-def _loop_mesh_probe(mesh):
-    spacing = mesh.nodes().spacing
-    patches = [graph_patch_at(mesh, i, None, measure_bound=False)
-               for i in range(mesh.num_vertices)]
-
-    def probe(i, e, scales):
-        p = patches[i]
-        for s in scales:
-            eta = (e * min(spacing[i], p.radius) * s)[None]
-            yield (p.embed(eta)[0],
-                   p.tangent + p.normal @ p.height_jacobian(eta)[0])
-
-    return probe
+def _walker(surface, loc):
+    """eta (m,) in the node's orthonormal tangent frame -> a surface point
+    that far along eta (to first order) and a positively oriented tangent
+    basis there: on charts a step A eta in the parameters, A = (T^T J)^-1;
+    on meshes the point over eta on the vertex's fitted quadratic graph."""
+    if isinstance(surface, TriMesh):
+        p = graph_patch_at(surface, loc, None, measure_bound=False)
+        return lambda eta: (p.embed(eta[None])[0],
+                            p.tangent + p.normal @ p.height_jacobian(eta[None])[0])
+    k, u0 = surface.locate(loc)
+    chart = surface.charts[k]
+    A = np.linalg.inv(surface.frame_at(loc)[0].T @ chart.jacobian(u0))
+    return lambda eta: (chart.value(u0 + A @ eta), chart.jacobian(u0 + A @ eta))
 
 
-def _loop_diag_limits(points, frames, probe, m):
-    if m == 1:
+def _isotropic_limit(surface, loc, h):
+    """Mean over directions e evenly spaced in the orthonormal tangent plane
+    (8 on surfaces, 2 on curves) of lim (1 - cos theta) / d^2 along e, each
+    extrapolated quadratically in d from steps h, h/2, h/4."""
+    x = surface.basis_at(loc)[0]
+    tangent = surface.frame_at(loc)[0]
+    walk = _walker(surface, loc)
+    if surface.m == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        ang = np.linspace(0, math.pi, 4, endpoint=False)
+        ang = np.arange(8) * (2.0 * math.pi / 8)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    limits = np.zeros(len(points))
-    for i, (x0, tx) in enumerate(zip(points, frames)):
-        vals = []
-        for e in dirs:
-            fs, ds = [], []
-            for y, wy in probe(i, e, (0.5, 0.25, 0.125)):
-                d = float(np.linalg.norm(y - x0))
-                fs.append((1.0 - combined_angle_cos_frames(x0, tx, y, wy))
-                          / d ** 2)
-                ds.append(d)
-            V = np.vander(np.array(ds), 3, increasing=True)
-            vals.append(np.linalg.solve(V, np.array(fs))[0])
-        limits[i] = float(np.mean(vals))
-    return limits
+    limits = []
+    for e in dirs:
+        ds, fs = [], []
+        for s in (h, h / 2, h / 4):
+            y, basis = walk(s * e)
+            d = float(np.linalg.norm(y - x))
+            fs.append((1.0 - combined_angle_cos_frames(x, tangent, y, basis))
+                      / d ** 2)
+            ds.append(d)
+        V = np.vander(np.array(ds), 3, increasing=True)
+        limits.append(np.linalg.solve(V, np.array(fs))[0])
+    return float(np.mean(limits))
+
+
+def _closed_form_limits(surface, locators):
+    """ks_energy's diagonal limits: D / 16 on surfaces, 0 on curves."""
+    sff = surface.curvatures(locators)[2]
+    if surface.m == 1:
+        return np.zeros(len(sff))
+    return umbilicity_defect(sff) / 16.0
+
+
+def _assert_isotropic(got, ref, h, rel):
+    # 1 - cos carries a rounding error of a few ulps, eps / d^2 in the
+    # ratio at the smallest step d = h / 4; the extrapolation leaves a
+    # truncation error of order (k h)^3 relative
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref) <= 64 * eps / (h / 4) ** 2
+                  + rel * np.abs(ref))
+
+
+def _chart_curvature_reference(surface, loc):
+    """The per-point chart curvature of earlier versions: frames of the
+    Jacobian and the Hessian pulled back through (T^T J)^-1."""
+    k, u = surface.locate(loc)
+    chart = surface.charts[k]
+    jac = chart.jacobian(u)
+    hess = chart.hessian(u)
+    tangent, normal = orthonormal_frames(jac)
+    A = np.linalg.inv(tangent.T @ jac)
+    sff = np.einsum("nc,npq,pa,qb->abc", normal, hess, A, A)
+    return tangent, normal, sff
 
 
 def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
@@ -95,12 +120,17 @@ def _stretched_ico2():
     return mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
 
 
+def _inverted_ellipsoid():
+    # the inversion of acceptance criterion 9
+    return apply_moebius(make_ellipsoid(1.0, 1.0, 1.2),
+                         MoebiusMap("inversion", center=(3.0, 0.2, 0.1),
+                                    radius=2.0))
+
+
 SURFACES = {
     "sphere": lambda: make_sphere(),
     "ellipsoid": lambda: make_ellipsoid(1.0, 1.0, 1.2),
-    "ellipsoid_inverted": lambda: apply_moebius(
-        make_ellipsoid(1.0, 1.0, 1.2),
-        MoebiusMap("inversion", center=(3.0, 0.2, 0.1), radius=2.0)),
+    "ellipsoid_inverted": _inverted_ellipsoid,
     "torus": lambda: make_torus(),
     "circle": lambda: make_circle(),
     "icosphere2_stretched": _stretched_ico2,
@@ -109,53 +139,75 @@ SURFACES = {
 }
 
 
+def _sampled_locators(surface, count):
+    nodes = surface.nodes(0.5)
+    take = np.linspace(0, len(nodes.points) - 1, count).astype(int)
+    return [nodes.locators[i] for i in take]
+
+
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_diag_limits_match_per_node_loop(name):
     surface = SURFACES[name]()
-    nodes, frames, probe = surface.tangent_nodes(0.5)
-    if isinstance(surface, TriMesh):
-        loop_probe = _loop_mesh_probe(surface)
+    locators = _sampled_locators(surface, 40)
+    got = _closed_form_limits(surface, locators)
+    h = 4e-3
+    ref = np.array([_isotropic_limit(surface, loc, h) for loc in locators])
+    _assert_isotropic(got, ref, h, rel=1e-6)
+
+
+def test_torus_inner_equator_limit():
+    # at theta = pi on the torus (2, 0.5): k1 = 1/0.5 = 2, k2 = -1/1.5, so
+    # the limit is (k1 - k2)^2 / 16 = 4/9
+    torus = make_torus()
+    loc = (0, np.array([math.pi, 0.7]))
+    got = _closed_form_limits(torus, [loc])[0]
+    assert got == pytest.approx(4.0 / 9.0, rel=1e-14)
+    assert _isotropic_limit(torus, loc, 4e-3) == pytest.approx(4.0 / 9.0,
+                                                               rel=1e-7)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.tuples(*[st.floats(0.5, 2.0)] * 3))
+def test_ellipsoid_limits_match_isotropic_probe(axes):
+    surface = make_ellipsoid(*axes)
+    locators = _sampled_locators(surface, 6)
+    # steps scaled to the largest curvature, max(axes) / min(axes)^2
+    h = 4e-3 * min(axes) ** 2 / max(axes)
+    ref = np.array([_isotropic_limit(surface, loc, h) for loc in locators])
+    # up to 8e-6 relative was seen at curvature 8
+    _assert_isotropic(_closed_form_limits(surface, locators), ref, h,
+                      rel=1e-4)
+
+
+CHARTS = ["sphere", "ellipsoid", "ellipsoid_inverted", "torus", "circle",
+          "two_spheres"]
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_chart_curvatures_match_per_point_reference(name):
+    if name == "two_spheres":
+        surface = make_disjoint_union(
+            make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
     else:
-        loop_probe = _loop_chart_probe(surface, 0.5)
-    ref = _loop_diag_limits(nodes.points, frames, loop_probe, surface.m)
-    got = _diag_limits(nodes.points, frames, probe, surface.m)
-    assert got.shape == ref.shape
-    # each limit extrapolates (1 - cos)/d^2, and 1 - cos carries a rounding
-    # error of a few ulps: at the smallest step d that is eps/d^2 per node
-    # (about 3 eps/d^2 was seen; on the round sphere it is all of the limit)
-    dirs = np.eye(surface.m)[:1]
-    d_min = np.linalg.norm(probe(dirs, (0.125,))[0][:, 0, 0] - nodes.points,
-                           axis=-1)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(got - ref) <= 16 * eps / d_min ** 2 + 1e-12 * np.abs(ref))
+        surface = SURFACES[name]()
+    locators = _sampled_locators(surface, 60)
+    tangent, normal, sff = surface.curvatures(locators)
+    assert sff.shape == (len(locators), surface.m, surface.m,
+                         surface.n - surface.m)
+    for i, loc in enumerate(locators):
+        ref_t, ref_n, ref_sff = _chart_curvature_reference(surface, loc)
+        assert np.array_equal(tangent[i], ref_t)
+        assert np.array_equal(normal[i], ref_n)
+        assert np.max(np.abs(sff[i] - ref_sff)) <= 1e-14
+        one = surface.curvature_at(loc)
+        assert np.max(np.abs(one.second_fundamental - sff[i])) <= 1e-14
 
 
-def test_probe_is_batched_over_nodes_directions_and_scales():
-    surface = make_ellipsoid(1.0, 1.0, 1.2)
-    nodes, frames, probe = surface.tangent_nodes(0.5)
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    points, bases = probe(dirs, (0.5, 0.25))
-    assert points.shape == (len(nodes.points), 3, 2, 3)
-    assert bases.shape == (len(nodes.points), 3, 2, 3, 2)
-    loop_probe = _loop_chart_probe(surface, 0.5)
-    for i in (0, len(nodes.points) // 2, len(nodes.points) - 1):
-        for k, e in enumerate(dirs):
-            for j, (y, wy) in enumerate(loop_probe(i, e, (0.5, 0.25))):
-                assert np.allclose(points[i, k, j], y, rtol=0, atol=1e-14)
-                assert np.allclose(bases[i, k, j], wy, rtol=0, atol=1e-14)
-
-
-def test_collapsed_probe_raises():
-    surface = make_ellipsoid(1.0, 1.0, 1.2)
-    nodes, frames, probe = surface.tangent_nodes(0.5)
-
-    def collapsed(dirs, scales):
-        points, bases = probe(dirs, scales)
-        points[3, 1, 2] = nodes.points[3]
-        return points, bases
-
-    with pytest.raises(SingularPairError):
-        _diag_limits(nodes.points, frames, collapsed, 2)
+def test_ks_energy_is_inversion_invariant_to_rounding():
+    # the diagonal cells are exact, so the quadrature is all that differs
+    e0 = ks_energy(make_ellipsoid(1.0, 1.0, 1.2)).value
+    e1 = ks_energy(_inverted_ellipsoid()).value
+    assert abs(e1 - e0) <= 1e-12 * abs(e0)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,9 +8,26 @@ import pytest
 from rieszlab.cli import dump_json
 from rieszlab.errors import PoleError, PreconditionError
 from rieszlab.geometry import icosphere, make_circle, make_sphere
-from rieszlab.riesz import (BetaOracle, QuadratureConfig, beta_oracle,
-                            beta_residue, finite_part_at_pole, riesz_energy,
-                            scaling_check)
+from rieszlab.riesz import (QuadratureConfig, beta_oracle, beta_residue,
+                            finite_part_at_pole, riesz_energy, scaling_check)
+
+
+@dataclass
+class BetaOracle:
+    """Reference: the closed-form beta function of a round manifold,
+    bound to a radius."""
+
+    tag: str
+    radius: float = 1.0
+
+    def __call__(self, z: float) -> float:
+        return beta_oracle(self.tag, self.radius, z)
+
+    def residue(self, z: float) -> float:
+        return beta_residue(self.tag, self.radius, z)
+
+    def finite_part(self, z: float) -> float:
+        return finite_part_at_pole(self.tag, self.radius, z)
 
 
 # ----------------------------------------------------------------------
