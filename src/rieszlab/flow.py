@@ -3,10 +3,14 @@
 The flow's discrete Kusner-Sullivan energy is `ks_energy`'s vertex
 quadrature without its diagonal cells: the same vertex fit frames (face
 seed, one normal-equation solve, closed-form tilt), lumped weights and pair
-kernel, read from the mesh's shared topology. Every step is
-complex-analytic, so its gradient is the complex-step derivative, exact to
-machine precision.
-Riesz and Auckly-Sadun selectors differentiate by central differences.
+kernel, read from the mesh's shared topology. Its gradient is reverse mode
+written by hand: one pass backwards through the pair sum (O(V^2), in
+blocks of rows), the weights, Gram-Schmidt, the tilt, the normal
+equations (one transposed solve per vertex) and the face seed (O(V ring)),
+each stage's adjoint beside its forward. Every forward step stays
+complex-analytic, so complex step checks the adjoint to rounding.
+Riesz and Auckly-Sadun selectors differentiate by central differences:
+two energies per coordinate, O(V^3), meant for V up to about 100.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry.meshes import TriMesh, seed_frames
-from .geometry.patches import cross, dot, fit_tangent_frames
-from .moebius import ks_pair_kernel
+from .geometry.meshes import (PAIR_BLOCK, TriMesh, face_vectors,
+                              face_vectors_adjoint, seed_frames,
+                              seed_frames_adjoint)
+from .geometry.patches import (dot, fit_tangent_frames,
+                               fit_tangent_frames_adjoint)
+from .moebius import ks_pair_kernel, ks_pair_kernel_vjp
 
 __all__ = [
     "EnergySelector",
@@ -42,6 +49,21 @@ MAX_HALVINGS = 20
 # complex-safe discrete Kusner-Sullivan energy
 # ----------------------------------------------------------------------
 
+def _ks_quadrature(vertices, topology):
+    """What the flow energy reads of a vertex array: ring offsets, seed
+    frames, fitted frames and the fit's solve, the face vectors (halved on
+    triangles) and the lumped vertex weights."""
+    idx, mask = topology.ring_table
+    offsets = vertices[idx] - vertices[:, None]
+    seed = seed_frames(vertices, topology)
+    frames, _, solve = fit_tangent_frames(offsets, mask, *seed)
+    e = face_vectors(vertices, topology)
+    if topology.m == 2:
+        e = 0.5 * e
+    weights = topology.incidence @ (np.sqrt(dot(e, e)) / (topology.m + 1))
+    return offsets, seed, frames, solve, e, weights
+
+
 def _ks_vertex_energy(vertices, topology):
     """KS double sum over vertex nodes; analytic in the vertex positions.
 
@@ -50,19 +72,53 @@ def _ks_vertex_energy(vertices, topology):
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
     m = topology.m
-    idx, mask = topology.ring_table
-    frames = fit_tangent_frames(vertices[idx] - vertices[:, None], mask,
-                                *seed_frames(vertices, topology))[0]
-    p = vertices[topology.faces]
-    e = p[:, 1] - p[:, 0]
-    if m == 2:
-        e = 0.5 * cross(e, p[:, 2] - p[:, 0])
-    weights = topology.incidence @ (np.sqrt(dot(e, e)) / (m + 1))
+    _, _, frames, _, _, weights = _ks_quadrature(vertices, topology)
     omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = omc ** m / dist ** (2 * m)
     np.fill_diagonal(q, 0.0)
     return weights @ q @ weights
+
+
+def _ks_vertex_gradient(vertices, topology):
+    """Gradient (V, n) of `_ks_vertex_energy`, by reverse mode.
+
+    E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
+    frame) arguments, so each vertex's pair gradient is twice its row side
+    (`ks_pair_kernel_vjp`) and dE/dw = 2 q w. The frame gradients then
+    run back through the fit and the seed, the weight gradients through
+    the face vectors.
+    """
+    m, V = topology.m, len(vertices)
+    offsets, seed, frames, solve, e, weights = _ks_quadrature(vertices,
+                                                              topology)
+    grad = np.empty(vertices.shape)
+    frames_bar = np.empty(frames.shape)
+    weights_bar = np.empty(V)
+    rows = max(1, PAIR_BLOCK // V)
+    for lo in range(0, V, rows):
+        hi = min(lo + rows, V)
+        omc, dist, pullback = ks_pair_kernel_vjp(
+            vertices[lo:hi], frames[lo:hi], vertices, frames)
+        ww = 2.0 * weights[lo:hi, None] * weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2m = dist ** (2 * m)
+            q = omc ** m / d2m
+            q[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+            omc_bar = ww * m * omc ** (m - 1) / d2m
+            dist_bar = -2.0 * m * ww * q / dist
+        weights_bar[lo:hi] = 2.0 * (q @ weights)
+        grad[lo:hi], frames_bar[lo:hi] = pullback(omc_bar, dist_bar)
+    offsets_bar, *seed_bar = fit_tangent_frames_adjoint(
+        offsets, topology.ring_table[1], *seed, solve, frames_bar)
+    np.add.at(grad, topology.ring_table[0], offsets_bar)
+    grad -= offsets_bar.sum(axis=1)
+    grad += seed_frames_adjoint(vertices, topology, *seed_bar)
+    # w = incidence (|e| / (m + 1)), e halved on triangles
+    size_bar = (topology.incidence.T @ weights_bar) / (m + 1)
+    e_bar = size_bar[:, None] * e / np.sqrt(dot(e, e))[:, None]
+    return grad + face_vectors_adjoint(vertices, topology,
+                                       0.5 * e_bar if m == 2 else e_bar)
 
 
 def ks_flow_energy(mesh: TriMesh) -> float:
@@ -76,7 +132,12 @@ def ks_flow_energy(mesh: TriMesh) -> float:
 
 @dataclass(frozen=True)
 class EnergySelector:
-    """Which functional the flow descends: KS, Riesz alpha, or AS with s."""
+    """Which functional the flow descends: KS, Riesz alpha, or AS with s.
+
+    KS has a reverse-mode gradient, O(V^2). Riesz and AS are differentiated
+    by central differences, two energies per coordinate: O(V^3), meant for
+    V up to about 100.
+    """
 
     kind: str = "ks"
     alpha: float | None = None
@@ -130,25 +191,18 @@ class FlowState:
 
 
 def energy_gradient(state: FlowState) -> np.ndarray:
-    """Per-vertex energy gradient.
+    """Per-vertex energy gradient (V, n).
 
-    The KS quadrature sum is differentiated by complex step, which is exact
-    to machine precision; the Riesz and AS energies by central differences
-    with step 1e-5 x bounding-box diagonal.
+    KS: the reverse-mode gradient of the flow's quadrature sum, one pass
+    of O(V^2) pair work (`_ks_vertex_gradient`). Riesz and AS: central
+    differences with step 1e-5 x bounding-box diagonal, two energies per
+    coordinate, so O(V^3); meant for V up to about 100.
     """
     mesh = state.mesh
+    if state.selector.kind == "ks":
+        return _ks_vertex_gradient(mesh.vertices, mesh.topology)
     V, n = mesh.vertices.shape
     grad = np.empty((V, n))
-    if state.selector.kind == "ks":
-        h = 1e-20
-        base = mesh.vertices.astype(complex)
-        for i in range(V):
-            for c in range(n):
-                z = base.copy()
-                z[i, c] += 1j * h
-                grad[i, c] = float(np.imag(
-                    _ks_vertex_energy(z, mesh.topology))) / h
-        return grad
     box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
     h = 1e-5 * float(np.linalg.norm(box))
     for i in range(V):
@@ -184,7 +238,11 @@ def flow_step(state: FlowState) -> FlowState:
     the state is returned with the stationary flag set (a report, not an
     error).
     """
-    e0 = state.energy()
+    last = state.trajectory[-1] if state.trajectory else None
+    if last is not None and last.iteration == state.iteration:
+        e0 = last.energy      # the energy the accepted step recorded
+    else:
+        e0 = state.energy()
     grad = energy_gradient(state)
     if float(np.linalg.norm(grad)) == 0.0:
         return replace(state, stationary=True)

@@ -17,13 +17,17 @@ import numpy as np
 
 from ..errors import TopologyError, UnsupportedInputError
 from .patches import (PatchStack, cross, dot, fit_curvature,
-                      fit_tangent_frames, orthonormal_frames)
+                      fit_tangent_frames, orthonormal_frames,
+                      orthonormal_frames_adjoint, unit_adjoint)
 from .surface import NodeSet, Surface
 
 __all__ = [
     "MeshTopology",
     "TriMesh",
     "seed_frames",
+    "seed_frames_adjoint",
+    "face_vectors",
+    "face_vectors_adjoint",
     "euler_characteristic",
     "icosphere",
     "torus_mesh",
@@ -34,6 +38,9 @@ __all__ = [
     "read_obj",
     "write_obj",
 ]
+
+# Vertex pairs per block of an all-pairs pass (bounds its memory).
+PAIR_BLOCK = 1 << 16
 
 
 class MeshTopology:
@@ -133,6 +140,36 @@ class MeshTopology:
                                  shape=(self.num_vertices, F))
 
 
+def face_vectors(vertices, topology):
+    """Per-face vectors (F, n): the edge p1 - p0 of each segment (m = 1),
+    (p1 - p0) x (p2 - p0), twice the area vector, of each triangle
+    (m = 2). Plain products, so complex-step derivatives go through."""
+    p = vertices[topology.faces]
+    e = p[:, 1] - p[:, 0]
+    return e if topology.m == 1 else cross(e, p[:, 2] - p[:, 0])
+
+
+def face_vectors_adjoint(vertices, topology, face_bar):
+    """Gradient of <face_bar, face_vectors(vertices, topology)> with
+    respect to the vertices (V, n)."""
+    faces = topology.faces
+    if topology.m == 1:
+        corners = [-face_bar, face_bar]
+    else:
+        p = vertices[faces]
+        u_bar = cross(p[:, 2] - p[:, 0], face_bar)
+        s_bar = cross(face_bar, p[:, 1] - p[:, 0])
+        corners = [-u_bar - s_bar, u_bar, s_bar]
+    grad = np.zeros(vertices.shape)
+    for k, g in enumerate(corners):
+        np.add.at(grad, faces[:, k], g)
+    return grad
+
+
+def _unit(a):
+    return a / np.sqrt(dot(a, a))[:, None]
+
+
 def seed_frames(vertices, topology):
     """Oriented orthonormal seed frames of every vertex, from its faces:
     (tangent (V, n, m), normal (V, n, n-m)).
@@ -144,19 +181,47 @@ def seed_frames(vertices, topology):
     first tangent. Every product is a plain one, so complex-step
     derivatives go through.
     """
-    def unit(a):
-        return a / np.sqrt(dot(a, a))[:, None]
-
-    p = vertices[topology.faces]
-    e = p[:, 1] - p[:, 0]
-    if topology.m == 1:
-        return orthonormal_frames((topology.incidence @ unit(e))[..., None])
-    if vertices.shape[1] != 3:
+    if topology.m == 2 and vertices.shape[1] != 3:
         raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
-    nrm = unit(topology.incidence @ unit(cross(e, p[:, 2] - p[:, 0])))
+    f = _unit(face_vectors(vertices, topology))
+    if topology.m == 1:
+        return orthonormal_frames((topology.incidence @ f)[..., None])
+    nrm = _unit(topology.incidence @ f)
     e = vertices[topology.ring_table[0][:, 0]] - vertices
-    e = unit(e - dot(e, nrm)[:, None] * nrm)
+    e = _unit(e - dot(e, nrm)[:, None] * nrm)
     return np.stack([e, cross(nrm, e)], axis=-1), nrm[..., None]
+
+
+def seed_frames_adjoint(vertices, topology, tangent_bar, normal_bar):
+    """Reverse-mode derivative of `seed_frames`: the gradient of
+    <tangent_bar, T> + <normal_bar, N> with respect to the vertices (V, n).
+    Real input."""
+    fv = face_vectors(vertices, topology)
+    f = _unit(fv)
+    a = topology.incidence @ f
+    grad = np.zeros(vertices.shape)
+    if topology.m == 1:
+        a_bar = orthonormal_frames_adjoint(a[..., None], tangent_bar,
+                                           normal_bar)[..., 0]
+    else:
+        nrm = _unit(a)
+        first = topology.ring_table[0][:, 0]
+        e = vertices[first] - vertices
+        proj = dot(e, nrm)[:, None]
+        e0 = e - proj * nrm
+        t = _unit(e0)
+        t_bar, u_bar = tangent_bar[..., 0], tangent_bar[..., 1]
+        # u = nrm x t, t = unit(e - <e, nrm> nrm)
+        nrm_bar = normal_bar[..., 0] + cross(t, u_bar)
+        e0_bar = unit_adjoint(e0, t, t_bar + cross(u_bar, nrm))
+        proj_bar = -dot(e0_bar, nrm)[:, None]
+        e_bar = e0_bar + proj_bar * nrm
+        nrm_bar = nrm_bar - proj * e0_bar + proj_bar * e
+        a_bar = unit_adjoint(a, nrm, nrm_bar)
+        np.add.at(grad, first, e_bar)
+        grad -= e_bar
+    f_bar = unit_adjoint(fv, f, topology.incidence.T @ a_bar)
+    return grad + face_vectors_adjoint(vertices, topology, f_bar)
 
 
 def _segment_distance(x, a, b):
@@ -285,24 +350,26 @@ class TriMesh(Surface):
         return out
 
     def min_nonneighbor_distance(self) -> float:
-        """Min distance between vertices not sharing any face."""
-        from scipy.spatial import cKDTree
+        """Min distance between vertices not sharing any face (inf when
+        every pair shares one), over all pairs in blocks of rows: O(V^2)
+        light work, as the KS sums that read it are O(V^2)."""
         pts, V = self.vertices, self.num_vertices
         adj = self.topology.adjacency
-        nbr = np.repeat(np.arange(V), np.diff(adj.indptr)) * V + adj.indices
-        # the nearest (largest 1-ring) + 2 vertices of each vertex hold a
-        # non-neighbour; the winning pairs are remeasured with the dense
-        # all-pairs formula, so the value does not depend on the tree
-        k = min(V, int(np.diff(adj.indptr).max(initial=0)) + 2)
-        dist, idx = cKDTree(pts).query(pts, np.arange(1, k + 1))
-        rows = np.arange(V)[:, None]
-        dist = np.where((rows != idx) & ~np.isin(rows * V + idx, nbr), dist,
-                        np.inf)
-        if not np.isfinite(dist.min()):
-            return math.inf
-        v, j = np.nonzero(dist == dist.min())
-        d2 = np.sum((pts[v] - pts[idx[v, j]]) ** 2, axis=-1)
-        return float(np.sqrt(d2.min()))
+        best = math.inf
+        rows = max(1, PAIR_BLOCK // V)
+        for lo in range(0, V, rows):
+            hi = min(lo + rows, V)
+            # rows lo:hi against columns lo: hold every pair at least once;
+            # the bits of np.sum(d ** 2, axis=-1), one coordinate at a time
+            d2 = sum((pts[lo:hi, c, None] - pts[lo:, c]) ** 2
+                     for c in range(self.n))
+            d2[np.arange(hi - lo), np.arange(hi - lo)] = math.inf
+            span = slice(adj.indptr[lo], adj.indptr[hi])
+            row = np.repeat(np.arange(hi - lo), np.diff(adj.indptr[lo:hi + 1]))
+            col = adj.indices[span] - lo
+            d2[row[col >= 0], col[col >= 0]] = math.inf
+            best = min(best, float(d2.min()))
+        return math.sqrt(best)
 
     def distance_to(self, point) -> float:
         """Distance from a point to the nearest simplex of the mesh."""

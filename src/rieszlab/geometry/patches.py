@@ -43,6 +43,8 @@ __all__ = [
     "validate_patch_class",
     "default_patch_radius",
     "fit_tangent_frames",
+    "fit_tangent_frames_adjoint",
+    "orthonormal_frames_adjoint",
     "fit_curvature",
     "fit_quadratic_patches",
 ]
@@ -106,6 +108,52 @@ def orthonormal_frames(jac) -> tuple[np.ndarray, np.ndarray]:
     e = e - dot(t, e)[..., None] * t
     e = e / np.sqrt(dot(e, e))[..., None]
     return t[..., None], np.stack([e, cross(t, e)], axis=-1)
+
+
+def unit_adjoint(a, u, u_bar):
+    """Gradient of <u_bar, u> with respect to a, u = a / |a| (row stacks
+    along the last axis)."""
+    u_bar = u_bar - dot(u_bar, u)[..., None] * u
+    return u_bar / np.sqrt(dot(a, a))[..., None]
+
+
+def orthonormal_frames_adjoint(jac, tangent_bar, normal_bar):
+    """Reverse-mode derivative of `orthonormal_frames`: the gradient of
+    <tangent_bar, T> + <normal_bar, N>, (T, N) = orthonormal_frames(jac),
+    with respect to jac. normal_bar None means N is not read. Real input.
+    """
+    jac = np.asarray(jac, dtype=float)
+    n, m = jac.shape[-2:]
+    a0 = jac[..., 0]
+    t = a0 / np.sqrt(dot(a0, a0))[..., None]
+    t_bar = tangent_bar[..., 0]
+    if m == 2:
+        a1 = jac[..., 1]
+        proj = dot(t, a1)[..., None]
+        b0 = a1 - proj * t
+        b = b0 / np.sqrt(dot(b0, b0))[..., None]
+        b_bar = tangent_bar[..., 1]
+        if normal_bar is not None:             # N = t x b
+            t_bar = t_bar + cross(b, normal_bar[..., 0])
+            b_bar = b_bar + cross(normal_bar[..., 0], t)
+        b0_bar = unit_adjoint(b0, b, b_bar)
+        proj_bar = -dot(b0_bar, t)[..., None]
+        t_bar = t_bar - proj * b0_bar + proj_bar * a1
+        return np.stack([unit_adjoint(a0, t, t_bar), b0_bar + proj_bar * t],
+                        axis=-1)
+    if normal_bar is not None and n == 2:      # N = (-t_1, t_0)
+        t_bar = t_bar + np.stack([normal_bar[..., 1, 0],
+                                  -normal_bar[..., 0, 0]], axis=-1)
+    elif normal_bar is not None:               # N = [u, t x u]
+        e = (np.arange(3) == np.argmin(np.abs(t), axis=-1)[..., None])
+        te = dot(t, e)[..., None]
+        f = e - te * t
+        u = f / np.sqrt(dot(f, f))[..., None]
+        t_bar = t_bar + cross(u, normal_bar[..., 1])
+        f_bar = unit_adjoint(f, u, normal_bar[..., 0]
+                             + cross(normal_bar[..., 1], t))
+        t_bar = t_bar - te * f_bar - dot(f_bar, t)[..., None] * e
+    return unit_adjoint(a0, t, t_bar)[..., None]
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +326,25 @@ class PatchStack:
                   for k in stacks[0].meta})
 
 
+def _fit_design(d, mask, tangent, normal):
+    """Unweighted design [X | Y] of the vertex fit, its row weights and
+    what they are made of: (cols (P, R, k + n - m), w (P, R), dist2
+    (P, R), scale (P, 1, 1), eta (P, R, m), quad_idx)."""
+    m = tangent.shape[-1]
+    quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
+    count = mask.sum(axis=1)
+    dist2 = dot(d, d)
+    scale = ((np.sqrt(dist2) * mask).sum(axis=1) / count)[:, None, None]
+    w = np.exp(-dist2 / scale[..., 0] ** 2) * mask
+    coords = d @ np.concatenate([tangent, normal], axis=-1)
+    eta = coords[..., :m] / scale
+    cols = [eta[..., i] for i in range(m)]
+    cols += [(0.5 if i == j else 1.0) * eta[..., i] * eta[..., j]
+             for (i, j) in quad_idx]
+    cols += [coords[..., c] for c in range(m, coords.shape[-1])]
+    return np.stack(cols, axis=-1), w, dist2, scale, eta, quad_idx
+
+
 def fit_tangent_frames(offsets, mask, tangent, normal):
     """Frame step of the quadratic vertex fit, batched.
 
@@ -290,31 +357,77 @@ def fit_tangent_frames(offsets, mask, tangent, normal):
     / s^2), by normal equations. The fitted graph's tangent plane at the
     vertex is spanned by B = T + N g^T. Returns (tangent, normal, solve):
     the frames of B, with the seed's orientation, and what `fit_curvature`
-    reads. Complex input goes through (complex step).
+    and `fit_tangent_frames_adjoint` read. Complex input goes through
+    (complex step).
     """
     d = _floating(offsets)
     mask = np.asarray(mask, dtype=float)
     m = tangent.shape[-1]
-    quad_idx = [(i, j) for i in range(m) for j in range(i, m)]
-    k = m + len(quad_idx)
+    k = m + m * (m + 1) // 2
     count = mask.sum(axis=1)
     if np.any(count < k):
         raise NumericalError("not enough neighbors for a quadratic fit")
-    dist2 = dot(d, d)
-    scale = ((np.sqrt(dist2) * mask).sum(axis=1) / count)[:, None, None]
-    w = np.exp(-dist2 / scale[..., 0] ** 2) * mask
-    coords = d @ np.concatenate([tangent, normal], axis=-1)
-    eta = coords[..., :m] / scale
-    cols = [eta[..., i] for i in range(m)]
-    cols += [(0.5 if i == j else 1.0) * eta[..., i] * eta[..., j]
-             for (i, j) in quad_idx]
-    cols += [coords[..., c] for c in range(m, coords.shape[-1])]
-    XY = np.stack(cols, axis=-1) * w[..., None]           # [X | Y] weighted
+    cols, w, _, scale, _, quad_idx = _fit_design(d, mask, tangent, normal)
+    XY = cols * w[..., None]                               # [X | Y] weighted
     G = np.swapaxes(XY, -1, -2) @ XY
     sol = np.linalg.solve(G[:, :k, :k], G[:, :k, k:])      # (P, k, n-m)
     tilted = tangent + normal @ np.swapaxes(sol[:, :m] / scale, -1, -2)
     return (*orthonormal_frames(tilted),
             (normal, tilted, XY, sol, scale, count, quad_idx))
+
+
+def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
+                               tangent_bar):
+    """Reverse-mode derivative of `fit_tangent_frames`.
+
+    From the forward's inputs and its solve, the gradients of <tangent_bar,
+    T'>, T' the returned tangent frames, with respect to offsets (P, R, n),
+    tangent (P, n, m) and normal (P, n, n-m), in that order. It runs the
+    forward backwards: Gram-Schmidt, the tilt B = T + N g^T, the normal
+    equations (one transposed solve per patch), the weighted design and the
+    ring scale s. Real input only.
+    """
+    d = np.asarray(offsets, dtype=float)
+    mask = np.asarray(mask, dtype=float)
+    _, tilted, XY, sol, scale, count, quad_idx = solve
+    m, k = tangent.shape[-1], sol.shape[1]
+    cols, w, dist2, _, eta, _ = _fit_design(d, mask, tangent, normal)
+    s = scale[:, 0, 0]
+    # the tilt, g = sol[:m] / s
+    B_bar = orthonormal_frames_adjoint(tilted, tangent_bar, None)
+    g = sol[:, :m] / scale
+    g_bar = np.swapaxes(B_bar, -1, -2) @ normal             # (P, m, n-m)
+    s_bar = -(g_bar * g).sum(axis=(1, 2)) / s
+    # sol = A^-1 R with [A | R] the first k rows of G = XY^T XY
+    sol_bar = np.zeros_like(sol)
+    sol_bar[:, :m] = g_bar / scale
+    G = np.swapaxes(XY, -1, -2) @ XY
+    Z = np.linalg.solve(np.swapaxes(G[:, :k, :k], -1, -2), sol_bar)
+    G_bar = np.zeros_like(G)
+    G_bar[:, :k, :k] = -Z @ np.swapaxes(sol, -1, -2)
+    G_bar[:, :k, k:] = Z
+    XY_bar = XY @ (G_bar + np.swapaxes(G_bar, -1, -2))
+    # XY = cols w: back to the scaled coordinates eta and the heights
+    cols_bar = XY_bar * w[..., None]
+    w_bar = dot(XY_bar, cols)
+    eta_bar = cols_bar[..., :m].copy()
+    for q, (i, j) in enumerate(quad_idx):
+        c = (0.5 if i == j else 1.0) * cols_bar[..., m + q]
+        eta_bar[..., i] += c * eta[..., j]
+        eta_bar[..., j] += c * eta[..., i]
+    s_bar -= dot(eta_bar, eta).sum(axis=1) / s
+    coords_bar = np.concatenate([eta_bar / scale, cols_bar[..., k:]], axis=-1)
+    frame = np.concatenate([tangent, normal], axis=-1)
+    d_bar = coords_bar @ np.swapaxes(frame, -1, -2)
+    frame_bar = np.swapaxes(d, -1, -2) @ coords_bar
+    # w = exp(-|d|^2 / s^2) and s the mean |d| over the ring
+    s_bar += 2.0 * (w_bar * w * dist2).sum(axis=1) / s ** 3
+    r = np.sqrt(np.where(mask > 0.0, dist2, 1.0))
+    dist2_bar = (-w_bar * w / (s * s)[:, None]
+                 + (s_bar / count)[:, None] * mask / (2.0 * r))
+    d_bar += 2.0 * dist2_bar[..., None] * d
+    return (d_bar, B_bar + frame_bar[..., :m],
+            B_bar @ g + frame_bar[..., m:])
 
 
 def fit_curvature(tangent, normal, solve):

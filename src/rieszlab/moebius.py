@@ -82,6 +82,22 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     and complex-step derivatives through it are exact. Coincident pairs get
     0 in both outputs; 1 - cos is not clipped to [0, 2].
     """
+    omc, dist, _ = ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames)
+    return omc, dist
+
+
+def ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames):
+    """`ks_pair_kernel`'s (omc, dist) and its row-side pullback.
+
+    pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
+    + dist_bar * dist) with respect to x_pts (Nx, n) and x_frames (Nx, n,
+    m), in O(Nx Ny) work and no (Nx, Ny, n) temporaries; coincident pairs
+    contribute nothing, their outputs being constant 0. The kernel is
+    symmetric under swapping (x, e) with (y, w) for any frames (G turns
+    into its transpose), so in a symmetric double sum each point's gradient
+    is twice its row side and the column side is never formed. The pullback
+    takes real input only.
+    """
     (Nx, n), Ny, m = x_pts.shape, len(y_pts), x_frames.shape[-1]
     diff = y_pts[None, :, :] - x_pts[:, None, :]          # (Nx, Ny, n)
     dist = np.sqrt(dot(diff, diff))
@@ -104,22 +120,51 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
         cos = -(G(0, 0) * G(1, 1) - G(0, 1) * G(1, 0))
     omc = 1.0 - cos
     omc[dist == 0.0] = 0.0
-    return omc, dist
+
+    def pullback(omc_bar, dist_bar):
+        apart = dist != 0.0
+        inv = np.where(apart, 1.0 / np.where(apart, dist, 1.0), 0.0)
+        c_bar = np.where(apart, -omc_bar, 0.0)             # d/d cos
+        if m == 1:
+            G_bar = [[c_bar]]
+        else:
+            G_bar = [[-c_bar * G(1, 1), c_bar * G(1, 0)],
+                     [c_bar * G(0, 1), -c_bar * G(0, 0)]]
+        a_bar = [2.0 * sum(G_bar[k][l] * b[..., l] for l in range(m))
+                 for k in range(m)]
+        b_bar = [2.0 * sum(G_bar[k][l] * a[..., k] for k in range(m))
+                 for l in range(m)]
+        # v = d / |d|, d = y - x: d_bar = (v_bar - <v_bar, v> v) / |d|
+        # + dist_bar v, with <v_bar, v> = sum a_bar a + sum b_bar b
+        radial = sum(a_bar[k] * a[..., k] + b_bar[k] * b[..., k]
+                     for k in range(m))
+        radial = radial * inv - np.where(apart, dist_bar, 0.0)
+        along_v = np.stack([radial] + a_bar, axis=1) @ v   # (Nx, 1 + m, n)
+        x_bar = along_v[:, 0]
+        frames_bar = []
+        for k in range(m):
+            x_bar = x_bar - ((a_bar[k] * inv).sum(axis=1)[:, None]
+                             * x_frames[..., k]
+                             + (b_bar[k] * inv) @ y_frames[..., k])
+            frames_bar.append(along_v[:, 1 + k] - sum(
+                G_bar[k][l] @ y_frames[..., l] for l in range(m)))
+        return x_bar, np.stack(frames_bar, axis=-1)
+
+    return omc, dist, pullback
 
 
-def _ks_assemble(pts, frames, weights, spacing, limits, m, block=512):
-    """Blocked double sum of (1-cos)^m / d^(2m) with near-diagonal limits."""
+def _ks_assemble(pts, frames, weights, limits, m, block=512):
+    """Blocked double sum of (1-cos)^m / d^(2m), coincident nodes taking
+    their diagonal limits."""
     N = len(pts)
     total_rows = []
     for lo in range(0, N, block):
         hi = min(lo + block, N)
         omc, dist = ks_pair_kernel(pts[lo:hi], frames[lo:hi], pts, frames)
         omc = np.clip(omc, 0.0, 2.0)
-        cut = spacing[lo:hi, None] * 0.25
-        near = dist < cut
         with np.errstate(divide="ignore", invalid="ignore"):
             q = omc ** m / dist ** (2 * m)
-        q = np.where(near, limits[lo:hi, None] ** m, q)
+        q = np.where(dist == 0.0, limits[lo:hi, None] ** m, q)
         row = q @ weights
         total_rows.append(row * weights[lo:hi])
     return compensated_sum(np.concatenate(total_rows))
@@ -131,11 +176,11 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
     """Kusner-Sullivan energy: double integral of (1-cos theta)^m/|x-y|^2m.
 
     The integrand extends continuously to the diagonal (it is O(1) there on
-    C^2 surfaces); pairs closer than a quarter of the local node spacing use
-    the m-th power of the limit of (1 - cos theta)/|x-y|^2 averaged over
-    the tangent directions e, the mean of II(e, e_perp)^2 / 2: D / 16 on
+    C^2 surfaces). Only coincident nodes, the diagonal cells, use the m-th
+    power of the limit of (1 - cos theta)/|x-y|^2 averaged over the
+    tangent directions e, the mean of II(e, e_perp)^2 / 2: D / 16 on
     surfaces (D the umbilicity defect, (k1 - k2)^2 in R^3) and 0 on
-    curves. Non-embedded meshes
+    curves; every other pair takes the kernel itself. Non-embedded meshes
     are rejected by default: the energy is discontinuous on immersed inputs
     (a double cover scores zero while nearby embedded pairs blow up).
     """
@@ -158,8 +203,7 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
     frames, _, sff = surface.curvatures(nodes.locators)
     limits = (umbilicity_defect(sff) / 16.0 if m == 2
               else np.zeros(len(frames)))
-    value = _ks_assemble(nodes.points, frames, nodes.weights, nodes.spacing,
-                         limits, m)
+    value = _ks_assemble(nodes.points, frames, nodes.weights, limits, m)
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
                         error_estimate=0.0)
 

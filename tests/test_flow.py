@@ -1,12 +1,22 @@
+import ast
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import rieszlab
 from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
-                           contact_monitor, energy_gradient, flow_step,
-                           ks_flow_energy, run_flow, write_trajectory_csv)
-from rieszlab.geometry import (icosphere, mesh_disjoint_union, polygon_circle,
-                               read_off, torus_mesh, write_off)
+                           _ks_vertex_energy, contact_monitor, energy_gradient,
+                           flow_step, ks_flow_energy, run_flow,
+                           write_trajectory_csv)
+from rieszlab.geometry import (TriMesh, icosphere, mesh_disjoint_union,
+                               polygon_circle, read_off, torus_mesh, write_off)
 from rieszlab.geometry.patches import umbilicity_defect
 from rieszlab.moebius import ks_energy
 from rieszlab.riesz import QuadratureConfig
@@ -35,6 +45,152 @@ def _ks_central_difference(mesh):
             grad[i, c] = (ks_flow_energy(mesh.with_vertices(vp))
                           - ks_flow_energy(mesh.with_vertices(vm))) / (2 * h)
     return grad
+
+
+def _ks_complex_step(mesh, coords=None):
+    """Complex-step derivatives of the flow's KS sum, exact to rounding:
+    one complex energy per (vertex, axis) in coords (default: all)."""
+    if coords is None:
+        coords = np.ndindex(*mesh.vertices.shape)
+    h = 1e-20
+    out = {}
+    for i, c in coords:
+        z = mesh.vertices.astype(complex)
+        z[i, c] += 1j * h
+        out[i, c] = float(np.imag(_ks_vertex_energy(z, mesh.topology))) / h
+    return out
+
+
+def _ks_complex_step_gradient(mesh):
+    grad = np.empty(mesh.vertices.shape)
+    for ic, value in _ks_complex_step(mesh).items():
+        grad[ic] = value
+    return grad
+
+
+def _trefoil(n=64):
+    # the (2, 3) torus knot as a closed n-gon: a curve (m = 1) in R^3
+    t = 2.0 * np.pi * np.arange(n) / n
+    pts = np.stack([np.sin(t) + 2.0 * np.sin(2.0 * t),
+                    np.cos(t) - 2.0 * np.cos(2.0 * t), -np.sin(3.0 * t)],
+                   axis=-1)
+    return TriMesh(pts, [(k, (k + 1) % n) for k in range(n)], 1)
+
+
+def _stretched_icosphere2():
+    return icosphere(2).with_vertices(icosphere(2).vertices * [1.0, 1.0, 1.2])
+
+
+GRADIENT_MESHES = {
+    "icosphere1": lambda: _perturbed_sphere(),
+    "icosphere2_stretched": _stretched_icosphere2,
+    "polygon32": lambda: _perturbed(polygon_circle(32)),
+    "trefoil64": _trefoil,
+    "dumbbell": lambda: _perturbed(mesh_disjoint_union(
+        icosphere(1, 1.0, (-1.25, 0.0, 0.0)),
+        icosphere(1, 1.0, (1.25, 0.0, 0.0)))),
+}
+
+
+@pytest.mark.parametrize("name", list(GRADIENT_MESHES))
+def test_ks_gradient_matches_complex_step(name):
+    mesh = GRADIENT_MESHES[name]()
+    g = energy_gradient(FlowState(mesh=mesh))
+    ref = _ks_complex_step_gradient(mesh)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_ks_gradient_matches_complex_step_on_torus_mesh():
+    # V = 1152: a full complex-step gradient is 3456 energies, so check the
+    # largest entry and three random coordinates
+    mesh = torus_mesh()
+    g = energy_gradient(FlowState(mesh=mesh))
+    rng = np.random.default_rng(5)
+    coords = [np.unravel_index(np.argmax(np.abs(g)), g.shape)]
+    coords += [(rng.integers(mesh.num_vertices), rng.integers(3))
+               for _ in range(3)]
+    for ic, value in _ks_complex_step(mesh, coords).items():
+        assert abs(g[ic] - value) <= 1e-10 * np.max(np.abs(g))
+
+
+@settings(max_examples=8, deadline=None)
+@given(which=st.sampled_from(["icosphere1", "polygon24"]),
+       radial=st.lists(st.floats(-0.1, 0.1), min_size=42, max_size=42))
+@example(which="polygon24", radial=[0.0] * 42)
+def test_ks_gradient_matches_complex_step_on_radial_perturbations(which,
+                                                                   radial):
+    mesh = icosphere(1) if which == "icosphere1" else polygon_circle(24)
+    factors = 1.0 + np.array(radial[:mesh.num_vertices])[:, None]
+    mesh = mesh.with_vertices(mesh.vertices * factors)
+    g = energy_gradient(FlowState(mesh=mesh))
+    ref = _ks_complex_step_gradient(mesh)
+    # the gradient is O(a) for perturbations of size a, and rounding-level
+    # (2e-14 on the round 24-gon) at a = 0: below a ~ 1e-3 the check is
+    # absolute, 1e-13
+    scale = max(np.max(np.abs(ref)), 1e-3)
+    assert np.max(np.abs(g - ref)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["icosphere1", "polygon32", "trefoil64",
+                                  "dumbbell"])
+def test_ks_gradient_invariance_identities(name):
+    # E is invariant under translation, scaling and rotation, so its
+    # gradient has zero sum, zero radial moment and zero torque
+    mesh = GRADIENT_MESHES[name]()
+    x = mesh.vertices - mesh.vertices.mean(axis=0)
+    g = energy_gradient(FlowState(mesh=mesh.with_vertices(x)))
+    size = np.linalg.norm(g, axis=1)
+    moment = np.linalg.norm(x, axis=1) * size
+    assert np.linalg.norm(g.sum(axis=0)) <= 1e-10 * size.sum()
+    assert abs(np.sum(x * g)) <= 1e-10 * moment.sum()
+    if mesh.n == 2:
+        torque = np.sum(x[:, 0] * g[:, 1] - x[:, 1] * g[:, 0])
+    else:
+        torque = np.linalg.norm(np.cross(x, g).sum(axis=0))
+    assert abs(torque) <= 1e-10 * moment.sum()
+
+
+def test_flow_step_reads_e0_from_the_trajectory(monkeypatch):
+    calls = []
+    evaluate = EnergySelector.evaluate
+
+    def counted(self, mesh, config=None):
+        calls.append(mesh)
+        return evaluate(self, mesh, config)
+
+    monkeypatch.setattr(EnergySelector, "evaluate", counted)
+    state = run_flow(FlowState(mesh=_perturbed_sphere(), step_size=1e-2), 4)
+    # every step taken at its first trial: one energy for the start and
+    # one per accepted step, none for the step's own starting energy
+    assert [p.step_size for p in state.trajectory[1:]] == [
+        0.01, 0.02, 0.04, 0.08]
+    assert len(calls) == 1 + 4
+    # the same energies as steps that evaluate their starting energy
+    ref = FlowState(mesh=_perturbed_sphere(), step_size=1e-2)
+    energies = [ref.energy()]
+    for _ in range(4):
+        ref = flow_step(replace(ref, trajectory=[]))
+        energies.append(ref.trajectory[-1].energy)
+    assert [p.energy for p in state.trajectory] == energies
+    assert np.array_equal(ref.mesh.vertices, state.mesh.vertices)
+
+
+def test_ks_flow_loads_no_scipy_beyond_sparse():
+    # the flow reads sparse mesh tables; its contact distance is numpy, so
+    # scipy.spatial (with scipy.linalg and scipy.special, 16 MB) stays out
+    src = Path(rieszlab.__file__).resolve().parents[1]
+    code = ("import sys, rieszlab\n"
+            "mesh = rieszlab.icosphere(1)\n"
+            "mesh = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.1])\n"
+            "rieszlab.run_flow(rieszlab.FlowState(mesh=mesh), 2)\n"
+            "print(sorted({m.split('.')[1] for m in sys.modules\n"
+            "              if m.startswith('scipy.')}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "sparse" in loaded
+    assert not {"spatial", "linalg", "special"} & set(loaded)
 
 
 def test_ks_flow_energy_round_sphere_is_minimal():

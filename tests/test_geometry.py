@@ -14,6 +14,7 @@ from rieszlab.geometry import (PatchClassParams, curvature_at,
                                read_off, tangent_frame, torus_mesh,
                                validate_patch_class, write_obj, write_off)
 from rieszlab.geometry.charts import _graph_patch_surface
+from rieszlab.geometry.patches import orthonormal_frames_adjoint
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
 
@@ -141,6 +142,29 @@ def test_orthonormal_frames_complex_step(shape):
     step = 1e-6
     cd = (f(jac + step * djac) - f(jac - step * djac)) / (2 * step)
     assert cs == pytest.approx(cd, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("read_normal", [True, False])
+def test_orthonormal_frames_adjoint_matches_complex_step(shape, read_normal):
+    rng = np.random.default_rng(11 + sum(shape))
+    n, m = shape
+    jac = rng.standard_normal((6, n, m))
+    wt = rng.standard_normal((6, n, m))
+    wn = rng.standard_normal((6, n, n - m)) if read_normal else None
+    got = orthonormal_frames_adjoint(jac, wt, wn)
+    h = 1e-20
+    # each stack entry's frames read only its own Jacobian, so one complex
+    # step per matrix entry gives that entry's derivative for all of them
+    for a, b in np.ndindex(n, m):
+        z = jac.astype(complex)
+        z[:, a, b] += 1j * h
+        t, nrm = orthonormal_frames(z)
+        value = np.sum(wt * t, axis=(1, 2))
+        if read_normal:
+            value = value + np.sum(wn * nrm, axis=(1, 2))
+        assert np.max(np.abs(got[:, a, b] - value.imag / h)) <= (
+            1e-13 * np.max(np.abs(got)))
 
 
 def test_sphere_graph_patch_height():

@@ -15,7 +15,8 @@ from rieszlab import (MoebiusMap, TriMesh, apply_moebius, graph_patch_at,
                       torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 from rieszlab.geometry.patches import umbilicity_defect
-from rieszlab.moebius import combined_angle_cos_frames, ks_pair_kernel
+from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
+                              ks_pair_kernel_vjp)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +211,22 @@ def test_ks_energy_is_inversion_invariant_to_rounding():
     assert abs(e1 - e0) <= 1e-12 * abs(e0)
 
 
+def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
+    # every pair of distinct nodes takes the kernel, however close; only
+    # the diagonal cells take (D / 16)^2
+    surface = make_ellipsoid(1.0, 1.0, 1.2)
+    nodes = surface.nodes(0.5)
+    frames, _, sff = surface.curvatures(nodes.locators)
+    omc, dist = ks_pair_kernel(nodes.points, frames, nodes.points, frames)
+    off = ~np.eye(len(dist), dtype=bool)
+    assert np.all(dist[off] > 0.0)
+    q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, dist, 1.0) ** 4
+    q[~off] = (umbilicity_defect(sff) / 16.0) ** 2
+    w = nodes.weights
+    ref = math.fsum((w[:, None] * q * w[None, :]).ravel())
+    assert ks_energy(surface).value == pytest.approx(ref, rel=1e-13)
+
+
 # ----------------------------------------------------------------------
 # pair kernel
 # ----------------------------------------------------------------------
@@ -247,3 +264,39 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     scale = np.max(np.abs(ref_omc.imag / h))
     assert np.max(np.abs((omc.imag - ref_omc.imag) / h)) <= 1e-13 * scale
     assert np.max(np.abs((dist.imag - ref_dist.imag) / h)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2)])
+def test_pair_kernel_pullback_matches_complex_step(n, m):
+    rng = np.random.default_rng(23 + n + m)
+    x = rng.standard_normal((5, n))
+    y = np.concatenate([rng.standard_normal((8, n)), x[:2]])  # two coincide
+    # any frames: the row-side pullback needs neither unit nor orthogonal
+    # columns, and the kernel is symmetric for them all
+    fx = rng.standard_normal((5, n, m))
+    fy = rng.standard_normal((10, n, m))
+    omc_xy = ks_pair_kernel(x, fx, y, fy)[0]
+    omc_yx = ks_pair_kernel(y, fy, x, fx)[0]
+    assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
+    omc_bar, dist_bar = rng.standard_normal((2, 5, 10))
+    x_bar, fx_bar = ks_pair_kernel_vjp(x, fx, y, fy)[2](omc_bar, dist_bar)
+    # coincident pairs contribute nothing, whatever their bars
+    live = np.ones((5, 10))
+    live[0, 8] = live[1, 9] = 0.0
+    h = 1e-20
+
+    def derivative(xz, fz):
+        # row i reads only x[i] and fx[i]: one complex step per coordinate
+        omc, dist = ks_pair_kernel(xz, fz, y, fy)
+        return (live * (omc_bar * omc + dist_bar * dist)).sum(axis=1).imag / h
+
+    scale = max(np.max(np.abs(x_bar)), np.max(np.abs(fx_bar)))
+    for c in range(n):
+        z = x.astype(complex)
+        z[:, c] += 1j * h
+        assert np.max(np.abs(x_bar[:, c] - derivative(z, fx))) <= 1e-13 * scale
+        for k in range(m):
+            fz = fx.astype(complex)
+            fz[:, c, k] += 1j * h
+            assert np.max(np.abs(fx_bar[:, c, k] - derivative(x, fz))) <= (
+                1e-13 * scale)

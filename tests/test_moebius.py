@@ -178,8 +178,9 @@ def test_ks_inversion_invariance():
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     mmap = MoebiusMap("inversion", center=(3.0, 0.2, 0.1), radius=2.0)
     rep = moebius_invariance_check(ell, mmap, "ks")
-    assert rep.rel_difference < 0.02
-    assert rep.refined_rel_difference < rep.rel_difference
+    # both differences are rounding-level, so their order is noise
+    assert rep.rel_difference <= 1e-10
+    assert rep.refined_rel_difference <= 1e-10
 
 
 def test_ks_rejects_immersed_mesh():
