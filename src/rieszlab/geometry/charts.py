@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
                       UnsupportedInputError)
+from ..quadrature import gauss_legendre
 from .patches import PatchStack, dot, orthonormal_frames
 from .surface import NodeSet, Surface
 
@@ -486,7 +487,7 @@ def _sphere_rule(n_theta, n_phi):
     def rule(scale):
         nu = max(6, int(round(n_theta * scale)))
         nv = max(8, int(round(n_phi * scale)))
-        x, wx = np.polynomial.legendre.leggauss(nu)
+        x, wx = gauss_legendre(nu)
         theta = np.arccos(x[::-1])              # ascending in theta
         wtheta = wx[::-1] / np.sin(theta)       # d(cos theta) -> d(theta)
         phi = np.arange(nv) * (2.0 * math.pi / nv)
@@ -512,7 +513,7 @@ def _product_rule(ranges, counts, periodic):
                 w = np.full(nn, (b - a) / nn)
                 d = np.full(nn, (b - a) / nn)
             else:
-                x, wx = np.polynomial.legendre.leggauss(nn)
+                x, wx = gauss_legendre(nn)
                 t = a + 0.5 * (b - a) * (x + 1.0)
                 w = 0.5 * (b - a) * wx
                 d = np.gradient(t)

@@ -5,9 +5,15 @@ Three local models of a double point are measured: orthogonal sheets
 (kernel (t^2+s^2)^(a/2) with both area factors), a sphere tangent to a plane
 (gap profile (rho/2)^4 + r^2), and a double cone (kernel (r+rho)^a). Each is
 integrated with an inner cutoff and the cutoff law classified as finite,
-logarithmic, or power growth. The two-body sweep measures the cross
-interaction of two round m-spheres at gap delta and compares it with the
-annulus-pair lower bound lambda(delta, rho) summed over dyadic scales.
+logarithmic, or power growth. Each model integral is one array pass: the
+tangential scan stacks every cutoff's outer panels and runs the dyadic
+r-levels once for the stack, and the orthogonal and cone models evaluate
+their integrand once on the grid of all dyadic boxes. The sums keep the
+order of a panel-by-panel and box-by-box loop, so the values do not depend
+on the batching. The two-body sweep measures the cross interaction of two
+round m-spheres at gap delta and compares it with the annulus-pair lower
+bound lambda(delta, rho) summed over dyadic scales. Every rule is read
+from the cached `quadrature.gauss_legendre`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .quadrature import compensated_sum
+from .quadrature import compensated_sum, gauss_legendre
 
 __all__ = [
     "CutoffFit",
@@ -130,25 +136,43 @@ def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
 # ----------------------------------------------------------------------
 
 def _dyadic_shell_sums_2d(f, outer, levels, gl_order=12):
-    """Integrals of f over dyadic L-shells of [0, outer]^2 (smooth per box)."""
-    xg, wg = np.polynomial.legendre.leggauss(gl_order)
+    """Integrals of f over dyadic L-shells of [0, outer]^2 (smooth per box).
 
-    def box(x0, x1, y0, y1):
-        xs = 0.5 * (x1 - x0) * (xg + 1.0) + x0
-        ys = 0.5 * (y1 - y0) * (xg + 1.0) + y0
-        wx = 0.5 * (x1 - x0) * wg
-        wy = 0.5 * (y1 - y0) * wg
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return float(np.einsum("i,j,ij->", wx, wy, f(X, Y)))
-
-    sums = []
-    hi = float(outer)
+    Shell k is the three boxes of [0, hi]^2 \\ [0, hi/2]^2 with hi =
+    outer / 2^k, each with a gl_order x gl_order Gauss-Legendre product
+    rule. f is evaluated once on the (levels, 3, q, q) grid of every box's
+    nodes. The sums run in a fixed order: a box adds its q * q weighted
+    values sequentially in row-major order and a shell adds its three
+    boxes left to right.
+    """
+    xg, wg = gauss_legendre(gl_order)
+    q = len(xg)
+    his = [float(outer)]
     for _ in range(levels):
-        lo = 0.5 * hi
-        sums.append(box(lo, hi, lo, hi) + box(lo, hi, 0.0, lo)
-                    + box(0.0, lo, lo, hi))
-        hi = lo
-    return np.array(sums)
+        his.append(0.5 * his[-1])
+    hi, lo = np.array(his[:-1]), np.array(his[1:])
+    zero = np.zeros(levels)
+    # boxes per level: [lo, hi] x [lo, hi], [lo, hi] x [0, lo], [0, lo] x [lo, hi]
+    x0, x1 = np.stack([lo, lo, zero], -1), np.stack([hi, hi, lo], -1)
+    y0, y1 = np.stack([lo, zero, lo], -1), np.stack([hi, lo, hi], -1)
+    xs = (0.5 * (x1 - x0))[..., None] * (xg + 1.0) + x0[..., None]
+    ys = (0.5 * (y1 - y0))[..., None] * (xg + 1.0) + y0[..., None]
+    wx = (0.5 * (x1 - x0))[..., None] * wg
+    wy = (0.5 * (y1 - y0))[..., None] * wg
+    grid = (levels, 3, q, q)
+    X = np.broadcast_to(xs[..., :, None], grid).copy()
+    Y = np.broadcast_to(ys[..., None, :], grid).copy()
+    terms = (wx[..., :, None] * wy[..., None, :]) * f(X, Y)
+    boxes = np.cumsum(terms.reshape(levels, 3, q * q), axis=-1)[..., -1]
+    return boxes[:, 0] + boxes[:, 1] + boxes[:, 2]
+
+
+def _check_cutoffs(cut, inside, where):
+    if cut.ndim != 1 or cut.size < 3:
+        raise PreconditionError("need a list of at least 3 cutoffs")
+    if not np.all(inside) or np.any(np.diff(cut) >= 0):
+        raise PreconditionError(
+            f"cutoffs must be strictly decreasing inside {where}")
 
 
 @dataclass
@@ -187,6 +211,8 @@ def orthogonal_model_integral(alpha: float, rho: float = 1.0,
     cutoff study instead of a value.
     """
     a = float(alpha)
+    if not rho > 0:
+        raise PreconditionError("orthogonal model needs rho > 0")
 
     def f(t, s):
         return (t ** 2 + s ** 2) ** (a / 2.0) * (2.0 * math.pi) ** 2 * t * s
@@ -207,6 +233,42 @@ def orthogonal_model_integral(alpha: float, rho: float = 1.0,
                                  rho=rho, shell_sums=sums, cutoff_fit=fit)
 
 
+def _tangent_values(a, R, cutoffs, gl_order):
+    """V(cut) of the tangential model for every cutoff in one array pass.
+
+    Each cutoff's outer range [cut, R] has 39 geometric panels of gl_order
+    rho-nodes; all cutoffs' panels form one stack. The inner r integral runs
+    over dyadic panels [R/2^(k+1), R/2^k] down to the panel's concentration
+    scale: a panel takes its level count from its smallest (rho/2)^4, and
+    level k updates only the panels that reach it. Below the last level the
+    integrand is ~ A2^(a/2) r, added as a tail from the panel's own last hi.
+    Panels and cutoffs are summed in the order of a panel-by-panel loop.
+    """
+    xg, wg = gauss_legendre(gl_order)
+    edges = np.stack([np.geomspace(cut, R, 40) for cut in cutoffs])
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    rh = (0.5 * (hi - lo))[:, None] * (xg + 1.0) + lo[:, None]
+    wh = (0.5 * (hi - lo))[:, None] * wg
+    A2 = (rh / 2.0) ** 4
+    counts = np.array([max(8, math.ceil(math.log2(R / max(m ** 0.5, 1e-14))) + 2)
+                       for m in np.min(A2, axis=1)])
+    his = [R]
+    for _ in range(max(counts)):
+        his.append(0.5 * his[-1])
+    inner = np.zeros_like(rh)
+    for k in range(len(his) - 1):
+        r_hi, r_lo = his[k], his[k + 1]
+        rs = 0.5 * (r_hi - r_lo) * (xg + 1.0) + r_lo
+        ws = 0.5 * (r_hi - r_lo) * wg
+        live = counts > k
+        vals = (A2[live][..., None] + rs ** 2) ** (a / 2.0) * rs
+        inner[live] += vals @ ws
+    h2 = np.array([his[c] ** 2 for c in counts])[:, None]
+    inner += (A2 + h2 * 0.25) ** (a / 2.0) * 0.5 * h2
+    panels = np.sum(inner * rh * wh, axis=1).reshape(len(cutoffs), -1)
+    return np.cumsum(panels, axis=1)[:, -1]
+
+
 def tangent_model_scan(alpha: float, extent: float = 0.5,
                        cutoffs=None, gl_order: int = 16) -> CutoffFit:
     """Cutoff study of the tangential double-point model.
@@ -214,48 +276,19 @@ def tangent_model_scan(alpha: float, extent: float = 0.5,
     Integrand ((rho/2)^4 + r^2)^(a/2) r rho over [cutoff, R] x [0, R]; the
     squared-gap profile (rho/2)^4 models a sphere resting on a plane. The
     r integral is taken numerically on dyadic panels graded toward r = 0,
-    which resolves the r ~ rho^2 concentration scale.
+    which resolves the r ~ rho^2 concentration scale. The extent R lies in
+    (0, 1] and the cutoffs decrease strictly inside (0, R).
     """
     a = float(alpha)
     R = float(extent)
-    if R > 1.0:
-        raise PreconditionError("model extent must satisfy R <= 1")
+    if not 0.0 < R <= 1.0:
+        raise PreconditionError("model extent must satisfy 0 < R <= 1")
     if cutoffs is None:
         cutoffs = R * 10.0 ** -np.arange(1, 6, dtype=float)
     cutoffs = np.asarray(cutoffs, dtype=float)
-
-    def inner_r(rho):
-        # integral over r in [0, R] for a batch of rho
-        A2 = (rho / 2.0) ** 4
-        total = np.zeros_like(rho)
-        # graded dyadic panels down to the concentration scale
-        levels = max(8, int(math.ceil(math.log2(R / max(np.min(A2) ** 0.5, 1e-14)))) + 2)
-        hi = R
-        xg, wg = np.polynomial.legendre.leggauss(gl_order)
-        for _ in range(levels):
-            lo = 0.5 * hi
-            rs = 0.5 * (hi - lo) * (xg + 1.0) + lo
-            ws = 0.5 * (hi - lo) * wg
-            vals = (A2[:, None] + rs[None, :] ** 2) ** (a / 2.0) * rs[None, :]
-            total += vals @ ws
-            hi = lo
-        # remaining [0, hi]: integrand ~ A2^(a/2) r there
-        total += (A2 + hi ** 2 * 0.25) ** (a / 2.0) * 0.5 * hi ** 2
-        return total
-
-    def value(cut):
-        # outer integral over rho in [cut, R], graded toward cut
-        edges = np.geomspace(cut, R, 40)
-        xg, wg = np.polynomial.legendre.leggauss(gl_order)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            rh = 0.5 * (hi - lo) * (xg + 1.0) + lo
-            wh = 0.5 * (hi - lo) * wg
-            total += float(np.sum(inner_r(rh) * rh * wh))
-        return total
-
-    vals = np.array([value(c) for c in cutoffs])
-    return classify_cutoff_law(cutoffs, vals)
+    _check_cutoffs(cutoffs, (cutoffs > 0.0) & (cutoffs < R), f"(0, {R:g})")
+    return classify_cutoff_law(cutoffs,
+                               _tangent_values(a, R, cutoffs, gl_order))
 
 
 def cone_model_scan(alpha: float, cutoffs=None, gl_order: int = 12,
@@ -264,11 +297,13 @@ def cone_model_scan(alpha: float, cutoffs=None, gl_order: int = 12,
 
     Integrand (r + rho)^a rho r over [0,1]^2 minus the dyadic corner
     max(r, rho) < cutoff; finite iff a > -4 with power law a + 4 below.
+    The cutoffs decrease strictly inside (0, 1].
     """
     a = float(alpha)
     if cutoffs is None:
         cutoffs = 10.0 ** -np.arange(1, 6, dtype=float)
     cutoffs = np.asarray(cutoffs, dtype=float)
+    _check_cutoffs(cutoffs, (cutoffs > 0.0) & (cutoffs <= 1.0), "(0, 1]")
 
     def f(r, rho):
         return (r + rho) ** a * r * rho
@@ -310,7 +345,7 @@ def _graded_panels_1d(a: float, b: float, feature: float):
     while edges[-1] - a > feature:
         edges.append(a + 0.5 * (edges[-1] - a))
     edges.append(a)
-    xg, wg = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    xg, wg = gauss_legendre(PANEL_ORDER)
     nodes, weights = [], []
     for hi, lo in zip(edges[:-1], edges[1:]):
         nodes.append(0.5 * (hi - lo) * (xg + 1.0) + lo)

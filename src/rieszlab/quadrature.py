@@ -1,13 +1,15 @@
 """Shared quadrature building blocks.
 
-Small deterministic rules used throughout the library: a Gauss-Legendre
-node generator, a fixed-order sum, and a smooth
+Small deterministic rules used throughout the library: the Gauss-Legendre
+rule of each order (the one source of such rules in the package, computed
+once per order and shared read-only), a fixed-order sum, and a smooth
 replacement kernel that equals t^alpha outside a ball and continues it
 smoothly inside.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,11 +21,18 @@ __all__ = [
 ]
 
 
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1].
+
+    The rule is computed on first use of each order (an eigensolve and a
+    Newton polish) and then shared, so both arrays are read-only. Callers map it onto [a, b] into new arrays:
+    nodes 0.5 (b - a) (x + 1) + a, weights 0.5 (b - a) w.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def compensated_sum(values) -> float:

@@ -185,6 +185,20 @@ def test_nan_model_alpha_exits_2(capsys):
     assert code == 2 and err["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "tangent", "--alpha", "-4", "--extent", "0"],
+    ["model", "tangent", "--alpha", "-4", "--extent", "-1"],
+    ["model", "orthogonal", "--alpha", "-3", "--rho", "-1"],
+])
+def test_invalid_model_input_exits_3(argv, capsys):
+    # a domain violation is a PreconditionError: exit 3, a JSON error on
+    # stderr and no value on stdout
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 def test_nan_config_file_value_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text('{"alpha": NaN}')

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import dblquad
 
+from rieszlab import models
 from rieszlab.errors import PreconditionError
 from rieszlab.models import (classify_cutoff_law, cone_model_scan,
                              lambda_bound,
@@ -134,6 +136,204 @@ def test_classifier_synthetic_laws():
     assert powf.exponent == pytest.approx(-1.5, abs=0.05)
 
 
+@st.composite
+def _cutoff_grids(draw):
+    """3 to 6 geometric cutoffs: first in [0.01, 1], ratio in [2, 10]."""
+    first = draw(st.floats(0.01, 1.0))
+    spacing = draw(st.floats(2.0, 10.0))
+    return first / spacing ** np.arange(draw(st.integers(3, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=_cutoff_grids(), p=st.floats(-3.0, -0.5), scale=st.floats(0.1, 10.0))
+def test_classifier_power_law_property(cuts, p, scale):
+    fit = classify_cutoff_law(cuts, scale * cuts ** p)
+    assert fit.law == "power"
+    assert abs(fit.exponent - p) <= 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=_cutoff_grids(), scale=st.floats(0.1, 10.0),
+       offset=st.floats(-10.0, 10.0))
+def test_classifier_log_law_property(cuts, scale, offset):
+    fit = classify_cutoff_law(cuts, offset + scale * np.log(1.0 / cuts))
+    assert fit.law == "log"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=_cutoff_grids(), q=st.floats(0.5, 2.0), scale=st.floats(0.1, 10.0),
+       offset=st.floats(-10.0, 10.0))
+def test_classifier_finite_law_property(cuts, q, scale, offset):
+    fit = classify_cutoff_law(cuts, offset - scale * cuts ** q)
+    assert fit.law == "finite"
+
+
+# ----------------------------------------------------------------------
+# batched model passes against per-panel and per-box loops
+# ----------------------------------------------------------------------
+
+def _tangent_values_loop(a, R, cutoffs, gl_order):
+    """The tangential model one outer panel at a time, as a reference."""
+    def inner_r(rho):
+        A2 = (rho / 2.0) ** 4
+        total = np.zeros_like(rho)
+        levels = max(8, int(math.ceil(math.log2(R / max(np.min(A2) ** 0.5,
+                                                        1e-14)))) + 2)
+        hi = R
+        xg, wg = np.polynomial.legendre.leggauss(gl_order)
+        for _ in range(levels):
+            lo = 0.5 * hi
+            rs = 0.5 * (hi - lo) * (xg + 1.0) + lo
+            ws = 0.5 * (hi - lo) * wg
+            vals = (A2[:, None] + rs[None, :] ** 2) ** (a / 2.0) * rs[None, :]
+            total += vals @ ws
+            hi = lo
+        total += (A2 + hi ** 2 * 0.25) ** (a / 2.0) * 0.5 * hi ** 2
+        return total
+
+    def value(cut):
+        edges = np.geomspace(cut, R, 40)
+        xg, wg = np.polynomial.legendre.leggauss(gl_order)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rh = 0.5 * (hi - lo) * (xg + 1.0) + lo
+            wh = 0.5 * (hi - lo) * wg
+            total += float(np.sum(inner_r(rh) * rh * wh))
+        return total
+
+    return np.array([value(c) for c in cutoffs])
+
+
+def _shell_sums_loop(f, outer, levels, gl_order):
+    """Dyadic L-shell sums one Gauss-Legendre box at a time, as a reference."""
+    xg, wg = np.polynomial.legendre.leggauss(gl_order)
+
+    def box(x0, x1, y0, y1):
+        xs = 0.5 * (x1 - x0) * (xg + 1.0) + x0
+        ys = 0.5 * (y1 - y0) * (xg + 1.0) + y0
+        wx = 0.5 * (x1 - x0) * wg
+        wy = 0.5 * (y1 - y0) * wg
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return float(np.einsum("i,j,ij->", wx, wy, f(X, Y)))
+
+    sums = []
+    hi = float(outer)
+    for _ in range(levels):
+        lo = 0.5 * hi
+        sums.append(box(lo, hi, lo, hi) + box(lo, hi, 0.0, lo)
+                    + box(0.0, lo, lo, hi))
+        hi = lo
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("alpha", [-2.5, -3.0, -3.5, -4.0])
+def test_tangent_scan_equals_panel_loop(alpha):
+    cuts = 0.5 * 10.0 ** -np.arange(1, 6, dtype=float)
+    fit = tangent_model_scan(alpha)
+    assert np.array_equal(fit.cutoffs, cuts)
+    assert np.array_equal(fit.values, _tangent_values_loop(alpha, 0.5, cuts, 16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(-5.5, -1.0), extent=st.floats(0.05, 1.0),
+       exponents=st.lists(st.floats(0.05, 5.0), min_size=3, max_size=5,
+                          unique=True),
+       gl_order=st.integers(2, 20))
+def test_tangent_values_equal_panel_loop(alpha, extent, exponents, gl_order):
+    cuts = extent * 10.0 ** -np.sort(exponents)
+    assume(np.all(np.diff(cuts) < 0))
+    assert np.array_equal(models._tangent_values(alpha, extent, cuts, gl_order),
+                          _tangent_values_loop(alpha, extent, cuts, gl_order))
+
+
+def _orthogonal_integrand(a):
+    return lambda t, s: (t ** 2 + s ** 2) ** (a / 2.0) * (2.0 * math.pi) ** 2 * t * s
+
+
+def _cone_integrand(a):
+    return lambda r, rho: (r + rho) ** a * r * rho
+
+
+@pytest.mark.parametrize("integrand,alpha,outer,levels,gl_order", [
+    (_orthogonal_integrand, -3.0, 1.0, 60, 12),
+    (_orthogonal_integrand, -4.5, 1.0, 60, 12),
+    (_orthogonal_integrand, -1.0, 0.5, 60, 12),
+    (_cone_integrand, -5.0, 1.0, 21, 12),
+])
+def test_shell_sums_equal_box_loop_at_defaults(integrand, alpha, outer, levels,
+                                               gl_order):
+    f = integrand(alpha)
+    assert np.array_equal(models._dyadic_shell_sums_2d(f, outer, levels, gl_order),
+                          _shell_sums_loop(f, outer, levels, gl_order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=st.booleans(), alpha=st.floats(-6.0, 1.0),
+       outer=st.floats(0.05, 2.0), levels=st.integers(1, 70),
+       gl_order=st.integers(2, 24))
+def test_shell_sums_equal_box_loop(cone, alpha, outer, levels, gl_order):
+    f = (_cone_integrand if cone else _orthogonal_integrand)(alpha)
+    batched = models._dyadic_shell_sums_2d(f, outer, levels, gl_order)
+    loop = _shell_sums_loop(f, outer, levels, gl_order)
+    if gl_order >= 3:
+        assert np.array_equal(batched, loop)
+    else:
+        # for a 2 x 2 box np.einsum flushes its running sum once per row,
+        # not once per box, so the last bit may differ
+        np.testing.assert_allclose(batched, loop, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 16, 40])
+def test_gauss_legendre_rule_is_cached_and_read_only(n):
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert gauss_legendre(n)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+# ----------------------------------------------------------------------
+# model preconditions: rejected before any integration
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def no_integration(monkeypatch):
+    def fail(*_):
+        raise AssertionError("integrated an invalid input")
+    monkeypatch.setattr(models, "_tangent_values", fail)
+    monkeypatch.setattr(models, "_dyadic_shell_sums_2d", fail)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tangent_model_scan(-4.0, 0.0),
+    lambda: tangent_model_scan(-4.0, -1.0),
+    lambda: tangent_model_scan(-4.0, 1.5),
+    lambda: tangent_model_scan(-4.0, math.nan),
+    lambda: tangent_model_scan(-4.0, cutoffs=[0.8, 0.05, 0.005, 0.0005]),
+    lambda: tangent_model_scan(-4.0, cutoffs=[0.5, 0.05, 0.005]),
+    lambda: tangent_model_scan(-4.0, cutoffs=[0.005, 0.05, 0.1]),
+    lambda: tangent_model_scan(-4.0, cutoffs=[0.1, 0.01, 0.0]),
+    lambda: tangent_model_scan(-4.0, cutoffs=[0.1, 0.01]),
+    lambda: cone_model_scan(-4.0, cutoffs=[2.0, 0.1, 0.01]),
+    lambda: cone_model_scan(-4.0, cutoffs=[0.1, 0.1, 0.01]),
+    lambda: cone_model_scan(-4.0, cutoffs=[0.1, 0.01, -0.001]),
+    lambda: orthogonal_model_integral(-3.0, -1.0),
+    lambda: orthogonal_model_integral(-3.0, 0.0),
+    lambda: orthogonal_model_integral(-3.0, math.nan),
+])
+def test_model_preconditions(no_integration, call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_model_edge_inputs_accepted():
+    assert tangent_model_scan(-2.5, 1.0).law == "finite"
+    assert cone_model_scan(-4.0, cutoffs=[1.0, 0.1, 0.01, 0.001]).law == "log"
+
+
 # ----------------------------------------------------------------------
 # annulus bound
 # ----------------------------------------------------------------------
@@ -187,10 +387,10 @@ def _sphere_pair_nodes(m, radius, gap, n_polar, n_azimuth):
     if m == 1:
         # two GL panels meeting at theta = 0, the facing point
         n_half = max(16, n_polar)
-        t1, w1 = gauss_legendre(n_half, -math.pi, 0.0)
-        t2, w2 = gauss_legendre(n_half, 0.0, math.pi)
-        th = np.concatenate([t1, t2])
-        w = np.concatenate([w1, w2])
+        x, wx = gauss_legendre(n_half)
+        half = 0.5 * math.pi
+        th = np.concatenate([-math.pi + half * (x + 1.0), half * (x + 1.0)])
+        w = np.concatenate([half * wx, half * wx])
         pa = r * np.stack([np.cos(th), np.sin(th)], axis=-1)
         pa[:, 0] -= (r + gap / 2.0)
         pb = pa.copy()
