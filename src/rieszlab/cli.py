@@ -44,14 +44,13 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dump_json(obj, indent=0) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    pad = " " * indent
+def dump_json(obj) -> str:
+    """Deterministic one-line JSON with 17-significant-digit floats."""
     if isinstance(obj, dict):
         items = sorted(obj.items())
         inner = ", ".join(f"{json.dumps(str(k))}: {dump_json(v)}"
                           for k, v in items)
-        return pad + "{" + inner + "}"
+        return "{" + inner + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(dump_json(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):
@@ -98,13 +97,14 @@ def _require_finite(name, value):
 
 
 def parse_surface(spec: str):
-    """Build a catalog surface or load a mesh from an OFF/OBJ path."""
-    if spec.endswith(".off"):
-        return read_off(spec)
-    if spec.endswith(".obj"):
-        return read_obj(spec)
-    name, kv = _parse_kv(spec)
-    name = name.lower()
+    """Build a catalog surface or load a mesh from an OFF/OBJ path.
+
+    A missing or malformed mesh file is a ConfigError."""
+    if spec.endswith((".off", ".obj")) and not spec.startswith("mesh:"):
+        name, kv = "mesh", {"path": spec}
+    else:
+        name, kv = _parse_kv(spec)
+        name = name.lower()
     try:
         if name == "circle":
             return make_circle(kv.get("r", 1.0))
@@ -407,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--outer-scale", type=float, dest="outer_scale")
         sp.add_argument("--inner-scale", type=float, dest="inner_scale")
         sp.add_argument("--output", "-o")
-        sp.add_argument("--data", help="gnuplot two-column output file")
 
     sp = sub.add_parser("energy", help="Riesz/KS/AS energy of a surface")
     add_common(sp)
@@ -417,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--radius", type=float)
     sp.add_argument("--output", "-o")
-    sp.add_argument("--data")
 
     sp = sub.add_parser("model", help="double-point model integrals")
     sp.add_argument("model", choices=["orthogonal", "tangent", "cone"])
@@ -425,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho", type=float)
     sp.add_argument("--extent", type=float)
     sp.add_argument("--output", "-o")
-    sp.add_argument("--data")
 
     sp = sub.add_parser("sweep", help="two-body blow-up sweep")
     sp.add_argument("--m", type=int, choices=[1, 2])
@@ -434,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gaps", type=lambda s: [float(x) for x in s.split(",")])
     sp.add_argument("--csv")
     sp.add_argument("--output", "-o")
-    sp.add_argument("--data")
+    sp.add_argument("--data", help="gnuplot two-column output file")
 
     sp = sub.add_parser("flow", help="gradient descent of a mesh embedding")
     add_common(sp)
@@ -456,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float)
     sp.add_argument("--V", type=float, dest="volume_bound")
     sp.add_argument("--output", "-o")
-    sp.add_argument("--data")
     return p
 
 

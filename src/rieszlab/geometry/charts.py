@@ -35,31 +35,30 @@ __all__ = [
 ]
 
 
+# Newton iterations of the graph and chord solves before they give up.
+NEWTON_MAX_ITER = 60
+
+
 def _solve_small(A, b):
-    """Batched solve for (..., m, m) systems, closed form for m in {1, 2}."""
-    m = A.shape[-1]
-    if m == 1:
+    """Batched solve for (..., m, m) systems, m in {1, 2}, in closed form
+    (`orthonormal_frames` admits no other m)."""
+    if A.shape[-1] == 1:
         return b / A[..., 0, 0][..., None]
-    if m == 2:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
-        x1 = (b[..., 1] * A[..., 0, 0] - b[..., 0] * A[..., 1, 0]) / det
-        return np.stack([x0, x1], axis=-1)
-    return np.linalg.solve(A, b[..., None])[..., 0]
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
+    x1 = (b[..., 1] * A[..., 0, 0] - b[..., 0] * A[..., 1, 0]) / det
+    return np.stack([x0, x1], axis=-1)
 
 
 def _inv_small(A):
-    """Batched inverse of (..., m, m) stacks, closed form for m in {1, 2}."""
-    m = A.shape[-1]
-    if m == 1:
+    """Batched inverse of (..., m, m) stacks, m in {1, 2}, in closed form."""
+    if A.shape[-1] == 1:
         return 1.0 / A
-    if m == 2:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        inv = np.stack([np.stack([A[..., 1, 1], -A[..., 0, 1]], axis=-1),
-                        np.stack([-A[..., 1, 0], A[..., 0, 0]], axis=-1)],
-                       axis=-2)
-        return inv / det[..., None, None]
-    return np.linalg.inv(A)
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    inv = np.stack([np.stack([A[..., 1, 1], -A[..., 0, 1]], axis=-1),
+                    np.stack([-A[..., 1, 0], A[..., 0, 0]], axis=-1)],
+                   axis=-2)
+    return inv / det[..., None, None]
 
 
 def _matvec(M, x):
@@ -88,7 +87,8 @@ class Chart:
     away from patch centers), and the points' parameters in them. The maps
     of a stack take one parameter row per chart, u (B, m), and its
     take(idx) is the stack of the charts idx; take is None on a single
-    chart. both, when set, gives (value(u), jacobian(u)) in one call that
+    chart. A stack serves the graph and chord Newtons only, so its hessian
+    is None. both, when set, gives (value(u), jacobian(u)) in one call that
     shares their work (`value_jacobian`).
     """
 
@@ -147,7 +147,7 @@ class ChartSurface(Surface):
 
     oriented = True          # by the parameter order of every chart
 
-    def quadrature(self, scale: float = 1.0) -> SurfaceQuadrature:
+    def quadrature(self, scale: float) -> SurfaceQuadrature:
         pts, wts, prm, idx, spc, comp = [], [], [], [], [], []
         for k, chart in enumerate(self.charts):
             u, w, du = chart.param_rule(scale)
@@ -210,9 +210,6 @@ class ChartSurface(Surface):
         chart = self.charts[idx]
         return chart.value(u), chart.jacobian(u)
 
-    def frame_at(self, locator):
-        return orthonormal_frames(self.basis_at(locator)[1])
-
     def curvatures(self, locators):
         """Frames and second fundamental forms at the located points, one
         Jacobian and one Hessian call per run of points on the same chart:
@@ -240,13 +237,13 @@ class ChartSurface(Surface):
         def wrap_chart(chart):
             f, J, H = chart.value, chart.jacobian, chart.hessian
 
-            def value(u, f=f):
+            def value(u):
                 return value_map(f(u))
 
-            def jacobian(u, f=f, J=J):
+            def jacobian(u):
                 return np.einsum("...ij,...jp->...ip", jac_map(f(u)), J(u))
 
-            def hessian(u, f=f, J=J, H=H):
+            def hessian(u):
                 x = f(u)
                 Ju = J(u)
                 first = np.einsum("...ij,...jpq->...ipq", jac_map(x), H(u))
@@ -256,18 +253,18 @@ class ChartSurface(Surface):
                                    hess_map(x), Ju, Ju)
                 return first + second
 
-            def both(u, chart=chart):
+            def both(u):
                 x, Ju = chart.value_jacobian(u)
                 return (value_map(x),
                         np.einsum("...ij,...jp->...ip", jac_map(x), Ju))
 
             repatch = take = None
             if chart.repatch is not None:
-                def repatch(u0, chart=chart):
+                def repatch(u0):
                     base2, u02 = chart.repatch(u0)
                     return wrap_chart(base2), u02
             if chart.take is not None:
-                def take(idx, chart=chart):
+                def take(idx):
                     return wrap_chart(chart.take(idx))
 
             return Chart(chart.m, chart.n, value, jacobian, hessian,
@@ -292,9 +289,7 @@ class ChartSurface(Surface):
         pts = self.quadrature(0.25).points
         return float(np.min(np.linalg.norm(pts - point, axis=-1)))
 
-    bound_grid = (8, 4)
-
-    def patches_at(self, locators, radius, shrink=True) -> PatchStack:
+    def patches_at(self, locators, radius, shrink) -> PatchStack:
         """Graph patches at the located points, one stack per run of
         points on the same chart. Each radius is validated on a polar grid
         and shrunk by 0.85 until the graph Newton converges there (unless
@@ -314,15 +309,15 @@ class ChartSurface(Surface):
         A0 = _inv_small(_tmatmul(tangent, jac0))
         where = f"chart {chart_idx}"
 
-        def solve_params(node, eta, tol=1e-13, max_iter=60):
+        def solve_params(node, eta):
             """Chart parameters of the graph points over eta (R, m) of the
             rows' nodes, and the rows left unconverged."""
             u = u0[node] + _matvec(A0[node], eta)
             T = tangent[node]
             target = eta + _tmatvec(T, x0[node])
-            tol_row = tol * (1.0 + np.linalg.norm(eta, axis=-1))
+            tol_row = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
             idx = np.arange(len(eta))
-            for _ in range(max_iter):
+            for _ in range(NEWTON_MAX_ITER):
                 res = _tmatvec(T[idx], take(node[idx]).value(u[idx])) \
                     - target[idx]
                 bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
@@ -368,7 +363,7 @@ class ChartSurface(Surface):
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
 
-        def chord_solve(node, v, t, max_iter=60):
+        def chord_solve(node, v, t):
             """(xi, h, grad h) at chord distance t along tangent directions v.
 
             Newton in the chart parameter u, one row per (node, v, t), on
@@ -392,7 +387,7 @@ class ChartSurface(Surface):
             xk, ck = x0[node], take(node)
             pk = (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1))
                   if self.m == 2 else None)
-            for _ in range(max_iter):
+            for _ in range(NEWTON_MAX_ITER):
                 d, J = ck.value_jacobian(uk)
                 d = d - xk
                 # (|d|^2 - t^2) / (2 t): the distance residual in length units
@@ -634,29 +629,19 @@ def _spheroid_stack(cols, ctr, base_nodes, component, name):
     so that every product below runs over the rows in memory order."""
     a0, a1, a2 = (c.T for c in cols)
 
-    def trig(u):
-        th, ph = u[..., 0, None], u[..., 1, None]
-        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-
     def both(u):
         # A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1
-        st, ct, sp, cp = trig(u)
+        th, ph = u[..., 0, None], u[..., 1, None]
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
         e = cp * a0 + sp * a1
         return (ctr + st * e + ct * a2,
                 np.stack([ct * e - st * a2, st * (cp * a1 - sp * a0)], axis=-1))
-
-    def hessian(u):
-        st, ct, sp, cp = trig(u)
-        e = cp * a0 + sp * a1
-        d_tp = ct * (cp * a1 - sp * a0)
-        return np.stack([np.stack([-(st * e + ct * a2), d_tp], axis=-1),
-                         np.stack([d_tp, -st * e], axis=-1)], axis=-1)
 
     def take(idx):
         return _spheroid_stack(np.take(cols, idx, axis=-1), ctr, base_nodes,
                                component, name)
 
-    return Chart(2, 3, lambda u: both(u)[0], lambda u: both(u)[1], hessian,
+    return Chart(2, 3, lambda u: both(u)[0], lambda u: both(u)[1], None,
                  _sphere_rule(*base_nodes), name=name, component=component,
                  take=take, both=both)
 

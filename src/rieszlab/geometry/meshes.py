@@ -238,7 +238,7 @@ class TriMesh(Surface):
     id. The connectivity lives in a `MeshTopology` shared by every mesh
     made from this one by `with_vertices` or `translated`; each new vertex
     array is checked for finite coordinates and non-degenerate simplices.
-    The quadratic vertex fits behind `patches_at`, `frame_at` and
+    The quadratic vertex fits behind `patches_at`, `basis_at` and
     `curvatures` are made for all vertices at once, on first use, and
     dropped with the vertex array they fit: the face seed (`seed_frames`),
     the frame step (`fit_tangent_frames`, which the KS flow runs too) and
@@ -451,11 +451,7 @@ class TriMesh(Surface):
         return fits
 
     def basis_at(self, locator):
-        return self.vertices[int(locator)], self.frame_at(locator)[0]
-
-    def frame_at(self, locator):
-        tangent, normal = self._fits[:2]
-        return tangent[int(locator)], normal[int(locator)]
+        return self.vertices[int(locator)], self._fits[0][int(locator)]
 
     def curvatures(self, locators):
         tangent, normal, coeffs = (a[np.asarray(locators, dtype=int)]
@@ -468,7 +464,7 @@ class TriMesh(Surface):
     def euler_characteristic(self) -> int:
         return euler_characteristic(self)
 
-    def patches_at(self, locators, radius, shrink=True) -> PatchStack:
+    def patches_at(self, locators, radius, shrink) -> PatchStack:
         """The vertices' quadratic graph fits, each radius capped at 0.9x
         its 2-ring's extent (radius None takes the cap; shrink is not used).
 
@@ -618,7 +614,7 @@ def write_off(mesh: TriMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_off(path, m=None) -> TriMesh:
+def read_off(path) -> TriMesh:
     with open(path) as fh:
         tokens = []
         for line in fh:
@@ -648,8 +644,7 @@ def read_off(path, m=None) -> TriMesh:
                     faces.append([int(t) for t in remaining[idx + 1: idx + 1 + c]])
                     idx += 1 + c
                 faces = np.asarray(faces)
-                mm = m if m is not None else faces.shape[1] - 1
-                return TriMesh(verts, faces, mm)
+                return TriMesh(verts, faces, faces.shape[1] - 1)
     raise UnsupportedInputError(f"{path}: malformed OFF file")
 
 
@@ -665,7 +660,7 @@ def write_obj(mesh: TriMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_obj(path, n=3) -> TriMesh:
+def read_obj(path) -> TriMesh:
     verts, faces, m = [], [], None
     with open(path) as fh:
         for line in fh:

@@ -15,14 +15,16 @@ its second fundamental form there (`fit_curvature`), both in closed form;
 `fit_quadratic_patches` runs both. `orthonormal_frames` is the one
 orthonormalizer of charts and meshes. Every step is written with plain
 (non-conjugating) products, so complex-step derivatives go through. The
-surfaces build their own patches (`patches_at` and `patch_at` of the
-surface protocol); the functions here reach them through that protocol.
+surfaces build their own patches and curvatures (`patches_at` and
+`curvatures` of the surface protocol); the functions here reach them
+through that protocol, and `graph_patch_at`, `curvature_at` and
+`tangent_frame` are their one-point cases.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,6 +162,10 @@ def orthonormal_frames_adjoint(jac, tangent_bar, normal_bar):
 # graph patches
 # ----------------------------------------------------------------------
 
+# (angles, radii) of the polar grid that measures a patch's derivative bound.
+BOUND_GRID = (16, 16)
+
+
 @dataclass
 class GraphPatch:
     """Local graph representation of the surface over its tangent plane.
@@ -179,9 +185,8 @@ class GraphPatch:
     height: object                # eta (..., m) -> (..., n-m)
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
     chord_solve: object           # (v, t) -> (xi, h, grad h)
-    derivative_bound: float = math.nan
-    fit_residual: float = 0.0
-    meta: dict = field(default_factory=dict)
+    fit_residual: float
+    meta: dict
 
     @property
     def m(self) -> int:
@@ -197,13 +202,15 @@ class GraphPatch:
         h = self.height(eta)
         return (self.base_point + eta @ self.tangent.T + h @ self.normal.T)
 
-    def measure_derivative_bound(self, max_order=2, n_angular=16, n_radial=16):
-        """sup |d^mu h| over a polar grid for 0 <= |mu| <= max_order.
+    def measure_derivative_bound(self):
+        """sup |d^mu h| over a polar grid for 0 <= |mu| <= 3.
 
-        Orders 0-1 come from the patch callables; orders 2..max_order use
-        central differences of the height Jacobian.
+        The grid has BOUND_GRID (angles, radii) points. Orders 0-1 come from
+        the patch callables; orders 2 and 3 use central differences of the
+        height Jacobian.
         """
         r = self.radius
+        n_angular, n_radial = BOUND_GRID
         angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
         radii = np.linspace(r / n_radial, r * 0.98, n_radial)
         if self.m == 1:
@@ -214,19 +221,16 @@ class GraphPatch:
         sup = float(np.max(np.abs(self.height(eta))))
         jac = self.height_jacobian(eta)
         sup = max(sup, float(np.max(np.abs(jac))))
-        if max_order >= 2:
-            step = max(r / 256.0, 1e-6)
-            for axis in range(self.m):
-                de = np.zeros(self.m)
-                de[axis] = step
-                d2 = (self.height_jacobian(eta + de)
-                      - self.height_jacobian(eta - de)) / (2 * step)
-                sup = max(sup, float(np.max(np.abs(d2))))
-                if max_order >= 3:
-                    d3 = (self.height_jacobian(eta + de)
-                          - 2.0 * jac
-                          + self.height_jacobian(eta - de)) / step ** 2
-                    sup = max(sup, float(np.max(np.abs(d3))))
+        step = max(r / 256.0, 1e-6)
+        for axis in range(self.m):
+            de = np.zeros(self.m)
+            de[axis] = step
+            plus = self.height_jacobian(eta + de)
+            minus = self.height_jacobian(eta - de)
+            d2 = (plus - minus) / (2 * step)
+            sup = max(sup, float(np.max(np.abs(d2))))
+            d3 = (plus - 2.0 * jac + minus) / step ** 2
+            sup = max(sup, float(np.max(np.abs(d3))))
         return sup
 
 
@@ -254,7 +258,7 @@ class PatchStack:
     height_jacobian: object
     chord_solve: object
     fit_residual: np.ndarray      # (B,)
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def m(self) -> int:
@@ -470,25 +474,22 @@ def fit_quadratic_patches(offsets, mask, seed_tangent):
 
 
 def tangent_frame(surface, locator):
-    """Orthonormal (tangent, normal) frames at a point of the surface."""
-    return as_surface(surface).frame_at(locator)
+    """Oriented orthonormal (tangent, normal) frames at a surface point."""
+    tangent, normal, _ = as_surface(surface).curvatures([locator])
+    return tangent[0], normal[0]
 
 
-def graph_patch_at(surface, locator, radius, shrink=True,
-                   measure_bound=True):
+def graph_patch_at(surface, locator, radius, shrink=True):
     """Graph patch of the surface at the located point.
 
     Returns the largest validated radius <= request; raises PatchRadiusError
     when shrink=False and the requested radius is not graph-representable.
-    measure_bound=False skips the derivative-bound sampling. A list of
-    locators gives their `PatchStack`, built in one batch (no derivative
-    bound).
+    A list of locators gives their `PatchStack`, built in one batch.
     """
     surface = as_surface(surface)
     if isinstance(locator, list):
-        return surface.patches_at(locator, radius, shrink=shrink)
-    return surface.patch_at(locator, radius, shrink=shrink,
-                            measure_bound=measure_bound)
+        return surface.patches_at(locator, radius, shrink)
+    return surface.patches_at([locator], radius, shrink)[0]
 
 
 # ----------------------------------------------------------------------
@@ -553,24 +554,27 @@ def umbilicity_defect(sff):
 
 def curvature_at(surface, locator) -> CurvatureData:
     """Second fundamental form (and derived scalars) at a surface point."""
-    return as_surface(surface).curvature_at(locator)
+    tangent, normal, sff = as_surface(surface).curvatures([locator])
+    return CurvatureData(second_fundamental=sff[0], tangent=tangent[0],
+                         normal=normal[0])
 
 
-def default_patch_radius(surface, samples=8, factor=0.9, scale=0.25):
-    """Curvature-capped patch radius: factor / max principal curvature.
+def default_patch_radius(surface):
+    """Curvature-capped patch radius: 0.9 / max principal curvature, the
+    maximum over 8 nodes spread evenly over the scale-0.25 rule.
 
     The radius is not capped by the separation of components: chord balls
     only ever see one sheet, and cross-component pairs take the true kernel.
     """
-    nodes = as_surface(surface).nodes(scale)
-    take = np.linspace(0, len(nodes.points) - 1, samples).astype(int)
+    nodes = as_surface(surface).nodes(0.25)
+    take = np.linspace(0, len(nodes.points) - 1, 8).astype(int)
     sff = surface.curvatures([nodes.locators[i] for i in take])[2]
     if sff.shape[-1] == 1:
         # the largest principal curvature in absolute value
         kmax = float(np.abs(np.linalg.eigvalsh(sff[..., 0])).max())
     else:
         kmax = float(np.sqrt(np.sum(sff ** 2, axis=(1, 2, 3))).max())
-    r = factor / kmax if kmax > 0 else math.inf
+    r = 0.9 / kmax if kmax > 0 else math.inf
     return r if math.isfinite(r) else 1.0
 
 
@@ -638,11 +642,9 @@ def validate_patch_class(surface, params: PatchClassParams, samples=24):
     all_points = nodes.points
     all_comp = nodes.component
     base_pts = nodes.points[take]
-    max_order = min(params.k, 3)
     for loc, x0 in zip(locators, base_pts):
         try:
-            patch = graph_patch_at(surface, loc, params.radius, shrink=False,
-                                   measure_bound=False)
+            patch = graph_patch_at(surface, loc, params.radius, shrink=False)
         except (PatchRadiusError, NumericalError) as exc:
             violations.append({"locator": repr(loc), "reason": str(exc)})
             continue
@@ -651,7 +653,7 @@ def validate_patch_class(surface, params: PatchClassParams, samples=24):
                                "reason": f"validated radius {patch.radius:.6g}"
                                          f" < requested {params.radius:.6g}"})
             continue
-        sup = patch.measure_derivative_bound(max_order=max_order)
+        sup = patch.measure_derivative_bound()
         b_sup = max(b_sup, sup)
         b_res = max(b_res, patch.fit_residual)
         if sup > params.derivative_bound:

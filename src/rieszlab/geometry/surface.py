@@ -3,28 +3,25 @@
 The energies, patches and curvature routines reach a surface only through
 the members below, so none of them branches on the kind of surface.
 `ChartSurface` and `TriMesh` implement them; `as_surface` is the one gate
-that turns any other object away.
+that turns any other object away. The single-point queries are the module
+functions `graph_patch_at`, `curvature_at` and `tangent_frame` of
+`patches.py`, which read `patches_at` and `curvatures` at one point.
 
 - `m`, `n`, `name`, `closed`, `oriented`.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
-- `patches_at(locators, radius, shrink=True)`: the `PatchStack` of a list
+- `patches_at(locators, radius, shrink)`: the `PatchStack` of a list
   of located points, built in one batch, with its `chord_solve`: charts
   solve chord rows by Newton in their parameters, meshes in closed form on
-  the vertex's quadratic fit. `patch_at(locator, radius, shrink=True,
-  measure_bound=True)` (here, for every surface) is its one-node case, a
-  `GraphPatch`, with the derivative bound measured on the surface's
-  `bound_grid` (angles, radii).
+  the vertex's quadratic fit.
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
-- `frame_at(locator)`: oriented orthonormal (tangent, normal) frames.
 - `curvatures(locators)`: the oriented orthonormal frames and second
   fundamental forms at a list of located points, in one batch, as arrays
   tangent (N, n, m), normal (N, n, n-m) and second_fundamental
   (N, m, m, n-m) with h_ij = II(T e_i, T e_j). Charts make one Jacobian
   and one Hessian call per run of points on the same chart; meshes slice
-  their vertex fits. `curvature_at(locator)` (here, for every surface) is
-  its one-point case, a `CurvatureData`.
+  their vertex fits.
 - `transformed(value_map, jac_map, hess_map, name=None)`: the image under
   an ambient map with the given derivatives (hess_map None when affine).
 - `euler_characteristic()` and `min_nonneighbor_distance()` (inf on charts,
@@ -48,28 +45,12 @@ __all__ = ["Surface", "NodeSet", "as_surface"]
 class Surface:
     """Base of the surfaces that implement the protocol above."""
 
-    bound_grid = (16, 16)
-
-    def patch_at(self, locator, radius, shrink=True, measure_bound=True):
-        patch = self.patches_at([locator], radius, shrink=shrink)[0]
-        if measure_bound:
-            n_angular, n_radial = self.bound_grid
-            patch.derivative_bound = patch.measure_derivative_bound(
-                n_angular=n_angular, n_radial=n_radial)
-        return patch
-
-    def curvature_at(self, locator):
-        from .patches import CurvatureData      # patches imports this module
-        tangent, normal, sff = self.curvatures([locator])
-        return CurvatureData(second_fundamental=sff[0], tangent=tangent[0],
-                             normal=normal[0])
-
 
 @dataclass
 class NodeSet:
     """Quadrature nodes of a surface.
 
-    locators are what `patch_at` accepts at each node (None for subdivided
+    locators are what `patches_at` accepts at each node (None for subdivided
     mesh faces); spacing is the local node spacing.
     """
 

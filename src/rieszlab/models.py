@@ -40,8 +40,23 @@ __all__ = [
     "unit_ball_volume",
 ]
 
-# Gauss-Legendre nodes per panel of the two-body cross-energy rules.
+# Gauss-Legendre nodes per panel of the one-dimensional panel rules (the
+# tangential model's rho and r panels, the two-body cross energy).
 PANEL_ORDER = 16
+# Gauss-Legendre nodes per axis of each dyadic box of the orthogonal and
+# cone models.
+BOX_ORDER = 12
+# Dyadic shells of the orthogonal model toward the crossing.
+ORTHOGONAL_LEVELS = 60
+# Shells of the cone model beyond the smallest cutoff's.
+CONE_EXTRA_LEVELS = 4
+# Dyadic scales of the annulus cascade sum.
+CASCADE_TERMS = 80
+# classify_cutoff_law: increments shrinking by less than FINITE_RATIO each
+# step mean a finite limit; a fit wins outright when its R^2 deficit is
+# RESIDUAL_RATIO times smaller than the other's.
+FINITE_RATIO = 0.8
+RESIDUAL_RATIO = 4.0
 
 
 def unit_ball_volume(m: int) -> float:
@@ -87,16 +102,15 @@ def _linfit(x, y):
     return sol[0], sol[1], r2, ss_res
 
 
-def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
-                        residual_ratio=4.0) -> CutoffFit:
+def classify_cutoff_law(cutoffs, values) -> CutoffFit:
     """Classify V(cutoff) growth from samples at decreasing cutoffs.
 
     Finiteness is detected on the increments between consecutive cutoffs
     (which cancels any additive constant): geometrically shrinking
-    increments (every ratio below finite_ratio) mean a finite limit,
+    increments (every ratio below FINITE_RATIO) mean a finite limit,
     extrapolated by summing the geometric tail. Otherwise two least-squares
     models compete, V linear in log(1/cutoff) versus log V linear in log
-    cutoff, selected when one R^2 deficit is at least residual_ratio times
+    cutoff, selected when one R^2 deficit is at least RESIDUAL_RATIO times
     smaller, else by the better fit.
     """
     cut = np.asarray(cutoffs, dtype=float)
@@ -111,7 +125,7 @@ def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
     scale = np.max(np.abs(val))
     inc = np.maximum(inc, 1e-300)
     ratios = inc[1:] / inc[:-1]
-    if np.all(ratios < finite_ratio) or np.all(inc < 1e-12 * scale):
+    if np.all(ratios < FINITE_RATIO) or np.all(inc < 1e-12 * scale):
         limit = float(val[-1] + inc[-1] * ratios[-1] / (1 - ratios[-1])
                       if ratios[-1] < 1 else val[-1])
         return CutoffFit("finite", 0.0, 1.0, cut, val, limit=limit)
@@ -122,10 +136,10 @@ def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
         p, r2_pow = math.nan, -math.inf
     d_log = max(1.0 - r2_log, 1e-15)
     d_pow = max(1.0 - r2_pow, 1e-15)
-    if d_log * residual_ratio <= d_pow:
+    if d_log * RESIDUAL_RATIO <= d_pow:
         return CutoffFit("log", 0.0, r2_log, cut, val,
                          log_coefficient=float(a_log))
-    if d_pow * residual_ratio <= d_log or d_pow < d_log:
+    if d_pow * RESIDUAL_RATIO <= d_log or d_pow < d_log:
         return CutoffFit("power", float(p), r2_pow, cut, val)
     return CutoffFit("log", 0.0, r2_log, cut, val,
                      log_coefficient=float(a_log))
@@ -135,7 +149,7 @@ def classify_cutoff_law(cutoffs, values, finite_ratio=0.8,
 # model integrals
 # ----------------------------------------------------------------------
 
-def _dyadic_shell_sums_2d(f, outer, levels, gl_order=12):
+def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     """Integrals of f over dyadic L-shells of [0, outer]^2 (smooth per box).
 
     Shell k is the three boxes of [0, hi]^2 \\ [0, hi/2]^2 with hi =
@@ -201,14 +215,15 @@ def orthogonal_model_closed_form(alpha: float, rho: float) -> float:
     return 8.0 * math.pi ** 2 * rho ** (a + 4.0) * frac / (a + 4.0)
 
 
-def orthogonal_model_integral(alpha: float, rho: float = 1.0,
-                              levels: int = 60, gl_order: int = 12) -> OrthogonalModelResult:
+def orthogonal_model_integral(alpha: float,
+                              rho: float = 1.0) -> OrthogonalModelResult:
     """Interaction of two orthogonal flat sheets meeting at a point.
 
     Numerically integrates (t^2+s^2)^(a/2) (2 pi)^2 t s over [0, rho]^2 by
-    dyadic shells toward the origin. Shell sums decay geometrically exactly
-    when a > -4; otherwise the result carries a divergence flag and the
-    cutoff study instead of a value.
+    ORTHOGONAL_LEVELS dyadic shells toward the origin. Shell sums decay
+    geometrically exactly when a > -4; otherwise the result carries a
+    divergence flag and the cutoff study of the partial sums at every
+    fourth of the 24 innermost shells instead of a value.
     """
     a = float(alpha)
     if not rho > 0:
@@ -217,7 +232,8 @@ def orthogonal_model_integral(alpha: float, rho: float = 1.0,
     def f(t, s):
         return (t ** 2 + s ** 2) ** (a / 2.0) * (2.0 * math.pi) ** 2 * t * s
 
-    sums = _dyadic_shell_sums_2d(f, rho, levels, gl_order)
+    levels = ORTHOGONAL_LEVELS
+    sums = _dyadic_shell_sums_2d(f, rho, levels, BOX_ORDER)
     ratios = sums[1:] / sums[:-1]
     tail_ratio = float(np.median(ratios[-8:]))
     cutoffs = rho * 0.5 ** np.arange(1, levels + 1)
@@ -270,7 +286,7 @@ def _tangent_values(a, R, cutoffs, gl_order):
 
 
 def tangent_model_scan(alpha: float, extent: float = 0.5,
-                       cutoffs=None, gl_order: int = 16) -> CutoffFit:
+                       cutoffs=None) -> CutoffFit:
     """Cutoff study of the tangential double-point model.
 
     Integrand ((rho/2)^4 + r^2)^(a/2) r rho over [cutoff, R] x [0, R]; the
@@ -288,11 +304,10 @@ def tangent_model_scan(alpha: float, extent: float = 0.5,
     cutoffs = np.asarray(cutoffs, dtype=float)
     _check_cutoffs(cutoffs, (cutoffs > 0.0) & (cutoffs < R), f"(0, {R:g})")
     return classify_cutoff_law(cutoffs,
-                               _tangent_values(a, R, cutoffs, gl_order))
+                               _tangent_values(a, R, cutoffs, PANEL_ORDER))
 
 
-def cone_model_scan(alpha: float, cutoffs=None, gl_order: int = 12,
-                    levels_extra: int = 4) -> CutoffFit:
+def cone_model_scan(alpha: float, cutoffs=None) -> CutoffFit:
     """Cutoff study of the double-cone interaction model.
 
     Integrand (r + rho)^a rho r over [0,1]^2 minus the dyadic corner
@@ -308,8 +323,8 @@ def cone_model_scan(alpha: float, cutoffs=None, gl_order: int = 12,
     def f(r, rho):
         return (r + rho) ** a * r * rho
 
-    levels = int(math.ceil(-math.log2(np.min(cutoffs)))) + levels_extra
-    sums = _dyadic_shell_sums_2d(f, 1.0, levels, gl_order)
+    levels = int(math.ceil(-math.log2(np.min(cutoffs)))) + CONE_EXTRA_LEVELS
+    sums = _dyadic_shell_sums_2d(f, 1.0, levels, BOX_ORDER)
     shell_edges = 0.5 ** np.arange(1, levels + 1)
     vals = []
     for cut in cutoffs:
@@ -332,11 +347,13 @@ def lambda_bound(m: int, alpha: float, delta: float, rho: float) -> float:
             * (1.0 + delta / rho) ** alpha)
 
 
-def lambda_bound_sum(m: int, alpha: float, delta: float, rho0: float,
-                     terms: int = 80) -> float:
-    """Sum of lambda over the dyadic annulus cascade rho0 / 2^j."""
+def lambda_bound_sum(m: int, alpha: float, delta: float,
+                     rho0: float) -> float:
+    """Sum of lambda over the dyadic annulus cascade rho0 / 2^j,
+    j < CASCADE_TERMS."""
     return compensated_sum(
-        lambda_bound(m, alpha, delta, rho0 / 2.0 ** j) for j in range(terms))
+        lambda_bound(m, alpha, delta, rho0 / 2.0 ** j)
+        for j in range(CASCADE_TERMS))
 
 
 def _graded_panels_1d(a: float, b: float, feature: float):

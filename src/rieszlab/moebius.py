@@ -12,7 +12,7 @@ tangent basis at y. This avoids constructing the tangent sphere explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,13 +153,17 @@ def ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames):
     return omc, dist, pullback
 
 
-def _ks_assemble(pts, frames, weights, limits, m, block=512):
+# Outer nodes per block of the KS double sum (bounds its memory).
+KS_BLOCK = 512
+
+
+def _ks_assemble(pts, frames, weights, limits, m):
     """Blocked double sum of (1-cos)^m / d^(2m), coincident nodes taking
     their diagonal limits."""
     N = len(pts)
     total_rows = []
-    for lo in range(0, N, block):
-        hi = min(lo + block, N)
+    for lo in range(0, N, KS_BLOCK):
+        hi = min(lo + KS_BLOCK, N)
         omc, dist = ks_pair_kernel(pts[lo:hi], frames[lo:hi], pts, frames)
         omc = np.clip(omc, 0.0, 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,7 +175,6 @@ def _ks_assemble(pts, frames, weights, limits, m, block=512):
 
 
 def ks_energy(surface, config: QuadratureConfig | None = None,
-              allow_open=False, allow_unembedded=False,
               scale=None) -> EnergyReport:
     """Kusner-Sullivan energy: double integral of (1-cos theta)^m/|x-y|^2m.
 
@@ -180,26 +183,25 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
     power of the limit of (1 - cos theta)/|x-y|^2 averaged over the
     tangent directions e, the mean of II(e, e_perp)^2 / 2: D / 16 on
     surfaces (D the umbilicity defect, (k1 - k2)^2 in R^3) and 0 on
-    curves; every other pair takes the kernel itself. Non-embedded meshes
-    are rejected by default: the energy is discontinuous on immersed inputs
-    (a double cover scores zero while nearby embedded pairs blow up).
+    curves; every other pair takes the kernel itself. Open surfaces and
+    non-embedded meshes are rejected: the energy is discontinuous on
+    immersed inputs (a double cover scores zero while nearby embedded pairs
+    blow up).
     """
     config = config or QuadratureConfig()
     m = as_surface(surface).m
-    if not surface.closed and not allow_open:
-        raise PreconditionError("ks_energy needs a closed surface "
-                                "(allow_open overrides)")
+    if not surface.closed:
+        raise PreconditionError("ks_energy needs a closed surface")
     if not surface.oriented:
         raise OrientationError("ks_energy needs consistent orientation")
     nodes = surface.nodes(scale if scale is not None else 0.5)
-    if not allow_unembedded:
-        sep = surface.min_nonneighbor_distance()
-        scale_local = float(np.median(nodes.spacing))
-        if sep < 0.3 * scale_local:
-            raise UnsupportedInputError(
-                "mesh looks self-intersecting or immersed "
-                f"(non-neighbor separation {sep:.3g} vs local scale "
-                f"{scale_local:.3g}); E_KS is discontinuous there")
+    sep = surface.min_nonneighbor_distance()
+    scale_local = float(np.median(nodes.spacing))
+    if sep < 0.3 * scale_local:
+        raise UnsupportedInputError(
+            "mesh looks self-intersecting or immersed "
+            f"(non-neighbor separation {sep:.3g} vs local scale "
+            f"{scale_local:.3g}); E_KS is discontinuous there")
     frames, _, sff = surface.curvatures(nodes.locators)
     limits = (umbilicity_defect(sff) / 16.0 if m == 2
               else np.zeros(len(frames)))
@@ -375,7 +377,8 @@ def moebius_invariance_check(surface, mmap: MoebiusMap, selector="ks",
     rel = abs(e0 - e1) / denom
     refined_rel = None
     if refine:
-        cfg2 = config.refined(1.5)
+        cfg2 = replace(config, outer_scale=config.outer_scale * 1.5,
+                       inner_scale=config.inner_scale * 1.5)
         e0r = energy(surface, cfg2, base_scale * 1.5)
         e1r = energy(image, cfg2, base_scale * 1.5)
         refined_rel = abs(e0r - e1r) / max(abs(e0r), abs(e1r), 1e-30)

@@ -47,16 +47,15 @@ class BlendKernel:
     the first four derivatives of t^alpha at t = eps. Used to decompose a
     singular pairwise kernel into (globally smooth part) + (radial residual
     supported in the ball), the latter being handled by the radial engine.
-    An array of radii eps (B,) gives B kernels at once: coeffs (B, order +
-    1), and the kernel then takes t with a matching leading axis.
+    An array of radii eps (B,) gives B kernels at once: coeffs (B, 5), and
+    the kernel then takes t with a matching leading axis.
     """
 
-    def __init__(self, alpha: float, eps, order: int = 4):
+    def __init__(self, alpha: float, eps):
         self.alpha = float(alpha)
         self.eps = np.asarray(eps, dtype=float)
-        self.order = int(order)
-        n = self.order + 1  # number of even-polynomial coefficients
-        # p(t) = sum_i c_i t^{2i}; match d^j/dt^j at t = eps for j = 0..order.
+        n = 5  # even-polynomial coefficients, one per matched derivative
+        # p(t) = sum_i c_i t^{2i}; match d^j/dt^j at t = eps for j = 0..4.
         j = np.arange(n)[:, None]
         k = 2 * np.arange(n)
         perm = np.array([[math.perm(kk, jj) for kk in k] for jj in range(n)],

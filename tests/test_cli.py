@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rieszlab
 from rieszlab.cli import (RunConfig, dump_json, main, parse_args,
                          parse_surface, run)
-from rieszlab.geometry import TriMesh
+from rieszlab.errors import ConfigError, UnsupportedInputError
+from rieszlab.geometry import Surface, TriMesh
 
 # the child process imports the same rieszlab as the tests, installed or not
 _CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -93,6 +95,22 @@ def test_sweep_csv_and_data(tmp_path):
     assert len(rows) == 4
     dat = dat_path.read_text().strip().splitlines()
     assert len(dat) == 3 and len(dat[0].split()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--surface", "circle", "--alpha", "1"],
+    ["beta", "--surface", "circle", "--z", "1"],
+    ["model", "cone", "--alpha", "-5"],
+    ["flow", "--surface", "icosphere", "--energy", "ks", "--steps", "1"],
+    ["invariance", "--surface", "sphere"],
+    ["validate", "--surface", "sphere"],
+], ids=lambda argv: argv[0])
+def test_data_flag_only_where_it_writes(argv, tmp_path, capsys):
+    # only sweep writes a --data file; elsewhere the flag is refused
+    dat_path = tmp_path / "out.dat"
+    assert main([*argv, "--data", str(dat_path)]) == 2
+    assert not dat_path.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_flow_command(tmp_path):
@@ -259,3 +277,67 @@ def test_non_numeric_map_parameter_exits_2():
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError"
     assert "cx" in err["message"] and "abc" in err["message"]
+
+
+# catalog keys and, for the integer ones, bounds that keep every mesh small
+_CATALOG = {
+    "circle": "r", "sphere": "r cx cy cz", "ellipsoid": "a b c",
+    "torus": "R r", "cylinder": "r L", "saddle": "extent",
+    "two-spheres": "gap r", "icosphere": "subdiv r cx cy cz",
+    "torusmesh": "nu nv R r", "polygon": "n r", "dumbbell": "gap r subdiv",
+    "klein-bottle": "r",
+}
+_INT_BOUNDS = {"subdiv": (-1, 2), "nu": (-1, 16), "nv": (-1, 16),
+               "n": (-2, 96)}
+_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "1=2"])
+_MESH_FILES = {
+    "ok.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "ragged.off": "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n2 0 3\n",
+    "words.off": "OFF\n1 1 0\na b c\n3 0 0 0\n",
+    "short.off": "OFF\n",
+    "out_of_range.obj": "v 0 0 0\nv 1 0 0\nf 1 2 9\n",
+    "no_vertices.obj": "f 1 2 3\n",
+    "words.obj": "v a b c\nf 1 1 1\n",
+}
+
+
+@st.composite
+def _catalog_specs(draw):
+    name = draw(st.sampled_from(sorted(_CATALOG)))
+    parts = []
+    for key in draw(st.lists(st.sampled_from(_CATALOG[name].split()),
+                             unique=True)):
+        lo, hi = _INT_BOUNDS.get(key, (-3, 3))
+        number = (st.integers(lo, hi).map(str) if key in _INT_BOUNDS
+                  else st.floats(lo, hi).map(repr))
+        parts.append(f"{key}={draw(number | _JUNK)}")
+    return name + (":" + ",".join(parts) if parts else "")
+
+
+@pytest.fixture(scope="module")
+def mesh_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("meshes")
+    for name, text in _MESH_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+def _builds_or_raises_a_config_error(spec):
+    try:
+        surface = parse_surface(spec)
+    except (ConfigError, UnsupportedInputError):
+        return
+    assert isinstance(surface, Surface), spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_catalog_specs())
+def test_parse_surface_builds_or_raises_a_config_error(spec):
+    _builds_or_raises_a_config_error(spec)
+
+
+@pytest.mark.parametrize("name", [*_MESH_FILES, "missing.off", "missing.obj"])
+@pytest.mark.parametrize("prefix", ["", "mesh:path="])
+def test_mesh_file_spec_builds_or_raises_a_config_error(prefix, name,
+                                                        mesh_dir):
+    _builds_or_raises_a_config_error(f"{prefix}{mesh_dir / name}")

@@ -177,7 +177,7 @@ def test_sphere_graph_patch_height():
     h = patch.height(eta)
     expected = 1.0 - np.sqrt(1.0 - np.sum(eta ** 2, axis=1))
     np.testing.assert_allclose(np.abs(h[:, 0]), expected, atol=1e-10)
-    assert patch.derivative_bound >= 1.0
+    assert patch.measure_derivative_bound() >= 1.0
 
 
 def test_flat_patch_is_zero():
@@ -185,7 +185,7 @@ def test_flat_patch_is_zero():
     patch = graph_patch_at(par, (0, [0.1, -0.2]), 0.4)
     eta = np.array([[0.1, 0.05], [-0.2, 0.1]])
     np.testing.assert_allclose(patch.height(eta), 0.0, atol=1e-12)
-    assert patch.derivative_bound < 1e-10
+    assert patch.measure_derivative_bound() < 1e-10
 
 
 def test_cylinder_patch_flat_direction():
@@ -343,15 +343,6 @@ def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
     assert measured > 0
     assert len(calls) == measured
     assert len({id(p) for p in calls}) == measured
-    # earlier versions measured the bound once more inside graph_patch_at;
-    # with that measurement put back the report is the same
-    place = patches.graph_patch_at
-    monkeypatch.setattr(patches, "graph_patch_at",
-                        lambda *args, measure_bound=True, **kwargs:
-                        place(*args, measure_bound=True, **kwargs))
-    calls.clear()
-    assert validate_patch_class(surface, params, samples=8) == report
-    assert len(calls) == 2 * measured
 
 
 def test_validate_two_disjoint_spheres():

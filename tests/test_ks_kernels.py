@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import (MoebiusMap, TriMesh, apply_moebius, graph_patch_at,
-                      icosphere, ks_energy, make_circle, make_disjoint_union,
-                      make_ellipsoid, make_sphere, make_torus, polygon_circle,
-                      torus_mesh)
+from rieszlab import (MoebiusMap, TriMesh, apply_moebius, curvature_at,
+                      graph_patch_at, icosphere, ks_energy, make_circle,
+                      make_disjoint_union, make_ellipsoid, make_sphere,
+                      make_torus, polygon_circle, tangent_frame, torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 from rieszlab.geometry.patches import umbilicity_defect
 from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
@@ -29,12 +29,12 @@ def _walker(surface, loc):
     basis there: on charts a step A eta in the parameters, A = (T^T J)^-1;
     on meshes the point over eta on the vertex's fitted quadratic graph."""
     if isinstance(surface, TriMesh):
-        p = graph_patch_at(surface, loc, None, measure_bound=False)
+        p = graph_patch_at(surface, loc, None)
         return lambda eta: (p.embed(eta[None])[0],
                             p.tangent + p.normal @ p.height_jacobian(eta[None])[0])
     k, u0 = surface.locate(loc)
     chart = surface.charts[k]
-    A = np.linalg.inv(surface.frame_at(loc)[0].T @ chart.jacobian(u0))
+    A = np.linalg.inv(tangent_frame(surface, loc)[0].T @ chart.jacobian(u0))
     return lambda eta: (chart.value(u0 + A @ eta), chart.jacobian(u0 + A @ eta))
 
 
@@ -43,7 +43,7 @@ def _isotropic_limit(surface, loc, h):
     (8 on surfaces, 2 on curves) of lim (1 - cos theta) / d^2 along e, each
     extrapolated quadratically in d from steps h, h/2, h/4."""
     x = surface.basis_at(loc)[0]
-    tangent = surface.frame_at(loc)[0]
+    tangent = tangent_frame(surface, loc)[0]
     walk = _walker(surface, loc)
     if surface.m == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -200,7 +200,7 @@ def test_chart_curvatures_match_per_point_reference(name):
         assert np.array_equal(tangent[i], ref_t)
         assert np.array_equal(normal[i], ref_n)
         assert np.max(np.abs(sff[i] - ref_sff)) <= 1e-14
-        one = surface.curvature_at(loc)
+        one = curvature_at(surface, loc)
         assert np.max(np.abs(one.second_fundamental - sff[i])) <= 1e-14
 
 

@@ -8,8 +8,9 @@ to the fitted graph's tangent plane) that the batched fit must reproduce.
 import numpy as np
 import pytest
 
-from rieszlab import (TriMesh, icosphere, ks_energy, make_torus,
-                      mesh_disjoint_union, polygon_circle, torus_mesh)
+from rieszlab import (TriMesh, curvature_at, graph_patch_at, icosphere,
+                      ks_energy, make_torus, mesh_disjoint_union,
+                      polygon_circle, tangent_frame, torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 
 
@@ -94,7 +95,7 @@ def test_batched_fit_matches_per_vertex_fit(name):
         tangent, normal, coeffs, rms = _fit_one(
             mesh.vertices[v], mesh.vertices[rings[v]],
             _seed(mesh, v, rings[v]))
-        patch = mesh.patch_at(v, None, measure_bound=False)
+        patch = graph_patch_at(mesh, v, None)
         np.testing.assert_allclose(patch.tangent, tangent, rtol=0, atol=1e-12)
         np.testing.assert_allclose(patch.normal, normal, rtol=0, atol=1e-12)
         scale = max(1.0, float(np.max(np.abs(coeffs))))
@@ -119,7 +120,7 @@ def test_tilted_patch_is_the_fitted_graphs_jet(name):
         tangent, normal, lin, C, _ = _seed_solve(
             mesh.vertices[v], mesh.vertices[rings[v]],
             _seed(mesh, v, rings[v]))
-        patch = mesh.patch_at(v, None, measure_bound=False)
+        patch = graph_patch_at(mesh, v, None)
         ratios = []
         for eps in (1e-2, 5e-3, 2.5e-3):
             eta = eps * dirs
@@ -138,7 +139,7 @@ def test_coarse_torus_fit_normals_follow_the_faces():
     face_normals = mesh.face_normals()
     for v, faces in enumerate(mesh.vertex_faces()):
         ref = face_normals[faces].mean(axis=0)
-        normal = mesh.frame_at(v)[1][:, 0]
+        normal = tangent_frame(mesh, v)[1][:, 0]
         assert normal @ ref / np.linalg.norm(ref) > 0.9, v
 
 
@@ -150,21 +151,24 @@ def test_coarse_torus_ks_near_chart_torus():
 
 def test_moved_mesh_does_not_keep_its_parents_fit():
     mesh = icosphere(2)
-    mesh.patch_at(0, None)
+    graph_patch_at(mesh, 0, None)
     moved = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
     fresh = TriMesh(moved.vertices.copy(), mesh.faces, 2)
     v = np.array([[1.0, 0.0], [0.6, 0.8]])
     t = np.array([0.05, 0.1])
     for vertex in range(mesh.num_vertices):
-        a = moved.patch_at(vertex, 0.3)
-        b = fresh.patch_at(vertex, 0.3)
+        a = graph_patch_at(moved, vertex, 0.3)
+        b = graph_patch_at(fresh, vertex, 0.3)
         for key in ("base_point", "tangent", "normal", "radius",
-                    "derivative_bound", "fit_residual"):
+                    "fit_residual"):
             assert np.array_equal(getattr(a, key), getattr(b, key)), key
         assert np.array_equal(a.meta["coeffs"], b.meta["coeffs"])
         for x, y in zip(a.chord_solve(v, t), b.chord_solve(v, t)):
             assert np.array_equal(x, y)
-        for x, y in zip(moved.frame_at(vertex), fresh.frame_at(vertex)):
+        assert a.measure_derivative_bound() == b.measure_derivative_bound()
+        for x, y in zip(tangent_frame(moved, vertex),
+                        tangent_frame(fresh, vertex)):
             assert np.array_equal(x, y)
-        assert np.array_equal(moved.curvature_at(vertex).second_fundamental,
-                              fresh.curvature_at(vertex).second_fundamental)
+        assert np.array_equal(
+            curvature_at(moved, vertex).second_fundamental,
+            curvature_at(fresh, vertex).second_fundamental)

@@ -117,7 +117,7 @@ def test_bounded_ratio_near_diagonal():
     base_u = np.array([1.2, 0.8])
     x = chart.value(base_u)
     patch = graph_patch_at(ell, (0, base_u), 0.3)
-    b = patch.derivative_bound
+    b = patch.measure_derivative_bound()
     for du in ([1.0, 0.0], [0.0, 1.0], [0.7, 0.7]):
         for t in (0.1, 0.05, 0.025, 0.0125):
             u = base_u + t * np.asarray(du)

@@ -35,6 +35,22 @@ def test_energy_params(alpha, m, pole):
     assert p.at_pole == pole
 
 
+@given(m=st.sampled_from([1, 2]), k=st.integers(0, 10),
+       offset=st.floats(-1e-13, 1e-13))
+def test_energy_params_at_pole_on_even_steps(m, k, offset):
+    # alpha = -m - 2k is a pole exactly and under perturbations < 1e-13
+    assert EnergyParams(-m - 2 * k, m).at_pole
+    assert EnergyParams(-m - 2 * k + offset, m).at_pole
+
+
+@given(m=st.sampled_from([1, 2]), k=st.integers(0, 10),
+       offset=st.floats(1e-9, 0.49), sign=st.sampled_from([-1.0, 1.0]))
+def test_energy_params_off_pole(m, k, offset, sign):
+    # offsets above 1e-9 and odd steps below -m are regular points
+    assert not EnergyParams(-m - 2 * k + sign * offset, m).at_pole
+    assert not EnergyParams(-m - 2 * k - 1, m).at_pole
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
 def test_energy_params_reject_non_finite_alpha(alpha):
     with pytest.raises(PreconditionError):
@@ -89,7 +105,7 @@ def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
 def test_chord_solve_matches_nested_inversion(surface, locator, radius):
     # each patch's chord solve against the reference ray solve on the same
     # patch's explicit height, on a dense t grid down to 1e-4 eps0
-    patch = graph_patch_at(surface, locator, radius, measure_bound=False)
+    patch = graph_patch_at(surface, locator, radius)
     ts = patch.radius * np.concatenate([np.geomspace(1e-4, 0.08, 14),
                                         np.linspace(0.1, 1.0, 96)])
     v, _ = _angular_rule(patch.m, 16)
@@ -112,7 +128,7 @@ def test_chord_solve_matches_nested_inversion(surface, locator, radius):
 def test_mesh_chord_solve_on_the_chord_sphere(mesh):
     v, _ = _angular_rule(mesh.m, 16)
     for vertex in (0, mesh.num_vertices // 2):
-        patch = graph_patch_at(mesh, vertex, None, measure_bound=False)
+        patch = graph_patch_at(mesh, vertex, None)
         ts = patch.radius * np.geomspace(1e-4, 1.0, 24)
         vv = np.tile(v, (len(ts), 1))
         tt = np.repeat(ts, len(v))
@@ -137,7 +153,7 @@ def test_mesh_chord_solve_flat_rows():
     mesh = TriMesh(verts, faces, 2)
     v, _ = _angular_rule(2, 16)
     for vertex in (0, 12, 24):
-        patch = graph_patch_at(mesh, vertex, None, measure_bound=False)
+        patch = graph_patch_at(mesh, vertex, None)
         tt = np.repeat(patch.radius * np.geomspace(1e-4, 1.0, 8), len(v))
         xi, h, dh = patch.chord_solve(np.tile(v, (8, 1)), tt)
         assert np.array_equal(xi, tt)

@@ -49,12 +49,12 @@ def _per_node_energy(surface, alpha, config):
     requested = config.patch_radius or default_patch_radius(surface)
     near, far, err, logc, eps_used = [], [], [], [], []
     for i, loc in enumerate(outer.locators):
-        patch = graph_patch_at(surface, loc, requested, measure_bound=False)
+        patch = graph_patch_at(surface, loc, requested)
         eps = patch.radius
         profile = radial_profile(patch, eps, angular_nodes=config.angular_nodes)
         pf = finite_part(params, profile, eps)
         blend = BlendKernel(alpha, eps)
-        weight = np.zeros(m + 2 * blend.order)     # t^(m-1) p(t)
+        weight = np.zeros(m + 2 * len(blend.coeffs) - 2)     # t^(m-1) p(t)
         weight[m - 1::2] = blend.coeffs
         corr = P.polyval(eps, P.polyint(np.convolve(weight, profile.taylor)))
         corr_err = (len(profile.coefficients) * profile.fit_residual
@@ -131,8 +131,7 @@ def test_profile_stack_refines_only_the_nodes_that_need_it():
     profiles = radial_profile(stack)
     assert [len(v) for v in profiles.samples] == [17, 33, 17]
     for k, i in enumerate([coarse[0], fine, coarse[1]]):
-        one = radial_profile(graph_patch_at(ell, locators[i], radius,
-                                            measure_bound=False))
+        one = radial_profile(graph_patch_at(ell, locators[i], radius))
         np.testing.assert_allclose(profiles[k].values, one.values, rtol=1e-15,
                                    atol=0)
         np.testing.assert_allclose(profiles[k].taylor, one.taylor, rtol=1e-14,
