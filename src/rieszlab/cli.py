@@ -485,6 +485,8 @@ def parse_args(argv=None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in merged.items():
         _require_finite(key, val)
+    if merged.get("data") is not None and merged["command"] != "sweep":
+        raise ConfigError("only sweep writes a data file")
     return RunConfig(**merged)
 
 

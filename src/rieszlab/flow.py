@@ -21,12 +21,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry.meshes import (PAIR_BLOCK, TriMesh, face_vectors,
-                              face_vectors_adjoint, seed_frames,
-                              seed_frames_adjoint)
+from .geometry.meshes import (TriMesh, face_vectors, face_vectors_adjoint,
+                              seed_frames, seed_frames_adjoint)
 from .geometry.patches import (dot, fit_tangent_frames,
                                fit_tangent_frames_adjoint)
-from .moebius import ks_pair_kernel, ks_pair_kernel_vjp
+from .moebius import ks_pair_blocks
 
 __all__ = [
     "EnergySelector",
@@ -71,13 +70,9 @@ def _ks_vertex_energy(vertices, topology):
     frame step `fit_tangent_frames`), the weights the lumped vertex weights
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
-    m = topology.m
     _, _, frames, _, _, weights = _ks_quadrature(vertices, topology)
-    omc, dist = ks_pair_kernel(vertices, frames, vertices, frames)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = omc ** m / dist ** (2 * m)
-    np.fill_diagonal(q, 0.0)
-    return weights @ q @ weights
+    return sum(weights[lo:hi] @ q for lo, hi, q, *_ in ks_pair_blocks(
+        vertices, frames, vertices, frames, np.zeros(len(vertices)))) @ weights
 
 
 def _ks_vertex_gradient(vertices, topology):
@@ -85,7 +80,8 @@ def _ks_vertex_gradient(vertices, topology):
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
     frame) arguments, so each vertex's pair gradient is twice its row side
-    (`ks_pair_kernel_vjp`) and dE/dw = 2 q w. The frame gradients then
+    (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w; pairs whose 1 - cos
+    was clipped contribute nothing through it. The frame gradients then
     run back through the fit and the seed, the weight gradients through
     the face vectors.
     """
@@ -95,17 +91,12 @@ def _ks_vertex_gradient(vertices, topology):
     grad = np.empty(vertices.shape)
     frames_bar = np.empty(frames.shape)
     weights_bar = np.empty(V)
-    rows = max(1, PAIR_BLOCK // V)
-    for lo in range(0, V, rows):
-        hi = min(lo + rows, V)
-        omc, dist, pullback = ks_pair_kernel_vjp(
-            vertices[lo:hi], frames[lo:hi], vertices, frames)
+    for lo, hi, q, omc, dist, pullback in ks_pair_blocks(
+            vertices, frames, vertices, frames, np.zeros(V)):
         ww = 2.0 * weights[lo:hi, None] * weights
         with np.errstate(divide="ignore", invalid="ignore"):
-            d2m = dist ** (2 * m)
-            q = omc ** m / d2m
-            q[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-            omc_bar = ww * m * omc ** (m - 1) / d2m
+            omc_bar = np.where((omc > 0.0) & (omc < 2.0),
+                               ww * m * omc ** (m - 1) / dist ** (2 * m), 0.0)
             dist_bar = -2.0 * m * ww * q / dist
         weights_bar[lo:hi] = 2.0 * (q @ weights)
         grad[lo:hi], frames_bar[lo:hi] = pullback(omc_bar, dist_bar)
@@ -218,16 +209,11 @@ def energy_gradient(state: FlowState) -> np.ndarray:
 
 
 def _orientation_ok(old: TriMesh, new_vertices: np.ndarray) -> bool:
-    """Reject steps that invert any simplex against the previous step."""
-    if old.m == 2 and old.n == 3:
-        p_old = old.vertices[old.faces]
-        p_new = new_vertices[old.faces]
-        n_old = np.cross(p_old[:, 1] - p_old[:, 0], p_old[:, 2] - p_old[:, 0])
-        n_new = np.cross(p_new[:, 1] - p_new[:, 0], p_new[:, 2] - p_new[:, 0])
-        return bool(np.all(np.einsum("ij,ij->i", n_old, n_new) > 0.0))
-    e_old = old.vertices[old.faces[:, 1]] - old.vertices[old.faces[:, 0]]
-    e_new = new_vertices[old.faces[:, 1]] - new_vertices[old.faces[:, 0]]
-    return bool(np.all(np.einsum("ij,ij->i", e_old, e_new) > 0.0))
+    """Reject steps that invert any simplex against the previous step: every
+    face vector (edge or area normal) must keep its direction."""
+    f_old = face_vectors(old.vertices, old.topology)
+    return bool(np.all(dot(f_old, face_vectors(new_vertices, old.topology))
+                       > 0.0))
 
 
 def flow_step(state: FlowState) -> FlowState:

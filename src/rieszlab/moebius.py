@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (OrientationError, PreconditionError, SingularMapError,
                      SingularPairError, UnsupportedInputError)
+from .geometry.meshes import PAIR_BLOCK
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
 from .quadrature import compensated_sum
@@ -75,19 +76,13 @@ def combined_angle_cos(surface, loc_x, loc_y) -> float:
 # ----------------------------------------------------------------------
 
 def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
-    """(1 - cos theta) and distances for all point pairs, O(n) frames.
+    """(1 - cos theta) and distances for all point pairs, O(n) frames, and
+    their row-side pullback.
 
     Both frame stacks must be oriented orthonormal. Every product is a plain
     (non-conjugating) one, so the kernel is complex-analytic in the inputs
     and complex-step derivatives through it are exact. Coincident pairs get
     0 in both outputs; 1 - cos is not clipped to [0, 2].
-    """
-    omc, dist, _ = ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames)
-    return omc, dist
-
-
-def ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames):
-    """`ks_pair_kernel`'s (omc, dist) and its row-side pullback.
 
     pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
     + dist_bar * dist) with respect to x_pts (Nx, n) and x_frames (Nx, n,
@@ -153,29 +148,30 @@ def ks_pair_kernel_vjp(x_pts, x_frames, y_pts, y_frames):
     return omc, dist, pullback
 
 
-# Outer nodes per block of the KS double sum (bounds its memory).
-KS_BLOCK = 512
+def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
+    """The pairs of the KS double sum, in blocks of x rows of at most
+    PAIR_BLOCK pairs each (bounds its memory).
 
-
-def _ks_assemble(pts, frames, weights, limits, m):
-    """Blocked double sum of (1-cos)^m / d^(2m), coincident nodes taking
-    their diagonal limits."""
-    N = len(pts)
-    total_rows = []
-    for lo in range(0, N, KS_BLOCK):
-        hi = min(lo + KS_BLOCK, N)
-        omc, dist = ks_pair_kernel(pts[lo:hi], frames[lo:hi], pts, frames)
+    Yields (lo, hi, q, omc, dist, pullback) for the rows lo:hi: omc is
+    1 - cos theta clipped to [0, 2], q = omc^m / dist^(2m) with each
+    coincident pair taking its row's diag value, and dist and pullback are
+    `ks_pair_kernel`'s. np.clip leaves complex values whose real part lies
+    inside (0, 2) unchanged, so complex steps go through.
+    """
+    m = x_frames.shape[-1]
+    rows = max(1, PAIR_BLOCK // len(y_pts))
+    for lo in range(0, len(x_pts), rows):
+        hi = min(lo + rows, len(x_pts))
+        omc, dist, pullback = ks_pair_kernel(x_pts[lo:hi], x_frames[lo:hi],
+                                             y_pts, y_frames)
         omc = np.clip(omc, 0.0, 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = omc ** m / dist ** (2 * m)
-        q = np.where(dist == 0.0, limits[lo:hi, None] ** m, q)
-        row = q @ weights
-        total_rows.append(row * weights[lo:hi])
-    return compensated_sum(np.concatenate(total_rows))
+            q = np.where(dist == 0.0, diag[lo:hi, None],
+                         omc ** m / dist ** (2 * m))
+        yield lo, hi, q, omc, dist, pullback
 
 
-def ks_energy(surface, config: QuadratureConfig | None = None,
-              scale=None) -> EnergyReport:
+def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
     """Kusner-Sullivan energy: double integral of (1-cos theta)^m/|x-y|^2m.
 
     The integrand extends continuously to the diagonal (it is O(1) there on
@@ -183,8 +179,9 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
     power of the limit of (1 - cos theta)/|x-y|^2 averaged over the
     tangent directions e, the mean of II(e, e_perp)^2 / 2: D / 16 on
     surfaces (D the umbilicity defect, (k1 - k2)^2 in R^3) and 0 on
-    curves; every other pair takes the kernel itself. Open surfaces and
-    non-embedded meshes are rejected: the energy is discontinuous on
+    curves; every other pair takes the kernel itself. The nodes are the
+    surface's at config.inner_scale * 0.5, as in `as_energy`. Open surfaces
+    and non-embedded meshes are rejected: the energy is discontinuous on
     immersed inputs (a double cover scores zero while nearby embedded pairs
     blow up).
     """
@@ -194,7 +191,7 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
         raise PreconditionError("ks_energy needs a closed surface")
     if not surface.oriented:
         raise OrientationError("ks_energy needs consistent orientation")
-    nodes = surface.nodes(scale if scale is not None else 0.5)
+    nodes = surface.nodes(config.inner_scale * 0.5)
     sep = surface.min_nonneighbor_distance()
     scale_local = float(np.median(nodes.spacing))
     if sep < 0.3 * scale_local:
@@ -203,9 +200,12 @@ def ks_energy(surface, config: QuadratureConfig | None = None,
             f"(non-neighbor separation {sep:.3g} vs local scale "
             f"{scale_local:.3g}); E_KS is discontinuous there")
     frames, _, sff = surface.curvatures(nodes.locators)
-    limits = (umbilicity_defect(sff) / 16.0 if m == 2
-              else np.zeros(len(frames)))
-    value = _ks_assemble(nodes.points, frames, nodes.weights, limits, m)
+    diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
+            else np.zeros(len(frames)))
+    w = nodes.weights
+    value = compensated_sum(np.concatenate([
+        (q @ w) * w[lo:hi] for lo, hi, q, *_ in ks_pair_blocks(
+            nodes.points, frames, nodes.points, frames, diag)]))
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
                         error_estimate=0.0)
 
@@ -215,11 +215,13 @@ def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     na, nb = (as_surface(s).nodes(scale) for s in (surface_a, surface_b))
     fa = surface_a.curvatures(na.locators)[0]
     fb = surface_b.curvatures(nb.locators)[0]
-    omc, dist = ks_pair_kernel(na.points, fa, nb.points, fb)
-    if np.any(dist == 0.0):
-        raise SingularPairError("pieces touch: cross energy undefined")
-    q = np.clip(omc, 0.0, 2.0) ** surface_a.m / dist ** (2 * surface_a.m)
-    return float(na.weights @ q @ nb.weights)
+    row = 0.0
+    for lo, hi, q, _, dist, _ in ks_pair_blocks(na.points, fa, nb.points, fb,
+                                                np.zeros(len(fa))):
+        if np.any(dist == 0.0):
+            raise SingularPairError("pieces touch: cross energy undefined")
+        row = row + na.weights[lo:hi] @ q
+    return float(row @ nb.weights)
 
 
 # ----------------------------------------------------------------------
@@ -363,24 +365,23 @@ def moebius_invariance_check(surface, mmap: MoebiusMap, selector="ks",
     config = config or QuadratureConfig()
     image = apply_moebius(surface, mmap)
 
-    def energy(surf, cfg, scl):
+    def energy(surf, cfg):
         if selector == "ks":
-            return ks_energy(surf, cfg, scale=scl).value
+            return ks_energy(surf, cfg).value
         if selector == "as":
             return as_energy(surf, s, cfg).value
         raise PreconditionError(f"unknown selector {selector!r}")
 
-    base_scale = 0.5
-    e0 = energy(surface, config, base_scale)
-    e1 = energy(image, config, base_scale)
+    e0 = energy(surface, config)
+    e1 = energy(image, config)
     denom = max(abs(e0), abs(e1), 1e-30)
     rel = abs(e0 - e1) / denom
     refined_rel = None
     if refine:
         cfg2 = replace(config, outer_scale=config.outer_scale * 1.5,
                        inner_scale=config.inner_scale * 1.5)
-        e0r = energy(surface, cfg2, base_scale * 1.5)
-        e1r = energy(image, cfg2, base_scale * 1.5)
+        e0r = energy(surface, cfg2)
+        e1r = energy(image, cfg2)
         refined_rel = abs(e0r - e1r) / max(abs(e0r), abs(e1r), 1e-30)
     params = {"kind": mmap.kind, "scale": mmap.scale, "radius": mmap.radius}
     if mmap.center is not None:

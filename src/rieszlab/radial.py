@@ -79,6 +79,10 @@ class EnergyParams:
         object.__setattr__(self, "at_pole", bool(pole))
 
 
+# Directions of the S^1 rule of every radial profile on surfaces.
+ANGULAR_NODES = 64
+
+
 def _angular_rule(m: int, nodes: int):
     if m == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -303,7 +307,7 @@ def _profile_batch(patch, v, w, ts, m, node=None):
     return vals
 
 
-def radial_profile(patch, eps0=None, angular_nodes=64):
+def radial_profile(patch, eps0=None):
     """Construct the chord density phi for a graph patch.
 
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
@@ -320,7 +324,7 @@ def radial_profile(patch, eps0=None, angular_nodes=64):
     if np.any(eps0 > radii * (1 + 1e-12)):
         raise PreconditionError("profile radius exceeds the validated patch radius")
     sigma = unit_sphere_volume_m1(m)
-    v, w = _angular_rule(m, angular_nodes)
+    v, w = _angular_rule(m, ANGULAR_NODES)
     if stacked:
         def sample(node, t):
             return _profile_batch(patch, v, w, t, m, node)

@@ -29,8 +29,8 @@ from .errors import (NumericalError, PoleError, PreconditionError,
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
 from .quadrature import BlendKernel, compensated_sum
-from .radial import (_LEVELS, EnergyParams, _angular_rule, finite_part,
-                     radial_profile)
+from .radial import (_LEVELS, ANGULAR_NODES, EnergyParams, _angular_rule,
+                     finite_part, radial_profile)
 
 __all__ = [
     "QuadratureConfig",
@@ -50,7 +50,6 @@ class QuadratureConfig:
 
     outer_scale: float = 0.25        # scale on the surface base rule (outer x)
     inner_scale: float = 1.0         # far-field rule (inner y)
-    angular_nodes: int = 64          # S^{m-1} rule for radial profiles
     mesh_inner_subdiv: int = 1       # face subdivision for mesh inner nodes
     patch_radius: float | None = None
     threads: int = 1
@@ -89,9 +88,9 @@ BLOCK_ROWS = 1 << 15
 BLOCK_PAIRS = 1 << 18
 
 
-def _block_size(m, angular_nodes, inner_count) -> int:
+def _block_size(m, inner_count) -> int:
     """Outer nodes per block of `riesz_energy`."""
-    rows = _LEVELS[0] * len(_angular_rule(m, angular_nodes)[1])
+    rows = _LEVELS[0] * len(_angular_rule(m, ANGULAR_NODES)[1])
     return max(1, min(BLOCK_ROWS // rows, BLOCK_PAIRS // max(inner_count, 1)))
 
 
@@ -155,8 +154,7 @@ def riesz_energy(surface, alpha,
                                  node=node) from exc
         eps = patches.radii
         try:
-            profiles = radial_profile(patches, eps,
-                                      angular_nodes=config.angular_nodes)
+            profiles = radial_profile(patches, eps)
         except NumericalError as exc:
             text, exc.node = where(idx, exc.node)
             exc.args = (f"{text}: {exc}",)
@@ -183,8 +181,7 @@ def riesz_energy(surface, alpha,
                 pf.error_estimate + corr_err + rule_err, pf.log_coefficient,
                 eps)
 
-    size = _block_size(m, config.angular_nodes,
-                      len(inner.points) + len(inner_half.points))
+    size = _block_size(m, len(inner.points) + len(inner_half.points))
     blocks = np.split(np.arange(len(outer.points)),
                       range(size, len(outer.points), size))
     if config.threads > 1:

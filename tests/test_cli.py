@@ -106,11 +106,15 @@ def test_sweep_csv_and_data(tmp_path):
     ["validate", "--surface", "sphere"],
 ], ids=lambda argv: argv[0])
 def test_data_flag_only_where_it_writes(argv, tmp_path, capsys):
-    # only sweep writes a --data file; elsewhere the flag is refused
+    # only sweep writes a data file; elsewhere the flag and the config
+    # file's "data" key are refused
     dat_path = tmp_path / "out.dat"
-    assert main([*argv, "--data", str(dat_path)]) == 2
-    assert not dat_path.exists()
-    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(dat_path)}))
+    for extra in (["--data", str(dat_path)], ["--config", str(cfg)]):
+        assert main([*argv, *extra]) == 2
+        assert not dat_path.exists()
+        assert capsys.readouterr().out == ""
 
 
 def test_flow_command(tmp_path):

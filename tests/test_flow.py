@@ -12,9 +12,9 @@ from scipy.spatial.transform import Rotation
 
 import rieszlab
 from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
-                           _ks_vertex_energy, contact_monitor, energy_gradient,
-                           flow_step, ks_flow_energy, run_flow,
-                           write_trajectory_csv)
+                           _ks_vertex_energy, _orientation_ok, contact_monitor,
+                           energy_gradient, flow_step, ks_flow_energy,
+                           run_flow, write_trajectory_csv)
 from rieszlab.geometry import (TriMesh, icosphere, mesh_disjoint_union,
                                polygon_circle, read_off, torus_mesh, write_off)
 from rieszlab.geometry.patches import umbilicity_defect
@@ -281,6 +281,21 @@ def test_flow_stationary_at_round_sphere():
     state = FlowState(mesh=icosphere(1), step_size=1e-2)
     state = flow_step(state)
     assert state.stationary
+
+
+def test_orientation_check_rejects_one_inverted_simplex():
+    # a curve step that reverses edge (0, 1) alone, and a surface step that
+    # reflects one face's corner through the midpoint of its opposite edge
+    poly = polygon_circle(16)
+    p = poly.vertices.copy()
+    p[1] = p[0] - 0.5 * (p[1] - p[0])
+    ico = icosphere(1)
+    a, b, c = ico.faces[0]
+    v = ico.vertices.copy()
+    v[a] = v[b] + v[c] - v[a]
+    for mesh, step in ((poly, p), (ico, v)):
+        assert _orientation_ok(mesh, 1.01 * mesh.vertices)
+        assert not _orientation_ok(mesh, step)
 
 
 def test_flow_rotation_equivariance():

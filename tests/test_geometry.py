@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.errors import (RankDeficiencyError, TopologyError,
-                             UnsupportedInputError)
+from rieszlab.errors import (NumericalError, RankDeficiencyError,
+                             TopologyError, UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, curvature_at,
                                euler_characteristic, fit_quadratic_patches,
                                graph_patch_at, icosphere, make_circle,
@@ -209,6 +209,20 @@ def test_patch_reembedding():
     pts = patch.embed(eta)
     # image points lie on the sphere
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.3, atol=1e-10)
+
+
+def test_concatenated_stack_errors_name_the_stack_node():
+    # one chart run per sphere: node 2 is node 1 of the second run, and a
+    # chord t = 3 beyond the unit sphere's diameter has no solution
+    both = make_disjoint_union(
+        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
+    stack = graph_patch_at(both, [(0, np.array([1.0, 0.5])),
+                                  (1, np.array([1.0, 0.5])),
+                                  (1, np.array([1.2, 2.0]))], 0.3)
+    with pytest.raises(NumericalError) as exc:
+        stack.chord_solve(np.array([2]), np.array([[1.0, 0.0]]),
+                          np.array([3.0]))
+    assert exc.value.node == 2
 
 
 def test_sphere_curvature():

@@ -1,22 +1,24 @@
 """The KS diagonal limits against isotropic probing, the batched chart
-curvatures against the per-point formula they replaced, and the batched
-pair kernel against the einsum kernel it replaced (references copied
-here)."""
+curvatures against the per-point formula they replaced, the batched pair
+kernel against the einsum kernel it replaced (references copied here),
+and the peak memory of the blocked KS pair sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import (MoebiusMap, TriMesh, apply_moebius, curvature_at,
-                      graph_patch_at, icosphere, ks_energy, make_circle,
-                      make_disjoint_union, make_ellipsoid, make_sphere,
-                      make_torus, polygon_circle, tangent_frame, torus_mesh)
+from rieszlab import (FlowState, MoebiusMap, TriMesh, apply_moebius,
+                      curvature_at, energy_gradient, graph_patch_at,
+                      icosphere, ks_cross_energy, ks_energy, ks_flow_energy,
+                      make_circle, make_disjoint_union, make_disk,
+                      make_ellipsoid, make_sphere, make_torus, polygon_circle,
+                      tangent_frame, torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 from rieszlab.geometry.patches import umbilicity_defect
-from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
-                              ks_pair_kernel_vjp)
+from rieszlab.moebius import combined_angle_cos_frames, ks_pair_kernel
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +219,7 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     surface = make_ellipsoid(1.0, 1.0, 1.2)
     nodes = surface.nodes(0.5)
     frames, _, sff = surface.curvatures(nodes.locators)
-    omc, dist = ks_pair_kernel(nodes.points, frames, nodes.points, frames)
+    omc, dist, _ = ks_pair_kernel(nodes.points, frames, nodes.points, frames)
     off = ~np.eye(len(dist), dtype=bool)
     assert np.all(dist[off] > 0.0)
     q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, dist, 1.0) ** 4
@@ -225,6 +227,36 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     w = nodes.weights
     ref = math.fsum((w[:, None] * q * w[None, :]).ravel())
     assert ks_energy(surface).value == pytest.approx(ref, rel=1e-13)
+
+
+def _stretched_ico3():
+    mesh = icosphere(3)
+    return mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
+
+
+KS_SUMS = {
+    "ks_energy": lambda mesh: ks_energy(mesh),
+    "ks_flow_energy": lambda mesh: ks_flow_energy(mesh),
+    "energy_gradient": lambda mesh: energy_gradient(FlowState(mesh=mesh)),
+    "ks_cross_energy": lambda _: ks_cross_energy(
+        make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KS_SUMS))
+def test_ks_pair_sums_run_in_bounded_memory(name):
+    # every KS double sum walks its pairs in blocks of at most PAIR_BLOCK,
+    # so its peak does not grow with the node count (642 vertices here,
+    # 768 nodes per disk)
+    mesh = _stretched_ico3()
+    KS_SUMS[name](mesh)               # the mesh's cached fits and tables
+    tracemalloc.start()
+    try:
+        KS_SUMS[name](mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +274,7 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     x = rng.standard_normal((7, n))
     y = np.concatenate([rng.standard_normal((10, n)), x[:2]])  # two coincide
     fx, fy = _frames(rng, 7, n, m), _frames(rng, 12, n, m)
-    omc, dist = ks_pair_kernel(x, fx, y, fy)
+    omc, dist, _ = ks_pair_kernel(x, fx, y, fy)
     ref_omc, ref_dist = _einsum_kernel(x, fx, y, fy)
     assert omc.shape == dist.shape == (7, 12)
     assert np.array_equal(dist, ref_dist)
@@ -256,7 +288,7 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     h = 1e-30
     x = rng.standard_normal((9, n)) + 1j * h * rng.standard_normal((9, n))
     fx = _frames(rng, 9, n, m) + 1j * h * rng.standard_normal((9, n, m))
-    omc, dist = ks_pair_kernel(x, fx, x, fx)
+    omc, dist, _ = ks_pair_kernel(x, fx, x, fx)
     ref_omc, ref_dist = _einsum_kernel(x, fx, x, fx)
     assert np.max(np.abs(omc.real - ref_omc.real)) <= 1e-14
     assert np.max(np.abs(dist.real - ref_dist.real)) <= 1e-14
@@ -279,7 +311,7 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
     omc_yx = ks_pair_kernel(y, fy, x, fx)[0]
     assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
     omc_bar, dist_bar = rng.standard_normal((2, 5, 10))
-    x_bar, fx_bar = ks_pair_kernel_vjp(x, fx, y, fy)[2](omc_bar, dist_bar)
+    x_bar, fx_bar = ks_pair_kernel(x, fx, y, fy)[2](omc_bar, dist_bar)
     # coincident pairs contribute nothing, whatever their bars
     live = np.ones((5, 10))
     live[0, 8] = live[1, 9] = 0.0
@@ -287,7 +319,7 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
 
     def derivative(xz, fz):
         # row i reads only x[i] and fx[i]: one complex step per coordinate
-        omc, dist = ks_pair_kernel(xz, fz, y, fy)
+        omc, dist, _ = ks_pair_kernel(xz, fz, y, fy)
         return (live * (omc_bar * omc + dist_bar * dist)).sum(axis=1).imag / h
 
     scale = max(np.max(np.abs(x_bar)), np.max(np.abs(fx_bar)))

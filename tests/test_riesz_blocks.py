@@ -51,7 +51,7 @@ def _per_node_energy(surface, alpha, config):
     for i, loc in enumerate(outer.locators):
         patch = graph_patch_at(surface, loc, requested)
         eps = patch.radius
-        profile = radial_profile(patch, eps, angular_nodes=config.angular_nodes)
+        profile = radial_profile(patch, eps)
         pf = finite_part(params, profile, eps)
         blend = BlendKernel(alpha, eps)
         weight = np.zeros(m + 2 * len(blend.coeffs) - 2)     # t^(m-1) p(t)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 140
+LIMIT = 137
 
 
 def _settable_values(tree) -> int:
