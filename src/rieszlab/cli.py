@@ -122,7 +122,7 @@ def parse_surface(spec: str):
         if name == "saddle":
             return make_saddle_surface(kv.get("extent", 1.0))
         if name == "two-spheres":
-            gap = kv.get("gap", 0.5)
+            gap = _positive_gap(spec, kv)
             r = kv.get("r", 1.0)
             a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
             b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0), component=1)
@@ -137,7 +137,7 @@ def parse_surface(spec: str):
         if name == "polygon":
             return polygon_circle(int(kv.get("n", 64)), kv.get("r", 1.0))
         if name == "dumbbell":
-            gap = kv.get("gap", 0.5)
+            gap = _positive_gap(spec, kv)
             r = kv.get("r", 1.0)
             sub = int(kv.get("subdiv", 1))
             a = icosphere(sub, r, (-(r + gap / 2.0), 0.0, 0.0))
@@ -156,21 +156,30 @@ def parse_surface(spec: str):
     raise ConfigError(f"unknown surface {name!r}")
 
 
-def parse_map(spec: str) -> MoebiusMap:
+def _positive_gap(spec, kv):
+    """The gap of a two-body spec; bodies that touch or overlap are a
+    ConfigError."""
+    gap = kv.get("gap", 0.5)
+    if not (isinstance(gap, (int, float)) and gap > 0):
+        raise ConfigError(f"gap in {spec!r} must be positive, got {gap!r}")
+    return gap
+
+
+def parse_map(spec: str, n: int) -> MoebiusMap:
+    """A Moebius map of R^n, n in {2, 3}; its centre is (cx, cy), or
+    (cx, cy, cz) in R^3."""
     name, kv = _parse_kv(spec)
     for k, v in kv.items():
         if isinstance(v, str):
             raise ConfigError(f"map parameter {k} in {spec!r} must be a "
                               f"number, got {v!r}")
+    if "cz" in kv and n < 3:
+        raise ConfigError(f"cz in {spec!r} needs a surface in R^3")
+    center = tuple(kv.get(c, 0.0) for c in ("cx", "cy", "cz")[:n])
     if name == "inversion":
-        return MoebiusMap("inversion",
-                          center=(kv.get("cx", 0.0), kv.get("cy", 0.0),
-                                  kv.get("cz", 0.0)),
-                          radius=kv.get("r", 1.0))
+        return MoebiusMap("inversion", center=center, radius=kv.get("r", 1.0))
     if name == "similarity":
-        return MoebiusMap("similarity",
-                          center=(kv.get("cx", 0.0), kv.get("cy", 0.0),
-                                  kv.get("cz", 0.0)),
+        return MoebiusMap("similarity", center=center,
                           scale=kv.get("scale", 2.0))
     raise ConfigError(f"unknown map {name!r}")
 
@@ -197,14 +206,12 @@ class RunConfig:
     eps0: float | None = None
     outer_scale: float | None = None
     inner_scale: float | None = None
-    seed: int = 0
     threads: int = 1
     output: str | None = None
     csv: str | None = None
     data: str | None = None
     trajectory: str | None = None
     mesh_out: str | None = None
-    k: int = 3
     b: float = 10.0
     volume_bound: float = 100.0
 
@@ -326,7 +333,7 @@ def _cmd_flow(config: RunConfig) -> dict:
 
 def _cmd_invariance(config: RunConfig) -> dict:
     surface = parse_surface(config.surface)
-    mmap = parse_map(config.map_spec or "inversion:cx=3.0,r=2.0")
+    mmap = parse_map(config.map_spec or "inversion:cx=3.0,r=2.0", surface.n)
     selector = "as" if config.energy == "as" else "ks"
     rep = moebius_invariance_check(surface, mmap, selector, config.s,
                                    config.quad_config())
@@ -335,8 +342,8 @@ def _cmd_invariance(config: RunConfig) -> dict:
 
 def _cmd_validate(config: RunConfig) -> dict:
     surface = parse_surface(config.surface)
-    params = PatchClassParams(k=config.k, radius=config.eps0 or 0.1,
-                              derivative_bound=config.b,
+    radius = 0.1 if config.eps0 is None else config.eps0
+    params = PatchClassParams(radius=radius, derivative_bound=config.b,
                               volume_bound=config.volume_bound)
     report = validate_patch_class(surface, params)
     return {"command": "validate", "report": report.as_dict()}
@@ -355,7 +362,6 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
-    np.random.seed(config.seed % (2 ** 32))
     try:
         handler = _COMMANDS.get(config.command)
         if handler is None:
@@ -389,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = parser(add_help=False)
     common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--seed", type=int)
     common.add_argument("--threads", type=int)
     p = parser(prog="rieszlab", parents=[common],
                description="Regularized Riesz, Kusner-Sullivan and "
@@ -444,11 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--map", dest="map_spec",
                     help="inversion:cx=..,cy=..,cz=..,r=.. or "
-                         "similarity:scale=..")
+                         "similarity:scale=.. (cz only in R^3)")
 
     sp = sub.add_parser("validate", help="uniform patch-class validation")
     sp.add_argument("--surface", required=True)
-    sp.add_argument("--k", type=int)
     sp.add_argument("--eps0", type=float)
     sp.add_argument("--b", type=float)
     sp.add_argument("--V", type=float, dest="volume_bound")
@@ -485,6 +489,10 @@ def parse_args(argv=None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in merged.items():
         _require_finite(key, val)
+    for key in ("eps0", "outer_scale", "inner_scale"):
+        val = merged.get(key)
+        if val is not None and not (isinstance(val, (int, float)) and val > 0):
+            raise ConfigError(f"{key} must be a positive number, got {val!r}")
     if merged.get("data") is not None and merged["command"] != "sweep":
         raise ConfigError("only sweep writes a data file")
     return RunConfig(**merged)

@@ -1,9 +1,9 @@
 """Geometry layer: chart surfaces, simplicial meshes, patches, curvature."""
 
-from .charts import (Chart, ChartSurface, SurfaceQuadrature, make_circle,
-                     make_cylinder_patch, make_disjoint_union, make_disk,
-                     make_ellipsoid, make_saddle_surface, make_sphere,
-                     make_torus, orthonormal_frames)
+from .charts import (Chart, ChartSurface, make_circle, make_cylinder_patch,
+                     make_disjoint_union, make_disk, make_ellipsoid,
+                     make_saddle_surface, make_sphere, make_torus,
+                     orthonormal_frames)
 from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      mesh_disjoint_union, polygon_circle, read_obj, read_off,
                      torus_mesh, write_obj, write_off)
@@ -14,7 +14,7 @@ from .patches import (CurvatureData, GraphPatch, PatchClassParams, PatchStack,
 from .surface import NodeSet, Surface, as_surface
 
 __all__ = [
-    "Chart", "ChartSurface", "SurfaceQuadrature",
+    "Chart", "ChartSurface",
     "make_circle", "make_sphere", "make_ellipsoid", "make_torus",
     "make_cylinder_patch", "make_saddle_surface", "make_disk",
     "make_disjoint_union",

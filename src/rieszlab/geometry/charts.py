@@ -22,7 +22,6 @@ from .surface import NodeSet, Surface
 __all__ = [
     "Chart",
     "ChartSurface",
-    "SurfaceQuadrature",
     "make_circle",
     "make_sphere",
     "make_ellipsoid",
@@ -93,15 +92,13 @@ class Chart:
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
-                 name="chart", component=0, repatch=None, take=None,
-                 both=None):
+                 component=0, repatch=None, take=None, both=None):
         self.m = int(m)
         self.n = int(n)
         self.value = value
         self.jacobian = jacobian
         self.hessian = hessian
         self.param_rule = param_rule
-        self.name = name
         self.component = int(component)
         self.repatch = repatch
         self.take = take
@@ -112,22 +109,6 @@ class Chart:
         if self.both is not None:
             return self.both(u)
         return self.value(u), self.jacobian(u)
-
-
-@dataclass
-class SurfaceQuadrature:
-    """Global integration rule over a chart surface."""
-
-    points: np.ndarray       # (N, n)
-    weights: np.ndarray      # (N,) includes the volume element
-    params: np.ndarray       # (N, m) chart parameters
-    chart_index: np.ndarray  # (N,) chart id
-    spacing: np.ndarray      # (N,) ambient local node spacing estimate
-    component: np.ndarray    # (N,) connected-component id
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @dataclass
@@ -143,14 +124,15 @@ class ChartSurface(Surface):
     charts: list
     closed: bool
     euler_char: int | None
-    name: str
 
     oriented = True          # by the parameter order of every chart
 
-    def quadrature(self, scale: float) -> SurfaceQuadrature:
-        pts, wts, prm, idx, spc, comp = [], [], [], [], [], []
+    def quadrature(self, scale: float) -> NodeSet:
+        """Every chart's parameter rule at scale, weighted by its volume
+        element; the locators are (chart index, u)."""
+        pts, wts, locators, comp = [], [], [], []
         for k, chart in enumerate(self.charts):
-            u, w, du = chart.param_rule(scale)
+            u, w = chart.param_rule(scale)
             jac = chart.jacobian(u)
             gram = np.einsum("...ji,...jk->...ik", jac, jac)
             if self.m == 1:
@@ -159,21 +141,12 @@ class ChartSurface(Surface):
                 vol = np.sqrt(np.linalg.det(gram))
             pts.append(chart.value(u))
             wts.append(w * vol)
-            prm.append(u)
-            idx.append(np.full(len(w), k, dtype=int))
-            # Ambient spacing: largest per-axis parameter step times the
-            # corresponding Jacobian column length.
-            col = np.linalg.norm(jac, axis=-2)
-            spc.append(np.max(du * col, axis=-1))
+            locators += [(k, p) for p in u]
             comp.append(np.full(len(w), chart.component, dtype=int))
-        return SurfaceQuadrature(
-            points=np.concatenate(pts),
-            weights=np.concatenate(wts),
-            params=np.concatenate(prm),
-            chart_index=np.concatenate(idx),
-            spacing=np.concatenate(spc),
-            component=np.concatenate(comp),
-        )
+        weights = np.concatenate(wts)
+        return NodeSet(points=np.concatenate(pts), weights=weights,
+                       component=np.concatenate(comp),
+                       volume=float(np.sum(weights)), locators=locators)
 
     # -- surface protocol ----------------------------------------------
 
@@ -194,16 +167,8 @@ class ChartSurface(Surface):
         return [(int(ks[a]), np.array([u for _, u in located[a:b]]))
                 for a, b in zip(cuts[:-1], cuts[1:])]
 
-    @staticmethod
-    def _node_set(q: SurfaceQuadrature) -> NodeSet:
-        return NodeSet(points=q.points, weights=q.weights,
-                       component=q.component, volume=q.total,
-                       locators=[(int(k), u)
-                                 for k, u in zip(q.chart_index, q.params)],
-                       spacing=q.spacing)
-
     def nodes(self, scale, subdiv=None) -> NodeSet:
-        return self._node_set(self.quadrature(scale))
+        return self.quadrature(scale)
 
     def basis_at(self, locator):
         idx, u = self.locate(locator)
@@ -226,7 +191,7 @@ class ChartSurface(Surface):
                                   chart.hessian(u), A, A)))
         return tuple(np.concatenate(parts) for parts in zip(*out))
 
-    def transformed(self, value_map, jac_map, hess_map, name=None):
+    def transformed(self, value_map, jac_map, hess_map):
         """Every chart composed with an ambient map given by its rules.
 
         value_map(x) -> y, jac_map(x) -> (..., n, n), hess_map(x) ->
@@ -268,12 +233,11 @@ class ChartSurface(Surface):
                     return wrap_chart(chart.take(idx))
 
             return Chart(chart.m, chart.n, value, jacobian, hessian,
-                         chart.param_rule, chart.name, chart.component,
+                         chart.param_rule, chart.component,
                          repatch=repatch, take=take, both=both)
 
         return ChartSurface(self.m, self.n, [wrap_chart(c) for c in self.charts],
-                            self.closed, self.euler_char,
-                            name or f"mapped({self.name})")
+                            self.closed, self.euler_char)
 
     def euler_characteristic(self) -> int:
         if self.euler_char is None:
@@ -458,9 +422,7 @@ class ChartSurface(Surface):
                           radii=r, height=height,
                           height_jacobian=height_jacobian,
                           chord_solve=chord_solve,
-                          fit_residual=np.zeros(len(r)),
-                          meta={"chart_index": np.full(len(r), chart_idx),
-                                "param": u0})
+                          fit_residual=np.zeros(len(r)))
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +433,7 @@ def _trapezoid_rule(n_base):
     def rule(scale):
         n = max(8, int(round(n_base * scale)))
         t = np.arange(n) * (2.0 * math.pi / n)
-        w = np.full(n, 2.0 * math.pi / n)
-        return t[:, None], w, np.full((n, 1), 2.0 * math.pi / n)
+        return t[:, None], np.full(n, 2.0 * math.pi / n)
     return rule
 
 
@@ -489,11 +450,7 @@ def _sphere_rule(n_theta, n_phi):
         wphi = np.full(nv, 2.0 * math.pi / nv)
         T, P = np.meshgrid(theta, phi, indexing="ij")
         W = np.outer(wtheta, wphi)
-        u = np.stack([T.ravel(), P.ravel()], axis=-1)
-        dth = np.gradient(theta)
-        DT = np.broadcast_to(dth[:, None], T.shape).ravel()
-        DP = np.full(u.shape[0], 2.0 * math.pi / nv)
-        return u, W.ravel(), np.stack([DT, DP], axis=-1)
+        return np.stack([T.ravel(), P.ravel()], axis=-1), W.ravel()
     return rule
 
 
@@ -506,20 +463,15 @@ def _product_rule(ranges, counts, periodic):
             if per:
                 t = a + (b - a) * np.arange(nn) / nn
                 w = np.full(nn, (b - a) / nn)
-                d = np.full(nn, (b - a) / nn)
             else:
                 x, wx = gauss_legendre(nn)
                 t = a + 0.5 * (b - a) * (x + 1.0)
                 w = 0.5 * (b - a) * wx
-                d = np.gradient(t)
-            axes.append((t, w, d))
-        (t1, w1, d1), (t2, w2, d2) = axes
+            axes.append((t, w))
+        (t1, w1), (t2, w2) = axes
         U1, U2 = np.meshgrid(t1, t2, indexing="ij")
-        W = np.outer(w1, w2).ravel()
-        D1 = np.broadcast_to(d1[:, None], U1.shape).ravel()
-        D2 = np.broadcast_to(d2[None, :], U1.shape).ravel()
-        u = np.stack([U1.ravel(), U2.ravel()], axis=-1)
-        return u, W, np.stack([D1, D2], axis=-1)
+        return (np.stack([U1.ravel(), U2.ravel()], axis=-1),
+                np.outer(w1, w2).ravel())
     return rule
 
 
@@ -544,8 +496,8 @@ def make_circle(radius=1.0, center=(0.0, 0.0), base_nodes=256, component=0):
         return -r * np.stack([np.cos(th), np.sin(th)], axis=-1)[..., None, None]
 
     chart = Chart(1, 2, value, jacobian, hessian, _trapezoid_rule(base_nodes),
-                  name="circle", component=component)
-    return ChartSurface(1, 2, [chart], True, 0, f"circle(r={r})")
+                  component=component)
+    return ChartSurface(1, 2, [chart], True, 0)
 
 
 def _rotations_taking_ex(target):
@@ -596,7 +548,7 @@ def _unit_sphere_maps():
     return value, tangents, hessian
 
 
-def _spheroid_chart(ax, ctr, rot, base_nodes, component, name):
+def _spheroid_chart(ax, ctr, rot, base_nodes, component):
     """Chart u -> ctr + diag(ax) rot sph(u); repatch rotates each basepoint
     onto the equator, where the parametrization is best conditioned."""
     sval, stangents, shess = _unit_sphere_maps()
@@ -616,14 +568,14 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component, name):
         s0 = sval(u0) @ rot.T
         cols = np.transpose(ax[:, None] * _rotations_taking_ex(s0), (2, 1, 0))
         return (_spheroid_stack(np.ascontiguousarray(cols), ctr, base_nodes,
-                                component, name),
+                                component),
                 np.tile([math.pi / 2.0, 0.0], (len(s0), 1)))
 
     return Chart(2, 3, value, jacobian, hessian, _sphere_rule(*base_nodes),
-                 name=name, component=component, repatch=repatch)
+                 component=component, repatch=repatch)
 
 
-def _spheroid_stack(cols, ctr, base_nodes, component, name):
+def _spheroid_stack(cols, ctr, base_nodes, component):
     """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
     with cols[j] (3, R) the j-th columns of the A_r, stored by component
     so that every product below runs over the rows in memory order."""
@@ -639,29 +591,25 @@ def _spheroid_stack(cols, ctr, base_nodes, component, name):
 
     def take(idx):
         return _spheroid_stack(np.take(cols, idx, axis=-1), ctr, base_nodes,
-                               component, name)
+                               component)
 
     return Chart(2, 3, lambda u: both(u)[0], lambda u: both(u)[1], None,
-                 _sphere_rule(*base_nodes), name=name, component=component,
+                 _sphere_rule(*base_nodes), component=component,
                  take=take, both=both)
 
 
 def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0),
-                   base_nodes=(48, 96), component=0, name=None):
+                   base_nodes=(48, 96), component=0):
     ax = np.array([a, b, c], dtype=float)
     ctr = np.asarray(center, dtype=float)
-    chart = _spheroid_chart(ax, ctr, np.eye(3), base_nodes, component,
-                            "ellipsoid")
-    label = name or f"ellipsoid(a={a},b={b},c={c})"
-    return ChartSurface(2, 3, [chart], True, 2, label)
+    chart = _spheroid_chart(ax, ctr, np.eye(3), base_nodes, component)
+    return ChartSurface(2, 3, [chart], True, 2)
 
 
 def make_sphere(radius=1.0, center=(0.0, 0.0, 0.0), base_nodes=(48, 96),
                 component=0):
     r = float(radius)
-    surf = make_ellipsoid(r, r, r, center, base_nodes, component,
-                          name=f"sphere(r={r})")
-    return surf
+    return make_ellipsoid(r, r, r, center, base_nodes, component)
 
 
 def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
@@ -702,8 +650,8 @@ def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
         return _product_rule([(0.0, 2 * math.pi), (0.0, 2 * math.pi)],
                              base_nodes, [True, True])(scale)
 
-    chart = Chart(2, 3, value, jacobian, hessian, rule, name="torus")
-    return ChartSurface(2, 3, [chart], True, 0, f"torus(R={R},r={r})")
+    chart = Chart(2, 3, value, jacobian, hessian, rule)
+    return ChartSurface(2, 3, [chart], True, 0)
 
 
 def make_cylinder_patch(radius=1.0, half_length=1.0, half_angle=math.pi / 2,
@@ -732,12 +680,12 @@ def make_cylinder_patch(radius=1.0, half_length=1.0, half_angle=math.pi / 2,
     rule = _product_rule([(-half_angle, half_angle),
                           (-half_length, half_length)],
                          base_nodes, [False, False])
-    chart = Chart(2, 3, value, jacobian, hessian, rule, name="cylinder")
-    return ChartSurface(2, 3, [chart], False, None, f"cylinder(r={r})")
+    chart = Chart(2, 3, value, jacobian, hessian, rule)
+    return ChartSurface(2, 3, [chart], False, None)
 
 
 def _graph_patch_surface(g, grad_g, hess_g, extent=1.0,
-                         base_nodes=(24, 24), name="graph"):
+                         base_nodes=(24, 24)):
     """Surface z = g(x, y) over the square [-extent, extent]^2.
 
     g, grad_g, hess_g are batched callables over (..., 2) parameter arrays
@@ -765,8 +713,8 @@ def _graph_patch_surface(g, grad_g, hess_g, extent=1.0,
 
     rule = _product_rule([(-extent, extent), (-extent, extent)],
                          base_nodes, [False, False])
-    chart = Chart(2, 3, value, jacobian, hessian, rule, name=name)
-    return ChartSurface(2, 3, [chart], False, None, name)
+    chart = Chart(2, 3, value, jacobian, hessian, rule)
+    return ChartSurface(2, 3, [chart], False, None)
 
 
 def make_saddle_surface(extent=1.0):
@@ -784,7 +732,7 @@ def make_saddle_surface(extent=1.0):
         h[..., 1, 0] = 1.0
         return h
 
-    return _graph_patch_surface(g, grad_g, hess_g, extent, name="saddle")
+    return _graph_patch_surface(g, grad_g, hess_g, extent)
 
 
 def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,
@@ -815,9 +763,8 @@ def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,
 
     rule = _product_rule([(inner_radius, r1), (0.0, 2 * math.pi)],
                          base_nodes, [False, True])
-    chart = Chart(2, 3, value, jacobian, hessian, rule, name="disk",
-                  component=component)
-    return ChartSurface(2, 3, [chart], False, None, f"disk(r={r1},z={z})")
+    chart = Chart(2, 3, value, jacobian, hessian, rule, component=component)
+    return ChartSurface(2, 3, [chart], False, None)
 
 
 def make_disjoint_union(a: ChartSurface, b: ChartSurface) -> ChartSurface:
@@ -830,10 +777,9 @@ def make_disjoint_union(a: ChartSurface, b: ChartSurface) -> ChartSurface:
         charts.append(c)
     for c in b.charts:
         charts.append(Chart(c.m, c.n, c.value, c.jacobian, c.hessian,
-                            c.param_rule, c.name, c.component + shift,
+                            c.param_rule, c.component + shift,
                             repatch=c.repatch))
     chi = None
     if a.euler_char is not None and b.euler_char is not None:
         chi = a.euler_char + b.euler_char
-    return ChartSurface(a.m, a.n, charts, a.closed and b.closed, chi,
-                        f"{a.name} + {b.name}")
+    return ChartSurface(a.m, a.n, charts, a.closed and b.closed, chi)

@@ -249,6 +249,8 @@ class TriMesh(Surface):
         if m not in (1, 2):
             raise UnsupportedInputError("mesh dimension m must be 1 or 2")
         faces = np.array(faces, dtype=int)
+        if faces.size == 0:
+            raise UnsupportedInputError("mesh has no faces")
         if faces.shape[1] != m + 1:
             raise UnsupportedInputError("face tuples must have m+1 vertex ids")
         self.m = m
@@ -282,10 +284,6 @@ class TriMesh(Surface):
     @property
     def num_faces(self) -> int:
         return len(self.faces)
-
-    @property
-    def name(self) -> str:
-        return f"mesh(m={self.m}, V={self.num_vertices})"
 
     def measures(self) -> np.ndarray:
         """Per-face m-volume (edge lengths / triangle areas)."""
@@ -458,7 +456,7 @@ class TriMesh(Surface):
                                    for a in self._fits[:3])
         return tangent, normal, np.moveaxis(coeffs, 1, -1)
 
-    def transformed(self, value_map, jac_map, hess_map, name=None):
+    def transformed(self, value_map, jac_map, hess_map):
         return self.with_vertices(value_map(self.vertices))
 
     def euler_characteristic(self) -> int:
@@ -495,8 +493,7 @@ class TriMesh(Surface):
         return PatchStack(base_point=self.vertices[vertex], tangent=tangent,
                           normal=normal, radii=radii, height=height,
                           height_jacobian=height_jacobian,
-                          chord_solve=chord_solve, fit_residual=rms,
-                          meta={"vertex": vertex, "coeffs": coeffs})
+                          chord_solve=chord_solve, fit_residual=rms)
 
 
 def euler_characteristic(mesh: TriMesh) -> int:

@@ -186,7 +186,6 @@ class GraphPatch:
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
     chord_solve: object           # (v, t) -> (xi, h, grad h)
     fit_residual: float
-    meta: dict
 
     @property
     def m(self) -> int:
@@ -246,8 +245,7 @@ class PatchStack:
     the chart parameters of its node; mesh stacks in closed form on the
     vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
     graph's tangent plane. Errors raised for one row carry that row's node.
-    `stack[i]` is the `GraphPatch` of node i; meta maps keys to per-node
-    arrays.
+    `stack[i]` is the `GraphPatch` of node i.
     """
 
     base_point: np.ndarray        # (B, n)
@@ -258,7 +256,6 @@ class PatchStack:
     height_jacobian: object
     chord_solve: object
     fit_residual: np.ndarray      # (B,)
-    meta: dict
 
     @property
     def m(self) -> int:
@@ -282,8 +279,7 @@ class PatchStack:
                           height=bound(self.height),
                           height_jacobian=bound(self.height_jacobian),
                           chord_solve=bound(self.chord_solve),
-                          fit_residual=float(self.fit_residual[i]),
-                          meta={k: v[i] for k, v in self.meta.items()})
+                          fit_residual=float(self.fit_residual[i]))
 
     @staticmethod
     def concatenate(stacks) -> "PatchStack":
@@ -325,9 +321,7 @@ class PatchStack:
             normal=cat("normal"), radii=cat("radii"),
             height=split("height"), height_jacobian=split("height_jacobian"),
             chord_solve=split("chord_solve"),
-            fit_residual=cat("fit_residual"),
-            meta={k: np.concatenate([s.meta[k] for s in stacks])
-                  for k in stacks[0].meta})
+            fit_residual=cat("fit_residual"))
 
 
 def _fit_design(d, mask, tangent, normal):
@@ -584,16 +578,14 @@ def default_patch_radius(surface):
 
 @dataclass
 class PatchClassParams:
-    """Uniform-geometry class parameters (smoothness, radius, bounds)."""
+    """Uniform-geometry class parameters: the patch radius and the bounds
+    on the derivatives of orders 0-3 and on the volume."""
 
-    k: int
     radius: float
     derivative_bound: float
     volume_bound: float
 
     def __post_init__(self):
-        if self.k < 3:
-            raise PreconditionError("smoothness order k must be >= 3")
         if min(self.radius, self.derivative_bound, self.volume_bound) <= 0:
             raise PreconditionError("class parameters must be positive")
 

@@ -7,7 +7,7 @@ that turns any other object away. The single-point queries are the module
 functions `graph_patch_at`, `curvature_at` and `tangent_frame` of
 `patches.py`, which read `patches_at` and `curvatures` at one point.
 
-- `m`, `n`, `name`, `closed`, `oriented`.
+- `m`, `n`, `closed`, `oriented`.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
@@ -22,8 +22,8 @@ functions `graph_patch_at`, `curvature_at` and `tangent_frame` of
   (N, m, m, n-m) with h_ij = II(T e_i, T e_j). Charts make one Jacobian
   and one Hessian call per run of points on the same chart; meshes slice
   their vertex fits.
-- `transformed(value_map, jac_map, hess_map, name=None)`: the image under
-  an ambient map with the given derivatives (hess_map None when affine).
+- `transformed(value_map, jac_map, hess_map)`: the image under an ambient
+  map with the given derivatives (hess_map None when affine).
 - `euler_characteristic()` and `min_nonneighbor_distance()` (inf on charts,
   which carry no neighbour relation).
 - `distance_to(point)`: distance from a point of R^n to the surface; on
@@ -51,7 +51,8 @@ class NodeSet:
     """Quadrature nodes of a surface.
 
     locators are what `patches_at` accepts at each node (None for subdivided
-    mesh faces); spacing is the local node spacing.
+    mesh faces); spacing is the mean incident edge length of each vertex on
+    mesh vertex nodes, and None otherwise.
     """
 
     points: np.ndarray       # (N, n)

@@ -193,12 +193,14 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
         raise OrientationError("ks_energy needs consistent orientation")
     nodes = surface.nodes(config.inner_scale * 0.5)
     sep = surface.min_nonneighbor_distance()
-    scale_local = float(np.median(nodes.spacing))
-    if sep < 0.3 * scale_local:
-        raise UnsupportedInputError(
-            "mesh looks self-intersecting or immersed "
-            f"(non-neighbor separation {sep:.3g} vs local scale "
-            f"{scale_local:.3g}); E_KS is discontinuous there")
+    # inf on charts, which carry no neighbour relation and no node spacing
+    if math.isfinite(sep):
+        scale_local = float(np.median(nodes.spacing))
+        if sep < 0.3 * scale_local:
+            raise UnsupportedInputError(
+                "mesh looks self-intersecting or immersed "
+                f"(non-neighbor separation {sep:.3g} vs local scale "
+                f"{scale_local:.3g}); E_KS is discontinuous there")
     frames, _, sff = surface.curvatures(nodes.locators)
     diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
             else np.zeros(len(frames)))
@@ -324,8 +326,7 @@ def apply_moebius(surface, mmap: MoebiusMap):
         if surface.distance_to(center) < 1e-6:
             raise SingularMapError("inversion center lies on the surface")
     hess = None if mmap.kind == "similarity" else mmap.hessian
-    return surface.transformed(mmap.value, mmap.jacobian, hess,
-                               name=f"{mmap.kind}({surface.name})")
+    return surface.transformed(mmap.value, mmap.jacobian, hess)
 
 
 # ----------------------------------------------------------------------

@@ -327,9 +327,7 @@ def _scaled_surface(surface, lam: float):
         eye = np.eye(x.shape[-1]) * lam
         return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
 
-    return as_surface(surface).transformed(
-        lambda x: lam * x, jac_map, None,
-        name=f"scaled({surface.name}, {lam})")
+    return as_surface(surface).transformed(lambda x: lam * x, jac_map, None)
 
 
 def scaling_check(surface, alpha, lam,

@@ -77,8 +77,7 @@ def test_c03_auckly_sadun_sphere():
     base = riesz_energy(sph, -4.0, config=cfg)
     # decomposition pieces
     q = sph.quadrature(0.3)
-    deltas = np.array([curvature_at(sph, (int(q.chart_index[i]), q.params[i])).delta
-                       for i in range(len(q.points))])
+    deltas = np.array([curvature_at(sph, loc).delta for loc in q.locators])
     curv_terms = float(np.dot(q.weights, deltas))
     topo = 0.5 * math.pi ** 2 * 2
     ok = (abs(rep.value) < 0.01 * math.pi ** 2

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,8 +75,7 @@ def test_missing_command_exits_2():
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    args = ["sweep", "--m", "2", "--alpha", "-5", "--gaps", "0.1,0.05,0.025",
-            "--seed", "7"]
+    args = ["sweep", "--m", "2", "--alpha", "-5", "--gaps", "0.1,0.05,0.025"]
     p1 = _run_cli(args + ["-o", str(out1), "--csv", str(tmp_path / "a.csv")])
     p2 = _run_cli(args + ["-o", str(out2), "--csv", str(tmp_path / "b.csv")])
     assert p1.returncode == 0 and p2.returncode == 0
@@ -130,12 +130,12 @@ def test_flow_command(tmp_path):
 
 
 def test_validate_command():
-    proc = _run_cli(["validate", "--surface", "sphere:r=1", "--k", "3",
+    proc = _run_cli(["validate", "--surface", "sphere:r=1",
                      "--eps0", "0.1", "--b", "10", "--V", "20"])
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["report"]["passed"] is True
-    proc2 = _run_cli(["validate", "--surface", "sphere:r=1", "--k", "3",
+    proc2 = _run_cli(["validate", "--surface", "sphere:r=1",
                       "--eps0", "0.1", "--b", "10", "--V", "1"])
     data2 = json.loads(proc2.stdout)
     assert data2["report"]["passed"] is False
@@ -221,6 +221,74 @@ def test_invalid_model_input_exits_3(argv, capsys):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("argv, config, code", [
+    pytest.param(["energy", "--surface", "sphere", "--alpha", "-4",
+                  "--eps0", "0"], None, 2, id="eps0-zero"),
+    pytest.param(["energy", "--surface", "sphere", "--alpha", "-4",
+                  "--eps0", "-1"], None, 2, id="eps0-negative"),
+    pytest.param(["validate", "--surface", "sphere", "--eps0", "0"], None, 2,
+                 id="validate-eps0-zero"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5",
+                  "--outer-scale", "0"], None, 2, id="outer-scale-zero"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5",
+                  "--inner-scale", "-1"], None, 2, id="inner-scale-negative"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"],
+                 {"eps0": 0}, 2, id="config-eps0-zero"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"],
+                 {"inner_scale": 0}, 2, id="config-inner-scale-zero"),
+    pytest.param(["energy", "--surface", "two-spheres:gap=0", "--alpha",
+                  "-4"], None, 2, id="two-spheres-touch"),
+    pytest.param(["energy", "--surface", "two-spheres:gap=-0.5", "--alpha",
+                  "-4"], None, 2, id="two-spheres-overlap"),
+    pytest.param(["energy", "--surface", "dumbbell:gap=0", "--alpha", "-2.5"],
+                 None, 2, id="dumbbell-touch"),
+    pytest.param(["invariance", "--surface", "circle", "--map",
+                  "inversion:cx=3,cz=1"], None, 2, id="plane-curve-cz"),
+    pytest.param(["energy", "--surface", "polygon:n=0", "--alpha", "-2.5"],
+                 None, 4, id="polygon-no-faces"),
+])
+def test_degenerate_input_exits_with_a_json_error(argv, config, code,
+                                                  tmp_path, capsys):
+    # non-positive radii and rule scales, touching or overlapping bodies,
+    # a map centre outside the surface's space and an empty mesh are refused
+    # before any computation, from a flag or from the config file
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {2: "ConfigError",
+                                        4: "UnsupportedInputError"}[code]
+
+
+@pytest.mark.parametrize("map_spec", [[], ["--map", "similarity:scale=2"]],
+                         ids=["inversion", "similarity"])
+@pytest.mark.parametrize("surface", ["circle", "polygon"])
+def test_invariance_on_plane_curves(surface, map_spec, capsys):
+    # the map's centre has the curve's two coordinates
+    assert main(["invariance", "--surface", surface, *map_spec]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["selector"] == "ks"
+    assert len(report["map_params"]["center"]) == 2
+
+
+def _readme_command_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(),
+                         ids=lambda argv: "-".join(argv[:2]))
+def test_readme_command_lines_parse(argv):
+    assert parse_args(argv).command == argv[0]
+
+
 def test_nan_config_file_value_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text('{"alpha": NaN}')
@@ -235,11 +303,11 @@ def test_nan_config_file_value_exits_2(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_global_flags_before_subcommand_are_kept():
-    cfg = parse_args(["--seed", "7", "--threads", "2", "beta", "--surface",
-                      "circle", "--z", "1"])
-    assert cfg.seed == 7 and cfg.threads == 2
+    cfg = parse_args(["--threads", "2", "beta", "--surface", "circle",
+                      "--z", "1"])
+    assert cfg.threads == 2
     assert parse_args(["beta", "--surface", "circle", "--z", "1",
-                       "--seed", "5"]).seed == 5
+                       "--threads", "5"]).threads == 5
 
 
 def test_config_file_value_not_overridden_by_flag_default(tmp_path, capsys):

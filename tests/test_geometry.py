@@ -33,7 +33,7 @@ def make_paraboloid_surface(extent=1.0, cx=1.0, cy=1.0):
         h[..., 1, 1] = 2 * cy
         return h
 
-    return _graph_patch_surface(g, grad_g, hess_g, extent, name="paraboloid")
+    return _graph_patch_surface(g, grad_g, hess_g, extent)
 
 
 def _qr_svd_frames(jac):
@@ -319,7 +319,7 @@ def test_open_mesh_rejected():
 
 def test_validate_patch_class_sphere_pass():
     sph = make_sphere()
-    params = PatchClassParams(k=3, radius=0.1, derivative_bound=10.0,
+    params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=20.0)
     report = validate_patch_class(sph, params, samples=12)
     assert report.passed
@@ -328,7 +328,7 @@ def test_validate_patch_class_sphere_pass():
 
 def test_validate_patch_class_volume_fail():
     sph = make_sphere()
-    params = PatchClassParams(k=3, radius=0.1, derivative_bound=10.0,
+    params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=1.0)
     report = validate_patch_class(sph, params, samples=6)
     assert not report.passed
@@ -341,7 +341,7 @@ def test_validate_patch_class_volume_fail():
 def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
     import rieszlab.geometry.patches as patches
 
-    params = PatchClassParams(k=3, radius=0.1, derivative_bound=10.0,
+    params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=20.0)
     calls = []
     measure = patches.GraphPatch.measure_derivative_bound
@@ -363,7 +363,7 @@ def test_validate_two_disjoint_spheres():
     a = make_sphere(1.0, (0.0, 0.0, 0.0))
     b = make_sphere(1.0, (4.0, 0.0, 0.0), component=1)
     both = make_disjoint_union(a, b)
-    params = PatchClassParams(k=3, radius=0.3, derivative_bound=10.0,
+    params = PatchClassParams(radius=0.3, derivative_bound=10.0,
                               volume_bound=40.0)
     report = validate_patch_class(both, params, samples=10)
     assert report.passed

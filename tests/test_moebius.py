@@ -224,8 +224,7 @@ def test_as_linear_in_s():
     e0 = as_energy(ell, 0.0, cfg).value
     e1 = as_energy(ell, 1.0, cfg).value
     q = ell.quadrature(cfg.inner_scale * 0.5)
-    deltas = [curvature_at(ell, (int(q.chart_index[i]), q.params[i])).delta
-              for i in range(len(q.points))]
+    deltas = [curvature_at(ell, loc).delta for loc in q.locators]
     int_delta = float(np.dot(q.weights, deltas))
     assert e1 - e0 == pytest.approx(int_delta, rel=1e-9)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 137
+LIMIT = 130
 
 
 def _settable_values(tree) -> int:

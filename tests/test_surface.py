@@ -29,7 +29,7 @@ ENTRY_POINTS = {
     "scaling_check": lambda s: scaling_check(s, 1.0, 2.0),
     "default_patch_radius": lambda s: default_patch_radius(s),
     "validate_patch_class": lambda s: validate_patch_class(
-        s, PatchClassParams(3, 0.1, 10.0, 100.0)),
+        s, PatchClassParams(0.1, 10.0, 100.0)),
     "graph_patch_at": lambda s: graph_patch_at(s, 0, 0.1),
     "tangent_frame": lambda s: tangent_frame(s, 0),
     "curvature_at": lambda s: curvature_at(s, 0),
