@@ -96,15 +96,39 @@ def _require_finite(name, value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
+# The parameter keys of every catalog surface and Moebius map. Any other
+# key is a ConfigError, so a misspelt key never silently runs the default.
+_SURFACE_KEYS = {
+    "circle": "r", "sphere": "r cx cy cz", "ellipsoid": "a b c",
+    "torus": "R r", "cylinder": "r L", "saddle": "extent",
+    "two-spheres": "gap r", "icosphere": "subdiv r cx cy cz",
+    "torusmesh": "nu nv R r", "polygon": "n r", "dumbbell": "gap r subdiv",
+    "mesh": "path",
+}
+_MAP_KEYS = {"inversion": "cx cy cz r", "similarity": "cx cy cz scale"}
+
+
+def _check_keys(kind, name, kv, spec, catalog):
+    """ConfigError unless name is in the catalog and takes every key of kv."""
+    if name not in catalog:
+        raise ConfigError(f"unknown {kind} {name!r}")
+    unknown = sorted(set(kv) - set(catalog[name].split()))
+    if unknown:
+        raise ConfigError(f"unknown {kind} parameter {', '.join(unknown)} "
+                          f"in {spec!r}; {name} takes {catalog[name]}")
+
+
 def parse_surface(spec: str):
     """Build a catalog surface or load a mesh from an OFF/OBJ path.
 
-    A missing or malformed mesh file is a ConfigError."""
+    An unknown surface or parameter key and a missing or malformed mesh
+    file are ConfigErrors."""
     if spec.endswith((".off", ".obj")) and not spec.startswith("mesh:"):
         name, kv = "mesh", {"path": spec}
     else:
         name, kv = _parse_kv(spec)
         name = name.lower()
+    _check_keys("surface", name, kv, spec, _SURFACE_KEYS)
     try:
         if name == "circle":
             return make_circle(kv.get("r", 1.0))
@@ -143,17 +167,15 @@ def parse_surface(spec: str):
             a = icosphere(sub, r, (-(r + gap / 2.0), 0.0, 0.0))
             b = icosphere(sub, r, (r + gap / 2.0, 0.0, 0.0))
             return mesh_disjoint_union(a, b)
-        if name == "mesh":
-            path = kv.get("path")
-            if not path or not os.path.exists(str(path)):
-                raise ConfigError(f"mesh path {path!r} does not exist")
-            path = str(path)
-            return read_off(path) if path.endswith(".off") else read_obj(path)
+        path = kv.get("path")                      # name == "mesh"
+        if not path or not os.path.exists(str(path)):
+            raise ConfigError(f"mesh path {path!r} does not exist")
+        path = str(path)
+        return read_off(path) if path.endswith(".off") else read_obj(path)
     except RieszLabError:
         raise
     except Exception as exc:
         raise ConfigError(f"bad surface spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown surface {name!r}")
 
 
 def _positive_gap(spec, kv):
@@ -169,6 +191,7 @@ def parse_map(spec: str, n: int) -> MoebiusMap:
     """A Moebius map of R^n, n in {2, 3}; its centre is (cx, cy), or
     (cx, cy, cz) in R^3."""
     name, kv = _parse_kv(spec)
+    _check_keys("map", name, kv, spec, _MAP_KEYS)
     for k, v in kv.items():
         if isinstance(v, str):
             raise ConfigError(f"map parameter {k} in {spec!r} must be a "
@@ -178,10 +201,7 @@ def parse_map(spec: str, n: int) -> MoebiusMap:
     center = tuple(kv.get(c, 0.0) for c in ("cx", "cy", "cz")[:n])
     if name == "inversion":
         return MoebiusMap("inversion", center=center, radius=kv.get("r", 1.0))
-    if name == "similarity":
-        return MoebiusMap("similarity", center=center,
-                          scale=kv.get("scale", 2.0))
-    raise ConfigError(f"unknown map {name!r}")
+    return MoebiusMap("similarity", center=center, scale=kv.get("scale", 2.0))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .geometry.meshes import (TriMesh, face_vectors, face_vectors_adjoint,
                               seed_frames, seed_frames_adjoint)
 from .geometry.patches import (dot, fit_tangent_frames,
                                fit_tangent_frames_adjoint)
-from .moebius import ks_pair_blocks
+from .moebius import ks_pair_blocks, ks_triangle_rows
 
 __all__ = [
     "EnergySelector",
@@ -71,8 +71,8 @@ def _ks_vertex_energy(vertices, topology):
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
     _, _, frames, _, _, weights = _ks_quadrature(vertices, topology)
-    return sum(weights[lo:hi] @ q for lo, hi, q, *_ in ks_pair_blocks(
-        vertices, frames, vertices, frames, np.zeros(len(vertices)))) @ weights
+    return weights @ ks_triangle_rows(vertices, frames,
+                                      np.zeros(len(vertices)), weights)
 
 
 def _ks_vertex_gradient(vertices, topology):

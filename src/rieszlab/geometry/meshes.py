@@ -39,8 +39,12 @@ __all__ = [
     "write_obj",
 ]
 
-# Vertex pairs per block of an all-pairs pass (bounds its memory).
-PAIR_BLOCK = 1 << 16
+# Vertex pairs per block of an all-pairs pass (bounds its memory). A KS
+# block holds about twenty (rows, columns) arrays at once. At 2^16 pairs
+# (512 KB arrays) one ks_energy of the chart ellipsoid page-faults about
+# 4500 times and takes about 1.4x as long as at 2^14 (128 KB arrays),
+# which faults almost never.
+PAIR_BLOCK = 1 << 14
 
 
 class MeshTopology:

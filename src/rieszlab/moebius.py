@@ -7,6 +7,20 @@ computed by reflecting the x-frame across the chord direction:
     cos theta = (-1)^(m-1) det(<ehat_i, w_j>) / sqrt(det(<w_i, w_j>)),
 with e_i an oriented orthonormal frame at x and w_j any positively oriented
 tangent basis at y. This avoids constructing the tangent sphere explicitly.
+
+The KS pair kernel writes the same determinant in inner products of the
+given vectors: with alpha_k = <e_k, y - x>, beta_l = <w_l, y - x>,
+ew_kl = <e_k, w_l> and s = |y - x|^2, <ehat_k, w_l> = 2 alpha_k beta_l / s
+- ew_kl, so for orthonormal w
+    m = 1: cos theta = 2 alpha_0 beta_0 / s - ew_00,
+    m = 2: cos theta = (2 / s) [alpha_0 (beta_0 ew_11 - beta_1 ew_10)
+                                + alpha_1 (beta_1 ew_00 - beta_0 ew_01)]
+                       - det ew,
+the alpha beta alpha beta terms cancelling for any frames. For surfaces in
+R^3 with unit normals n = e_0 x e_1 this reads cos theta = <n_x, n_y>
+- 2 <n_x, v> <n_y, v>. Every pair quantity is then one matrix product of
+the point and frame stacks or one array operation over the pairs, and the
+symmetric double sums form each unordered pair once (`ks_triangle_rows`).
 """
 
 from __future__ import annotations
@@ -79,73 +93,105 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     """(1 - cos theta) and distances for all point pairs, O(n) frames, and
     their row-side pullback.
 
-    Both frame stacks must be oriented orthonormal. Every product is a plain
-    (non-conjugating) one, so the kernel is complex-analytic in the inputs
-    and complex-step derivatives through it are exact. Coincident pairs get
-    0 in both outputs; 1 - cos is not clipped to [0, 2].
+    Both frame stacks must be oriented orthonormal. Every pair quantity is
+    one (Nx, n) @ (n, Ny) product or one (Nx, Ny) array operation, with no
+    (Nx, Ny, n) temporaries: with alpha_k = <e_k, y - x>, beta_l = <w_l,
+    y - x>, ew_kl = <e_k, w_l> and s = |y - x|^2, the reflected frame gives
+    G_kl = 2 alpha_k beta_l / s - ew_kl, so cos = G_00 for m = 1 and
+    cos = -det G = (2 / s) [alpha_0 (beta_0 ew_11 - beta_1 ew_10)
+    + alpha_1 (beta_1 ew_00 - beta_0 ew_01)] - det ew for m = 2. The
+    products alpha, beta carry a rounding error of eps times the points'
+    distance from the coordinate origin, so both point sets are first
+    centred on the middle of y's bounding box: far from the origin they
+    lose no digits to the offset, and a round body keeps half the error
+    it would have about one of its own points. dist is summed from the
+    uncentred differences, one coordinate at a time. Every
+    product is a plain (non-conjugating) one, so the kernel is
+    complex-analytic in the inputs and complex-step derivatives through it
+    are exact. Coincident pairs get 0 in both outputs; 1 - cos is not
+    clipped to [0, 2].
 
     pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
     + dist_bar * dist) with respect to x_pts (Nx, n) and x_frames (Nx, n,
-    m), in O(Nx Ny) work and no (Nx, Ny, n) temporaries; coincident pairs
+    m), in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products; coincident pairs
     contribute nothing, their outputs being constant 0. The kernel is
     symmetric under swapping (x, e) with (y, w) for any frames (G turns
     into its transpose), so in a symmetric double sum each point's gradient
     is twice its row side and the column side is never formed. The pullback
     takes real input only.
     """
-    (Nx, n), Ny, m = x_pts.shape, len(y_pts), x_frames.shape[-1]
-    diff = y_pts[None, :, :] - x_pts[:, None, :]          # (Nx, Ny, n)
-    dist = np.sqrt(dot(diff, diff))
-    v = diff / np.where(dist == 0.0, 1.0, dist)[..., None]
-    # a_k = <v, e_k(x)>, b_l = <v, w_l(y)>, one matrix product per point
-    a = v @ x_frames                                       # (Nx, Ny, m)
-    b = np.swapaxes(np.swapaxes(v, 0, 1) @ y_frames, 0, 1)
-    # <e_k, w_l> for every pair as one (Nx m, n) x (n, Ny m) product
-    ew = (np.swapaxes(x_frames, 1, 2).reshape(Nx * m, n)
-          @ np.moveaxis(y_frames, 1, 0).reshape(n, Ny * m)).reshape(Nx, m, Ny, m)
-
-    def G(k, l):
-        """<ehat_k, w_l> = 2 a_k b_l - <e_k, w_l>"""
-        return 2.0 * a[..., k] * b[..., l] - ew[:, k, :, l]
-
+    n, m = x_pts.shape[-1], x_frames.shape[-1]
+    # |y - x|^2 one coordinate at a time: the bits of dot(y - x, y - x)
+    d = y_pts[:, 0] - x_pts[:, 0, None]
+    s = d * d
+    for c in range(1, n):
+        s += np.subtract(y_pts[:, c], x_pts[:, c, None], out=d) ** 2
+    dist = np.sqrt(s)
+    apart = s != 0.0
+    inv_s = 1.0 / np.where(apart, s, 1.0)
+    # both sets centred on the middle of y's bounding box; y and its frames
+    # stored column-wise, so that every product runs on contiguous operands
+    centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
+    xc = x_pts - centre
+    yc = np.ascontiguousarray((y_pts - centre).T)                 # (n, Ny)
+    e = np.ascontiguousarray(np.moveaxis(x_frames, -1, 0))        # (m, Nx, n)
+    w = np.ascontiguousarray(np.transpose(y_frames, (2, 1, 0)))   # (m, n, Ny)
+    alpha = e @ yc - dot(e, xc)[..., None]                        # (m, Nx, Ny)
+    beta = (w * yc).sum(axis=1)[:, None] - xc @ w
+    ew = e[:, None] @ w[None]                                     # (m, m, Nx, Ny)
     if m == 1:
-        cos = G(0, 0)
+        bend = 2.0 * inv_s * alpha[0] * beta[0]
+        cos = bend - ew[0, 0]
     else:
-        # (-1)^(m-1) det(G) with m = 2
-        cos = -(G(0, 0) * G(1, 1) - G(0, 1) * G(1, 0))
+        bend = 2.0 * inv_s * (alpha[0] * (beta[0] * ew[1, 1]
+                                          - beta[1] * ew[1, 0])
+                              + alpha[1] * (beta[1] * ew[0, 0]
+                                            - beta[0] * ew[0, 1]))
+        cos = bend - (ew[0, 0] * ew[1, 1] - ew[0, 1] * ew[1, 0])
     omc = 1.0 - cos
-    omc[dist == 0.0] = 0.0
+    omc[~apart] = 0.0
 
     def pullback(omc_bar, dist_bar):
-        apart = dist != 0.0
-        inv = np.where(apart, 1.0 / np.where(apart, dist, 1.0), 0.0)
         c_bar = np.where(apart, -omc_bar, 0.0)             # d/d cos
+        u = 2.0 * inv_s * c_bar                            # d/d (alpha beta)
         if m == 1:
-            G_bar = [[c_bar]]
+            alpha_bar = [u * beta[0]]
+            beta_bar = [u * alpha[0]]
+            ew_bar = [[-c_bar]]
         else:
-            G_bar = [[-c_bar * G(1, 1), c_bar * G(1, 0)],
-                     [c_bar * G(0, 1), -c_bar * G(0, 0)]]
-        a_bar = [2.0 * sum(G_bar[k][l] * b[..., l] for l in range(m))
-                 for k in range(m)]
-        b_bar = [2.0 * sum(G_bar[k][l] * a[..., k] for k in range(m))
-                 for l in range(m)]
-        # v = d / |d|, d = y - x: d_bar = (v_bar - <v_bar, v> v) / |d|
-        # + dist_bar v, with <v_bar, v> = sum a_bar a + sum b_bar b
-        radial = sum(a_bar[k] * a[..., k] + b_bar[k] * b[..., k]
-                     for k in range(m))
-        radial = radial * inv - np.where(apart, dist_bar, 0.0)
-        along_v = np.stack([radial] + a_bar, axis=1) @ v   # (Nx, 1 + m, n)
-        x_bar = along_v[:, 0]
+            alpha_bar = [u * (beta[0] * ew[1, 1] - beta[1] * ew[1, 0]),
+                         u * (beta[1] * ew[0, 0] - beta[0] * ew[0, 1])]
+            beta_bar = [u * (alpha[0] * ew[1, 1] - alpha[1] * ew[0, 1]),
+                        u * (alpha[1] * ew[0, 0] - alpha[0] * ew[1, 0])]
+            ew_bar = [[u * alpha[1] * beta[1] - c_bar * ew[1, 1],
+                       c_bar * ew[1, 0] - u * alpha[1] * beta[0]],
+                      [c_bar * ew[0, 1] - u * alpha[0] * beta[1],
+                       u * alpha[0] * beta[0] - c_bar * ew[0, 0]]]
+        # d dist / d s = dist / (2 s), d cos / d s = -bend / s
+        s_bar = inv_s * (np.where(apart, 0.5 * dist_bar, 0.0) * dist
+                         - c_bar * bend)
+        # s = |y - x|^2: x_bar = -2 (s_bar @ y - rowsum(s_bar) x)
+        x_bar = -2.0 * (s_bar @ yc.T - s_bar.sum(axis=1)[:, None] * xc)
         frames_bar = []
         for k in range(m):
-            x_bar = x_bar - ((a_bar[k] * inv).sum(axis=1)[:, None]
-                             * x_frames[..., k]
-                             + (b_bar[k] * inv) @ y_frames[..., k])
-            frames_bar.append(along_v[:, 1 + k] - sum(
-                G_bar[k][l] @ y_frames[..., l] for l in range(m)))
+            x_bar = x_bar - (alpha_bar[k].sum(axis=1)[:, None] * e[k]
+                             + beta_bar[k] @ w[k].T)
+            frames_bar.append(
+                alpha_bar[k] @ yc.T - alpha_bar[k].sum(axis=1)[:, None] * xc
+                + sum(ew_bar[k][l] @ w[l].T for l in range(m)))
         return x_bar, np.stack(frames_bar, axis=-1)
 
     return omc, dist, pullback
+
+
+def _ks_q(omc, dist, diag, m):
+    """1 - cos clipped to [0, 2] and q = omc^m / dist^(2m), each coincident
+    pair taking its row's diag value. np.clip leaves complex values whose
+    real part lies inside (0, 2) unchanged, so complex steps go through."""
+    omc = np.clip(omc, 0.0, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(dist == 0.0, diag[:, None], (omc / (dist * dist)) ** m)
+    return omc, q
 
 
 def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
@@ -154,9 +200,8 @@ def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
 
     Yields (lo, hi, q, omc, dist, pullback) for the rows lo:hi: omc is
     1 - cos theta clipped to [0, 2], q = omc^m / dist^(2m) with each
-    coincident pair taking its row's diag value, and dist and pullback are
-    `ks_pair_kernel`'s. np.clip leaves complex values whose real part lies
-    inside (0, 2) unchanged, so complex steps go through.
+    coincident pair taking its row's diag value (`_ks_q`), and dist and
+    pullback are `ks_pair_kernel`'s.
     """
     m = x_frames.shape[-1]
     rows = max(1, PAIR_BLOCK // len(y_pts))
@@ -164,11 +209,33 @@ def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
         hi = min(lo + rows, len(x_pts))
         omc, dist, pullback = ks_pair_kernel(x_pts[lo:hi], x_frames[lo:hi],
                                              y_pts, y_frames)
-        omc = np.clip(omc, 0.0, 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(dist == 0.0, diag[lo:hi, None],
-                         omc ** m / dist ** (2 * m))
+        omc, q = _ks_q(omc, dist, diag[lo:hi], m)
         yield lo, hi, q, omc, dist, pullback
+
+
+def ks_triangle_rows(points, frames, diag, weights):
+    """Row terms r (N,) of the symmetric KS double sum over one node set:
+    sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as in
+    `ks_pair_blocks`.
+
+    The kernel is symmetric, so each unordered pair is formed once: rows
+    lo:hi meet columns lo: only, their square block lo:hi counted as it
+    stands and the columns hi: twice, r[lo:hi] = q[:, :k] @ w[lo:hi]
+    + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Blocks grow as the columns
+    shrink and hold at most PAIR_BLOCK pairs (or one row). Complex-analytic
+    in every input.
+    """
+    N, m = len(points), frames.shape[-1]
+    rows, lo = [], 0
+    while lo < N:
+        hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
+        omc, dist, _ = ks_pair_kernel(points[lo:hi], frames[lo:hi],
+                                      points[lo:], frames[lo:])
+        q = _ks_q(omc, dist, diag[lo:hi], m)[1]
+        k = hi - lo
+        rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
+        lo = hi
+    return np.concatenate(rows)
 
 
 def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
@@ -205,9 +272,8 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
     diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
             else np.zeros(len(frames)))
     w = nodes.weights
-    value = compensated_sum(np.concatenate([
-        (q @ w) * w[lo:hi] for lo, hi, q, *_ in ks_pair_blocks(
-            nodes.points, frames, nodes.points, frames, diag)]))
+    value = compensated_sum(
+        ks_triangle_rows(nodes.points, frames, diag, w) * w)
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
                         error_estimate=0.0)
 

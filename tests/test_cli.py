@@ -351,6 +351,18 @@ def test_non_numeric_map_parameter_exits_2():
     assert "cx" in err["message"] and "abc" in err["message"]
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["energy", "--surface", "sphere:radius=2", "--alpha", "1"], "radius"),
+    (["invariance", "--surface", "sphere", "--map", "inversion:cx=3,rr=0.5",
+      "--energy", "ks"], "rr"),
+])
+def test_unknown_parameter_key_exits_2(argv, key, capsys):
+    # a misspelt key is an error, not a silent run of the default
+    code, err = _config_error(argv, capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
 # catalog keys and, for the integer ones, bounds that keep every mesh small
 _CATALOG = {
     "circle": "r", "sphere": "r cx cy cz", "ellipsoid": "a b c",

@@ -1,7 +1,8 @@
 """The KS diagonal limits against isotropic probing, the batched chart
-curvatures against the per-point formula they replaced, the batched pair
-kernel against the einsum kernel it replaced (references copied here),
-and the peak memory of the blocked KS pair sums."""
+curvatures against the per-point formula they replaced, the pair kernel
+against the einsum kernel it replaced (references copied here), the
+triangle sums against full-square sums, and the peak memory of the
+blocked KS pair sums."""
 
 import math
 import tracemalloc
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import (FlowState, MoebiusMap, TriMesh, apply_moebius,
-                      curvature_at, energy_gradient, graph_patch_at,
-                      icosphere, ks_cross_energy, ks_energy, ks_flow_energy,
-                      make_circle, make_disjoint_union, make_disk,
-                      make_ellipsoid, make_sphere, make_torus, polygon_circle,
-                      tangent_frame, torus_mesh)
+import rieszlab.moebius
+from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
+                      apply_moebius, curvature_at, energy_gradient,
+                      graph_patch_at, icosphere, ks_cross_energy, ks_energy,
+                      ks_flow_energy, make_circle, make_disjoint_union,
+                      make_disk, make_ellipsoid, make_sphere, make_torus,
+                      polygon_circle, tangent_frame, torus_mesh)
+from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import orthonormal_frames
 from rieszlab.geometry.patches import umbilicity_defect
 from rieszlab.moebius import combined_angle_cos_frames, ks_pair_kernel
@@ -243,6 +246,77 @@ KS_SUMS = {
 }
 
 
+def test_ks_energy_is_translation_invariant_far_from_the_origin():
+    # the pair products are taken about a centre of the node set, so an
+    # offset of 1e3 costs no digits (a kernel on the raw coordinates drifts
+    # about 1e-12 relative here)
+    mesh = _stretched_ico3()
+    e0 = ks_energy(mesh).value
+    e1 = ks_energy(mesh.with_vertices(mesh.vertices + [1e3, 300.0, 0.0])).value
+    assert abs(e1 - e0) <= 5e-13 * e0
+
+
+# ----------------------------------------------------------------------
+# triangle sums against the full square
+# ----------------------------------------------------------------------
+
+def _full_square_sum(points, frames, diag, w):
+    """sum_ij w_i w_j q_ij over every ordered pair, one math.fsum."""
+    m = frames.shape[-1]
+    terms = []
+    for lo in range(0, len(points), 64):
+        hi = min(lo + 64, len(points))
+        omc, dist, _ = ks_pair_kernel(points[lo:hi], frames[lo:hi], points,
+                                      frames)
+        apart = dist != 0.0
+        q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, dist, 1.0) ** (2 * m)
+        q = np.where(apart, q, diag[lo:hi, None])
+        terms.append((w[lo:hi, None] * q * w).ravel())
+    return math.fsum(np.concatenate(terms))
+
+
+def _ks_energy_reference(surface, config):
+    nodes = surface.nodes(config.inner_scale * 0.5)
+    frames, _, sff = surface.curvatures(nodes.locators)
+    diag = ((umbilicity_defect(sff) / 16.0) ** 2 if surface.m == 2
+            else np.zeros(len(frames)))
+    return _full_square_sum(nodes.points, frames, diag, nodes.weights)
+
+
+def _flow_energy_reference(mesh):
+    _, _, frames, _, _, w = _ks_quadrature(mesh.vertices, mesh.topology)
+    return _full_square_sum(mesh.vertices, frames, np.zeros(len(w)), w)
+
+
+TRIANGLE_SURFACES = {
+    # one block
+    "polygon64_stretched": lambda: polygon_circle(64).with_vertices(
+        polygon_circle(64).vertices * [1.0, 1.3]),
+    "icosphere1_stretched": lambda: icosphere(1).with_vertices(
+        icosphere(1).vertices * [1.0, 1.0, 1.2]),
+    # many blocks, the last one partial
+    "icosphere3_stretched": _stretched_ico3,
+    "ellipsoid": lambda: make_ellipsoid(1.0, 1.0, 1.2),
+}
+
+
+@pytest.mark.parametrize("rows", [None, "N - 1"])
+@pytest.mark.parametrize("name", sorted(TRIANGLE_SURFACES))
+def test_triangle_sums_match_the_full_square(name, rows, monkeypatch):
+    surface = TRIANGLE_SURFACES[name]()
+    config = QuadratureConfig(inner_scale=0.5 if name == "ellipsoid"
+                              else 1.0)
+    if rows is not None:
+        # a first block of N - 1 rows and a last block of one
+        N = len(surface.nodes(config.inner_scale * 0.5).points)
+        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", N * (N - 1))
+    ref = _ks_energy_reference(surface, config)
+    assert abs(ks_energy(surface, config).value - ref) <= 1e-13 * ref
+    if isinstance(surface, TriMesh):
+        ref = _flow_energy_reference(surface)
+        assert abs(ks_flow_energy(surface) - ref) <= 1e-13 * ref
+
+
 @pytest.mark.parametrize("name", sorted(KS_SUMS))
 def test_ks_pair_sums_run_in_bounded_memory(name):
     # every KS double sum walks its pairs in blocks of at most PAIR_BLOCK,
@@ -268,7 +342,7 @@ def _frames(rng, N, n, m):
     return q[:, :, :m]
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_pair_kernel_matches_einsum_kernel(n, m):
     rng = np.random.default_rng(17 + n + m)
     x = rng.standard_normal((7, n))
@@ -282,7 +356,7 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     assert omc[0, 10] == omc[1, 11] == dist[0, 10] == dist[1, 11] == 0.0
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1), (4, 2)])
 def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     rng = np.random.default_rng(5 + m)
     h = 1e-30
@@ -298,7 +372,7 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     assert np.max(np.abs((dist.imag - ref_dist.imag) / h)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_pair_kernel_pullback_matches_complex_step(n, m):
     rng = np.random.default_rng(23 + n + m)
     x = rng.standard_normal((5, n))
