@@ -16,7 +16,8 @@ import numpy as np
 from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
                       UnsupportedInputError)
 from ..quadrature import gauss_legendre
-from .patches import PatchStack, dot, orthonormal_frames
+from .patches import (PatchStack, curvature_radius, dot,
+                      orthonormal_frames)
 from .surface import NodeSet, Surface
 
 __all__ = [
@@ -38,17 +39,6 @@ __all__ = [
 NEWTON_MAX_ITER = 60
 
 
-def _solve_small(A, b):
-    """Batched solve for (..., m, m) systems, m in {1, 2}, in closed form
-    (`orthonormal_frames` admits no other m)."""
-    if A.shape[-1] == 1:
-        return b / A[..., 0, 0][..., None]
-    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    x0 = (b[..., 0] * A[..., 1, 1] - b[..., 1] * A[..., 0, 1]) / det
-    x1 = (b[..., 1] * A[..., 0, 0] - b[..., 0] * A[..., 1, 0]) / det
-    return np.stack([x0, x1], axis=-1)
-
-
 def _inv_small(A):
     """Batched inverse of (..., m, m) stacks, m in {1, 2}, in closed form."""
     if A.shape[-1] == 1:
@@ -65,15 +55,63 @@ def _matvec(M, x):
     return sum(M[..., j] * x[..., j, None] for j in range(M.shape[-1]))
 
 
-def _tmatvec(M, x):
-    """M^T x per row of M (..., a, b), x (..., a) (no conjugation)."""
-    return np.einsum("...ij,...i->...j", M, x)
+def _tdots(M, x):
+    """The components of M^T x per row of M (..., a, b), x (..., a), each
+    summed in component order (no conjugation)."""
+    return [dot(M[..., j], x) for j in range(M.shape[-1])]
 
 
-def _tmatmul(F, J):
-    """F^T J per row of F (..., n, c), J (..., n, k) (no conjugation)."""
-    return np.stack([_tmatvec(F, J[..., k]) for k in range(J.shape[-1])],
-                    axis=-1)
+def _heights(N, d):
+    """N^T d per row of N (..., n, c), d (..., n): one einsum on a
+    contiguous N, whose summation order (it pairs the terms of a contiguous
+    axis of 3 as (0 + 2) + 1) every graph patch's heights carry."""
+    return np.einsum("...ij,...i->...j", np.ascontiguousarray(N), d)
+
+
+def _pull_back(N, H, A):
+    """h_abc = sum over n, p, q of N_nc H_npq A_pa A_qb per row of N
+    (K, n, c), H (K, n, m, m), A (K, m, m): plain products taken left to
+    right and summed in (n, p, q) order, the order of numpy's unoptimized
+    four-operand einsum, so its bits."""
+    n, m, c = H.shape[1], H.shape[-1], N.shape[-1]
+    out = np.empty((len(H), m, m, c))
+    for a in range(m):
+        for b in range(m):
+            for k in range(c):
+                out[:, a, b, k] = sum(
+                    N[:, i, k] * H[:, i, p, q] * A[:, p, a] * A[:, q, b]
+                    for i in range(n) for p in range(m) for q in range(m))
+    return out
+
+
+def _solve_steps(A, b):
+    """The Newton steps x of A x = b, per row and in closed form, for A the
+    rows A[i][j] and b the entries b[i] of (R,) component arrays, m in
+    {1, 2} (`orthonormal_frames` admits no other m)."""
+    if len(b) == 1:
+        return [b[0] / A[0][0]]
+    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    return [(b[0] * A[1][1] - b[1] * A[0][1]) / det,
+            (b[1] * A[0][0] - b[0] * A[1][0]) / det]
+
+
+def _grad_height(J, T, N):
+    """grad h = (N^T J)(T^T J)^-1 per row of J (..., n, m), T (..., n, m),
+    N (..., n, c), m in {1, 2}, the inverse in closed form by component."""
+    m = J.shape[-1]
+    tj = [_tdots(T, J[..., k]) for k in range(m)]      # tj[k][i] = (T^T J)_ik
+    if m == 1:
+        inv = [[1.0 / tj[0][0]]]
+    else:
+        det = tj[0][0] * tj[1][1] - tj[1][0] * tj[0][1]
+        inv = [[tj[1][1] / det, -tj[1][0] / det],
+               [-tj[0][1] / det, tj[0][0] / det]]
+    nj = [_tdots(N, J[..., k]) for k in range(m)]      # nj[k][c] = (N^T J)_ck
+    out = np.empty(J.shape[:-2] + (N.shape[-1], m))
+    for c in range(N.shape[-1]):
+        for j in range(m):
+            out[..., c, j] = sum(nj[i][c] * inv[i][j] for i in range(m))
+    return out
 
 
 class Chart:
@@ -88,7 +126,10 @@ class Chart:
     take(idx) is the stack of the charts idx; take is None on a single
     chart. A stack serves the graph and chord Newtons only, so its hessian
     is None. both, when set, gives (value(u), jacobian(u)) in one call that
-    shares their work (`value_jacobian`).
+    shares their work (`value_jacobian`), with the bits of the two separate
+    maps. On a spheroid stack both fills preallocated (R, 3) and (R, 3, 2)
+    arrays one output component at a time, and value is a value-only map
+    that does none of the Jacobian's work (the graph Newton's residuals).
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
@@ -161,11 +202,16 @@ class ChartSurface(Surface):
     def _runs(self, locators):
         """(chart index, parameters (B, m)) of each run of located points
         on the same chart, in order."""
-        located = [self.locate(loc) for loc in locators]
-        ks = np.array([k for k, _ in located])
+        located = [loc if isinstance(loc, tuple) and len(loc) == 2
+                   and np.isscalar(loc[0]) else (0, loc) for loc in locators]
+        ks = np.array([k for k, _ in located], dtype=int)
+        us = [u for _, u in located]
+        try:
+            u = np.array(us, dtype=float).reshape(len(us), -1)
+        except ValueError:          # scalar and (1,) parameters mixed
+            u = np.array([np.atleast_1d(x) for x in us], dtype=float)
         cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1), len(ks)]
-        return [(int(ks[a]), np.array([u for _, u in located[a:b]]))
-                for a, b in zip(cuts[:-1], cuts[1:])]
+        return [(int(ks[a]), u[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
     def nodes(self, scale, subdiv=None) -> NodeSet:
         return self.quadrature(scale)
@@ -187,8 +233,7 @@ class ChartSurface(Surface):
             tangent, normal = orthonormal_frames(jac)
             A = _inv_small(np.swapaxes(tangent, -1, -2) @ jac)
             out.append((tangent, normal,
-                        np.einsum("knc,knpq,kpa,kqb->kabc", normal,
-                                  chart.hessian(u), A, A)))
+                        _pull_back(normal, chart.hessian(u), A)))
         return tuple(np.concatenate(parts) for parts in zip(*out))
 
     def transformed(self, value_map, jac_map, hess_map):
@@ -249,9 +294,32 @@ class ChartSurface(Surface):
 
     def distance_to(self, point) -> float:
         """Distance from a point to the nearest quadrature node at scale
-        0.25 (an upper bound of its distance to the surface)."""
-        pts = self.quadrature(0.25).points
-        return float(np.min(np.linalg.norm(pts - point, axis=-1)))
+        0.25 (an upper bound of its distance to the surface), polished on
+        closed surfaces when the point lies within that node's curvature
+        radius: then the distance to the foot point over its tangent
+        coordinates on the node's validated graph patch, trusted only
+        inside the patch radius, is exact up to rounding for points of the
+        surface. Open charts carry no parameter domain, so a foot point
+        there could lie beyond the edge; they keep the node distance."""
+        x = np.asarray(point, dtype=float)
+        rule = self.quadrature(0.25)
+        dist = np.linalg.norm(rule.points - x, axis=-1)
+        i = int(np.argmin(dist))
+        near = float(dist[i])
+        loc = rule.locators[i]
+        if not self.closed:
+            return near
+        radius = curvature_radius(self.curvatures([loc])[2])
+        if near >= radius:
+            return near
+        stack = self.patches_at([loc], radius, True)
+        eta = (x - stack.base_point[0]) @ stack.tangent[0]
+        if np.linalg.norm(eta) >= stack.radii[0]:
+            return near
+        foot = (stack.base_point[0] + stack.tangent[0] @ eta
+                + stack.normal[0] @ stack.height(np.zeros(1, dtype=int),
+                                                 eta[None])[0])
+        return min(near, float(np.linalg.norm(x - foot)))
 
     def patches_at(self, locators, radius, shrink) -> PatchStack:
         """Graph patches at the located points, one stack per run of
@@ -270,28 +338,38 @@ class ChartSurface(Surface):
         x0 = chart.value(u0)
         jac0 = chart.jacobian(u0)
         tangent, normal = orthonormal_frames(jac0)
-        A0 = _inv_small(_tmatmul(tangent, jac0))
+        m, n = self.m, self.n
+        A0 = _inv_small(np.stack([np.stack(_tdots(tangent, jac0[..., k]), -1)
+                                  for k in range(m)], axis=-1))
         where = f"chart {chart_idx}"
+        # Absolute stopping floor of the chord Newton: 16 ulps of the
+        # coordinates, above the rounding that x(u) - x0 leaves in the residuals
+        # (a floor near one ulp stalls at the smallest radii).
+        floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
+                                               + float(radius))
 
         def solve_params(node, eta):
             """Chart parameters of the graph points over eta (R, m) of the
             rows' nodes, and the rows left unconverged."""
-            u = u0[node] + _matvec(A0[node], eta)
-            T = tangent[node]
-            target = eta + _tmatvec(T, x0[node])
+            u = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0), eta)
+            T = tangent.take(node, axis=0)
+            target = eta + np.stack(_tdots(T, x0.take(node, axis=0)), axis=-1)
             tol_row = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
             idx = np.arange(len(eta))
             for _ in range(NEWTON_MAX_ITER):
-                res = _tmatvec(T[idx], take(node[idx]).value(u[idx])) \
-                    - target[idx]
+                res = np.stack(_tdots(T[idx], take(node[idx]).value(u[idx])),
+                               axis=-1) - target[idx]
                 bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
                 if not bad.any():
                     return u, idx[:0]
                 sel = idx[bad]
-                J = take(node[sel]).jacobian(u[sel])
-                step = _solve_small(_tmatmul(T[sel], J), res[bad])
+                J, Ts = take(node[sel]).jacobian(u[sel]), T[sel]
+                step = _solve_steps([[dot(Ts[..., i], J[..., k])
+                                      for k in range(m)] for i in range(m)],
+                                    list(res[bad].T))
                 # clamp wild steps near chart degeneracies
-                u[sel] -= np.clip(step, -1.0, 1.0)
+                for j, s in enumerate(step):
+                    u[sel, j] -= np.clip(s, -1.0, 1.0)
                 idx = sel
             return u, idx
 
@@ -304,28 +382,17 @@ class ChartSurface(Surface):
                     f"radius ({where})", node=int(node[failed[0]]))
             return node, u
 
-        def grad_height(J, T, N):
-            # (N^T J)(T^T J)^-1 with the inverse in closed form
-            return np.einsum("...ci,...ij->...cj", _tmatmul(N, J),
-                             _inv_small(_tmatmul(T, J)))
-
         def height(node, eta):
             node, u = graph_params(node, eta)
             d = take(node).value(u) - x0[node]
-            return _tmatvec(normal[node], d).reshape(
+            return _heights(normal[node], d).reshape(
                 np.shape(eta)[:-1] + (-1,))
 
         def height_jacobian(node, eta):
             node, u = graph_params(node, eta)
-            dh = grad_height(take(node).jacobian(u), tangent[node],
-                             normal[node])
+            dh = _grad_height(take(node).jacobian(u), tangent[node],
+                              normal[node])
             return dh.reshape(np.shape(eta)[:-1] + dh.shape[1:])
-
-        # Absolute stopping floor of the chord Newton: 16 ulps of the
-        # coordinates, above the rounding that x(u) - x0 leaves in the residuals
-        # (a floor near one ulp stalls at the smallest radii).
-        floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
-                                               + float(radius))
 
         def chord_solve(node, v, t):
             """(xi, h, grad h) at chord distance t along tangent directions v.
@@ -335,28 +402,33 @@ class ChartSurface(Surface):
             m = 2 (the distance equation alone for m = 1); the converged point
             must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
             as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
-            about 1e-12 relative at the smallest radii.
+            about 1e-12 relative at the smallest radii. Residuals, the m x m
+            Newton system and its closed-form solve are per-component (R,)
+            arrays, the step is applied one parameter column at a time, and
+            rows are gathered and retired with takes, not masks.
             """
             node = np.asarray(node)
             v = np.asarray(v, dtype=float)
             t = np.asarray(t, dtype=float)
-            T = tangent[node]
-            d_out = np.empty((len(t), self.n))
-            J_out = np.empty((len(t), self.n, self.m))
+            T = tangent.take(node, axis=0)
+            d_out = np.empty((len(t), n))
+            J_out = np.empty((len(t), n, m))
             # active rows: parameter, radius, tolerance, row index, base
             # point, chart and, for m = 2, the second equation's ambient
             # direction T v_perp
-            uk = u0[node] + _matvec(A0[node], t[:, None] * v)
-            tk, tolk, idx = t, 1e-13 * t + floor[node], np.arange(len(t))
-            xk, ck = x0[node], take(node)
+            uk = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0),
+                                                 t[:, None] * v)
+            tk, idx = t, np.arange(len(t))
+            tolk = 1e-13 * t + floor.take(node)
+            xk, ck = x0.take(node, axis=0), take(node)
             pk = (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1))
-                  if self.m == 2 else None)
+                  if m == 2 else None)
             for _ in range(NEWTON_MAX_ITER):
                 d, J = ck.value_jacobian(uk)
                 d = d - xk
                 # (|d|^2 - t^2) / (2 t): the distance residual in length units
                 res = [(dot(d, d) - tk * tk) / (2.0 * tk)]
-                if pk is not None:
+                if m == 2:
                     res.append(dot(d, pk))
                 bad = np.abs(res[0]) > tolk
                 for r in res[1:]:
@@ -365,36 +437,41 @@ class ChartSurface(Surface):
                 if n_bad == 0 or 4 * n_bad < 3 * len(bad):
                     # retire the converged rows once they are a quarter of the
                     # batch; until then they stay in it with a zero step
-                    done = ~bad
-                    d_out[idx[done]] = d[done]
-                    J_out[idx[done]] = J[done]
+                    done = np.flatnonzero(~bad)
+                    d_out[idx[done]] = d.take(done, axis=0)
+                    J_out[idx[done]] = J.take(done, axis=0)
                     if not n_bad:
                         break
-                    uk, tk, tolk, idx, xk, d, J = (
-                        a[bad] for a in (uk, tk, tolk, idx, xk, d, J))
+                    keep = np.flatnonzero(bad)
+                    uk, tk, tolk, idx, xk, d, J, *res = (
+                        a.take(keep, axis=0)
+                        for a in (uk, tk, tolk, idx, xk, d, J, *res))
                     ck = take(node[idx])
-                    res = [r[bad] for r in res]
-                    pk = None if pk is None else pk[bad]
-                    bad = bad[bad]
-                rows = [_tmatvec(J, d) / tk[:, None]]
-                if pk is not None:
-                    rows.append(_tmatvec(J, pk))
-                step = _solve_small(np.stack(rows, axis=-2),
-                                    np.stack(res, axis=-1))
-                # clamp wild steps near chart degeneracies
-                uk = uk - np.where(bad[:, None], np.clip(step, -1.0, 1.0), 0.0)
+                    pk = None if pk is None else pk.take(keep, axis=0)
+                    bad = bad[keep]
+                # rows J^T d / t and, for m = 2, J^T p of the Newton system
+                rows = [[r / tk for r in _tdots(J, d)]]
+                if m == 2:
+                    rows.append(_tdots(J, pk))
+                # clamp wild steps near chart degeneracies; converged rows
+                # keep their parameters
+                for j, s in enumerate(_solve_steps(rows, res)):
+                    s = np.clip(s, -1.0, 1.0)
+                    uk[:, j] -= s if n_bad == len(bad) else np.where(bad, s, 0.0)
             else:
                 raise NumericalError(
                     f"chord Newton did not converge on {len(idx)} rows "
                     f"({where}); is t beyond the patch?", node=int(node[idx[0]]))
-            wrong = dot(_tmatvec(T, d_out), v) <= 0.0
+            wrong = sum(c * v[:, j] for j, c in enumerate(_tdots(T, d_out))
+                        ) <= 0.0
             if wrong.any():
                 raise NumericalError(
                     f"chord Newton left the ray's side ({where})",
                     node=int(node[np.argmax(wrong)]))
-            h = _tmatvec(normal[node], d_out)
+            N = normal.take(node, axis=0)
+            h = _heights(N, d_out)
             xi = np.sqrt(np.maximum(t * t - dot(h, h), 0.0))
-            return xi, h, grad_height(J_out, T, normal[node])
+            return xi, h, _grad_height(J_out, T, N)
 
         # Validate each radius on a coarse polar grid (rim plus interior
         # rings); the nodes whose grid fails shrink and are tried again.
@@ -578,22 +655,37 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component):
 def _spheroid_stack(cols, ctr, base_nodes, component):
     """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
     with cols[j] (3, R) the j-th columns of the A_r, stored by component
-    so that every product below runs over the rows in memory order."""
-    a0, a1, a2 = (c.T for c in cols)
+    so that every product below runs over the rows in memory order. Each
+    output component is evaluated from its own (R,) rows of cols:
+    A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1."""
+
+    def trig(u):
+        th, ph = u[..., 0], u[..., 1]
+        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+
+    def value(u):
+        st, ct, sp, cp = trig(u)
+        x = np.empty(u.shape[:-1] + (3,))
+        for i, (a0, a1, a2) in enumerate(zip(*cols)):
+            x[..., i] = ctr[i] + st * (cp * a0 + sp * a1) + ct * a2
+        return x
 
     def both(u):
-        # A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1
-        th, ph = u[..., 0, None], u[..., 1, None]
-        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        e = cp * a0 + sp * a1
-        return (ctr + st * e + ct * a2,
-                np.stack([ct * e - st * a2, st * (cp * a1 - sp * a0)], axis=-1))
+        st, ct, sp, cp = trig(u)
+        x = np.empty(u.shape[:-1] + (3,))
+        jac = np.empty(u.shape[:-1] + (3, 2))
+        for i, (a0, a1, a2) in enumerate(zip(*cols)):
+            e = cp * a0 + sp * a1
+            x[..., i] = ctr[i] + st * e + ct * a2
+            jac[..., i, 0] = ct * e - st * a2
+            jac[..., i, 1] = st * (cp * a1 - sp * a0)
+        return x, jac
 
     def take(idx):
         return _spheroid_stack(np.take(cols, idx, axis=-1), ctr, base_nodes,
                                component)
 
-    return Chart(2, 3, lambda u: both(u)[0], lambda u: both(u)[1], None,
+    return Chart(2, 3, value, lambda u: both(u)[1], None,
                  _sphere_rule(*base_nodes), component=component,
                  take=take, both=both)
 

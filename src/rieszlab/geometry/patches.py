@@ -562,7 +562,13 @@ def default_patch_radius(surface):
     """
     nodes = as_surface(surface).nodes(0.25)
     take = np.linspace(0, len(nodes.points) - 1, 8).astype(int)
-    sff = surface.curvatures([nodes.locators[i] for i in take])[2]
+    return curvature_radius(
+        surface.curvatures([nodes.locators[i] for i in take])[2])
+
+
+def curvature_radius(sff):
+    """0.9 / the largest curvature of second fundamental forms sff
+    (N, m, m, n-m), or 1.0 when that is not finite (flat forms)."""
     if sff.shape[-1] == 1:
         # the largest principal curvature in absolute value
         kmax = float(np.abs(np.linalg.eigvalsh(sff[..., 0])).max())

@@ -28,7 +28,8 @@ functions `graph_patch_at`, `curvature_at` and `tangent_frame` of
   which carry no neighbour relation).
 - `distance_to(point)`: distance from a point of R^n to the surface; on
   meshes to the nearest simplex (edge or triangle), on charts to the
-  nearest quadrature node at scale 0.25.
+  nearest quadrature node at scale 0.25, polished on closed chart surfaces
+  to a foot point on that node's graph patch.
 """
 
 from __future__ import annotations

@@ -108,7 +108,11 @@ def _kernel_sums(nodes, x, comp, blend):
         true_kernel = np.where(d > 0, d, 1.0) ** blend.alpha
     w = nodes.weights
     far = np.where(in_ball, 0.0, true_kernel) @ w
-    ball = np.where(in_ball & same, blend(d), 0.0) @ w
+    # the blend polynomial only at the in-ball, same-component pairs
+    rows, cols = np.nonzero(in_ball & same)
+    ball = np.zeros_like(d)
+    ball[rows, cols] = blend.inside(d[rows, cols], rows)
+    ball = ball @ w
     cross = np.where(in_ball & ~same, true_kernel, 0.0) @ w
     return far, ball, cross
 

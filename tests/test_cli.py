@@ -342,6 +342,14 @@ def test_non_integer_threads_environment_exits_2():
     assert "RIESZ_LAB_THREADS" in err["message"]
 
 
+def test_inversion_center_on_chart_sphere_exits_3():
+    proc = _run_cli(["invariance", "--surface", "sphere", "--map",
+                     "inversion:cx=1", "--energy", "ks"])
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SingularMapError"
+
+
 def test_non_numeric_map_parameter_exits_2():
     proc = _run_cli(["invariance", "--surface", "sphere", "--map",
                      "inversion:cx=abc", "--energy", "ks"])

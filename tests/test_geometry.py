@@ -9,11 +9,12 @@ from rieszlab.geometry import (PatchClassParams, curvature_at,
                                euler_characteristic, fit_quadratic_patches,
                                graph_patch_at, icosphere, make_circle,
                                make_cylinder_patch, make_disjoint_union,
-                               make_sphere, make_torus, mesh_disjoint_union,
-                               orthonormal_frames, polygon_circle, read_obj,
+                               make_ellipsoid, make_sphere, make_torus,
+                               mesh_disjoint_union, orthonormal_frames,
+                               polygon_circle, read_obj,
                                read_off, tangent_frame, torus_mesh,
                                validate_patch_class, write_obj, write_off)
-from rieszlab.geometry.charts import _graph_patch_surface
+from rieszlab.geometry.charts import _graph_patch_surface, _inv_small
 from rieszlab.geometry.patches import orthonormal_frames_adjoint
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
@@ -391,3 +392,18 @@ def test_polygon_io_roundtrip(tmp_path):
     back = read_off(path)
     assert back.m == 1
     np.testing.assert_array_equal(back.vertices, mesh.vertices)
+
+
+@pytest.mark.parametrize("surface", [make_ellipsoid(1.3, 0.9, 1.1),
+                                     make_torus(1.0, 0.5), make_circle()],
+                         ids=["ellipsoid", "torus", "circle"])
+def test_curvatures_carry_the_four_operand_einsum_bits(surface):
+    # the plain-product pull-back h = N^T H(A., A.) reproduces numpy's
+    # unoptimized einsum bit for bit (default_patch_radius reads it)
+    locators = surface.nodes(0.5).locators
+    tangent, normal, sff = surface.curvatures(locators)
+    chart = surface.charts[0]
+    u = np.array([loc[1] for loc in locators])
+    A = _inv_small(np.swapaxes(tangent, -1, -2) @ chart.jacobian(u))
+    ref = np.einsum("knc,knpq,kpa,kqb->kabc", normal, chart.hessian(u), A, A)
+    assert np.array_equal(sff, ref)

@@ -302,6 +302,31 @@ def test_inversion_center_off_surface_maps():
     assert np.allclose(image.vertices, mesh.vertices, rtol=0, atol=1e-15)
 
 
+def test_inversion_center_on_chart_surface_rejected():
+    # centres on the sphere between its scale-0.25 nodes (0.125 from the
+    # nearest one at (1, 0, 0)), polished on the nearest node's graph patch
+    th, ph = 0.3, 0.2
+    sph = make_sphere()
+    for center in [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                   (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+                    math.cos(th))]:
+        with pytest.raises(SingularMapError, match="lies on the surface"):
+            apply_moebius(sph, MoebiusMap("inversion", center=center))
+
+
+def test_inversion_center_off_chart_surface_maps():
+    sph = make_sphere()
+    assert sph.distance_to(np.array([1.001, 0.0, 0.0])) == pytest.approx(
+        1e-3, rel=0.05)
+    image = apply_moebius(sph, MoebiusMap("inversion", center=(1.001, 0, 0)))
+    assert np.all(np.isfinite(image.charts[0].value(np.array([[1.0, 0.5]]))))
+    # open charts keep the node distance: beyond the disk's edge the
+    # chart's analytic continuation would give a false hit
+    disk = make_disk()
+    assert disk.distance_to(np.array([1.2, 0.0, 0.0])) > 0.1
+    apply_moebius(disk, MoebiusMap("inversion", center=(1.2, 0.0, 0.0)))
+
+
 def test_mesh_distance_to_matches_sampled_faces():
     mesh = icosphere(1)
     rng = np.random.default_rng(4)

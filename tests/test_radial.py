@@ -185,6 +185,51 @@ def test_chord_solve_beyond_patch_raises():
         patch.chord_solve(v, np.array([0.5, 2.5]))
 
 
+def _scaled_sphere():
+    lam = 1.7
+    return make_sphere().transformed(
+        lambda x: lam * x,
+        lambda x: np.broadcast_to(lam * np.eye(3), x.shape[:-1] + (3, 3)),
+        None)
+
+
+@pytest.mark.parametrize("surface,locators,radius", [
+    (make_ellipsoid(1.3, 0.9, 1.1), [(0, [0.7, 0.3]), (0, [1.9, 4.0])], 0.5),
+    (make_torus(1.0, 0.5), [(0, [0.4, 1.0]), (0, [2.5, 5.5])], 0.3),
+    (make_circle(), [(0, [1.1]), (0, [4.0])], 0.9),
+    (_scaled_sphere(), [(0, [1.2, 0.5]), (0, [2.2, 3.0])], 1.0),
+], ids=["spheroid-stack", "torus", "circle", "transformed-sphere"])
+def test_chord_solve_against_per_row_chart_reference(surface, locators,
+                                                     radius):
+    # every row's (xi, h, grad h) against a per-row Gauss-Newton on the
+    # surface's own chart: the point x0 + T xi v + N h lies on it at chord
+    # distance t on the ray's side, and grad h is (N^T J)(T^T J)^-1 there
+    chart = surface.charts[0]
+    stack = surface.patches_at(locators, radius, True)
+    v, _ = _angular_rule(surface.m, 8)
+    ts = np.geomspace(1e-3, 0.95, 6)
+    node = np.repeat(np.arange(len(locators)), len(ts) * len(v))
+    vv = np.tile(v, (len(ts) * len(locators), 1))
+    tt = np.tile(np.repeat(ts, len(v)), len(locators)) * stack.radii[node]
+    xi, h, dh = stack.chord_solve(node, vv, tt)
+    for r in range(len(tt)):
+        k = node[r]
+        x0, T, N = stack.base_point[k], stack.tangent[k], stack.normal[k]
+        point = x0 + T @ (xi[r] * vv[r]) + N @ h[r]
+        u = np.array(locators[k][1], dtype=float)
+        for _ in range(30):
+            J = chart.jacobian(u)
+            u = u + np.linalg.lstsq(J, point - chart.value(u), rcond=None)[0]
+        x = chart.value(u)
+        assert np.linalg.norm(x - point) <= 1e-14
+        assert abs(np.linalg.norm(x - x0) - tt[r]) <= 1e-14
+        assert (T.T @ (x - x0)) @ vv[r] > 0.0
+        J = chart.jacobian(u)
+        ref = np.einsum("ci,ij->cj", N.T @ J, np.linalg.inv(T.T @ J))
+        # the chord Newton stops at a residual of 1e-13 t above its floor
+        assert np.max(np.abs(dh[r] - ref)) <= 1e-14 + 1e-13 * tt[r]
+
+
 # ----------------------------------------------------------------------
 # radial profiles
 # ----------------------------------------------------------------------

@@ -22,9 +22,10 @@ from rieszlab import (QuadratureConfig, icosphere, make_circle,
                       riesz_energy)
 from rieszlab.errors import (NumericalError, PatchRadiusError,
                              ProfileFitError)
-from rieszlab.geometry import default_patch_radius, graph_patch_at
+from rieszlab.geometry import NodeSet, default_patch_radius, graph_patch_at
 from rieszlab.quadrature import BlendKernel
 from rieszlab.radial import EnergyParams, finite_part, radial_profile
+from rieszlab.riesz import _kernel_sums as blocked_kernel_sums
 
 
 def _kernel_sums(nodes, x, comp, alpha, blend, eps):
@@ -37,6 +38,36 @@ def _kernel_sums(nodes, x, comp, alpha, blend, eps):
     return (float(np.sum(w[~in_ball] * kernel[~in_ball])),
             float(np.sum(w[in_ball & same] * blend(d[in_ball & same]))),
             float(np.sum(w[in_ball & ~same] * kernel[in_ball & ~same])))
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -2.5])
+def test_kernel_sums_equal_the_dense_blend_reference(alpha):
+    # the blend polynomial, evaluated only in the same-component balls,
+    # against the dense kernel over every (outer, inner) pair: bit for bit,
+    # with a coincident node (d = 0) and in-ball pairs on another component
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(40, 3))
+    component = (np.arange(40) % 3 == 0).astype(int)
+    inner = NodeSet(points=points, weights=rng.uniform(0.5, 1.5, 40),
+                    component=component, volume=1.0)
+    x = np.concatenate([points[:2], points[:4] + 1e-3 * rng.normal(size=(4, 3)),
+                        rng.normal(size=(3, 3))])
+    comp = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0])
+    eps = rng.uniform(0.5, 1.2, len(x))
+    blend = BlendKernel(alpha, eps)
+    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
+                    for y, c in zip(points.T, x.T)))
+    in_ball = d < eps[:, None]
+    same = component[None] == comp[:, None]
+    assert (d == 0).any() and (in_ball & ~same).any()
+    with np.errstate(divide="ignore"):
+        kernel = np.where(d > 0, d, 1.0) ** alpha
+    w = inner.weights
+    expected = (np.where(in_ball, 0.0, kernel) @ w,
+                np.where(in_ball & same, blend(d), 0.0) @ w,
+                np.where(in_ball & ~same, kernel, 0.0) @ w)
+    for got, ref in zip(blocked_kernel_sums(inner, x, comp, blend), expected):
+        assert np.array_equal(got, ref)
 
 
 def _per_node_energy(surface, alpha, config):
