@@ -29,8 +29,7 @@ from .moebius import (InvarianceReport, MoebiusMap, apply_moebius, as_energy,
                       combined_angle_cos, combined_angle_cos_frames,
                       ks_cross_energy, ks_energy, moebius_invariance_check)
 from .radial import (EnergyParams, FinitePartResult, ProfileStack,
-                     RadialProfile, finite_part, radial_profile,
-                     unit_sphere_volume_m1)
+                     finite_part, radial_profile, unit_sphere_volume_m1)
 from .riesz import (EnergyReport, QuadratureConfig, beta_oracle, beta_residue,
                     finite_part_at_pole, riesz_energy, scaling_check)
 

@@ -89,6 +89,26 @@ def _parse_kv(spec: str):
     return spec, {}
 
 
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# The values each RunConfig annotation admits; bool is never a number.
+_KINDS = {"str": lambda v: isinstance(v, str), "float": _number,
+          "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+          "list": lambda v: isinstance(v, list) and all(map(_number, v)),
+          "None": lambda v: v is None}
+
+
+def _check_type(key, value):
+    """ConfigError unless value fits the annotation of RunConfig.key."""
+    kinds = RunConfig.__dataclass_fields__[key].type.split(" | ")
+    if not any(_KINDS[k](value) for k in kinds):
+        expected = " or ".join("a list of numbers" if k == "list" else k
+                               for k in kinds)
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
 def _require_finite(name, value):
     """ConfigError unless every float in value (or its items) is finite."""
     items = value if isinstance(value, (list, tuple)) else [value]
@@ -499,19 +519,23 @@ def parse_args(argv=None) -> RunConfig:
     if "config" in flags:
         try:
             with open(flags.pop("config")) as fh:
-                merged.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object, got "
+                              f"{type(loaded).__name__}")
+        merged.update(loaded)
     merged.update(flags)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(merged) - fields
+    unknown = set(merged) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, val in merged.items():
+        _check_type(key, val)
         _require_finite(key, val)
     for key in ("eps0", "outer_scale", "inner_scale"):
         val = merged.get(key)
-        if val is not None and not (isinstance(val, (int, float)) and val > 0):
+        if val is not None and not val > 0:
             raise ConfigError(f"{key} must be a positive number, got {val!r}")
     if merged.get("data") is not None and merged["command"] != "sweep":
         raise ConfigError("only sweep writes a data file")

@@ -4,12 +4,13 @@ A graph patch at a surface point x is the map h from a ball in the tangent
 plane to the normal space with h(0)=0, grad h(0)=0, so that eta |-> x +
 T eta + N h(eta) parametrizes the surface near x. Patches are built for a
 stack of points at once (`PatchStack`, one leading node axis on every
-array); a single `GraphPatch` is one node of a stack. Chart surfaces get h
-by Newton inversion of the chart map, and also solve for the points at a
-given chord distance directly in chart parameters (`chord_solve`), all
-rows of all nodes in one Newton; meshes get h from weighted least-squares
-quadratic fits over 2-ring neighborhoods, all vertices in one batch, and
-solve chord rows in closed form. A vertex fit is one solve in a seed frame, then the fitted graph's
+array); a `GraphPatch` is the one-node view of a stack that the patch-class
+check reads. Chart surfaces get h by Newton inversion of the chart map, and
+also solve for the points at a given chord distance directly in chart
+parameters (`PatchStack.chord_solve`), all rows of all nodes in one Newton;
+meshes get h from weighted least-squares quadratic fits over 2-ring
+neighborhoods, all vertices in one batch, and solve chord rows in closed
+form. A vertex fit is one solve in a seed frame, then the fitted graph's
 tangent plane (`fit_tangent_frames`, the frame step the KS flow reads) and
 its second fundamental form there (`fit_curvature`), both in closed form;
 `fit_quadratic_patches` runs both. `orthonormal_frames` is the one
@@ -171,11 +172,8 @@ class GraphPatch:
     """Local graph representation of the surface over its tangent plane.
 
     Every patch evaluates its height h and height Jacobian at tangent
-    coordinates eta, and solves chord rows with chord_solve(v, t): for
-    unit tangent directions v (K, m) and chord radii t (K,) > 0 it returns
-    (xi, h, grad h), the radius xi >= 0 with xi^2 + |h(xi v)|^2 = t^2 and
-    the height data at that point. A patch is one node of a `PatchStack`
-    (its callables are the stack's, bound to that node).
+    coordinates eta. A patch is one node of a `PatchStack` (its callables
+    are the stack's, bound to that node).
     """
 
     base_point: np.ndarray        # (n,)
@@ -184,7 +182,6 @@ class GraphPatch:
     radius: float                 # validated radius
     height: object                # eta (..., m) -> (..., n-m)
     height_jacobian: object       # eta (..., m) -> (..., n-m, m)
-    chord_solve: object           # (v, t) -> (xi, h, grad h)
     fit_residual: float
 
     @property
@@ -240,10 +237,11 @@ class PatchStack:
     The callables take rows tagged with their node (an index into the
     stack): height(node, eta) and height_jacobian(node, eta) for eta
     (..., m) and node of shape eta.shape[:-1], and chord_solve(node, v, t)
-    for rows v (K, m), t (K,) > 0, with the results of
-    `GraphPatch.chord_solve`. Chart stacks solve every row by Newton in
-    the chart parameters of its node; mesh stacks in closed form on the
-    vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
+    for unit tangent directions v (K, m) and chord radii t (K,) > 0, which
+    returns (xi, h, grad h): the radius xi >= 0 with xi^2 + |h(xi v)|^2 =
+    t^2 and the height data at that point. Chart stacks solve every row by
+    Newton in the chart parameters of its node; mesh stacks in closed form
+    on the vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
     graph's tangent plane. Errors raised for one row carry that row's node.
     `stack[i]` is the `GraphPatch` of node i.
     """
@@ -278,7 +276,6 @@ class PatchStack:
                           radius=float(self.radii[i]),
                           height=bound(self.height),
                           height_jacobian=bound(self.height_jacobian),
-                          chord_solve=bound(self.chord_solve),
                           fit_residual=float(self.fit_residual[i]))
 
     @staticmethod

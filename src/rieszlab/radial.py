@@ -15,13 +15,13 @@ convention x^0/0 = log x at exponent collisions.
 
 Each (direction v, chord radius t) row of the angular quadrature needs the
 radius xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h
-there. Every patch answers these rows through its `chord_solve`: chart
-patches by one Newton iteration in the chart parameters, the quadratic
-patches of meshes in closed form. A `PatchStack` gives the profiles of all
-its nodes in one pass (`ProfileStack`): the rows of every node at a level
-go to one chord solve, one DCT-I fits them all, and only the nodes left
-unresolved are sampled at the next level; `finite_part` of a stack is one
-array sum. A single patch is the stack of one node.
+there. A `PatchStack` answers these rows through its `chord_solve`: chart
+stacks by one Newton iteration in the chart parameters, the quadratic
+patches of meshes in closed form. `radial_profile` gives the profiles of
+all nodes of a stack in one pass (`ProfileStack`): the rows of every node
+at a level go to one chord solve, one DCT-I fits them all, and only the
+nodes left unresolved are sampled at the next level; `finite_part` of a
+profile stack is one array sum. One point is a stack of one node.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .geometry.patches import PatchStack
 
 __all__ = [
     "EnergyParams",
-    "RadialProfile",
     "ProfileStack",
     "FinitePartResult",
     "unit_sphere_volume_m1",
@@ -148,83 +147,46 @@ def _chebyshev_fit(values, eps0):
 
 
 @dataclass
-class RadialProfile:
-    """Chord density phi as a Chebyshev interpolant in s = t^2.
-
-    ts are the radii of the Chebyshev-Lobatto points of [0, eps0^2] (see
-    `_lobatto_radii`, ts[0] = 0) and values the samples of phi there; the
-    rest is derived from them. coefficients are the interpolant's Chebyshev
-    coefficients in x = 2 s / eps0^2 - 1, chopped below CHOP_TOL of the
-    largest; fit_residual is the largest chopped one, the level of
-    truncation error and sampling noise per coefficient; taylor[j] is the
-    interpolant's coefficient of t^j, up to the first power past its
-    degree (odd ones and the last zero, so taylor[2] is phi''(0) / 2).
-    A profile is one node of a `ProfileStack`, whose fit it shares.
-    """
-
-    ts: np.ndarray
-    values: np.ndarray
-    m: int
-    eps0: float
-    sigma: float                  # phi(0) = volume of unit (m-1)-sphere
-    coefficients: np.ndarray = field(init=False)
-    fit_residual: float = field(init=False)
-    taylor: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        n = len(self.values) - 1
-        if (n < 1 or self.ts.shape != self.values.shape or not np.allclose(
-                self.ts, _lobatto_radii(n, self.eps0), rtol=1e-12, atol=0)):
-            raise PreconditionError("profile samples must sit at two or more "
-                                    "Chebyshev-Lobatto radii of [0, eps0]")
-        c, keep, residual, taylor = _chebyshev_fit(self.values[None],
-                                                   np.array([self.eps0]))
-        keep = int(keep[0])
-        self.coefficients = c[0, :keep]
-        self.fit_residual = float(residual[0])
-        self.taylor = taylor[0, :2 * keep + 1]
-
-    def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
-        x = 2.0 * (t / self.eps0) ** 2 - 1.0
-        out = np.polynomial.chebyshev.chebval(x, self.coefficients)
-        return float(out) if t.ndim == 0 else out
-
-    @classmethod
-    def from_function(cls, fn, m, eps0) -> "RadialProfile":
-        """Profile of a given even density fn(t), sampled like a patch's."""
-        def sample(node, t):
-            return np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
-
-        return _interpolate(sample, m, np.array([float(eps0)]),
-                            float(fn(0.0)))[0]
-
-
-@dataclass
 class ProfileStack:
-    """Chord densities of B nodes, each a `RadialProfile` (`stack[i]`).
+    """Chord densities phi of B nodes, each a Chebyshev interpolant in s = t^2.
 
-    eps0 (B,) are the profiles' radii and samples their sample values (one
-    array per node, 17, 33 or 65 long); taylor (B, W) holds each node's
-    taylor row, zero past its own length, kept (B,) each node's number of
-    kept Chebyshev coefficients and fit_residual (B,) its chopped tail.
+    eps0 (B,) are the profiles' radii and samples their values at the
+    Chebyshev-Lobatto radii `_lobatto_radii(n, eps0)` (one array per node,
+    17, 33 or 65 long, samples[i][0] at t = 0). coefficients (one array per
+    node, as long as its samples) are each interpolant's Chebyshev
+    coefficients in x = 2 s / eps0^2 - 1, zero past the node's kept (B,)
+    count; fit_residual (B,) is the largest chopped coefficient, the level
+    of truncation error and sampling noise per coefficient. taylor (B, W)
+    holds each interpolant's coefficient of t^j, up to the first power past
+    its degree and zero past it (odd ones zero, so taylor[:, 2] is
+    phi''(0) / 2).
     """
 
     m: int
-    sigma: float
+    sigma: float                  # phi(0) = volume of unit (m-1)-sphere
     eps0: np.ndarray
     samples: list
+    coefficients: list
     taylor: np.ndarray
     kept: np.ndarray
     fit_residual: np.ndarray
 
-    def __getitem__(self, i) -> RadialProfile:
-        values = self.samples[i]
-        return RadialProfile(ts=_lobatto_radii(len(values) - 1, self.eps0[i]),
-                             values=values, m=self.m,
-                             eps0=float(self.eps0[i]), sigma=self.sigma)
+    def evaluate(self, t):
+        """phi of every node at radii t: shape (B,) + t.shape."""
+        t = np.asarray(t, dtype=float)
+        return np.array([np.polynomial.chebyshev.chebval(
+            2.0 * (t / eps0) ** 2 - 1.0, c)
+            for eps0, c in zip(self.eps0, self.coefficients)])
+
+    @staticmethod
+    def from_function(fn, m, eps0) -> "ProfileStack":
+        """Stack of one profile of a given even density fn(t), sampled like
+        a patch's."""
+        def sample(node, t):
+            return np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
+
+        return _interpolate(sample, m, np.array([float(eps0)]),
+                            float(fn(0.0)))
 
 
 def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
@@ -235,6 +197,7 @@ def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
     B = len(eps0)
     width = 2 * _LEVELS[-1] + 3
     samples = [None] * B
+    coefficients = [None] * B
     taylor = np.zeros((B, width))
     kept = np.zeros(B, dtype=int)
     residual = np.zeros(B)
@@ -246,11 +209,13 @@ def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
         done = 4 * (keep - 1) <= 3 * n
         for j in np.flatnonzero(done):
             samples[todo[j]] = values[j]
+            coefficients[todo[j]] = c[j]
         taylor[todo[done], :tay.shape[1]] = tay[done]
         kept[todo[done]] = keep[done]
         residual[todo[done]] = res[done]
         if done.all():
             return ProfileStack(m=m, sigma=sigma, eps0=eps0, samples=samples,
+                                coefficients=coefficients,
                                 taylor=taylor[:, :2 * kept.max() + 1],
                                 kept=kept, fit_residual=residual)
         if n == _LEVELS[-1]:
@@ -269,29 +234,26 @@ def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
         values, n = finer, 2 * n
 
 
-def _chord_rows(patch, v, t, node=None):
-    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0,
-    of one patch, or of a `PatchStack` at the rows' nodes."""
-    xi, h, dh = (patch.chord_solve(v, t) if node is None
-                 else patch.chord_solve(node, v, t))
+def _chord_rows(patches, v, t, node):
+    """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0
+    of the `PatchStack` nodes node."""
+    xi, h, dh = patches.chord_solve(node, v, t)
     # dxi/dt = t / (xi + <grad_v h, h>)
     hv = np.einsum("kcj,kj->kc", dh, v)
     return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh
 
 
-def _profile_batch(patch, v, w, ts, m, node=None):
-    """phi at many chord radii in one batched pass over (direction, t) rows:
-    radii ts of one patch, or radii ts (b, T) of the stack nodes node (b,)."""
-    ts = np.asarray(ts, dtype=float)
+def _profile_batch(patches, v, w, ts, m, node):
+    """phi at chord radii ts (b, T) of the stack nodes node (b,), in one
+    batched pass over (direction, t) rows."""
     vals = np.full(ts.shape, float(np.sum(w)))    # phi(0) = sigma_{m-1}
     pos = ts > 0
     if not pos.any():
         return vals
     K = len(v)
     tt = np.repeat(ts[pos], K)
-    if node is not None:
-        node = np.repeat(np.broadcast_to(node[:, None], ts.shape)[pos], K)
-    xi, dxi, dh = _chord_rows(patch, np.tile(v, (len(tt) // K, 1)), tt, node)
+    node = np.repeat(np.broadcast_to(node[:, None], ts.shape)[pos], K)
+    xi, dxi, dh = _chord_rows(patches, np.tile(v, (len(tt) // K, 1)), tt, node)
     # area element sqrt(det(I + dh^T dh)) of the graph, in closed form
     d0 = dh[..., 0]
     g00 = 1.0 + np.einsum("kc,kc->k", d0, d0)
@@ -307,32 +269,25 @@ def _profile_batch(patch, v, w, ts, m, node=None):
     return vals
 
 
-def radial_profile(patch, eps0=None):
-    """Construct the chord density phi for a graph patch.
+def radial_profile(patches: PatchStack, eps0=None) -> ProfileStack:
+    """The chord densities phi of every node of a `PatchStack`.
 
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
-    s = t^2 (see `RadialProfile`); ProfileFitError is raised when 65
-    points do not resolve it. A `PatchStack` gives the `ProfileStack` of
-    all its nodes, every level's chord rows solved at once; eps0 is then
-    per node (default the stack's radii), and errors carry the node.
+    s = t^2 (see `ProfileStack`), every level's chord rows solved at once;
+    ProfileFitError, carrying the node, is raised when 65 points do not
+    resolve a profile. eps0 is per node, default the stack's radii.
     """
-    m = patch.m
-    stacked = isinstance(patch, PatchStack)
-    radii = patch.radii if stacked else np.array([float(patch.radius)])
+    m, radii = patches.m, patches.radii
     eps0 = np.broadcast_to(np.asarray(radii if eps0 is None else eps0,
                                       dtype=float), radii.shape)
     if np.any(eps0 > radii * (1 + 1e-12)):
         raise PreconditionError("profile radius exceeds the validated patch radius")
-    sigma = unit_sphere_volume_m1(m)
     v, w = _angular_rule(m, ANGULAR_NODES)
-    if stacked:
-        def sample(node, t):
-            return _profile_batch(patch, v, w, t, m, node)
-    else:
-        def sample(node, t):
-            return _profile_batch(patch, v, w, t[0], m)[None]
-    profiles = _interpolate(sample, m, eps0, sigma)
-    return profiles if stacked else profiles[0]
+
+    def sample(node, t):
+        return _profile_batch(patches, v, w, t, m, node)
+
+    return _interpolate(sample, m, eps0, unit_sphere_volume_m1(m))
 
 
 # ----------------------------------------------------------------------
@@ -341,48 +296,40 @@ def radial_profile(patch, eps0=None):
 
 @dataclass
 class FinitePartResult:
-    """Pf. integral value with its regularization bookkeeping.
+    """Pf. integral values of a `ProfileStack` with their regularization
+    bookkeeping, one entry per node.
 
     The truncated integral over [eps, eps0] expands as
-    value - sum_j c_j eps^(e_j) - c_log * log(eps) + o(1); subtracted_powers
-    lists the (e_j, c_j) with e_j < 0 and c_log is the log coefficient.
-    For a `ProfileStack` every field holds one entry per node.
+    value - sum_j c_j eps^(e_j) - log_coefficient * log(eps) + o(1), with
+    e_j < 0.
     """
 
-    value: float
-    subtracted_powers: list
-    log_coefficient: float
-    error_estimate: float
+    value: np.ndarray
+    log_coefficient: np.ndarray
+    error_estimate: np.ndarray
 
 
-def finite_part(params: EnergyParams, profile, eps0=None) -> FinitePartResult:
+def finite_part(params: EnergyParams, profiles: ProfileStack,
+                eps0=None) -> FinitePartResult:
     """Pf. of integral_0^eps0 t^(alpha+m-1) phi(t) dt, in closed form.
 
-    With phi = sum_k a_k t^(2k) (profile.taylor) this is
+    With phi = sum_k a_k t^(2k) (profiles.taylor) this is
     sum_k a_k eps0^(e_k) / e_k, e_k = alpha + m + 2k, where a collision
     e_k = 0 contributes a_k log(eps0) (the convention x^0/0 = log x). Any
-    eps0 up to the profile's own radius may be used. The error estimate
-    pushes the profile's tail level through the same sum for each
-    Chebyshev basis polynomial up to one past the kept degree (the last
-    entry of taylor), and adds the rounding of the sum. A `ProfileStack`
-    gives every node's finite part at once, eps0 per node.
+    eps0 up to each profile's own radius may be used, one per node. The
+    error estimate pushes the profile's tail level through the same sum for
+    each Chebyshev basis polynomial up to one past the kept degree (the
+    last entry of its taylor row), and adds the rounding of the sum.
     """
     alpha, m = params.alpha, params.m
-    if m != profile.m:
+    if m != profiles.m:
         raise PreconditionError("profile dimension does not match params")
-    stacked = isinstance(profile, ProfileStack)
-    if stacked:
-        radius, taylor = profile.eps0, profile.taylor
-        kept, residual = profile.kept, profile.fit_residual
-    else:
-        radius, taylor = np.array([profile.eps0]), profile.taylor[None]
-        kept = np.array([len(profile.coefficients)])
-        residual = np.array([profile.fit_residual])
+    radius = profiles.eps0
     eps0 = np.broadcast_to(np.asarray(radius if eps0 is None else eps0,
                                       dtype=float), radius.shape)
     if np.any(eps0 > radius * (1 + 1e-12)):
         raise PreconditionError("eps0 exceeds the profile range")
-    a = taylor[:, ::2]
+    a = profiles.taylor[:, ::2]
     k = np.arange(a.shape[1])
     e = alpha + m + 2.0 * k
     pole = np.abs(e) < POLE_SNAP_TOL
@@ -390,21 +337,13 @@ def finite_part(params: EnergyParams, profile, eps0=None) -> FinitePartResult:
         w = np.where(pole, np.log(eps0)[:, None],
                      np.power.outer(eps0, e) / np.where(pole, 1.0, e))
     terms = a * w
-    value = terms.sum(axis=-1)
-    log_coef = a[:, pole].sum(axis=-1)
     # basis polynomials j <= kept of each node; T_j has no power past j
     basis = (w / np.power.outer(radius ** 2, k)) @ _shifted_chebyshev(
         len(k)).T
-    own = k <= kept[:, None]
-    err = (residual * np.where(own, np.abs(basis), 0.0).sum(axis=-1)
+    own = k <= profiles.kept[:, None]
+    err = (profiles.fit_residual
+           * np.where(own, np.abs(basis), 0.0).sum(axis=-1)
            + 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=-1))
-    subtracted = [[(float(e_k), float(a_k / e_k))
-                   for e_k, a_k in zip(e[:kk + 1], row) if e_k < -POLE_SNAP_TOL]
-                  for row, kk in zip(a, kept)]
-    if stacked:
-        return FinitePartResult(value=value, subtracted_powers=subtracted,
-                                log_coefficient=log_coef, error_estimate=err)
-    return FinitePartResult(value=float(value[0]),
-                            subtracted_powers=subtracted[0],
-                            log_coefficient=float(log_coef[0]),
-                            error_estimate=float(err[0]))
+    return FinitePartResult(value=terms.sum(axis=-1),
+                            log_coefficient=a[:, pole].sum(axis=-1),
+                            error_estimate=err)

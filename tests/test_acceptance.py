@@ -26,7 +26,7 @@ from rieszlab.models import (cone_model_scan, orthogonal_model_closed_form,
 from rieszlab.moebius import (MoebiusMap, apply_moebius, as_energy,
                               combined_angle_cos, combined_angle_cos_frames,
                               ks_energy, moebius_invariance_check)
-from rieszlab.radial import (EnergyParams, RadialProfile, finite_part,
+from rieszlab.radial import (EnergyParams, ProfileStack, finite_part,
                              radial_profile)
 from rieszlab.riesz import QuadratureConfig, beta_oracle, riesz_energy
 
@@ -229,11 +229,11 @@ def test_c07_radial_curvature_link():
     ok = True
     worst = 0.0
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
-        patch = graph_patch_at(ell, (0, u), 0.45)
+        patch = graph_patch_at(ell, [(0, u)], 0.45)
         prof = radial_profile(patch, patch.radius)
         delta = curvature_at(ell, (0, u)).delta
         expected = math.pi * delta / 4.0
-        rel = abs(2.0 * prof.taylor[2] - expected) / abs(expected)
+        rel = abs(2.0 * prof.taylor[0, 2] - expected) / abs(expected)
         worst = max(worst, rel)
         ok &= rel < 0.01
     assert _report(7, "phi''(0) = pi Delta / 4 on the ellipsoid", ok,
@@ -328,10 +328,10 @@ def test_c11_finite_part_splitting():
             t = np.asarray(t, dtype=float)
             return sigma + c[0] * t ** 2 + c[1] * t ** 4 + c[2] * t ** 6
 
-        prof = RadialProfile.from_function(fn, m, eps0)
+        prof = ProfileStack.from_function(fn, m, eps0)
         params = EnergyParams(alpha, m)
-        lhs = finite_part(params, prof, eps0).value
-        inner = finite_part(params, prof, eps1).value
+        lhs = finite_part(params, prof, eps0).value[0]
+        inner = finite_part(params, prof, eps1).value[0]
         outer, _ = quad(lambda t: t ** (alpha + m - 1) * fn(t), eps1, eps0,
                         epsabs=1e-14, epsrel=1e-13, limit=300)
         rel = abs(lhs - (inner + outer)) / max(abs(lhs), abs(inner + outer),

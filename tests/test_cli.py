@@ -246,12 +246,23 @@ def test_invalid_model_input_exits_3(argv, capsys):
                   "inversion:cx=3,cz=1"], None, 2, id="plane-curve-cz"),
     pytest.param(["energy", "--surface", "polygon:n=0", "--alpha", "-2.5"],
                  None, 4, id="polygon-no-faces"),
+    pytest.param(["energy", "--surface", "circle"], {"alpha": "abc"}, 2,
+                 id="config-alpha-string"),
+    pytest.param(["energy", "--surface", "circle"], {"alpha": True}, 2,
+                 id="config-alpha-bool"),
+    pytest.param(["flow", "--surface", "icosphere:subdiv=1", "--energy",
+                  "ks"], {"steps": "3"}, 2, id="config-steps-string"),
+    pytest.param(["sweep", "--alpha", "-4"], {"gaps": ["a", 0.1, 0.05]}, 2,
+                 id="config-gaps-string-item"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"], [1, 2],
+                 2, id="config-not-an-object"),
 ])
 def test_degenerate_input_exits_with_a_json_error(argv, config, code,
                                                   tmp_path, capsys):
     # non-positive radii and rule scales, touching or overlapping bodies,
-    # a map centre outside the surface's space and an empty mesh are refused
-    # before any computation, from a flag or from the config file
+    # a map centre outside the surface's space, an empty mesh and config
+    # values of the wrong type are refused before any computation, from a
+    # flag or from the config file
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -259,8 +270,11 @@ def test_degenerate_input_exits_with_a_json_error(argv, config, code,
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == {2: "ConfigError",
-                                        4: "UnsupportedInputError"}[code]
+    err = json.loads(err)
+    assert err["error"] == {2: "ConfigError", 4: "UnsupportedInputError"}[code]
+    # a refused config-file value is named in the message
+    for key in config if isinstance(config, dict) else ():
+        assert key in err["message"]
 
 
 @pytest.mark.parametrize("map_spec", [[], ["--map", "similarity:scale=2"]],
@@ -285,8 +299,12 @@ def _readme_command_lines():
 
 @pytest.mark.parametrize("argv", _readme_command_lines(),
                          ids=lambda argv: "-".join(argv[:2]))
-def test_readme_command_lines_parse(argv):
+def test_readme_command_lines_parse(argv, tmp_path, monkeypatch, capsys):
     assert parse_args(argv).command == argv[0]
+    # and each runs to a JSON report, its output files landing in tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
 def test_nan_config_file_value_exits_2(tmp_path, capsys):

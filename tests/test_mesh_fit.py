@@ -158,14 +158,16 @@ def test_moved_mesh_does_not_keep_its_parents_fit():
     v = np.array([[1.0, 0.0], [0.6, 0.8]])
     t = np.array([0.05, 0.1])
     for vertex in range(mesh.num_vertices):
-        a = graph_patch_at(moved, vertex, 0.3)
-        b = graph_patch_at(fresh, vertex, 0.3)
+        a = graph_patch_at(moved, [vertex], 0.3)
+        b = graph_patch_at(fresh, [vertex], 0.3)
         for key in ("base_point", "tangent", "normal", "radius",
                     "fit_residual"):
             assert np.array_equal(getattr(a, key), getattr(b, key)), key
-        for x, y in zip(a.chord_solve(v, t), b.chord_solve(v, t)):
+        node = np.zeros(len(t), dtype=int)
+        for x, y in zip(a.chord_solve(node, v, t), b.chord_solve(node, v, t)):
             assert np.array_equal(x, y)
-        assert a.measure_derivative_bound() == b.measure_derivative_bound()
+        assert (a[0].measure_derivative_bound()
+                == b[0].measure_derivative_bound())
         for x, y in zip(tangent_frame(moved, vertex),
                         tangent_frame(fresh, vertex)):
             assert np.array_equal(x, y)

@@ -10,7 +10,7 @@ from rieszlab.errors import (NumericalError, PreconditionError,
 from rieszlab.geometry import (TriMesh, graph_patch_at, icosphere,
                                make_circle, make_ellipsoid, make_sphere,
                                make_torus, polygon_circle, torus_mesh)
-from rieszlab.radial import (EnergyParams, RadialProfile, _angular_rule,
+from rieszlab.radial import (EnergyParams, ProfileStack, _angular_rule,
                              _chord_rows, _profile_batch, finite_part,
                              radial_profile)
 
@@ -105,13 +105,14 @@ def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
 def test_chord_solve_matches_nested_inversion(surface, locator, radius):
     # each patch's chord solve against the reference ray solve on the same
     # patch's explicit height, on a dense t grid down to 1e-4 eps0
-    patch = graph_patch_at(surface, locator, radius)
+    stack = graph_patch_at(surface, [locator], radius)
+    patch = stack[0]
     ts = patch.radius * np.concatenate([np.geomspace(1e-4, 0.08, 14),
                                         np.linspace(0.1, 1.0, 96)])
     v, _ = _angular_rule(patch.m, 16)
     vv = np.tile(v, (len(ts), 1))
     tt = np.repeat(ts, len(v))
-    xi, dxi, dh = _chord_rows(patch, vv, tt)
+    xi, dxi, dh = _chord_rows(stack, vv, tt, np.zeros(len(tt), dtype=int))
     xi_ref, dxi_ref = _radial_inverse(patch, vv, tt)
     dh_ref = patch.height_jacobian(xi_ref[:, None] * vv)
     np.testing.assert_allclose(xi, xi_ref, rtol=1e-12, atol=0)
@@ -128,11 +129,12 @@ def test_chord_solve_matches_nested_inversion(surface, locator, radius):
 def test_mesh_chord_solve_on_the_chord_sphere(mesh):
     v, _ = _angular_rule(mesh.m, 16)
     for vertex in (0, mesh.num_vertices // 2):
-        patch = graph_patch_at(mesh, vertex, None)
+        stack = graph_patch_at(mesh, [vertex], None)
+        patch = stack[0]
         ts = patch.radius * np.geomspace(1e-4, 1.0, 24)
         vv = np.tile(v, (len(ts), 1))
         tt = np.repeat(ts, len(v))
-        xi, h, dh = patch.chord_solve(vv, tt)
+        xi, h, dh = stack.chord_solve(np.zeros(len(tt), dtype=int), vv, tt)
         assert np.all(xi > 0)
         res = xi ** 2 + np.sum(h * h, axis=-1) - tt ** 2
         assert np.all(np.abs(res) <= 1e-14 * tt ** 2)
@@ -153,20 +155,22 @@ def test_mesh_chord_solve_flat_rows():
     mesh = TriMesh(verts, faces, 2)
     v, _ = _angular_rule(2, 16)
     for vertex in (0, 12, 24):
-        patch = graph_patch_at(mesh, vertex, None)
-        tt = np.repeat(patch.radius * np.geomspace(1e-4, 1.0, 8), len(v))
-        xi, h, dh = patch.chord_solve(np.tile(v, (8, 1)), tt)
+        stack = graph_patch_at(mesh, [vertex], None)
+        tt = np.repeat(stack.radius * np.geomspace(1e-4, 1.0, 8), len(v))
+        xi, h, dh = stack.chord_solve(np.zeros(len(tt), dtype=int),
+                                      np.tile(v, (8, 1)), tt)
         assert np.array_equal(xi, tt)
 
 
 def test_chord_solve_circle_rays_keep_their_side():
     circ = make_circle()
     theta0 = 1.1
-    patch = graph_patch_at(circ, (0, [theta0]), 0.9)
+    stack = graph_patch_at(circ, [(0, [theta0])], 0.9)
+    patch = stack[0]
     ts = np.array([1e-4, 0.05, 0.4, 0.85])
     for sign in (1.0, -1.0):
         v = np.full((len(ts), 1), sign)
-        xi, h, _ = patch.chord_solve(v, ts)
+        xi, h, _ = stack.chord_solve(np.zeros(len(ts), dtype=int), v, ts)
         points = (patch.base_point + (xi[:, None] * v) @ patch.tangent.T
                   + h @ patch.normal.T)
         # chord t subtends 2 asin(t / 2) on the unit circle, on the ray's side
@@ -178,11 +182,11 @@ def test_chord_solve_circle_rays_keep_their_side():
 
 def test_chord_solve_beyond_patch_raises():
     sph = make_sphere()
-    patch = graph_patch_at(sph, (0, [1.3, 0.4]), 0.9)
+    stack = graph_patch_at(sph, [(0, [1.3, 0.4])], 0.9)
     v = np.array([[1.0, 0.0], [0.6, 0.8]])
     # no point of the unit sphere lies at chord distance 2.5
     with pytest.raises(NumericalError, match="did not converge on 1 rows"):
-        patch.chord_solve(v, np.array([0.5, 2.5]))
+        stack.chord_solve(np.zeros(2, dtype=int), v, np.array([0.5, 2.5]))
 
 
 def _scaled_sphere():
@@ -237,45 +241,46 @@ def test_chord_solve_against_per_row_chart_reference(surface, locators,
 def test_profile_flat_patch():
     class Flat:
         m = 2
-        radius = 1.0
-        def chord_solve(self, v, t):
+        radii = np.array([1.0])
+        def chord_solve(self, node, v, t):
             return t, np.zeros((len(t), 1)), np.zeros((len(t), 1, 2))
     prof = radial_profile(Flat(), 1.0)
-    np.testing.assert_allclose(prof.values, 2 * math.pi, atol=1e-13)
-    np.testing.assert_allclose(prof.taylor[1:], 0.0, atol=1e-10)
+    np.testing.assert_allclose(prof.samples[0], 2 * math.pi, atol=1e-13)
+    np.testing.assert_allclose(prof.taylor[0, 1:], 0.0, atol=1e-10)
 
 
 def test_profile_circle_closed_form():
     circ = make_circle()
-    patch = graph_patch_at(circ, (0, [1.1]), 0.9)
+    patch = graph_patch_at(circ, [(0, [1.1])], 0.9)
     prof = radial_profile(patch, 0.9)
     ts = np.array([0.1, 0.4, 0.8])
     expected = 2.0 / np.sqrt(1 - ts ** 2 / 4)
-    np.testing.assert_allclose(prof.evaluate(ts), expected, rtol=1e-10)
+    np.testing.assert_allclose(prof.evaluate(ts)[0], expected, rtol=1e-10)
     assert prof.sigma == 2.0
     # even Taylor data: phi = 2 + t^2/4 + (3/64) t^4 + ...
-    assert prof.taylor[2] == pytest.approx(0.25, rel=1e-4)
-    assert prof.taylor[4] == pytest.approx(3.0 / 64.0, rel=0.05)
+    assert prof.taylor[0, 2] == pytest.approx(0.25, rel=1e-4)
+    assert prof.taylor[0, 4] == pytest.approx(3.0 / 64.0, rel=0.05)
 
 
 def test_profile_sphere_constant():
     sph = make_sphere()
-    patch = graph_patch_at(sph, (0, [0.9, 2.0]), 0.9)
+    patch = graph_patch_at(sph, [(0, [0.9, 2.0])], 0.9)
     prof = radial_profile(patch, 0.9)
-    np.testing.assert_allclose(prof.values, 2 * math.pi, rtol=1e-11)
-    assert abs(prof.taylor[2]) < 1e-9   # umbilic: phi''(0) = pi Delta / 4 = 0
+    np.testing.assert_allclose(prof.samples[0], 2 * math.pi, rtol=1e-11)
+    # umbilic: phi''(0) = pi Delta / 4 = 0
+    assert abs(prof.taylor[0, 2]) < 1e-9
 
 
 def test_profile_odd_coefficient_suppression():
     # phi is even: a least-squares fit of odd and even powers to sampled phi
     # gives order-1 and order-3 coefficients below 1e-6 of the even ones
     ell = make_ellipsoid(1.0, 1.0, 1.2)
-    patch = graph_patch_at(ell, (0, [1.0, 0.7]), 0.5)
+    patch = graph_patch_at(ell, [(0, [1.0, 0.7])], 0.5)
     v, w = _angular_rule(2, 64)
     scale = 0.5 * patch.radius
     ts = np.linspace(scale / 64, scale, 64)
     sigma = 2 * math.pi
-    y = _profile_batch(patch, v, w, ts, 2) - sigma
+    y = _profile_batch(patch, v, w, ts[None], 2, np.array([0]))[0] - sigma
     powers = np.arange(1, 11)
     sol, *_ = np.linalg.lstsq((ts[:, None] / scale) ** powers, y, rcond=None)
     coef = dict(zip(powers, sol / scale ** powers))
@@ -290,17 +295,11 @@ def test_profile_curvature_link_ellipsoid():
     from rieszlab.geometry import curvature_at
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
-        patch = graph_patch_at(ell, (0, u), 0.45)
+        patch = graph_patch_at(ell, [(0, u)], 0.45)
         prof = radial_profile(patch, patch.radius)
         delta = curvature_at(ell, (0, u)).delta
         expected = math.pi * delta / 4.0
-        assert 2.0 * prof.taylor[2] == pytest.approx(expected, rel=1e-8)
-
-
-def test_profile_rejects_samples_off_the_lobatto_radii():
-    ts = np.linspace(0.0, 0.8, 17)
-    with pytest.raises(PreconditionError, match="Chebyshev-Lobatto"):
-        RadialProfile(ts=ts, values=np.full(17, 2.0), m=1, eps0=0.8, sigma=2.0)
+        assert 2.0 * prof.taylor[0, 2] == pytest.approx(expected, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +307,7 @@ def test_profile_rejects_samples_off_the_lobatto_radii():
 # ----------------------------------------------------------------------
 
 def _const_profile(value, m, eps0):
-    return RadialProfile.from_function(
+    return ProfileStack.from_function(
         lambda t: value * np.ones_like(np.asarray(t, dtype=float)), m, eps0)
 
 
@@ -316,29 +315,24 @@ def test_finite_part_knot_energy_subtraction():
     # m=1, alpha=-2, phi == 2, eps0 = 1: value -2 with coefficient -2 on 1/eps
     prof = _const_profile(2.0, 1, 1.0)
     res = finite_part(EnergyParams(-2.0, 1), prof)
-    assert res.value == pytest.approx(-2.0, abs=1e-12)
-    assert len(res.subtracted_powers) == 1
-    expo, coef = res.subtracted_powers[0]
-    assert expo == pytest.approx(-1.0)
-    assert coef == pytest.approx(-2.0)
-    assert res.log_coefficient == 0.0
+    assert res.value[0] == pytest.approx(-2.0, abs=1e-12)
+    assert res.log_coefficient[0] == 0.0
 
 
 def test_finite_part_pole_log_convention():
     prof = _const_profile(2.0, 1, 1.0)
     res = finite_part(EnergyParams(-1.0, 1), prof)
-    assert res.value == pytest.approx(0.0, abs=1e-12)   # 2 log 1
-    assert res.log_coefficient == pytest.approx(2.0)
+    assert res.value[0] == pytest.approx(0.0, abs=1e-12)   # 2 log 1
+    assert res.log_coefficient[0] == pytest.approx(2.0)
     res2 = finite_part(EnergyParams(-1.0, 1), prof, eps0=0.5)
-    assert res2.value == pytest.approx(2.0 * math.log(0.5), abs=1e-12)
+    assert res2.value[0] == pytest.approx(2.0 * math.log(0.5), abs=1e-12)
 
 
 def test_finite_part_unregularized():
     prof = _const_profile(2 * math.pi, 2, 0.5)
     res = finite_part(EnergyParams(1.0, 2), prof)
-    assert res.value == pytest.approx(math.pi / 12.0, rel=1e-12)
-    assert res.subtracted_powers == []
-    assert res.log_coefficient == 0.0
+    assert res.value[0] == pytest.approx(math.pi / 12.0, rel=1e-12)
+    assert res.log_coefficient[0] == 0.0
 
 
 def _random_profile(rng, m, eps0):
@@ -352,7 +346,7 @@ def _random_profile(rng, m, eps0):
         out = sigma + c[0] * t ** 2 + c[1] * t ** 4 + c[2] * t ** 6
         return out + amp * (np.cos(freq * t) - 1.0)
 
-    return RadialProfile.from_function(fn, m, eps0)
+    return ProfileStack.from_function(fn, m, eps0)
 
 
 def test_finite_part_consistency_with_plain_integration():
@@ -364,9 +358,9 @@ def test_finite_part_consistency_with_plain_integration():
         eps0 = float(rng.uniform(0.4, 1.2))
         prof = _random_profile(rng, m, eps0)
         res = finite_part(EnergyParams(alpha, m), prof)
-        direct, _ = quad(lambda t: t ** (alpha + m - 1) * prof.evaluate(t),
+        direct, _ = quad(lambda t: t ** (alpha + m - 1) * prof.evaluate(t)[0],
                          0.0, eps0, epsabs=1e-13, epsrel=1e-12, limit=400)
-        assert res.value == pytest.approx(direct, rel=1e-9)
+        assert res.value[0] == pytest.approx(direct, rel=1e-9)
 
 
 def test_finite_part_splitting_invariance():
@@ -387,10 +381,10 @@ def test_finite_part_splitting_invariance():
         params = EnergyParams(alpha, m)
         full = finite_part(params, prof, eps0)
         inner = finite_part(params, prof, eps1)
-        outer, _ = quad(lambda t: t ** (alpha + m - 1) * prof.evaluate(t),
+        outer, _ = quad(lambda t: t ** (alpha + m - 1) * prof.evaluate(t)[0],
                         eps1, eps0, epsabs=1e-14, epsrel=1e-13, limit=400)
-        lhs = full.value
-        rhs = inner.value + outer
+        lhs = full.value[0]
+        rhs = inner.value[0] + outer
         scale = max(abs(lhs), abs(rhs), abs(outer), 1.0)
         assert abs(lhs - rhs) / scale < 1e-8, (alpha, m, lhs, rhs)
 
@@ -410,18 +404,18 @@ def test_finite_part_error_estimate_covers_truncation_and_noise(alpha, noise):
                 + noise * rng.standard_normal(t.shape))
 
     res = finite_part(EnergyParams(alpha, 1),
-                      RadialProfile.from_function(fn, 1, eps0))
+                      ProfileStack.from_function(fn, 1, eps0))
     exact = math.fsum(2.0 * math.comb(2 * k, k) / 16.0 ** k
                       * eps0 ** (alpha + 1 + 2 * k) / (alpha + 1 + 2 * k)
                       for k in range(80))
-    assert abs(res.value - exact) <= res.error_estimate
+    assert abs(res.value[0] - exact) <= res.error_estimate[0]
 
 
 def test_profile_unresolved_raises():
     # a kink at t = 0.5 keeps the Chebyshev coefficients above the chop
     # level at every sampling level
     with pytest.raises(ProfileFitError, match="unresolved at 65"):
-        RadialProfile.from_function(lambda t: 2.0 + np.abs(t - 0.5), 1, 1.0)
+        ProfileStack.from_function(lambda t: 2.0 + np.abs(t - 0.5), 1, 1.0)
 
 
 @st.composite
@@ -449,11 +443,11 @@ def test_finite_part_properties_on_even_polynomials(case):
         t = np.asarray(t, dtype=float)
         return sigma + sum(c * t ** (2 * k + 2) for k, c in enumerate(coef))
 
-    prof = RadialProfile.from_function(fn, m, eps0)
+    prof = ProfileStack.from_function(fn, m, eps0)
     params = EnergyParams(alpha, m)
     gamma = alpha + m - 1
-    full = finite_part(params, prof, eps0).value
-    inner = finite_part(params, prof, eps1).value
+    full = finite_part(params, prof, eps0).value[0]
+    inner = finite_part(params, prof, eps1).value[0]
     outer, _ = quad(lambda t: t ** gamma * fn(t), eps1, eps0,
                     epsabs=1e-14, epsrel=1e-13, limit=200)
     scale = max(abs(full), abs(inner + outer), abs(outer), 1.0)

@@ -1,9 +1,9 @@
 """The blocked Riesz energy pass against a per-node reference.
 
-`_per_node_energy` is the per-node assembly rebuilt from one-node public
-calls (`graph_patch_at`, `radial_profile`, `finite_part`) and direct kernel
-sums over the inner rules; `riesz_energy` takes the outer nodes in blocks
-and must reproduce it.
+`_per_node_energy` is the per-node assembly rebuilt from public calls on
+stacks of one node (`graph_patch_at`, `radial_profile`, `finite_part`) and
+direct kernel sums over the inner rules; `riesz_energy` takes the outer
+nodes in blocks and must reproduce it.
 """
 
 import dataclasses
@@ -80,24 +80,25 @@ def _per_node_energy(surface, alpha, config):
     requested = config.patch_radius or default_patch_radius(surface)
     near, far, err, logc, eps_used = [], [], [], [], []
     for i, loc in enumerate(outer.locators):
-        patch = graph_patch_at(surface, loc, requested)
+        patch = graph_patch_at(surface, [loc], requested)
         eps = patch.radius
         profile = radial_profile(patch, eps)
         pf = finite_part(params, profile, eps)
         blend = BlendKernel(alpha, eps)
         weight = np.zeros(m + 2 * len(blend.coeffs) - 2)     # t^(m-1) p(t)
         weight[m - 1::2] = blend.coeffs
-        corr = P.polyval(eps, P.polyint(np.convolve(weight, profile.taylor)))
-        corr_err = (len(profile.coefficients) * profile.fit_residual
+        corr = P.polyval(eps, P.polyint(np.convolve(weight,
+                                                    profile.taylor[0])))
+        corr_err = (profile.kept[0] * profile.fit_residual[0]
                     * P.polyval(eps, P.polyint(np.abs(weight))))
         x, comp = outer.points[i], outer.component[i]
         far_i, ball, cross = _kernel_sums(inner, x, comp, alpha, blend, eps)
         rule = abs(far_i + ball + cross
                    - sum(_kernel_sums(inner_half, x, comp, alpha, blend, eps)))
-        near.append(pf.value + ball - corr)
+        near.append(pf.value[0] + ball - corr)
         far.append(far_i + cross)
-        err.append(pf.error_estimate + corr_err + rule)
-        logc.append(pf.log_coefficient)
+        err.append(pf.error_estimate[0] + corr_err + rule)
+        logc.append(pf.log_coefficient[0])
         eps_used.append(eps)
     w = outer.weights
     near, far = np.array(near), np.array(far)
@@ -162,11 +163,13 @@ def test_profile_stack_refines_only_the_nodes_that_need_it():
     profiles = radial_profile(stack)
     assert [len(v) for v in profiles.samples] == [17, 33, 17]
     for k, i in enumerate([coarse[0], fine, coarse[1]]):
-        one = radial_profile(graph_patch_at(ell, locators[i], radius))
-        np.testing.assert_allclose(profiles[k].values, one.values, rtol=1e-15,
-                                   atol=0)
-        np.testing.assert_allclose(profiles[k].taylor, one.taylor, rtol=1e-14,
+        one = radial_profile(graph_patch_at(ell, [locators[i]], radius))
+        np.testing.assert_allclose(profiles.samples[k], one.samples[0],
+                                   rtol=1e-15, atol=0)
+        taylor = profiles.taylor[k, :one.taylor.shape[1]]
+        np.testing.assert_allclose(taylor, one.taylor[0], rtol=1e-14,
                                    atol=1e-14 * np.abs(one.taylor).max())
+        assert not profiles.taylor[k, one.taylor.shape[1]:].any()
 
 
 def _spoiled(mesh, vertex, kind):

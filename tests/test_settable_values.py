@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 130
+LIMIT = 125
 
 
 def _settable_values(tree) -> int:
