@@ -11,9 +11,10 @@ r-levels once for the stack, and the orthogonal and cone models evaluate
 their integrand once on the grid of all dyadic boxes. The sums keep the
 order of a panel-by-panel and box-by-box loop, so the values do not depend
 on the batching. The two-body sweep measures the cross interaction of two
-round m-spheres at gap delta and compares it with the annulus-pair lower
-bound lambda(delta, rho) summed over dyadic scales. Every rule is read
-from the cached `quadrature.gauss_legendre`.
+round m-spheres at gap delta, its chords cancellation-free with
+trigonometry on the 1D rules only, and compares it with the annulus-pair
+lower bound lambda(delta, rho) summed over dyadic scales in one array
+pass. Every rule is read from the cached `quadrature.gauss_legendre`.
 """
 
 from __future__ import annotations
@@ -338,9 +339,10 @@ def cone_model_scan(alpha: float, cutoffs=None) -> CutoffFit:
 # two-body sweeps
 # ----------------------------------------------------------------------
 
-def lambda_bound(m: int, alpha: float, delta: float, rho: float) -> float:
-    """Annulus-pair interaction lower bound 2^a c1^2 rho^(2m+a) (1+d/rho)^a."""
-    if delta <= 0 or rho <= 0:
+def lambda_bound(m: int, alpha: float, delta: float, rho):
+    """Annulus-pair lower bound 2^a c1^2 rho^(2m+a) (1+d/rho)^a, per rho."""
+    rho = np.asarray(rho, dtype=float)
+    if delta <= 0 or np.any(rho <= 0):
         raise PreconditionError("lambda bound needs delta, rho > 0")
     c1 = 0.9 * (1.0 - 0.5 ** m) * unit_ball_volume(m)
     return (2.0 ** alpha * c1 ** 2 * rho ** (2 * m + alpha)
@@ -349,11 +351,9 @@ def lambda_bound(m: int, alpha: float, delta: float, rho: float) -> float:
 
 def lambda_bound_sum(m: int, alpha: float, delta: float,
                      rho0: float) -> float:
-    """Sum of lambda over the dyadic annulus cascade rho0 / 2^j,
-    j < CASCADE_TERMS."""
-    return compensated_sum(
-        lambda_bound(m, alpha, delta, rho0 / 2.0 ** j)
-        for j in range(CASCADE_TERMS))
+    """Sum of lambda over the dyadic cascade rho0 / 2^j, j < CASCADE_TERMS."""
+    return compensated_sum(lambda_bound(
+        m, alpha, delta, rho0 / 2.0 ** np.arange(CASCADE_TERMS)))
 
 
 def _graded_panels_1d(a: float, b: float, feature: float):
@@ -363,11 +363,9 @@ def _graded_panels_1d(a: float, b: float, feature: float):
         edges.append(a + 0.5 * (edges[-1] - a))
     edges.append(a)
     xg, wg = gauss_legendre(PANEL_ORDER)
-    nodes, weights = [], []
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (hi - lo) * (xg + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    hi, lo = np.array(edges[:-1]), np.array(edges[1:])
+    half = (0.5 * (hi - lo))[:, None]
+    return (half * (xg + 1.0) + lo[:, None]).ravel(), (half * wg).ravel()
 
 
 def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
@@ -377,40 +375,50 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
     For m = 2 the inner integral over one sphere reduces exactly to a 1D
     power integral (the surface measure between chord distances is linear
     in t^2 from any external point), leaving a single well-graded outer
-    integral. For m = 1, with angles measured from the facing points, the
-    outer angle runs over [0, pi] only (the pair is symmetric under the
-    reflection across the line of centres, so the result is doubled), and
-    each outer node's inner panels are graded toward its mirror point on
-    the other circle, the same panels on every row. Both resolve
-    arbitrarily small gaps.
+    integral; D - r = L (g + 2 r s) / (D + r) keeps it at the closed form
+    to rounding down to gap 1e-8. For m = 1, with angles measured from the
+    facing points, the outer angle runs over [0, pi] only (the pair is
+    symmetric under the reflection across the line of centres, so the
+    result is doubled), and each outer node's inner panels are graded
+    toward its mirror point on the other circle, the same panels on every
+    row. Its squared chords come by angle addition from the 1D rules'
+    half-angle sines and cosines: nothing cancels and no transcendental
+    function runs on the grid.
     """
     if gap <= 0:
         raise PreconditionError("gap must be positive (touching spheres are "
                                 "handled by the model scans)")
-    r = float(radius)
-    a = float(alpha)
-    L = 2.0 * r + gap
+    r, a = float(radius), float(alpha)
     if m == 2:
         # inner sphere integral from distance D: (2 pi r / D) *
-        # integral_(D-r)^(D+r) t^(alpha+1) dt
-        def inner(D):
-            if abs(a + 2.0) < 1e-12:
-                return (2.0 * math.pi * r / D) * (np.log(D + r) - np.log(D - r))
-            return (2.0 * math.pi * r / D) * ((D + r) ** (a + 2.0)
-                                              - (D - r) ** (a + 2.0)) / (a + 2.0)
-
+        # integral_(D-r)^(D+r) t^(alpha+1) dt, with D^2 - r^2 = L (g + 2 r s)
         s, ws = _graded_panels_1d(0.0, 2.0, gap / r * 1e-3)  # s = 1 - u
-        D = np.sqrt(L ** 2 - 2.0 * L * r * (1.0 - s) + r ** 2)
-        vals = inner(D)
-        return float(2.0 * math.pi * r ** 2 * np.dot(ws, vals))
+        q = (2.0 * r + gap) * (gap + 2.0 * r * s)
+        D = np.sqrt(r * r + q)
+        near = q / (D + r)                                   # D - r
+        if abs(a + 2.0) < 1e-12:
+            vals = np.log(D + r) - np.log(near)
+        else:
+            vals = ((D + r) ** (a + 2.0) - near ** (a + 2.0)) / (a + 2.0)
+        return float(4.0 * math.pi ** 2 * r ** 3 * np.dot(ws, vals / D))
     if m == 1:
         th, wt = _graded_panels_1d(0.0, math.pi, gap / r * 1e-3)
-        # the inner angle: the period [th - pi, th + pi], graded toward th
-        tb = th[:, None] + np.concatenate([-th[::-1], th])
-        wb = np.concatenate([wt[::-1], wt])
-        dx = 2.0 * r + gap - r * (np.cos(th)[:, None] + np.cos(tb))
-        dy = r * (np.sin(tb) - np.sin(th)[:, None])
-        return float(2.0 * r * r * wt @ (dx * dx + dy * dy) ** (0.5 * a) @ wb)
+        # inner angle th + s, s in [-pi, pi] graded toward 0; by angle
+        # addition dx = g + 2r sin^2(th / 2) + 2r sin^2((th + s) / 2) and
+        # dy = 2r sin(s / 2) cos(th + s / 2)
+        sh, ch = np.sin(0.5 * th), np.cos(0.5 * th)
+        cs = np.stack([np.concatenate([ch[::-1], ch]),       # cos(s / 2)
+                       np.concatenate([-sh[::-1], sh])])     # sin(s / 2)
+        dx = np.stack([sh, ch], 1) @ cs
+        dx *= dx
+        dx *= 2.0 * r
+        dx += (gap + 2.0 * r * sh * sh)[:, None]
+        dy = np.stack([np.cos(th), -np.sin(th)], 1) @ (2.0 * r * cs[1] * cs)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dx **= 0.5 * a
+        return float(2.0 * r * r * wt @ dx @ np.concatenate([wt[::-1], wt]))
     raise PreconditionError("two-body sweeps support m in {1, 2}")
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "EnergyParams",
     "ProfileStack",
     "FinitePartResult",
-    "unit_sphere_volume_m1",
     "radial_profile",
     "finite_part",
 ]
@@ -50,11 +49,6 @@ POLE_SNAP_TOL = 1e-12
 CHOP_TOL = 1e-14
 # Chebyshev intervals of the sampling levels (17, 33, 65 points).
 _LEVELS = (16, 32, 64)
-
-
-def unit_sphere_volume_m1(m: int) -> float:
-    """Volume of the unit (m-1)-sphere: 2 for m=1, 2*pi for m=2, ..."""
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,6 @@ class ProfileStack:
     """
 
     m: int
-    sigma: float                  # phi(0) = volume of unit (m-1)-sphere
     eps0: np.ndarray
     samples: list
     coefficients: list
@@ -185,11 +178,10 @@ class ProfileStack:
         def sample(node, t):
             return np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
 
-        return _interpolate(sample, m, np.array([float(eps0)]),
-                            float(fn(0.0)))
+        return _interpolate(sample, m, np.array([float(eps0)]))
 
 
-def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
+def _interpolate(sample, m, eps0) -> ProfileStack:
     """Sample phi at 17, 33 and then 65 Chebyshev-Lobatto points in s until
     each node's interpolant is resolved; each level reuses the earlier
     samples and samples only the nodes still unresolved. sample(node, t)
@@ -214,7 +206,7 @@ def _interpolate(sample, m, eps0, sigma) -> ProfileStack:
         kept[todo[done]] = keep[done]
         residual[todo[done]] = res[done]
         if done.all():
-            return ProfileStack(m=m, sigma=sigma, eps0=eps0, samples=samples,
+            return ProfileStack(m=m, eps0=eps0, samples=samples,
                                 coefficients=coefficients,
                                 taylor=taylor[:, :2 * kept.max() + 1],
                                 kept=kept, fit_residual=residual)
@@ -287,7 +279,7 @@ def radial_profile(patches: PatchStack, eps0=None) -> ProfileStack:
     def sample(node, t):
         return _profile_batch(patches, v, w, t, m, node)
 
-    return _interpolate(sample, m, eps0, unit_sphere_volume_m1(m))
+    return _interpolate(sample, m, eps0)
 
 
 # ----------------------------------------------------------------------

@@ -370,6 +370,17 @@ def test_lambda_monotone_in_gap():
 def test_lambda_bound_preconditions():
     with pytest.raises(PreconditionError):
         lambda_bound(2, -4.0, 0.0, 1.0)
+    with pytest.raises(PreconditionError):
+        lambda_bound(2, -4.0, 0.1, np.array([1.0, 0.0]))
+
+
+def test_lambda_bound_sum_is_the_scalar_cascade():
+    # one array pass over the CASCADE_TERMS radii, against scalar calls
+    for m, alpha, delta, rho0 in ((1, -2.0, 1e-3, 1.0), (2, -5.0, 0.05, 0.7)):
+        terms = [lambda_bound(m, alpha, delta, rho0 / 2.0 ** j)
+                 for j in range(models.CASCADE_TERMS)]
+        assert models.lambda_bound_sum(m, alpha, delta, rho0) == \
+            pytest.approx(math.fsum(terms), rel=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -450,18 +461,22 @@ def _two_circle_cross_energy(alpha, gap, r=1.0):
     complete elliptic integral of the second kind with parameter
     k = 4 D r / (D + r)^2. The outer circle is even about the line of
     centres and its points at angle s from the facing point lie at
-    D^2 = (2r + gap - r cos s)^2 + (r sin s)^2; that integral is an
-    adaptive quadrature on [0, pi], split at multiples of sqrt(gap / r).
+    D^2 - r^2 = L (gap + 4 r sin^2(s / 2)), L = 2r + gap; so D - r is
+    formed as that over D + r, which neither cancels nor rounds the gap
+    through L. The outer integral is an adaptive quadrature on [0, pi],
+    split at multiples of sqrt(gap / r).
     """
     from scipy.integrate import quad
     from scipy.special import ellipe
 
     def inner(s):
-        D = math.hypot(2.0 * r + gap - r * math.cos(s), r * math.sin(s))
+        q = (2.0 * r + gap) * (gap + 4.0 * r * math.sin(0.5 * s) ** 2)
+        D = math.sqrt(r * r + q)
+        near = q / (D + r)                      # D - r
         if alpha == -2.0:
-            return 2.0 * math.pi * r / ((D - r) * (D + r))
+            return 2.0 * math.pi * r / (near * (D + r))
         return 4.0 * r * ellipe(4.0 * D * r / (D + r) ** 2) / (
-            (D - r) ** 2 * (D + r))
+            near ** 2 * (D + r))
 
     w = math.sqrt(gap / r)
     cuts = [0.0] + [c * w for c in (0.3, 1.0, 3.0, 10.0, 30.0) if c * w < 1.0]
@@ -473,11 +488,32 @@ def _two_circle_cross_energy(alpha, gap, r=1.0):
 
 @pytest.mark.parametrize("alpha", [-2.0, -3.0])
 def test_circle_pair_cross_energy_at_small_gap(alpha):
-    # the facing arcs at gap 1e-3: a product rule graded only toward the
-    # facing points was 7e-4 (alpha = -2) and 2.4e-3 (alpha = -3) off
-    value = sphere_pair_cross_energy(1, alpha, 1.0, 1e-3)
-    assert value == pytest.approx(_two_circle_cross_energy(alpha, 1e-3),
-                                  rel=1e-10)
+    # the facing arcs: a product rule graded only toward the facing points
+    # was 7e-4 (alpha = -2) and 2.4e-3 (alpha = -3) off at gap 1e-3, and
+    # chords formed as 2r + g - r (cos th + cos tb) lost up to 2.5e-9
+    for gap in (1e-3, 1e-5, 1e-7):
+        value = sphere_pair_cross_energy(1, alpha, 1.0, gap)
+        assert value == pytest.approx(_two_circle_cross_energy(alpha, gap),
+                                      rel=1e-13)
+
+
+def _two_sphere_closed_form(alpha, gap, r=1.0):
+    """Archimedes' hat-box theorem on both spheres, centres L = 2r + gap
+    apart: 4 pi^2 r^2 / (L (a+2)(a+3)) [(L+2r)^(a+3) - 2 L^(a+3) +
+    gap^(a+3)] for alpha not in {-2, -3}."""
+    a, L = float(alpha), 2.0 * r + gap
+    return (4.0 * math.pi ** 2 * r ** 2 / (L * (a + 2.0) * (a + 3.0))
+            * ((L + 2.0 * r) ** (a + 3.0) - 2.0 * L ** (a + 3.0)
+               + gap ** (a + 3.0)))
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -5.0, -6.0])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_sphere_pair_cross_energy_at_small_gap(alpha, gap):
+    # subtracting D - r directly loses 1.8e-10 to 1e-8 at gaps 1e-6, 1e-8
+    value = sphere_pair_cross_energy(2, alpha, 1.0, gap)
+    assert value == pytest.approx(_two_sphere_closed_form(alpha, gap),
+                                  rel=1e-13)
 
 
 def test_cross_energy_gap_precondition():

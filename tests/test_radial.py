@@ -256,7 +256,7 @@ def test_profile_circle_closed_form():
     ts = np.array([0.1, 0.4, 0.8])
     expected = 2.0 / np.sqrt(1 - ts ** 2 / 4)
     np.testing.assert_allclose(prof.evaluate(ts)[0], expected, rtol=1e-10)
-    assert prof.sigma == 2.0
+    assert prof.samples[0][0] == 2.0
     # even Taylor data: phi = 2 + t^2/4 + (3/64) t^4 + ...
     assert prof.taylor[0, 2] == pytest.approx(0.25, rel=1e-4)
     assert prof.taylor[0, 4] == pytest.approx(3.0 / 64.0, rel=0.05)
