@@ -128,6 +128,29 @@ _SURFACE_KEYS = {
 _MAP_KEYS = {"inversion": "cx cy cz r", "similarity": "cx cy cz scale"}
 
 
+# Catalog keys that are sizes (positive) and counts with their least value.
+_SIZE_KEYS = ("r", "a", "b", "c", "R", "L", "extent", "gap")
+_LEAST_COUNT = {"subdiv": 0, "n": 3, "nu": 3, "nv": 3}
+
+
+def _check_sizes(name, kv, spec):
+    """ConfigError naming the key unless every size in kv is positive, every
+    count at least its least value and a torus's tube radius r below R."""
+    for key, value in kv.items():
+        if key in _SIZE_KEYS and not (_number(value) and value > 0):
+            raise ConfigError(f"{key} in {spec!r} must be positive, "
+                              f"got {value!r}")
+        least = _LEAST_COUNT.get(key)
+        if least is not None and not (_number(value) and value >= least):
+            raise ConfigError(f"{key} in {spec!r} must be at least {least}, "
+                              f"got {value!r}")
+    if name in ("torus", "torusmesh"):
+        R, r = kv.get("R", 2.0), kv.get("r", 0.5)
+        if r >= R:
+            raise ConfigError(f"r in {spec!r} must be below R, got r={r!r} "
+                              f"and R={R!r}")
+
+
 def _check_keys(kind, name, kv, spec, catalog):
     """ConfigError unless name is in the catalog and takes every key of kv."""
     if name not in catalog:
@@ -141,14 +164,16 @@ def _check_keys(kind, name, kv, spec, catalog):
 def parse_surface(spec: str):
     """Build a catalog surface or load a mesh from an OFF/OBJ path.
 
-    An unknown surface or parameter key and a missing or malformed mesh
-    file are ConfigErrors."""
+    An unknown surface or parameter key, a size or count out of range (see
+    `_check_sizes`) and a missing or malformed mesh file are
+    ConfigErrors."""
     if spec.endswith((".off", ".obj")) and not spec.startswith("mesh:"):
         name, kv = "mesh", {"path": spec}
     else:
         name, kv = _parse_kv(spec)
         name = name.lower()
     _check_keys("surface", name, kv, spec, _SURFACE_KEYS)
+    _check_sizes(name, kv, spec)
     try:
         if name == "circle":
             return make_circle(kv.get("r", 1.0))
@@ -166,8 +191,7 @@ def parse_surface(spec: str):
         if name == "saddle":
             return make_saddle_surface(kv.get("extent", 1.0))
         if name == "two-spheres":
-            gap = _positive_gap(spec, kv)
-            r = kv.get("r", 1.0)
+            gap, r = kv.get("gap", 0.5), kv.get("r", 1.0)
             a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
             b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0), component=1)
             return make_disjoint_union(a, b)
@@ -181,8 +205,7 @@ def parse_surface(spec: str):
         if name == "polygon":
             return polygon_circle(int(kv.get("n", 64)), kv.get("r", 1.0))
         if name == "dumbbell":
-            gap = _positive_gap(spec, kv)
-            r = kv.get("r", 1.0)
+            gap, r = kv.get("gap", 0.5), kv.get("r", 1.0)
             sub = int(kv.get("subdiv", 1))
             a = icosphere(sub, r, (-(r + gap / 2.0), 0.0, 0.0))
             b = icosphere(sub, r, (r + gap / 2.0, 0.0, 0.0))
@@ -196,15 +219,6 @@ def parse_surface(spec: str):
         raise
     except Exception as exc:
         raise ConfigError(f"bad surface spec {spec!r}: {exc}") from exc
-
-
-def _positive_gap(spec, kv):
-    """The gap of a two-body spec; bodies that touch or overlap are a
-    ConfigError."""
-    gap = kv.get("gap", 0.5)
-    if not (isinstance(gap, (int, float)) and gap > 0):
-        raise ConfigError(f"gap in {spec!r} must be positive, got {gap!r}")
-    return gap
 
 
 def parse_map(spec: str, n: int) -> MoebiusMap:

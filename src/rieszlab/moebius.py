@@ -36,7 +36,8 @@ from .geometry.meshes import PAIR_BLOCK
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
 from .quadrature import compensated_sum
-from .riesz import EnergyReport, QuadratureConfig, riesz_energy
+from .riesz import (EnergyReport, QuadratureConfig, finite_energy,
+                    riesz_energy)
 
 __all__ = [
     "MoebiusMap",
@@ -238,6 +239,7 @@ def ks_triangle_rows(points, frames, diag, weights):
     return np.concatenate(rows)
 
 
+@finite_energy
 def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
     """Kusner-Sullivan energy: double integral of (1-cos theta)^m/|x-y|^2m.
 
@@ -296,6 +298,7 @@ def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
 # Auckly-Sadun surface energy
 # ----------------------------------------------------------------------
 
+@finite_energy
 def as_energy(surface, s: float, config: QuadratureConfig | None = None) -> EnergyReport:
     """Auckly-Sadun energy: E_(-4) + (pi/16) I[D log D] + (pi^2/2) chi + s I[D].
 

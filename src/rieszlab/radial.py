@@ -22,6 +22,18 @@ all nodes of a stack in one pass (`ProfileStack`): the rows of every node
 at a level go to one chord solve, one DCT-I fits them all, and only the
 nodes left unresolved are sampled at the next level; `finite_part` of a
 profile stack is one array sum. One point is a stack of one node.
+
+On surfaces a sample of phi is a trapezoid rule over tangent directions,
+which converges geometrically on the smooth periodic integrand. The rule
+refines itself per sample: it starts at ANGULAR_START = 16 directions,
+whose even subset gives the 8-direction sum for free. A sample whose two
+sums differ by more than CHOP_TOL of its value gets the 16 odd directions
+of the 32-direction rule in one more chord solve, and the same test runs
+again for 32 -> 64; a sample whose first difference exceeds sqrt(CHOP_TOL)
+takes the other 48 directions of the cap at once. ANGULAR_NODES = 64 is
+the cap, and a sample at the cap is the plain 64-direction sum up to
+rounding. The round sphere stays at 16 directions everywhere. Curves
+(m = 1) sum the two directions of S^0.
 """
 
 from __future__ import annotations
@@ -72,7 +84,10 @@ class EnergyParams:
         object.__setattr__(self, "at_pole", bool(pole))
 
 
-# Directions of the S^1 rule of every radial profile on surfaces.
+# Directions of the S^1 rule of a radial profile sample on surfaces: every
+# sample starts at ANGULAR_START and doubles up to ANGULAR_NODES where its
+# angular sum is not yet settled (see `_profile_batch`).
+ANGULAR_START = 16
 ANGULAR_NODES = 64
 
 
@@ -235,29 +250,67 @@ def _chord_rows(patches, v, t, node):
     return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh
 
 
-def _profile_batch(patches, v, w, ts, m, node):
-    """phi at chord radii ts (b, T) of the stack nodes node (b,), in one
-    batched pass over (direction, t) rows."""
+def _density_rows(patches, v, t, node):
+    """The angular integrand of phi, (xi / t)^(m-1) dxi/dt times the graph's
+    area element, at K directions v (K, m) for each chord radius t > 0 of
+    the stack nodes node: shape (len(t), K)."""
+    K = len(v)
+    tt = np.repeat(t, K)
+    xi, dxi, dh = _chord_rows(patches, np.tile(v, (len(t), 1)), tt,
+                              np.repeat(node, K))
+    # area element sqrt(det(I + dh^T dh)) of the graph, in closed form
+    d0 = dh[..., 0]
+    g00 = 1.0 + np.einsum("kc,kc->k", d0, d0)
+    if patches.m == 1:
+        return (np.sqrt(g00) * dxi).reshape(-1, K)
+    d1 = dh[..., 1]
+    g11 = 1.0 + np.einsum("kc,kc->k", d1, d1)
+    jac = np.sqrt(g00 * g11 - np.einsum("kc,kc->k", d0, d1) ** 2)
+    return (jac * (xi / tt) * dxi).reshape(-1, K)
+
+
+def _profile_batch(patches, node, ts):
+    """phi at chord radii ts (b, T) of the stack nodes node (b,).
+
+    On surfaces each sample starts at ANGULAR_START directions and doubles,
+    up to ANGULAR_NODES, while its sum moves by more than CHOP_TOL of itself
+    against the sum on half the directions. The doubled rule adds only the
+    odd directions to a kept unweighted sum, and each doubling is one chord
+    solve of the samples still moving. A sample whose first difference
+    exceeds sqrt(CHOP_TOL) of itself takes all the cap's other directions
+    in one solve.
+    """
+    m = patches.m
+    v, w = _angular_rule(m, ANGULAR_START)
     vals = np.full(ts.shape, float(np.sum(w)))    # phi(0) = sigma_{m-1}
     pos = ts > 0
     if not pos.any():
         return vals
-    K = len(v)
-    tt = np.repeat(ts[pos], K)
-    node = np.repeat(np.broadcast_to(node[:, None], ts.shape)[pos], K)
-    xi, dxi, dh = _chord_rows(patches, np.tile(v, (len(tt) // K, 1)), tt, node)
-    # area element sqrt(det(I + dh^T dh)) of the graph, in closed form
-    d0 = dh[..., 0]
-    g00 = 1.0 + np.einsum("kc,kc->k", d0, d0)
+    t = ts[pos]
+    node = np.broadcast_to(node[:, None], ts.shape)[pos]
+    f = _density_rows(patches, v, t, node)
     if m == 1:
-        jac = np.sqrt(g00)
-        ratio = 1.0
-    else:
-        d1 = dh[..., 1]
-        g11 = 1.0 + np.einsum("kc,kc->k", d1, d1)
-        jac = np.sqrt(g00 * g11 - np.einsum("kc,kc->k", d0, d1) ** 2)
-        ratio = xi / tt
-    vals[pos] = (jac * ratio * dxi).reshape(-1, K) @ w
+        vals[pos] = f @ w
+        return vals
+    K = len(v)
+    total = f.sum(axis=-1)
+    phi = total * (2.0 * math.pi / K)
+    moved = np.abs(phi - f[:, ::2].sum(axis=-1) * (4.0 * math.pi / K))
+    far = moved > math.sqrt(CHOP_TOL) * np.abs(phi)
+    if far.any() and K < ANGULAR_NODES:
+        rest = _angular_rule(2, ANGULAR_NODES)[0].reshape(K, -1, 2)[:, 1:]
+        total[far] += _density_rows(patches, rest.reshape(-1, 2), t[far],
+                                    node[far]).sum(axis=-1)
+        phi[far] = total[far] * (2.0 * math.pi / ANGULAR_NODES)
+    todo = np.flatnonzero(~far & (moved > CHOP_TOL * np.abs(phi)))
+    while len(todo) and K < ANGULAR_NODES:
+        odd = _angular_rule(2, 2 * K)[0][1::2]
+        total[todo] += _density_rows(patches, odd, t[todo],
+                                     node[todo]).sum(axis=-1)
+        K *= 2
+        coarse, phi[todo] = phi[todo], total[todo] * (2.0 * math.pi / K)
+        todo = todo[np.abs(phi[todo] - coarse) > CHOP_TOL * np.abs(phi[todo])]
+    vals[pos] = phi
     return vals
 
 
@@ -269,17 +322,13 @@ def radial_profile(patches: PatchStack, eps0=None) -> ProfileStack:
     ProfileFitError, carrying the node, is raised when 65 points do not
     resolve a profile. eps0 is per node, default the stack's radii.
     """
-    m, radii = patches.m, patches.radii
+    radii = patches.radii
     eps0 = np.broadcast_to(np.asarray(radii if eps0 is None else eps0,
                                       dtype=float), radii.shape)
     if np.any(eps0 > radii * (1 + 1e-12)):
         raise PreconditionError("profile radius exceeds the validated patch radius")
-    v, w = _angular_rule(m, ANGULAR_NODES)
-
-    def sample(node, t):
-        return _profile_batch(patches, v, w, t, m, node)
-
-    return _interpolate(sample, m, eps0)
+    return _interpolate(lambda node, t: _profile_batch(patches, node, t),
+                        patches.m, eps0)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ rules as (block x inner) matrix-vector products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,12 +79,35 @@ class EnergyReport:
         }
 
 
+def finite_energy(energy):
+    """Decorator: an energy function returning an `EnergyReport` raises
+    NumericalError, not NaN or inf, when its arithmetic overflows or is
+    invalid, or when its value or error estimate is not finite."""
+    @functools.wraps(energy)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                report = energy(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericalError(
+                f"{energy.__name__} is not finite: {exc}") from exc
+        if not (math.isfinite(report.value)
+                and math.isfinite(report.error_estimate)):
+            raise NumericalError(
+                f"{energy.__name__} is not finite: value {report.value}, "
+                f"error estimate {report.error_estimate}")
+        return report
+
+    return checked
+
+
 # ----------------------------------------------------------------------
 # the regularized energy
 # ----------------------------------------------------------------------
 
 # A block of outer nodes holds at most BLOCK_ROWS chord rows at the first
-# profile level and BLOCK_PAIRS (outer, inner) node pairs.
+# profile level, with every sample at the angular cap ANGULAR_NODES, and
+# BLOCK_PAIRS (outer, inner) node pairs.
 BLOCK_ROWS = 1 << 15
 BLOCK_PAIRS = 1 << 18
 
@@ -117,6 +141,7 @@ def _kernel_sums(nodes, x, comp, blend):
     return far, ball, cross
 
 
+@finite_energy
 def riesz_energy(surface, alpha,
                  config: QuadratureConfig | None = None) -> EnergyReport:
     """E_alpha(M): outer integral of the regularized inner Riesz integral.
@@ -124,7 +149,8 @@ def riesz_energy(surface, alpha,
     For alpha <= -m the inner integral is the Hadamard finite part; the
     surface must then admit graph patches at every outer node (meshes use
     their fitted quadratic patches). Failures of a patch, a chord solve or
-    a profile name the outer node.
+    a profile name the outer node; a value or estimate that is not finite
+    is a NumericalError (see `finite_energy`).
     """
     config = config or QuadratureConfig()
     m = as_surface(surface).m

@@ -245,7 +245,7 @@ def test_invalid_model_input_exits_3(argv, capsys):
     pytest.param(["invariance", "--surface", "circle", "--map",
                   "inversion:cx=3,cz=1"], None, 2, id="plane-curve-cz"),
     pytest.param(["energy", "--surface", "polygon:n=0", "--alpha", "-2.5"],
-                 None, 4, id="polygon-no-faces"),
+                 None, 2, id="polygon-no-faces"),
     pytest.param(["energy", "--surface", "circle"], {"alpha": "abc"}, 2,
                  id="config-alpha-string"),
     pytest.param(["energy", "--surface", "circle"], {"alpha": True}, 2,
@@ -275,6 +275,40 @@ def test_degenerate_input_exits_with_a_json_error(argv, config, code,
     # a refused config-file value is named in the message
     for key in config if isinstance(config, dict) else ():
         assert key in err["message"]
+
+
+@pytest.mark.parametrize("spec,key", [
+    ("sphere:r=-1", "r"), ("sphere:r=0", "r"), ("circle:r=-2", "r"),
+    ("ellipsoid:a=-1", "a"), ("icosphere:subdiv=-1", "subdiv"),
+    ("torus:R=1,r=2", "r"), ("torus:R=1,r=1", "r"), ("torus:R=-2", "R"),
+    ("torusmesh:R=1,r=2", "r"), ("torusmesh:nu=2", "nu"),
+    ("polygon:n=2", "n"), ("cylinder:L=0", "L"), ("saddle:extent=-1", "extent"),
+    ("dumbbell:subdiv=-1", "subdiv"), ("two-spheres:r=-1", "r"),
+])
+def test_impossible_catalog_sizes_exit_2(spec, key, capsys):
+    # a negative radius would run as the mirror image, a zero one or a
+    # torus tube wider than its centre circle as a rank-deficient chart
+    code, err = _config_error(["energy", "--surface", spec, "--alpha", "-4"],
+                              capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert err["message"].startswith(f"{key} in {spec!r}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--surface", "sphere", "--alpha", "1e308"],
+    ["--surface", "sphere:r=1e200", "--alpha", "-4"],
+    ["--surface", "sphere:r=1e200", "--energy", "ks"],
+    ["--surface", "sphere:r=1e200", "--energy", "as"],
+])
+def test_non_finite_energy_exits_3(argv, capsys):
+    # overflow is a NumericalError, not a NaN value with exit 0; with
+    # RuntimeWarning an error, no numpy warning may escape either
+    code = main(["energy", *argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "NumericalError"
+    assert "not finite" in err["message"]
 
 
 @pytest.mark.parametrize("map_spec", [[], ["--map", "similarity:scale=2"]],

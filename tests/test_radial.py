@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +9,16 @@ from scipy.integrate import quad
 
 from rieszlab.errors import (NumericalError, PreconditionError,
                              ProfileFitError)
-from rieszlab.geometry import (TriMesh, graph_patch_at, icosphere,
-                               make_circle, make_ellipsoid, make_sphere,
-                               make_torus, polygon_circle, torus_mesh)
-from rieszlab.radial import (EnergyParams, ProfileStack, _angular_rule,
-                             _chord_rows, _profile_batch, finite_part,
+import rieszlab.radial
+from rieszlab.geometry import (TriMesh, default_patch_radius, graph_patch_at,
+                               icosphere, make_circle, make_ellipsoid,
+                               make_sphere, make_torus, polygon_circle,
+                               torus_mesh)
+from rieszlab.radial import (ANGULAR_NODES, ANGULAR_START, EnergyParams,
+                             ProfileStack, _angular_rule, _chord_rows,
+                             _density_rows, _profile_batch, finite_part,
                              radial_profile)
+from rieszlab.riesz import riesz_energy
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +282,10 @@ def test_profile_odd_coefficient_suppression():
     # gives order-1 and order-3 coefficients below 1e-6 of the even ones
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     patch = graph_patch_at(ell, [(0, [1.0, 0.7])], 0.5)
-    v, w = _angular_rule(2, 64)
     scale = 0.5 * patch.radius
     ts = np.linspace(scale / 64, scale, 64)
     sigma = 2 * math.pi
-    y = _profile_batch(patch, v, w, ts[None], 2, np.array([0]))[0] - sigma
+    y = _profile_batch(patch, np.array([0]), ts[None])[0] - sigma
     powers = np.arange(1, 11)
     sol, *_ = np.linalg.lstsq((ts[:, None] / scale) ** powers, y, rcond=None)
     coef = dict(zip(powers, sol / scale ** powers))
@@ -300,6 +305,85 @@ def test_profile_curvature_link_ellipsoid():
         delta = curvature_at(ell, (0, u)).delta
         expected = math.pi * delta / 4.0
         assert 2.0 * prof.taylor[0, 2] == pytest.approx(expected, rel=1e-8)
+
+
+# ----------------------------------------------------------------------
+# the adaptive angular rule
+# ----------------------------------------------------------------------
+
+def _counting(stack):
+    """stack whose chord solve counts its rows per (node, t) sample."""
+    rows = collections.Counter()
+    solve = stack.chord_solve
+
+    def chord_solve(node, v, t):
+        rows.update(zip(node.tolist(), t.tolist()))
+        return solve(node, v, t)
+
+    return dataclasses.replace(stack, chord_solve=chord_solve), rows
+
+
+def _outer_stack(surface):
+    """The patch stack of riesz_energy's outer nodes at the default config."""
+    nodes = surface.nodes(0.25)
+    return graph_patch_at(surface, nodes.locators,
+                          default_patch_radius(surface))
+
+
+def test_angular_rule_refines_only_where_the_samples_disagree():
+    # on the round sphere phi does not depend on the direction: every
+    # sample stays at the start rule. On the torus and the prolate
+    # ellipsoid samples double once or go to the cap.
+    counts = {}
+    for name, surface in (("sphere", make_sphere()),
+                          ("torus", make_torus(1.0, 0.5)),
+                          ("ellipsoid", make_ellipsoid(1.0, 1.0, 2.0))):
+        stack, rows = _counting(_outer_stack(surface))
+        radial_profile(stack)
+        counts[name] = collections.Counter(rows.values())
+    assert set(counts["sphere"]) == {ANGULAR_START}
+    for name in ("torus", "ellipsoid"):
+        assert set(counts[name]) <= {16, 32, 64}
+        assert counts[name][32] + counts[name][64] > 0
+
+
+def test_refined_sample_matches_the_plain_cap_rule():
+    torus = make_torus(1.0, 0.5)
+    stack, rows = _counting(graph_patch_at(torus, [(0, [0.3, 2.0])], 0.4))
+    ts = np.linspace(0.05, 0.4, 8)
+    phi = _profile_batch(stack, np.array([0]), ts[None])[0]
+    capped = [j for j, t in enumerate(ts) if rows[(0, t)] == ANGULAR_NODES]
+    assert capped
+    v, w = _angular_rule(2, ANGULAR_NODES)
+    node = np.zeros(len(capped), dtype=int)
+    plain = _density_rows(stack, v, ts[capped], node) @ w
+    np.testing.assert_allclose(phi[capped], plain, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("surface,alpha", [
+    pytest.param(make_sphere(), -4.0, id="sphere"),
+    pytest.param(make_ellipsoid(1.0, 1.0, 1.2), -4.0, id="ellipsoid-1.2"),
+    pytest.param(make_ellipsoid(1.3, 0.9, 1.1), -3.0, id="ellipsoid-3axes"),
+    pytest.param(make_ellipsoid(1.0, 1.0, 2.0), -4.0, id="ellipsoid-2"),
+    pytest.param(make_torus(1.0, 0.5), -4.0, id="torus"),
+    pytest.param(icosphere(2), -2.5, id="icosphere"),
+])
+def test_adaptive_rule_moves_energies_less_than_their_estimate(
+        surface, alpha, monkeypatch):
+    report = riesz_energy(surface, alpha)
+    monkeypatch.setattr(rieszlab.radial, "ANGULAR_START", ANGULAR_NODES)
+    reference = riesz_energy(surface, alpha)
+    assert abs(report.value - reference.value) < report.error_estimate
+
+
+@pytest.mark.parametrize("alpha,value", [(-2.5, 3.8831649243186805),
+                                         (-4.5, 0.6934223133289914)])
+def test_circle_energies_do_not_see_the_angular_rule(alpha, value,
+                                                     monkeypatch):
+    # m = 1 samples the two directions of S^0, whatever the surface rule
+    assert riesz_energy(make_circle(), alpha).value == value
+    monkeypatch.setattr(rieszlab.radial, "ANGULAR_START", ANGULAR_NODES)
+    assert riesz_energy(make_circle(), alpha).value == value
 
 
 # ----------------------------------------------------------------------
