@@ -216,8 +216,14 @@ def riesz_energy(surface, alpha,
                       range(size, len(outer.points), size))
     if config.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
+        errors = np.geterr()      # worker threads start at numpy's defaults
+
+        def run(idx):
+            with np.errstate(**errors):
+                return one_block(idx)
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_block, blocks))
+            results = list(pool.map(run, blocks))
     else:
         results = [one_block(idx) for idx in blocks]
     nears, fars, errs, logcs, eps_used = (np.concatenate(r)

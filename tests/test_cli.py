@@ -277,6 +277,16 @@ def test_degenerate_input_exits_with_a_json_error(argv, config, code,
         assert key in err["message"]
 
 
+def test_mesh_file_without_faces_exits_4(tmp_path, capsys):
+    # an empty mesh is unsupported input (exit 4); polygon:n=0, which built
+    # one, is now refused by its count as a ConfigError
+    path = tmp_path / "empty.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    assert main(["energy", "--surface", str(path), "--alpha", "-2.5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "UnsupportedInputError"
+
+
 @pytest.mark.parametrize("spec,key", [
     ("sphere:r=-1", "r"), ("sphere:r=0", "r"), ("circle:r=-2", "r"),
     ("ellipsoid:a=-1", "a"), ("icosphere:subdiv=-1", "subdiv"),
@@ -296,6 +306,7 @@ def test_impossible_catalog_sizes_exit_2(spec, key, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--surface", "sphere", "--alpha", "1e308"],
+    ["--surface", "sphere", "--alpha", "1e308", "--threads", "2"],
     ["--surface", "sphere:r=1e200", "--alpha", "-4"],
     ["--surface", "sphere:r=1e200", "--energy", "ks"],
     ["--surface", "sphere:r=1e200", "--energy", "as"],
