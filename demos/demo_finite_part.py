@@ -11,8 +11,9 @@ import math
 
 from scipy.integrate import quad
 
-from rieszlab import (EnergyParams, curvature_at, finite_part, graph_patch_at,
+from rieszlab import (EnergyParams, finite_part, graph_patch_at,
                       make_ellipsoid, radial_profile)
+from rieszlab.geometry.patches import umbilicity_defect
 
 
 def main():
@@ -21,7 +22,7 @@ def main():
     for u in ([0.9, 0.3], [1.6, 2.0], [2.2, 4.4]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
         prof = radial_profile(patch, patch.radius)
-        delta = curvature_at(ell, (0, u)).delta
+        delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         print(f"  point theta={u[0]:.2f} phi={u[1]:.2f}: "
               f"phi''(0) = {2 * prof.taylor[0, 2]:+.6f}   "
               f"pi Delta/4 = {math.pi * delta / 4:+.6f}")

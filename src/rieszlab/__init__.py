@@ -12,15 +12,14 @@ from .errors import (ConfigError, NumericalError, PatchRadiusError, PoleError,
 from .flow import (ContactReport, EnergySelector, FlowState, contact_monitor,
                    energy_gradient, flow_step, ks_flow_energy, run_flow,
                    write_trajectory_csv)
-from .geometry import (ChartSurface, CurvatureData, GraphPatch,
-                       PatchClassParams, PatchStack, TriMesh, curvature_at,
+from .geometry import (ChartSurface, PatchClassParams, PatchStack, TriMesh,
                        default_patch_radius, euler_characteristic,
                        graph_patch_at, icosphere, make_circle,
                        make_cylinder_patch, make_disjoint_union, make_disk,
                        make_ellipsoid, make_saddle_surface, make_sphere,
                        make_torus, mesh_disjoint_union, polygon_circle,
-                       read_obj, read_off, tangent_frame, torus_mesh,
-                       validate_patch_class, write_obj, write_off)
+                       read_obj, read_off, torus_mesh, validate_patch_class,
+                       write_obj, write_off)
 from .models import (CutoffFit, classify_cutoff_law, cone_model_scan,
                      lambda_bound, lambda_bound_sum, orthogonal_model_closed_form,
                      orthogonal_model_integral, sphere_pair_cross_energy,

@@ -7,10 +7,9 @@ from .charts import (Chart, ChartSurface, make_circle, make_cylinder_patch,
 from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      mesh_disjoint_union, polygon_circle, read_obj, read_off,
                      torus_mesh, write_obj, write_off)
-from .patches import (CurvatureData, GraphPatch, PatchClassParams, PatchStack,
-                      PatchValidationReport, curvature_at,
+from .patches import (PatchClassParams, PatchStack, PatchValidationReport,
                       default_patch_radius, fit_quadratic_patches,
-                      graph_patch_at, tangent_frame, validate_patch_class)
+                      graph_patch_at, validate_patch_class)
 from .surface import NodeSet, Surface, as_surface
 
 __all__ = [
@@ -22,8 +21,7 @@ __all__ = [
     "MeshTopology", "TriMesh", "euler_characteristic", "icosphere", "torus_mesh",
     "polygon_circle", "mesh_disjoint_union",
     "read_off", "write_off", "read_obj", "write_obj",
-    "CurvatureData", "GraphPatch", "PatchStack", "PatchClassParams",
-    "PatchValidationReport", "tangent_frame", "graph_patch_at",
-    "curvature_at", "validate_patch_class", "default_patch_radius",
+    "PatchStack", "PatchClassParams", "PatchValidationReport",
+    "graph_patch_at", "validate_patch_class", "default_patch_radius",
     "fit_quadratic_patches", "NodeSet", "Surface", "as_surface",
 ]

@@ -325,10 +325,17 @@ class ChartSurface(Surface):
         """Graph patches at the located points, one stack per run of
         points on the same chart. Each radius is validated on a polar grid
         and shrunk by 0.85 until the graph Newton converges there (unless
-        shrink=False). Chord rows are solved in the chart parameters."""
-        return PatchStack.concatenate([
-            self._chart_patches(k, u0, radius, shrink)
-            for k, u0 in self._runs(locators)])
+        shrink=False). Chord rows are solved in the chart parameters. A
+        failed build names its node in the whole list."""
+        stacks = []
+        for k, u0 in self._runs(locators):
+            try:
+                stacks.append(self._chart_patches(k, u0, radius, shrink))
+            except NumericalError as exc:
+                if exc.node is not None:
+                    exc.node += sum(map(len, stacks))
+                raise
+        return PatchStack.concatenate(stacks)
 
     def _chart_patches(self, chart_idx, u0, radius, shrink) -> PatchStack:
         chart = self.charts[chart_idx]

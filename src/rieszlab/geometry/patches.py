@@ -4,11 +4,12 @@ A graph patch at a surface point x is the map h from a ball in the tangent
 plane to the normal space with h(0)=0, grad h(0)=0, so that eta |-> x +
 T eta + N h(eta) parametrizes the surface near x. Patches are built for a
 stack of points at once (`PatchStack`, one leading node axis on every
-array); a `GraphPatch` is the one-node view of a stack that the patch-class
-check reads. Chart surfaces get h by Newton inversion of the chart map, and
-also solve for the points at a given chord distance directly in chart
-parameters (`PatchStack.chord_solve`), all rows of all nodes in one Newton;
-meshes get h from weighted least-squares quadratic fits over 2-ring
+array; one point is a stack of one node), and the patch-class check
+measures the derivative bounds of a whole stack in one pass. Chart
+surfaces get h by Newton inversion of the chart map, and also solve for
+the points at a given chord distance directly in chart parameters
+(`PatchStack.chord_solve`), all rows of all nodes in one Newton; meshes
+get h from weighted least-squares quadratic fits over 2-ring
 neighborhoods, all vertices in one batch, and solve chord rows in closed
 form. A vertex fit is one solve in a seed frame, then the fitted graph's
 tangent plane (`fit_tangent_frames`, the frame step the KS flow reads) and
@@ -18,8 +19,7 @@ orthonormalizer of charts and meshes. Every step is written with plain
 (non-conjugating) products, so complex-step derivatives go through. The
 surfaces build their own patches and curvatures (`patches_at` and
 `curvatures` of the surface protocol); the functions here reach them
-through that protocol, and `graph_patch_at`, `curvature_at` and
-`tangent_frame` are their one-point cases.
+through that protocol.
 """
 
 from __future__ import annotations
@@ -29,20 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (NumericalError, PatchRadiusError, PreconditionError,
-                      RankDeficiencyError, UnsupportedInputError)
+from ..errors import (NumericalError, PreconditionError, RankDeficiencyError,
+                      UnsupportedInputError)
 from .surface import as_surface
 
 __all__ = [
     "orthonormal_frames",
-    "GraphPatch",
     "PatchStack",
-    "CurvatureData",
     "PatchClassParams",
     "PatchValidationReport",
-    "tangent_frame",
     "graph_patch_at",
-    "curvature_at",
     "validate_patch_class",
     "default_patch_radius",
     "fit_tangent_frames",
@@ -168,69 +164,6 @@ BOUND_GRID = (16, 16)
 
 
 @dataclass
-class GraphPatch:
-    """Local graph representation of the surface over its tangent plane.
-
-    Every patch evaluates its height h and height Jacobian at tangent
-    coordinates eta. A patch is one node of a `PatchStack` (its callables
-    are the stack's, bound to that node).
-    """
-
-    base_point: np.ndarray        # (n,)
-    tangent: np.ndarray           # (n, m) orthonormal, oriented
-    normal: np.ndarray            # (n, n-m) orthonormal
-    radius: float                 # validated radius
-    height: object                # eta (..., m) -> (..., n-m)
-    height_jacobian: object       # eta (..., m) -> (..., n-m, m)
-    fit_residual: float
-
-    @property
-    def m(self) -> int:
-        return self.tangent.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.tangent.shape[0]
-
-    def embed(self, eta):
-        """Map tangent coordinates back to ambient points."""
-        eta = np.asarray(eta, dtype=float)
-        h = self.height(eta)
-        return (self.base_point + eta @ self.tangent.T + h @ self.normal.T)
-
-    def measure_derivative_bound(self):
-        """sup |d^mu h| over a polar grid for 0 <= |mu| <= 3.
-
-        The grid has BOUND_GRID (angles, radii) points. Orders 0-1 come from
-        the patch callables; orders 2 and 3 use central differences of the
-        height Jacobian.
-        """
-        r = self.radius
-        n_angular, n_radial = BOUND_GRID
-        angles = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
-        radii = np.linspace(r / n_radial, r * 0.98, n_radial)
-        if self.m == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        eta = (dirs[None, :, :] * radii[:, None, None]).reshape(-1, self.m)
-        sup = float(np.max(np.abs(self.height(eta))))
-        jac = self.height_jacobian(eta)
-        sup = max(sup, float(np.max(np.abs(jac))))
-        step = max(r / 256.0, 1e-6)
-        for axis in range(self.m):
-            de = np.zeros(self.m)
-            de[axis] = step
-            plus = self.height_jacobian(eta + de)
-            minus = self.height_jacobian(eta - de)
-            d2 = (plus - minus) / (2 * step)
-            sup = max(sup, float(np.max(np.abs(d2))))
-            d3 = (plus - 2.0 * jac + minus) / step ** 2
-            sup = max(sup, float(np.max(np.abs(d3))))
-        return sup
-
-
-@dataclass
 class PatchStack:
     """Graph patches of B surface points, every array with a leading node axis.
 
@@ -243,7 +176,6 @@ class PatchStack:
     Newton in the chart parameters of its node; mesh stacks in closed form
     on the vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
     graph's tangent plane. Errors raised for one row carry that row's node.
-    `stack[i]` is the `GraphPatch` of node i.
     """
 
     base_point: np.ndarray        # (B, n)
@@ -267,16 +199,43 @@ class PatchStack:
     def __len__(self):
         return len(self.radii)
 
-    def __getitem__(self, i) -> GraphPatch:
-        def bound(fn):
-            return lambda x, *rest: fn(np.full(np.shape(x)[:-1], i), x, *rest)
+    def derivative_bounds(self):
+        """sup |d^mu h| of each node's patch over a polar grid, 0 <= |mu| <= 3.
 
-        return GraphPatch(base_point=self.base_point[i],
-                          tangent=self.tangent[i], normal=self.normal[i],
-                          radius=float(self.radii[i]),
-                          height=bound(self.height),
-                          height_jacobian=bound(self.height_jacobian),
-                          fit_residual=float(self.fit_residual[i]))
+        The grid has BOUND_GRID (angles, radii) points out to 0.98 of the
+        node's radius. Orders 0-1 come from the patch callables; orders 2
+        and 3 use central differences of the height Jacobian, step
+        max(r / 256, 1e-6). Every node's rows go through one flat call of
+        each callable. Returns (B,).
+        """
+        B, m = len(self), self.m
+        n_angular, n_radial = BOUND_GRID
+        radii = np.linspace(self.radii / n_radial, self.radii * 0.98,
+                            n_radial, axis=-1)                 # (B, n_radial)
+        if m == 1:
+            dirs = np.array([[1.0], [-1.0]])
+        else:
+            angles = np.linspace(0.0, 2.0 * math.pi, n_angular,
+                                 endpoint=False)
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        eta = (dirs[None, None] * radii[..., None, None]).reshape(-1, m)
+        node = np.repeat(np.arange(B), len(eta) // B)
+        step = np.repeat(np.maximum(self.radii / 256.0, 1e-6), len(eta) // B)
+
+        def per_node(a):
+            return np.abs(a).reshape(B, -1).max(axis=1)
+
+        jac = self.height_jacobian(node, eta)
+        sup = np.maximum(per_node(self.height(node, eta)), per_node(jac))
+        for axis in range(m):
+            de = np.zeros_like(eta)
+            de[:, axis] = step
+            plus = self.height_jacobian(node, eta + de)
+            minus = self.height_jacobian(node, eta - de)
+            d2 = (plus - minus) / (2 * step[:, None, None])
+            d3 = (plus - 2.0 * jac + minus) / step[:, None, None] ** 2
+            sup = np.maximum(sup, np.maximum(per_node(d2), per_node(d3)))
+        return sup
 
     @staticmethod
     def concatenate(stacks) -> "PatchStack":
@@ -301,10 +260,11 @@ class PatchStack:
                         if exc.node is not None:
                             exc.node += int(start[k])
                         raise
+                    # the sub-stack's rows have one leading axis
                     parts = res if isinstance(res, tuple) else (res,)
                     if out is None:
-                        out = [np.empty(node.shape + p.shape[node.ndim:],
-                                        p.dtype) for p in parts]
+                        out = [np.empty(node.shape + p.shape[1:], p.dtype)
+                               for p in parts]
                     for o, p in zip(out, parts):
                         o[sel] = p
                 return tuple(out) if isinstance(res, tuple) else out[0]
@@ -464,77 +424,20 @@ def fit_quadratic_patches(offsets, mask, seed_tangent):
     return (tangent, normal, *fit_curvature(tangent, normal, solve))
 
 
-def tangent_frame(surface, locator):
-    """Oriented orthonormal (tangent, normal) frames at a surface point."""
-    tangent, normal, _ = as_surface(surface).curvatures([locator])
-    return tangent[0], normal[0]
+def graph_patch_at(surface, locators, radius, shrink=True):
+    """The `PatchStack` of a list of located surface points, built in one
+    batch.
 
-
-def graph_patch_at(surface, locator, radius, shrink=True):
-    """Graph patch of the surface at the located point.
-
-    Returns the largest validated radius <= request; raises PatchRadiusError
-    when shrink=False and the requested radius is not graph-representable.
-    A list of locators gives their `PatchStack`, built in one batch.
+    Each node gets the largest validated radius <= request; with
+    shrink=False a radius that is not graph-representable raises
+    PatchRadiusError naming the node instead.
     """
-    surface = as_surface(surface)
-    if isinstance(locator, list):
-        return surface.patches_at(locator, radius, shrink)
-    return surface.patches_at([locator], radius, shrink)[0]
+    return as_surface(surface).patches_at(locators, radius, shrink)
 
 
 # ----------------------------------------------------------------------
 # curvature
 # ----------------------------------------------------------------------
-
-@dataclass
-class CurvatureData:
-    """Second fundamental form data at a point."""
-
-    second_fundamental: np.ndarray   # (m, m, n-m), h_ij vectors
-    tangent: np.ndarray
-    normal: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.second_fundamental.shape[0]
-
-    @property
-    def mean_vector(self) -> np.ndarray:
-        return np.einsum("iic->c", self.second_fundamental)
-
-    @property
-    def hs_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.second_fundamental ** 2)))
-
-    @property
-    def delta(self) -> float:
-        """Umbilicity defect |h11 - h22|^2 + 4 |h12|^2 (m = 2)."""
-        if self.m != 2:
-            raise PreconditionError("delta is defined for m = 2 only")
-        return float(umbilicity_defect(self.second_fundamental))
-
-    @property
-    def gauss(self) -> float:
-        h = self.second_fundamental
-        if self.m != 2:
-            raise PreconditionError("Gauss curvature is defined for m = 2 only")
-        return float(h[0, 0] @ h[1, 1] - h[0, 1] @ h[0, 1])
-
-    @property
-    def principal(self):
-        """Principal curvatures (hypersurfaces, n - m = 1)."""
-        if self.second_fundamental.shape[2] != 1:
-            raise PreconditionError("principal curvatures need codimension 1")
-        return tuple(np.linalg.eigvalsh(self.second_fundamental[..., 0]))
-
-    def identity_residuals(self):
-        """Residuals of Delta = 2||h||^2 - |H|^2 and K = (|H|^2 - ||h||^2)/2."""
-        H2 = float(self.mean_vector @ self.mean_vector)
-        hs2 = self.hs_norm ** 2
-        return (abs(self.delta - (2.0 * hs2 - H2)),
-                abs(self.gauss - 0.5 * (H2 - hs2)))
-
 
 def umbilicity_defect(sff):
     """|h11 - h22|^2 + 4 |h12|^2 of second fundamental forms (..., 2, 2, c):
@@ -543,19 +446,15 @@ def umbilicity_defect(sff):
     return np.sum(d * d + 4.0 * sff[..., 0, 1, :] ** 2, axis=-1)
 
 
-def curvature_at(surface, locator) -> CurvatureData:
-    """Second fundamental form (and derived scalars) at a surface point."""
-    tangent, normal, sff = as_surface(surface).curvatures([locator])
-    return CurvatureData(second_fundamental=sff[0], tangent=tangent[0],
-                         normal=normal[0])
-
-
 def default_patch_radius(surface):
     """Curvature-capped patch radius: 0.9 / max principal curvature, the
     maximum over 8 nodes spread evenly over the scale-0.25 rule.
 
-    The radius is not capped by the separation of components: chord balls
-    only ever see one sheet, and cross-component pairs take the true kernel.
+    The radius is capped neither by the separation of components nor by
+    that of two sheets of one component, so another sheet can lie inside
+    a chord ball: on a figure-eight curve whose strands pass 2 delta apart
+    the radius is 0.27-0.35 at every delta, and for delta <= 0.1 the other
+    strand is inside the ball.
     """
     nodes = as_surface(surface).nodes(0.25)
     take = np.linspace(0, len(nodes.points) - 1, 8).astype(int)
@@ -578,6 +477,10 @@ def curvature_radius(sff):
 # ----------------------------------------------------------------------
 # patch-class validation
 # ----------------------------------------------------------------------
+
+# Points of the scale-0.25 rule that the patch-class check samples.
+PATCH_CLASS_SAMPLES = 24
+
 
 @dataclass
 class PatchClassParams:
@@ -617,52 +520,61 @@ class PatchValidationReport:
         }
 
 
-def validate_patch_class(surface, params: PatchClassParams, samples=24):
+def validate_patch_class(surface, params: PatchClassParams):
     """Sampled check of the uniform-geometry class conditions.
 
-    Reports whether sampled points admit graph patches of the class radius
-    with derivative bound b (measured as a sup over a 16 x 16 polar grid, and
-    alternatively as a fit residual for discrete data), and whether the total
-    volume is within the class bound. Report-valued: never raises on failure.
+    Reports whether PATCH_CLASS_SAMPLES points spread over the scale-0.25
+    rule admit graph patches of the class radius with derivative bound b
+    (measured as a sup over a 16 x 16 polar grid, and alternatively as a
+    fit residual for discrete data), and whether the total volume is within
+    the class bound. The samples form one patch stack; a failure that
+    names a node is that sample's violation and the stack is built again
+    without it, one that names none is a violation of every sample left.
+    Report-valued: never raises on failure.
+
+    components_in_ball counts the component labels of the rule's nodes
+    within the class radius of each measured sample, so a second sheet of
+    the same component inside the ball is not seen.
     """
-    violations = []
-    b_sup = 0.0
-    b_res = 0.0
-    comps_in_ball = []
     nodes = as_surface(surface).nodes(0.25)
     take = np.linspace(0, len(nodes.points) - 1,
-                       min(samples, len(nodes.points))).astype(int)
+                       min(PATCH_CLASS_SAMPLES, len(nodes.points))).astype(int)
     locators = [nodes.locators[i] for i in take]
-    volume = nodes.volume
-    all_points = nodes.points
-    all_comp = nodes.component
-    base_pts = nodes.points[take]
-    for loc, x0 in zip(locators, base_pts):
+    reasons = {}
+    todo = list(range(len(locators)))          # samples still in the batch
+    sups = fits = np.zeros(0)
+    while todo:
         try:
-            patch = graph_patch_at(surface, loc, params.radius, shrink=False)
-        except (PatchRadiusError, NumericalError) as exc:
-            violations.append({"locator": repr(loc), "reason": str(exc)})
-            continue
-        if patch.radius < params.radius * (1 - 1e-9):
-            violations.append({"locator": repr(loc),
-                               "reason": f"validated radius {patch.radius:.6g}"
-                                         f" < requested {params.radius:.6g}"})
-            continue
-        sup = patch.measure_derivative_bound()
-        b_sup = max(b_sup, sup)
-        b_res = max(b_res, patch.fit_residual)
+            stack = graph_patch_at(surface, [locators[i] for i in todo],
+                                   params.radius, shrink=False)
+            capped = stack.radii < params.radius * (1 - 1e-9)
+            if not capped.any():
+                sups, fits = stack.derivative_bounds(), stack.fit_residual
+                break
+            for k in np.flatnonzero(capped):
+                reasons[todo[k]] = (f"validated radius {stack.radii[k]:.6g}"
+                                    f" < requested {params.radius:.6g}")
+            todo = [i for i, c in zip(todo, capped) if not c]
+        except NumericalError as exc:
+            if exc.node is None:
+                reasons.update((i, str(exc)) for i in todo)
+                todo = []
+            else:
+                reasons[todo.pop(exc.node)] = str(exc)
+    for i, sup in zip(todo, sups):
         if sup > params.derivative_bound:
-            violations.append({"locator": repr(loc),
-                               "reason": f"derivative sup {sup:.6g} exceeds"
-                                         f" b={params.derivative_bound:.6g}"})
-        dist = np.linalg.norm(all_points - x0, axis=-1)
-        near = dist < params.radius
-        comps_in_ball.append(int(len(np.unique(all_comp[near]))))
-    volume_ok = volume <= params.volume_bound
-    passed = volume_ok and not violations
+            reasons[i] = (f"derivative sup {sup:.6g} exceeds"
+                          f" b={params.derivative_bound:.6g}")
+    dist = np.linalg.norm(nodes.points[None]
+                          - nodes.points[take[todo]][:, None], axis=-1)
+    volume_ok = nodes.volume <= params.volume_bound
     return PatchValidationReport(
-        passed=passed, volume=volume, volume_ok=volume_ok,
-        sample_count=len(locators), violations=violations,
-        b_sup_measured=b_sup, b_fit_residual=b_res,
-        components_in_ball=comps_in_ball,
+        passed=volume_ok and not reasons, volume=nodes.volume,
+        volume_ok=volume_ok, sample_count=len(locators),
+        violations=[{"locator": repr(locators[i]), "reason": reasons[i]}
+                    for i in sorted(reasons)],
+        b_sup_measured=max([0.0, *map(float, sups)]),
+        b_fit_residual=max([0.0, *map(float, fits)]),
+        components_in_ball=[int(len(np.unique(nodes.component[near])))
+                            for near in dist < params.radius],
     )

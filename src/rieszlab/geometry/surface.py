@@ -3,9 +3,8 @@
 The energies, patches and curvature routines reach a surface only through
 the members below, so none of them branches on the kind of surface.
 `ChartSurface` and `TriMesh` implement them; `as_surface` is the one gate
-that turns any other object away. The single-point queries are the module
-functions `graph_patch_at`, `curvature_at` and `tangent_frame` of
-`patches.py`, which read `patches_at` and `curvatures` at one point.
+that turns any other object away. Patches and curvatures are asked for a
+list of located points at once; one point is a list of one.
 
 - `m`, `n`, `closed`, `oriented`.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from rieszlab.flow import FlowState, energy_gradient, run_flow
-from rieszlab.geometry import (curvature_at, graph_patch_at, icosphere,
-                               make_circle, make_ellipsoid,
-                               make_saddle_surface, make_sphere)
+from rieszlab.geometry import (graph_patch_at, icosphere, make_circle,
+                               make_ellipsoid, make_saddle_surface,
+                               make_sphere)
+from rieszlab.geometry.patches import umbilicity_defect
 from rieszlab.models import (cone_model_scan, orthogonal_model_closed_form,
                              orthogonal_model_integral, tangent_model_scan,
                              two_body_sweep)
@@ -77,7 +78,7 @@ def test_c03_auckly_sadun_sphere():
     base = riesz_energy(sph, -4.0, config=cfg)
     # decomposition pieces
     q = sph.quadrature(0.3)
-    deltas = np.array([curvature_at(sph, loc).delta for loc in q.locators])
+    deltas = umbilicity_defect(sph.curvatures(q.locators)[2])
     curv_terms = float(np.dot(q.weights, deltas))
     topo = 0.5 * math.pi ** 2 * 2
     ok = (abs(rep.value) < 0.01 * math.pi ** 2
@@ -231,7 +232,7 @@ def test_c07_radial_curvature_link():
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
         prof = radial_profile(patch, patch.radius)
-        delta = curvature_at(ell, (0, u)).delta
+        delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         expected = math.pi * delta / 4.0
         rel = abs(2.0 * prof.taylor[0, 2] - expected) / abs(expected)
         worst = max(worst, rel)

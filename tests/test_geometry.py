@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from rieszlab.cli import parse_surface
 from rieszlab.errors import (NumericalError, RankDeficiencyError,
                              TopologyError, UnsupportedInputError)
-from rieszlab.geometry import (PatchClassParams, curvature_at,
-                               euler_characteristic, fit_quadratic_patches,
-                               graph_patch_at, icosphere, make_circle,
-                               make_cylinder_patch, make_disjoint_union,
-                               make_ellipsoid, make_sphere, make_torus,
-                               mesh_disjoint_union, orthonormal_frames,
-                               polygon_circle, read_obj,
-                               read_off, tangent_frame, torus_mesh,
-                               validate_patch_class, write_obj, write_off)
+from rieszlab.geometry import (PatchClassParams, euler_characteristic,
+                               fit_quadratic_patches, graph_patch_at,
+                               icosphere, make_circle, make_cylinder_patch,
+                               make_disjoint_union, make_ellipsoid,
+                               make_sphere, make_torus, mesh_disjoint_union,
+                               orthonormal_frames, polygon_circle, read_obj,
+                               read_off, torus_mesh, validate_patch_class,
+                               write_obj, write_off)
 from rieszlab.geometry.charts import _graph_patch_surface, _inv_small
-from rieszlab.geometry.patches import orthonormal_frames_adjoint
+from rieszlab.geometry.patches import (orthonormal_frames_adjoint,
+                                       umbilicity_defect)
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
 
@@ -71,16 +72,27 @@ def _assert_frames_match_reference(jac, tangent, normal):
     assert np.all(np.linalg.det(full) > 0)
 
 
+def frames(surface, locator):
+    """(tangent, normal) frames at one located point."""
+    tangent, normal, _ = surface.curvatures([locator])
+    return tangent[0], normal[0]
+
+
+def curvature(surface, locator):
+    """The second fundamental form (m, m, n-m) at one located point."""
+    return surface.curvatures([locator])[2][0]
+
+
 def test_circle_frame():
     circ = make_circle()
-    T, N = tangent_frame(circ, [0.0])
+    T, N = frames(circ, [0.0])
     np.testing.assert_allclose(T.ravel(), [0.0, 1.0], atol=1e-14)
     assert abs(abs(N[0, 0]) - 1.0) < 1e-14 and abs(N[1, 0]) < 1e-14
 
 
 def test_sphere_frame_near_pole():
     sph = make_sphere()
-    T, N = tangent_frame(sph, [1e-3, 0.3])
+    T, N = frames(sph, [1e-3, 0.3])
     # tangent span ~ xy-plane, normal ~ +-z
     assert abs(abs(N[2, 0]) - 1.0) < 1e-5
     ortho = np.concatenate([T, N], axis=1)
@@ -89,14 +101,14 @@ def test_sphere_frame_near_pole():
 
 def test_paraboloid_frame_at_origin():
     par = make_paraboloid_surface()
-    T, N = tangent_frame(par, [0.0, 0.0])
+    T, N = frames(par, [0.0, 0.0])
     assert np.max(np.abs(T[2, :])) < 1e-14   # tangent span is the xy-plane
 
 
 @pytest.mark.parametrize("u", [[0.7, 0.3], [1.4, 2.0], [2.4, 5.1]])
 def test_frame_orthonormality(u):
     sph = make_sphere(1.7)
-    T, N = tangent_frame(sph, u)
+    T, N = frames(sph, u)
     full = np.concatenate([T, N], axis=1)
     np.testing.assert_allclose(full.T @ full, np.eye(3), atol=1e-12)
     assert np.linalg.det(full) > 0
@@ -171,43 +183,47 @@ def test_orthonormal_frames_adjoint_matches_complex_step(shape, read_normal):
 def test_sphere_graph_patch_height():
     # height function of the unit sphere over its tangent plane
     sph = make_sphere()
-    patch = graph_patch_at(sph, (0, [math.pi / 2, 0.0]), 0.5)
-    assert patch.radius == pytest.approx(0.5)
+    stack = graph_patch_at(sph, [(0, [math.pi / 2, 0.0])], 0.5)
+    assert stack.radii[0] == pytest.approx(0.5)
     rng = np.random.default_rng(1)
     eta = rng.uniform(-0.3, 0.3, size=(20, 2))
-    h = patch.height(eta)
+    h = stack.height(np.zeros(20, dtype=int), eta)
     expected = 1.0 - np.sqrt(1.0 - np.sum(eta ** 2, axis=1))
     np.testing.assert_allclose(np.abs(h[:, 0]), expected, atol=1e-10)
-    assert patch.measure_derivative_bound() >= 1.0
+    assert stack.derivative_bounds()[0] >= 1.0
 
 
 def test_flat_patch_is_zero():
     par = make_paraboloid_surface(cx=0.0, cy=0.0)   # the plane z = 0
-    patch = graph_patch_at(par, (0, [0.1, -0.2]), 0.4)
+    stack = graph_patch_at(par, [(0, [0.1, -0.2])], 0.4)
     eta = np.array([[0.1, 0.05], [-0.2, 0.1]])
-    np.testing.assert_allclose(patch.height(eta), 0.0, atol=1e-12)
-    assert patch.measure_derivative_bound() < 1e-10
+    np.testing.assert_allclose(stack.height(np.zeros(2, dtype=int), eta),
+                               0.0, atol=1e-12)
+    assert stack.derivative_bounds()[0] < 1e-10
 
 
 def test_cylinder_patch_flat_direction():
     cyl = make_cylinder_patch(1.0, 1.0)
-    patch = graph_patch_at(cyl, (0, [0.0, 0.0]), 0.4)
+    stack = graph_patch_at(cyl, [(0, [0.0, 0.0])], 0.4)
+    node = np.zeros(1, dtype=int)
     # h depends on the circumferential variable only; the axial second
     # derivative vanishes identically
     step = 1e-4
     for ax_val in (-0.2, 0.0, 0.2):
-        h0 = patch.height(np.array([[0.1, ax_val - step]]))
-        h1 = patch.height(np.array([[0.1, ax_val]]))
-        h2 = patch.height(np.array([[0.1, ax_val + step]]))
+        h0 = stack.height(node, np.array([[0.1, ax_val - step]]))
+        h1 = stack.height(node, np.array([[0.1, ax_val]]))
+        h2 = stack.height(node, np.array([[0.1, ax_val + step]]))
         second = (h0 - 2 * h1 + h2) / step ** 2
         assert np.max(np.abs(second)) < 1e-5
 
 
 def test_patch_reembedding():
     ell = make_sphere(1.3)
-    patch = graph_patch_at(ell, (0, [1.2, 0.7]), 0.6)
+    stack = graph_patch_at(ell, [(0, [1.2, 0.7])], 0.6)
     eta = np.array([[0.3, -0.2], [0.0, 0.45]])
-    pts = patch.embed(eta)
+    h = stack.height(np.zeros(2, dtype=int), eta)
+    pts = (stack.base_point[0] + eta @ stack.tangent[0].T
+           + h @ stack.normal[0].T)
     # image points lie on the sphere
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.3, atol=1e-10)
 
@@ -226,24 +242,50 @@ def test_concatenated_stack_errors_name_the_stack_node():
     assert exc.value.node == 2
 
 
+def test_concatenated_stack_build_errors_name_the_stack_node():
+    # a radius of 0.3 on a sphere of radius 0.1 fails at the first node of
+    # the second chart run, node 1 of the list
+    both = make_disjoint_union(
+        make_sphere(), make_sphere(0.1, (3.0, 0.0, 0.0), component=1))
+    with pytest.raises(NumericalError) as exc:
+        graph_patch_at(both, [(0, np.array([1.0, 0.5])),
+                              (1, np.array([1.0, 0.5])),
+                              (1, np.array([1.2, 2.0]))], 0.3, shrink=False)
+    assert exc.value.node == 1
+
+
+def test_concatenated_stack_rows_keep_their_node_shape():
+    both = make_disjoint_union(
+        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
+    stack = graph_patch_at(both, [(0, np.array([1.0, 0.5])),
+                                  (1, np.array([1.0, 0.5])),
+                                  (1, np.array([1.2, 2.0]))], 0.3)
+    node = np.array([[0, 2], [1, 0]])
+    eta = np.random.default_rng(3).uniform(-0.2, 0.2, size=(2, 2, 2))
+    for fn in (stack.height, stack.height_jacobian):
+        flat = fn(node.ravel(), eta.reshape(4, 2))
+        np.testing.assert_array_equal(fn(node, eta),
+                                      flat.reshape(2, 2, *flat.shape[1:]))
+
+
 def test_sphere_curvature():
     sph = make_sphere(2.0)
-    data = curvature_at(sph, [1.0, 0.4])
-    assert data.delta == pytest.approx(0.0, abs=1e-12)
-    assert data.gauss == pytest.approx(0.25, abs=1e-10)
-    k1, k2 = data.principal
+    sff = curvature(sph, [1.0, 0.4])
+    assert umbilicity_defect(sff) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.det(sff[..., 0]) == pytest.approx(0.25, abs=1e-10)
+    k1, k2 = np.linalg.eigvalsh(sff[..., 0])
     assert abs(k1) == pytest.approx(0.5, abs=1e-10)
     assert abs(k2) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_cylinder_curvature_chart_and_fit():
     cyl = make_cylinder_patch(1.0, 1.0)
-    data = curvature_at(cyl, (0, [0.2, 0.1]))
-    kap = sorted(abs(k) for k in data.principal)
+    sff = curvature(cyl, (0, [0.2, 0.1]))
+    kap = sorted(abs(k) for k in np.linalg.eigvalsh(sff[..., 0]))
     assert kap[0] == pytest.approx(0.0, abs=1e-10)
     assert kap[1] == pytest.approx(1.0, abs=1e-10)
-    assert data.delta == pytest.approx(1.0, abs=1e-9)
-    assert data.gauss == pytest.approx(0.0, abs=1e-10)
+    assert umbilicity_defect(sff) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.det(sff[..., 0]) == pytest.approx(0.0, abs=1e-10)
     # cross-check the quadratic-fit estimator against the chart values
     q = cyl.quadrature(1.0)
     base = np.array([np.cos(0.2), np.sin(0.2), 0.1])
@@ -262,27 +304,30 @@ def test_cylinder_curvature_chart_and_fit():
 
 def test_plane_curvature():
     par = make_paraboloid_surface(cx=0.0, cy=0.0)
-    data = curvature_at(par, (0, [0.3, 0.2]))
-    assert data.delta == pytest.approx(0.0, abs=1e-12)
-    assert data.gauss == pytest.approx(0.0, abs=1e-12)
+    sff = curvature(par, (0, [0.3, 0.2]))
+    assert umbilicity_defect(sff) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.det(sff[..., 0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curvature_identities_on_charts():
+    # Delta = 2 ||h||^2 - |H|^2 and K = (|H|^2 - ||h||^2) / 2
     surf = make_torus(2.0, 0.5)
-    for u in ([0.3, 1.1], [2.0, 4.0], [4.4, 0.2]):
-        data = curvature_at(surf, u)
-        res_delta, res_gauss = data.identity_residuals()
-        assert res_delta < 1e-10
-        assert res_gauss < 1e-10
+    sff = surf.curvatures([[0.3, 1.1], [2.0, 4.0], [4.4, 0.2]])[2]
+    H2 = np.sum(np.einsum("kiic->kc", sff) ** 2, axis=-1)
+    hs2 = np.sum(sff ** 2, axis=(1, 2, 3))
+    np.testing.assert_allclose(umbilicity_defect(sff), 2.0 * hs2 - H2,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.linalg.det(sff[..., 0]), 0.5 * (H2 - hs2),
+                               rtol=0, atol=1e-10)
 
 
 def test_torus_gauss_curvature_analytic():
     R, r = 2.0, 0.5
     tor = make_torus(R, r)
     for th in (0.5, 1.7, 3.0):
-        data = curvature_at(tor, [th, 1.0])
+        gauss = np.linalg.det(curvature(tor, [th, 1.0])[..., 0])
         expected = math.cos(th) / (r * (R + r * math.cos(th)))
-        assert data.gauss == pytest.approx(expected, abs=1e-9)
+        assert gauss == pytest.approx(expected, abs=1e-9)
 
 
 def test_mesh_curvature_convergence():
@@ -290,7 +335,7 @@ def test_mesh_curvature_convergence():
     for subdiv in (1, 2, 3):
         mesh = icosphere(subdiv)
         sample = range(0, mesh.num_vertices, max(1, mesh.num_vertices // 24))
-        ks = [curvature_at(mesh, v).gauss for v in sample]
+        ks = np.linalg.det(mesh.curvatures(list(sample))[2][..., 0])
         errors.append(abs(np.mean(ks) - 1.0))
     assert errors[0] > errors[1] > errors[2]
 
@@ -322,8 +367,9 @@ def test_validate_patch_class_sphere_pass():
     sph = make_sphere()
     params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=20.0)
-    report = validate_patch_class(sph, params, samples=12)
+    report = validate_patch_class(sph, params)
     assert report.passed
+    assert report.sample_count == 24
     assert report.volume == pytest.approx(4 * math.pi, rel=1e-8)
 
 
@@ -331,7 +377,7 @@ def test_validate_patch_class_volume_fail():
     sph = make_sphere()
     params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=1.0)
-    report = validate_patch_class(sph, params, samples=6)
+    report = validate_patch_class(sph, params)
     assert not report.passed
     assert not report.volume_ok
     assert report.volume == pytest.approx(4 * math.pi, rel=1e-8)
@@ -340,24 +386,30 @@ def test_validate_patch_class_volume_fail():
 @pytest.mark.parametrize("surface", [make_sphere(), icosphere(2)],
                          ids=["sphere", "icosphere2"])
 def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
+    # a passing surface is checked on one stack of all its samples, and
+    # their derivative bounds are measured in one pass
     import rieszlab.geometry.patches as patches
 
     params = PatchClassParams(radius=0.1, derivative_bound=10.0,
                               volume_bound=20.0)
-    calls = []
-    measure = patches.GraphPatch.measure_derivative_bound
+    sizes, measured = [], []
+    build = type(surface).patches_at
+    measure = patches.PatchStack.derivative_bounds
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return measure(self, *args, **kwargs)
+    def counted_build(self, locators, radius, shrink):
+        sizes.append(len(locators))
+        return build(self, locators, radius, shrink)
 
-    monkeypatch.setattr(patches.GraphPatch, "measure_derivative_bound",
-                        counted)
-    report = validate_patch_class(surface, params, samples=8)
-    measured = report.sample_count - len(report.violations)
-    assert measured > 0
-    assert len(calls) == measured
-    assert len({id(p) for p in calls}) == measured
+    def counted_measure(self):
+        measured.append(len(self))
+        return measure(self)
+
+    monkeypatch.setattr(type(surface), "patches_at", counted_build)
+    monkeypatch.setattr(patches.PatchStack, "derivative_bounds",
+                        counted_measure)
+    report = validate_patch_class(surface, params)
+    assert report.passed
+    assert sizes == measured == [report.sample_count]
 
 
 def test_validate_two_disjoint_spheres():
@@ -366,9 +418,54 @@ def test_validate_two_disjoint_spheres():
     both = make_disjoint_union(a, b)
     params = PatchClassParams(radius=0.3, derivative_bound=10.0,
                               volume_bound=40.0)
-    report = validate_patch_class(both, params, samples=10)
+    report = validate_patch_class(both, params)
     assert report.passed
-    assert all(c == 1 for c in report.components_in_ball)
+    assert report.components_in_ball == [1] * 24
+
+
+NEWTON = ("graph-patch Newton did not converge inside the requested radius "
+          "(chart 0)")
+
+
+def _sample_locators(surface):
+    nodes = surface.nodes(0.25)
+    take = np.linspace(0, len(nodes.points) - 1, 24).astype(int)
+    return [repr(nodes.locators[i]) for i in take]
+
+
+@pytest.mark.parametrize("spec, radius, reasons", [
+    ("torus", 0.8, {i: NEWTON for i in range(24)}),
+    ("circle", 1000.0, {i: NEWTON for i in range(24)}),
+    ("polygon", 0.4, {i: "validated radius 0.176431 < requested 0.4"
+                      for i in range(24)}),
+    ("ellipsoid:a=3,b=0.4,c=1", 0.4, {
+        0: "derivative sup 6.19787e+06 exceeds b=10",
+        1: "derivative sup 6.19787e+06 exceeds b=10",
+        **{i: NEWTON for i in [*range(2, 8), *range(18, 24)]},
+        8: "derivative sup 734.403 exceeds b=10",
+        16: "derivative sup 103.696 exceeds b=10",
+        17: "derivative sup 5684.37 exceeds b=10"}),
+], ids=["torus-0.8", "circle-1000", "polygon-0.4", "ellipsoid-0.4"])
+def test_validate_patch_class_failures(spec, radius, reasons):
+    # every failing sample is one violation, in sample order, with the
+    # reason of its own failure; the check reports and does not raise
+    surface = parse_surface(spec)
+    params = PatchClassParams(radius=radius, derivative_bound=10.0,
+                              volume_bound=100.0)
+    report = validate_patch_class(surface, params)
+    locators = _sample_locators(surface)
+    assert not report.passed and report.volume_ok
+    assert report.sample_count == 24
+    assert report.violations == [{"locator": locators[i],
+                                  "reason": reasons[i]}
+                                 for i in sorted(reasons)]
+    # a sample over the derivative bound was measured; the others were not
+    measured = 24 - sum(not r.startswith("derivative")
+                        for r in reasons.values())
+    assert report.components_in_ball == [1] * measured
+    assert (report.b_sup_measured == 0.0) == (measured == 0)
+    if spec.startswith("ellipsoid"):
+        assert f"{report.b_sup_measured:.6g}" == "6.19787e+06"
 
 
 def test_mesh_io_roundtrip(tmp_path):

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import rieszlab.moebius
 from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
-                      apply_moebius, curvature_at, energy_gradient,
-                      graph_patch_at, icosphere, ks_cross_energy, ks_energy,
-                      ks_flow_energy, make_circle, make_disjoint_union,
-                      make_disk, make_ellipsoid, make_sphere, make_torus,
-                      polygon_circle, tangent_frame, torus_mesh)
+                      apply_moebius, energy_gradient, graph_patch_at,
+                      icosphere, ks_cross_energy, ks_energy, ks_flow_energy,
+                      make_circle, make_disjoint_union, make_disk,
+                      make_ellipsoid, make_sphere, make_torus, polygon_circle,
+                      torus_mesh)
 from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import orthonormal_frames
 from rieszlab.geometry.patches import umbilicity_defect
@@ -34,12 +34,15 @@ def _walker(surface, loc):
     basis there: on charts a step A eta in the parameters, A = (T^T J)^-1;
     on meshes the point over eta on the vertex's fitted quadratic graph."""
     if isinstance(surface, TriMesh):
-        p = graph_patch_at(surface, loc, None)
-        return lambda eta: (p.embed(eta[None])[0],
-                            p.tangent + p.normal @ p.height_jacobian(eta[None])[0])
+        p = graph_patch_at(surface, [loc], None)
+        x0, T, N = p.base_point[0], p.tangent[0], p.normal[0]
+        node = np.zeros(1, dtype=int)
+        return lambda eta: (
+            x0 + eta @ T.T + p.height(node, eta[None])[0] @ N.T,
+            T + N @ p.height_jacobian(node, eta[None])[0])
     k, u0 = surface.locate(loc)
     chart = surface.charts[k]
-    A = np.linalg.inv(tangent_frame(surface, loc)[0].T @ chart.jacobian(u0))
+    A = np.linalg.inv(surface.curvatures([loc])[0][0].T @ chart.jacobian(u0))
     return lambda eta: (chart.value(u0 + A @ eta), chart.jacobian(u0 + A @ eta))
 
 
@@ -48,7 +51,7 @@ def _isotropic_limit(surface, loc, h):
     (8 on surfaces, 2 on curves) of lim (1 - cos theta) / d^2 along e, each
     extrapolated quadratically in d from steps h, h/2, h/4."""
     x = surface.basis_at(loc)[0]
-    tangent = tangent_frame(surface, loc)[0]
+    tangent = surface.curvatures([loc])[0][0]
     walk = _walker(surface, loc)
     if surface.m == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -205,8 +208,8 @@ def test_chart_curvatures_match_per_point_reference(name):
         assert np.array_equal(tangent[i], ref_t)
         assert np.array_equal(normal[i], ref_n)
         assert np.max(np.abs(sff[i] - ref_sff)) <= 1e-14
-        one = curvature_at(surface, loc)
-        assert np.max(np.abs(one.second_fundamental - sff[i])) <= 1e-14
+        one = surface.curvatures([loc])[2][0]
+        assert np.max(np.abs(one - sff[i])) <= 1e-14
 
 
 def test_ks_energy_is_inversion_invariant_to_rounding():

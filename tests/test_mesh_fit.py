@@ -8,9 +8,9 @@ to the fitted graph's tangent plane) that the batched fit must reproduce.
 import numpy as np
 import pytest
 
-from rieszlab import (TriMesh, curvature_at, graph_patch_at, icosphere,
-                      ks_energy, make_torus, mesh_disjoint_union,
-                      polygon_circle, tangent_frame, torus_mesh)
+from rieszlab import (TriMesh, graph_patch_at, icosphere, ks_energy,
+                      make_torus, mesh_disjoint_union, polygon_circle,
+                      torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 
 
@@ -91,18 +91,21 @@ def _fit_one(base, points, seed):
 def test_batched_fit_matches_per_vertex_fit(name):
     mesh = MESHES[name]()
     rings = mesh.vertex_rings(2)
+    stack = graph_patch_at(mesh, list(range(mesh.num_vertices)), None)
     for v in range(mesh.num_vertices):
         tangent, normal, coeffs, rms = _fit_one(
             mesh.vertices[v], mesh.vertices[rings[v]],
             _seed(mesh, v, rings[v]))
-        patch = graph_patch_at(mesh, v, None)
-        np.testing.assert_allclose(patch.tangent, tangent, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(patch.normal, normal, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stack.tangent[v], tangent, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(stack.normal[v], normal, rtol=0,
+                                   atol=1e-12)
         scale = max(1.0, float(np.max(np.abs(coeffs))))
         np.testing.assert_allclose(mesh.curvatures([v])[2][0],
                                    np.moveaxis(coeffs, 0, -1), rtol=0,
                                    atol=1e-12 * scale)
-        assert patch.fit_residual == pytest.approx(rms, rel=1e-12, abs=1e-15)
+        assert stack.fit_residual[v] == pytest.approx(rms, rel=1e-12,
+                                                      abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ["icosphere2_stretched", "torus_mesh",
@@ -121,14 +124,15 @@ def test_tilted_patch_is_the_fitted_graphs_jet(name):
         tangent, normal, lin, C, _ = _seed_solve(
             mesh.vertices[v], mesh.vertices[rings[v]],
             _seed(mesh, v, rings[v]))
-        patch = graph_patch_at(mesh, v, None)
+        stack = graph_patch_at(mesh, [v], None)
+        node = np.zeros(len(dirs), dtype=int)
         ratios = []
         for eps in (1e-2, 5e-3, 2.5e-3):
             eta = eps * dirs
             h = eta @ lin + 0.5 * np.einsum("ki,cij,kj->kc", eta, C, eta)
             q = eta @ tangent.T + h @ normal.T
-            xi = q @ patch.tangent
-            err = np.abs(q @ patch.normal - patch.height(xi)).max()
+            xi = q @ stack.tangent[0]
+            err = np.abs(q @ stack.normal[0] - stack.height(node, xi)).max()
             ratios.append(err / eps ** 3)
         assert max(ratios) <= 1.5 * min(ratios) + 1e-6, (v, ratios)
 
@@ -138,9 +142,10 @@ def test_coarse_torus_fit_normals_follow_the_faces():
     # of this mesh in the tangent plane
     mesh = torus_mesh(12, 24)
     face_normals = mesh.face_normals()
+    normals = mesh.curvatures(list(range(mesh.num_vertices)))[1][..., 0]
     for v, faces in enumerate(mesh.vertex_faces()):
         ref = face_normals[faces].mean(axis=0)
-        normal = tangent_frame(mesh, v)[1][:, 0]
+        normal = normals[v]
         assert normal @ ref / np.linalg.norm(ref) > 0.9, v
 
 
@@ -152,7 +157,7 @@ def test_coarse_torus_ks_near_chart_torus():
 
 def test_moved_mesh_does_not_keep_its_parents_fit():
     mesh = icosphere(2)
-    graph_patch_at(mesh, 0, None)
+    graph_patch_at(mesh, [0], None)
     moved = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
     fresh = TriMesh(moved.vertices.copy(), mesh.faces, 2)
     v = np.array([[1.0, 0.0], [0.6, 0.8]])
@@ -160,17 +165,13 @@ def test_moved_mesh_does_not_keep_its_parents_fit():
     for vertex in range(mesh.num_vertices):
         a = graph_patch_at(moved, [vertex], 0.3)
         b = graph_patch_at(fresh, [vertex], 0.3)
-        for key in ("base_point", "tangent", "normal", "radius",
+        for key in ("base_point", "tangent", "normal", "radii",
                     "fit_residual"):
             assert np.array_equal(getattr(a, key), getattr(b, key)), key
         node = np.zeros(len(t), dtype=int)
         for x, y in zip(a.chord_solve(node, v, t), b.chord_solve(node, v, t)):
             assert np.array_equal(x, y)
-        assert (a[0].measure_derivative_bound()
-                == b[0].measure_derivative_bound())
-        for x, y in zip(tangent_frame(moved, vertex),
-                        tangent_frame(fresh, vertex)):
+        assert np.array_equal(a.derivative_bounds(), b.derivative_bounds())
+        for x, y in zip(moved.curvatures([vertex]),
+                        fresh.curvatures([vertex])):
             assert np.array_equal(x, y)
-        assert np.array_equal(
-            curvature_at(moved, vertex).second_fundamental,
-            curvature_at(fresh, vertex).second_fundamental)

@@ -116,8 +116,7 @@ def test_bounded_ratio_near_diagonal():
     chart = ell.charts[0]
     base_u = np.array([1.2, 0.8])
     x = chart.value(base_u)
-    patch = graph_patch_at(ell, (0, base_u), 0.3)
-    b = patch.measure_derivative_bound()
+    b = graph_patch_at(ell, [(0, base_u)], 0.3).derivative_bounds()[0]
     for du in ([1.0, 0.0], [0.0, 1.0], [0.7, 0.7]):
         for t in (0.1, 0.05, 0.025, 0.0125):
             u = base_u + t * np.asarray(du)
@@ -218,13 +217,13 @@ def test_as_sphere_radius_independent():
 
 def test_as_linear_in_s():
     # difference between s values equals the integral of the defect exactly
-    from rieszlab.geometry import curvature_at
+    from rieszlab.geometry.patches import umbilicity_defect
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     cfg = QuadratureConfig(outer_scale=0.12, inner_scale=0.5)
     e0 = as_energy(ell, 0.0, cfg).value
     e1 = as_energy(ell, 1.0, cfg).value
     q = ell.quadrature(cfg.inner_scale * 0.5)
-    deltas = [curvature_at(ell, loc).delta for loc in q.locators]
+    deltas = umbilicity_defect(ell.curvatures(q.locators)[2])
     int_delta = float(np.dot(q.weights, deltas))
     assert e1 - e0 == pytest.approx(int_delta, rel=1e-9)
 

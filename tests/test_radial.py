@@ -67,10 +67,16 @@ def test_energy_params_reject_non_finite_alpha(alpha):
 # chord solves
 # ----------------------------------------------------------------------
 
-def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
-    """Reference ray solve on the explicit height: xi^2 + |h(xi v)|^2 = t^2
-    by a Newton in xi bracketed on [0, t], with one more Newton step once a
-    row meets the tolerance. Returns (xi, dxi/dt)."""
+def _height_data(stack, eta):
+    """(h, grad h) of node 0 of a patch stack at eta (K, m)."""
+    node = np.zeros(len(eta), dtype=int)
+    return stack.height(node, eta), stack.height_jacobian(node, eta)
+
+
+def _radial_inverse(stack, v, t, tol_factor=1e-12, max_iter=50):
+    """Reference ray solve on the explicit height of node 0 of a stack:
+    xi^2 + |h(xi v)|^2 = t^2 by a Newton in xi bracketed on [0, t], with one
+    more Newton step once a row meets the tolerance. Returns (xi, dxi/dt)."""
     K = len(v)
     t = np.broadcast_to(np.asarray(t, dtype=float), (K,)).copy()
     xi, lo, hi = t.copy(), np.zeros(K), t.copy()
@@ -79,8 +85,8 @@ def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
         if not active.any():
             break
         va, xa = v[active], xi[active]
-        h = patch.height(xa[:, None] * va)
-        hv = np.einsum("kcj,kj->kc", patch.height_jacobian(xa[:, None] * va), va)
+        h, dh = _height_data(stack, xa[:, None] * va)
+        hv = np.einsum("kcj,kj->kc", dh, va)
         F = xa ** 2 + np.sum(h * h, axis=-1) - t[active] ** 2
         step = F / (2.0 * (xa + np.einsum("kc,kc->k", hv, h)))
         done = np.abs(F) <= tol_factor * t[active] ** 2
@@ -95,8 +101,8 @@ def _radial_inverse(patch, v, t, tol_factor=1e-12, max_iter=50):
         sub[active] = ~done
         active = sub
     assert not active.any(), "reference ray solve did not converge"
-    h = patch.height(xi[:, None] * v)
-    hv = np.einsum("kcj,kj->kc", patch.height_jacobian(xi[:, None] * v), v)
+    h, dh = _height_data(stack, xi[:, None] * v)
+    hv = np.einsum("kcj,kj->kc", dh, v)
     return xi, t / (xi + np.einsum("kc,kc->k", hv, h))
 
 
@@ -112,15 +118,14 @@ def test_chord_solve_matches_nested_inversion(surface, locator, radius):
     # each patch's chord solve against the reference ray solve on the same
     # patch's explicit height, on a dense t grid down to 1e-4 eps0
     stack = graph_patch_at(surface, [locator], radius)
-    patch = stack[0]
-    ts = patch.radius * np.concatenate([np.geomspace(1e-4, 0.08, 14),
+    ts = stack.radius * np.concatenate([np.geomspace(1e-4, 0.08, 14),
                                         np.linspace(0.1, 1.0, 96)])
-    v, _ = _angular_rule(patch.m, 16)
+    v, _ = _angular_rule(stack.m, 16)
     vv = np.tile(v, (len(ts), 1))
     tt = np.repeat(ts, len(v))
     xi, dxi, dh = _chord_rows(stack, vv, tt, np.zeros(len(tt), dtype=int))
-    xi_ref, dxi_ref = _radial_inverse(patch, vv, tt)
-    dh_ref = patch.height_jacobian(xi_ref[:, None] * vv)
+    xi_ref, dxi_ref = _radial_inverse(stack, vv, tt)
+    dh_ref = _height_data(stack, xi_ref[:, None] * vv)[1]
     np.testing.assert_allclose(xi, xi_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(dxi, dxi_ref, rtol=1e-12, atol=0)
     # grad h ~ curvature * t: at t = 1e-4 eps0 both solves place the point
@@ -136,18 +141,16 @@ def test_mesh_chord_solve_on_the_chord_sphere(mesh):
     v, _ = _angular_rule(mesh.m, 16)
     for vertex in (0, mesh.num_vertices // 2):
         stack = graph_patch_at(mesh, [vertex], None)
-        patch = stack[0]
-        ts = patch.radius * np.geomspace(1e-4, 1.0, 24)
+        ts = stack.radius * np.geomspace(1e-4, 1.0, 24)
         vv = np.tile(v, (len(ts), 1))
         tt = np.repeat(ts, len(v))
         xi, h, dh = stack.chord_solve(np.zeros(len(tt), dtype=int), vv, tt)
         assert np.all(xi > 0)
         res = xi ** 2 + np.sum(h * h, axis=-1) - tt ** 2
         assert np.all(np.abs(res) <= 1e-14 * tt ** 2)
-        eta = xi[:, None] * vv
-        np.testing.assert_allclose(h, patch.height(eta), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(dh, patch.height_jacobian(eta),
-                                   rtol=1e-14, atol=0)
+        h_ref, dh_ref = _height_data(stack, xi[:, None] * vv)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dh, dh_ref, rtol=1e-14, atol=0)
 
 
 def test_mesh_chord_solve_flat_rows():
@@ -172,13 +175,12 @@ def test_chord_solve_circle_rays_keep_their_side():
     circ = make_circle()
     theta0 = 1.1
     stack = graph_patch_at(circ, [(0, [theta0])], 0.9)
-    patch = stack[0]
     ts = np.array([1e-4, 0.05, 0.4, 0.85])
     for sign in (1.0, -1.0):
         v = np.full((len(ts), 1), sign)
         xi, h, _ = stack.chord_solve(np.zeros(len(ts), dtype=int), v, ts)
-        points = (patch.base_point + (xi[:, None] * v) @ patch.tangent.T
-                  + h @ patch.normal.T)
+        points = (stack.base_point[0] + (xi[:, None] * v) @ stack.tangent[0].T
+                  + h @ stack.normal[0].T)
         # chord t subtends 2 asin(t / 2) on the unit circle, on the ray's side
         theta = theta0 + sign * 2.0 * np.arcsin(ts / 2.0)
         expected = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
@@ -297,12 +299,12 @@ def test_profile_odd_coefficient_suppression():
 def test_profile_curvature_link_ellipsoid():
     # phi''(0) = pi Delta / 4 on five ellipsoid points, to 1e-8 (c07 in
     # the acceptance suite checks the same identity at 1%)
-    from rieszlab.geometry import curvature_at
+    from rieszlab.geometry.patches import umbilicity_defect
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
         prof = radial_profile(patch, patch.radius)
-        delta = curvature_at(ell, (0, u)).delta
+        delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         expected = math.pi * delta / 4.0
         assert 2.0 * prof.taylor[0, 2] == pytest.approx(expected, rel=1e-8)
 

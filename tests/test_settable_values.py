@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 125
+LIMIT = 124
 
 
 def _settable_values(tree) -> int:

@@ -9,12 +9,11 @@ import pytest
 
 import rieszlab
 from rieszlab import (MoebiusMap, PatchClassParams, apply_moebius,
-                      as_energy, combined_angle_cos, curvature_at,
-                      default_patch_radius, graph_patch_at, icosphere,
-                      ks_cross_energy, ks_energy, make_circle,
-                      mesh_disjoint_union, moebius_invariance_check,
-                      polygon_circle, riesz_energy, scaling_check,
-                      TriMesh, tangent_frame, torus_mesh,
+                      as_energy, combined_angle_cos, default_patch_radius,
+                      graph_patch_at, icosphere, ks_cross_energy, ks_energy,
+                      make_circle, mesh_disjoint_union,
+                      moebius_invariance_check, polygon_circle, riesz_energy,
+                      scaling_check, TriMesh, torus_mesh,
                       validate_patch_class)
 from rieszlab.errors import TopologyError, UnsupportedInputError
 
@@ -30,9 +29,7 @@ ENTRY_POINTS = {
     "default_patch_radius": lambda s: default_patch_radius(s),
     "validate_patch_class": lambda s: validate_patch_class(
         s, PatchClassParams(0.1, 10.0, 100.0)),
-    "graph_patch_at": lambda s: graph_patch_at(s, 0, 0.1),
-    "tangent_frame": lambda s: tangent_frame(s, 0),
-    "curvature_at": lambda s: curvature_at(s, 0),
+    "graph_patch_at": lambda s: graph_patch_at(s, [0], 0.1),
     "combined_angle_cos": lambda s: combined_angle_cos(s, 0, 1),
     "ks_cross_energy": lambda s: ks_cross_energy(s, make_circle()),
 }
