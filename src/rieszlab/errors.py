@@ -16,13 +16,20 @@ class ConfigError(RieszLabError):
 class NumericalError(RieszLabError):
     """An iteration or quadrature failed to reach its tolerance.
 
-    node, when set, is the index of the failing point in a batched call
-    (a patch stack or a profile stack).
+    node, when given, is the index of the failing point in a batched call
+    (a patch stack or a profile stack), or the list of indices of all its
+    failing points; nodes keeps them as a list and node reads the first
+    (None when the error names no point).
     """
 
     def __init__(self, message, node=None):
         super().__init__(message)
-        self.node = node
+        self.nodes = (node if isinstance(node, list)
+                      else [] if node is None else [node])
+
+    @property
+    def node(self):
+        return self.nodes[0] if self.nodes else None
 
 
 class UnsupportedInputError(RieszLabError):

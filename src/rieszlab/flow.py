@@ -25,7 +25,7 @@ from .geometry.meshes import (TriMesh, face_vectors, face_vectors_adjoint,
                               seed_frames, seed_frames_adjoint)
 from .geometry.patches import (dot, fit_tangent_frames,
                                fit_tangent_frames_adjoint)
-from .moebius import ks_pair_blocks, ks_triangle_rows
+from .moebius import ks_pair_blocks, ks_triangle_rows, ks_unit_vectors
 
 __all__ = [
     "EnergySelector",
@@ -50,28 +50,28 @@ MAX_HALVINGS = 20
 
 def _ks_quadrature(vertices, topology):
     """What the flow energy reads of a vertex array: ring offsets, seed
-    frames, fitted frames and the fit's solve, the face vectors (halved on
+    frames, the fit's unit vectors and solve, the face vectors (halved on
     triangles) and the lumped vertex weights."""
     idx, mask = topology.ring_table
     offsets = vertices[idx] - vertices[:, None]
     seed = seed_frames(vertices, topology)
-    frames, _, solve = fit_tangent_frames(offsets, mask, *seed)
+    tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed)
     e = face_vectors(vertices, topology)
     if topology.m == 2:
         e = 0.5 * e
     weights = topology.incidence @ (np.sqrt(dot(e, e)) / (topology.m + 1))
-    return offsets, seed, frames, solve, e, weights
+    return offsets, seed, ks_unit_vectors(tangent, normal), solve, e, weights
 
 
 def _ks_vertex_energy(vertices, topology):
     """KS double sum over vertex nodes; analytic in the vertex positions.
 
-    The frames are those of the mesh's vertex fit (`seed_frames`, then the
+    The unit vectors are the mesh's vertex fit's (`seed_frames`, then the
     frame step `fit_tangent_frames`), the weights the lumped vertex weights
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
-    _, _, frames, _, _, weights = _ks_quadrature(vertices, topology)
-    return weights @ ks_triangle_rows(vertices, frames,
+    _, _, units, _, _, weights = _ks_quadrature(vertices, topology)
+    return weights @ ks_triangle_rows(vertices, units, topology.m,
                                       np.zeros(len(vertices)), weights)
 
 
@@ -79,29 +79,31 @@ def _ks_vertex_gradient(vertices, topology):
     """Gradient (V, n) of `_ks_vertex_energy`, by reverse mode.
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
-    frame) arguments, so each vertex's pair gradient is twice its row side
-    (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w; pairs whose 1 - cos
-    was clipped contribute nothing through it. The frame gradients then
-    run back through the fit and the seed, the weight gradients through
-    the face vectors.
+    unit vector) arguments, so each vertex's pair gradient is twice its
+    row side (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w; pairs whose
+    1 - cos was clipped contribute nothing through it. The unit vectors'
+    gradients (tangent or normal) then run back through the fit and the
+    seed, the weight gradients through the face vectors.
     """
     m, V = topology.m, len(vertices)
-    offsets, seed, frames, solve, e, weights = _ks_quadrature(vertices,
-                                                              topology)
+    offsets, seed, units, solve, e, weights = _ks_quadrature(vertices,
+                                                             topology)
     grad = np.empty(vertices.shape)
-    frames_bar = np.empty(frames.shape)
+    units_bar = np.empty(units.shape)
     weights_bar = np.empty(V)
     for lo, hi, q, omc, dist, pullback in ks_pair_blocks(
-            vertices, frames, vertices, frames, np.zeros(V)):
+            vertices, units, vertices, units, m, np.zeros(V)):
         ww = 2.0 * weights[lo:hi, None] * weights
         with np.errstate(divide="ignore", invalid="ignore"):
             omc_bar = np.where((omc > 0.0) & (omc < 2.0),
                                ww * m * omc ** (m - 1) / dist ** (2 * m), 0.0)
             dist_bar = -2.0 * m * ww * q / dist
         weights_bar[lo:hi] = 2.0 * (q @ weights)
-        grad[lo:hi], frames_bar[lo:hi] = pullback(omc_bar, dist_bar)
+        grad[lo:hi], units_bar[lo:hi] = pullback(omc_bar, dist_bar)
+    frame_bars = ((units_bar[..., None], None) if m == 1
+                  else (np.zeros(seed[0].shape), units_bar[..., None]))
     offsets_bar, *seed_bar = fit_tangent_frames_adjoint(
-        offsets, topology.ring_table[1], *seed, solve, frames_bar)
+        offsets, topology.ring_table[1], *seed, solve, *frame_bars)
     np.add.at(grad, topology.ring_table[0], offsets_bar)
     grad -= offsets_bar.sum(axis=1)
     grad += seed_frames_adjoint(vertices, topology, *seed_bar)

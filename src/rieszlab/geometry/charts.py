@@ -326,14 +326,15 @@ class ChartSurface(Surface):
         points on the same chart. Each radius is validated on a polar grid
         and shrunk by 0.85 until the graph Newton converges there (unless
         shrink=False). Chord rows are solved in the chart parameters. A
-        failed build names its node in the whole list."""
+        failed build names every failing node of its chart run, numbered
+        in the whole list."""
         stacks = []
         for k, u0 in self._runs(locators):
             try:
                 stacks.append(self._chart_patches(k, u0, radius, shrink))
             except NumericalError as exc:
-                if exc.node is not None:
-                    exc.node += sum(map(len, stacks))
+                offset = sum(map(len, stacks))
+                exc.nodes = [k + offset for k in exc.nodes]
                 raise
         return PatchStack.concatenate(stacks)
 
@@ -499,7 +500,7 @@ class ChartSurface(Surface):
             if len(todo) and (not shrink or attempts >= 40):
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
-                    f"radius ({where})", node=int(todo[0]))
+                    f"radius ({where})", node=todo.tolist())
             attempts += 1
             r[todo] *= 0.85
         return PatchStack(base_point=x0, tangent=tangent, normal=normal,
@@ -700,6 +701,9 @@ def _spheroid_stack(cols, ctr, base_nodes, component):
 def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0),
                    base_nodes=(48, 96), component=0):
     ax = np.array([a, b, c], dtype=float)
+    if not np.all(ax > 0.0):
+        raise PreconditionError(f"semi-axes must be positive, got {a!r}, "
+                                f"{b!r}, {c!r}")
     ctr = np.asarray(center, dtype=float)
     chart = _spheroid_chart(ax, ctr, np.eye(3), base_nodes, component)
     return ChartSurface(2, 3, [chart], True, 2)
@@ -714,6 +718,9 @@ def make_sphere(radius=1.0, center=(0.0, 0.0, 0.0), base_nodes=(48, 96),
 def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
                base_nodes=(48, 96)):
     R, r = float(major), float(minor)
+    if not 0.0 < r < R:
+        raise PreconditionError(f"a torus needs 0 < minor < major, got "
+                                f"major={major!r}, minor={minor!r}")
     ctr = np.asarray(center, dtype=float)
 
     def value(u):

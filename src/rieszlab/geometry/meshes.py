@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import TopologyError, UnsupportedInputError
+from ..errors import PreconditionError, TopologyError, UnsupportedInputError
 from .patches import (PatchStack, cross, dot, fit_curvature,
                       fit_tangent_frames, orthonormal_frames,
                       orthonormal_frames_adjoint, unit_adjoint)
@@ -520,6 +520,9 @@ def euler_characteristic(mesh: TriMesh) -> int:
 
 def icosphere(subdiv=1, radius=1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
     """Subdivided icosahedron projected to the sphere, outward oriented."""
+    if not (subdiv >= 0 and radius > 0):
+        raise PreconditionError(f"icosphere needs subdiv >= 0 and radius > 0, "
+                                f"got {subdiv!r} and {radius!r}")
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -582,6 +585,9 @@ def torus_mesh(n_u=24, n_v=48, major=2.0, minor=0.5) -> TriMesh:
 
 
 def polygon_circle(n=64, radius=1.0, center=(0.0, 0.0)) -> TriMesh:
+    if not (n >= 3 and radius > 0):
+        raise PreconditionError(f"a polygon needs n >= 3 and radius > 0, "
+                                f"got {n!r} and {radius!r}")
     th = 2 * math.pi * np.arange(n) / n
     pts = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1)
     pts = pts + np.asarray(center, dtype=float)

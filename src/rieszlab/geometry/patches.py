@@ -257,8 +257,7 @@ class PatchStack:
                         res = getattr(s, name)(node[sel] - start[k],
                                                *(a[sel] for a in args))
                     except NumericalError as exc:
-                        if exc.node is not None:
-                            exc.node += int(start[k])
+                        exc.nodes = [j + int(start[k]) for j in exc.nodes]
                         raise
                     # the sub-stack's rows have one leading axis
                     parts = res if isinstance(res, tuple) else (res,)
@@ -332,12 +331,13 @@ def fit_tangent_frames(offsets, mask, tangent, normal):
 
 
 def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
-                               tangent_bar):
+                               tangent_bar, normal_bar):
     """Reverse-mode derivative of `fit_tangent_frames`.
 
     From the forward's inputs and its solve, the gradients of <tangent_bar,
-    T'>, T' the returned tangent frames, with respect to offsets (P, R, n),
-    tangent (P, n, m) and normal (P, n, n-m), in that order. It runs the
+    T'> + <normal_bar, N'>, (T', N') the returned frames and normal_bar
+    None when N' is not read, with respect to offsets (P, R, n), tangent
+    (P, n, m) and normal (P, n, n-m), in that order. It runs the
     forward backwards: Gram-Schmidt, the tilt B = T + N g^T, the normal
     equations (one transposed solve per patch), the weighted design and the
     ring scale s. Real input only.
@@ -349,7 +349,7 @@ def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
     cols, w, dist2, _, eta, _ = _fit_design(d, mask, tangent, normal)
     s = scale[:, 0, 0]
     # the tilt, g = sol[:m] / s
-    B_bar = orthonormal_frames_adjoint(tilted, tangent_bar, None)
+    B_bar = orthonormal_frames_adjoint(tilted, tangent_bar, normal_bar)
     g = sol[:, :m] / scale
     g_bar = np.swapaxes(B_bar, -1, -2) @ normal             # (P, m, n-m)
     s_bar = -(g_bar * g).sum(axis=(1, 2)) / s
@@ -528,8 +528,8 @@ def validate_patch_class(surface, params: PatchClassParams):
     (measured as a sup over a 16 x 16 polar grid, and alternatively as a
     fit residual for discrete data), and whether the total volume is within
     the class bound. The samples form one patch stack; a failure that
-    names a node is that sample's violation and the stack is built again
-    without it, one that names none is a violation of every sample left.
+    names nodes is those samples' violation and the stack is built again
+    without them, one that names none is a violation of every sample left.
     Report-valued: never raises on failure.
 
     components_in_ball counts the component labels of the rule's nodes
@@ -556,11 +556,9 @@ def validate_patch_class(surface, params: PatchClassParams):
                                     f" < requested {params.radius:.6g}")
             todo = [i for i, c in zip(todo, capped) if not c]
         except NumericalError as exc:
-            if exc.node is None:
-                reasons.update((i, str(exc)) for i in todo)
-                todo = []
-            else:
-                reasons[todo.pop(exc.node)] = str(exc)
+            failed = exc.nodes or range(len(todo))
+            reasons.update((todo[k], str(exc)) for k in failed)
+            todo = [i for k, i in enumerate(todo) if k not in failed]
     for i, sup in zip(todo, sups):
         if sup > params.derivative_bound:
             reasons[i] = (f"derivative sup {sup:.6g} exceeds"

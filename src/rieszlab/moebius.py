@@ -8,19 +8,16 @@ computed by reflecting the x-frame across the chord direction:
 with e_i an oriented orthonormal frame at x and w_j any positively oriented
 tangent basis at y. This avoids constructing the tangent sphere explicitly.
 
-The KS pair kernel writes the same determinant in inner products of the
-given vectors: with alpha_k = <e_k, y - x>, beta_l = <w_l, y - x>,
-ew_kl = <e_k, w_l> and s = |y - x|^2, <ehat_k, w_l> = 2 alpha_k beta_l / s
-- ew_kl, so for orthonormal w
-    m = 1: cos theta = 2 alpha_0 beta_0 / s - ew_00,
-    m = 2: cos theta = (2 / s) [alpha_0 (beta_0 ew_11 - beta_1 ew_10)
-                                + alpha_1 (beta_1 ew_00 - beta_0 ew_01)]
-                       - det ew,
-the alpha beta alpha beta terms cancelling for any frames. For surfaces in
-R^3 with unit normals n = e_0 x e_1 this reads cos theta = <n_x, n_y>
-- 2 <n_x, v> <n_y, v>. Every pair quantity is then one matrix product of
-the point and frame stacks or one array operation over the pairs, and the
-symmetric double sums form each unordered pair once (`ks_triangle_rows`).
+The KS pair kernel reads one unit vector u per point instead of a frame:
+the tangent of a curve (m = 1, any n) or the unit normal n = e_0 x e_1 of
+a surface in R^3 (m = 2). The determinant of two planes' orthonormal frames
+is the inner product of their normals, and the reflection takes n_x to
+n_x - 2 <n_x, v> v, so
+    m = 1: cos theta = 2 <u_x, v> <u_y, v> - <u_x, u_y>,
+    m = 2: cos theta = <n_x, n_y> - 2 <n_x, v> <n_y, v>:
+three inner products per pair, each one matrix product of the point and
+vector stacks. The symmetric double sums form each unordered pair once
+(`ks_triangle_rows`).
 """
 
 from __future__ import annotations
@@ -90,38 +87,45 @@ def combined_angle_cos(surface, loc_x, loc_y) -> float:
 # pairwise quadrature of the (1 - cos)^m / |x-y|^(2m) kernel
 # ----------------------------------------------------------------------
 
-def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
-    """(1 - cos theta) and distances for all point pairs, O(n) frames, and
-    their row-side pullback.
+def ks_unit_vectors(tangent, normal):
+    """`ks_pair_kernel`'s unit vectors of the frames that `curvatures`
+    returns: the tangent of a curve, the unit normal of a surface."""
+    return tangent[..., 0] if tangent.shape[-1] == 1 else normal[..., 0]
 
-    Both frame stacks must be oriented orthonormal. Every pair quantity is
-    one (Nx, n) @ (n, Ny) product or one (Nx, Ny) array operation, with no
-    (Nx, Ny, n) temporaries: with alpha_k = <e_k, y - x>, beta_l = <w_l,
-    y - x>, ew_kl = <e_k, w_l> and s = |y - x|^2, the reflected frame gives
-    G_kl = 2 alpha_k beta_l / s - ew_kl, so cos = G_00 for m = 1 and
-    cos = -det G = (2 / s) [alpha_0 (beta_0 ew_11 - beta_1 ew_10)
-    + alpha_1 (beta_1 ew_00 - beta_0 ew_01)] - det ew for m = 2. The
-    products alpha, beta carry a rounding error of eps times the points'
-    distance from the coordinate origin, so both point sets are first
-    centred on the middle of y's bounding box: far from the origin they
-    lose no digits to the offset, and a round body keeps half the error
-    it would have about one of its own points. dist is summed from the
-    uncentred differences, one coordinate at a time. Every
-    product is a plain (non-conjugating) one, so the kernel is
-    complex-analytic in the inputs and complex-step derivatives through it
-    are exact. Coincident pairs get 0 in both outputs; 1 - cos is not
-    clipped to [0, 2].
+
+def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
+    """(1 - cos theta) and distances for all point pairs, from one unit
+    vector (N, n) per point (`ks_unit_vectors`), and their row-side
+    pullback.
+
+    Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
+    (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
+    b = <u_y, y - x>, c = <u_x, u_y> and s = |y - x|^2, cos theta =
+    sigma (2 a b / s - c), sigma = +1 on curves and -1 on surfaces: three
+    (Nx, n) @ (n, Ny) products and no (Nx, Ny, n) temporaries. The products
+    a, b carry a rounding error of eps times the points' distance from the
+    coordinate origin, so both point sets are first centred on the middle
+    of y's bounding box: far from the origin they lose no digits to the
+    offset, and a round body keeps half the error it would have about one
+    of its own points. dist is summed from the uncentred differences, one
+    coordinate at a time. Every product is a plain (non-conjugating) one,
+    so the kernel is complex-analytic in the inputs and complex-step
+    derivatives through it are exact. Coincident pairs get 0 in both
+    outputs; 1 - cos is not clipped to [0, 2].
 
     pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
-    + dist_bar * dist) with respect to x_pts (Nx, n) and x_frames (Nx, n,
-    m), in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products; coincident pairs
+    + dist_bar * dist) with respect to x_pts (Nx, n) and x_units (Nx, n),
+    in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products; coincident pairs
     contribute nothing, their outputs being constant 0. The kernel is
-    symmetric under swapping (x, e) with (y, w) for any frames (G turns
-    into its transpose), so in a symmetric double sum each point's gradient
-    is twice its row side and the column side is never formed. The pullback
-    takes real input only.
+    symmetric under swapping (x, u_x) with (y, u_y) for any vectors, so in
+    a symmetric double sum each point's gradient is twice its row side and
+    the column side is never formed. The pullback takes real input only.
     """
-    n, m = x_pts.shape[-1], x_frames.shape[-1]
+    n = x_pts.shape[-1]
+    if m != 1 and (n, m) != (3, 2):
+        raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
+                                    f"R^3, got (n, m) = ({n}, {m})")
+    sign = 1.0 if m == 1 else -1.0
     # |y - x|^2 one coordinate at a time: the bits of dot(y - x, y - x)
     d = y_pts[:, 0] - x_pts[:, 0, None]
     s = d * d
@@ -130,57 +134,31 @@ def ks_pair_kernel(x_pts, x_frames, y_pts, y_frames):
     dist = np.sqrt(s)
     apart = s != 0.0
     inv_s = 1.0 / np.where(apart, s, 1.0)
-    # both sets centred on the middle of y's bounding box; y and its frames
+    # both sets centred on the middle of y's bounding box; y and its vectors
     # stored column-wise, so that every product runs on contiguous operands
     centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
     xc = x_pts - centre
     yc = np.ascontiguousarray((y_pts - centre).T)                 # (n, Ny)
-    e = np.ascontiguousarray(np.moveaxis(x_frames, -1, 0))        # (m, Nx, n)
-    w = np.ascontiguousarray(np.transpose(y_frames, (2, 1, 0)))   # (m, n, Ny)
-    alpha = e @ yc - dot(e, xc)[..., None]                        # (m, Nx, Ny)
-    beta = (w * yc).sum(axis=1)[:, None] - xc @ w
-    ew = e[:, None] @ w[None]                                     # (m, m, Nx, Ny)
-    if m == 1:
-        bend = 2.0 * inv_s * alpha[0] * beta[0]
-        cos = bend - ew[0, 0]
-    else:
-        bend = 2.0 * inv_s * (alpha[0] * (beta[0] * ew[1, 1]
-                                          - beta[1] * ew[1, 0])
-                              + alpha[1] * (beta[1] * ew[0, 0]
-                                            - beta[0] * ew[0, 1]))
-        cos = bend - (ew[0, 0] * ew[1, 1] - ew[0, 1] * ew[1, 0])
-    omc = 1.0 - cos
+    ux = np.ascontiguousarray(x_units)                            # (Nx, n)
+    uy = np.ascontiguousarray(y_units.T)                          # (n, Ny)
+    a = ux @ yc - dot(ux, xc)[:, None]                            # (Nx, Ny)
+    b = (uy * yc).sum(axis=0) - xc @ uy
+    bend = 2.0 * inv_s * a * b
+    omc = 1.0 - sign * (bend - ux @ uy)
     omc[~apart] = 0.0
 
     def pullback(omc_bar, dist_bar):
-        c_bar = np.where(apart, -omc_bar, 0.0)             # d/d cos
-        u = 2.0 * inv_s * c_bar                            # d/d (alpha beta)
-        if m == 1:
-            alpha_bar = [u * beta[0]]
-            beta_bar = [u * alpha[0]]
-            ew_bar = [[-c_bar]]
-        else:
-            alpha_bar = [u * (beta[0] * ew[1, 1] - beta[1] * ew[1, 0]),
-                         u * (beta[1] * ew[0, 0] - beta[0] * ew[0, 1])]
-            beta_bar = [u * (alpha[0] * ew[1, 1] - alpha[1] * ew[0, 1]),
-                        u * (alpha[1] * ew[0, 0] - alpha[0] * ew[1, 0])]
-            ew_bar = [[u * alpha[1] * beta[1] - c_bar * ew[1, 1],
-                       c_bar * ew[1, 0] - u * alpha[1] * beta[0]],
-                      [c_bar * ew[0, 1] - u * alpha[0] * beta[1],
-                       u * alpha[0] * beta[0] - c_bar * ew[0, 0]]]
-        # d dist / d s = dist / (2 s), d cos / d s = -bend / s
+        r_bar = np.where(apart, -sign * omc_bar, 0.0)      # d/d (bend - c)
+        ab_bar = 2.0 * inv_s * r_bar                       # d/d (a b)
+        a_bar, b_bar = ab_bar * b, ab_bar * a
+        # d dist / d s = dist / (2 s), d bend / d s = -bend / s
         s_bar = inv_s * (np.where(apart, 0.5 * dist_bar, 0.0) * dist
-                         - c_bar * bend)
+                         - r_bar * bend)
         # s = |y - x|^2: x_bar = -2 (s_bar @ y - rowsum(s_bar) x)
         x_bar = -2.0 * (s_bar @ yc.T - s_bar.sum(axis=1)[:, None] * xc)
-        frames_bar = []
-        for k in range(m):
-            x_bar = x_bar - (alpha_bar[k].sum(axis=1)[:, None] * e[k]
-                             + beta_bar[k] @ w[k].T)
-            frames_bar.append(
-                alpha_bar[k] @ yc.T - alpha_bar[k].sum(axis=1)[:, None] * xc
-                + sum(ew_bar[k][l] @ w[l].T for l in range(m)))
-        return x_bar, np.stack(frames_bar, axis=-1)
+        row = a_bar.sum(axis=1)[:, None]
+        x_bar = x_bar - (row * ux + b_bar @ uy.T)
+        return x_bar, a_bar @ yc.T - row * xc - r_bar @ uy.T
 
     return omc, dist, pullback
 
@@ -195,7 +173,7 @@ def _ks_q(omc, dist, diag, m):
     return omc, q
 
 
-def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
+def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
     """The pairs of the KS double sum, in blocks of x rows of at most
     PAIR_BLOCK pairs each (bounds its memory).
 
@@ -204,17 +182,16 @@ def ks_pair_blocks(x_pts, x_frames, y_pts, y_frames, diag):
     coincident pair taking its row's diag value (`_ks_q`), and dist and
     pullback are `ks_pair_kernel`'s.
     """
-    m = x_frames.shape[-1]
     rows = max(1, PAIR_BLOCK // len(y_pts))
     for lo in range(0, len(x_pts), rows):
         hi = min(lo + rows, len(x_pts))
-        omc, dist, pullback = ks_pair_kernel(x_pts[lo:hi], x_frames[lo:hi],
-                                             y_pts, y_frames)
+        omc, dist, pullback = ks_pair_kernel(x_pts[lo:hi], x_units[lo:hi],
+                                             y_pts, y_units, m)
         omc, q = _ks_q(omc, dist, diag[lo:hi], m)
         yield lo, hi, q, omc, dist, pullback
 
 
-def ks_triangle_rows(points, frames, diag, weights):
+def ks_triangle_rows(points, units, m, diag, weights):
     """Row terms r (N,) of the symmetric KS double sum over one node set:
     sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as in
     `ks_pair_blocks`.
@@ -226,12 +203,12 @@ def ks_triangle_rows(points, frames, diag, weights):
     shrink and hold at most PAIR_BLOCK pairs (or one row). Complex-analytic
     in every input.
     """
-    N, m = len(points), frames.shape[-1]
+    N = len(points)
     rows, lo = [], 0
     while lo < N:
         hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
-        omc, dist, _ = ks_pair_kernel(points[lo:hi], frames[lo:hi],
-                                      points[lo:], frames[lo:])
+        omc, dist, _ = ks_pair_kernel(points[lo:hi], units[lo:hi],
+                                      points[lo:], units[lo:], m)
         q = _ks_q(omc, dist, diag[lo:hi], m)[1]
         k = hi - lo
         rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
@@ -270,12 +247,12 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
                 "mesh looks self-intersecting or immersed "
                 f"(non-neighbor separation {sep:.3g} vs local scale "
                 f"{scale_local:.3g}); E_KS is discontinuous there")
-    frames, _, sff = surface.curvatures(nodes.locators)
+    tangent, normal, sff = surface.curvatures(nodes.locators)
     diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
-            else np.zeros(len(frames)))
+            else np.zeros(len(sff)))
     w = nodes.weights
-    value = compensated_sum(
-        ks_triangle_rows(nodes.points, frames, diag, w) * w)
+    value = compensated_sum(ks_triangle_rows(
+        nodes.points, ks_unit_vectors(tangent, normal), m, diag, w) * w)
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
                         error_estimate=0.0)
 
@@ -283,11 +260,11 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
 def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     """Cross term of the Kusner-Sullivan energy between two disjoint pieces."""
     na, nb = (as_surface(s).nodes(scale) for s in (surface_a, surface_b))
-    fa = surface_a.curvatures(na.locators)[0]
-    fb = surface_b.curvatures(nb.locators)[0]
+    ua = ks_unit_vectors(*surface_a.curvatures(na.locators)[:2])
+    ub = ks_unit_vectors(*surface_b.curvatures(nb.locators)[:2])
     row = 0.0
-    for lo, hi, q, _, dist, _ in ks_pair_blocks(na.points, fa, nb.points, fb,
-                                                np.zeros(len(fa))):
+    for lo, hi, q, _, dist, _ in ks_pair_blocks(
+            na.points, ua, nb.points, ub, surface_a.m, np.zeros(len(ua))):
         if np.any(dist == 0.0):
             raise SingularPairError("pieces touch: cross energy undefined")
         row = row + na.weights[lo:hi] @ q

@@ -186,7 +186,8 @@ def riesz_energy(surface, alpha,
         try:
             profiles = radial_profile(patches, eps)
         except NumericalError as exc:
-            text, exc.node = where(idx, exc.node)
+            text = where(idx, exc.node)[0]
+            exc.nodes = [int(idx[k]) for k in exc.nodes]
             exc.args = (f"{text}: {exc}",)
             raise
         pf = finite_part(params, profiles, eps)

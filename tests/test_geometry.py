@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rieszlab.cli import parse_surface
-from rieszlab.errors import (NumericalError, RankDeficiencyError,
-                             TopologyError, UnsupportedInputError)
+from rieszlab.errors import (NumericalError, PreconditionError,
+                             RankDeficiencyError, TopologyError,
+                             UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, euler_characteristic,
                                fit_quadratic_patches, graph_patch_at,
                                icosphere, make_circle, make_cylinder_patch,
@@ -466,6 +467,39 @@ def test_validate_patch_class_failures(spec, radius, reasons):
     assert (report.b_sup_measured == 0.0) == (measured == 0)
     if spec.startswith("ellipsoid"):
         assert f"{report.b_sup_measured:.6g}" == "6.19787e+06"
+
+
+@pytest.mark.parametrize("spec, radius, builds", [
+    ("torus", 0.8, 1), ("ellipsoid:a=3,b=0.4,c=1", 0.4, 2)],
+    ids=["torus-0.8", "ellipsoid-0.4"])
+def test_validate_patch_class_records_a_builds_failures_at_once(
+        spec, radius, builds, monkeypatch):
+    # a failed build names every failing sample of its chart, so the check
+    # builds once more only for the samples that passed
+    import rieszlab.geometry.patches as patches
+
+    calls = []
+    build = patches.graph_patch_at
+
+    def counted(surface, locators, radius, shrink=True):
+        calls.append(len(locators))
+        return build(surface, locators, radius, shrink)
+
+    monkeypatch.setattr(patches, "graph_patch_at", counted)
+    report = validate_patch_class(parse_surface(spec), PatchClassParams(
+        radius=radius, derivative_bound=10.0, volume_bound=100.0))
+    assert not report.passed
+    assert len(calls) == builds and calls[0] == report.sample_count
+
+
+@pytest.mark.parametrize("build", [
+    lambda: icosphere(-1), lambda: make_sphere(-1),
+    lambda: make_ellipsoid(-1, 1, 1.2), lambda: make_torus(1, 2),
+    lambda: polygon_circle(2)],
+    ids=["icosphere", "sphere", "ellipsoid", "torus", "polygon"])
+def test_builders_reject_impossible_sizes(build):
+    with pytest.raises(PreconditionError):
+        build()
 
 
 def test_mesh_io_roundtrip(tmp_path):

@@ -1,8 +1,8 @@
 """The KS diagonal limits against isotropic probing, the batched chart
-curvatures against the per-point formula they replaced, the pair kernel
-against the einsum kernel it replaced (references copied here), the
-triangle sums against full-square sums, and the peak memory of the
-blocked KS pair sums."""
+curvatures against the per-point formula they replaced, the one-vector
+pair kernel against the frame-based einsum kernel it replaced (references
+copied here), the triangle sums against full-square sums, and the peak
+memory of the blocked KS pair sums."""
 
 import math
 import tracemalloc
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rieszlab.moebius
 from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
+                      UnsupportedInputError,
                       apply_moebius, energy_gradient, graph_patch_at,
                       icosphere, ks_cross_energy, ks_energy, ks_flow_energy,
                       make_circle, make_disjoint_union, make_disk,
@@ -20,8 +21,9 @@ from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       torus_mesh)
 from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import orthonormal_frames
-from rieszlab.geometry.patches import umbilicity_defect
-from rieszlab.moebius import combined_angle_cos_frames, ks_pair_kernel
+from rieszlab.geometry.patches import cross, umbilicity_defect
+from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
+                              ks_unit_vectors)
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +226,9 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     # the diagonal cells take (D / 16)^2
     surface = make_ellipsoid(1.0, 1.0, 1.2)
     nodes = surface.nodes(0.5)
-    frames, _, sff = surface.curvatures(nodes.locators)
-    omc, dist, _ = ks_pair_kernel(nodes.points, frames, nodes.points, frames)
+    tangent, normal, sff = surface.curvatures(nodes.locators)
+    units = ks_unit_vectors(tangent, normal)
+    omc, dist, _ = ks_pair_kernel(nodes.points, units, nodes.points, units, 2)
     off = ~np.eye(len(dist), dtype=bool)
     assert np.all(dist[off] > 0.0)
     q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, dist, 1.0) ** 4
@@ -263,14 +266,13 @@ def test_ks_energy_is_translation_invariant_far_from_the_origin():
 # triangle sums against the full square
 # ----------------------------------------------------------------------
 
-def _full_square_sum(points, frames, diag, w):
+def _full_square_sum(points, units, m, diag, w):
     """sum_ij w_i w_j q_ij over every ordered pair, one math.fsum."""
-    m = frames.shape[-1]
     terms = []
     for lo in range(0, len(points), 64):
         hi = min(lo + 64, len(points))
-        omc, dist, _ = ks_pair_kernel(points[lo:hi], frames[lo:hi], points,
-                                      frames)
+        omc, dist, _ = ks_pair_kernel(points[lo:hi], units[lo:hi], points,
+                                      units, m)
         apart = dist != 0.0
         q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, dist, 1.0) ** (2 * m)
         q = np.where(apart, q, diag[lo:hi, None])
@@ -280,15 +282,17 @@ def _full_square_sum(points, frames, diag, w):
 
 def _ks_energy_reference(surface, config):
     nodes = surface.nodes(config.inner_scale * 0.5)
-    frames, _, sff = surface.curvatures(nodes.locators)
+    tangent, normal, sff = surface.curvatures(nodes.locators)
     diag = ((umbilicity_defect(sff) / 16.0) ** 2 if surface.m == 2
-            else np.zeros(len(frames)))
-    return _full_square_sum(nodes.points, frames, diag, nodes.weights)
+            else np.zeros(len(sff)))
+    return _full_square_sum(nodes.points, ks_unit_vectors(tangent, normal),
+                            surface.m, diag, nodes.weights)
 
 
 def _flow_energy_reference(mesh):
-    _, _, frames, _, _, w = _ks_quadrature(mesh.vertices, mesh.topology)
-    return _full_square_sum(mesh.vertices, frames, np.zeros(len(w)), w)
+    _, _, units, _, _, w = _ks_quadrature(mesh.vertices, mesh.topology)
+    return _full_square_sum(mesh.vertices, units, mesh.m, np.zeros(len(w)),
+                            w)
 
 
 TRIANGLE_SURFACES = {
@@ -333,7 +337,7 @@ def test_ks_pair_sums_run_in_bounded_memory(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
 
 
 # ----------------------------------------------------------------------
@@ -345,13 +349,21 @@ def _frames(rng, N, n, m):
     return q[:, :, :m]
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+def _units(frames):
+    """The kernel's unit vectors of oriented frames: the tangent of a curve,
+    e_0 x e_1 on a surface in R^3."""
+    if frames.shape[-1] == 1:
+        return frames[..., 0]
+    return cross(frames[..., 0], frames[..., 1])
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1)])
 def test_pair_kernel_matches_einsum_kernel(n, m):
     rng = np.random.default_rng(17 + n + m)
     x = rng.standard_normal((7, n))
     y = np.concatenate([rng.standard_normal((10, n)), x[:2]])  # two coincide
     fx, fy = _frames(rng, 7, n, m), _frames(rng, 12, n, m)
-    omc, dist, _ = ks_pair_kernel(x, fx, y, fy)
+    omc, dist, _ = ks_pair_kernel(x, _units(fx), y, _units(fy), m)
     ref_omc, ref_dist = _einsum_kernel(x, fx, y, fy)
     assert omc.shape == dist.shape == (7, 12)
     assert np.array_equal(dist, ref_dist)
@@ -359,13 +371,20 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     assert omc[0, 10] == omc[1, 11] == dist[0, 10] == dist[1, 11] == 0.0
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1), (4, 2)])
+def test_pair_kernel_rejects_codimension_two_surfaces():
+    # a surface in R^4 has no unit normal, and the kernel reads nothing else
+    x = np.random.default_rng(3).standard_normal((4, 4))
+    with pytest.raises(UnsupportedInputError):
+        ks_pair_kernel(x, x, x, x, 2)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1)])
 def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     rng = np.random.default_rng(5 + m)
     h = 1e-30
     x = rng.standard_normal((9, n)) + 1j * h * rng.standard_normal((9, n))
     fx = _frames(rng, 9, n, m) + 1j * h * rng.standard_normal((9, n, m))
-    omc, dist, _ = ks_pair_kernel(x, fx, x, fx)
+    omc, dist, _ = ks_pair_kernel(x, _units(fx), x, _units(fx), m)
     ref_omc, ref_dist = _einsum_kernel(x, fx, x, fx)
     assert np.max(np.abs(omc.real - ref_omc.real)) <= 1e-14
     assert np.max(np.abs(dist.real - ref_dist.real)) <= 1e-14
@@ -375,37 +394,36 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     assert np.max(np.abs((dist.imag - ref_dist.imag) / h)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1)])
 def test_pair_kernel_pullback_matches_complex_step(n, m):
     rng = np.random.default_rng(23 + n + m)
     x = rng.standard_normal((5, n))
     y = np.concatenate([rng.standard_normal((8, n)), x[:2]])  # two coincide
-    # any frames: the row-side pullback needs neither unit nor orthogonal
-    # columns, and the kernel is symmetric for them all
-    fx = rng.standard_normal((5, n, m))
-    fy = rng.standard_normal((10, n, m))
-    omc_xy = ks_pair_kernel(x, fx, y, fy)[0]
-    omc_yx = ks_pair_kernel(y, fy, x, fx)[0]
+    # any vectors: the row-side pullback needs no unit ones, and the kernel
+    # is symmetric for them all
+    ux = rng.standard_normal((5, n))
+    uy = rng.standard_normal((10, n))
+    omc_xy = ks_pair_kernel(x, ux, y, uy, m)[0]
+    omc_yx = ks_pair_kernel(y, uy, x, ux, m)[0]
     assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
     omc_bar, dist_bar = rng.standard_normal((2, 5, 10))
-    x_bar, fx_bar = ks_pair_kernel(x, fx, y, fy)[2](omc_bar, dist_bar)
+    x_bar, ux_bar = ks_pair_kernel(x, ux, y, uy, m)[2](omc_bar, dist_bar)
     # coincident pairs contribute nothing, whatever their bars
     live = np.ones((5, 10))
     live[0, 8] = live[1, 9] = 0.0
     h = 1e-20
 
-    def derivative(xz, fz):
-        # row i reads only x[i] and fx[i]: one complex step per coordinate
-        omc, dist, _ = ks_pair_kernel(xz, fz, y, fy)
+    def derivative(xz, uz):
+        # row i reads only x[i] and ux[i]: one complex step per coordinate
+        omc, dist, _ = ks_pair_kernel(xz, uz, y, uy, m)
         return (live * (omc_bar * omc + dist_bar * dist)).sum(axis=1).imag / h
 
-    scale = max(np.max(np.abs(x_bar)), np.max(np.abs(fx_bar)))
+    scale = max(np.max(np.abs(x_bar)), np.max(np.abs(ux_bar)))
     for c in range(n):
         z = x.astype(complex)
         z[:, c] += 1j * h
-        assert np.max(np.abs(x_bar[:, c] - derivative(z, fx))) <= 1e-13 * scale
-        for k in range(m):
-            fz = fx.astype(complex)
-            fz[:, c, k] += 1j * h
-            assert np.max(np.abs(fx_bar[:, c, k] - derivative(x, fz))) <= (
-                1e-13 * scale)
+        assert np.max(np.abs(x_bar[:, c] - derivative(z, ux))) <= 1e-13 * scale
+        uz = ux.astype(complex)
+        uz[:, c] += 1j * h
+        assert np.max(np.abs(ux_bar[:, c] - derivative(x, uz))) <= (
+            1e-13 * scale)
