@@ -8,8 +8,8 @@ from .meshes import (MeshTopology, TriMesh, euler_characteristic, icosphere,
                      mesh_disjoint_union, polygon_circle, read_obj, read_off,
                      torus_mesh, write_obj, write_off)
 from .patches import (PatchClassParams, PatchStack, PatchValidationReport,
-                      default_patch_radius, fit_quadratic_patches,
-                      graph_patch_at, validate_patch_class)
+                      default_patch_radius, graph_patch_at,
+                      validate_patch_class)
 from .surface import NodeSet, Surface, as_surface
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "read_off", "write_off", "read_obj", "write_obj",
     "PatchStack", "PatchClassParams", "PatchValidationReport",
     "graph_patch_at", "validate_patch_class", "default_patch_radius",
-    "fit_quadratic_patches", "NodeSet", "Surface", "as_surface",
+    "NodeSet", "Surface", "as_surface",
 ]

@@ -3,7 +3,11 @@
 A chart is a smooth map from a parameter box in R^m into R^n carrying
 analytic first and second derivatives (batched over parameter arrays).
 A ChartSurface is a list of charts with orientation fixed by parameter
-order, plus per-chart quadrature rules used for global integration.
+order, plus per-chart quadrature rules used for global integration. Its
+graph patches are one `PatchStack` for all located points, whatever their
+charts, and one Newton in chart parameters solves every row of it: the
+graph points of the radius check, `height` and `height_jacobian`, and the
+chord rows of `chord_solve`, each with its own residual.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = [
 ]
 
 
-# Newton iterations of the graph and chord solves before they give up.
+# Newton iterations of the chart patch Newton before it gives up.
 NEWTON_MAX_ITER = 60
 
 
@@ -124,12 +128,12 @@ class Chart:
     away from patch centers), and the points' parameters in them. The maps
     of a stack take one parameter row per chart, u (B, m), and its
     take(idx) is the stack of the charts idx; take is None on a single
-    chart. A stack serves the graph and chord Newtons only, so its hessian
-    is None. both, when set, gives (value(u), jacobian(u)) in one call that
+    chart. both, when set, gives (value(u), jacobian(u)) in one call that
     shares their work (`value_jacobian`), with the bits of the two separate
-    maps. On a spheroid stack both fills preallocated (R, 3) and (R, 3, 2)
-    arrays one output component at a time, and value is a value-only map
-    that does none of the Jacobian's work (the graph Newton's residuals).
+    maps. A stack serves only the patch Newton, which reads value_jacobian,
+    so a spheroid stack has both alone: it fills preallocated (R, 3) and
+    (R, 3, 2) arrays one output component at a time, and its value,
+    jacobian, hessian and param_rule are None.
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
@@ -322,85 +326,159 @@ class ChartSurface(Surface):
         return min(near, float(np.linalg.norm(x - foot)))
 
     def patches_at(self, locators, radius, shrink) -> PatchStack:
-        """Graph patches at the located points, one stack per run of
-        points on the same chart. Each radius is validated on a polar grid
-        and shrunk by 0.85 until the graph Newton converges there (unless
-        shrink=False). Chord rows are solved in the chart parameters. A
-        failed build names every failing node of its chart run, numbered
-        in the whole list."""
-        stacks = []
-        for k, u0 in self._runs(locators):
-            try:
-                stacks.append(self._chart_patches(k, u0, radius, shrink))
-            except NumericalError as exc:
-                offset = sum(map(len, stacks))
-                exc.nodes = [k + offset for k in exc.nodes]
-                raise
-        return PatchStack.concatenate(stacks)
+        """Graph patches at the located points, one stack for all of them.
 
-    def _chart_patches(self, chart_idx, u0, radius, shrink) -> PatchStack:
-        chart = self.charts[chart_idx]
-        if chart.repatch is not None:
-            chart, u0 = chart.repatch(u0)
-        take = chart.take or (lambda idx: chart)    # the charts of some rows
-        x0 = chart.value(u0)
-        jac0 = chart.jacobian(u0)
-        tangent, normal = orthonormal_frames(jac0)
+        Each run of points on the same chart is repatched once; one row map
+        then sends every row of the stack to its own chart, or to its own
+        chart of a chart stack (`Chart.take`). Every radius is validated
+        on a polar grid and shrunk by 0.85 until the graph Newton converges
+        there (unless shrink=False). The graph points behind the grid,
+        `height` and `height_jacobian` and the chord rows of `chord_solve`
+        are all solved by one Newton in chart parameters. A failure names
+        the chart of its first failing run and that run's failing nodes."""
+        runs = []                   # (chart index, chart, parameters (B_k, m))
+        for k, u0 in self._runs(locators):
+            chart = self.charts[k]
+            if chart.repatch is not None:
+                chart, u0 = chart.repatch(u0)
+            runs.append((k, chart, u0))
+        sizes = [len(u) for *_, u in runs]
+        start = np.cumsum([0, *sizes])                # each run's first node
+        run = np.repeat(np.arange(len(runs)), sizes)  # each node's run
         m, n = self.m, self.n
+
+        def on_run(k, node):
+            chart = runs[k][1]
+            return (chart if chart.take is None
+                    else chart.take(node - start[k])).value_jacobian
+
+        def maps(node):
+            """value_jacobian of the charts of rows of the stack nodes node."""
+            if len(runs) == 1:
+                return on_run(0, node)
+            part, calls = run.take(node), []
+            for k in np.unique(part):
+                sel = part == k
+                calls.append((sel, on_run(k, node[sel])))
+
+            def value_jacobian(u):
+                x, J = np.empty((len(u), n)), np.empty((len(u), n, m))
+                for sel, call in calls:
+                    x[sel], J[sel] = call(u[sel])
+                return x, J
+            return value_jacobian
+
+        def first_run(nodes):
+            """The chart of the first run among failing nodes, and those of
+            them on that run."""
+            part = run.take(nodes)
+            return f"chart {runs[part.min()][0]}", nodes[part == part.min()]
+
+        u0 = np.concatenate([u for *_, u in runs])
+        x0, jac0 = maps(np.arange(len(u0)))(u0)
+        tangent, normal = orthonormal_frames(jac0)
         A0 = _inv_small(np.stack([np.stack(_tdots(tangent, jac0[..., k]), -1)
                                   for k in range(m)], axis=-1))
-        where = f"chart {chart_idx}"
+        tx0 = np.stack(_tdots(tangent, x0), axis=-1)
         # Absolute stopping floor of the chord Newton: 16 ulps of the
         # coordinates, above the rounding that x(u) - x0 leaves in the residuals
         # (a floor near one ulp stalls at the smallest radii).
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
 
-        def solve_params(node, eta):
-            """Chart parameters of the graph points over eta (R, m) of the
-            rows' nodes, and the rows left unconverged."""
-            u = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0), eta)
-            T = tangent.take(node, axis=0)
-            target = eta + np.stack(_tdots(T, x0.take(node, axis=0)), axis=-1)
-            tol_row = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
-            idx = np.arange(len(eta))
-            for _ in range(NEWTON_MAX_ITER):
-                res = np.stack(_tdots(T[idx], take(node[idx]).value(u[idx])),
-                               axis=-1) - target[idx]
-                bad = np.max(np.abs(res), axis=-1) > tol_row[idx]
-                if not bad.any():
-                    return u, idx[:0]
-                sel = idx[bad]
-                J, Ts = take(node[sel]).jacobian(u[sel]), T[sel]
-                step = _solve_steps([[dot(Ts[..., i], J[..., k])
-                                      for k in range(m)] for i in range(m)],
-                                    list(res[bad].T))
-                # clamp wild steps near chart degeneracies
-                for j, s in enumerate(step):
-                    u[sel, j] -= np.clip(s, -1.0, 1.0)
-                idx = sel
-            return u, idx
+        def newton(node, w, tol, data, residual, system):
+            """The one Newton in chart parameters, over R rows of the stack
+            nodes node (R,), started at u0 + A0 w.
 
-        def graph_params(node, eta):
+            residual(x, *data) gives the residual components, (R,) each,
+            and a tuple of (R, ...) arrays that system(J, *those, *data)
+            reads to form the rows of the m x m Newton system; data is a
+            tuple of (R, ...) arrays and tol (R,) the rows' tolerance. Each
+            iteration makes one value_jacobian call; the step is solved in
+            closed form and clamped to +-1 against wild steps near chart
+            degeneracies. Converged rows are retired once they are a
+            quarter of the batch; until then they stay in it with a zero
+            step. Returns x (R, n) and J (R, n, m) at every converged row
+            and the rows still unconverged at the last check.
+            """
+            u = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0), w)
+            x_out = np.empty((len(u), n))
+            J_out = np.empty((len(u), n, m))
+            idx, at = np.arange(len(u)), maps(node)
+            for _ in range(NEWTON_MAX_ITER):
+                x, J = at(u)
+                res, extra = residual(x, *data)
+                bad = np.abs(res[0]) > tol
+                for r in res[1:]:
+                    bad |= np.abs(r) > tol
+                n_bad = int(np.count_nonzero(bad))
+                if n_bad == 0 or 4 * n_bad < 3 * len(bad):
+                    done = np.flatnonzero(~bad)
+                    x_out[idx[done]] = x.take(done, axis=0)
+                    J_out[idx[done]] = J.take(done, axis=0)
+                    if not n_bad:
+                        return x_out, J_out, idx[:0]
+                    keep = np.flatnonzero(bad)
+                    u, tol, idx, J, *res = (a.take(keep, axis=0)
+                                            for a in (u, tol, idx, J, *res))
+                    extra, data = ([a.take(keep, axis=0) for a in arrays]
+                                   for arrays in (extra, data))
+                    at, bad = maps(node.take(idx)), bad[keep]
+                for j, s in enumerate(_solve_steps(system(J, *extra, *data),
+                                                   res)):
+                    s = np.clip(s, -1.0, 1.0)
+                    u[:, j] -= (s if n_bad == len(bad)
+                                else np.where(bad, s, 0.0))
+            return x_out, J_out, idx[bad]
+
+        def graph_residual(x, T, target):
+            """T^T x(u) - (T^T x0 + eta)."""
+            return [dot(T[..., i], x) - target[:, i] for i in range(m)], ()
+
+        def graph_system(J, T, target):
+            return [_tdots(J, T[..., i]) for i in range(m)]
+
+        def graph_solve(node, eta):
+            """x and J at the graph points over eta (R, m) of the stack nodes
+            node (R,), and the rows left unconverged."""
+            tol = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
+            return newton(node, eta, tol, (tangent.take(node, axis=0),
+                                           eta + tx0.take(node, axis=0)),
+                          graph_residual, graph_system)
+
+        def graph_rows(node, eta):
             node, eta = np.ravel(node), np.asarray(eta, dtype=float)
-            u, failed = solve_params(node, eta.reshape(len(node), -1))
+            x, J, failed = graph_solve(node, eta.reshape(len(node), -1))
             if len(failed):
+                where, nodes = first_run(node[failed])
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
-                    f"radius ({where})", node=int(node[failed[0]]))
-            return node, u
+                    f"radius ({where})", node=int(nodes[0]))
+            return node, x, J
 
         def height(node, eta):
-            node, u = graph_params(node, eta)
-            d = take(node).value(u) - x0[node]
-            return _heights(normal[node], d).reshape(
+            node, x, _ = graph_rows(node, eta)
+            return _heights(normal[node], x - x0[node]).reshape(
                 np.shape(eta)[:-1] + (-1,))
 
         def height_jacobian(node, eta):
-            node, u = graph_params(node, eta)
-            dh = _grad_height(take(node).jacobian(u), tangent[node],
-                              normal[node])
+            node, _, J = graph_rows(node, eta)
+            dh = _grad_height(J, tangent[node], normal[node])
             return dh.reshape(np.shape(eta)[:-1] + dh.shape[1:])
+
+        def chord_residual(x, xk, tk, *pk):
+            """(|d|^2 - t^2) / (2 t), the distance residual in length units,
+            and for m = 2 <d, T v_perp>, with d = x(u) - x0."""
+            d = x - xk
+            res = [(dot(d, d) - tk * tk) / (2.0 * tk)]
+            if pk:
+                res.append(dot(d, pk[0]))
+            return res, (d,)
+
+        def chord_system(J, d, xk, tk, *pk):
+            """Rows J^T d / t and, for m = 2, J^T T v_perp."""
+            return [[r / tk for r in _tdots(J, d)],
+                    *(_tdots(J, p) for p in pk)]
 
         def chord_solve(node, v, t):
             """(xi, h, grad h) at chord distance t along tangent directions v.
@@ -412,95 +490,56 @@ class ChartSurface(Surface):
             as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
             about 1e-12 relative at the smallest radii. Residuals, the m x m
             Newton system and its closed-form solve are per-component (R,)
-            arrays, the step is applied one parameter column at a time, and
-            rows are gathered and retired with takes, not masks.
+            arrays, and rows are gathered and retired with takes, not masks.
             """
             node = np.asarray(node)
             v = np.asarray(v, dtype=float)
             t = np.asarray(t, dtype=float)
             T = tangent.take(node, axis=0)
-            d_out = np.empty((len(t), n))
-            J_out = np.empty((len(t), n, m))
-            # active rows: parameter, radius, tolerance, row index, base
-            # point, chart and, for m = 2, the second equation's ambient
-            # direction T v_perp
-            uk = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0),
-                                                 t[:, None] * v)
-            tk, idx = t, np.arange(len(t))
-            tolk = 1e-13 * t + floor.take(node)
-            xk, ck = x0.take(node, axis=0), take(node)
-            pk = (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1))
-                  if m == 2 else None)
-            for _ in range(NEWTON_MAX_ITER):
-                d, J = ck.value_jacobian(uk)
-                d = d - xk
-                # (|d|^2 - t^2) / (2 t): the distance residual in length units
-                res = [(dot(d, d) - tk * tk) / (2.0 * tk)]
-                if m == 2:
-                    res.append(dot(d, pk))
-                bad = np.abs(res[0]) > tolk
-                for r in res[1:]:
-                    bad |= np.abs(r) > tolk
-                n_bad = int(np.count_nonzero(bad))
-                if n_bad == 0 or 4 * n_bad < 3 * len(bad):
-                    # retire the converged rows once they are a quarter of the
-                    # batch; until then they stay in it with a zero step
-                    done = np.flatnonzero(~bad)
-                    d_out[idx[done]] = d.take(done, axis=0)
-                    J_out[idx[done]] = J.take(done, axis=0)
-                    if not n_bad:
-                        break
-                    keep = np.flatnonzero(bad)
-                    uk, tk, tolk, idx, xk, d, J, *res = (
-                        a.take(keep, axis=0)
-                        for a in (uk, tk, tolk, idx, xk, d, J, *res))
-                    ck = take(node[idx])
-                    pk = None if pk is None else pk.take(keep, axis=0)
-                    bad = bad[keep]
-                # rows J^T d / t and, for m = 2, J^T p of the Newton system
-                rows = [[r / tk for r in _tdots(J, d)]]
-                if m == 2:
-                    rows.append(_tdots(J, pk))
-                # clamp wild steps near chart degeneracies; converged rows
-                # keep their parameters
-                for j, s in enumerate(_solve_steps(rows, res)):
-                    s = np.clip(s, -1.0, 1.0)
-                    uk[:, j] -= s if n_bad == len(bad) else np.where(bad, s, 0.0)
-            else:
+            data = (x0.take(node, axis=0), t)
+            if m == 2:
+                data += (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1)),)
+            d, J, failed = newton(node, t[:, None] * v,
+                                  1e-13 * t + floor.take(node), data,
+                                  chord_residual, chord_system)
+            if len(failed):
+                where, nodes = first_run(node[failed])
                 raise NumericalError(
-                    f"chord Newton did not converge on {len(idx)} rows "
-                    f"({where}); is t beyond the patch?", node=int(node[idx[0]]))
-            wrong = sum(c * v[:, j] for j, c in enumerate(_tdots(T, d_out))
-                        ) <= 0.0
+                    f"chord Newton did not converge on {len(nodes)} rows "
+                    f"({where}); is t beyond the patch?", node=int(nodes[0]))
+            d -= data[0]                # x(u) - x0, in place
+            wrong = sum(c * v[:, j] for j, c in enumerate(_tdots(T, d))) <= 0.0
             if wrong.any():
+                where, nodes = first_run(node[wrong])
                 raise NumericalError(
                     f"chord Newton left the ray's side ({where})",
-                    node=int(node[np.argmax(wrong)]))
+                    node=int(nodes[0]))
             N = normal.take(node, axis=0)
-            h = _heights(N, d_out)
+            h = _heights(N, d)
             xi = np.sqrt(np.maximum(t * t - dot(h, h), 0.0))
-            return xi, h, _grad_height(J_out, T, N)
+            return xi, h, _grad_height(J, T, N)
 
         # Validate each radius on a coarse polar grid (rim plus interior
         # rings); the nodes whose grid fails shrink and are tried again.
-        if self.m == 1:
+        if m == 1:
             grid = np.array([[[1.0]], [[-1.0]], [[0.5]], [[-0.5]]])
         else:
             ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
             grid = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[None]
-        rings = np.array([0.35, 0.7, 0.98]) if self.m == 2 else np.ones(1)
+        rings = np.array([0.35, 0.7, 0.98]) if m == 2 else np.ones(1)
         r = np.full(len(u0), float(radius))
         attempts = 0
         todo = np.arange(len(u0))
         while len(todo):
             eta = grid * (rings * r[todo, None])[..., None, None]
-            node = np.repeat(todo, eta[0].size // self.m)
-            _, failed = solve_params(node, eta.reshape(-1, self.m))
+            node = np.repeat(todo, eta[0].size // m)
+            *_, failed = graph_solve(node, eta.reshape(-1, m))
             todo = np.unique(node[failed])
             if len(todo) and (not shrink or attempts >= 40):
+                where, nodes = first_run(todo)
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
-                    f"radius ({where})", node=todo.tolist())
+                    f"radius ({where})", node=nodes.tolist())
             attempts += 1
             r[todo] *= 0.85
         return PatchStack(base_point=x0, tangent=tangent, normal=normal,
@@ -652,34 +691,23 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component):
     def repatch(u0):
         s0 = sval(u0) @ rot.T
         cols = np.transpose(ax[:, None] * _rotations_taking_ex(s0), (2, 1, 0))
-        return (_spheroid_stack(np.ascontiguousarray(cols), ctr, base_nodes,
-                                component),
+        return (_spheroid_stack(np.ascontiguousarray(cols), ctr),
                 np.tile([math.pi / 2.0, 0.0], (len(s0), 1)))
 
     return Chart(2, 3, value, jacobian, hessian, _sphere_rule(*base_nodes),
                  component=component, repatch=repatch)
 
 
-def _spheroid_stack(cols, ctr, base_nodes, component):
+def _spheroid_stack(cols, ctr):
     """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
     with cols[j] (3, R) the j-th columns of the A_r, stored by component
     so that every product below runs over the rows in memory order. Each
     output component is evaluated from its own (R,) rows of cols:
     A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1."""
 
-    def trig(u):
-        th, ph = u[..., 0], u[..., 1]
-        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-
-    def value(u):
-        st, ct, sp, cp = trig(u)
-        x = np.empty(u.shape[:-1] + (3,))
-        for i, (a0, a1, a2) in enumerate(zip(*cols)):
-            x[..., i] = ctr[i] + st * (cp * a0 + sp * a1) + ct * a2
-        return x
-
     def both(u):
-        st, ct, sp, cp = trig(u)
+        th, ph = u[..., 0], u[..., 1]
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
         x = np.empty(u.shape[:-1] + (3,))
         jac = np.empty(u.shape[:-1] + (3, 2))
         for i, (a0, a1, a2) in enumerate(zip(*cols)):
@@ -690,12 +718,9 @@ def _spheroid_stack(cols, ctr, base_nodes, component):
         return x, jac
 
     def take(idx):
-        return _spheroid_stack(np.take(cols, idx, axis=-1), ctr, base_nodes,
-                               component)
+        return _spheroid_stack(np.take(cols, idx, axis=-1), ctr)
 
-    return Chart(2, 3, value, lambda u: both(u)[1], None,
-                 _sphere_rule(*base_nodes), component=component,
-                 take=take, both=both)
+    return Chart(2, 3, None, None, None, None, take=take, both=both)
 
 
 def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0),
@@ -752,10 +777,8 @@ def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
         return np.stack([np.stack([d_tt, d_tp], axis=-1),
                          np.stack([d_tp, d_pp], axis=-1)], axis=-1)
 
-    def rule(scale):
-        return _product_rule([(0.0, 2 * math.pi), (0.0, 2 * math.pi)],
-                             base_nodes, [True, True])(scale)
-
+    rule = _product_rule([(0.0, 2 * math.pi), (0.0, 2 * math.pi)],
+                         base_nodes, [True, True])
     chart = Chart(2, 3, value, jacobian, hessian, rule)
     return ChartSurface(2, 3, [chart], True, 0)
 

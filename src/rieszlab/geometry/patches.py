@@ -5,21 +5,20 @@ plane to the normal space with h(0)=0, grad h(0)=0, so that eta |-> x +
 T eta + N h(eta) parametrizes the surface near x. Patches are built for a
 stack of points at once (`PatchStack`, one leading node axis on every
 array; one point is a stack of one node), and the patch-class check
-measures the derivative bounds of a whole stack in one pass. Chart
-surfaces get h by Newton inversion of the chart map, and also solve for
-the points at a given chord distance directly in chart parameters
-(`PatchStack.chord_solve`), all rows of all nodes in one Newton; meshes
-get h from weighted least-squares quadratic fits over 2-ring
-neighborhoods, all vertices in one batch, and solve chord rows in closed
-form. A vertex fit is one solve in a seed frame, then the fitted graph's
-tangent plane (`fit_tangent_frames`, the frame step the KS flow reads) and
-its second fundamental form there (`fit_curvature`), both in closed form;
-`fit_quadratic_patches` runs both. `orthonormal_frames` is the one
-orthonormalizer of charts and meshes. Every step is written with plain
-(non-conjugating) products, so complex-step derivatives go through. The
-surfaces build their own patches and curvatures (`patches_at` and
-`curvatures` of the surface protocol); the functions here reach them
-through that protocol.
+measures the derivative bounds of a whole stack in one pass. A surface
+builds one stack for all the points it is given. Chart surfaces get h
+and the points at a given chord distance (`PatchStack.chord_solve`) from
+one Newton in chart parameters over all rows of all nodes, whatever their
+charts; meshes get h from weighted least-squares quadratic fits over
+2-ring neighborhoods, all vertices in one batch, and solve chord rows in
+closed form. A vertex fit is one solve in a seed frame, then the fitted
+graph's tangent plane (`fit_tangent_frames`, the frame step the KS flow
+reads) and its second fundamental form there (`fit_curvature`), both in
+closed form. `orthonormal_frames` is the one orthonormalizer of charts
+and meshes. Every step is written with plain (non-conjugating) products,
+so complex-step derivatives go through. The surfaces build their own
+patches and curvatures (`patches_at` and `curvatures` of the surface
+protocol); the functions here reach them through that protocol.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "fit_tangent_frames_adjoint",
     "orthonormal_frames_adjoint",
     "fit_curvature",
-    "fit_quadratic_patches",
 ]
 
 
@@ -172,10 +170,11 @@ class PatchStack:
     (..., m) and node of shape eta.shape[:-1], and chord_solve(node, v, t)
     for unit tangent directions v (K, m) and chord radii t (K,) > 0, which
     returns (xi, h, grad h): the radius xi >= 0 with xi^2 + |h(xi v)|^2 =
-    t^2 and the height data at that point. Chart stacks solve every row by
-    Newton in the chart parameters of its node; mesh stacks in closed form
-    on the vertex's quadratic fit, h(eta) = eta^T C eta / 2 over the fitted
-    graph's tangent plane. Errors raised for one row carry that row's node.
+    t^2 and the height data at that point. Chart stacks solve all rows by
+    one Newton in chart parameters, each row on its node's chart; mesh
+    stacks in closed form on the vertex's quadratic fit, h(eta) = eta^T C
+    eta / 2 over the fitted graph's tangent plane. Errors raised for one
+    row carry that row's node.
     """
 
     base_point: np.ndarray        # (B, n)
@@ -236,48 +235,6 @@ class PatchStack:
             d3 = (plus - 2.0 * jac + minus) / step[:, None, None] ** 2
             sup = np.maximum(sup, np.maximum(per_node(d2), per_node(d3)))
         return sup
-
-    @staticmethod
-    def concatenate(stacks) -> "PatchStack":
-        """One stack of the nodes of several, in order."""
-        if len(stacks) == 1:
-            return stacks[0]
-        start = np.cumsum([0] + [len(s) for s in stacks])
-
-        def split(name):
-            def call(node, *args):
-                node = np.asarray(node)
-                part = np.searchsorted(start, node, side="right") - 1
-                out = None
-                for k, s in enumerate(stacks):
-                    sel = part == k
-                    if not sel.any():
-                        continue
-                    try:
-                        res = getattr(s, name)(node[sel] - start[k],
-                                               *(a[sel] for a in args))
-                    except NumericalError as exc:
-                        exc.nodes = [j + int(start[k]) for j in exc.nodes]
-                        raise
-                    # the sub-stack's rows have one leading axis
-                    parts = res if isinstance(res, tuple) else (res,)
-                    if out is None:
-                        out = [np.empty(node.shape + p.shape[1:], p.dtype)
-                               for p in parts]
-                    for o, p in zip(out, parts):
-                        o[sel] = p
-                return tuple(out) if isinstance(res, tuple) else out[0]
-            return call
-
-        def cat(name):
-            return np.concatenate([getattr(s, name) for s in stacks])
-
-        return PatchStack(
-            base_point=cat("base_point"), tangent=cat("tangent"),
-            normal=cat("normal"), radii=cat("radii"),
-            height=split("height"), height_jacobian=split("height_jacobian"),
-            chord_solve=split("chord_solve"),
-            fit_residual=cat("fit_residual"))
 
 
 def _fit_design(d, mask, tangent, normal):
@@ -408,20 +365,6 @@ def fit_curvature(tangent, normal, solve):
     res = XY[..., :k] @ sol - XY[..., k:]
     rms = np.sqrt((res * res).sum(axis=(1, 2)) / (count * c))
     return 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2)), rms
-
-
-def fit_quadratic_patches(offsets, mask, seed_tangent):
-    """Weighted LSQ quadratic graph fits h(eta) = eta^T A eta / 2, batched.
-
-    seed_tangent (P, n, m) is an oriented guess of each tangent plane; its
-    `orthonormal_frames` seed the frame step (`fit_tangent_frames`), whose
-    frames and solve the curvature step (`fit_curvature`) completes.
-    Returns (tangent (P, n, m), normal (P, n, n-m), coeffs (P, n-m, m, m),
-    rms (P,)).
-    """
-    tangent, normal, solve = fit_tangent_frames(
-        offsets, mask, *orthonormal_frames(seed_tangent))
-    return (tangent, normal, *fit_curvature(tangent, normal, solve))
 
 
 def graph_patch_at(surface, locators, radius, shrink=True):

@@ -1,14 +1,17 @@
 """Moebius-invariant energies: combined angle, Kusner-Sullivan, Auckly-Sadun.
 
-The combined angle theta(x, y) between the tangent plane at y and the
-tangent plane at y of the m-sphere tangent to the surface at x through y is
-computed by reflecting the x-frame across the chord direction:
+The combined angle theta(x, y) is the angle between the tangent plane at y
+and the tangent plane at y of the m-sphere tangent to the surface at x
+through y. Only the scalar reference `combined_angle_cos_frames` (and
+`combined_angle_cos` on top of it) computes it from frames, by reflecting
+the x-frame across the chord direction:
     ehat_i = 2 <e_i, v> v - e_i,
     cos theta = (-1)^(m-1) det(<ehat_i, w_j>) / sqrt(det(<w_i, w_j>)),
 with e_i an oriented orthonormal frame at x and w_j any positively oriented
 tangent basis at y. This avoids constructing the tangent sphere explicitly.
 
-The KS pair kernel reads one unit vector u per point instead of a frame:
+The energies use the KS pair kernel, which reads one unit vector u per
+point instead of a frame:
 the tangent of a curve (m = 1, any n) or the unit normal n = e_0 x e_1 of
 a surface in R^3 (m = 2). The determinant of two planes' orthonormal frames
 is the inner product of their normals, and the reflection takes n_x to

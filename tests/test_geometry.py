@@ -8,16 +8,18 @@ from rieszlab.errors import (NumericalError, PreconditionError,
                              RankDeficiencyError, TopologyError,
                              UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, euler_characteristic,
-                               fit_quadratic_patches, graph_patch_at,
-                               icosphere, make_circle, make_cylinder_patch,
+                               graph_patch_at, icosphere, make_circle,
+                               make_cylinder_patch,
                                make_disjoint_union, make_ellipsoid,
                                make_sphere, make_torus, mesh_disjoint_union,
                                orthonormal_frames, polygon_circle, read_obj,
                                read_off, torus_mesh, validate_patch_class,
                                write_obj, write_off)
 from rieszlab.geometry.charts import _graph_patch_surface, _inv_small
-from rieszlab.geometry.patches import (orthonormal_frames_adjoint,
+from rieszlab.geometry.patches import (fit_curvature, fit_tangent_frames,
+                                       orthonormal_frames_adjoint,
                                        umbilicity_defect)
+from rieszlab.moebius import MoebiusMap, apply_moebius
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
 
@@ -269,6 +271,74 @@ def test_concatenated_stack_rows_keep_their_node_shape():
                                       flat.reshape(2, 2, *flat.shape[1:]))
 
 
+@pytest.mark.parametrize("fn, rows", [
+    ("chord_solve", ([[1.0, 0.0]] * 4, [0.2, 3.0, 3.0, 3.0])),
+    ("height", ([[0.1, 0.0], *[[5.0, 5.0]] * 3],)),
+], ids=["chord", "graph"])
+def test_newton_failures_name_only_unconverged_rows(fn, rows):
+    # node 0's row converges at once but stays in the batch, below a
+    # quarter of it; the three rows of node 1 (a chord of 3 beyond the unit
+    # sphere's diameter, a height far outside the radius) do not converge
+    stack = graph_patch_at(make_sphere(), [(0, [1.0, 0.5]), (0, [1.2, 2.0])],
+                           0.3)
+    with pytest.raises(NumericalError) as exc:
+        getattr(stack, fn)(np.array([0, 1, 1, 1]), *map(np.array, rows))
+    assert exc.value.nodes == [1]
+    if fn == "chord_solve":
+        assert "did not converge on 3 rows (chart 0)" in str(exc.value)
+
+
+UNIONS = {
+    "sphere+ellipsoid": lambda: make_disjoint_union(
+        make_sphere(), make_ellipsoid(0.8, 1.0, 1.2, (3.0, 0.0, 0.0),
+                                      component=1)),
+    "torus+sphere": lambda: make_disjoint_union(
+        make_torus(2.0, 0.5), make_sphere(0.5, (0.0, 0.0, 3.0))),
+    "inversion": lambda: apply_moebius(
+        UNIONS["sphere+ellipsoid"](),
+        MoebiusMap("inversion", center=(1.5, 2.0, 0.0), radius=1.5)),
+}
+
+
+@pytest.mark.parametrize("name", UNIONS)
+def test_union_stack_matches_single_chart_builds(name):
+    # the one stack of every node against one build per chart, bit for bit
+    surface = UNIONS[name]()
+    nodes = surface.nodes(0.25)
+    take = np.linspace(0, len(nodes.points) - 1, 9).astype(int)
+    locators = [nodes.locators[i] for i in take]
+    chart = np.array([k for k, _ in locators])
+    assert set(chart) == {0, 1}
+    stack = graph_patch_at(surface, locators, 0.3)
+    singles = [graph_patch_at(surface, [loc for loc in locators
+                                        if loc[0] == k], 0.3) for k in (0, 1)]
+    for field in ("base_point", "tangent", "normal", "radii"):
+        np.testing.assert_array_equal(
+            getattr(stack, field),
+            np.concatenate([getattr(s, field) for s in singles]))
+    np.testing.assert_array_equal(
+        stack.derivative_bounds(),
+        np.concatenate([s.derivative_bounds() for s in singles]))
+    rng = np.random.default_rng(11)
+    node = np.repeat(np.arange(len(stack)), 12)
+    v = rng.normal(size=(len(node), 2))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    t = rng.uniform(0.01, 0.95, len(node)) * stack.radii[node]
+    eta = v * t[:, None]
+    whole = [stack.chord_solve(node, v, t), stack.height(node, eta),
+             stack.height_jacobian(node, eta)]
+    start = 0
+    for k, single in enumerate(singles):
+        rows = chart[node] == k
+        local = node[rows] - start
+        parts = [single.chord_solve(local, v[rows], t[rows]),
+                 single.height(local, eta[rows]),
+                 single.height_jacobian(local, eta[rows])]
+        for got, want in zip([*whole[0], *whole[1:]], [*parts[0], *parts[1:]]):
+            np.testing.assert_array_equal(got[rows], want)
+        start += len(single)
+
+
 def test_sphere_curvature():
     sph = make_sphere(2.0)
     sff = curvature(sph, [1.0, 0.4])
@@ -294,8 +364,10 @@ def test_cylinder_curvature_chart_and_fit():
     nbrs = q.points[(d > 1e-9) & (d < 0.35)]
     # seeded with the tangent plane tilted by about 0.1 rad
     seed = np.array([[-np.sin(0.2), np.cos(0.2), 0.1], [0.1, 0.0, 1.0]]).T
-    _, _, coeffs, _ = fit_quadratic_patches((nbrs - base)[None],
-                                            np.ones((1, len(nbrs))), seed[None])
+    tangent, normal, solve = fit_tangent_frames(
+        (nbrs - base)[None], np.ones((1, len(nbrs))),
+        *orthonormal_frames(seed[None]))
+    coeffs, _ = fit_curvature(tangent, normal, solve)
     sff = np.moveaxis(coeffs[0], 0, -1)
     kfit = np.linalg.eigvalsh(sff[..., 0])
     kfit = sorted(abs(k) for k in kfit)
