@@ -245,7 +245,8 @@ class RunConfig:
     command: str
     surface: str | None = None
     alpha: float | None = None
-    energy: str = "riesz"        # riesz | ks | as
+    # riesz | ks | as; unset, invariance checks ks and the others run riesz
+    energy: str | None = None
     s: float = 0.0
     z: float | None = None
     radius: float = 1.0
@@ -296,16 +297,17 @@ def _emit(config: RunConfig, payload: dict) -> None:
 def _cmd_energy(config: RunConfig) -> dict:
     surface = parse_surface(config.surface)
     qc = config.quad_config()
-    if config.energy == "ks":
+    energy = config.energy or "riesz"
+    if energy == "ks":
         rep = ks_energy(surface, qc)
-    elif config.energy == "as":
+    elif energy == "as":
         rep = as_energy(surface, config.s, qc)
     else:
         if config.alpha is None:
             raise ConfigError("energy command needs --alpha (or --energy ks/as)")
         rep = riesz_energy(surface, config.alpha, config=qc)
     return {"command": "energy", "surface": config.surface,
-            "energy": config.energy, "alpha": config.alpha,
+            "energy": energy, "alpha": config.alpha,
             "report": rep.as_dict()}
 
 
@@ -388,7 +390,10 @@ def _cmd_flow(config: RunConfig) -> dict:
 def _cmd_invariance(config: RunConfig) -> dict:
     surface = parse_surface(config.surface)
     mmap = parse_map(config.map_spec or "inversion:cx=3.0,r=2.0", surface.n)
-    selector = "as" if config.energy == "as" else "ks"
+    selector = config.energy or "ks"
+    if selector not in ("ks", "as"):
+        raise ConfigError("invariance checks a Moebius-invariant energy, "
+                          f"ks or as, not {selector!r}")
     rep = moebius_invariance_check(surface, mmap, selector, config.s,
                                    config.quad_config())
     return {"command": "invariance", "report": rep.as_dict()}

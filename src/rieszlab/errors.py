@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the library.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
-UnsupportedInputError -> 4.
+UnsupportedInputError -> 4. `checked_arithmetic` turns numpy's overflow,
+division-by-zero and invalid-operation warnings into NumericalErrors.
 """
+
+import functools
+
+import numpy as np
 
 
 class RieszLabError(Exception):
@@ -30,6 +35,22 @@ class NumericalError(RieszLabError):
     @property
     def node(self):
         return self.nodes[0] if self.nodes else None
+
+
+def checked_arithmetic(func):
+    """Decorator: when numpy arithmetic inside func overflows, divides by
+    zero or is invalid, func raises NumericalError instead of warning and
+    returning inf or NaN. Underflow stays silent."""
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return func(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericalError(
+                f"{func.__name__} is not finite: {exc}") from exc
+
+    return checked
 
 
 class UnsupportedInputError(RieszLabError):

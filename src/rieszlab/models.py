@@ -6,25 +6,28 @@ Three local models of a double point are measured: orthogonal sheets
 (gap profile (rho/2)^4 + r^2), and a double cone (kernel (r+rho)^a). Each is
 integrated with an inner cutoff and the cutoff law classified as finite,
 logarithmic, or power growth. Each model integral is one array pass: the
-tangential scan stacks every cutoff's outer panels and runs the dyadic
-r-levels once for the stack, and the orthogonal and cone models evaluate
-their integrand once on the grid of all dyadic boxes. The sums keep the
-order of a panel-by-panel and box-by-box loop, so the values do not depend
-on the batching. The two-body sweep measures the cross interaction of two
-round m-spheres at gap delta, its chords cancellation-free with
-trigonometry on the 1D rules only, and compares it with the annulus-pair
-lower bound lambda(delta, rho) summed over dyadic scales in one array
-pass. Every rule is read from the cached `quadrature.gauss_legendre`.
+tangential scan stacks every cutoff's outer panels and takes the inner r
+integral in closed form at every node, and the orthogonal and cone models
+evaluate their integrand once on the grid of all dyadic boxes. The sums
+keep the order of a panel-by-panel and box-by-box loop, so the values do
+not depend on the batching. The two-body sweep measures the cross
+interaction of two round m-spheres at gap delta, its chords
+cancellation-free with trigonometry on the 1D rules only, and compares it
+with the annulus-pair lower bound lambda(delta, rho) summed over dyadic
+scales in one array pass. Every rule is read from the cached
+`quadrature.gauss_legendre`.
+Overflow, division by zero or an invalid operation in a model or a sweep
+is a NumericalError (`errors.checked_arithmetic`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, checked_arithmetic
 from .quadrature import compensated_sum, gauss_legendre
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
 ]
 
 # Gauss-Legendre nodes per panel of the one-dimensional panel rules (the
-# tangential model's rho and r panels, the two-body cross energy).
+# tangential model's rho panels, the two-body cross energy).
 PANEL_ORDER = 16
 # Gauss-Legendre nodes per axis of each dyadic box of the orthogonal and
 # cone models.
@@ -123,10 +126,11 @@ def classify_cutoff_law(cutoffs, values) -> CutoffFit:
     if np.any(np.diff(cut) >= 0):
         raise PreconditionError("cutoffs must be strictly decreasing")
     inc = np.abs(np.diff(val))
-    scale = np.max(np.abs(val))
+    constant = np.all(inc <= 1e-12 * np.max(np.abs(val)))
     inc = np.maximum(inc, 1e-300)
-    ratios = inc[1:] / inc[:-1]
-    if np.all(ratios < FINITE_RATIO) or np.all(inc < 1e-12 * scale):
+    with np.errstate(over="ignore"):   # a ratio past the range reads inf
+        ratios = inc[1:] / inc[:-1]
+    if np.all(ratios < FINITE_RATIO) or constant:
         limit = float(val[-1] + inc[-1] * ratios[-1] / (1 - ratios[-1])
                       if ratios[-1] < 1 else val[-1])
         return CutoffFit("finite", 0.0, 1.0, cut, val, limit=limit)
@@ -196,7 +200,6 @@ class OrthogonalModelResult:
     diverged: bool
     alpha: float
     rho: float
-    shell_sums: np.ndarray = field(repr=False, default=None)
     cutoff_fit: CutoffFit | None = None
 
 
@@ -216,6 +219,7 @@ def orthogonal_model_closed_form(alpha: float, rho: float) -> float:
     return 8.0 * math.pi ** 2 * rho ** (a + 4.0) * frac / (a + 4.0)
 
 
+@checked_arithmetic
 def orthogonal_model_integral(alpha: float,
                               rho: float = 1.0) -> OrthogonalModelResult:
     """Interaction of two orthogonal flat sheets meeting at a point.
@@ -243,58 +247,57 @@ def orthogonal_model_integral(alpha: float,
         # geometric tail extrapolation
         total = float(partial[-1] + sums[-1] * tail_ratio / (1.0 - tail_ratio))
         return OrthogonalModelResult(value=total, diverged=False, alpha=a,
-                                     rho=rho, shell_sums=sums)
+                                     rho=rho)
     take = slice(levels - 24, levels, 4)
     fit = classify_cutoff_law(cutoffs[take], partial[take])
     return OrthogonalModelResult(value=math.inf, diverged=True, alpha=a,
-                                 rho=rho, shell_sums=sums, cutoff_fit=fit)
+                                 rho=rho, cutoff_fit=fit)
+
+
+def _tangent_inner(a, A, R):
+    """integral_0^R (A + r^2)^(a/2) r dr = ((A + R^2)^p - A^p) / (2p), p =
+    a/2 + 1, elementwise in A > 0; the larger power is factored out, so
+    the difference is an expm1 and nothing cancels (log1p(R^2/A) / 2 at
+    p = 0)."""
+    p = 0.5 * a + 1.0
+    log_ratio = np.log1p(R * R / A)
+    if p < 0.0:
+        return A ** p * np.expm1(p * log_ratio) / (2.0 * p)
+    if p > 0.0:
+        return (A + R * R) ** p * -np.expm1(-p * log_ratio) / (2.0 * p)
+    return 0.5 * log_ratio
 
 
 def _tangent_values(a, R, cutoffs, gl_order):
     """V(cut) of the tangential model for every cutoff in one array pass.
 
     Each cutoff's outer range [cut, R] has 39 geometric panels of gl_order
-    rho-nodes; all cutoffs' panels form one stack. The inner r integral runs
-    over dyadic panels [R/2^(k+1), R/2^k] down to the panel's concentration
-    scale: a panel takes its level count from its smallest (rho/2)^4, and
-    level k updates only the panels that reach it. Below the last level the
-    integrand is ~ A2^(a/2) r, added as a tail from the panel's own last hi.
-    Panels and cutoffs are summed in the order of a panel-by-panel loop.
+    rho-nodes; all cutoffs' panels form one stack. The inner r integral over
+    [0, R] is exact at every node (`_tangent_inner` with A = (rho/2)^4), so
+    the outer rule is the only quadrature. Panels and cutoffs are summed in
+    the order of a panel-by-panel loop.
     """
     xg, wg = gauss_legendre(gl_order)
     edges = np.stack([np.geomspace(cut, R, 40) for cut in cutoffs])
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     rh = (0.5 * (hi - lo))[:, None] * (xg + 1.0) + lo[:, None]
     wh = (0.5 * (hi - lo))[:, None] * wg
-    A2 = (rh / 2.0) ** 4
-    counts = np.array([max(8, math.ceil(math.log2(R / max(m ** 0.5, 1e-14))) + 2)
-                       for m in np.min(A2, axis=1)])
-    his = [R]
-    for _ in range(max(counts)):
-        his.append(0.5 * his[-1])
-    inner = np.zeros_like(rh)
-    for k in range(len(his) - 1):
-        r_hi, r_lo = his[k], his[k + 1]
-        rs = 0.5 * (r_hi - r_lo) * (xg + 1.0) + r_lo
-        ws = 0.5 * (r_hi - r_lo) * wg
-        live = counts > k
-        vals = (A2[live][..., None] + rs ** 2) ** (a / 2.0) * rs
-        inner[live] += vals @ ws
-    h2 = np.array([his[c] ** 2 for c in counts])[:, None]
-    inner += (A2 + h2 * 0.25) ** (a / 2.0) * 0.5 * h2
+    inner = _tangent_inner(a, (rh / 2.0) ** 4, R)
     panels = np.sum(inner * rh * wh, axis=1).reshape(len(cutoffs), -1)
     return np.cumsum(panels, axis=1)[:, -1]
 
 
+@checked_arithmetic
 def tangent_model_scan(alpha: float, extent: float = 0.5,
                        cutoffs=None) -> CutoffFit:
     """Cutoff study of the tangential double-point model.
 
     Integrand ((rho/2)^4 + r^2)^(a/2) r rho over [cutoff, R] x [0, R]; the
     squared-gap profile (rho/2)^4 models a sphere resting on a plane. The
-    r integral is taken numerically on dyadic panels graded toward r = 0,
-    which resolves the r ~ rho^2 concentration scale. The extent R lies in
-    (0, 1] and the cutoffs decrease strictly inside (0, R).
+    r integral is exact (closed form), so the r ~ rho^2 concentration scale
+    needs no resolving; the rho integral is Gauss-Legendre on geometric
+    panels. The extent R lies in (0, 1] and the cutoffs decrease strictly
+    inside (0, R).
     """
     a = float(alpha)
     R = float(extent)
@@ -308,6 +311,7 @@ def tangent_model_scan(alpha: float, extent: float = 0.5,
                                _tangent_values(a, R, cutoffs, PANEL_ORDER))
 
 
+@checked_arithmetic
 def cone_model_scan(alpha: float, cutoffs=None) -> CutoffFit:
     """Cutoff study of the double-cone interaction model.
 
@@ -446,6 +450,7 @@ class TwoBodySweepResult:
         }
 
 
+@checked_arithmetic
 def two_body_sweep(m: int, alpha: float, radius: float,
                    gaps) -> TwoBodySweepResult:
     """Cross-energy sweep over shrinking gaps with blow-up law fitting.

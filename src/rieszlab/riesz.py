@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NumericalError, PoleError, PreconditionError,
-                     UnsupportedInputError)
+                     UnsupportedInputError, checked_arithmetic)
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
 from .quadrature import BlendKernel, compensated_sum
@@ -82,15 +82,13 @@ class EnergyReport:
 def finite_energy(energy):
     """Decorator: an energy function returning an `EnergyReport` raises
     NumericalError, not NaN or inf, when its arithmetic overflows or is
-    invalid, or when its value or error estimate is not finite."""
+    invalid (`checked_arithmetic`), or when its value or error estimate is
+    not finite."""
+    arithmetic = checked_arithmetic(energy)
+
     @functools.wraps(energy)
     def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                report = energy(*args, **kwargs)
-        except FloatingPointError as exc:
-            raise NumericalError(
-                f"{energy.__name__} is not finite: {exc}") from exc
+        report = arithmetic(*args, **kwargs)
         if not (math.isfinite(report.value)
                 and math.isfinite(report.error_estimate)):
             raise NumericalError(

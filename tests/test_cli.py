@@ -322,6 +322,32 @@ def test_non_finite_energy_exits_3(argv, capsys):
     assert "not finite" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--m", "1", "--alpha", "-3000"],
+    ["sweep", "--m", "2", "--alpha", "-3000"],
+    ["model", "tangent", "--alpha", "-3000"],
+    ["model", "cone", "--alpha", "-3000"],
+    ["model", "orthogonal", "--alpha", "-3000"],
+])
+def test_degeneration_overflow_exits_3(argv, capsys):
+    # the m = 1 sweep printed numpy warnings and exited 0 with energies
+    # Infinity; the models exited 3 on a misleading PreconditionError
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "NumericalError"
+    assert "not finite" in err["message"]
+
+
+def test_invariance_of_a_riesz_energy_exits_2(capsys):
+    # it ran the KS check and ignored --alpha
+    code, err = _config_error(["invariance", "--surface", "circle",
+                               "--energy", "riesz", "--alpha", "-2.5"], capsys)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "ks or as" in err["message"]
+
+
 @pytest.mark.parametrize("map_spec", [[], ["--map", "similarity:scale=2"]],
                          ids=["inversion", "similarity"])
 @pytest.mark.parametrize("surface", ["circle", "polygon"])

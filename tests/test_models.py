@@ -123,6 +123,28 @@ def test_classifier_rejects_non_finite_values():
         classify_cutoff_law([math.inf, 0.1, 0.01], [1.0, 2.0, 3.0])
 
 
+def test_classifier_constant_values_are_finite():
+    # all-zero values (a tangent scan at alpha = 3000 underflows to them)
+    # were "log" with R^2 = 1: the flatness test read the floored increments
+    cuts = 10.0 ** -np.arange(1, 6, dtype=float)
+    for value in (0.0, 2.5):
+        fit = classify_cutoff_law(cuts, np.full(5, value))
+        assert fit.law == "finite" and fit.limit == value
+    fit = tangent_model_scan(3000.0)
+    assert fit.law == "finite" and fit.limit == 0.0
+    assert np.all(fit.values == 0.0)
+
+
+def test_classifier_zero_increment_before_a_large_one():
+    # two cutoffs in one dyadic shell of the cone model give a zero
+    # increment; the next increment over its 1e-300 floor overflows, which
+    # reads as a ratio of inf, not a NumericalError
+    with np.errstate(over="raise"):
+        fit = classify_cutoff_law([0.1, 0.09, 0.001], [1.0, 1.0, 1e10])
+    assert fit.law != "finite"
+    assert cone_model_scan(-8.0, cutoffs=[0.1, 0.09, 0.001]).law != "finite"
+
+
 def test_classifier_synthetic_laws():
     cuts = 10.0 ** -np.arange(1, 6, dtype=float)
     fin = classify_cutoff_law(cuts, 5.0 - cuts ** 0.8)
@@ -173,23 +195,20 @@ def test_classifier_finite_law_property(cuts, q, scale, offset):
 # ----------------------------------------------------------------------
 
 def _tangent_values_loop(a, R, cutoffs, gl_order):
-    """The tangential model one outer panel at a time, as a reference."""
+    """The tangential model one outer panel at a time, as a reference: the
+    inner integral of ((rho/2)^4 + r^2)^(a/2) r over [0, R] in closed form,
+    ((A + R^2)^p - A^p) / (2p) with A = (rho/2)^4 and p = a/2 + 1, the
+    larger power factored out."""
+    p = 0.5 * a + 1.0
+
     def inner_r(rho):
-        A2 = (rho / 2.0) ** 4
-        total = np.zeros_like(rho)
-        levels = max(8, int(math.ceil(math.log2(R / max(np.min(A2) ** 0.5,
-                                                        1e-14)))) + 2)
-        hi = R
-        xg, wg = np.polynomial.legendre.leggauss(gl_order)
-        for _ in range(levels):
-            lo = 0.5 * hi
-            rs = 0.5 * (hi - lo) * (xg + 1.0) + lo
-            ws = 0.5 * (hi - lo) * wg
-            vals = (A2[:, None] + rs[None, :] ** 2) ** (a / 2.0) * rs[None, :]
-            total += vals @ ws
-            hi = lo
-        total += (A2 + hi ** 2 * 0.25) ** (a / 2.0) * 0.5 * hi ** 2
-        return total
+        A = (rho / 2.0) ** 4
+        log_ratio = np.log1p(R * R / A)
+        if p < 0.0:
+            return A ** p * np.expm1(p * log_ratio) / (2.0 * p)
+        if p > 0.0:
+            return (A + R * R) ** p * -np.expm1(-p * log_ratio) / (2.0 * p)
+        return 0.5 * log_ratio
 
     def value(cut):
         edges = np.geomspace(cut, R, 40)
@@ -202,6 +221,35 @@ def _tangent_values_loop(a, R, cutoffs, gl_order):
         return total
 
     return np.array([value(c) for c in cutoffs])
+
+
+def _tangent_values_quad(a, R, cutoffs, gl_order):
+    """The tangential model on the same outer panels with the inner r
+    integral by adaptive quadrature: pieces [0, s], then geometric pieces
+    from the concentration scale s = (rho/2)^2 up to R, each to relative
+    1e-13 and summed by fsum."""
+    from scipy.integrate import quad
+
+    xg, wg = np.polynomial.legendre.leggauss(gl_order)
+
+    def inner_r(rho):
+        s = (rho / 2.0) ** 2
+        f = lambda r: (s * s + r * r) ** (a / 2.0) * r   # noqa: E731
+        breaks = [0.0, *np.geomspace(s, R, math.ceil(math.log10(R / s)) + 1)]
+        return math.fsum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+                         for lo, hi in zip(breaks[:-1], breaks[1:]))
+
+    values = []
+    for cut in cutoffs:
+        edges = np.geomspace(cut, R, 40)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rh = 0.5 * (hi - lo) * (xg + 1.0) + lo
+            wh = 0.5 * (hi - lo) * wg
+            total += math.fsum(inner_r(x) * x * w for x, w in zip(rh, wh))
+        values.append(total)
+    return np.array(values)
 
 
 def _shell_sums_loop(f, outer, levels, gl_order):
@@ -244,6 +292,28 @@ def test_tangent_values_equal_panel_loop(alpha, extent, exponents, gl_order):
     assume(np.all(np.diff(cuts) < 0))
     assert np.array_equal(models._tangent_values(alpha, extent, cuts, gl_order),
                           _tangent_values_loop(alpha, extent, cuts, gl_order))
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -2.0, -2.5, -3.0, -4.0])
+def test_tangent_values_match_quad_reference(alpha):
+    # the inner r integral is exact: only the outer rule, shared with the
+    # reference, remains. Dyadic r-levels with a midpoint tail were up to
+    # 5.5e-4 off at alpha = -4.
+    cuts = 0.5 * 10.0 ** -np.arange(1, 6, dtype=float)
+    np.testing.assert_allclose(
+        models._tangent_values(alpha, 0.5, cuts, models.PANEL_ORDER),
+        _tangent_values_quad(alpha, 0.5, cuts, models.PANEL_ORDER),
+        rtol=1e-13, atol=0.0)
+
+
+def test_tangent_values_continuous_at_log_exponent():
+    # alpha = -2 takes the log1p branch, its neighbours the expm1 branches
+    cuts = 0.5 * 10.0 ** -np.arange(1, 6, dtype=float)
+    at = models._tangent_values(-2.0, 0.5, cuts, models.PANEL_ORDER)
+    for alpha in (-2.0 - 1e-9, -2.0 + 1e-9):
+        np.testing.assert_allclose(
+            models._tangent_values(alpha, 0.5, cuts, models.PANEL_ORDER), at,
+            rtol=1e-8, atol=0.0)
 
 
 def _orthogonal_integrand(a):

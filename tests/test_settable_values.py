@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 124
+LIMIT = 123
 
 
 def _settable_values(tree) -> int:
