@@ -12,10 +12,15 @@ evaluate their integrand once on the grid of all dyadic boxes. The sums
 keep the order of a panel-by-panel and box-by-box loop, so the values do
 not depend on the batching. The two-body sweep measures the cross
 interaction of two round m-spheres at gap delta, its chords
-cancellation-free with trigonometry on the 1D rules only, and compares it
-with the annulus-pair lower bound lambda(delta, rho) summed over dyadic
-scales in one array pass. Every rule is read from the cached
-`quadrature.gauss_legendre`.
+cancellation-free with trigonometry on the 1D rules only. For m = 1 its
+tensor grid is graded to the integrand's two scales near contact: the
+outer angle to 0.25 sqrt(delta / r), the width of the facing caps, and the
+inner offset to 0.25 delta / r, the width of the kernel peak at each row's
+mirror point; a Gauss-Legendre panel no longer than its distance to the
+nearest singularity converges geometrically, so a finer grid adds no
+accuracy. The sweep compares the energy with the annulus-pair lower bound
+lambda(delta, rho) summed over dyadic scales in one array pass. Every rule
+is read from the cached `quadrature.gauss_legendre`.
 Overflow, division by zero or an invalid operation in a model or a sweep
 is a NumericalError (`errors.checked_arithmetic`).
 """
@@ -117,8 +122,9 @@ def classify_cutoff_law(cutoffs, values) -> CutoffFit:
     cutoff, selected when one R^2 deficit is at least RESIDUAL_RATIO times
     smaller, else by the better fit.
     """
-    cut = np.asarray(cutoffs, dtype=float)
-    val = np.asarray(values, dtype=float)
+    # copies: a view would keep its whole base array alive in the fit
+    cut = np.array(cutoffs, dtype=float)
+    val = np.array(values, dtype=float)
     if len(cut) < 3:
         raise PreconditionError("need at least 3 cutoff samples")
     if not (np.all(np.isfinite(cut)) and np.all(np.isfinite(val))):
@@ -131,7 +137,8 @@ def classify_cutoff_law(cutoffs, values) -> CutoffFit:
     with np.errstate(over="ignore"):   # a ratio past the range reads inf
         ratios = inc[1:] / inc[:-1]
     if np.all(ratios < FINITE_RATIO) or constant:
-        limit = float(val[-1] + inc[-1] * ratios[-1] / (1 - ratios[-1])
+        step = val[-1] - val[-2]    # signed: values may fall toward the limit
+        limit = float(val[-1] + step * ratios[-1] / (1 - ratios[-1])
                       if ratios[-1] < 1 else val[-1])
         return CutoffFit("finite", 0.0, 1.0, cut, val, limit=limit)
     a_log, _, r2_log, _ = _linfit(np.log(1.0 / cut), val)
@@ -160,9 +167,10 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     Shell k is the three boxes of [0, hi]^2 \\ [0, hi/2]^2 with hi =
     outer / 2^k, each with a gl_order x gl_order Gauss-Legendre product
     rule. f is evaluated once on the (levels, 3, q, q) grid of every box's
-    nodes. The sums run in a fixed order: a box adds its q * q weighted
-    values sequentially in row-major order and a shell adds its three
-    boxes left to right.
+    nodes, from the broadcastable x nodes (levels, 3, q, 1) and y nodes
+    (levels, 3, 1, q); no full-grid copy of either is made. The sums run
+    in a fixed order: a box adds its q * q weighted values sequentially in
+    row-major order and a shell adds its three boxes left to right.
     """
     xg, wg = gauss_legendre(gl_order)
     q = len(xg)
@@ -178,10 +186,8 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     ys = (0.5 * (y1 - y0))[..., None] * (xg + 1.0) + y0[..., None]
     wx = (0.5 * (x1 - x0))[..., None] * wg
     wy = (0.5 * (y1 - y0))[..., None] * wg
-    grid = (levels, 3, q, q)
-    X = np.broadcast_to(xs[..., :, None], grid).copy()
-    Y = np.broadcast_to(ys[..., None, :], grid).copy()
-    terms = (wx[..., :, None] * wy[..., None, :]) * f(X, Y)
+    terms = (wx[..., :, None] * wy[..., None, :]) * f(xs[..., :, None],
+                                                      ys[..., None, :])
     boxes = np.cumsum(terms.reshape(levels, 3, q * q), axis=-1)[..., -1]
     return boxes[:, 0] + boxes[:, 1] + boxes[:, 2]
 
@@ -239,8 +245,10 @@ def orthogonal_model_integral(alpha: float,
 
     levels = ORTHOGONAL_LEVELS
     sums = _dyadic_shell_sums_2d(f, rho, levels, BOX_ORDER)
-    ratios = sums[1:] / sums[:-1]
-    tail_ratio = float(np.median(ratios[-8:]))
+    # for large a the innermost shells underflow to 0; they carry no ratio
+    nonzero = sums[sums != 0.0]
+    ratios = nonzero[1:] / nonzero[:-1]
+    tail_ratio = float(np.median(ratios[-8:])) if ratios.size else 0.0
     cutoffs = rho * 0.5 ** np.arange(1, levels + 1)
     partial = np.cumsum(sums)
     if tail_ratio < 1.0 - 1e-6:
@@ -385,9 +393,17 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
     symmetric under the reflection across the line of centres, so the
     result is doubled), and each outer node's inner panels are graded
     toward its mirror point on the other circle, the same panels on every
-    row. Its squared chords come by angle addition from the 1D rules'
-    half-angle sines and cosines: nothing cancels and no transcendental
-    function runs on the grid.
+    row. The integrand has two scales near contact: the facing caps are
+    about sqrt(g / r) wide along the outer angle, and a row's kernel peak
+    at its mirror point is about g / r wide in the inner offset (more on
+    rows away from the facing points). So the outer angle is graded toward
+    the facing points down to 0.25 sqrt(g / r) and the inner offset toward
+    the mirror point down to 0.25 g / r; each Gauss-Legendre panel is then
+    no longer than its distance to the nearest complex singularity, where
+    it converges geometrically, and finer panels add no accuracy. Its
+    squared chords come by angle addition from the 1D rules' half-angle
+    sines and cosines: nothing cancels and no transcendental function runs
+    on the grid.
     """
     if gap <= 0:
         raise PreconditionError("gap must be positive (touching spheres are "
@@ -406,13 +422,15 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
             vals = ((D + r) ** (a + 2.0) - near ** (a + 2.0)) / (a + 2.0)
         return float(4.0 * math.pi ** 2 * r ** 3 * np.dot(ws, vals / D))
     if m == 1:
-        th, wt = _graded_panels_1d(0.0, math.pi, gap / r * 1e-3)
+        th, wt = _graded_panels_1d(0.0, math.pi, 0.25 * math.sqrt(gap / r))
+        s, ws = _graded_panels_1d(0.0, math.pi, 0.25 * gap / r)
         # inner angle th + s, s in [-pi, pi] graded toward 0; by angle
         # addition dx = g + 2r sin^2(th / 2) + 2r sin^2((th + s) / 2) and
         # dy = 2r sin(s / 2) cos(th + s / 2)
         sh, ch = np.sin(0.5 * th), np.cos(0.5 * th)
-        cs = np.stack([np.concatenate([ch[::-1], ch]),       # cos(s / 2)
-                       np.concatenate([-sh[::-1], sh])])     # sin(s / 2)
+        hs, hc = np.sin(0.5 * s), np.cos(0.5 * s)
+        cs = np.stack([np.concatenate([hc[::-1], hc]),       # cos(s / 2)
+                       np.concatenate([-hs[::-1], hs])])     # sin(s / 2)
         dx = np.stack([sh, ch], 1) @ cs
         dx *= dx
         dx *= 2.0 * r
@@ -422,7 +440,7 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
         dy *= dy
         dx += dy
         dx **= 0.5 * a
-        return float(2.0 * r * r * wt @ dx @ np.concatenate([wt[::-1], wt]))
+        return float(2.0 * r * r * wt @ dx @ np.concatenate([ws[::-1], ws]))
     raise PreconditionError("two-body sweeps support m in {1, 2}")
 
 

@@ -60,6 +60,24 @@ def test_orthogonal_divergence_flag(alpha, flag):
         assert res.value == math.inf
 
 
+@pytest.mark.parametrize("alpha", [15.0, 20.0])
+def test_orthogonal_closed_form_at_large_alpha(alpha):
+    # from alpha = 15 on the innermost shells underflow to 0, and their
+    # 0/0 shell ratios made a convergent integral a NumericalError
+    res = orthogonal_model_integral(alpha, 1.0)
+    assert not res.diverged
+    assert res.value == pytest.approx(
+        orthogonal_model_closed_form(alpha, 1.0), rel=1e-12)
+    # at alpha = 14 every shell is nonzero and the value is unchanged
+    assert orthogonal_model_integral(14.0, 1.0).value == 69.90969784104965
+
+
+def test_orthogonal_every_shell_underflows():
+    # no two nonzero shells give no ratio: the value is the underflowed 0
+    res = orthogonal_model_integral(3000.0, 0.5)
+    assert not res.diverged and res.value == 0.0
+
+
 def test_orthogonal_divergence_laws():
     assert orthogonal_model_integral(-4.0, 1.0).cutoff_fit.law == "log"
     fit = orthogonal_model_integral(-4.5, 1.0).cutoff_fit
@@ -156,6 +174,26 @@ def test_classifier_synthetic_laws():
     powf = classify_cutoff_law(cuts, 7.0 + 2.0 * cuts ** -1.5)
     assert powf.law == "power"
     assert powf.exponent == pytest.approx(-1.5, abs=0.05)
+
+
+def test_classifier_finite_limit_from_either_side():
+    # the tail was extrapolated with the absolute last increment, which
+    # moved values that fall toward their limit away from it (5.0002)
+    cuts = 10.0 ** -np.arange(1, 6, dtype=float)
+    for sign in (1.0, -1.0):
+        fit = classify_cutoff_law(cuts, 5.0 + sign * cuts ** 0.8)
+        assert fit.law == "finite"
+        assert fit.limit == pytest.approx(5.0, rel=1e-12)
+
+
+def test_cutoff_fit_owns_its_arrays():
+    # the tangent scan's values were a column view of its (cutoffs, panels)
+    # sum array, and the divergent orthogonal fit's samples views of its 60
+    # shells: a kept fit held the whole base array
+    fits = [tangent_model_scan(-3.0), cone_model_scan(-4.0),
+            orthogonal_model_integral(-4.0, 1.0).cutoff_fit]
+    for fit in fits:
+        assert fit.cutoffs.base is None and fit.values.base is None
 
 
 @st.composite
@@ -565,6 +603,73 @@ def test_circle_pair_cross_energy_at_small_gap(alpha):
         value = sphere_pair_cross_energy(1, alpha, 1.0, gap)
         assert value == pytest.approx(_two_circle_cross_energy(alpha, gap),
                                       rel=1e-13)
+
+
+def _two_circle_cross_energy_hyp2f1(alpha, gap, r=1.0):
+    """Cross energy of two round circles of radius r at a gap, any alpha
+    with alpha / 2 + 1 / 2 not an integer.
+
+    The inner circle seen from distance D is
+    int_0^(2 pi) (a - b cos t)^(alpha/2) r dt
+    = 2 pi r (D + r)^alpha 2F1(-alpha/2, 1/2; 1; k), k = 4 D r / (D + r)^2,
+    taken through the connection formula at 1 - k = ((D - r) / (D + r))^2,
+    which keeps D - r (formed as in `_two_circle_cross_energy`) exact near
+    contact. The outer integral is the same adaptive quadrature.
+    """
+    from scipy.integrate import quad
+    from scipy.special import gamma, hyp2f1
+
+    p = -0.5 * alpha
+    c_reg = gamma(0.5 - p) / (gamma(1.0 - p) * gamma(0.5))
+    c_sing = gamma(p - 0.5) / (gamma(p) * gamma(0.5))
+
+    def inner(s):
+        q = (2.0 * r + gap) * (gap + 4.0 * r * math.sin(0.5 * s) ** 2)
+        D = math.sqrt(r * r + q)
+        w = (q / (D + r) ** 2) ** 2                # 1 - k
+        F = (c_reg * hyp2f1(p, 0.5, p + 0.5, w)
+             + w ** (0.5 - p) * c_sing * hyp2f1(1.0 - p, 0.5, 1.5 - p, w))
+        return 2.0 * math.pi * r * (D + r) ** alpha * F
+
+    w = math.sqrt(gap / r)
+    cuts = [0.0] + [c * w for c in (0.3, 1.0, 3.0, 10.0, 30.0) if c * w < 1.0]
+    cuts.append(math.pi)
+    return 2.0 * r * sum(quad(inner, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+                         for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+# The m = 1 grid grades the outer angle to 0.25 sqrt(g / r) and the inner
+# offset to 0.25 g / r. Either grading made 16 times coarser misses these
+# references by more than 1e-13.
+
+@pytest.mark.parametrize("alpha", [-2.0, -3.0])
+def test_circle_pair_cross_energy_at_bench_gaps(alpha):
+    for gap in np.geomspace(0.1, 1e-3, 7):
+        value = sphere_pair_cross_energy(1, alpha, 1.0, gap)
+        assert value == pytest.approx(_two_circle_cross_energy(alpha, gap),
+                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [-1.75, -2.5])
+def test_circle_pair_cross_energy_at_fractional_alpha(alpha):
+    for gap in (0.1, 1e-2, 1e-3, 1e-4, 1e-5):
+        value = sphere_pair_cross_energy(1, alpha, 1.0, gap)
+        assert value == pytest.approx(
+            _two_circle_cross_energy_hyp2f1(alpha, gap), rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -3.0])
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_circle_pair_cross_energy_radius_law(alpha, radius):
+    # E(r, g) = r^(2 + alpha) E(1, g / r): both gradings scale with g / r
+    for gap in (0.1, 1e-2, 1e-3):
+        value = sphere_pair_cross_energy(1, alpha, radius, gap)
+        unit = sphere_pair_cross_energy(1, alpha, 1.0, gap / radius)
+        assert value == pytest.approx(radius ** (2.0 + alpha) * unit,
+                                      rel=1e-13)
+        assert value == pytest.approx(
+            _two_circle_cross_energy(alpha, gap, radius), rel=1e-13)
 
 
 def _two_sphere_closed_form(alpha, gap, r=1.0):
