@@ -80,10 +80,11 @@ def _ks_vertex_gradient(vertices, topology):
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
     unit vector) arguments, so each vertex's pair gradient is twice its
-    row side (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w; pairs whose
-    1 - cos was clipped contribute nothing through it. The unit vectors'
-    gradients (tangent or normal) then run back through the fit and the
-    seed, the weight gradients through the face vectors.
+    row side (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w. The clip of
+    1 - cos to [0, 2] only removes rounding, so its derivative is taken as
+    1 on every pair apart, as complex steps through `_ks_q` see it. The
+    unit vectors' gradients (tangent or normal) then run back through the
+    fit and the seed, the weight gradients through the face vectors.
     """
     m, V = topology.m, len(vertices)
     offsets, seed, units, solve, e, weights = _ks_quadrature(vertices,
@@ -95,7 +96,7 @@ def _ks_vertex_gradient(vertices, topology):
             vertices, units, vertices, units, m, np.zeros(V)):
         ww = 2.0 * weights[lo:hi, None] * weights
         with np.errstate(divide="ignore", invalid="ignore"):
-            omc_bar = np.where((omc > 0.0) & (omc < 2.0),
+            omc_bar = np.where(dist > 0.0,
                                ww * m * omc ** (m - 1) / dist ** (2 * m), 0.0)
             dist_bar = -2.0 * m * ww * q / dist
         weights_bar[lo:hi] = 2.0 * (q @ weights)

@@ -118,8 +118,9 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
 
     pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
     + dist_bar * dist) with respect to x_pts (Nx, n) and x_units (Nx, n),
-    in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products; coincident pairs
-    contribute nothing, their outputs being constant 0. The kernel is
+    in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row sums over
+    the coordinate differences; coincident pairs contribute nothing, their
+    outputs being constant 0. The kernel is
     symmetric under swapping (x, u_x) with (y, u_y) for any vectors, so in
     a symmetric double sum each point's gradient is twice its row side and
     the column side is never formed. The pullback takes real input only.
@@ -157,8 +158,13 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
         # d dist / d s = dist / (2 s), d bend / d s = -bend / s
         s_bar = inv_s * (np.where(apart, 0.5 * dist_bar, 0.0) * dist
                          - r_bar * bend)
-        # s = |y - x|^2: x_bar = -2 (s_bar @ y - rowsum(s_bar) x)
-        x_bar = -2.0 * (s_bar @ yc.T - s_bar.sum(axis=1)[:, None] * xc)
+        # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
+        # differences themselves, one coordinate at a time: s_bar @ y -
+        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
+        x_bar = np.empty(x_pts.shape)
+        for c in range(n):
+            np.subtract(y_pts[:, c], x_pts[:, c, None], out=d)
+            x_bar[:, c] = -2.0 * (s_bar * d).sum(axis=1)
         row = a_bar.sum(axis=1)[:, None]
         x_bar = x_bar - (row * ux + b_bar @ uy.T)
         return x_bar, a_bar @ yc.T - row * xc - r_bar @ uy.T
@@ -168,9 +174,12 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
 
 def _ks_q(omc, dist, diag, m):
     """1 - cos clipped to [0, 2] and q = omc^m / dist^(2m), each coincident
-    pair taking its row's diag value. np.clip leaves complex values whose
-    real part lies inside (0, 2) unchanged, so complex steps go through."""
-    omc = np.clip(omc, 0.0, 2.0)
+    pair taking its row's diag value. 1 - cos lies in [0, 2] exactly, so
+    the clip only removes rounding: it acts on the real part, and a complex
+    step's imaginary part goes through it unchanged, also on pairs clipped
+    to 0 (on a round body most of them)."""
+    clipped = np.clip(omc.real, 0.0, 2.0)
+    omc = clipped + 1j * omc.imag if np.iscomplexobj(omc) else clipped
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(dist == 0.0, diag[:, None], (omc / (dist * dist)) ** m)
     return omc, q

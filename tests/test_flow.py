@@ -117,6 +117,10 @@ def test_ks_gradient_matches_complex_step_on_torus_mesh():
 @given(which=st.sampled_from(["icosphere1", "polygon24"]),
        radial=st.lists(st.floats(-0.1, 0.1), min_size=42, max_size=42))
 @example(which="polygon24", radial=[0.0] * 42)
+# one vertex moved by 1.2e-7: most pairs' 1 - cos rounds to <= 0 and is
+# clipped, and the gradient must still see their derivatives
+@example(which="polygon24",
+         radial=[0.0] * 23 + [1.192092896e-07] + [0.0] * 18)
 def test_ks_gradient_matches_complex_step_on_radial_perturbations(which,
                                                                    radial):
     mesh = icosphere(1) if which == "icosphere1" else polygon_circle(24)
