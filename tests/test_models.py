@@ -567,15 +567,22 @@ def _two_circle_cross_energy(alpha, gap, r=1.0):
     r dt with a = D^2 + r^2, b = 2 D r, which is 2 pi r / ((D - r)(D + r))
     at alpha = -2 and 4 r E(k) / ((D - r)^2 (D + r)) at alpha = -3, E the
     complete elliptic integral of the second kind with parameter
-    k = 4 D r / (D + r)^2. The outer circle is even about the line of
-    centres and its points at angle s from the facing point lie at
-    D^2 - r^2 = L (gap + 4 r sin^2(s / 2)), L = 2r + gap; so D - r is
-    formed as that over D + r, which neither cancels nor rounds the gap
-    through L. The outer integral is an adaptive quadrature on [0, pi],
-    split at multiples of sqrt(gap / r).
+    k = 4 D r / (D + r)^2. At any other alpha with alpha / 2 + 1 / 2 not an
+    integer it is 2 pi r (D + r)^alpha 2F1(-alpha/2, 1/2; 1; k), taken
+    through the connection formula at 1 - k = ((D - r) / (D + r))^2. The
+    outer circle is even about the line of centres and its points at angle
+    s from the facing point lie at D^2 - r^2 = L (gap + 4 r sin^2(s / 2)),
+    L = 2r + gap; so D - r is formed as that over D + r, which neither
+    cancels nor rounds the gap through L. The outer integral is an adaptive
+    quadrature on [0, pi], split at multiples of sqrt(gap / r).
     """
     from scipy.integrate import quad
-    from scipy.special import ellipe
+    from scipy.special import ellipe, gamma, hyp2f1
+
+    p = -0.5 * alpha
+    if alpha not in (-2.0, -3.0):
+        c_reg = gamma(0.5 - p) / (gamma(1.0 - p) * gamma(0.5))
+        c_sing = gamma(p - 0.5) / (gamma(p) * gamma(0.5))
 
     def inner(s):
         q = (2.0 * r + gap) * (gap + 4.0 * r * math.sin(0.5 * s) ** 2)
@@ -583,8 +590,13 @@ def _two_circle_cross_energy(alpha, gap, r=1.0):
         near = q / (D + r)                      # D - r
         if alpha == -2.0:
             return 2.0 * math.pi * r / (near * (D + r))
-        return 4.0 * r * ellipe(4.0 * D * r / (D + r) ** 2) / (
-            near ** 2 * (D + r))
+        if alpha == -3.0:
+            return 4.0 * r * ellipe(4.0 * D * r / (D + r) ** 2) / (
+                near ** 2 * (D + r))
+        w = (q / (D + r) ** 2) ** 2             # 1 - k
+        F = (c_reg * hyp2f1(p, 0.5, p + 0.5, w)
+             + w ** (0.5 - p) * c_sing * hyp2f1(1.0 - p, 0.5, 1.5 - p, w))
+        return 2.0 * math.pi * r * (D + r) ** alpha * F
 
     w = math.sqrt(gap / r)
     cuts = [0.0] + [c * w for c in (0.3, 1.0, 3.0, 10.0, 30.0) if c * w < 1.0]
@@ -605,40 +617,6 @@ def test_circle_pair_cross_energy_at_small_gap(alpha):
                                       rel=1e-13)
 
 
-def _two_circle_cross_energy_hyp2f1(alpha, gap, r=1.0):
-    """Cross energy of two round circles of radius r at a gap, any alpha
-    with alpha / 2 + 1 / 2 not an integer.
-
-    The inner circle seen from distance D is
-    int_0^(2 pi) (a - b cos t)^(alpha/2) r dt
-    = 2 pi r (D + r)^alpha 2F1(-alpha/2, 1/2; 1; k), k = 4 D r / (D + r)^2,
-    taken through the connection formula at 1 - k = ((D - r) / (D + r))^2,
-    which keeps D - r (formed as in `_two_circle_cross_energy`) exact near
-    contact. The outer integral is the same adaptive quadrature.
-    """
-    from scipy.integrate import quad
-    from scipy.special import gamma, hyp2f1
-
-    p = -0.5 * alpha
-    c_reg = gamma(0.5 - p) / (gamma(1.0 - p) * gamma(0.5))
-    c_sing = gamma(p - 0.5) / (gamma(p) * gamma(0.5))
-
-    def inner(s):
-        q = (2.0 * r + gap) * (gap + 4.0 * r * math.sin(0.5 * s) ** 2)
-        D = math.sqrt(r * r + q)
-        w = (q / (D + r) ** 2) ** 2                # 1 - k
-        F = (c_reg * hyp2f1(p, 0.5, p + 0.5, w)
-             + w ** (0.5 - p) * c_sing * hyp2f1(1.0 - p, 0.5, 1.5 - p, w))
-        return 2.0 * math.pi * r * (D + r) ** alpha * F
-
-    w = math.sqrt(gap / r)
-    cuts = [0.0] + [c * w for c in (0.3, 1.0, 3.0, 10.0, 30.0) if c * w < 1.0]
-    cuts.append(math.pi)
-    return 2.0 * r * sum(quad(inner, lo, hi, epsabs=0.0, epsrel=1e-13,
-                              limit=200)[0]
-                         for lo, hi in zip(cuts[:-1], cuts[1:]))
-
-
 # The m = 1 grid grades the outer angle to 0.25 sqrt(g / r) and the inner
 # offset to 0.25 g / r. Either grading made 16 times coarser misses these
 # references by more than 1e-13.
@@ -656,7 +634,7 @@ def test_circle_pair_cross_energy_at_fractional_alpha(alpha):
     for gap in (0.1, 1e-2, 1e-3, 1e-4, 1e-5):
         value = sphere_pair_cross_energy(1, alpha, 1.0, gap)
         assert value == pytest.approx(
-            _two_circle_cross_energy_hyp2f1(alpha, gap), rel=1e-13)
+            _two_circle_cross_energy(alpha, gap), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -3.0])
