@@ -160,11 +160,15 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
                          - r_bar * bend)
         # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
         # differences themselves, one coordinate at a time: s_bar @ y -
-        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
+        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair.
+        # The scratch array is the pullback's own, so that the kernel's
+        # blocks do not keep one alive for a pullback never called
         x_bar = np.empty(x_pts.shape)
+        t = np.empty(s_bar.shape)
         for c in range(n):
-            np.subtract(y_pts[:, c], x_pts[:, c, None], out=d)
-            x_bar[:, c] = -2.0 * (s_bar * d).sum(axis=1)
+            np.subtract(y_pts[:, c], x_pts[:, c, None], out=t)
+            x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
+        x_bar *= -2.0
         row = a_bar.sum(axis=1)[:, None]
         x_bar = x_bar - (row * ux + b_bar @ uy.T)
         return x_bar, a_bar @ yc.T - row * xc - r_bar @ uy.T
