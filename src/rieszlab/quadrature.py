@@ -67,15 +67,6 @@ class BlendKernel:
         rhs = falling * self.eps[..., None] ** (self.alpha - np.arange(n))
         self.coeffs = np.linalg.solve(A, rhs[..., None])[..., 0]
 
-    def inside(self, t, rows):
-        """The ball polynomial of kernel rows[i] at radius t[i], by Horner
-        in t^2 from the top coefficient (the bits of the kernel at t < eps)."""
-        tt = t * t
-        acc = np.zeros_like(t)
-        for c in self.coeffs.take(rows, axis=0).T[::-1]:
-            acc = acc * tt + c
-        return acc
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         pad = (1,) * (t.ndim - self.eps.ndim)

@@ -13,8 +13,10 @@ interactions stay integrable down to contact.
 
 The outer nodes are taken in blocks of at most BLOCK_ROWS first-level
 chord rows and BLOCK_PAIRS node pairs: one patch stack, one profile stack
-and one finite-part sum per block, and the kernel sums over the inner
-rules as (block x inner) matrix-vector products.
+and one finite-part sum per block. The kernel sums over the inner rules
+take a block's rows in chunks of at most KERNEL_PAIRS node pairs, formed
+in place in two reused (rows x inner) arrays, and sum each chunk by
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ def finite_energy(energy):
 
 # A block of outer nodes holds at most BLOCK_ROWS chord rows at the first
 # profile level, with every sample at the angular cap ANGULAR_NODES, and
-# BLOCK_PAIRS (outer, inner) node pairs.
+# BLOCK_PAIRS (outer, inner) node pairs. Its kernel sums take at most
+# KERNEL_PAIRS pairs at a time, so their working arrays stay in cache.
 BLOCK_ROWS = 1 << 15
 BLOCK_PAIRS = 1 << 18
+KERNEL_PAIRS = 1 << 15
 
 
 def _block_size(m, inner_count) -> int:
@@ -119,23 +123,47 @@ def _block_size(m, inner_count) -> int:
 def _kernel_sums(nodes, x, comp, blend):
     """Sums of the blended kernel over one inner rule for a block of outer
     nodes x (B, n): (far field, same-component blend inside each ball,
-    cross-component true kernel inside each ball), each (B,)."""
-    # |y - x| summed by component: the bits of np.linalg.norm on
-    # (B, N, n) differences, without its short last axis
-    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
-                    for y, c in zip(nodes.points.T, x.T)))
-    in_ball = d < blend.eps[:, None]
-    same = nodes.component[None] == comp[:, None]
-    with np.errstate(divide="ignore"):
-        true_kernel = np.where(d > 0, d, 1.0) ** blend.alpha
-    w = nodes.weights
-    far = np.where(in_ball, 0.0, true_kernel) @ w
-    # the blend polynomial only at the in-ball, same-component pairs
-    rows, cols = np.nonzero(in_ball & same)
-    ball = np.zeros_like(d)
-    ball[rows, cols] = blend.inside(d[rows, cols], rows)
-    ball = ball @ w
-    cross = np.where(in_ball & ~same, true_kernel, 0.0) @ w
+    cross-component true kernel inside each ball), each (B,).
+
+    The rows go in chunks of at most KERNEL_PAIRS pairs, a multiple of 4
+    rows high (the row groups of the BLAS matrix-vector product, so the
+    sums have the bits of one product over the whole block), through two
+    reused (rows, N) arrays."""
+    points, w = nodes.points, nodes.weights
+    height = max(4, KERNEL_PAIRS // max(len(points), 1) // 4 * 4)
+    d_buf = np.empty((min(height, len(x)), len(points)))
+    k_buf = np.empty_like(d_buf)
+    far, ball, cross = (np.empty(len(x)) for _ in range(3))
+    for lo in range(0, len(x), height):
+        rows = slice(lo, lo + height)
+        xs = x[rows]
+        d, k = d_buf[:len(xs)], k_buf[:len(xs)]
+        # |y - x| summed by component: the bits of np.linalg.norm on
+        # (B, N, n) differences, without its short last axis
+        np.square(np.subtract(points[:, 0], xs[:, :1], out=d), out=d)
+        for j in range(1, points.shape[1]):
+            np.square(np.subtract(points[:, j], xs[:, j, None], out=k), out=k)
+            d += k
+        np.sqrt(d, out=d)
+        in_ball = d < blend.eps[rows, None]
+        same_ball = in_ball & (nodes.component[None] == comp[rows, None])
+        # the true kernel wherever it is read, 1 at coincident nodes
+        np.copyto(k, d)
+        k[k == 0.0] = 1.0
+        outside = ~same_ball
+        np.power(k, blend.alpha, out=k, where=outside)
+        far[rows] = np.where(in_ball, 0.0, k) @ w
+        cross[rows] = np.where(in_ball ^ same_ball, k, 0.0) @ w
+        # the blend polynomial by Horner in t^2, kept in the same-component
+        # balls only
+        tt = np.multiply(d, d, out=d)
+        coeffs = blend.coeffs[rows]
+        k[:] = coeffs[:, -1, None]
+        for c in coeffs[:, -2::-1].T:
+            np.multiply(k, tt, out=k)
+            k += c[:, None]
+        np.copyto(k, 0.0, where=outside)
+        ball[rows] = k @ w
     return far, ball, cross
 
 

@@ -287,6 +287,15 @@ def test_mesh_file_without_faces_exits_4(tmp_path, capsys):
     assert out == "" and json.loads(err)["error"] == "UnsupportedInputError"
 
 
+def test_orthogonal_model_beyond_its_alpha_exits_4(capsys):
+    # its box rule is 4e-8 off the closed form at alpha = 100
+    assert main(["model", "orthogonal", "--alpha", "100"]) == 4
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "UnsupportedInputError"
+    assert "alpha <= 40" in err["message"]
+
+
 @pytest.mark.parametrize("spec,key", [
     ("sphere:r=-1", "r"), ("sphere:r=0", "r"), ("circle:r=-2", "r"),
     ("ellipsoid:a=-1", "a"), ("icosphere:subdiv=-1", "subdiv"),

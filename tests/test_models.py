@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from rieszlab import models
-from rieszlab.errors import PreconditionError
+from rieszlab.errors import PreconditionError, UnsupportedInputError
 from rieszlab.models import (classify_cutoff_law, cone_model_scan,
                              lambda_bound,
                              orthogonal_model_closed_form,
@@ -74,8 +74,25 @@ def test_orthogonal_closed_form_at_large_alpha(alpha):
 
 def test_orthogonal_every_shell_underflows():
     # no two nonzero shells give no ratio: the value is the underflowed 0
-    res = orthogonal_model_integral(3000.0, 0.5)
+    # (rho^44 = 1e-440), as is the closed form's
+    res = orthogonal_model_integral(40.0, 1e-10)
     assert not res.diverged and res.value == 0.0
+    assert orthogonal_model_closed_form(40.0, 1e-10) == 0.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_orthogonal_closed_form_at_the_largest_alpha(rho):
+    res = orthogonal_model_integral(40.0, rho)
+    assert res.value == pytest.approx(
+        orthogonal_model_closed_form(40.0, rho), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [60.0, 100.0, 3000.0])
+def test_orthogonal_beyond_the_resolved_alpha_raises(alpha):
+    # the box rule is 7e-12 off the closed form at alpha = 60, 4e-8 at 100
+    # and 0.66 at 1000, and said nothing
+    with pytest.raises(UnsupportedInputError, match="alpha <= 40"):
+        orthogonal_model_integral(alpha, 1.0)
 
 
 def test_orthogonal_divergence_laws():

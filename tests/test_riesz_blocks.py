@@ -10,6 +10,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from rieszlab.errors import (NumericalError, PatchRadiusError,
 from rieszlab.geometry import NodeSet, default_patch_radius, graph_patch_at
 from rieszlab.quadrature import BlendKernel
 from rieszlab.radial import EnergyParams, finite_part, radial_profile
+from rieszlab.riesz import KERNEL_PAIRS, _block_size
 from rieszlab.riesz import _kernel_sums as blocked_kernel_sums
 
 
@@ -40,34 +42,82 @@ def _kernel_sums(nodes, x, comp, alpha, blend, eps):
             float(np.sum(w[in_ball & ~same] * kernel[in_ball & ~same])))
 
 
+def _kernel_sum_case(seed, n_inner, near, far, alpha):
+    """inner nodes on two components; outer nodes on two of them (d = 0),
+    near some more and at random; random ball radii"""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n_inner, 3))
+    component = (np.arange(n_inner) % 3 == 0).astype(int)
+    inner = NodeSet(points=points, weights=rng.uniform(0.5, 1.5, n_inner),
+                    component=component, volume=1.0)
+    x = np.concatenate([points[:2],
+                        points[:near] + 1e-3 * rng.normal(size=(near, 3)),
+                        rng.normal(size=(far, 3))])
+    return inner, x, BlendKernel(alpha, rng.uniform(0.5, 1.2, len(x)))
+
+
 @pytest.mark.parametrize("alpha", [-4.0, -2.5])
 def test_kernel_sums_equal_the_dense_blend_reference(alpha):
     # the blend polynomial, evaluated only in the same-component balls,
     # against the dense kernel over every (outer, inner) pair: bit for bit,
-    # with a coincident node (d = 0) and in-ball pairs on another component
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(40, 3))
-    component = (np.arange(40) % 3 == 0).astype(int)
-    inner = NodeSet(points=points, weights=rng.uniform(0.5, 1.5, 40),
-                    component=component, volume=1.0)
-    x = np.concatenate([points[:2], points[:4] + 1e-3 * rng.normal(size=(4, 3)),
-                        rng.normal(size=(3, 3))])
-    comp = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0])
-    eps = rng.uniform(0.5, 1.2, len(x))
-    blend = BlendKernel(alpha, eps)
-    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
-                    for y, c in zip(points.T, x.T)))
-    in_ball = d < eps[:, None]
-    same = component[None] == comp[:, None]
-    assert (d == 0).any() and (in_ball & ~same).any()
-    with np.errstate(divide="ignore"):
-        kernel = np.where(d > 0, d, 1.0) ** alpha
-    w = inner.weights
-    expected = (np.where(in_ball, 0.0, kernel) @ w,
-                np.where(in_ball & same, blend(d), 0.0) @ w,
-                np.where(in_ball & ~same, kernel, 0.0) @ w)
-    for got, ref in zip(blocked_kernel_sums(inner, x, comp, blend), expected):
-        assert np.array_equal(got, ref)
+    # with a coincident node (d = 0) and in-ball pairs on another component.
+    # The second block has more than 2 KERNEL_PAIRS pairs: its rows go in
+    # chunks of 8, 8 and 7.
+    small = (_kernel_sum_case(3, 40, 4, 3, alpha),
+             np.array([0, 1, 1, 0, 0, 1, 0, 1, 0]))
+    large = _kernel_sum_case(5, 3000, 14, 7, alpha), np.arange(23) % 2
+    assert len(large[1]) * 3000 > 2 * KERNEL_PAIRS
+    for (inner, x, blend), comp in (small, large):
+        d = np.sqrt(sum((y[None] - c[:, None]) ** 2
+                        for y, c in zip(inner.points.T, x.T)))
+        in_ball = d < blend.eps[:, None]
+        same = inner.component[None] == comp[:, None]
+        assert (d == 0).any() and (in_ball & ~same).any()
+        with np.errstate(divide="ignore"):
+            kernel = np.where(d > 0, d, 1.0) ** alpha
+        w = inner.weights
+        expected = (np.where(in_ball, 0.0, kernel) @ w,
+                    np.where(in_ball & same, blend(d), 0.0) @ w,
+                    np.where(in_ball & ~same, kernel, 0.0) @ w)
+        got = blocked_kernel_sums(inner, x, comp, blend)
+        for sums, ref in zip(got, expected):
+            assert np.array_equal(sums, ref)
+
+
+def _sphere_block():
+    """The default sphere's first outer block at alpha = -4: its inner rule,
+    points, components and blend kernel."""
+    sphere = make_sphere()
+    outer, inner = sphere.nodes(0.25), sphere.nodes(1.0)
+    size = _block_size(2, len(inner.points) + len(sphere.nodes(0.5).points))
+    patches = graph_patch_at(sphere, outer.locators[:size],
+                             default_patch_radius(sphere))
+    return (inner, outer.points[:size], outer.component[:size],
+            BlendKernel(-4.0, patches.radii))
+
+
+def _traced_peak(call):
+    call()                            # caches and rules of a first call
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_sums_run_in_cache_sized_chunks():
+    # 32 outer rows x 4608 inner nodes: every (rows, N) temporary of the
+    # whole block was 1.2 MB, and one call peaked at 8.2 MiB
+    inner, x, comp, blend = _sphere_block()
+    assert x.shape == (32, 3) and len(inner.points) == 4608
+    peak = _traced_peak(lambda: blocked_kernel_sums(inner, x, comp, blend))
+    assert peak <= 2 * 2 ** 20
+
+
+def test_sphere_energy_runs_in_bounded_memory():
+    sphere = make_sphere()
+    assert _traced_peak(lambda: riesz_energy(sphere, -4.0)) <= 7 * 2 ** 20
 
 
 def _per_node_energy(surface, alpha, config):
