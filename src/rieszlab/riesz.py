@@ -125,10 +125,10 @@ def _kernel_sums(nodes, x, comp, blend):
     nodes x (B, n): (far field, same-component blend inside each ball,
     cross-component true kernel inside each ball), each (B,).
 
-    The rows go in chunks of at most KERNEL_PAIRS pairs, a multiple of 4
-    rows high (the row groups of the BLAS matrix-vector product, so the
-    sums have the bits of one product over the whole block), through two
-    reused (rows, N) arrays."""
+    The rows go in chunks of at most KERNEL_PAIRS pairs through two reused
+    (rows, N) arrays. A chunk is a multiple of 4 rows high: OpenBLAS forms
+    a matrix-vector product in groups of 4 rows, so each sum keeps the
+    bits of one product over the whole block."""
     points, w = nodes.points, nodes.weights
     height = max(4, KERNEL_PAIRS // max(len(points), 1) // 4 * 4)
     d_buf = np.empty((min(height, len(x)), len(points)))
