@@ -92,15 +92,15 @@ def _ks_vertex_gradient(vertices, topology):
     grad = np.empty(vertices.shape)
     units_bar = np.empty(units.shape)
     weights_bar = np.empty(V)
-    for lo, hi, q, omc, dist, pullback in ks_pair_blocks(
+    for lo, hi, q, omc, s, pullback in ks_pair_blocks(
             vertices, units, vertices, units, m, np.zeros(V)):
-        ww = 2.0 * weights[lo:hi, None] * weights
+        mww = (2.0 * m) * weights[lo:hi, None] * weights
+        # q = (omc / s)^m; the pullback ignores the coincident pairs' bars
         with np.errstate(divide="ignore", invalid="ignore"):
-            omc_bar = np.where(dist > 0.0,
-                               ww * m * omc ** (m - 1) / dist ** (2 * m), 0.0)
-            dist_bar = -2.0 * m * ww * q / dist
+            omc_bar = mww * omc ** (m - 1) / s ** m
+            s_bar = -mww * q / s
         weights_bar[lo:hi] = 2.0 * (q @ weights)
-        grad[lo:hi], units_bar[lo:hi] = pullback(omc_bar, dist_bar)
+        grad[lo:hi], units_bar[lo:hi] = pullback(omc_bar, s_bar)
     frame_bars = ((units_bar[..., None], None) if m == 1
                   else (np.zeros(seed[0].shape), units_bar[..., None]))
     offsets_bar, *seed_bar = fit_tangent_frames_adjoint(

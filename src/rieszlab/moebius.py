@@ -19,8 +19,11 @@ n_x - 2 <n_x, v> v, so
     m = 1: cos theta = 2 <u_x, v> <u_y, v> - <u_x, u_y>,
     m = 2: cos theta = <n_x, n_y> - 2 <n_x, v> <n_y, v>:
 three inner products per pair, each one matrix product of the point and
-vector stacks. The symmetric double sums form each unordered pair once
-(`ks_triangle_rows`).
+vector stacks. With s = |y - x|^2 and v = (y - x) / sqrt(s), the two
+products with v share one 1 / s, so the kernel works on s and forms no
+distance. The double sums translate their points once per pass, to the
+middle of a bounding box, and the symmetric ones form each unordered pair
+once (`ks_triangle_rows`).
 """
 
 from __future__ import annotations
@@ -97,32 +100,35 @@ def ks_unit_vectors(tangent, normal):
 
 
 def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
-    """(1 - cos theta) and distances for all point pairs, from one unit
-    vector (N, n) per point (`ks_unit_vectors`), and their row-side
-    pullback.
+    """(1 - cos theta) and squared distances s = |y - x|^2 for all point
+    pairs, from one unit vector (N, n) per point (`ks_unit_vectors`), and
+    their row-side pullback.
 
     Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
     (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
-    b = <u_y, y - x>, c = <u_x, u_y> and s = |y - x|^2, cos theta =
-    sigma (2 a b / s - c), sigma = +1 on curves and -1 on surfaces: three
-    (Nx, n) @ (n, Ny) products and no (Nx, Ny, n) temporaries. The products
-    a, b carry a rounding error of eps times the points' distance from the
-    coordinate origin, so both point sets are first centred on the middle
-    of y's bounding box: far from the origin they lose no digits to the
-    offset, and a round body keeps half the error it would have about one
-    of its own points. dist is summed from the uncentred differences, one
-    coordinate at a time. Every product is a plain (non-conjugating) one,
-    so the kernel is complex-analytic in the inputs and complex-step
-    derivatives through it are exact. Coincident pairs get 0 in both
-    outputs; 1 - cos is not clipped to [0, 2].
+    b = <u_y, y - x> and c = <u_x, u_y>, cos theta = sigma (2 a b / s - c),
+    sigma = +1 on curves and -1 on surfaces. Every (Nx, Ny) term is one
+    product of an (Nx, n + 1) row stack with an (n + 1, Ny) column stack in
+    homogeneous coordinates, and no (Nx, Ny, n) temporaries: in
+    y_c - x_c = [e_c, -x_c] @ [y; 1] each product is exact and the sum is
+    rounded once, so s, summed one coordinate at a time, has the bits of
+    dot(y - x, y - x). 1 - cos is then built in one array by in-place
+    operations. The products a, b carry a rounding error of eps times the
+    points' distance from the coordinate origin, so the callers
+    (`ks_pair_blocks`, `ks_triangle_rows`) centre the points once per pass
+    and the kernel takes them as given. Every product is a plain
+    (non-conjugating) one, so the kernel is complex-analytic in the inputs
+    and complex-step derivatives through it are exact; its buffers take the
+    result dtype of the inputs. Coincident pairs get 0 in both outputs;
+    1 - cos is not clipped to [0, 2].
 
-    pullback(omc_bar, dist_bar) returns the gradients of sum(omc_bar * omc
-    + dist_bar * dist) with respect to x_pts (Nx, n) and x_units (Nx, n),
-    in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row sums over
-    the coordinate differences; coincident pairs contribute nothing, their
-    outputs being constant 0. The kernel is
-    symmetric under swapping (x, u_x) with (y, u_y) for any vectors, so in
-    a symmetric double sum each point's gradient is twice its row side and
+    pullback(omc_bar, s_bar) returns the gradients of sum(omc_bar * omc
+    + s_bar * s) with respect to x_pts (Nx, n) and x_units (Nx, n), in
+    O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row sums over the
+    coordinate differences; coincident pairs contribute nothing, whatever
+    their bars, their outputs being constant 0. The kernel is symmetric
+    under swapping (x, u_x) with (y, u_y) for any vectors, so in a
+    symmetric double sum each point's gradient is twice its row side and
     the column side is never formed. The pullback takes real input only.
     """
     n = x_pts.shape[-1]
@@ -130,81 +136,110 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
         raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
                                     f"R^3, got (n, m) = ({n}, {m})")
     sign = 1.0 if m == 1 else -1.0
-    # |y - x|^2 one coordinate at a time: the bits of dot(y - x, y - x)
-    d = y_pts[:, 0] - x_pts[:, 0, None]
-    s = d * d
+    Nx, Ny = len(x_pts), len(y_pts)
+    dtype = np.result_type(x_pts, x_units, y_pts, y_units)
+    # column stacks [y; 1] and [u_y; <u_y, y>]
+    y1 = np.ones((n + 1, Ny), dtype)
+    y1[:n] = y_pts.T
+    uy = np.empty((n + 1, Ny), dtype)
+    uy[:n] = y_units.T
+    uy[n] = dot(y_units, y_pts)
+    # row stacks [e_c, -x_c] for each coordinate c, then [u_x, -<u_x, x>]
+    # and [-x, 1]
+    rows = np.zeros((n + 2, Nx, n + 1), dtype)
+    rows[:n, :, n] = -x_pts.T
+    rows[range(n), :, range(n)] = 1.0
+    rows[n, :, :n] = x_units
+    rows[n, :, n] = -dot(x_units, x_pts)
+    rows[n + 1, :, :n] = -x_pts
+    rows[n + 1, :, n] = 1.0
+
+    d, s = np.empty((Nx, Ny), dtype), np.empty((Nx, Ny), dtype)
+    np.square(np.matmul(rows[0], y1, out=d), out=s)
     for c in range(1, n):
-        s += np.subtract(y_pts[:, c], x_pts[:, c, None], out=d) ** 2
-    dist = np.sqrt(s)
+        s += np.square(np.matmul(rows[c], y1, out=d), out=d)
     apart = s != 0.0
-    inv_s = 1.0 / np.where(apart, s, 1.0)
-    # both sets centred on the middle of y's bounding box; y and its vectors
-    # stored column-wise, so that every product runs on contiguous operands
-    centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
-    xc = x_pts - centre
-    yc = np.ascontiguousarray((y_pts - centre).T)                 # (n, Ny)
-    ux = np.ascontiguousarray(x_units)                            # (Nx, n)
-    uy = np.ascontiguousarray(y_units.T)                          # (n, Ny)
-    a = ux @ yc - dot(ux, xc)[:, None]                            # (Nx, Ny)
-    b = (uy * yc).sum(axis=0) - xc @ uy
-    bend = 2.0 * inv_s * a * b
-    omc = 1.0 - sign * (bend - ux @ uy)
+    # 2 / s in the difference buffer, where coincident pairs hold 0
+    twice_inv_s = np.divide(2.0, s, out=d, where=apart)
+    a = rows[n] @ y1
+    b = rows[n + 1] @ uy
+    # omc = 1 - sigma (2 a b / s - c)
+    omc = np.multiply(a, twice_inv_s)
+    omc *= b
+    omc -= x_units @ uy[:n]
+    if sign > 0.0:
+        np.subtract(1.0, omc, out=omc)
+    else:
+        omc += 1.0
     omc[~apart] = 0.0
 
-    def pullback(omc_bar, dist_bar):
-        r_bar = np.where(apart, -sign * omc_bar, 0.0)      # d/d (bend - c)
-        ab_bar = 2.0 * inv_s * r_bar                       # d/d (a b)
+    def pullback(omc_bar, s_bar):
+        omc_bar = np.where(apart, omc_bar, 0.0)
+        ab_bar = (-sign * twice_inv_s) * omc_bar           # d/d (a b)
         a_bar, b_bar = ab_bar * b, ab_bar * a
-        # d dist / d s = dist / (2 s), d bend / d s = -bend / s
-        s_bar = inv_s * (np.where(apart, 0.5 * dist_bar, 0.0) * dist
-                         - r_bar * bend)
+        # d omc / d s = 2 sigma a b / s^2, which takes a_bar a / s off s_bar
+        t = a_bar * a
+        t *= twice_inv_s
+        s_bar = np.where(apart, s_bar, 0.0) - 0.5 * t
         # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
         # differences themselves, one coordinate at a time: s_bar @ y -
-        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair.
-        # The scratch array is the pullback's own, so that the kernel's
-        # blocks do not keep one alive for a pullback never called
+        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
         x_bar = np.empty(x_pts.shape)
-        t = np.empty(s_bar.shape)
         for c in range(n):
-            np.subtract(y_pts[:, c], x_pts[:, c, None], out=t)
+            np.matmul(rows[c], y1, out=t)
             x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
         x_bar *= -2.0
         row = a_bar.sum(axis=1)[:, None]
-        x_bar = x_bar - (row * ux + b_bar @ uy.T)
-        return x_bar, a_bar @ yc.T - row * xc - r_bar @ uy.T
+        x_bar -= row * x_units + b_bar @ y_units
+        return (x_bar, a_bar @ y_pts - row * x_pts
+                + sign * (omc_bar @ y_units))
 
-    return omc, dist, pullback
+    return omc, s, pullback
 
 
-def _ks_q(omc, dist, diag, m):
-    """1 - cos clipped to [0, 2] and q = omc^m / dist^(2m), each coincident
-    pair taking its row's diag value. 1 - cos lies in [0, 2] exactly, so
-    the clip only removes rounding: it acts on the real part, and a complex
-    step's imaginary part goes through it unchanged, also on pairs clipped
-    to 0 (on a round body most of them)."""
-    clipped = np.clip(omc.real, 0.0, 2.0)
-    omc = clipped + 1j * omc.imag if np.iscomplexobj(omc) else clipped
+def _ks_q(omc, s, diag, m):
+    """1 - cos clipped to [0, 2] in place and q = (omc / s)^m, each
+    coincident pair taking its row's diag value. 1 - cos lies in [0, 2]
+    exactly, so the clip only removes rounding: it acts on the real part,
+    and a complex step's imaginary part goes through it unchanged, also on
+    pairs clipped to 0 (on a round body most of them)."""
+    np.clip(omc.real, 0.0, 2.0, out=omc.real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(dist == 0.0, diag[:, None], (omc / (dist * dist)) ** m)
+        q = np.divide(omc, s)
+    if m == 2:
+        q *= q
+    np.copyto(q, diag[:, None], where=s == 0.0)
     return omc, q
+
+
+def _box_centre(points):
+    """The middle of the points' bounding box, from their real parts, so
+    that a complex step moves no point's centred position but its own."""
+    return 0.5 * (points.real.min(axis=0) + points.real.max(axis=0))
 
 
 def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
     """The pairs of the KS double sum, in blocks of x rows of at most
     PAIR_BLOCK pairs each (bounds its memory).
 
-    Yields (lo, hi, q, omc, dist, pullback) for the rows lo:hi: omc is
-    1 - cos theta clipped to [0, 2], q = omc^m / dist^(2m) with each
-    coincident pair taking its row's diag value (`_ks_q`), and dist and
-    pullback are `ks_pair_kernel`'s.
+    Both point sets are first translated to the middle of y's bounding box,
+    once per call: far from the origin the kernel's products lose no digits
+    to the offset, and a round body keeps half the error it would have
+    about one of its own points. Yields (lo, hi, q, omc, s, pullback) for
+    the rows lo:hi: omc is 1 - cos theta clipped to [0, 2],
+    q = (omc / s)^m with each coincident pair taking its row's diag value
+    (`_ks_q`), and s and pullback are `ks_pair_kernel`'s, on the translated
+    points.
     """
+    centre = _box_centre(y_pts)
+    x_pts, y_pts = x_pts - centre, y_pts - centre
     rows = max(1, PAIR_BLOCK // len(y_pts))
     for lo in range(0, len(x_pts), rows):
         hi = min(lo + rows, len(x_pts))
-        omc, dist, pullback = ks_pair_kernel(x_pts[lo:hi], x_units[lo:hi],
-                                             y_pts, y_units, m)
-        omc, q = _ks_q(omc, dist, diag[lo:hi], m)
-        yield lo, hi, q, omc, dist, pullback
+        omc, s, pullback = ks_pair_kernel(x_pts[lo:hi], x_units[lo:hi],
+                                          y_pts, y_units, m)
+        omc, q = _ks_q(omc, s, diag[lo:hi], m)
+        yield lo, hi, q, omc, s, pullback
 
 
 def ks_triangle_rows(points, units, m, diag, weights):
@@ -212,20 +247,23 @@ def ks_triangle_rows(points, units, m, diag, weights):
     sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as in
     `ks_pair_blocks`.
 
-    The kernel is symmetric, so each unordered pair is formed once: rows
-    lo:hi meet columns lo: only, their square block lo:hi counted as it
-    stands and the columns hi: twice, r[lo:hi] = q[:, :k] @ w[lo:hi]
-    + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Blocks grow as the columns
-    shrink and hold at most PAIR_BLOCK pairs (or one row). Complex-analytic
-    in every input.
+    The points are translated to the middle of their bounding box once, as
+    in `ks_pair_blocks`. The kernel is symmetric, so each unordered pair is
+    formed once: rows lo:hi meet columns lo: only, their square block lo:hi
+    counted as it stands and the columns hi: twice, r[lo:hi] =
+    q[:, :k] @ w[lo:hi] + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Blocks
+    grow as the columns shrink and hold at most PAIR_BLOCK pairs (or one
+    row). Complex-analytic in every input.
     """
     N = len(points)
+    points = points - _box_centre(points)
     rows, lo = [], 0
     while lo < N:
         hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
-        omc, dist, _ = ks_pair_kernel(points[lo:hi], units[lo:hi],
-                                      points[lo:], units[lo:], m)
-        q = _ks_q(omc, dist, diag[lo:hi], m)[1]
+        # the pullback is not kept, so its buffers go with the kernel's call
+        omc, s = ks_pair_kernel(points[lo:hi], units[lo:hi], points[lo:],
+                                units[lo:], m)[:2]
+        q = _ks_q(omc, s, diag[lo:hi], m)[1]
         k = hi - lo
         rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
         lo = hi
@@ -279,9 +317,9 @@ def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     ua = ks_unit_vectors(*surface_a.curvatures(na.locators)[:2])
     ub = ks_unit_vectors(*surface_b.curvatures(nb.locators)[:2])
     row = 0.0
-    for lo, hi, q, _, dist, _ in ks_pair_blocks(
+    for lo, hi, q, _, s, _ in ks_pair_blocks(
             na.points, ua, nb.points, ub, surface_a.m, np.zeros(len(ua))):
-        if np.any(dist == 0.0):
+        if np.any(s == 0.0):
             raise SingularPairError("pieces touch: cross energy undefined")
         row = row + na.weights[lo:hi] @ q
     return float(row @ nb.weights)

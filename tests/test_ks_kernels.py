@@ -104,10 +104,19 @@ def _chart_curvature_reference(surface, loc):
     return tangent, normal, sff
 
 
+def _squared_distances(x_pts, y_pts):
+    """|y - x|^2 (Nx, Ny), summed one coordinate at a time."""
+    s = (y_pts[:, 0] - x_pts[:, 0, None]) ** 2
+    for c in range(1, x_pts.shape[-1]):
+        s = s + (y_pts[:, c] - x_pts[:, c, None]) ** 2
+    return s
+
+
 def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
     m = x_frames.shape[-1]
     diff = y_pts[None, :, :] - x_pts[:, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    s = np.sum(diff * diff, axis=-1)
+    dist = np.sqrt(s)
     v = diff / np.where(dist == 0.0, 1.0, dist)[..., None]
     a = np.einsum("xyn,xnk->xyk", v, x_frames)
     b = np.einsum("xyn,ynl->xyl", v, y_frames)
@@ -119,7 +128,7 @@ def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
         cos = -(G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0])
     omc = 1.0 - cos
     omc[dist == 0.0] = 0.0
-    return omc, dist
+    return omc, s
 
 
 # ----------------------------------------------------------------------
@@ -228,10 +237,10 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     nodes = surface.nodes(0.5)
     tangent, normal, sff = surface.curvatures(nodes.locators)
     units = ks_unit_vectors(tangent, normal)
-    omc, dist, _ = ks_pair_kernel(nodes.points, units, nodes.points, units, 2)
-    off = ~np.eye(len(dist), dtype=bool)
-    assert np.all(dist[off] > 0.0)
-    q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, dist, 1.0) ** 4
+    omc, s, _ = ks_pair_kernel(nodes.points, units, nodes.points, units, 2)
+    off = ~np.eye(len(s), dtype=bool)
+    assert np.all(s[off] > 0.0)
+    q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, s, 1.0) ** 2
     q[~off] = (umbilicity_defect(sff) / 16.0) ** 2
     w = nodes.weights
     ref = math.fsum((w[:, None] * q * w[None, :]).ravel())
@@ -252,14 +261,35 @@ KS_SUMS = {
 }
 
 
+def _moved(surface, rotation, shift):
+    return surface.transformed(
+        lambda x: x @ rotation.T + shift,
+        lambda x: np.broadcast_to(rotation, x.shape + (3,)), None)
+
+
 def test_ks_energy_is_translation_invariant_far_from_the_origin():
-    # the pair products are taken about a centre of the node set, so an
-    # offset of 1e3 costs no digits (a kernel on the raw coordinates drifts
-    # about 1e-12 relative here)
+    # every KS pass translates its points to a centre of the node set once,
+    # so an offset of 1e3 costs no digits. On the raw coordinates the
+    # energies drift 2.4e-12 relative here, the gradient 6.8e-11 of its
+    # largest entry and the cross energy 4.9e-13.
     mesh = _stretched_ico3()
-    e0 = ks_energy(mesh).value
-    e1 = ks_energy(mesh.with_vertices(mesh.vertices + [1e3, 300.0, 0.0])).value
-    assert abs(e1 - e0) <= 5e-13 * e0
+    far = mesh.with_vertices(mesh.vertices + [1e3, 300.0, 0.0])
+    for energy in (lambda surface: ks_energy(surface).value, ks_flow_energy):
+        e0 = energy(mesh)
+        assert abs(energy(far) - e0) <= 5e-13 * e0
+    # 2.1e-11 with centring: the vertex fit sets that level, not the pairs
+    g0 = energy_gradient(FlowState(mesh=mesh))
+    g1 = energy_gradient(FlowState(mesh=far))
+    assert np.max(np.abs(g1 - g0)) <= 5e-11 * np.max(np.abs(g0))
+    # tilted disks, so that every coordinate enters the products; the
+    # shifted points themselves are rounded to eps 1e3, 4e-14 relative
+    t = 0.6
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), -math.sin(t)],
+                     [0.0, math.sin(t), math.cos(t)]])
+    disks = make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)
+    c0, c1 = (ks_cross_energy(*(_moved(d, tilt, shift) for d in disks))
+              for shift in (np.zeros(3), np.full(3, 1e3)))
+    assert abs(c1 - c0) <= 1e-13 * c0
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +301,10 @@ def _full_square_sum(points, units, m, diag, w):
     terms = []
     for lo in range(0, len(points), 64):
         hi = min(lo + 64, len(points))
-        omc, dist, _ = ks_pair_kernel(points[lo:hi], units[lo:hi], points,
-                                      units, m)
-        apart = dist != 0.0
-        q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, dist, 1.0) ** (2 * m)
+        omc, s, _ = ks_pair_kernel(points[lo:hi], units[lo:hi], points,
+                                   units, m)
+        apart = s != 0.0
+        q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, s, 1.0) ** m
         q = np.where(apart, q, diag[lo:hi, None])
         terms.append((w[lo:hi, None] * q * w).ravel())
     return math.fsum(np.concatenate(terms))
@@ -340,6 +370,20 @@ def test_ks_pair_sums_run_in_bounded_memory(name):
     assert peak <= 8 * 2 ** 20
 
 
+def test_ks_energy_peak_memory():
+    # the kernel builds 1 - cos and 2 / s in place: one warm energy peaks
+    # at 1.27 MiB here, where a kernel with fresh temporaries took 2.16 MiB
+    mesh = _stretched_ico3()
+    ks_energy(mesh)
+    tracemalloc.start()
+    try:
+        ks_energy(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
+
+
 # ----------------------------------------------------------------------
 # pair kernel
 # ----------------------------------------------------------------------
@@ -363,12 +407,13 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     x = rng.standard_normal((7, n))
     y = np.concatenate([rng.standard_normal((10, n)), x[:2]])  # two coincide
     fx, fy = _frames(rng, 7, n, m), _frames(rng, 12, n, m)
-    omc, dist, _ = ks_pair_kernel(x, _units(fx), y, _units(fy), m)
-    ref_omc, ref_dist = _einsum_kernel(x, fx, y, fy)
-    assert omc.shape == dist.shape == (7, 12)
-    assert np.array_equal(dist, ref_dist)
+    omc, s, _ = ks_pair_kernel(x, _units(fx), y, _units(fy), m)
+    ref_omc, ref_s = _einsum_kernel(x, fx, y, fy)
+    assert omc.shape == s.shape == (7, 12)
+    assert np.array_equal(s, ref_s)
+    assert np.array_equal(s, _squared_distances(x, y))
     assert np.max(np.abs(omc - ref_omc)) <= 1e-14
-    assert omc[0, 10] == omc[1, 11] == dist[0, 10] == dist[1, 11] == 0.0
+    assert omc[0, 10] == omc[1, 11] == s[0, 10] == s[1, 11] == 0.0
 
 
 def test_pair_kernel_rejects_codimension_two_surfaces():
@@ -384,14 +429,14 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     h = 1e-30
     x = rng.standard_normal((9, n)) + 1j * h * rng.standard_normal((9, n))
     fx = _frames(rng, 9, n, m) + 1j * h * rng.standard_normal((9, n, m))
-    omc, dist, _ = ks_pair_kernel(x, _units(fx), x, _units(fx), m)
-    ref_omc, ref_dist = _einsum_kernel(x, fx, x, fx)
+    omc, s, _ = ks_pair_kernel(x, _units(fx), x, _units(fx), m)
+    ref_omc, ref_s = _einsum_kernel(x, fx, x, fx)
     assert np.max(np.abs(omc.real - ref_omc.real)) <= 1e-14
-    assert np.max(np.abs(dist.real - ref_dist.real)) <= 1e-14
+    assert np.max(np.abs(s.real - ref_s.real)) <= 1e-14
     # the complex-step derivative is the same to rounding of the derivative
     scale = np.max(np.abs(ref_omc.imag / h))
     assert np.max(np.abs((omc.imag - ref_omc.imag) / h)) <= 1e-13 * scale
-    assert np.max(np.abs((dist.imag - ref_dist.imag) / h)) <= 1e-13 * scale
+    assert np.max(np.abs((s.imag - ref_s.imag) / h)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -406,8 +451,8 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
     omc_xy = ks_pair_kernel(x, ux, y, uy, m)[0]
     omc_yx = ks_pair_kernel(y, uy, x, ux, m)[0]
     assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
-    omc_bar, dist_bar = rng.standard_normal((2, 5, 10))
-    x_bar, ux_bar = ks_pair_kernel(x, ux, y, uy, m)[2](omc_bar, dist_bar)
+    omc_bar, s_bar = rng.standard_normal((2, 5, 10))
+    x_bar, ux_bar = ks_pair_kernel(x, ux, y, uy, m)[2](omc_bar, s_bar)
     # coincident pairs contribute nothing, whatever their bars
     live = np.ones((5, 10))
     live[0, 8] = live[1, 9] = 0.0
@@ -415,8 +460,8 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
 
     def derivative(xz, uz):
         # row i reads only x[i] and ux[i]: one complex step per coordinate
-        omc, dist, _ = ks_pair_kernel(xz, uz, y, uy, m)
-        return (live * (omc_bar * omc + dist_bar * dist)).sum(axis=1).imag / h
+        omc, s, _ = ks_pair_kernel(xz, uz, y, uy, m)
+        return (live * (omc_bar * omc + s_bar * s)).sum(axis=1).imag / h
 
     scale = max(np.max(np.abs(x_bar)), np.max(np.abs(ux_bar)))
     for c in range(n):
