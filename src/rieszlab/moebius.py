@@ -159,7 +159,8 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
     for c in range(1, n):
         s += np.square(np.matmul(rows[c], y1, out=d), out=d)
     apart = s != 0.0
-    # 2 / s in the difference buffer, where coincident pairs hold 0
+    # 2 / s in the difference buffer; coincident pairs keep the 0 of their
+    # last coordinate's difference there
     twice_inv_s = np.divide(2.0, s, out=d, where=apart)
     a = rows[n] @ y1
     b = rows[n + 1] @ uy

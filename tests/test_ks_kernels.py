@@ -281,8 +281,8 @@ def test_ks_energy_is_translation_invariant_far_from_the_origin():
     g0 = energy_gradient(FlowState(mesh=mesh))
     g1 = energy_gradient(FlowState(mesh=far))
     assert np.max(np.abs(g1 - g0)) <= 5e-11 * np.max(np.abs(g0))
-    # tilted disks, so that every coordinate enters the products; the
-    # shifted points themselves are rounded to eps 1e3, 4e-14 relative
+    # tilted disks, so that every coordinate enters the products; rounding
+    # the shifted points to eps 1e3 alone moves this energy 4e-14 relative
     t = 0.6
     tilt = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), -math.sin(t)],
                      [0.0, math.sin(t), math.cos(t)]])
@@ -354,34 +354,31 @@ def test_triangle_sums_match_the_full_square(name, rows, monkeypatch):
         assert abs(ks_flow_energy(surface) - ref) <= 1e-13 * ref
 
 
+def _warm_peak(ks_sum, mesh):
+    """tracemalloc peak of a second call, after the mesh's cached fits and
+    tables are built."""
+    ks_sum(mesh)
+    tracemalloc.start()
+    try:
+        ks_sum(mesh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name", sorted(KS_SUMS))
 def test_ks_pair_sums_run_in_bounded_memory(name):
     # every KS double sum walks its pairs in blocks of at most PAIR_BLOCK,
     # so its peak does not grow with the node count (642 vertices here,
     # 768 nodes per disk)
-    mesh = _stretched_ico3()
-    KS_SUMS[name](mesh)               # the mesh's cached fits and tables
-    tracemalloc.start()
-    try:
-        KS_SUMS[name](mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert _warm_peak(KS_SUMS[name], _stretched_ico3()) <= 8 * 2 ** 20
 
 
 def test_ks_energy_peak_memory():
     # the kernel builds 1 - cos and 2 / s in place: one warm energy peaks
-    # at 1.27 MiB here, where a kernel with fresh temporaries took 2.16 MiB
-    mesh = _stretched_ico3()
-    ks_energy(mesh)
-    tracemalloc.start()
-    try:
-        ks_energy(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2 ** 20
+    # at 1.28 MiB here, where a kernel with fresh temporaries took 2.16 MiB
+    assert _warm_peak(KS_SUMS["ks_energy"], _stretched_ico3()) <= (
+        1.5 * 2 ** 20)
 
 
 # ----------------------------------------------------------------------
