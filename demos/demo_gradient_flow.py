@@ -26,7 +26,7 @@ def main():
 
     print("contact monitor, two icospheres at shrinking gap (alpha = -4):")
     sel = EnergySelector("riesz", alpha=-4.0)
-    cfg = QuadratureConfig(mesh_inner_subdiv=1)
+    cfg = QuadratureConfig()
     for gap in (0.8, 0.4, 0.2, 0.1):
         a = icosphere(1, 1.0, (-(1.0 + gap / 2), 0.0, 0.0))
         b = icosphere(1, 1.0, (1.0 + gap / 2, 0.0, 0.0))

@@ -2,10 +2,11 @@
 
 The flow's discrete Kusner-Sullivan energy is `ks_energy`'s vertex
 quadrature without its diagonal cells: the same vertex fit frames (face
-seed, one normal-equation solve, closed-form tilt), lumped weights and pair
-kernel, read from the mesh's shared topology. Its gradient is reverse mode
-written by hand: one pass backwards through the pair sum (O(V^2), in
-blocks of rows), the weights, Gram-Schmidt, the tilt, the normal
+seed, one normal-equation solve, closed-form tilt), lumped weights (the
+same bits, from `face_sizes`) and pair kernel, read from the mesh's shared
+topology. Its gradient is reverse mode written by hand: one pass backwards
+through the pair sum (O(V^2), in blocks of rows), the weights,
+Gram-Schmidt, the tilt, the normal
 equations (one transposed solve per vertex) and the face seed (O(V ring)),
 each stage's adjoint beside its forward. Every forward step stays
 complex-analytic, so complex step checks the adjoint to rounding.
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry.meshes import (TriMesh, face_vectors, face_vectors_adjoint,
-                              seed_frames, seed_frames_adjoint)
+from .geometry.meshes import (TriMesh, face_sizes, face_vectors,
+                              face_vectors_adjoint, seed_frames,
+                              seed_frames_adjoint)
 from .geometry.patches import (dot, fit_tangent_frames,
                                fit_tangent_frames_adjoint)
 from .moebius import ks_pair_blocks, ks_triangle_rows, ks_unit_vectors
@@ -56,10 +58,8 @@ def _ks_quadrature(vertices, topology):
     offsets = vertices[idx] - vertices[:, None]
     seed = seed_frames(vertices, topology)
     tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed)
-    e = face_vectors(vertices, topology)
-    if topology.m == 2:
-        e = 0.5 * e
-    weights = topology.incidence @ (np.sqrt(dot(e, e)) / (topology.m + 1))
+    e, size = face_sizes(vertices, topology)
+    weights = topology.incidence @ (size / (topology.m + 1))
     return offsets, seed, ks_unit_vectors(tangent, normal), solve, e, weights
 
 
@@ -150,7 +150,7 @@ class EnergySelector:
             return f"as(s={self.s})"
         return "ks"
 
-    def evaluate(self, mesh: TriMesh, config=None) -> float:
+    def evaluate(self, mesh: TriMesh, config) -> float:
         if self.kind == "ks":
             return ks_flow_energy(mesh)
         from .riesz import riesz_energy

@@ -603,7 +603,7 @@ def _product_rule(ranges, counts, periodic):
 # catalog
 # ----------------------------------------------------------------------
 
-def make_circle(radius=1.0, center=(0.0, 0.0), base_nodes=256, component=0):
+def make_circle(radius=1.0, center=(0.0, 0.0)):
     r = float(radius)
     c = np.asarray(center, dtype=float)
 
@@ -619,8 +619,7 @@ def make_circle(radius=1.0, center=(0.0, 0.0), base_nodes=256, component=0):
         th = u[..., 0]
         return -r * np.stack([np.cos(th), np.sin(th)], axis=-1)[..., None, None]
 
-    chart = Chart(1, 2, value, jacobian, hessian, _trapezoid_rule(base_nodes),
-                  component=component)
+    chart = Chart(1, 2, value, jacobian, hessian, _trapezoid_rule(256))
     return ChartSurface(1, 2, [chart], True, 0)
 
 
@@ -740,19 +739,17 @@ def make_sphere(radius=1.0, center=(0.0, 0.0, 0.0), base_nodes=(48, 96),
     return make_ellipsoid(r, r, r, center, base_nodes, component)
 
 
-def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
-               base_nodes=(48, 96)):
+def make_torus(major=2.0, minor=0.5):
     R, r = float(major), float(minor)
     if not 0.0 < r < R:
         raise PreconditionError(f"a torus needs 0 < minor < major, got "
                                 f"major={major!r}, minor={minor!r}")
-    ctr = np.asarray(center, dtype=float)
 
     def value(u):
         th, ph = u[..., 0], u[..., 1]
         w = R + r * np.cos(th)
-        return ctr + np.stack([w * np.cos(ph), w * np.sin(ph),
-                               r * np.sin(th)], axis=-1)
+        return np.stack([w * np.cos(ph), w * np.sin(ph), r * np.sin(th)],
+                        axis=-1)
 
     def jacobian(u):
         th, ph = u[..., 0], u[..., 1]
@@ -778,13 +775,13 @@ def make_torus(major=2.0, minor=0.5, center=(0.0, 0.0, 0.0),
                          np.stack([d_tp, d_pp], axis=-1)], axis=-1)
 
     rule = _product_rule([(0.0, 2 * math.pi), (0.0, 2 * math.pi)],
-                         base_nodes, [True, True])
+                         (48, 96), [True, True])
     chart = Chart(2, 3, value, jacobian, hessian, rule)
     return ChartSurface(2, 3, [chart], True, 0)
 
 
-def make_cylinder_patch(radius=1.0, half_length=1.0, half_angle=math.pi / 2,
-                        base_nodes=(24, 24)):
+def make_cylinder_patch(radius=1.0, half_length=1.0):
+    """Half a cylinder mantle: angles in [-pi/2, pi/2], heights in [-L, L]."""
     r = float(radius)
 
     def value(u):
@@ -806,15 +803,14 @@ def make_cylinder_patch(radius=1.0, half_length=1.0, half_angle=math.pi / 2,
         return np.stack([np.stack([d_tt, zero], axis=-1),
                          np.stack([zero, zero], axis=-1)], axis=-1)
 
-    rule = _product_rule([(-half_angle, half_angle),
+    rule = _product_rule([(-math.pi / 2, math.pi / 2),
                           (-half_length, half_length)],
-                         base_nodes, [False, False])
+                         (24, 24), [False, False])
     chart = Chart(2, 3, value, jacobian, hessian, rule)
     return ChartSurface(2, 3, [chart], False, None)
 
 
-def _graph_patch_surface(g, grad_g, hess_g, extent=1.0,
-                         base_nodes=(24, 24)):
+def _graph_patch_surface(g, grad_g, hess_g, extent):
     """Surface z = g(x, y) over the square [-extent, extent]^2.
 
     g, grad_g, hess_g are batched callables over (..., 2) parameter arrays
@@ -841,7 +837,7 @@ def _graph_patch_surface(g, grad_g, hess_g, extent=1.0,
         return h
 
     rule = _product_rule([(-extent, extent), (-extent, extent)],
-                         base_nodes, [False, False])
+                         (24, 24), [False, False])
     chart = Chart(2, 3, value, jacobian, hessian, rule)
     return ChartSurface(2, 3, [chart], False, None)
 
@@ -864,8 +860,7 @@ def make_saddle_surface(extent=1.0):
     return _graph_patch_surface(g, grad_g, hess_g, extent)
 
 
-def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,
-              inner_radius=1e-3):
+def make_disk(radius=1.0, z=0.0, component=0):
     """Flat horizontal disk at height z, oriented by (rho, phi) parameter order."""
     r1 = float(radius)
 
@@ -890,8 +885,8 @@ def make_disk(radius=1.0, z=0.0, base_nodes=(16, 48), component=0,
         return np.stack([np.stack([zero, d_rp], axis=-1),
                          np.stack([d_rp, d_pp], axis=-1)], axis=-1)
 
-    rule = _product_rule([(inner_radius, r1), (0.0, 2 * math.pi)],
-                         base_nodes, [False, True])
+    rule = _product_rule([(1e-3, r1), (0.0, 2 * math.pi)],
+                         (16, 48), [False, True])
     chart = Chart(2, 3, value, jacobian, hessian, rule, component=component)
     return ChartSurface(2, 3, [chart], False, None)
 

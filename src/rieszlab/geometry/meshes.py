@@ -28,6 +28,7 @@ __all__ = [
     "seed_frames_adjoint",
     "face_vectors",
     "face_vectors_adjoint",
+    "face_sizes",
     "euler_characteristic",
     "icosphere",
     "torus_mesh",
@@ -170,6 +171,15 @@ def face_vectors_adjoint(vertices, topology, face_bar):
     return grad
 
 
+def face_sizes(vertices, topology):
+    """`face_vectors` halved on triangles (F, n) and their lengths, the
+    faces' m-volumes (F,): no Gram determinant to cancel on thin triangles."""
+    e = face_vectors(vertices, topology)
+    if topology.m == 2:
+        e = 0.5 * e
+    return e, np.sqrt(dot(e, e))
+
+
 def _unit(a):
     return a / np.sqrt(dot(a, a))[:, None]
 
@@ -185,8 +195,6 @@ def seed_frames(vertices, topology):
     first tangent. Every product is a plain one, so complex-step
     derivatives go through.
     """
-    if topology.m == 2 and vertices.shape[1] != 3:
-        raise UnsupportedInputError("mesh graph patches support m=2 only in R^3")
     f = _unit(face_vectors(vertices, topology))
     if topology.m == 1:
         return orthonormal_frames((topology.incidence @ f)[..., None])
@@ -241,7 +249,7 @@ class TriMesh(Surface):
     Implements the surface protocol (`surface.py`); a locator is a vertex
     id. The connectivity lives in a `MeshTopology` shared by every mesh
     made from this one by `with_vertices` or `translated`; each new vertex
-    array is checked for finite coordinates and non-degenerate simplices.
+    array is checked: in R^3 for triangles, finite, no degenerate simplex.
     The quadratic vertex fits behind `patches_at`, `basis_at` and
     `curvatures` are made for all vertices at once, on first use, and
     dropped with the vertex array they fit: the face seed (`seed_frames`),
@@ -259,13 +267,16 @@ class TriMesh(Surface):
             raise UnsupportedInputError("face tuples must have m+1 vertex ids")
         self.m = m
         self.faces = faces
+        self.topology = MeshTopology(faces, m, len(vertices))
         self._set_vertices(vertices)
-        self.topology = MeshTopology(faces, m, self.num_vertices)
         self.closed = self.topology.closed
         self.oriented = self.topology.oriented
 
     def _set_vertices(self, vertices):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        if self.m == 2 and self.n != 3:
+            # face_vectors takes a cross product
+            raise UnsupportedInputError("triangle meshes need vertices in R^3")
         if not np.all(np.isfinite(self.vertices)):
             raise UnsupportedInputError("mesh has non-finite vertex coordinates")
         if np.any(self.measures() <= 0.0):
@@ -291,15 +302,7 @@ class TriMesh(Surface):
 
     def measures(self) -> np.ndarray:
         """Per-face m-volume (edge lengths / triangle areas)."""
-        p = self.vertices[self.faces]
-        if self.m == 1:
-            return np.linalg.norm(p[:, 1] - p[:, 0], axis=-1)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        g11 = np.einsum("ij,ij->i", e1, e1)
-        g22 = np.einsum("ij,ij->i", e2, e2)
-        g12 = np.einsum("ij,ij->i", e1, e2)
-        return 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))
+        return face_sizes(self.vertices, self.topology)[1]
 
     def total_volume(self) -> float:
         return float(np.sum(self.measures()))
@@ -308,18 +311,16 @@ class TriMesh(Surface):
         return self.vertices[self.faces].mean(axis=1)
 
     def face_normals(self) -> np.ndarray:
-        """Unit normals from the face winding (m=2, n=3 only)."""
-        if self.m != 2 or self.n != 3:
-            raise UnsupportedInputError("face normals need m=2 meshes in R^3")
-        p = self.vertices[self.faces]
-        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+        """Unit normals from the face winding (m=2 only)."""
+        if self.m != 2:
+            raise UnsupportedInputError("face normals need m=2 meshes")
+        return _unit(face_vectors(self.vertices, self.topology))
 
     def vertex_neighbors(self):
         """Sorted 1-rings: the vertices sharing a face with each vertex."""
         return self.topology.rings(1)
 
-    def vertex_rings(self, depth=2):
+    def vertex_rings(self, depth):
         return self.topology.rings(depth)
 
     def vertex_faces(self):
@@ -584,13 +585,12 @@ def torus_mesh(n_u=24, n_v=48, major=2.0, minor=0.5) -> TriMesh:
     return TriMesh(pts, np.asarray(faces), 2)
 
 
-def polygon_circle(n=64, radius=1.0, center=(0.0, 0.0)) -> TriMesh:
+def polygon_circle(n=64, radius=1.0) -> TriMesh:
     if not (n >= 3 and radius > 0):
         raise PreconditionError(f"a polygon needs n >= 3 and radius > 0, "
                                 f"got {n!r} and {radius!r}")
     th = 2 * math.pi * np.arange(n) / n
     pts = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1)
-    pts = pts + np.asarray(center, dtype=float)
     faces = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=-1)
     return TriMesh(pts, faces, 1)
 

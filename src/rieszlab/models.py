@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (PreconditionError, UnsupportedInputError,
                      checked_arithmetic)
-from .quadrature import compensated_sum, gauss_legendre
+from .quadrature import compensated_sum, gauss_legendre, graded_panels
 
 __all__ = [
     "CutoffFit",
@@ -231,7 +231,7 @@ def orthogonal_model_closed_form(alpha: float, rho: float) -> float:
 
 @checked_arithmetic
 def orthogonal_model_integral(alpha: float,
-                              rho: float = 1.0) -> OrthogonalModelResult:
+                              rho: float) -> OrthogonalModelResult:
     """Interaction of two orthogonal flat sheets meeting at a point.
 
     Numerically integrates (t^2+s^2)^(a/2) (2 pi)^2 t s over [0, rho]^2 by
@@ -378,18 +378,6 @@ def lambda_bound_sum(m: int, alpha: float, delta: float,
         m, alpha, delta, rho0 / 2.0 ** np.arange(CASCADE_TERMS)))
 
 
-def _graded_panels_1d(a: float, b: float, feature: float):
-    """GL panels on [a, b] dyadically graded toward a down to `feature`."""
-    edges = [b]
-    while edges[-1] - a > feature:
-        edges.append(a + 0.5 * (edges[-1] - a))
-    edges.append(a)
-    xg, wg = gauss_legendre(PANEL_ORDER)
-    hi, lo = np.array(edges[:-1]), np.array(edges[1:])
-    half = (0.5 * (hi - lo))[:, None]
-    return (half * (xg + 1.0) + lo[:, None]).ravel(), (half * wg).ravel()
-
-
 def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
                              gap: float) -> float:
     """Cross interaction of two round m-spheres at the given gap.
@@ -422,8 +410,8 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
     if m == 2:
         # inner sphere integral from distance D: (2 pi r / D) *
         # integral_(D-r)^(D+r) t^(alpha+1) dt, with D^2 - r^2 = L (g + 2 r s)
-        s, ws = _graded_panels_1d(0.0, 2.0, gap / r * 1e-3)  # s = 1 - u
-        q = (2.0 * r + gap) * (gap + 2.0 * r * s)
+        s, ws = graded_panels(0.0, 2.0, gap / r * 1e-3, PANEL_ORDER)
+        q = (2.0 * r + gap) * (gap + 2.0 * r * s)            # s = 1 - u
         D = np.sqrt(r * r + q)
         near = q / (D + r)                                   # D - r
         if abs(a + 2.0) < 1e-12:
@@ -432,8 +420,9 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
             vals = ((D + r) ** (a + 2.0) - near ** (a + 2.0)) / (a + 2.0)
         return float(4.0 * math.pi ** 2 * r ** 3 * np.dot(ws, vals / D))
     if m == 1:
-        th, wt = _graded_panels_1d(0.0, math.pi, 0.25 * math.sqrt(gap / r))
-        s, ws = _graded_panels_1d(0.0, math.pi, 0.25 * gap / r)
+        th, wt = graded_panels(0.0, math.pi, 0.25 * math.sqrt(gap / r),
+                               PANEL_ORDER)
+        s, ws = graded_panels(0.0, math.pi, 0.25 * gap / r, PANEL_ORDER)
         # inner angle th + s, s in [-pi, pi] graded toward 0; by angle
         # addition dx = g + 2r sin^2(th / 2) + 2r sin^2((th + s) / 2) and
         # dy = 2r sin(s / 2) cos(th + s / 2)

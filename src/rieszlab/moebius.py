@@ -442,7 +442,7 @@ class InvarianceReport:
     refined_rel_difference: float | None
     map_kind: str
     selector: str
-    map_params: dict = None
+    map_params: dict
 
     def as_dict(self):
         return {

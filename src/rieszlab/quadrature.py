@@ -2,9 +2,9 @@
 
 Small deterministic rules used throughout the library: the Gauss-Legendre
 rule of each order (the one source of such rules in the package, computed
-once per order and shared read-only), a fixed-order sum, and a smooth
-replacement kernel that equals t^alpha outside a ball and continues it
-smoothly inside.
+once per order and shared read-only), panels of it graded toward an end
+point, a fixed-order sum, and a smooth replacement kernel that equals
+t^alpha outside a ball and continues it smoothly inside.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre",
+    "graded_panels",
     "compensated_sum",
     "BlendKernel",
 ]
@@ -33,6 +34,19 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def graded_panels(a: float, b: float, feature: float, order: int):
+    """Gauss-Legendre panels of `order` nodes on [a, b], dyadically graded
+    toward a down to `feature`: nodes and weights, panel by panel from b."""
+    edges = [b]
+    while edges[-1] - a > feature:
+        edges.append(a + 0.5 * (edges[-1] - a))
+    edges.append(a)
+    xg, wg = gauss_legendre(order)
+    hi, lo = np.array(edges[:-1]), np.array(edges[1:])
+    half = (0.5 * (hi - lo))[:, None]
+    return (half * (xg + 1.0) + lo[:, None]).ravel(), (half * wg).ravel()
 
 
 def compensated_sum(values) -> float:

@@ -12,9 +12,9 @@ from scipy.spatial.transform import Rotation
 
 import rieszlab
 from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
-                           _ks_vertex_energy, _orientation_ok, contact_monitor,
-                           energy_gradient, flow_step, ks_flow_energy,
-                           run_flow, write_trajectory_csv)
+                           _ks_quadrature, _ks_vertex_energy, _orientation_ok,
+                           contact_monitor, energy_gradient, flow_step,
+                           ks_flow_energy, run_flow, write_trajectory_csv)
 from rieszlab.geometry import (TriMesh, icosphere, mesh_disjoint_union,
                                polygon_circle, read_off, torus_mesh, write_off)
 from rieszlab.geometry.patches import umbilicity_defect
@@ -220,6 +220,9 @@ def test_flow_energy_is_ks_energy_without_diagonal(mesh):
     diagonal = float(np.sum(nodes.weights ** 2 * limits ** mesh.m))
     assert ks_flow_energy(mesh) + diagonal == pytest.approx(
         ks_energy(mesh).value, rel=1e-12)
+    # the lumped weights are the same bits on both sides
+    assert np.array_equal(nodes.weights,
+                          _ks_quadrature(mesh.vertices, mesh.topology)[5])
 
 
 def test_gradient_near_minimizer():
@@ -240,7 +243,7 @@ def test_gradient_translation_invariance_riesz_polygon():
         poly.vertices * (1 + 0.05 * rng.standard_normal((24, 1))))
     sel = EnergySelector("riesz", alpha=1.0)
     state = FlowState(mesh=poly, selector=sel,
-                      config=QuadratureConfig(mesh_inner_subdiv=1))
+                      config=QuadratureConfig())
     g = energy_gradient(state)
     assert np.linalg.norm(g.sum(axis=0)) < 1e-5 * np.linalg.norm(g)
 
@@ -314,7 +317,7 @@ def test_flow_rotation_equivariance():
 
 def test_contact_monitor_dumbbell_energy_increases():
     # driving two spheres together raises E_{-4} strictly at each halving
-    cfg = QuadratureConfig(mesh_inner_subdiv=1)
+    cfg = QuadratureConfig()
     sel = EnergySelector("riesz", alpha=-4.0)
     energies = []
     dists = []
@@ -332,7 +335,7 @@ def test_contact_monitor_dumbbell_energy_increases():
 
 def test_contact_monitor_ceiling_flag():
     sel = EnergySelector("riesz", alpha=-4.0)
-    cfg = QuadratureConfig(mesh_inner_subdiv=1)
+    cfg = QuadratureConfig()
     trajectory = []
     base = None
     state = None

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 123
+LIMIT = 105
 
 
 def _settable_values(tree) -> int:

@@ -74,6 +74,23 @@ def test_with_vertices_still_checks_vertices():
         mesh.with_vertices(flat)
 
 
+@pytest.mark.parametrize("w", [1e-7, 1e-8, 1e-9])
+def test_thin_triangle_keeps_its_area(w):
+    # a Gram determinant g11 g22 - g12^2 cancels here: 5.4% high at 1e-8,
+    # and at 1e-9 the triangle was refused as degenerate
+    mesh = TriMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, w, 0.0]],
+                   [[0, 1, 2]], 2)
+    assert mesh.measures()[0] == pytest.approx(0.5 * w, rel=1e-12, abs=0.0)
+
+
+def test_triangle_mesh_outside_r3_is_refused_at_construction():
+    with pytest.raises(UnsupportedInputError, match="R\\^3"):
+        TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], 2)
+    mesh = icosphere(0)
+    with pytest.raises(UnsupportedInputError, match="R\\^3"):
+        mesh.with_vertices(np.c_[mesh.vertices, np.zeros(12)])
+
+
 def test_topology_matches_face_definitions():
     mesh = torus_mesh(6, 8)
     one = mesh.vertex_neighbors()
