@@ -13,6 +13,7 @@ chord rows of `chord_solve`, each with its own residual.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ __all__ = [
 
 # Newton iterations of the chart patch Newton before it gives up.
 NEWTON_MAX_ITER = 60
+# Rows of one batch of the radius check's graph points: the first-level
+# chord rows of one `riesz_energy` block on the default sphere (32 nodes,
+# 16 radii, 16 directions), so the Newton's row buffers stay that size
+# whatever the number of nodes of a stack.
+GRID_ROWS = 1 << 13
 
 
 def _inv_small(A):
@@ -54,15 +60,19 @@ def _inv_small(A):
     return inv / det[..., None, None]
 
 
-def _matvec(M, x):
-    """M x per row of M (..., a, b), x (..., b), as plain products."""
-    return sum(M[..., j] * x[..., j, None] for j in range(M.shape[-1]))
-
-
 def _tdots(M, x):
     """The components of M^T x per row of M (..., a, b), x (..., a), each
     summed in component order (no conjugation)."""
     return [dot(M[..., j], x) for j in range(M.shape[-1])]
+
+
+def _dot_rows(a, b, out, tmp):
+    """out = sum_i a[i] b[i] for rows a[i], b[i] (R,), summed in row order
+    in place; tmp is an (R,) scratch row."""
+    np.multiply(a[0], b[0], out=out)
+    for ai, bi in zip(a[1:], b[1:]):
+        out += np.multiply(ai, bi, out=tmp)
+    return out
 
 
 def _heights(N, d):
@@ -88,33 +98,44 @@ def _pull_back(N, H, A):
     return out
 
 
-def _solve_steps(A, b):
-    """The Newton steps x of A x = b, per row and in closed form, for A the
-    rows A[i][j] and b the entries b[i] of (R,) component arrays, m in
-    {1, 2} (`orthonormal_frames` admits no other m)."""
+def _solve_steps(A, b, s, tmp):
+    """The Newton steps s of A s = b per row, in closed form and in place:
+    A (m, m, R), b and s (m, R), tmp (2, R) scratch rows, m in {1, 2}
+    (`orthonormal_frames` admits no other m)."""
     if len(b) == 1:
-        return [b[0] / A[0][0]]
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    return [(b[0] * A[1][1] - b[1] * A[0][1]) / det,
-            (b[1] * A[0][0] - b[0] * A[1][0]) / det]
+        np.divide(b[0], A[0, 0], out=s[0])
+        return
+    det, t = tmp[0], tmp[1]
+    np.multiply(A[0, 0], A[1, 1], out=det)
+    det -= np.multiply(A[0, 1], A[1, 0], out=t)
+    np.multiply(b[0], A[1, 1], out=s[0])
+    s[0] -= np.multiply(b[1], A[0, 1], out=t)
+    s[0] /= det
+    np.multiply(b[1], A[0, 0], out=s[1])
+    s[1] -= np.multiply(b[0], A[1, 0], out=t)
+    s[1] /= det
 
 
 def _grad_height(J, T, N):
-    """grad h = (N^T J)(T^T J)^-1 per row of J (..., n, m), T (..., n, m),
-    N (..., n, c), m in {1, 2}, the inverse in closed form by component."""
-    m = J.shape[-1]
-    tj = [_tdots(T, J[..., k]) for k in range(m)]      # tj[k][i] = (T^T J)_ik
+    """grad h = (N^T J)(T^T J)^-1 per row of J (n, m, R), component rows,
+    T (R, n, m) and N (R, n, c), m in {1, 2}, the inverse in closed form by
+    component: (R, c, m)."""
+    n, m = J.shape[:2]
+    # tj[k][i] = (T^T J)_ik, nj[k][c] = (N^T J)_ck
+    tj = [[sum(T[:, a, i] * J[a, k] for a in range(n)) for i in range(m)]
+          for k in range(m)]
     if m == 1:
         inv = [[1.0 / tj[0][0]]]
     else:
         det = tj[0][0] * tj[1][1] - tj[1][0] * tj[0][1]
         inv = [[tj[1][1] / det, -tj[1][0] / det],
                [-tj[0][1] / det, tj[0][0] / det]]
-    nj = [_tdots(N, J[..., k]) for k in range(m)]      # nj[k][c] = (N^T J)_ck
-    out = np.empty(J.shape[:-2] + (N.shape[-1], m))
+    nj = [[sum(N[:, a, c] * J[a, k] for a in range(n))
+           for c in range(N.shape[-1])] for k in range(m)]
+    out = np.empty((J.shape[-1], N.shape[-1], m))
     for c in range(N.shape[-1]):
         for j in range(m):
-            out[..., c, j] = sum(nj[i][c] * inv[i][j] for i in range(m))
+            out[:, c, j] = sum(nj[i][c] * inv[i][j] for i in range(m))
     return out
 
 
@@ -128,12 +149,15 @@ class Chart:
     away from patch centers), and the points' parameters in them. The maps
     of a stack take one parameter row per chart, u (B, m), and its
     take(idx) is the stack of the charts idx; take is None on a single
-    chart. both, when set, gives (value(u), jacobian(u)) in one call that
-    shares their work (`value_jacobian`), with the bits of the two separate
-    maps. A stack serves only the patch Newton, which reads value_jacobian,
-    so a spheroid stack has both alone: it fills preallocated (R, 3) and
-    (R, 3, 2) arrays one output component at a time, and its value,
-    jacobian, hessian and param_rule are None.
+    chart. The patch Newton evaluates a chart through `fill`, on component
+    rows: both, when set, is that evaluation, both(u, x, jac) writing
+    value(u) and jacobian(u) for parameters u (m, R) into the rows x[i] and
+    jac[i, j] of x (n, R) and jac (n, m, R), with the bits of the two
+    separate maps; a chart without it is evaluated by value and jacobian
+    and copied into the rows. A spheroid stack serves only the patch
+    Newton, so it has both alone: it writes each output component straight
+    into the Newton's component buffers, and its value, jacobian, hessian
+    and param_rule are None.
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
@@ -149,11 +173,25 @@ class Chart:
         self.take = take
         self.both = both
 
-    def value_jacobian(self, u):
-        """(value(u), jacobian(u))."""
+    def fill(self, u, x, jac):
+        """value(u) and jacobian(u) into the rows of x (n, R) and jac
+        (n, m, R), for parameters u (m, R) given by component rows."""
         if self.both is not None:
-            return self.both(u)
-        return self.value(u), self.jacobian(u)
+            self.both(u, x, jac)
+            return
+        uu = np.stack(list(u), axis=-1)
+        x[...] = np.moveaxis(self.value(uu), -1, 0)
+        jac[...] = np.moveaxis(self.jacobian(uu), (-2, -1), (0, 1))
+
+    def value_jacobian(self, u):
+        """(value(u), jacobian(u)) for parameters u (..., m)."""
+        if self.both is None:
+            return self.value(u), self.jacobian(u)
+        x = np.empty(u.shape[:-1] + (self.n,))
+        jac = np.empty(u.shape[:-1] + (self.n, self.m))
+        self.both(np.moveaxis(u, -1, 0), np.moveaxis(x, -1, 0),
+                  np.moveaxis(jac, (-2, -1), (0, 1)))
+        return x, jac
 
 
 @dataclass
@@ -267,10 +305,11 @@ class ChartSurface(Surface):
                                    hess_map(x), Ju, Ju)
                 return first + second
 
-            def both(u):
-                x, Ju = chart.value_jacobian(u)
-                return (value_map(x),
-                        np.einsum("...ij,...jp->...ip", jac_map(x), Ju))
+            def both(u, x, jac):
+                y, Ju = chart.value_jacobian(np.stack(list(u), axis=-1))
+                x[...] = value_map(y).T
+                jac[...] = np.einsum("...ij,...jp->...ip", jac_map(y),
+                                     Ju).transpose(1, 2, 0)
 
             repatch = take = None
             if chart.repatch is not None:
@@ -331,11 +370,12 @@ class ChartSurface(Surface):
         Each run of points on the same chart is repatched once; one row map
         then sends every row of the stack to its own chart, or to its own
         chart of a chart stack (`Chart.take`). Every radius is validated
-        on a polar grid and shrunk by 0.85 until the graph Newton converges
-        there (unless shrink=False). The graph points behind the grid,
-        `height` and `height_jacobian` and the chord rows of `chord_solve`
-        are all solved by one Newton in chart parameters. A failure names
-        the chart of its first failing run and that run's failing nodes."""
+        on a polar grid, in batches of at most GRID_ROWS grid rows, and
+        shrunk by 0.85 until the graph Newton converges there (unless
+        shrink=False). The graph points behind the grid, `height` and
+        `height_jacobian` and the chord rows of `chord_solve` are all
+        solved by one Newton in chart parameters. A failure names the chart
+        of its first failing run and that run's failing nodes."""
         runs = []                   # (chart index, chart, parameters (B_k, m))
         for k, u0 in self._runs(locators):
             chart = self.charts[k]
@@ -346,27 +386,29 @@ class ChartSurface(Surface):
         start = np.cumsum([0, *sizes])                # each run's first node
         run = np.repeat(np.arange(len(runs)), sizes)  # each node's run
         m, n = self.m, self.n
+        nm = n * m
 
         def on_run(k, node):
             chart = runs[k][1]
-            return (chart if chart.take is None
-                    else chart.take(node - start[k])).value_jacobian
+            return chart if chart.take is None else chart.take(node - start[k])
 
         def maps(node):
-            """value_jacobian of the charts of rows of the stack nodes node."""
+            """The `Chart.fill` of the charts of rows of the stack nodes
+            node."""
             if len(runs) == 1:
-                return on_run(0, node)
+                return on_run(0, node).fill
             part, calls = run.take(node), []
             for k in np.unique(part):
-                sel = part == k
+                sel = np.flatnonzero(part == k)
                 calls.append((sel, on_run(k, node[sel])))
 
-            def value_jacobian(u):
-                x, J = np.empty((len(u), n)), np.empty((len(u), n, m))
-                for sel, call in calls:
-                    x[sel], J[sel] = call(u[sel])
-                return x, J
-            return value_jacobian
+            def fill(u, x, jac):
+                for sel, chart in calls:
+                    xs, js = chart.value_jacobian(
+                        np.stack([c[sel] for c in u], axis=-1))
+                    x[:, sel] = xs.T
+                    jac[:, :, sel] = js.transpose(1, 2, 0)
+            return fill
 
         def first_run(nodes):
             """The chart of the first run among failing nodes, and those of
@@ -375,110 +417,177 @@ class ChartSurface(Surface):
             return f"chart {runs[part.min()][0]}", nodes[part == part.min()]
 
         u0 = np.concatenate([u for *_, u in runs])
-        x0, jac0 = maps(np.arange(len(u0)))(u0)
+        x0 = np.empty((len(u0), n))
+        jac0 = np.empty((len(u0), n, m))
+        maps(np.arange(len(u0)))(u0.T, x0.T, jac0.transpose(1, 2, 0))
         tangent, normal = orthonormal_frames(jac0)
         A0 = _inv_small(np.stack([np.stack(_tdots(tangent, jac0[..., k]), -1)
                                   for k in range(m)], axis=-1))
         tx0 = np.stack(_tdots(tangent, x0), axis=-1)
+        # the per-node data of the Newton's rows, by component
+        u0_rows, x0_rows = u0.T.copy(), x0.T.copy()
+        A0_rows = A0.transpose(1, 2, 0).copy()
+        T_rows = tangent.transpose(1, 2, 0).copy()
         # Absolute stopping floor of the chord Newton: 16 ulps of the
         # coordinates, above the rounding that x(u) - x0 leaves in the residuals
         # (a floor near one ulp stalls at the smallest radii).
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
+        work = threading.local()    # each thread's row buffer, kept across solves
 
-        def newton(node, w, tol, data, residual, system):
+        def buffer(width, count):
+            """A (width, count) view of this thread's row buffer."""
+            shape = getattr(work, "rows", np.empty((0, 0))).shape
+            if shape[0] < width or shape[1] < count:
+                work.rows = None            # free the old buffer first
+                work.rows = np.empty((max(width, shape[0]),
+                                      max(count, shape[1])))
+            return work.rows[:width, :count]
+
+        def newton(node, w, tol, k, data, residual, system):
             """The one Newton in chart parameters, over R rows of the stack
-            nodes node (R,), started at u0 + A0 w.
+            nodes node (R,), started at u0 + A0 w for w (m, R).
 
-            residual(x, *data) gives the residual components, (R,) each,
-            and a tuple of (R, ...) arrays that system(J, *those, *data)
-            reads to form the rows of the m x m Newton system; data is a
-            tuple of (R, ...) arrays and tol (R,) the rows' tolerance. Each
-            iteration makes one value_jacobian call; the step is solved in
-            closed form and clamped to +-1 against wild steps near chart
-            degeneracies. Converged rows are retired once they are a
-            quarter of the batch; until then they stay in it with a zero
-            step. Returns x (R, n) and J (R, n, m) at every converged row
-            and the rows still unconverged at the last check.
+            Every row quantity is a contiguous (R,) row of this thread's
+            buffer, written in place: u, the k data rows that data(rows)
+            writes into rows (k, R) and the residual reads, tol (R,), the
+            chart values x (n, R) and jac (n, m, R) (`Chart.fill`), the
+            residual (m, R), the m x m system and the steps. residual(x,
+            data, res, tmp) writes the residual components and may leave
+            another vector in x, which is what is returned; system(jac, x,
+            data, A, tmp) writes the rows A (m, m, R) of the Newton system;
+            tmp is scratch. The step is solved in closed form and clamped to
+            +-1 against wild steps near chart degeneracies. Converged rows
+            are retired once they are a quarter of the batch: their x and
+            jac go to the output rows, and the rows left are compacted in
+            place; until then they stay in the batch with a zero step.
+            Returns x (n, R) and jac (n, m, R) of every converged row, views
+            of the buffer valid until the thread's next solve, and the rows
+            still unconverged at the last check.
             """
-            u = u0.take(node, axis=0) + _matvec(A0.take(node, axis=0), w)
-            x_out = np.empty((len(u), n))
-            J_out = np.empty((len(u), n, m))
-            idx, at = np.arange(len(u)), maps(node)
+            R = len(node)
+            o_x = m + k + 1                       # u, data, tol
+            live = o_x + n + nm + m               # x, jac, res
+            o_out = live + m * m + m + 2          # A, steps, tmp
+            buf = buffer(o_out + n + nm, R)
+            for a in range(m):                    # u = u0 + A0 w
+                u = buf[a]
+                np.multiply(A0_rows[a, 0].take(node), w[0], out=u)
+                for b in range(1, m):
+                    u += A0_rows[a, b].take(node) * w[b]
+                u += u0_rows[a].take(node)
+            data(buf[m:m + k])
+            buf[m + k] = tol
+            out_x = buf[o_out:o_out + n]
+            out_jac = buf[o_out + n:].reshape(n, m, R)
+
+            def views(rows):
+                b = buf[:, :rows]
+                return (b[:m], b[m:m + k], b[m + k], b[o_x:o_x + n],
+                        b[o_x + n:o_x + n + nm].reshape(n, m, rows),
+                        b[live - m:live],
+                        b[live:live + m * m].reshape(m, m, rows),
+                        b[live + m * m:live + m * m + m],
+                        b[live + m * m + m:o_out])
+
+            u, data, tol, x, jac, res, A, steps, tmp = views(R)
+            idx, at = np.arange(R), maps(node)
             for _ in range(NEWTON_MAX_ITER):
-                x, J = at(u)
-                res, extra = residual(x, *data)
+                at(u, x, jac)
+                residual(x, data, res, tmp[0])
                 bad = np.abs(res[0]) > tol
                 for r in res[1:]:
                     bad |= np.abs(r) > tol
                 n_bad = int(np.count_nonzero(bad))
                 if n_bad == 0 or 4 * n_bad < 3 * len(bad):
                     done = np.flatnonzero(~bad)
-                    x_out[idx[done]] = x.take(done, axis=0)
-                    J_out[idx[done]] = J.take(done, axis=0)
+                    rows = idx[done]
+                    for out, row in zip((*out_x, *out_jac.reshape(nm, R)),
+                                        (*x, *jac.reshape(nm, -1))):
+                        out[rows] = row[done]
                     if not n_bad:
-                        return x_out, J_out, idx[:0]
+                        return out_x, out_jac, idx[:0]
                     keep = np.flatnonzero(bad)
-                    u, tol, idx, J, *res = (a.take(keep, axis=0)
-                                            for a in (u, tol, idx, J, *res))
-                    extra, data = ([a.take(keep, axis=0) for a in arrays]
-                                   for arrays in (extra, data))
-                    at, bad = maps(node.take(idx)), bad[keep]
-                for j, s in enumerate(_solve_steps(system(J, *extra, *data),
-                                                   res)):
-                    s = np.clip(s, -1.0, 1.0)
-                    u[:, j] -= (s if n_bad == len(bad)
-                                else np.where(bad, s, 0.0))
-            return x_out, J_out, idx[bad]
+                    for row in buf[:live, :len(bad)]:
+                        row[:n_bad] = row[keep]
+                    idx, bad = idx[keep], bad[keep]
+                    u, data, tol, x, jac, res, A, steps, tmp = views(n_bad)
+                    at = maps(node.take(idx))
+                system(jac, x, data, A, tmp[0])
+                _solve_steps(A, res, steps, tmp)
+                for j in range(m):
+                    s = np.clip(steps[j], -1.0, 1.0, out=steps[j])
+                    if n_bad == len(bad):
+                        u[j] -= s
+                    else:
+                        np.subtract(u[j], s, out=u[j], where=bad)
+            return out_x, out_jac, idx[bad]
 
-        def graph_residual(x, T, target):
-            """T^T x(u) - (T^T x0 + eta)."""
-            return [dot(T[..., i], x) - target[:, i] for i in range(m)], ()
+        def graph_residual(x, data, res, tmp):
+            """T^T x(u) - (T^T x0 + eta), data the rows of T and then of
+            the target."""
+            for i in range(m):
+                _dot_rows(data[i:nm:m], x, res[i], tmp)
+                res[i] -= data[nm + i]
 
-        def graph_system(J, T, target):
-            return [_tdots(J, T[..., i]) for i in range(m)]
+        def graph_system(jac, x, data, A, tmp):
+            for i in range(m):
+                for j in range(m):
+                    _dot_rows(jac[:, j], data[i:nm:m], A[i, j], tmp)
 
         def graph_solve(node, eta):
-            """x and J at the graph points over eta (R, m) of the stack nodes
-            node (R,), and the rows left unconverged."""
+            """x and jac at the graph points over eta (R, m) of the stack
+            nodes node (R,), and the rows left unconverged."""
             tol = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
-            return newton(node, eta, tol, (tangent.take(node, axis=0),
-                                           eta + tx0.take(node, axis=0)),
-                          graph_residual, graph_system)
+
+            def data(rows):
+                for c in range(n):
+                    for i in range(m):
+                        T_rows[c, i].take(node, out=rows[c * m + i], mode="clip")
+                for i in range(m):
+                    np.add(eta[:, i], tx0[:, i].take(node), out=rows[nm + i])
+            return newton(node, eta.T, tol, nm + m, data, graph_residual,
+                          graph_system)
 
         def graph_rows(node, eta):
             node, eta = np.ravel(node), np.asarray(eta, dtype=float)
-            x, J, failed = graph_solve(node, eta.reshape(len(node), -1))
+            x, jac, failed = graph_solve(node, eta.reshape(len(node), -1))
             if len(failed):
                 where, nodes = first_run(node[failed])
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
                     f"radius ({where})", node=int(nodes[0]))
-            return node, x, J
+            return node, x, jac
 
         def height(node, eta):
             node, x, _ = graph_rows(node, eta)
-            return _heights(normal[node], x - x0[node]).reshape(
+            d = np.ascontiguousarray(x.T) - x0[node]
+            return _heights(normal[node], d).reshape(
                 np.shape(eta)[:-1] + (-1,))
 
         def height_jacobian(node, eta):
-            node, _, J = graph_rows(node, eta)
-            dh = _grad_height(J, tangent[node], normal[node])
+            node, _, jac = graph_rows(node, eta)
+            dh = _grad_height(jac, tangent[node], normal[node])
             return dh.reshape(np.shape(eta)[:-1] + dh.shape[1:])
 
-        def chord_residual(x, xk, tk, *pk):
+        def chord_residual(x, data, res, tmp):
             """(|d|^2 - t^2) / (2 t), the distance residual in length units,
-            and for m = 2 <d, T v_perp>, with d = x(u) - x0."""
-            d = x - xk
-            res = [(dot(d, d) - tk * tk) / (2.0 * tk)]
-            if pk:
-                res.append(dot(d, pk[0]))
-            return res, (d,)
+            and for m = 2 <d, T v_perp>, with d = x(u) - x0 left in x; data
+            the rows x0, t, t^2, 2 t and for m = 2 T v_perp."""
+            x -= data[:n]
+            r = _dot_rows(x, x, res[0], tmp)
+            r -= data[n + 1]
+            r /= data[n + 2]
+            if m == 2:
+                _dot_rows(x, data[n + 3:], res[1], tmp)
 
-        def chord_system(J, d, xk, tk, *pk):
+        def chord_system(jac, d, data, A, tmp):
             """Rows J^T d / t and, for m = 2, J^T T v_perp."""
-            return [[r / tk for r in _tdots(J, d)],
-                    *(_tdots(J, p) for p in pk)]
+            for j in range(m):
+                _dot_rows(jac[:, j], d, A[0, j], tmp)
+                A[0, j] /= data[n]
+                if m == 2:
+                    _dot_rows(jac[:, j], data[n + 3:], A[1, j], tmp)
 
         def chord_solve(node, v, t):
             """(xi, h, grad h) at chord distance t along tangent directions v.
@@ -488,36 +597,44 @@ class ChartSurface(Surface):
             m = 2 (the distance equation alone for m = 1); the converged point
             must lie on the ray's side, <v, T^T (x(u) - x0)> > 0. xi is read
             as sqrt(t^2 - |h|^2): reading it from T^T (x(u) - x0) cancels to
-            about 1e-12 relative at the smallest radii. Residuals, the m x m
-            Newton system and its closed-form solve are per-component (R,)
-            arrays, and rows are gathered and retired with takes, not masks.
+            about 1e-12 relative at the smallest radii.
             """
             node = np.asarray(node)
             v = np.asarray(v, dtype=float)
             t = np.asarray(t, dtype=float)
-            T = tangent.take(node, axis=0)
-            data = (x0.take(node, axis=0), t)
-            if m == 2:
-                data += (_matvec(T, np.stack([-v[:, 1], v[:, 0]], axis=-1)),)
-            d, J, failed = newton(node, t[:, None] * v,
-                                  1e-13 * t + floor.take(node), data,
-                                  chord_residual, chord_system)
+
+            def data(rows):
+                for i in range(n):
+                    x0_rows[i].take(node, out=rows[i], mode="clip")
+                rows[n] = t
+                np.multiply(t, t, out=rows[n + 1])
+                np.multiply(2.0, t, out=rows[n + 2])
+                if m == 2:              # T v_perp, v_perp = (-v_1, v_0)
+                    for c in range(n):
+                        rows[n + 3 + c] = sum(
+                            T_rows[c, j].take(node) * p
+                            for j, p in enumerate((-v[:, 1], v[:, 0])))
+            d, jac, failed = newton(node, [t * v[:, j] for j in range(m)],
+                                    1e-13 * t + floor.take(node),
+                                    n + 3 + (n if m == 2 else 0), data,
+                                    chord_residual, chord_system)
             if len(failed):
                 where, nodes = first_run(node[failed])
                 raise NumericalError(
                     f"chord Newton did not converge on {len(nodes)} rows "
                     f"({where}); is t beyond the patch?", node=int(nodes[0]))
-            d -= data[0]                # x(u) - x0, in place
-            wrong = sum(c * v[:, j] for j, c in enumerate(_tdots(T, d))) <= 0.0
+            T = tangent.take(node, axis=0)
+            wrong = sum(sum(T[:, i, j] * d[i] for i in range(n)) * v[:, j]
+                        for j in range(m)) <= 0.0
             if wrong.any():
                 where, nodes = first_run(node[wrong])
                 raise NumericalError(
                     f"chord Newton left the ray's side ({where})",
                     node=int(nodes[0]))
             N = normal.take(node, axis=0)
-            h = _heights(N, d)
+            h = _heights(N, d.T.copy())
             xi = np.sqrt(np.maximum(t * t - dot(h, h), 0.0))
-            return xi, h, _grad_height(J, T, N)
+            return xi, h, _grad_height(jac, T, N)
 
         # Validate each radius on a coarse polar grid (rim plus interior
         # rings); the nodes whose grid fails shrink and are tried again.
@@ -528,20 +645,21 @@ class ChartSurface(Surface):
             grid = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[None]
         rings = np.array([0.35, 0.7, 0.98]) if m == 2 else np.ones(1)
         r = np.full(len(u0), float(radius))
-        attempts = 0
-        todo = np.arange(len(u0))
-        while len(todo):
-            eta = grid * (rings * r[todo, None])[..., None, None]
-            node = np.repeat(todo, eta[0].size // m)
-            *_, failed = graph_solve(node, eta.reshape(-1, m))
-            todo = np.unique(node[failed])
-            if len(todo) and (not shrink or attempts >= 40):
-                where, nodes = first_run(todo)
-                raise PatchRadiusError(
-                    "graph-patch Newton did not converge inside the requested "
-                    f"radius ({where})", node=nodes.tolist())
-            attempts += 1
-            r[todo] *= 0.85
+        batch = max(1, GRID_ROWS // (grid.size // m * len(rings)))
+        for lo in range(0, len(r), batch):
+            todo, attempts = np.arange(lo, min(lo + batch, len(r))), 0
+            while len(todo):
+                eta = grid * (rings * r[todo, None])[..., None, None]
+                node = np.repeat(todo, eta[0].size // m)
+                *_, failed = graph_solve(node, eta.reshape(-1, m))
+                todo = np.unique(node[failed])
+                if len(todo) and (not shrink or attempts >= 40):
+                    where, nodes = first_run(todo)
+                    raise PatchRadiusError(
+                        "graph-patch Newton did not converge inside the "
+                        f"requested radius ({where})", node=nodes.tolist())
+                attempts += 1
+                r[todo] *= 0.85
         return PatchStack(base_point=x0, tangent=tangent, normal=normal,
                           radii=r, height=height,
                           height_jacobian=height_jacobian,
@@ -700,21 +818,27 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component):
 def _spheroid_stack(cols, ctr):
     """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
     with cols[j] (3, R) the j-th columns of the A_r, stored by component
-    so that every product below runs over the rows in memory order. Each
-    output component is evaluated from its own (R,) rows of cols:
+    so that every product below runs over the rows in memory order. Its
+    both writes each output component from its own (R,) rows of cols
+    straight into the Newton's component buffers:
     A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1."""
 
-    def both(u):
-        th, ph = u[..., 0], u[..., 1]
+    def both(u, x, jac):
+        th, ph = u[0], u[1]
         st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        x = np.empty(u.shape[:-1] + (3,))
-        jac = np.empty(u.shape[:-1] + (3, 2))
+        e, tmp = np.empty_like(st), np.empty_like(st)
         for i, (a0, a1, a2) in enumerate(zip(*cols)):
-            e = cp * a0 + sp * a1
-            x[..., i] = ctr[i] + st * e + ct * a2
-            jac[..., i, 0] = ct * e - st * a2
-            jac[..., i, 1] = st * (cp * a1 - sp * a0)
-        return x, jac
+            np.multiply(cp, a0, out=e)
+            e += np.multiply(sp, a1, out=tmp)
+            xi, j0, j1 = x[i], jac[i, 0], jac[i, 1]
+            np.multiply(st, e, out=xi)              # ctr + st e + ct a2
+            xi += ctr[i]
+            xi += np.multiply(ct, a2, out=tmp)
+            np.multiply(ct, e, out=j0)              # ct e - st a2
+            j0 -= np.multiply(st, a2, out=tmp)
+            np.multiply(cp, a1, out=j1)             # st (cp a1 - sp a0)
+            j1 -= np.multiply(sp, a0, out=tmp)
+            j1 *= st
 
     def take(idx):
         return _spheroid_stack(np.take(cols, idx, axis=-1), ctr)

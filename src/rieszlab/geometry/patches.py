@@ -198,6 +198,28 @@ class PatchStack:
     def __len__(self):
         return len(self.radii)
 
+    def take(self, idx):
+        """The stack of this stack's nodes idx (ascending): its arrays are
+        their rows and its callables call this stack's on them, so nothing
+        is built again. Errors name nodes of the new stack."""
+        idx = np.asarray(idx)
+
+        def on_rows(call):
+            def call_rows(node, *args):
+                try:
+                    return call(idx[node], *args)
+                except NumericalError as exc:
+                    exc.nodes = np.searchsorted(idx, exc.nodes).tolist()
+                    raise
+            return call_rows
+
+        return PatchStack(base_point=self.base_point[idx],
+                          tangent=self.tangent[idx], normal=self.normal[idx],
+                          radii=self.radii[idx], height=on_rows(self.height),
+                          height_jacobian=on_rows(self.height_jacobian),
+                          chord_solve=on_rows(self.chord_solve),
+                          fit_residual=self.fit_residual[idx])
+
     def derivative_bounds(self):
         """sup |d^mu h| of each node's patch over a polar grid, 0 <= |mu| <= 3.
 

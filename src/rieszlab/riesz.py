@@ -202,14 +202,16 @@ def riesz_energy(surface, alpha,
         i = int(idx[node])
         return f"outer node {i} (locator {outer.locators[i]!r})", i
 
+    try:
+        stack = graph_patch_at(surface, outer.locators, requested)
+    except Exception as exc:
+        text, node = where(np.arange(len(outer.points)),
+                           getattr(exc, "node", None))
+        raise NumericalError(f"patch failure at {text}: {exc}",
+                             node=node) from exc
+
     def one_block(idx):
-        try:
-            patches = graph_patch_at(surface, [outer.locators[i] for i in idx],
-                                     requested)
-        except Exception as exc:
-            text, node = where(idx, getattr(exc, "node", None))
-            raise NumericalError(f"patch failure at {text}: {exc}",
-                                 node=node) from exc
+        patches = stack.take(idx)
         eps = patches.radii
         try:
             profiles = radial_profile(patches, eps)
