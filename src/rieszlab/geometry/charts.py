@@ -117,12 +117,12 @@ def _solve_steps(A, b, s, tmp):
 
 
 def _grad_height(J, T, N):
-    """grad h = (N^T J)(T^T J)^-1 per row of J (n, m, R), component rows,
-    T (R, n, m) and N (R, n, c), m in {1, 2}, the inverse in closed form by
-    component: (R, c, m)."""
+    """grad h = (N^T J)(T^T J)^-1 per row of J and T, both (n, m, R) by
+    component rows, and N (R, n, c), m in {1, 2}, the inverse in closed
+    form by component: (R, c, m)."""
     n, m = J.shape[:2]
     # tj[k][i] = (T^T J)_ik, nj[k][c] = (N^T J)_ck
-    tj = [[sum(T[:, a, i] * J[a, k] for a in range(n)) for i in range(m)]
+    tj = [[sum(T[a, i] * J[a, k] for a in range(n)) for i in range(m)]
           for k in range(m)]
     if m == 1:
         inv = [[1.0 / tj[0][0]]]
@@ -425,24 +425,30 @@ class ChartSurface(Surface):
                                   for k in range(m)], axis=-1))
         tx0 = np.stack(_tdots(tangent, x0), axis=-1)
         # the per-node data of the Newton's rows, by component
-        u0_rows, x0_rows = u0.T.copy(), x0.T.copy()
-        A0_rows = A0.transpose(1, 2, 0).copy()
-        T_rows = tangent.transpose(1, 2, 0).copy()
+        u0_rows, x0_rows = u0.T, x0.T
+        A0_rows, T_rows = A0.transpose(1, 2, 0), tangent.transpose(1, 2, 0)
         # Absolute stopping floor of the chord Newton: 16 ulps of the
         # coordinates, above the rounding that x(u) - x0 leaves in the residuals
         # (a floor near one ulp stalls at the smallest radii).
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
         work = threading.local()    # each thread's row buffer, kept across solves
+        chord_k = n + 3 + (n if m == 2 else 0)  # data rows of a chord solve
 
-        def buffer(width, count):
-            """A (width, count) view of this thread's row buffer."""
+        def width(k):
+            """Rows of the Newton's buffer with k data rows: u, data, tol,
+            x, jac and the residual, which retiring rows compacts, then
+            the system, the steps, two scratch rows and the outputs."""
+            return 3 * m + m * m + 3 + 2 * (n + nm) + k
+
+        def buffer(rows, count):
+            """A (rows, count) view of this thread's row buffer."""
             shape = getattr(work, "rows", np.empty((0, 0))).shape
-            if shape[0] < width or shape[1] < count:
+            if shape[0] < rows or shape[1] < count:
                 work.rows = None            # free the old buffer first
-                work.rows = np.empty((max(width, shape[0]),
-                                      max(count, shape[1])))
-            return work.rows[:width, :count]
+                work.rows = np.empty((max(rows, shape[0], width(chord_k)),
+                                      max(-(-count // 1024) * 1024, shape[1])))
+            return work.rows[:rows, :count]
 
         def newton(node, w, tol, k, data, residual, system):
             """The one Newton in chart parameters, over R rows of the stack
@@ -469,7 +475,7 @@ class ChartSurface(Surface):
             o_x = m + k + 1                       # u, data, tol
             live = o_x + n + nm + m               # x, jac, res
             o_out = live + m * m + m + 2          # A, steps, tmp
-            buf = buffer(o_out + n + nm, R)
+            buf = buffer(width(k), R)
             for a in range(m):                    # u = u0 + A0 w
                 u = buf[a]
                 np.multiply(A0_rows[a, 0].take(node), w[0], out=u)
@@ -567,7 +573,7 @@ class ChartSurface(Surface):
 
         def height_jacobian(node, eta):
             node, _, jac = graph_rows(node, eta)
-            dh = _grad_height(jac, tangent[node], normal[node])
+            dh = _grad_height(jac, T_rows[..., node], normal[node])
             return dh.reshape(np.shape(eta)[:-1] + dh.shape[1:])
 
         def chord_residual(x, data, res, tmp):
@@ -616,15 +622,15 @@ class ChartSurface(Surface):
                             for j, p in enumerate((-v[:, 1], v[:, 0])))
             d, jac, failed = newton(node, [t * v[:, j] for j in range(m)],
                                     1e-13 * t + floor.take(node),
-                                    n + 3 + (n if m == 2 else 0), data,
+                                    chord_k, data,
                                     chord_residual, chord_system)
             if len(failed):
                 where, nodes = first_run(node[failed])
                 raise NumericalError(
                     f"chord Newton did not converge on {len(nodes)} rows "
                     f"({where}); is t beyond the patch?", node=int(nodes[0]))
-            T = tangent.take(node, axis=0)
-            wrong = sum(sum(T[:, i, j] * d[i] for i in range(n)) * v[:, j]
+            T = T_rows.take(node, axis=-1)
+            wrong = sum(sum(T[i, j] * d[i] for i in range(n)) * v[:, j]
                         for j in range(m)) <= 0.0
             if wrong.any():
                 where, nodes = first_run(node[wrong])

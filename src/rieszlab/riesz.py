@@ -127,24 +127,25 @@ def _kernel_sums(nodes, x, comp, blend):
     nodes x (B, n): (far field, same-component blend inside each ball,
     cross-component true kernel inside each ball), each (B,).
 
-    The rows go in chunks of at most KERNEL_PAIRS pairs through two reused
-    (rows, N) arrays. A chunk is a multiple of 4 rows high: OpenBLAS forms
-    a matrix-vector product in groups of 4 rows, so each sum keeps the
-    bits of one product over the whole block."""
-    points, w = nodes.points, nodes.weights
-    height = max(4, KERNEL_PAIRS // max(len(points), 1) // 4 * 4)
-    d_buf = np.empty((min(height, len(x)), len(points)))
-    k_buf = np.empty_like(d_buf)
+    The rows go in chunks of at most KERNEL_PAIRS pairs through three
+    reused (rows, N) arrays, the coordinate differences taken from one
+    contiguous (n, N) copy of the inner points. A chunk is a multiple of 4
+    rows high: OpenBLAS forms a matrix-vector product in groups of 4 rows,
+    so each sum keeps the bits of one product over the whole block."""
+    points, w = np.ascontiguousarray(nodes.points.T), nodes.weights
+    height = max(4, KERNEL_PAIRS // max(len(w), 1) // 4 * 4)
+    d_buf = np.empty((min(height, len(x)), len(w)))
+    k_buf, s_buf = np.empty_like(d_buf), np.empty_like(d_buf)
     far, ball, cross = (np.empty(len(x)) for _ in range(3))
     for lo in range(0, len(x), height):
         rows = slice(lo, lo + height)
         xs = x[rows]
-        d, k = d_buf[:len(xs)], k_buf[:len(xs)]
+        d, k, s = d_buf[:len(xs)], k_buf[:len(xs)], s_buf[:len(xs)]
         # |y - x| summed by component: the bits of np.linalg.norm on
         # (B, N, n) differences, without its short last axis
-        np.square(np.subtract(points[:, 0], xs[:, :1], out=d), out=d)
-        for j in range(1, points.shape[1]):
-            np.square(np.subtract(points[:, j], xs[:, j, None], out=k), out=k)
+        np.square(np.subtract(points[0], xs[:, :1], out=d), out=d)
+        for j in range(1, len(points)):
+            np.square(np.subtract(points[j], xs[:, j, None], out=k), out=k)
             d += k
         np.sqrt(d, out=d)
         in_ball = d < blend.eps[rows, None]
@@ -154,8 +155,12 @@ def _kernel_sums(nodes, x, comp, blend):
         k[k == 0.0] = 1.0
         outside = ~same_ball
         np.power(k, blend.alpha, out=k, where=outside)
-        far[rows] = np.where(in_ball, 0.0, k) @ w
-        cross[rows] = np.where(in_ball ^ same_ball, k, 0.0) @ w
+        np.copyto(s, k)
+        np.copyto(s, 0.0, where=in_ball)
+        far[rows] = s @ w
+        np.copyto(s, 0.0)
+        np.copyto(s, k, where=in_ball ^ same_ball)
+        cross[rows] = s @ w
         # the blend polynomial by Horner in t^2, kept in the same-component
         # balls only
         tt = np.multiply(d, d, out=d)
