@@ -58,6 +58,13 @@ class MeshTopology:
     """
 
     def __init__(self, faces, m, num_vertices):
+        outside = np.flatnonzero(((faces < 0) | (faces >= num_vertices))
+                                 .any(axis=1))
+        if len(outside):
+            f = int(outside[0])
+            raise UnsupportedInputError(
+                f"face {f} {faces[f].tolist()} has a vertex id outside "
+                f"[0, {num_vertices})")
         self.faces = faces
         self.faces.flags.writeable = False
         self.m = m

@@ -486,6 +486,8 @@ _MESH_FILES = {
     "words.off": "OFF\n1 1 0\na b c\n3 0 0 0\n",
     "short.off": "OFF\n",
     "out_of_range.obj": "v 0 0 0\nv 1 0 0\nf 1 2 9\n",
+    "negative.off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n",
+    "negative.obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n",
     "no_vertices.obj": "f 1 2 3\n",
     "words.obj": "v a b c\nf 1 1 1\n",
 }
@@ -531,3 +533,16 @@ def test_parse_surface_builds_or_raises_a_config_error(spec):
 def test_mesh_file_spec_builds_or_raises_a_config_error(prefix, name,
                                                         mesh_dir):
     _builds_or_raises_a_config_error(f"{prefix}{mesh_dir / name}")
+
+
+@pytest.mark.parametrize("name", ["negative.off", "negative.obj",
+                                  "out_of_range.obj"])
+def test_mesh_file_with_face_ids_outside_the_vertices_is_refused(name,
+                                                                 mesh_dir,
+                                                                 capsys):
+    # a negative id used to wrap to the last vertex and build a mesh
+    with pytest.raises(UnsupportedInputError, match="face 0 .* outside"):
+        parse_surface(f"mesh:path={mesh_dir / name}")
+    assert main(["energy", "--surface", str(mesh_dir / name), "--energy",
+                 "ks"]) == 4
+    assert "outside" in json.loads(capsys.readouterr().err)["message"]

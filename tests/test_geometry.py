@@ -7,8 +7,8 @@ from rieszlab.cli import parse_surface
 from rieszlab.errors import (NumericalError, PreconditionError,
                              RankDeficiencyError, TopologyError,
                              UnsupportedInputError)
-from rieszlab.geometry import (PatchClassParams, euler_characteristic,
-                               graph_patch_at, icosphere, make_circle,
+from rieszlab.geometry import (PatchClassParams, default_patch_radius,
+                               euler_characteristic, graph_patch_at, icosphere, make_circle,
                                make_cylinder_patch,
                                make_disjoint_union, make_ellipsoid,
                                make_sphere, make_torus, mesh_disjoint_union,
@@ -337,6 +337,50 @@ def test_union_stack_matches_single_chart_builds(name):
         for got, want in zip([*whole[0], *whole[1:]], [*parts[0], *parts[1:]]):
             np.testing.assert_array_equal(got[rows], want)
         start += len(single)
+
+
+def _scaled(surface, lam, shift):
+    n = surface.n
+    return surface.transformed(
+        lambda x: lam * x + shift,
+        lambda x: np.broadcast_to(lam * np.eye(n), x.shape[:-1] + (n, n)),
+        None)
+
+
+ROW_SURFACES = {
+    "spheroid_stack": lambda: make_ellipsoid(1.0, 1.0, 1.5),
+    "transformed_stack": lambda: _scaled(make_ellipsoid(1.0, 1.0, 1.5), 1.5,
+                                         0.25),
+    "transformed_torus": lambda: _scaled(make_torus(2.0, 0.5), 0.75, -0.5),
+    "circle": make_circle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_SURFACES))
+def test_chord_rows_do_not_depend_on_their_batch(name):
+    # 9600 rows whose radii span three decades converge at different
+    # iterations, so the batch retires rows in rounds and compacts the rest
+    # in place; each row must come out as it does in a batch of a third of
+    # the rows or of the outer half of the radii, bit for bit
+    surface = ROW_SURFACES[name]()
+    nodes = surface.nodes(0.25)
+    take = np.linspace(0, len(nodes.points) - 1, 24).astype(int)
+    stack = graph_patch_at(surface, [nodes.locators[i] for i in take],
+                           default_patch_radius(surface))
+    rng = np.random.default_rng(5)
+    node = rng.integers(0, len(stack), 9600)
+    if surface.m == 1:
+        v = rng.choice([-1.0, 1.0], (len(node), 1))
+    else:
+        angle = rng.uniform(0.0, 2.0 * math.pi, len(node))
+        v = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    t = stack.radii[node] * np.exp(rng.uniform(np.log(1e-3), np.log(0.98),
+                                               len(node)))
+    whole = stack.chord_solve(node, v, t)
+    for rows in (np.arange(1, len(node), 3), np.flatnonzero(t > np.median(t))):
+        part = stack.chord_solve(node[rows], v[rows], t[rows])
+        for got, want in zip(whole, part):
+            np.testing.assert_array_equal(got[rows], want)
 
 
 def test_sphere_curvature():

@@ -191,12 +191,42 @@ def test_blocked_pass_matches_per_node_reference(name):
         assert ref["eps"].max() < 1.5 * 0.85 ** 2
 
 
-def test_threads_map_blocks_to_the_same_energy():
-    config = QuadratureConfig(outer_scale=0.15, inner_scale=0.6)
+@pytest.mark.parametrize("config", [
+    QuadratureConfig(outer_scale=0.15, inner_scale=0.6),
+    QuadratureConfig()], ids=["small", "default"])
+def test_threads_map_blocks_to_the_same_energy(config):
+    # the default config takes the sphere's 288 outer nodes in 9 blocks of
+    # one patch stack
     one = riesz_energy(make_sphere(), -4.0, config=config)
     two = riesz_energy(make_sphere(), -4.0,
                        config=dataclasses.replace(config, threads=2))
     assert one == two
+
+
+def test_block_profiles_from_the_call_wide_stack_match_a_block_stack():
+    # riesz_energy builds one stack for all outer nodes and profiles each
+    # block's nodes of it; on the ellipsoid (1, 1, 2), whose profiles and
+    # radii differ from node to node and those near the poles refine to 33
+    # points, the last block must profile as a stack built from its nodes
+    # alone
+    ell = make_ellipsoid(1.0, 1.0, 2.0)
+    outer = ell.nodes(0.25)
+    radius = default_patch_radius(ell)
+    size = _block_size(2, len(ell.nodes(1.0).points)
+                       + len(ell.nodes(0.5).points))
+    idx = np.arange(len(outer.points) - size, len(outer.points))
+    stack = graph_patch_at(ell, outer.locators, radius)
+    alone = graph_patch_at(ell, [outer.locators[i] for i in idx], radius)
+    block = stack.take(idx)
+    for field in ("base_point", "tangent", "normal", "radii"):
+        np.testing.assert_array_equal(getattr(block, field),
+                                      getattr(alone, field))
+    got, want = radial_profile(block), radial_profile(alone)
+    assert {len(s) for s in want.samples} == {17, 33}
+    for a, b in zip(got.samples, want.samples):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.taylor, want.taylor)
+    np.testing.assert_array_equal(got.kept, want.kept)
 
 
 def test_profile_stack_refines_only_the_nodes_that_need_it():

@@ -16,6 +16,7 @@ from rieszlab import (MoebiusMap, PatchClassParams, apply_moebius,
                       scaling_check, TriMesh, torus_mesh,
                       validate_patch_class)
 from rieszlab.errors import TopologyError, UnsupportedInputError
+from rieszlab.geometry import MeshTopology
 
 ENTRY_POINTS = {
     "riesz_energy": lambda s: riesz_energy(s, -2.5),
@@ -89,6 +90,17 @@ def test_triangle_mesh_outside_r3_is_refused_at_construction():
     mesh = icosphere(0)
     with pytest.raises(UnsupportedInputError, match="R\\^3"):
         mesh.with_vertices(np.c_[mesh.vertices, np.zeros(12)])
+
+
+@pytest.mark.parametrize("face", [[0, 1, -1], [0, 1, 5], [3, 1, 2]])
+def test_face_ids_outside_the_vertices_are_refused(face):
+    # a negative id used to wrap to the last vertex (measure 0.5) and an id
+    # past the end escaped as an IndexError
+    verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    with pytest.raises(UnsupportedInputError, match=r"face 1 .* \[0, 3\)"):
+        TriMesh(verts, [[0, 1, 2], face], 2)
+    with pytest.raises(UnsupportedInputError, match="face 0"):
+        MeshTopology(np.array([face]), 2, 3)
 
 
 def test_topology_matches_face_definitions():
