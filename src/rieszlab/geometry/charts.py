@@ -432,7 +432,7 @@ class ChartSurface(Surface):
         # (a floor near one ulp stalls at the smallest radii).
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
-        work = threading.local()    # each thread's row buffer, kept across solves
+        work = threading.local()    # each thread's row buffer, kept
         chord_k = n + 3 + (n if m == 2 else 0)  # data rows of a chord solve
 
         def width(k):
@@ -441,14 +441,17 @@ class ChartSurface(Surface):
             the system, the steps, two scratch rows and the outputs."""
             return 3 * m + m * m + 3 + 2 * (n + nm) + k
 
-        def buffer(rows, count):
-            """A (rows, count) view of this thread's row buffer."""
-            shape = getattr(work, "rows", np.empty((0, 0))).shape
-            if shape[0] < rows or shape[1] < count:
-                work.rows = None            # free the old buffer first
-                work.rows = np.empty((max(rows, shape[0], width(chord_k)),
-                                      max(-(-count // 1024) * 1024, shape[1])))
-            return work.rows[:rows, :count]
+        def buffer(count):
+            """This thread's row buffer, as wide as a chord solve's and at
+            least count long: grown to a multiple of 1024 rows, so that the
+            radius check's batches and the chord solves of one call of
+            `riesz_energy` share it."""
+            buf = getattr(work, "rows", None)
+            if buf is None or buf.shape[1] < count:
+                work.rows = buf = None          # free the old buffer first
+                work.rows = buf = np.empty((width(chord_k),
+                                            -(-count // 1024) * 1024))
+            return buf
 
         def newton(node, w, tol, k, data, residual, system):
             """The one Newton in chart parameters, over R rows of the stack
@@ -475,7 +478,7 @@ class ChartSurface(Surface):
             o_x = m + k + 1                       # u, data, tol
             live = o_x + n + nm + m               # x, jac, res
             o_out = live + m * m + m + 2          # A, steps, tmp
-            buf = buffer(width(k), R)
+            buf = buffer(R)[:width(k), :R]
             for a in range(m):                    # u = u0 + A0 w
                 u = buf[a]
                 np.multiply(A0_rows[a, 0].take(node), w[0], out=u)
@@ -547,9 +550,12 @@ class ChartSurface(Surface):
             tol = 1e-13 * (1.0 + np.linalg.norm(eta, axis=-1))
 
             def data(rows):
+                # mode="clip" (the nodes are in range): take writes into
+                # out unbuffered
                 for c in range(n):
                     for i in range(m):
-                        T_rows[c, i].take(node, out=rows[c * m + i], mode="clip")
+                        T_rows[c, i].take(node, out=rows[c * m + i],
+                                          mode="clip")
                 for i in range(m):
                     np.add(eta[:, i], tx0[:, i].take(node), out=rows[nm + i])
             return newton(node, eta.T, tol, nm + m, data, graph_residual,

@@ -16,7 +16,7 @@ convention x^0/0 = log x at exponent collisions.
 Each (direction v, chord radius t) row of the angular quadrature needs the
 radius xi with xi^2 + |h(xi v)|^2 = t^2, its derivative dxi/dt and grad h
 there. A `PatchStack` answers these rows through its `chord_solve`: chart
-stacks by one Newton iteration in the chart parameters, the quadratic
+stacks by one Newton solve in the chart parameters, the quadratic
 patches of meshes in closed form. `radial_profile` gives the profiles of
 all nodes of a stack in one pass (`ProfileStack`): the rows of every node
 at a level go to one chord solve, one DCT-I fits them all, and only the
@@ -320,7 +320,10 @@ def radial_profile(patches: PatchStack, eps0=None) -> ProfileStack:
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
     s = t^2 (see `ProfileStack`), every level's chord rows solved at once;
     ProfileFitError, carrying the node, is raised when 65 points do not
-    resolve a profile. eps0 is per node, default the stack's radii.
+    resolve a profile. eps0 is per node, default the stack's radii. To
+    profile some nodes of a larger stack, pass `patches.take(nodes)`: its
+    rows go to the larger stack's chord solve, and errors name the
+    positions in nodes.
     """
     radii = patches.radii
     eps0 = np.broadcast_to(np.asarray(radii if eps0 is None else eps0,

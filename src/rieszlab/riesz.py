@@ -11,12 +11,14 @@ Pairs living on different connected components always see the true kernel:
 a chord ball is a statement about one graph sheet only, and cross-component
 interactions stay integrable down to contact.
 
-The outer nodes are taken in blocks of at most BLOCK_ROWS first-level
-chord rows and BLOCK_PAIRS node pairs: one patch stack, one profile stack
-and one finite-part sum per block. The kernel sums over the inner rules
-take a block's rows in chunks of at most KERNEL_PAIRS node pairs, formed
-in place in two reused (rows x inner) arrays, and sum each chunk by
-matrix-vector products.
+One patch stack is built for all outer nodes per call, its radii
+validated in batches of bounded size. The outer nodes are then taken in
+blocks of at most BLOCK_ROWS first-level chord rows and BLOCK_PAIRS node
+pairs: each block profiles its own nodes of that stack (`PatchStack.take`)
+into one profile stack and one finite-part sum. The kernel sums over the
+inner rules take a block's rows in chunks of at most KERNEL_PAIRS node
+pairs, formed in place in three reused (rows x inner) arrays, and sum each
+chunk by matrix-vector products.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ from rieszlab.errors import (NumericalError, PreconditionError,
                              RankDeficiencyError, TopologyError,
                              UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, default_patch_radius,
-                               euler_characteristic, graph_patch_at, icosphere, make_circle,
+                               euler_characteristic, graph_patch_at,
+                               icosphere, make_circle,
                                make_cylinder_patch,
                                make_disjoint_union, make_ellipsoid,
                                make_sphere, make_torus, mesh_disjoint_union,
