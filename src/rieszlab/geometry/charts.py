@@ -179,18 +179,17 @@ class Chart:
         if self.both is not None:
             self.both(u, x, jac)
             return
-        uu = np.stack(list(u), axis=-1)
-        x[...] = np.moveaxis(self.value(uu), -1, 0)
-        jac[...] = np.moveaxis(self.jacobian(uu), (-2, -1), (0, 1))
+        uu = u.T.copy()
+        x[...] = self.value(uu).T
+        jac[...] = self.jacobian(uu).transpose(1, 2, 0)
 
     def value_jacobian(self, u):
-        """(value(u), jacobian(u)) for parameters u (..., m)."""
+        """(value(u), jacobian(u)) for parameter rows u (R, m)."""
         if self.both is None:
             return self.value(u), self.jacobian(u)
-        x = np.empty(u.shape[:-1] + (self.n,))
-        jac = np.empty(u.shape[:-1] + (self.n, self.m))
-        self.both(np.moveaxis(u, -1, 0), np.moveaxis(x, -1, 0),
-                  np.moveaxis(jac, (-2, -1), (0, 1)))
+        x = np.empty((len(u), self.n))
+        jac = np.empty((len(u), self.n, self.m))
+        self.both(u.T, x.T, jac.transpose(1, 2, 0))
         return x, jac
 
 
@@ -306,7 +305,7 @@ class ChartSurface(Surface):
                 return first + second
 
             def both(u, x, jac):
-                y, Ju = chart.value_jacobian(np.stack(list(u), axis=-1))
+                y, Ju = chart.value_jacobian(u.T.copy())
                 x[...] = value_map(y).T
                 jac[...] = np.einsum("...ij,...jp->...ip", jac_map(y),
                                      Ju).transpose(1, 2, 0)
@@ -404,8 +403,7 @@ class ChartSurface(Surface):
 
             def fill(u, x, jac):
                 for sel, chart in calls:
-                    xs, js = chart.value_jacobian(
-                        np.stack([c[sel] for c in u], axis=-1))
+                    xs, js = chart.value_jacobian(u[:, sel].T.copy())
                     x[:, sel] = xs.T
                     jac[:, :, sel] = js.transpose(1, 2, 0)
             return fill
@@ -749,7 +747,17 @@ def make_circle(radius=1.0, center=(0.0, 0.0)):
         th = u[..., 0]
         return -r * np.stack([np.cos(th), np.sin(th)], axis=-1)[..., None, None]
 
-    chart = Chart(1, 2, value, jacobian, hessian, _trapezoid_rule(256))
+    def both(u, x, jac):
+        co, si = np.cos(u[0]), np.sin(u[0])
+        np.multiply(r, co, out=x[0])
+        x[0] += c[0]
+        np.multiply(r, si, out=x[1])
+        x[1] += c[1]
+        np.multiply(r, np.negative(si, out=si), out=jac[0, 0])
+        np.multiply(r, co, out=jac[1, 0])
+
+    chart = Chart(1, 2, value, jacobian, hessian, _trapezoid_rule(256),
+                  both=both)
     return ChartSurface(1, 2, [chart], True, 0)
 
 
