@@ -430,7 +430,8 @@ class ChartSurface(Surface):
         # (a floor near one ulp stalls at the smallest radii).
         floor = 16.0 * np.finfo(float).eps * (np.linalg.norm(x0, axis=-1)
                                                + float(radius))
-        work = threading.local()    # each thread's row buffer, kept
+        # each thread's row buffer of the Newton, kept across its solves
+        work = threading.local()
         chord_k = n + 3 + (n if m == 2 else 0)  # data rows of a chord solve
 
         def width(k):
@@ -620,10 +621,10 @@ class ChartSurface(Surface):
                 np.multiply(t, t, out=rows[n + 1])
                 np.multiply(2.0, t, out=rows[n + 2])
                 if m == 2:              # T v_perp, v_perp = (-v_1, v_0)
+                    perp = (-v[:, 1], v[:, 0])
                     for c in range(n):
-                        rows[n + 3 + c] = sum(
-                            T_rows[c, j].take(node) * p
-                            for j, p in enumerate((-v[:, 1], v[:, 0])))
+                        rows[n + 3 + c] = sum(T_rows[c, j].take(node) * p
+                                              for j, p in enumerate(perp))
             d, jac, failed = newton(node, [t * v[:, j] for j in range(m)],
                                     1e-13 * t + floor.take(node),
                                     chord_k, data,
