@@ -116,16 +116,49 @@ def _require_finite(name, value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-# The parameter keys of every catalog surface and Moebius map. Any other
+def _two_spheres(gap, r):
+    a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
+    b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0), component=1)
+    return make_disjoint_union(a, b)
+
+
+def _dumbbell(gap, r, subdiv):
+    a = icosphere(int(subdiv), r, (-(r + gap / 2.0), 0.0, 0.0))
+    b = icosphere(int(subdiv), r, (r + gap / 2.0, 0.0, 0.0))
+    return mesh_disjoint_union(a, b)
+
+
+def _mesh_file(path):
+    if not path or not os.path.exists(str(path)):
+        raise ConfigError(f"mesh path {path!r} does not exist")
+    path = str(path)
+    return read_off(path) if path.endswith(".off") else read_obj(path)
+
+
+# The catalog: each surface's parameters with their defaults, in the order
+# its builder takes them and an unknown-key message lists them. Any other
 # key is a ConfigError, so a misspelt key never silently runs the default.
-_SURFACE_KEYS = {
-    "circle": "r", "sphere": "r cx cy cz", "ellipsoid": "a b c",
-    "torus": "R r", "cylinder": "r L", "saddle": "extent",
-    "two-spheres": "gap r", "icosphere": "subdiv r cx cy cz",
-    "torusmesh": "nu nv R r", "polygon": "n r", "dumbbell": "gap r subdiv",
-    "mesh": "path",
+_SURFACES = {
+    "circle": ({"r": 1.0}, make_circle),
+    "sphere": ({"r": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
+               lambda r, cx, cy, cz: make_sphere(r, (cx, cy, cz))),
+    "ellipsoid": ({"a": 1.0, "b": 1.0, "c": 1.2}, make_ellipsoid),
+    "torus": ({"R": 2.0, "r": 0.5}, make_torus),
+    "cylinder": ({"r": 1.0, "L": 1.0}, make_cylinder_patch),
+    "saddle": ({"extent": 1.0}, make_saddle_surface),
+    "two-spheres": ({"gap": 0.5, "r": 1.0}, _two_spheres),
+    "icosphere": ({"subdiv": 1, "r": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
+                  lambda subdiv, r, cx, cy, cz:
+                  icosphere(int(subdiv), r, (cx, cy, cz))),
+    "torusmesh": ({"nu": 24, "nv": 48, "R": 2.0, "r": 0.5},
+                  lambda nu, nv, R, r: torus_mesh(int(nu), int(nv), R, r)),
+    "polygon": ({"n": 64, "r": 1.0},
+                lambda n, r: polygon_circle(int(n), r)),
+    "dumbbell": ({"gap": 0.5, "r": 1.0, "subdiv": 1}, _dumbbell),
+    "mesh": ({"path": None}, _mesh_file),
 }
-_MAP_KEYS = {"inversion": "cx cy cz r", "similarity": "cx cy cz scale"}
+_MAP_KEYS = {"inversion": ("cx", "cy", "cz", "r"),
+             "similarity": ("cx", "cy", "cz", "scale")}
 
 
 # Catalog keys that are sizes (positive) and counts with their least value.
@@ -133,9 +166,10 @@ _SIZE_KEYS = ("r", "a", "b", "c", "R", "L", "extent", "gap")
 _LEAST_COUNT = {"subdiv": 0, "n": 3, "nu": 3, "nv": 3}
 
 
-def _check_sizes(name, kv, spec):
+def _check_sizes(kv, values, spec):
     """ConfigError naming the key unless every size in kv is positive, every
-    count at least its least value and a torus's tube radius r below R."""
+    count at least its least value and a torus's tube radius r below R;
+    values holds every parameter, given or at its default."""
     for key, value in kv.items():
         if key in _SIZE_KEYS and not (_number(value) and value > 0):
             raise ConfigError(f"{key} in {spec!r} must be positive, "
@@ -144,21 +178,20 @@ def _check_sizes(name, kv, spec):
         if least is not None and not (_number(value) and value >= least):
             raise ConfigError(f"{key} in {spec!r} must be at least {least}, "
                               f"got {value!r}")
-    if name in ("torus", "torusmesh"):
-        R, r = kv.get("R", 2.0), kv.get("r", 0.5)
-        if r >= R:
-            raise ConfigError(f"r in {spec!r} must be below R, got r={r!r} "
-                              f"and R={R!r}")
+    if "R" in values and values["r"] >= values["R"]:
+        raise ConfigError(f"r in {spec!r} must be below R, got "
+                          f"r={values['r']!r} and R={values['R']!r}")
 
 
-def _check_keys(kind, name, kv, spec, catalog):
-    """ConfigError unless name is in the catalog and takes every key of kv."""
-    if name not in catalog:
+def _check_keys(kind, name, kv, spec, keys):
+    """ConfigError unless name is known (keys, its parameter names, is not
+    None) and takes every key of kv."""
+    if keys is None:
         raise ConfigError(f"unknown {kind} {name!r}")
-    unknown = sorted(set(kv) - set(catalog[name].split()))
+    unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise ConfigError(f"unknown {kind} parameter {', '.join(unknown)} "
-                          f"in {spec!r}; {name} takes {catalog[name]}")
+                          f"in {spec!r}; {name} takes {' '.join(keys)}")
 
 
 def parse_surface(spec: str):
@@ -172,49 +205,12 @@ def parse_surface(spec: str):
     else:
         name, kv = _parse_kv(spec)
         name = name.lower()
-    _check_keys("surface", name, kv, spec, _SURFACE_KEYS)
-    _check_sizes(name, kv, spec)
+    params, build = _SURFACES.get(name, (None, None))
+    _check_keys("surface", name, kv, spec, params)
+    values = {**params, **kv}
+    _check_sizes(kv, values, spec)
     try:
-        if name == "circle":
-            return make_circle(kv.get("r", 1.0))
-        if name == "sphere":
-            return make_sphere(kv.get("r", 1.0),
-                               (kv.get("cx", 0.0), kv.get("cy", 0.0),
-                                kv.get("cz", 0.0)))
-        if name == "ellipsoid":
-            return make_ellipsoid(kv.get("a", 1.0), kv.get("b", 1.0),
-                                  kv.get("c", 1.2))
-        if name == "torus":
-            return make_torus(kv.get("R", 2.0), kv.get("r", 0.5))
-        if name == "cylinder":
-            return make_cylinder_patch(kv.get("r", 1.0), kv.get("L", 1.0))
-        if name == "saddle":
-            return make_saddle_surface(kv.get("extent", 1.0))
-        if name == "two-spheres":
-            gap, r = kv.get("gap", 0.5), kv.get("r", 1.0)
-            a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
-            b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0), component=1)
-            return make_disjoint_union(a, b)
-        if name == "icosphere":
-            return icosphere(int(kv.get("subdiv", 1)), kv.get("r", 1.0),
-                             (kv.get("cx", 0.0), kv.get("cy", 0.0),
-                              kv.get("cz", 0.0)))
-        if name == "torusmesh":
-            return torus_mesh(int(kv.get("nu", 24)), int(kv.get("nv", 48)),
-                              kv.get("R", 2.0), kv.get("r", 0.5))
-        if name == "polygon":
-            return polygon_circle(int(kv.get("n", 64)), kv.get("r", 1.0))
-        if name == "dumbbell":
-            gap, r = kv.get("gap", 0.5), kv.get("r", 1.0)
-            sub = int(kv.get("subdiv", 1))
-            a = icosphere(sub, r, (-(r + gap / 2.0), 0.0, 0.0))
-            b = icosphere(sub, r, (r + gap / 2.0, 0.0, 0.0))
-            return mesh_disjoint_union(a, b)
-        path = kv.get("path")                      # name == "mesh"
-        if not path or not os.path.exists(str(path)):
-            raise ConfigError(f"mesh path {path!r} does not exist")
-        path = str(path)
-        return read_off(path) if path.endswith(".off") else read_obj(path)
+        return build(*values.values())
     except RieszLabError:
         raise
     except Exception as exc:
@@ -225,7 +221,7 @@ def parse_map(spec: str, n: int) -> MoebiusMap:
     """A Moebius map of R^n, n in {2, 3}; its centre is (cx, cy), or
     (cx, cy, cz) in R^3."""
     name, kv = _parse_kv(spec)
-    _check_keys("map", name, kv, spec, _MAP_KEYS)
+    _check_keys("map", name, kv, spec, _MAP_KEYS.get(name))
     for k, v in kv.items():
         if isinstance(v, str):
             raise ConfigError(f"map parameter {k} in {spec!r} must be a "

@@ -12,6 +12,7 @@ chord rows of `chord_solve`, each with its own residual.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -233,12 +234,9 @@ class ChartSurface(Surface):
     # -- surface protocol ----------------------------------------------
 
     def locate(self, locator):
-        """(chart index, parameter u) of a locator."""
-        if (isinstance(locator, tuple) and len(locator) == 2
-                and np.isscalar(locator[0])):
-            return int(locator[0]), np.atleast_1d(np.asarray(locator[1],
-                                                             dtype=float))
-        return 0, np.atleast_1d(np.asarray(locator, dtype=float))
+        """(chart index, parameter u (m,)) of a locator."""
+        (k, u), = self._runs([locator])
+        return k, u[0]
 
     def _runs(self, locators):
         """(chart index, parameters (B, m)) of each run of located points
@@ -1040,14 +1038,12 @@ def make_disjoint_union(a: ChartSurface, b: ChartSurface) -> ChartSurface:
     """Disjoint union; components renumbered so the parts stay identifiable."""
     if a.m != b.m or a.n != b.n:
         raise UnsupportedInputError("disjoint union requires matching dimensions")
-    charts = []
+    charts = list(a.charts)
     shift = max((c.component for c in a.charts), default=0) + 1
-    for c in a.charts:
-        charts.append(c)
     for c in b.charts:
-        charts.append(Chart(c.m, c.n, c.value, c.jacobian, c.hessian,
-                            c.param_rule, c.component + shift,
-                            repatch=c.repatch))
+        c = copy.copy(c)
+        c.component += shift
+        charts.append(c)
     chi = None
     if a.euler_char is not None and b.euler_char is not None:
         chi = a.euler_char + b.euler_char

@@ -54,7 +54,7 @@ class MeshTopology:
     Everything here depends on the faces alone, so meshes on the same faces
     (`TriMesh.with_vertices`, `translated`) share one instance. The faces
     are read-only; rings, the 2-ring table, the vertex-face incidence
-    matrix, vertex faces and components are built on first use.
+    matrix and components are built on first use.
     """
 
     def __init__(self, faces, m, num_vertices):
@@ -124,14 +124,6 @@ class MeshTopology:
         idx = np.zeros(mask.shape, dtype=int)
         idx[mask] = np.concatenate(rings)
         return idx, mask.astype(float)
-
-    @cached_property
-    def vertex_faces(self):
-        """Ids of the faces at each vertex, ascending."""
-        flat = self.faces.ravel()
-        order = np.argsort(flat, kind="stable") // (self.m + 1)
-        counts = np.bincount(flat, minlength=self.num_vertices)
-        return np.split(order, np.cumsum(counts)[:-1])
 
     @cached_property
     def components(self):
@@ -323,23 +315,9 @@ class TriMesh(Surface):
             raise UnsupportedInputError("face normals need m=2 meshes")
         return _unit(face_vectors(self.vertices, self.topology))
 
-    def vertex_neighbors(self):
-        """Sorted 1-rings: the vertices sharing a face with each vertex."""
-        return self.topology.rings(1)
-
-    def vertex_rings(self, depth):
-        return self.topology.rings(depth)
-
-    def vertex_faces(self):
-        return self.topology.vertex_faces
-
     def vertex_weights(self) -> np.ndarray:
         """Lumped quadrature weights: 1/(m+1) of adjacent face measures."""
         return self.topology.incidence @ (self.measures() / (self.m + 1))
-
-    def components(self) -> np.ndarray:
-        """Connected-component id per vertex (via shared faces)."""
-        return self.topology.components
 
     def local_scale(self) -> np.ndarray:
         """Mean incident edge length per vertex."""
@@ -418,7 +396,7 @@ class TriMesh(Surface):
     def nodes(self, scale=None, subdiv=None) -> NodeSet:
         """Vertex nodes with lumped weights, or with subdiv the centroids of
         every face subdivided subdiv times; scale is not used."""
-        comp = self.components()
+        comp = self.topology.components
         if subdiv is None:
             return NodeSet(points=self.vertices, weights=self.vertex_weights(),
                            component=comp, volume=self.total_volume(),
@@ -509,17 +487,14 @@ class TriMesh(Surface):
 
 
 def euler_characteristic(mesh: TriMesh) -> int:
-    """V - E + F for closed surface meshes; 0 for closed curves."""
+    """V - E + F for closed surface meshes; 0 for closed curves. On a closed
+    triangle mesh every edge lies in exactly two faces, so E = 3F/2 and
+    V - E + F = V - F/2, V counting the vertices of some face."""
     if not mesh.closed:
         raise TopologyError("Euler characteristic requires a closed mesh")
     if mesh.m == 1:
         return 0
-    edges = set()
-    for a, b, c in mesh.faces:
-        for e in ((a, b), (b, c), (c, a)):
-            edges.add(frozenset((int(e[0]), int(e[1]))))
-    used = np.unique(mesh.faces)
-    return int(len(used) - len(edges) + mesh.num_faces)
+    return len(np.unique(mesh.faces)) - mesh.num_faces // 2
 
 
 # ----------------------------------------------------------------------

@@ -211,9 +211,8 @@ def riesz_energy(surface, alpha,
 
     try:
         stack = graph_patch_at(surface, outer.locators, requested)
-    except Exception as exc:
-        text, node = where(np.arange(len(outer.points)),
-                           getattr(exc, "node", None))
+    except NumericalError as exc:
+        text, node = where(np.arange(len(outer.points)), exc.node)
         raise NumericalError(f"patch failure at {text}: {exc}",
                              node=node) from exc
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rieszlab
-from rieszlab.cli import (RunConfig, dump_json, main, parse_args,
+from rieszlab.cli import (_SURFACES, RunConfig, dump_json, main, parse_args,
                          parse_surface, run)
 from rieszlab.errors import ConfigError, UnsupportedInputError
 from rieszlab.geometry import Surface, TriMesh
@@ -467,6 +467,23 @@ def test_unknown_parameter_key_exits_2(argv, key, capsys):
     code, err = _config_error(argv, capsys)
     assert code == 2 and err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("name", list(_SURFACES))
+def test_every_catalog_surface_builds_and_lists_its_keys(name, tmp_path,
+                                                         capsys):
+    spec = name
+    if name == "mesh":              # its path has no default to build from
+        path = tmp_path / "ok.off"
+        path.write_text(_MESH_FILES["ok.off"])
+        spec = f"mesh:path={path}"
+    assert isinstance(parse_surface(spec), Surface)
+    code, err = _config_error(["energy", "--surface", f"{name}:zz=1",
+                               "--alpha", "-4"], capsys)
+    keys = " ".join(_SURFACES[name][0])
+    assert code == 2 and err["error"] == "ConfigError"
+    assert err["message"] == (f"unknown surface parameter zz in "
+                              f"'{name}:zz=1'; {name} takes {keys}")
 
 
 # catalog keys and, for the integer ones, bounds that keep every mesh small

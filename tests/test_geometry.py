@@ -232,6 +232,26 @@ def test_patch_reembedding():
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.3, atol=1e-10)
 
 
+@pytest.mark.parametrize("a, b, field", [
+    (make_circle(), make_circle(1.0, (2.5, 0.0)), "both"),
+    (make_sphere(), make_sphere(1.0, (2.5, 0.0, 0.0), component=1),
+     "repatch"),
+], ids=["circles", "spheres"])
+def test_union_keeps_every_chart_field(a, b, field):
+    # each chart of the second body is copied whole, only its component
+    # shifted past the first body's; the bodies themselves are unchanged
+    component = b.charts[0].component
+    union = make_disjoint_union(a, b)
+    assert union.charts[0] is a.charts[0]
+    new, old = union.charts[1], b.charts[0]
+    assert getattr(new, field) is not None
+    for name in ("value", "jacobian", "hessian", "param_rule", "repatch",
+                 "take", "both"):
+        assert getattr(new, name) is getattr(old, name), name
+    assert new.component == component + 1
+    assert old.component == component
+
+
 def test_concatenated_stack_errors_name_the_stack_node():
     # one chart run per sphere: node 2 is node 1 of the second run, and a
     # chord t = 3 beyond the unit sphere's diameter has no solution

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 from rieszlab.cli import dump_json
-from rieszlab.errors import PoleError, PreconditionError
-from rieszlab.geometry import icosphere, make_circle, make_sphere
+from rieszlab.errors import (PoleError, PreconditionError,
+                             UnsupportedInputError)
+from rieszlab.geometry import (icosphere, make_circle, make_disjoint_union,
+                               make_sphere)
+from rieszlab.geometry.charts import Chart, ChartSurface
 from rieszlab.riesz import (QuadratureConfig, beta_oracle, beta_residue,
                             finite_part_at_pole, riesz_energy, scaling_check)
 
@@ -224,3 +228,37 @@ def test_report_json_roundtrip():
     data = json.loads(dump_json(rep.as_dict()))
     assert data["pole"] is None
     assert data["value"] == pytest.approx(rep.value, rel=1e-15)
+
+
+def _pad(a, axis):
+    """a with one zero appended along axis."""
+    width = [(0, 0)] * a.ndim
+    width[axis] = (0, 1)
+    return np.pad(a, width)
+
+
+@pytest.mark.parametrize("radius", [None, 0.5])
+def test_unsupported_chart_is_refused_at_every_patch_radius(radius):
+    # the unit sphere in R^4 has no orthonormal frame rule; with a set
+    # patch radius the refusal came out of the patch build as a
+    # NumericalError (exit 3) instead of an UnsupportedInputError (exit 4)
+    c = make_sphere().charts[0]
+    chart = Chart(2, 4, lambda u: _pad(c.value(u), -1),
+                  lambda u: _pad(c.jacobian(u), -2),
+                  lambda u: _pad(c.hessian(u), -3), c.param_rule)
+    surface = ChartSurface(2, 4, [chart], True, 2)
+    with pytest.raises(UnsupportedInputError, match=r"got \(4, 2\)"):
+        riesz_energy(surface, -4.0,
+                     config=QuadratureConfig(patch_radius=radius))
+
+
+def test_union_energy_is_the_same_with_each_circles_row_fill():
+    # the second circle keeps its own row fill in the union; the fill has
+    # the bits of value and jacobian, so the energy does not move
+    union = make_disjoint_union(make_circle(), make_circle(1.0, (2.5, 0.0)))
+    assert all(c.both is not None for c in union.charts)
+    plain = copy.copy(union.charts[1])
+    plain.both = None
+    without = ChartSurface(1, 2, [union.charts[0], plain], True, 0)
+    assert (dump_json(riesz_energy(union, -2.5).as_dict())
+            == dump_json(riesz_energy(without, -2.5).as_dict()))

@@ -105,16 +105,14 @@ def test_face_ids_outside_the_vertices_are_refused(face):
 
 def test_topology_matches_face_definitions():
     mesh = torus_mesh(6, 8)
-    one = mesh.vertex_neighbors()
+    one = mesh.topology.rings(1)
     for v in (0, 7, 29):
         share = {int(u) for f in mesh.faces if v in f for u in f} - {v}
         assert list(one[v]) == sorted(share)
         two = set(share).union(*(set(one[u]) for u in share)) - {v}
-        assert list(mesh.vertex_rings(2)[v]) == sorted(two)
-        assert list(mesh.vertex_faces()[v]) == [
-            k for k, f in enumerate(mesh.faces) if v in f]
+        assert list(mesh.topology.rings(2)[v]) == sorted(two)
     both = mesh_disjoint_union(icosphere(0), icosphere(0).translated([5, 0, 0]))
-    comp = both.components()
+    comp = both.topology.components
     assert len(set(comp[:12])) == 1 and len(set(comp[12:])) == 1
     assert comp[0] != comp[12]
 
@@ -221,7 +219,7 @@ def test_no_branch_on_surface_class(module):
 def _loop_local_scale(mesh):
     """Mean incident edge length per vertex, one vertex at a time."""
     out = np.zeros(mesh.num_vertices)
-    for v, ns in enumerate(mesh.vertex_neighbors()):
+    for v, ns in enumerate(mesh.topology.rings(1)):
         if len(ns):
             d = np.linalg.norm(mesh.vertices[ns] - mesh.vertices[v], axis=-1)
             out[v] = float(np.mean(d))
