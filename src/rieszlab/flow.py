@@ -59,7 +59,7 @@ def _ks_quadrature(vertices, topology):
     seed = seed_frames(vertices, topology)
     tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed)
     e, size = face_sizes(vertices, topology)
-    weights = topology.incidence @ (size / (topology.m + 1))
+    weights = topology.lumped_weights(size)
     return offsets, seed, ks_unit_vectors(tangent, normal), solve, e, weights
 
 
@@ -72,7 +72,8 @@ def _ks_vertex_energy(vertices, topology):
     """
     _, _, units, _, _, weights = _ks_quadrature(vertices, topology)
     return weights @ ks_triangle_rows(vertices, units, topology.m,
-                                      np.zeros(len(vertices)), weights)
+                                      np.zeros(len(vertices)), weights,
+                                      None)[0]
 
 
 def _ks_vertex_gradient(vertices, topology):
@@ -211,11 +212,10 @@ def energy_gradient(state: FlowState) -> np.ndarray:
     return grad
 
 
-def _orientation_ok(old: TriMesh, new_vertices: np.ndarray) -> bool:
+def _orientation_ok(f_old, topology, new_vertices) -> bool:
     """Reject steps that invert any simplex against the previous step: every
-    face vector (edge or area normal) must keep its direction."""
-    f_old = face_vectors(old.vertices, old.topology)
-    return bool(np.all(dot(f_old, face_vectors(new_vertices, old.topology))
+    face vector f_old (edge or area normal) must keep its direction."""
+    return bool(np.all(dot(f_old, face_vectors(new_vertices, topology))
                        > 0.0))
 
 
@@ -237,9 +237,10 @@ def flow_step(state: FlowState) -> FlowState:
         return replace(state, stationary=True)
     mesh = state.mesh
     step = state.step_size
+    f_old = face_vectors(mesh.vertices, mesh.topology)
     for _ in range(MAX_HALVINGS + 1):
         cand = mesh.vertices - step * grad
-        if _orientation_ok(mesh, cand):
+        if _orientation_ok(f_old, mesh.topology, cand):
             new_mesh = mesh.with_vertices(cand)
             e1 = state.selector.evaluate(new_mesh, state.config)
             if e1 < e0:

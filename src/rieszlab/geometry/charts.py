@@ -209,6 +209,7 @@ class ChartSurface(Surface):
     euler_char: int | None
 
     oriented = True          # by the parameter order of every chart
+    topology = None          # no neighbour relation between nodes
 
     def quadrature(self, scale: float) -> NodeSet:
         """Every chart's parameter rule at scale, weighted by its volume

@@ -133,6 +133,21 @@ class MeshTopology:
         from scipy.sparse.csgraph import connected_components
         return connected_components(self.adjacency, directed=False)[1]
 
+    def nonneighbor_min(self, d2, lo):
+        """Smallest entry of d2, squared distances from the vertices lo:lo +
+        len(d2) to the vertices lo:, once its diagonal and its pairs that
+        share a face are set to inf in place (inf when no pair is left)."""
+        k, adj = len(d2), self.adjacency
+        d2[np.arange(k), np.arange(k)] = math.inf
+        row = np.repeat(np.arange(k), np.diff(adj.indptr[lo:lo + k + 1]))
+        col = adj.indices[adj.indptr[lo]:adj.indptr[lo + k]] - lo
+        d2[row[col >= 0], col[col >= 0]] = math.inf
+        return float(d2.min())
+
+    def lumped_weights(self, measures):
+        """Vertex weights: 1/(m+1) of the measures (F,) of their faces."""
+        return self.incidence @ (measures / (self.m + 1))
+
     @cached_property
     def incidence(self):
         """Sparse (V, F) vertex-face incidence: 1 where the vertex is a
@@ -317,7 +332,7 @@ class TriMesh(Surface):
 
     def vertex_weights(self) -> np.ndarray:
         """Lumped quadrature weights: 1/(m+1) of adjacent face measures."""
-        return self.topology.incidence @ (self.measures() / (self.m + 1))
+        return self.topology.lumped_weights(self.measures())
 
     def local_scale(self) -> np.ndarray:
         """Mean incident edge length per vertex."""
@@ -340,23 +355,18 @@ class TriMesh(Surface):
     def min_nonneighbor_distance(self) -> float:
         """Min distance between vertices not sharing any face (inf when
         every pair shares one), over all pairs in blocks of rows: O(V^2)
-        light work, as the KS sums that read it are O(V^2)."""
+        light work beside the O(V^2) KS sums of its readers, the flow's
+        trajectory and `contact_monitor`; `ks_energy` takes it from its own
+        pass."""
         pts, V = self.vertices, self.num_vertices
-        adj = self.topology.adjacency
         best = math.inf
         rows = max(1, PAIR_BLOCK // V)
         for lo in range(0, V, rows):
-            hi = min(lo + rows, V)
-            # rows lo:hi against columns lo: hold every pair at least once;
-            # the bits of np.sum(d ** 2, axis=-1), one coordinate at a time
-            d2 = sum((pts[lo:hi, c, None] - pts[lo:, c]) ** 2
+            # rows against columns lo: hold every pair at least once; the
+            # bits of np.sum(d ** 2, axis=-1), one coordinate at a time
+            d2 = sum((pts[lo:lo + rows, c, None] - pts[lo:, c]) ** 2
                      for c in range(self.n))
-            d2[np.arange(hi - lo), np.arange(hi - lo)] = math.inf
-            span = slice(adj.indptr[lo], adj.indptr[hi])
-            row = np.repeat(np.arange(hi - lo), np.diff(adj.indptr[lo:hi + 1]))
-            col = adj.indices[span] - lo
-            d2[row[col >= 0], col[col >= 0]] = math.inf
-            best = min(best, float(d2.min()))
+            best = min(best, self.topology.nonneighbor_min(d2, lo))
         return math.sqrt(best)
 
     def distance_to(self, point) -> float:
@@ -396,10 +406,12 @@ class TriMesh(Surface):
     def nodes(self, scale=None, subdiv=None) -> NodeSet:
         """Vertex nodes with lumped weights, or with subdiv the centroids of
         every face subdivided subdiv times; scale is not used."""
-        comp = self.topology.components
+        comp, measures = self.topology.components, self.measures()
+        volume = float(np.sum(measures))
         if subdiv is None:
-            return NodeSet(points=self.vertices, weights=self.vertex_weights(),
-                           component=comp, volume=self.total_volume(),
+            return NodeSet(points=self.vertices,
+                           weights=self.topology.lumped_weights(measures),
+                           component=comp, volume=volume,
                            locators=list(range(self.num_vertices)),
                            spacing=self.local_scale())
         p = self.vertices[self.faces]                       # (F, m+1, n)
@@ -418,9 +430,9 @@ class TriMesh(Surface):
             pts = (tris[:, :, 0] + tris[:, :, 1] + tris[:, :, 2]) / 3.0
         k = pts.shape[1]
         return NodeSet(points=pts.reshape(-1, self.n),
-                       weights=np.repeat(self.measures() / k, k),
+                       weights=np.repeat(measures / k, k),
                        component=np.repeat(comp[self.faces[:, 0]], k),
-                       volume=self.total_volume())
+                       volume=volume)
 
     @cached_property
     def _fits(self):

@@ -25,6 +25,8 @@ list of located points at once; one point is a list of one.
   map with the given derivatives (hess_map None when affine).
 - `euler_characteristic()` and `min_nonneighbor_distance()` (inf on charts,
   which carry no neighbour relation).
+- `topology`: the `MeshTopology` of a mesh, whose vertex nodes share faces;
+  None on charts.
 - `distance_to(point)`: distance from a point of R^n to the surface; on
   meshes to the nearest simplex (edge or triangle), on charts to the
   nearest quadrature node at scale 0.25, polished on closed chart surfaces

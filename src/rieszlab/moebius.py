@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (OrientationError, PreconditionError, SingularMapError,
-                     SingularPairError, UnsupportedInputError)
+from .errors import (NumericalError, OrientationError, PreconditionError,
+                     SingularMapError, SingularPairError, UnsupportedInputError)
 from .geometry.meshes import PAIR_BLOCK
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
@@ -243,10 +243,12 @@ def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
         yield lo, hi, q, omc, s, pullback
 
 
-def ks_triangle_rows(points, units, m, diag, weights):
+def ks_triangle_rows(points, units, m, diag, weights, topology):
     """Row terms r (N,) of the symmetric KS double sum over one node set:
     sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as in
-    `ks_pair_blocks`.
+    `ks_pair_blocks`, and the smallest squared distance between nodes that
+    share no face of topology (`MeshTopology.nonneighbor_min` on the pass's
+    own s; inf when topology is None).
 
     The points are translated to the middle of their bounding box once, as
     in `ks_pair_blocks`. The kernel is symmetric, so each unordered pair is
@@ -258,17 +260,30 @@ def ks_triangle_rows(points, units, m, diag, weights):
     """
     N = len(points)
     points = points - _box_centre(points)
-    rows, lo = [], 0
+    rows, lo, sep2 = [], 0, math.inf
     while lo < N:
         hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
         # the pullback is not kept, so its buffers go with the kernel's call
         omc, s = ks_pair_kernel(points[lo:hi], units[lo:hi], points[lo:],
                                 units[lo:], m)[:2]
         q = _ks_q(omc, s, diag[lo:hi], m)[1]
+        if topology is not None:
+            sep2 = min(sep2, topology.nonneighbor_min(s, lo))
         k = hi - lo
         rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
         lo = hi
-    return np.concatenate(rows)
+    return np.concatenate(rows), sep2
+
+
+def _refuse_immersed(sep, nodes):
+    """Refuse a mesh that looks immersed; sep is inf on charts."""
+    if math.isfinite(sep):
+        scale_local = float(np.median(nodes.spacing))
+        if sep < 0.3 * scale_local:
+            raise UnsupportedInputError(
+                "mesh looks self-intersecting or immersed "
+                f"(non-neighbor separation {sep:.3g} vs local scale "
+                f"{scale_local:.3g}); E_KS is discontinuous there")
 
 
 @finite_energy
@@ -282,9 +297,11 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
     surfaces (D the umbilicity defect, (k1 - k2)^2 in R^3) and 0 on
     curves; every other pair takes the kernel itself. The nodes are the
     surface's at config.inner_scale * 0.5, as in `as_energy`. Open surfaces
-    and non-embedded meshes are rejected: the energy is discontinuous on
-    immersed inputs (a double cover scores zero while nearby embedded pairs
-    blow up).
+    are rejected, and so are meshes with two vertices that share no face
+    closer than 0.3 of the median spacing, as the pair pass measures them:
+    the energy is discontinuous on immersed inputs (a double cover scores
+    zero while nearby embedded pairs blow up). When the fits or the pass
+    fail numerically, `min_nonneighbor_distance` decides that refusal first.
     """
     config = config or QuadratureConfig()
     m = as_surface(surface).m
@@ -293,21 +310,19 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
     if not surface.oriented:
         raise OrientationError("ks_energy needs consistent orientation")
     nodes = surface.nodes(config.inner_scale * 0.5)
-    sep = surface.min_nonneighbor_distance()
-    # inf on charts, which carry no neighbour relation and no node spacing
-    if math.isfinite(sep):
-        scale_local = float(np.median(nodes.spacing))
-        if sep < 0.3 * scale_local:
-            raise UnsupportedInputError(
-                "mesh looks self-intersecting or immersed "
-                f"(non-neighbor separation {sep:.3g} vs local scale "
-                f"{scale_local:.3g}); E_KS is discontinuous there")
-    tangent, normal, sff = surface.curvatures(nodes.locators)
-    diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
-            else np.zeros(len(sff)))
     w = nodes.weights
-    value = compensated_sum(ks_triangle_rows(
-        nodes.points, ks_unit_vectors(tangent, normal), m, diag, w) * w)
+    try:
+        tangent, normal, sff = surface.curvatures(nodes.locators)
+        diag = ((umbilicity_defect(sff) / 16.0) ** 2 if m == 2
+                else np.zeros(len(sff)))
+        rows, sep2 = ks_triangle_rows(
+            nodes.points, ks_unit_vectors(tangent, normal), m, diag, w,
+            surface.topology)
+    except (FloatingPointError, NumericalError):
+        _refuse_immersed(surface.min_nonneighbor_distance(), nodes)
+        raise
+    _refuse_immersed(math.sqrt(sep2), nodes)
+    value = compensated_sum(rows * w)
     return EnergyReport(value=value, near=0.0, far=value, eps0=0.0,
                         error_estimate=0.0)
 

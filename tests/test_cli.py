@@ -68,6 +68,15 @@ def test_unsupported_input_exits_4():
     assert run(cfg) == 4
 
 
+def test_ks_immersed_dumbbell_exits_4(capsys):
+    assert main(["energy", "--surface", "dumbbell:gap=0.001", "--energy",
+                 "ks"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnsupportedInputError"
+    assert ("non-neighbor separation 0.001 vs local scale 0.594"
+            in err["message"])
+
+
 def test_missing_command_exits_2():
     assert main([]) == 2
 

@@ -17,6 +17,7 @@ from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
                            ks_flow_energy, run_flow, write_trajectory_csv)
 from rieszlab.geometry import (TriMesh, icosphere, mesh_disjoint_union,
                                polygon_circle, read_off, torus_mesh, write_off)
+from rieszlab.geometry.meshes import face_vectors
 from rieszlab.geometry.patches import umbilicity_defect
 from rieszlab.moebius import ks_energy
 from rieszlab.riesz import QuadratureConfig
@@ -301,8 +302,9 @@ def test_orientation_check_rejects_one_inverted_simplex():
     v = ico.vertices.copy()
     v[a] = v[b] + v[c] - v[a]
     for mesh, step in ((poly, p), (ico, v)):
-        assert _orientation_ok(mesh, 1.01 * mesh.vertices)
-        assert not _orientation_ok(mesh, step)
+        f_old = face_vectors(mesh.vertices, mesh.topology)
+        assert _orientation_ok(f_old, mesh.topology, 1.01 * mesh.vertices)
+        assert not _orientation_ok(f_old, mesh.topology, step)
 
 
 def test_flow_rotation_equivariance():

@@ -20,10 +20,11 @@ from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       make_ellipsoid, make_sphere, make_torus, polygon_circle,
                       torus_mesh)
 from rieszlab.flow import _ks_quadrature
-from rieszlab.geometry import orthonormal_frames
+from rieszlab.geometry import mesh_disjoint_union, orthonormal_frames
+from rieszlab.geometry.meshes import MeshTopology
 from rieszlab.geometry.patches import cross, umbilicity_defect
 from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
-                              ks_unit_vectors)
+                              ks_triangle_rows, ks_unit_vectors)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +353,77 @@ def test_triangle_sums_match_the_full_square(name, rows, monkeypatch):
     if isinstance(surface, TriMesh):
         ref = _flow_energy_reference(surface)
         assert abs(ks_flow_energy(surface) - ref) <= 1e-13 * ref
+
+
+# ----------------------------------------------------------------------
+# the non-neighbour separation from the KS pass
+# ----------------------------------------------------------------------
+
+def _stretched_moved(mesh):
+    rotation = np.linalg.qr(np.arange(9.0).reshape(3, 3) ** 2 + np.eye(3))[0]
+    return mesh.with_vertices((mesh.vertices * [1.0, 1.3, 0.7]) @ rotation.T
+                              + [0.3, -1.7, 2.2])
+
+
+def _dumbbell():
+    return mesh_disjoint_union(icosphere(2, 1.0, (-1.1, 0.0, 0.0)),
+                               icosphere(2, 1.0, (1.1, 0.0, 0.0)))
+
+
+SEPARATION_MESHES = {
+    **{f"icosphere{k}": lambda k=k: icosphere(k) for k in range(4)},
+    **{f"icosphere{k}_stretched_moved":
+       lambda k=k: _stretched_moved(icosphere(k)) for k in range(4)},
+    "torus": lambda: torus_mesh(24, 48),
+    "polygon64": lambda: polygon_circle(64),
+    "dumbbell": _dumbbell,
+    "dumbbell_shifted": lambda: _dumbbell().translated([100.0, 100.0, 100.0]),
+}
+
+
+@pytest.mark.parametrize("rows", [None, "N - 1"])
+@pytest.mark.parametrize("name", sorted(SEPARATION_MESHES))
+def test_pass_separation_is_min_nonneighbor_distance(name, rows,
+                                                     monkeypatch):
+    # the pass reads s on centred points, min_nonneighbor_distance on the
+    # vertices as given, in blocks of another height. Centring can move the
+    # last bit of a difference: the stretched and moved icosphere(0) is 1
+    # ulp apart, every other mesh here agrees bit for bit
+    mesh = SEPARATION_MESHES[name]()
+    nodes = mesh.nodes()
+    if rows is not None:
+        N = len(nodes.points)
+        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", N * (N - 1))
+    tangent, normal, _ = mesh.curvatures(nodes.locators)
+    sep2 = ks_triangle_rows(nodes.points, ks_unit_vectors(tangent, normal),
+                            mesh.m, np.zeros(len(nodes.points)),
+                            nodes.weights, mesh.topology)[1]
+    ref = mesh.min_nonneighbor_distance()
+    assert abs(math.sqrt(sep2) - ref) <= 4 * math.ulp(ref)
+
+
+def test_only_mesh_ks_energy_masks_neighbours(monkeypatch):
+    calls = {"nonneighbor_min": 0, "min_nonneighbor_distance": 0}
+
+    def counted(name, orig):
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(MeshTopology, "nonneighbor_min", counted(
+        "nonneighbor_min", MeshTopology.nonneighbor_min))
+    monkeypatch.setattr(TriMesh, "min_nonneighbor_distance", counted(
+        "min_nonneighbor_distance", TriMesh.min_nonneighbor_distance))
+    mesh = _stretched_ico3()
+    ks_energy(make_ellipsoid(1.0, 1.0, 1.2))
+    for name in ("ks_flow_energy", "energy_gradient", "ks_cross_energy"):
+        KS_SUMS[name](mesh)
+    assert calls == {"nonneighbor_min": 0, "min_nonneighbor_distance": 0}
+    # the mesh's own KS pass measures the separation: no second pass
+    ks_energy(mesh)
+    assert calls["nonneighbor_min"] > 0
+    assert calls["min_nonneighbor_distance"] == 0
 
 
 def _warm_peak(ks_sum, mesh):

@@ -192,6 +192,16 @@ def test_ks_rejects_immersed_mesh():
         ks_energy(both)
 
 
+def test_ks_refuses_immersed_mesh_before_a_numerical_error():
+    # at this scale the pair pass overflows before it has the separation;
+    # the mesh is still refused as immersed, with its separation
+    a = icosphere(1, radius=1e-80)
+    b = icosphere(1, radius=1.001e-80)
+    with pytest.raises(UnsupportedInputError, match="non-neighbor separation "
+                       "1e-83 vs local scale 5.94e-81"):
+        ks_energy(mesh_disjoint_union(a, b))
+
+
 def test_ks_open_surface_needs_flag():
     disk = make_disk(1.0)
     with pytest.raises(PreconditionError):
