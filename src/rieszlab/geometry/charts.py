@@ -99,6 +99,19 @@ def _pull_back(N, H, A):
     return out
 
 
+def _chain_hessian(H, J):
+    """h_ipq = sum over j, k of H_ijk J_jp J_kq per row of H (..., n, n, n),
+    J (..., n, m): plain products taken left to right and summed in (j, k)
+    order, the order of numpy's unoptimized three-operand einsum, so its
+    bits. The rows go last, so that every product runs along them."""
+    n = J.shape[-2]
+    H = np.ascontiguousarray(np.moveaxis(H, (-3, -2, -1), (0, 1, 2)))
+    J = np.ascontiguousarray(np.moveaxis(J, (-2, -1), (0, 1)))
+    out = sum(H[:, j, k, None, None] * J[j, None, :, None]
+              * J[k, None, None, :] for j in range(n) for k in range(n))
+    return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
+
+
 def _solve_steps(A, b, s, tmp):
     """The Newton steps s of A s = b per row, in closed form and in place:
     A (m, m, R), b and s (m, R), tmp (2, R) scratch rows, m in {1, 2}
@@ -299,9 +312,7 @@ class ChartSurface(Surface):
                 first = np.einsum("...ij,...jpq->...ipq", jac_map(x), H(u))
                 if hess_map is None:
                     return first
-                second = np.einsum("...ijk,...jp,...kq->...ipq",
-                                   hess_map(x), Ju, Ju)
-                return first + second
+                return first + _chain_hessian(hess_map(x), Ju)
 
             def both(u, x, jac):
                 y, Ju = chart.value_jacobian(u.T.copy())

@@ -41,10 +41,11 @@ __all__ = [
 ]
 
 # Vertex pairs per block of an all-pairs pass (bounds its memory). A KS
-# block holds about twenty (rows, columns) arrays at once. At 2^16 pairs
-# (512 KB arrays) one ks_energy of the chart ellipsoid page-faults about
-# 4500 times and takes about 1.4x as long as at 2^14 (128 KB arrays),
-# which faults almost never.
+# gradient block holds about twenty (rows, columns) arrays at once. A KS
+# energy pass writes every block into four buffers allocated once: one warm
+# ks_energy of the chart ellipsoid page-faults about 220 times at 2^14 pairs
+# (128 KB arrays) and 530 times at 2^16, which is 7% slower; with fresh
+# arrays per block it faulted about 1000 and 3000 times.
 PAIR_BLOCK = 1 << 14
 
 

@@ -23,7 +23,9 @@ vector stacks. With s = |y - x|^2 and v = (y - x) / sqrt(s), the two
 products with v share one 1 / s, so the kernel works on s and forms no
 distance. The double sums translate their points once per pass, to the
 middle of a bounding box, and the symmetric ones form each unordered pair
-once (`ks_triangle_rows`).
+once (`ks_triangle_rows`). A pass (`_PairPass`) builds its row and column
+stacks once and writes every block into the same buffers, sized by its
+largest block; a block reads its rows and columns as slices.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def ks_unit_vectors(tangent, normal):
 def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
     """(1 - cos theta) and squared distances s = |y - x|^2 for all point
     pairs, from one unit vector (N, n) per point (`ks_unit_vectors`), and
-    their row-side pullback.
+    their row-side pullback: a `_PairPass` of one block over all pairs.
 
     Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
     (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
@@ -114,13 +116,13 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
     rounded once, so s, summed one coordinate at a time, has the bits of
     dot(y - x, y - x). 1 - cos is then built in one array by in-place
     operations. The products a, b carry a rounding error of eps times the
-    points' distance from the coordinate origin, so the callers
-    (`ks_pair_blocks`, `ks_triangle_rows`) centre the points once per pass
-    and the kernel takes them as given. Every product is a plain
-    (non-conjugating) one, so the kernel is complex-analytic in the inputs
-    and complex-step derivatives through it are exact; its buffers take the
-    result dtype of the inputs. Coincident pairs get 0 in both outputs;
-    1 - cos is not clipped to [0, 2].
+    points' distance from the coordinate origin, so the passes
+    (`ks_pair_blocks`, `ks_triangle_rows`) centre the points once and the
+    kernel takes them as given. Every product is a plain (non-conjugating)
+    one, so the kernel is complex-analytic in the inputs and complex-step
+    derivatives through it are exact; its buffers take the result dtype of
+    the inputs. Coincident pairs get 0 in both outputs; 1 - cos is not
+    clipped to [0, 2].
 
     pullback(omc_bar, s_bar) returns the gradients of sum(omc_bar * omc
     + s_bar * s) with respect to x_pts (Nx, n) and x_units (Nx, n), in
@@ -131,86 +133,117 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
     symmetric double sum each point's gradient is twice its row side and
     the column side is never formed. The pullback takes real input only.
     """
-    n = x_pts.shape[-1]
-    if m != 1 and (n, m) != (3, 2):
-        raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
-                                    f"R^3, got (n, m) = ({n}, {m})")
-    sign = 1.0 if m == 1 else -1.0
-    Nx, Ny = len(x_pts), len(y_pts)
-    dtype = np.result_type(x_pts, x_units, y_pts, y_units)
-    # column stacks [y; 1] and [u_y; <u_y, y>]
-    y1 = np.ones((n + 1, Ny), dtype)
-    y1[:n] = y_pts.T
-    uy = np.empty((n + 1, Ny), dtype)
-    uy[:n] = y_units.T
-    uy[n] = dot(y_units, y_pts)
-    # row stacks [e_c, -x_c] for each coordinate c, then [u_x, -<u_x, x>]
-    # and [-x, 1]
-    rows = np.zeros((n + 2, Nx, n + 1), dtype)
-    rows[:n, :, n] = -x_pts.T
-    rows[range(n), :, range(n)] = 1.0
-    rows[n, :, :n] = x_units
-    rows[n, :, n] = -dot(x_units, x_pts)
-    rows[n + 1, :, :n] = -x_pts
-    rows[n + 1, :, n] = 1.0
+    return _PairPass(x_pts, x_units, y_pts, y_units, m,
+                     len(x_pts) * len(y_pts), 6).kernel(0, len(x_pts), 0)[:3]
 
-    d, s = np.empty((Nx, Ny), dtype), np.empty((Nx, Ny), dtype)
-    np.square(np.matmul(rows[0], y1, out=d), out=s)
-    for c in range(1, n):
-        s += np.square(np.matmul(rows[c], y1, out=d), out=d)
-    apart = s != 0.0
-    # 2 / s in the difference buffer; coincident pairs keep the 0 of their
-    # last coordinate's difference there
-    twice_inv_s = np.divide(2.0, s, out=d, where=apart)
-    a = rows[n] @ y1
-    b = rows[n + 1] @ uy
-    # omc = 1 - sigma (2 a b / s - c)
-    omc = np.multiply(a, twice_inv_s)
-    omc *= b
-    omc -= x_units @ uy[:n]
-    if sign > 0.0:
-        np.subtract(1.0, omc, out=omc)
-    else:
-        omc += 1.0
-    omc[~apart] = 0.0
 
-    def pullback(omc_bar, s_bar):
-        omc_bar = np.where(apart, omc_bar, 0.0)
-        ab_bar = (-sign * twice_inv_s) * omc_bar           # d/d (a b)
-        a_bar, b_bar = ab_bar * b, ab_bar * a
-        # d omc / d s = 2 sigma a b / s^2, which takes a_bar a / s off s_bar
-        t = a_bar * a
-        t *= twice_inv_s
-        s_bar = np.where(apart, s_bar, 0.0) - 0.5 * t
-        # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
-        # differences themselves, one coordinate at a time: s_bar @ y -
-        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
-        x_bar = np.empty(x_pts.shape)
+class _PairPass:
+    """One pass of `ks_pair_kernel` over blocks of rows of x against
+    columns of y: the row stacks [e_c, -x_c] for each coordinate c,
+    [u_x, -<u_x, x>] and [-x, 1], (n + 2, Nx, n + 1), and the column stacks
+    [y; 1] and [u_y; <u_y, y>], (n + 1, Ny), built once, and room for
+    `arrays` buffers of `pairs` entries, enough for the pass's largest
+    block, allocated once. Each block reads its rows and columns as slices
+    of the stacks and writes the differences and then 2 / s, s, 1 - cos
+    and q into the buffers, so what a block returns holds until the next
+    block. With four buffers a and b pass through those of 1 - cos and q,
+    and the block has no pullback (None); with six they keep buffers of
+    their own, which the pullback reads.
+    """
+
+    def __init__(self, x_pts, x_units, y_pts, y_units, m, pairs, arrays):
+        n = x_pts.shape[-1]
+        if m != 1 and (n, m) != (3, 2):
+            raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
+                                        f"R^3, got (n, m) = ({n}, {m})")
+        self.n, self.sign = n, 1.0 if m == 1 else -1.0
+        self.x_pts, self.x_units = x_pts, x_units
+        self.y_pts, self.y_units = y_pts, y_units
+        dtype = np.result_type(x_pts, x_units, y_pts, y_units)
+        self.y1 = np.ones((n + 1, len(y_pts)), dtype)
+        self.y1[:n] = y_pts.T
+        self.uy = np.empty((n + 1, len(y_pts)), dtype)
+        self.uy[:n] = y_units.T
+        self.uy[n] = dot(y_units, y_pts)
+        rows = self.rows = np.zeros((n + 2, len(x_pts), n + 1), dtype)
+        rows[:n, :, n] = -x_pts.T
         for c in range(n):
-            np.matmul(rows[c], y1, out=t)
-            x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
-        x_bar *= -2.0
-        row = a_bar.sum(axis=1)[:, None]
-        x_bar -= row * x_units + b_bar @ y_units
-        return (x_bar, a_bar @ y_pts - row * x_pts
-                + sign * (omc_bar @ y_units))
+            rows[c, :, c] = 1.0
+        rows[n, :, :n] = x_units
+        rows[n, :, n] = -dot(x_units, x_pts)
+        rows[n + 1, :, :n] = -x_pts
+        rows[n + 1, :, n] = 1.0
+        self.buffers = [np.empty(pairs, dtype) for _ in range(arrays)]
 
-    return omc, s, pullback
+    def kernel(self, lo, hi, col):
+        """`ks_pair_kernel` of the rows lo:hi against the columns col:,
+        (1 - cos theta, s, pullback), and the buffer for their q, all in
+        the pass's buffers."""
+        n, sign = self.n, self.sign
+        rows, y1, uy = self.rows[:, lo:hi], self.y1[:, col:], self.uy[:, col:]
+        x_units = self.x_units[lo:hi]
+        shape = (hi - lo, y1.shape[1])
+        d, s, omc, q, *ab = [buffer[:shape[0] * shape[1]].reshape(shape)
+                             for buffer in self.buffers]
+        a, b = ab or (omc, q)
+        np.square(np.matmul(rows[0], y1, out=d), out=s)
+        for c in range(1, n):
+            s += np.square(np.matmul(rows[c], y1, out=d), out=d)
+        apart = s != 0.0
+        # 2 / s in the difference buffer; coincident pairs keep the 0 of their
+        # last coordinate's difference there
+        twice_inv_s = np.divide(2.0, s, out=d, where=apart)
+        # omc = 1 - sigma (2 a b / s - c), c in q's buffer, which `_ks_q`
+        # fills after it
+        np.multiply(np.matmul(rows[n], y1, out=a), twice_inv_s, out=omc)
+        omc *= np.matmul(rows[n + 1], uy, out=b)
+        omc -= np.matmul(x_units, uy[:n], out=q)
+        if sign > 0.0:
+            np.subtract(1.0, omc, out=omc)
+        else:
+            omc += 1.0
+        omc[~apart] = 0.0
+
+        def pullback(omc_bar, s_bar):
+            x_pts, y_pts, y_units = (self.x_pts[lo:hi], self.y_pts[col:],
+                                     self.y_units[col:])
+            omc_bar = np.where(apart, omc_bar, 0.0)
+            ab_bar = (-sign * twice_inv_s) * omc_bar           # d/d (a b)
+            a_bar, b_bar = ab_bar * b, ab_bar * a
+            # d omc / d s = 2 sigma a b / s^2, which takes a_bar a / s off
+            # s_bar
+            t = a_bar * a
+            t *= twice_inv_s
+            s_bar = np.where(apart, s_bar, 0.0) - 0.5 * t
+            # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
+            # differences themselves, one coordinate at a time: s_bar @ y -
+            # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
+            x_bar = np.empty(x_pts.shape)
+            for c in range(n):
+                np.matmul(rows[c], y1, out=t)
+                x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
+            x_bar *= -2.0
+            row = a_bar.sum(axis=1)[:, None]
+            x_bar -= row * x_units + b_bar @ y_units
+            return (x_bar, a_bar @ y_pts - row * x_pts
+                    + sign * (omc_bar @ y_units))
+
+        return omc, s, pullback if ab else None, q
 
 
-def _ks_q(omc, s, diag, m):
-    """1 - cos clipped to [0, 2] in place and q = (omc / s)^m, each
-    coincident pair taking its row's diag value. 1 - cos lies in [0, 2]
-    exactly, so the clip only removes rounding: it acts on the real part,
-    and a complex step's imaginary part goes through it unchanged, also on
-    pairs clipped to 0 (on a round body most of them)."""
+def _ks_q(omc, s, diag, m, q):
+    """1 - cos clipped to [0, 2] in place and q = (omc / s)^m written into
+    q, each coincident pair taking its row's diag value. 1 - cos lies in
+    [0, 2] exactly, so the clip only removes rounding: it acts on the real
+    part, and a complex step's imaginary part goes through it unchanged,
+    also on pairs clipped to 0 (on a round body most of them)."""
     np.clip(omc.real, 0.0, 2.0, out=omc.real)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.divide(omc, s)
+        np.divide(omc, s, out=q)
     if m == 2:
         q *= q
     np.copyto(q, diag[:, None], where=s == 0.0)
-    return omc, q
+    return q
 
 
 def _box_centre(points):
@@ -230,17 +263,19 @@ def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
     the rows lo:hi: omc is 1 - cos theta clipped to [0, 2],
     q = (omc / s)^m with each coincident pair taking its row's diag value
     (`_ks_q`), and s and pullback are `ks_pair_kernel`'s, on the translated
-    points.
+    points. Each block is a pass of its own, as in `ks_pair_kernel`, and
+    `_ks_q` writes q into that pass's buffer, so a caller may keep every
+    block.
     """
     centre = _box_centre(y_pts)
     x_pts, y_pts = x_pts - centre, y_pts - centre
     rows = max(1, PAIR_BLOCK // len(y_pts))
     for lo in range(0, len(x_pts), rows):
         hi = min(lo + rows, len(x_pts))
-        omc, s, pullback = ks_pair_kernel(x_pts[lo:hi], x_units[lo:hi],
-                                          y_pts, y_units, m)
-        omc, q = _ks_q(omc, s, diag[lo:hi], m)
-        yield lo, hi, q, omc, s, pullback
+        omc, s, pullback, q = _PairPass(
+            x_pts[lo:hi], x_units[lo:hi], y_pts, y_units, m,
+            (hi - lo) * len(y_pts), 6).kernel(0, hi - lo, 0)
+        yield lo, hi, _ks_q(omc, s, diag[lo:hi], m, q), omc, s, pullback
 
 
 def ks_triangle_rows(points, units, m, diag, weights, topology):
@@ -251,22 +286,25 @@ def ks_triangle_rows(points, units, m, diag, weights, topology):
     own s; inf when topology is None).
 
     The points are translated to the middle of their bounding box once, as
-    in `ks_pair_blocks`. The kernel is symmetric, so each unordered pair is
-    formed once: rows lo:hi meet columns lo: only, their square block lo:hi
-    counted as it stands and the columns hi: twice, r[lo:hi] =
+    in `ks_pair_blocks`, and one `_PairPass` builds the stacks and the
+    buffers of every block. The kernel is symmetric, so each unordered pair
+    is formed once: rows lo:hi meet columns lo: only, their square block
+    lo:hi counted as it stands and the columns hi: twice, r[lo:hi] =
     q[:, :k] @ w[lo:hi] + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Blocks
     grow as the columns shrink and hold at most PAIR_BLOCK pairs (or one
-    row). Complex-analytic in every input.
+    row); the buffers hold the largest of them. Complex-analytic in every
+    input.
     """
     N = len(points)
     points = points - _box_centre(points)
+    # a block of one row holds at most N pairs, any other at most PAIR_BLOCK
+    pair_pass = _PairPass(points, units, points, units, m,
+                          max(N, min(PAIR_BLOCK, N * N)), 4)
     rows, lo, sep2 = [], 0, math.inf
     while lo < N:
         hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
-        # the pullback is not kept, so its buffers go with the kernel's call
-        omc, s = ks_pair_kernel(points[lo:hi], units[lo:hi], points[lo:],
-                                units[lo:], m)[:2]
-        q = _ks_q(omc, s, diag[lo:hi], m)[1]
+        omc, s, _, q = pair_pass.kernel(lo, hi, lo)
+        _ks_q(omc, s, diag[lo:hi], m, q)
         if topology is not None:
             sep2 = min(sep2, topology.nonneighbor_min(s, lo))
         k = hi - lo

@@ -1,8 +1,9 @@
 """The KS diagonal limits against isotropic probing, the batched chart
 curvatures against the per-point formula they replaced, the one-vector
 pair kernel against the frame-based einsum kernel it replaced (references
-copied here), the triangle sums against full-square sums, and the peak
-memory of the blocked KS pair sums."""
+copied here), the triangle sums against full-square sums, the blocked pair
+passes against the kernel that built its stacks and arrays per call (also
+copied here), and the peak memory of the blocked KS pair sums."""
 
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rieszlab.flow
 import rieszlab.moebius
 from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       UnsupportedInputError,
@@ -22,9 +24,10 @@ from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
 from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import mesh_disjoint_union, orthonormal_frames
 from rieszlab.geometry.meshes import MeshTopology
-from rieszlab.geometry.patches import cross, umbilicity_defect
-from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_kernel,
-                              ks_triangle_rows, ks_unit_vectors)
+from rieszlab.geometry.patches import cross, dot, umbilicity_defect
+from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_blocks,
+                              ks_pair_kernel, ks_triangle_rows,
+                              ks_unit_vectors)
 
 
 # ----------------------------------------------------------------------
@@ -130,6 +133,78 @@ def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
     omc = 1.0 - cos
     omc[dist == 0.0] = 0.0
     return omc, s
+
+
+def _stacked_kernel(x_pts, x_units, y_pts, y_units, m):
+    """`ks_pair_kernel` as it was before the passes shared their stacks and
+    buffers across blocks: the same homogeneous stacks and products, all
+    built per call, and a and b kept for the pullback."""
+    n = x_pts.shape[-1]
+    if m != 1 and (n, m) != (3, 2):
+        raise UnsupportedInputError("KS pairs need curves or surfaces in R^3")
+    sign = 1.0 if m == 1 else -1.0
+    Nx, Ny = len(x_pts), len(y_pts)
+    dtype = np.result_type(x_pts, x_units, y_pts, y_units)
+    y1 = np.ones((n + 1, Ny), dtype)
+    y1[:n] = y_pts.T
+    uy = np.empty((n + 1, Ny), dtype)
+    uy[:n] = y_units.T
+    uy[n] = dot(y_units, y_pts)
+    rows = np.zeros((n + 2, Nx, n + 1), dtype)
+    rows[:n, :, n] = -x_pts.T
+    rows[range(n), :, range(n)] = 1.0
+    rows[n, :, :n] = x_units
+    rows[n, :, n] = -dot(x_units, x_pts)
+    rows[n + 1, :, :n] = -x_pts
+    rows[n + 1, :, n] = 1.0
+
+    d, s = np.empty((Nx, Ny), dtype), np.empty((Nx, Ny), dtype)
+    np.square(np.matmul(rows[0], y1, out=d), out=s)
+    for c in range(1, n):
+        s += np.square(np.matmul(rows[c], y1, out=d), out=d)
+    apart = s != 0.0
+    twice_inv_s = np.divide(2.0, s, out=d, where=apart)
+    a = rows[n] @ y1
+    b = rows[n + 1] @ uy
+    omc = np.multiply(a, twice_inv_s)
+    omc *= b
+    omc -= x_units @ uy[:n]
+    if sign > 0.0:
+        np.subtract(1.0, omc, out=omc)
+    else:
+        omc += 1.0
+    omc[~apart] = 0.0
+
+    def pullback(omc_bar, s_bar):
+        omc_bar = np.where(apart, omc_bar, 0.0)
+        ab_bar = (-sign * twice_inv_s) * omc_bar
+        a_bar, b_bar = ab_bar * b, ab_bar * a
+        t = a_bar * a
+        t *= twice_inv_s
+        s_bar = np.where(apart, s_bar, 0.0) - 0.5 * t
+        x_bar = np.empty(x_pts.shape)
+        for c in range(n):
+            np.matmul(rows[c], y1, out=t)
+            x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
+        x_bar *= -2.0
+        row = a_bar.sum(axis=1)[:, None]
+        x_bar -= row * x_units + b_bar @ y_units
+        return (x_bar, a_bar @ y_pts - row * x_pts
+                + sign * (omc_bar @ y_units))
+
+    return omc, s, pullback
+
+
+def _stacked_q(omc, s, diag, m):
+    """The clip (in place), q = (omc / s)^m and the diagonal fill of
+    `_ks_q`, written out."""
+    np.clip(omc.real, 0.0, 2.0, out=omc.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(omc, s)
+    if m == 2:
+        q *= q
+    np.copyto(q, diag[:, None], where=s == 0.0)
+    return q
 
 
 # ----------------------------------------------------------------------
@@ -355,6 +430,173 @@ def test_triangle_sums_match_the_full_square(name, rows, monkeypatch):
         assert abs(ks_flow_energy(surface) - ref) <= 1e-13 * ref
 
 
+def _triangle_inputs(surface):
+    nodes = surface.nodes(0.5)
+    tangent, normal, sff = surface.curvatures(nodes.locators)
+    diag = ((umbilicity_defect(sff) / 16.0) ** 2 if surface.m == 2
+            else np.zeros(len(sff)))
+    return (nodes.points, ks_unit_vectors(tangent, normal), surface.m, diag,
+            nodes.weights, surface.topology)
+
+
+def _complex_step_inputs():
+    points, units, m, diag, weights, _ = _triangle_inputs(
+        make_ellipsoid(1.0, 1.0, 1.2))
+    rng = np.random.default_rng(11)
+    h = 1e-20
+    return (points + 1j * h * rng.standard_normal(points.shape),
+            units + 1j * h * rng.standard_normal(units.shape), m, diag,
+            weights, None)
+
+
+def _box_centred(points):
+    return points - 0.5 * (points.real.min(axis=0) + points.real.max(axis=0))
+
+
+def _triangle_rows_per_block(points, units, m, diag, weights, topology):
+    """`ks_triangle_rows` with a `_stacked_kernel` call per block; also the
+    number of blocks."""
+    N = len(points)
+    points = _box_centred(points)
+    rows, lo, sep2, blocks = [], 0, math.inf, 0
+    while lo < N:
+        hi = min(N, lo + max(1, rieszlab.moebius.PAIR_BLOCK // (N - lo)))
+        omc, s, _ = _stacked_kernel(points[lo:hi], units[lo:hi], points[lo:],
+                                    units[lo:], m)
+        q = _stacked_q(omc, s, diag[lo:hi], m)
+        if topology is not None:
+            sep2 = min(sep2, topology.nonneighbor_min(s, lo))
+        k = hi - lo
+        rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
+        lo, blocks = hi, blocks + 1
+    return np.concatenate(rows), sep2, blocks
+
+
+PASS_INPUTS = {
+    "icosphere3_stretched": lambda: _triangle_inputs(_stretched_ico3()),
+    "ellipsoid": lambda: _triangle_inputs(make_ellipsoid(1.0, 1.0, 1.2)),
+    "polygon64_stretched": lambda: _triangle_inputs(
+        polygon_circle(64).with_vertices(polygon_circle(64).vertices
+                                         * [1.0, 1.3])),
+    "ellipsoid_complex_step": _complex_step_inputs,
+}
+
+
+@pytest.mark.parametrize("name,block", [
+    (name, block) for name in sorted(PASS_INPUTS)
+    for block in ("N (N - 1)", "7 N", "N / 2", None)
+    # 64 nodes make one block at the default size
+    if (name, block) != ("polygon64_stretched", None)])
+def test_triangle_rows_have_the_bits_of_a_kernel_per_block(name, block,
+                                                           monkeypatch):
+    # one pass builds the row and column stacks once and reuses its block
+    # buffers; each block must still give the rows and the separation of
+    # the kernel that built everything per call
+    points, units, m, diag, weights, topology = PASS_INPUTS[name]()
+    N = len(points)
+    if block is not None:
+        # N / 2 makes blocks of one row, each longer than PAIR_BLOCK
+        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK",
+                            {"N (N - 1)": N * (N - 1), "7 N": 7 * N,
+                             "N / 2": N // 2}[block])
+    calls = []
+    kernel = rieszlab.moebius._PairPass.kernel
+    monkeypatch.setattr(rieszlab.moebius._PairPass, "kernel",
+                        lambda *args: calls.append(args[1:]) or kernel(*args))
+    rows, sep2 = ks_triangle_rows(points, units, m, diag, weights, topology)
+    passed = len(calls)
+    ref_rows, ref_sep2, blocks = _triangle_rows_per_block(
+        points, units, m, diag, weights, topology)
+    assert passed == blocks > 1
+    assert rows.dtype == ref_rows.dtype
+    assert np.array_equal(rows, ref_rows)
+    assert sep2 == ref_sep2
+    assert (topology is None) == math.isinf(sep2)
+
+
+def _disks():
+    return make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)
+
+
+def _cross_inputs():
+    surface_a, surface_b = _disks()
+    na, nb = surface_a.nodes(1.0), surface_b.nodes(1.0)
+    return (na.points, ks_unit_vectors(*surface_a.curvatures(na.locators)[:2]),
+            nb.points, ks_unit_vectors(*surface_b.curvatures(nb.locators)[:2]),
+            2, np.zeros(len(na.points)))
+
+
+def _gradient_inputs(mesh):
+    _, _, units, _, _, _ = _ks_quadrature(mesh.vertices, mesh.topology)
+    return (mesh.vertices, units, mesh.vertices, units, mesh.m,
+            np.zeros(len(units)))
+
+
+BLOCK_INPUTS = {
+    "disks": _cross_inputs,
+    "icosphere2_stretched": lambda: _gradient_inputs(_stretched_ico2()),
+    "polygon64_stretched": lambda: _gradient_inputs(
+        polygon_circle(64).with_vertices(polygon_circle(64).vertices
+                                         * [1.0, 1.3])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
+def test_pair_blocks_have_the_bits_of_the_stacked_kernel(name, monkeypatch):
+    # every block is kept before any is used, and every pullback is called
+    # after the last block: a block whose arrays a later block overwrote
+    # would differ here
+    x_pts, x_units, y_pts, y_units, m, diag = BLOCK_INPUTS[name]()
+    monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", 7 * len(y_pts))
+    blocks = list(ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag))
+    rng = np.random.default_rng(5)
+    bars = [(rng.standard_normal(q.shape), rng.standard_normal(q.shape))
+            for _, _, q, _, _, _ in blocks]
+    grads = [pullback(*bar) for (*_, pullback), bar in zip(blocks, bars)]
+    centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
+    x_pts, y_pts = x_pts - centre, y_pts - centre
+    assert len(blocks) > 1 and blocks[-1][1] == len(x_pts)
+    for (lo, hi, q, omc, s, _), bar, grad in zip(blocks, bars, grads):
+        ref_omc, ref_s, ref_pullback = _stacked_kernel(
+            x_pts[lo:hi], x_units[lo:hi], y_pts, y_units, m)
+        ref_q = _stacked_q(ref_omc, ref_s, diag[lo:hi], m)
+        assert np.array_equal(s, ref_s)
+        assert np.array_equal(omc, ref_omc)
+        assert np.array_equal(q, ref_q)
+        for got, ref in zip(grad, ref_pullback(*bar)):
+            assert np.array_equal(got, ref)
+
+
+def _stacked_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, blocks):
+    """`ks_pair_blocks` with a `_stacked_kernel` call per block; blocks
+    gets one entry per block."""
+    centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
+    x_pts, y_pts = x_pts - centre, y_pts - centre
+    rows = max(1, rieszlab.moebius.PAIR_BLOCK // len(y_pts))
+    for lo in range(0, len(x_pts), rows):
+        hi = min(lo + rows, len(x_pts))
+        omc, s, pullback = _stacked_kernel(x_pts[lo:hi], x_units[lo:hi],
+                                           y_pts, y_units, m)
+        blocks.append(lo)
+        yield lo, hi, _stacked_q(omc, s, diag[lo:hi], m), omc, s, pullback
+
+
+def test_blocked_gradient_and_cross_energy_have_the_bits_of_the_stacked_kernel(
+        monkeypatch):
+    mesh = _stretched_ico2()
+    monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", 7 * len(mesh.vertices))
+    grad = energy_gradient(FlowState(mesh=mesh))
+    cross_energy = ks_cross_energy(*_disks())
+    blocks = []
+    for module in (rieszlab.flow, rieszlab.moebius):
+        monkeypatch.setattr(module, "ks_pair_blocks",
+                            lambda *args: _stacked_pair_blocks(*args, blocks))
+    assert np.array_equal(grad, energy_gradient(FlowState(mesh=mesh)))
+    gradient_blocks = len(blocks)
+    assert cross_energy == ks_cross_energy(*_disks())
+    assert gradient_blocks > 1 and len(blocks) - gradient_blocks > 1
+
+
 # ----------------------------------------------------------------------
 # the non-neighbour separation from the KS pass
 # ----------------------------------------------------------------------
@@ -447,10 +689,18 @@ def test_ks_pair_sums_run_in_bounded_memory(name):
 
 
 def test_ks_energy_peak_memory():
-    # the kernel builds 1 - cos and 2 / s in place: one warm energy peaks
-    # at 1.28 MiB here, where a kernel with fresh temporaries took 2.16 MiB
+    # one pass builds its stacks once and writes every block into four
+    # buffers: one warm energy peaks at 0.79 MiB here, where fresh arrays
+    # per block took 1.28 MiB and fresh temporaries in the kernel 2.16 MiB
     assert _warm_peak(KS_SUMS["ks_energy"], _stretched_ico3()) <= (
-        1.5 * 2 ** 20)
+        1.0 * 2 ** 20)
+
+
+def test_chart_ks_energy_peak_memory():
+    # 1.14 MiB on the 1152 nodes of the ellipsoid, 1.54 MiB with fresh
+    # stacks and arrays per block
+    assert _warm_peak(ks_energy, make_ellipsoid(1.0, 1.0, 1.2)) <= (
+        1.3 * 2 ** 20)
 
 
 # ----------------------------------------------------------------------

@@ -365,3 +365,22 @@ def test_inversion_derivatives_consistent():
         np.testing.assert_allclose(J[:, a], fd, atol=1e-8)
         fd2 = (mmap.jacobian(x + e) - mmap.jacobian(x - e)) / (2 * h)
         np.testing.assert_allclose(H[:, :, a], fd2, atol=1e-6)
+
+
+def test_transformed_hessian_has_the_bits_of_its_einsum():
+    # the image chart's Hessian, J_T H + H_T(J, J), takes its second term as
+    # explicit products summed in the order of the three-operand einsum it
+    # replaced
+    surface = make_ellipsoid(1.0, 1.0, 1.2)
+    mmap = MoebiusMap("inversion", center=(3.0, 0.2, 0.1), radius=2.0)
+    image = apply_moebius(surface, mmap)
+    runs = surface._runs(surface.nodes(0.5).locators)
+    assert sum(len(u) for _, u in runs) > 1000
+    for k, u in runs:
+        base = surface.charts[k]
+        x, J = base.value(u), base.jacobian(u)
+        ref = (np.einsum("...ij,...jpq->...ipq", mmap.jacobian(x),
+                         base.hessian(u))
+               + np.einsum("...ijk,...jp,...kq->...ipq", mmap.hessian(x), J,
+                           J))
+        assert np.array_equal(image.charts[k].hessian(u), ref)
