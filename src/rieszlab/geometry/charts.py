@@ -168,10 +168,10 @@ class Chart:
     value(u) and jacobian(u) for parameters u (m, R) into the rows x[i] and
     jac[i, j] of x (n, R) and jac (n, m, R), with the bits of the two
     separate maps; a chart without it is evaluated by value and jacobian
-    and copied into the rows. A spheroid stack serves only the patch
-    Newton, so it has both alone: it writes each output component straight
-    into the Newton's component buffers, and its value, jacobian, hessian
-    and param_rule are None.
+    and copied into the rows. A spheroid stack (a central projection)
+    serves only the patch Newton, so it has both alone: trig-free, it writes
+    each output component straight into the Newton's component buffers,
+    and its value, jacobian, hessian and param_rule are None.
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
@@ -821,8 +821,8 @@ def _unit_sphere_maps():
 
 
 def _spheroid_chart(ax, ctr, rot, base_nodes, component):
-    """Chart u -> ctr + diag(ax) rot sph(u); repatch rotates each basepoint
-    onto the equator, where the parametrization is best conditioned."""
+    """Chart u -> ctr + diag(ax) rot sph(u); repatch turns each basepoint's
+    pre-image into e_x of a central-projection chart (`_spheroid_stack`)."""
     sval, stangents, shess = _unit_sphere_maps()
     A = np.diag(ax) @ rot
 
@@ -840,36 +840,39 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component):
         s0 = sval(u0) @ rot.T
         cols = np.transpose(ax[:, None] * _rotations_taking_ex(s0), (2, 1, 0))
         return (_spheroid_stack(np.ascontiguousarray(cols), ctr),
-                np.tile([math.pi / 2.0, 0.0], (len(s0), 1)))
+                np.zeros((len(s0), 2)))
 
     return Chart(2, 3, value, jacobian, hessian, _sphere_rule(*base_nodes),
                  component=component, repatch=repatch)
 
 
 def _spheroid_stack(cols, ctr):
-    """The stack of spheroid charts u -> ctr + A_r sph(u), one per row r,
-    with cols[j] (3, R) the j-th columns of the A_r, stored by component
-    so that every product below runs over the rows in memory order. Its
-    both writes each output component from its own (R,) rows of cols
-    straight into the Newton's component buffers:
-    A sph = sin(th) e + cos(th) a2 with e = cos(ph) a0 + sin(ph) a1."""
+    """The stack of spheroid charts u -> ctr + A_r p(u), one per row r, with
+    p(u) = (e_x + u_1 e_y - u_0 e_z) / sqrt(1 + |u|^2) the central
+    projection onto the hemisphere around e_x (p(0) = e_x exactly, axes
+    -e_z and e_y there) and cols[j] (3, R) the j-th columns a_j of the A_r,
+    stored by component. Its both is trig-free and writes each component
+    from its (R,) rows of cols straight into the Newton's buffers: with
+    g = 1 / sqrt(1 + |u|^2) and d = g (a_0 + u_1 a_1 - u_0 a_2) = x - ctr,
+    J_0 = -g (a_2 + g u_0 d) and J_1 = g (a_1 - g u_1 d)."""
 
     def both(u, x, jac):
-        th, ph = u[0], u[1]
-        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
-        e, tmp = np.empty_like(st), np.empty_like(st)
+        u0, u1 = u[0], u[1]
+        g = 1.0 / np.sqrt(u0 * u0 + u1 * u1 + 1.0)
+        g0, g1, neg, tmp = g * u0, g * u1, -g, np.empty_like(g)
         for i, (a0, a1, a2) in enumerate(zip(*cols)):
-            np.multiply(cp, a0, out=e)
-            e += np.multiply(sp, a1, out=tmp)
             xi, j0, j1 = x[i], jac[i, 0], jac[i, 1]
-            np.multiply(st, e, out=xi)              # ctr + st e + ct a2
+            np.multiply(u1, a1, out=xi)             # d = x - ctr
+            xi += a0
+            xi -= np.multiply(u0, a2, out=tmp)
+            xi *= g
+            np.multiply(g0, xi, out=j0)             # -g (a2 + g u0 d)
+            j0 += a2
+            j0 *= neg
+            np.multiply(g1, xi, out=j1)             # g (a1 - g u1 d)
+            np.subtract(a1, j1, out=j1)
+            j1 *= g
             xi += ctr[i]
-            xi += np.multiply(ct, a2, out=tmp)
-            np.multiply(ct, e, out=j0)              # ct e - st a2
-            j0 -= np.multiply(st, a2, out=tmp)
-            np.multiply(cp, a1, out=j1)             # st (cp a1 - sp a0)
-            j1 -= np.multiply(sp, a0, out=tmp)
-            j1 *= st
 
     def take(idx):
         return _spheroid_stack(np.take(cols, idx, axis=-1), ctr)

@@ -16,7 +16,8 @@ from rieszlab.geometry import (PatchClassParams, default_patch_radius,
                                orthonormal_frames, polygon_circle, read_obj,
                                read_off, torus_mesh, validate_patch_class,
                                write_obj, write_off)
-from rieszlab.geometry.charts import _graph_patch_surface, _inv_small
+from rieszlab.geometry.charts import (_graph_patch_surface, _inv_small,
+                                      _rotations_taking_ex, _spheroid_stack)
 from rieszlab.geometry.patches import (fit_curvature, fit_tangent_frames,
                                        orthonormal_frames_adjoint,
                                        umbilicity_defect)
@@ -402,6 +403,68 @@ def test_chord_rows_do_not_depend_on_their_batch(name):
         part = stack.chord_solve(node[rows], v[rows], t[rows])
         for got, want in zip(whole, part):
             np.testing.assert_array_equal(got[rows], want)
+
+
+def test_spheroid_stack_is_the_central_projection():
+    # x(u) = c + diag(ax) R p(u), p(u) = (e_x + u_1 e_y - u_0 e_z) /
+    # sqrt(1 + |u|^2), on random stacks and rows |u| <= 1.5
+    rng = np.random.default_rng(11)
+    R = 400
+    ax = rng.uniform(0.3, 2.0, 3)
+    rot = _rotations_taking_ex(rng.normal(size=(R, 3)))
+    ctr = rng.normal(size=3)
+    A = ax[:, None] * rot
+    stack = _spheroid_stack(np.ascontiguousarray(np.transpose(A, (2, 1, 0))),
+                            ctr)
+    u = rng.uniform(-1.5, 1.5, (R, 2))
+    u *= np.minimum(1.0, 1.5 / np.linalg.norm(u, axis=-1))[:, None]
+    x, jac = stack.value_jacobian(u)
+    p = np.einsum("rji,rj->ri", rot, (x - ctr) / ax)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(np.linalg.norm(p, axis=-1) - 1.0)) <= 8 * eps
+    ref = np.stack([np.ones(R), u[:, 1], -u[:, 0]], axis=-1)
+    ref /= np.sqrt(1.0 + np.sum(u * u, axis=-1))[:, None]
+    np.testing.assert_allclose(p, ref, rtol=0, atol=16 * eps)
+    # the base point and axes are those of the spherical angles at the
+    # equator, bit for bit: c + a_0, and -a_2 and a_1
+    x0, jac0 = stack.value_jacobian(np.zeros((R, 2)))
+    assert np.array_equal(x0, ctr + A[:, :, 0])
+    assert np.array_equal(jac0, np.stack([-A[:, :, 2], A[:, :, 1]], -1))
+    # the Jacobian against central differences of the value
+    h = 1e-6
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = h
+        fd = (stack.value_jacobian(u + step)[0]
+              - stack.value_jacobian(u - step)[0]) / (2 * h)
+        np.testing.assert_allclose(jac[..., k], fd, rtol=0, atol=1e-9)
+    # take(idx) has the full stack's bits on its rows
+    idx = rng.permutation(R)[:97]
+    xt, jt = stack.take(idx).value_jacobian(u[idx])
+    assert np.array_equal(xt, x[idx]) and np.array_equal(jt, jac[idx])
+
+
+def test_spheroid_stack_frames_match_the_angle_chart():
+    # the frames patches_at builds from the stack span the original
+    # chart's tangent plane with its orientation: the same normal
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        surface = make_ellipsoid(*rng.uniform(0.3, 2.0, 3),
+                                 center=rng.normal(size=3))
+        chart = surface.charts[0]
+        u = np.stack([rng.uniform(0.05, math.pi - 0.05, 30),
+                      rng.uniform(0.0, 2.0 * math.pi, 30)], axis=-1)
+        stack = surface.patches_at([(0, p) for p in u], 0.05, True)
+        T, N = orthonormal_frames(chart.jacobian(u))
+        np.testing.assert_allclose(stack.base_point, chart.value(u),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stack.normal, N, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stack.tangent @ np.swapaxes(stack.tangent,
+                                                               -1, -2),
+                                   T @ np.swapaxes(T, -1, -2),
+                                   rtol=0, atol=1e-14)
+        frame = np.concatenate([stack.tangent, stack.normal], axis=-1)
+        assert np.all(np.linalg.det(frame) > 0.0)
 
 
 def test_sphere_curvature():

@@ -10,8 +10,9 @@ from rieszlab.cli import dump_json
 from rieszlab.errors import (PoleError, PreconditionError,
                              UnsupportedInputError)
 from rieszlab.geometry import (icosphere, make_circle, make_disjoint_union,
-                               make_sphere)
+                               make_ellipsoid, make_sphere)
 from rieszlab.geometry.charts import Chart, ChartSurface
+from rieszlab.moebius import MoebiusMap, apply_moebius
 from rieszlab.riesz import (QuadratureConfig, beta_oracle, beta_residue,
                             finite_part_at_pole, riesz_energy, scaling_check)
 
@@ -262,3 +263,24 @@ def test_union_energy_is_the_same_with_each_circles_row_fill():
     without = ChartSurface(1, 2, [union.charts[0], plain], True, 0)
     assert (dump_json(riesz_energy(union, -2.5).as_dict())
             == dump_json(riesz_energy(without, -2.5).as_dict()))
+
+
+def test_inverted_ellipsoid_energy_at_set_patch_radii():
+    # some patch rims of this image at radii 0.5 and 1.0 reach points whose
+    # pre-images lie beyond the hemisphere of the ellipsoid's unit sphere
+    # around the base point's. The radius check must shrink those patches:
+    # a chart that reached them passed the coarse grid there and then left
+    # chord rows between the grid's directions unconverged. The energy must
+    # then agree with the default radius's. The outer rule at scale 0.15
+    # shows that failure as the default rule does.
+    surface = apply_moebius(make_ellipsoid(1.0, 1.0, 1.2),
+                            MoebiusMap("inversion", center=(3.0, 0.2, 0.1),
+                                       radius=2.0))
+    ref = riesz_energy(surface, -4.0,
+                       config=QuadratureConfig(outer_scale=0.15))
+    for radius in (0.5, 1.0):
+        rep = riesz_energy(surface, -4.0,
+                           config=QuadratureConfig(outer_scale=0.15,
+                                                   patch_radius=radius))
+        assert math.isfinite(rep.value), radius
+        assert abs(rep.value - ref.value) <= ref.error_estimate, radius
