@@ -21,7 +21,7 @@ def main():
     print("phi''(0) against the umbilicity defect (pi Delta / 4):")
     for u in ([0.9, 0.3], [1.6, 2.0], [2.2, 4.4]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
-        prof = radial_profile(patch, patch.radius)
+        prof = radial_profile(patch)
         delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         print(f"  point theta={u[0]:.2f} phi={u[1]:.2f}: "
               f"phi''(0) = {2 * prof.taylor[0, 2]:+.6f}   "
@@ -29,7 +29,7 @@ def main():
 
     print("splitting identity at alpha = -4 (pole of the m=2 family):")
     patch = graph_patch_at(ell, [(0, [1.2, 0.8])], 0.5)
-    prof = radial_profile(patch, 0.5)
+    prof = radial_profile(patch)
     params = EnergyParams(-4.0, 2)
     full = finite_part(params, prof, 0.5)
     inner = finite_part(params, prof, 0.3)

@@ -118,7 +118,7 @@ def _require_finite(name, value):
 
 def _two_spheres(gap, r):
     a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
-    b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0), component=1)
+    b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0))
     return make_disjoint_union(a, b)
 
 

@@ -81,7 +81,7 @@ def _ks_vertex_gradient(vertices, topology):
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
     unit vector) arguments, so each vertex's pair gradient is twice its
-    row side (`ks_pair_kernel`'s pullback) and dE/dw = 2 q w. The clip of
+    row side (`moebius._PairPass`'s pullback) and dE/dw = 2 q w. The clip of
     1 - cos to [0, 2] only removes rounding, so its derivative is taken as
     1 on every pair apart, as complex steps through `_ks_q` see it. The
     unit vectors' gradients (tangent or normal) then run back through the

@@ -163,26 +163,28 @@ class Chart:
     away from patch centers), and the points' parameters in them. The maps
     of a stack take one parameter row per chart, u (B, m), and its
     take(idx) is the stack of the charts idx; take is None on a single
-    chart. The patch Newton evaluates a chart through `fill`, on component
-    rows: both, when set, is that evaluation, both(u, x, jac) writing
+    chart. `fill` is the one evaluation of a chart's rows, the patch
+    Newton's: both, when set, is that evaluation, both(u, x, jac) writing
     value(u) and jacobian(u) for parameters u (m, R) into the rows x[i] and
     jac[i, j] of x (n, R) and jac (n, m, R), with the bits of the two
     separate maps; a chart without it is evaluated by value and jacobian
     and copied into the rows. A spheroid stack (a central projection)
     serves only the patch Newton, so it has both alone: trig-free, it writes
     each output component straight into the Newton's component buffers,
-    and its value, jacobian, hessian and param_rule are None.
+    and its value, jacobian, hessian and param_rule are None. component is
+    the chart's connected-component label, 0 until `make_disjoint_union`
+    renumbers it.
     """
 
     def __init__(self, m, n, value, jacobian, hessian, param_rule,
-                 component=0, repatch=None, take=None, both=None):
+                 repatch=None, take=None, both=None):
         self.m = int(m)
         self.n = int(n)
         self.value = value
         self.jacobian = jacobian
         self.hessian = hessian
         self.param_rule = param_rule
-        self.component = int(component)
+        self.component = 0
         self.repatch = repatch
         self.take = take
         self.both = both
@@ -197,22 +199,15 @@ class Chart:
         x[...] = self.value(uu).T
         jac[...] = self.jacobian(uu).transpose(1, 2, 0)
 
-    def value_jacobian(self, u):
-        """(value(u), jacobian(u)) for parameter rows u (R, m)."""
-        if self.both is None:
-            return self.value(u), self.jacobian(u)
-        x = np.empty((len(u), self.n))
-        jac = np.empty((len(u), self.n, self.m))
-        self.both(u.T, x.T, jac.transpose(1, 2, 0))
-        return x, jac
-
 
 @dataclass
 class ChartSurface(Surface):
     """Closed (or open) m-submanifold of R^n given by parametric charts.
 
     Implements the surface protocol (`surface.py`). A locator is a pair
-    (chart index, parameter u) or a bare u on chart 0.
+    (chart index, parameter u) or a bare u on chart 0. Every node of a chart
+    carries that chart's component label (`make_disjoint_union`); every
+    row of a graph patch is evaluated by `Chart.fill`.
     """
 
     m: int
@@ -315,10 +310,17 @@ class ChartSurface(Surface):
                 return first + _chain_hessian(hess_map(x), Ju)
 
             def both(u, x, jac):
-                y, Ju = chart.value_jacobian(u.T.copy())
+                # the chart's rows, then the maps on contiguous (R, n) and
+                # (R, n, m) copies, which fix the einsum's summation order
+                y = np.empty((chart.n, u.shape[-1]))
+                Ju = np.empty((chart.n, chart.m, u.shape[-1]))
+                chart.fill(u, y, Ju)
+                y = np.ascontiguousarray(y.T)
                 x[...] = value_map(y).T
-                jac[...] = np.einsum("...ij,...jp->...ip", jac_map(y),
-                                     Ju).transpose(1, 2, 0)
+                jac[...] = np.einsum(
+                    "...ij,...jp->...ip", jac_map(y),
+                    np.ascontiguousarray(Ju.transpose(2, 0, 1))
+                ).transpose(1, 2, 0)
 
             repatch = take = None
             if chart.repatch is not None:
@@ -329,9 +331,11 @@ class ChartSurface(Surface):
                 def take(idx):
                     return wrap_chart(chart.take(idx))
 
-            return Chart(chart.m, chart.n, value, jacobian, hessian,
-                         chart.param_rule, chart.component,
-                         repatch=repatch, take=take, both=both)
+            wrapped = Chart(chart.m, chart.n, value, jacobian, hessian,
+                            chart.param_rule, repatch=repatch, take=take,
+                            both=both)
+            wrapped.component = chart.component
+            return wrapped
 
         return ChartSurface(self.m, self.n, [wrap_chart(c) for c in self.charts],
                             self.closed, self.euler_char)
@@ -413,9 +417,11 @@ class ChartSurface(Surface):
 
             def fill(u, x, jac):
                 for sel, chart in calls:
-                    xs, js = chart.value_jacobian(u[:, sel].T.copy())
-                    x[:, sel] = xs.T
-                    jac[:, :, sel] = js.transpose(1, 2, 0)
+                    xs = np.empty((n, len(sel)))
+                    js = np.empty((n, m, len(sel)))
+                    chart.fill(u[:, sel], xs, js)
+                    x[:, sel] = xs
+                    jac[:, :, sel] = js
             return fill
 
         def first_run(nodes):
@@ -820,11 +826,12 @@ def _unit_sphere_maps():
     return value, tangents, hessian
 
 
-def _spheroid_chart(ax, ctr, rot, base_nodes, component):
-    """Chart u -> ctr + diag(ax) rot sph(u); repatch turns each basepoint's
-    pre-image into e_x of a central-projection chart (`_spheroid_stack`)."""
+def _spheroid_chart(ax, ctr):
+    """Chart u -> ctr + diag(ax) sph(u) in spherical angles, on the rule of
+    48 x 96 nodes at scale 1; repatch turns each basepoint's pre-image into
+    e_x of a central-projection chart (`_spheroid_stack`)."""
     sval, stangents, shess = _unit_sphere_maps()
-    A = np.diag(ax) @ rot
+    A = np.diag(ax)
 
     def value(u):
         return ctr + sval(u) @ A.T
@@ -837,13 +844,13 @@ def _spheroid_chart(ax, ctr, rot, base_nodes, component):
         return np.einsum("ij,...jpq->...ipq", A, shess(u))
 
     def repatch(u0):
-        s0 = sval(u0) @ rot.T
+        s0 = sval(u0)
         cols = np.transpose(ax[:, None] * _rotations_taking_ex(s0), (2, 1, 0))
         return (_spheroid_stack(np.ascontiguousarray(cols), ctr),
                 np.zeros((len(s0), 2)))
 
-    return Chart(2, 3, value, jacobian, hessian, _sphere_rule(*base_nodes),
-                 component=component, repatch=repatch)
+    return Chart(2, 3, value, jacobian, hessian, _sphere_rule(48, 96),
+                 repatch=repatch)
 
 
 def _spheroid_stack(cols, ctr):
@@ -880,21 +887,19 @@ def _spheroid_stack(cols, ctr):
     return Chart(2, 3, None, None, None, None, take=take, both=both)
 
 
-def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0),
-                   base_nodes=(48, 96), component=0):
+def make_ellipsoid(a=1.0, b=1.0, c=1.0, center=(0.0, 0.0, 0.0)):
     ax = np.array([a, b, c], dtype=float)
     if not np.all(ax > 0.0):
         raise PreconditionError(f"semi-axes must be positive, got {a!r}, "
                                 f"{b!r}, {c!r}")
     ctr = np.asarray(center, dtype=float)
-    chart = _spheroid_chart(ax, ctr, np.eye(3), base_nodes, component)
+    chart = _spheroid_chart(ax, ctr)
     return ChartSurface(2, 3, [chart], True, 2)
 
 
-def make_sphere(radius=1.0, center=(0.0, 0.0, 0.0), base_nodes=(48, 96),
-                component=0):
+def make_sphere(radius=1.0, center=(0.0, 0.0, 0.0)):
     r = float(radius)
-    return make_ellipsoid(r, r, r, center, base_nodes, component)
+    return make_ellipsoid(r, r, r, center)
 
 
 def make_torus(major=2.0, minor=0.5):
@@ -1018,7 +1023,7 @@ def make_saddle_surface(extent=1.0):
     return _graph_patch_surface(g, grad_g, hess_g, extent)
 
 
-def make_disk(radius=1.0, z=0.0, component=0):
+def make_disk(radius=1.0, z=0.0):
     """Flat horizontal disk at height z, oriented by (rho, phi) parameter order."""
     r1 = float(radius)
 
@@ -1045,12 +1050,14 @@ def make_disk(radius=1.0, z=0.0, component=0):
 
     rule = _product_rule([(1e-3, r1), (0.0, 2 * math.pi)],
                          (16, 48), [False, True])
-    chart = Chart(2, 3, value, jacobian, hessian, rule, component=component)
+    chart = Chart(2, 3, value, jacobian, hessian, rule)
     return ChartSurface(2, 3, [chart], False, None)
 
 
 def make_disjoint_union(a: ChartSurface, b: ChartSurface) -> ChartSurface:
-    """Disjoint union; components renumbered so the parts stay identifiable."""
+    """Disjoint union: b's charts are copied with their component labels
+    shifted past a's, the one place where chart labels are set, so the
+    parts stay identifiable."""
     if a.m != b.m or a.n != b.n:
         raise UnsupportedInputError("disjoint union requires matching dimensions")
     charts = list(a.charts)

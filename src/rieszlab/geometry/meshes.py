@@ -319,9 +319,6 @@ class TriMesh(Surface):
         """Per-face m-volume (edge lengths / triangle areas)."""
         return face_sizes(self.vertices, self.topology)[1]
 
-    def total_volume(self) -> float:
-        return float(np.sum(self.measures()))
-
     def face_centroids(self) -> np.ndarray:
         return self.vertices[self.faces].mean(axis=1)
 

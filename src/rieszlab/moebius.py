@@ -96,15 +96,17 @@ def combined_angle_cos(surface, loc_x, loc_y) -> float:
 # ----------------------------------------------------------------------
 
 def ks_unit_vectors(tangent, normal):
-    """`ks_pair_kernel`'s unit vectors of the frames that `curvatures`
-    returns: the tangent of a curve, the unit normal of a surface."""
+    """The KS pair kernel's unit vectors (`_PairPass`) of the frames that
+    `curvatures` returns: the tangent of a curve, the unit normal of a
+    surface."""
     return tangent[..., 0] if tangent.shape[-1] == 1 else normal[..., 0]
 
 
-def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
-    """(1 - cos theta) and squared distances s = |y - x|^2 for all point
-    pairs, from one unit vector (N, n) per point (`ks_unit_vectors`), and
-    their row-side pullback: a `_PairPass` of one block over all pairs.
+class _PairPass:
+    """The KS pair kernel: (1 - cos theta) and squared distances
+    s = |y - x|^2 for pairs of rows of x and columns of y, from one unit
+    vector (N, n) per point (`ks_unit_vectors`), and their row-side
+    pullback, in blocks of rows against columns.
 
     Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
     (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
@@ -124,31 +126,26 @@ def ks_pair_kernel(x_pts, x_units, y_pts, y_units, m):
     the inputs. Coincident pairs get 0 in both outputs; 1 - cos is not
     clipped to [0, 2].
 
+    The row stacks [e_c, -x_c] for each coordinate c, [u_x, -<u_x, x>] and
+    [-x, 1], (n + 2, Nx, n + 1), and the column stacks [y; 1] and
+    [u_y; <u_y, y>], (n + 1, Ny), are built once, and room for `arrays`
+    buffers of `pairs` entries, enough for the pass's largest block, is
+    allocated once. Each block reads its rows and columns as slices of the
+    stacks and writes the differences and then 2 / s, s, 1 - cos and q
+    into the buffers, so what a block returns holds until the next block.
+    With four buffers a and b pass through those of 1 - cos and q, and the
+    block has no pullback (None); with six they keep buffers of their own,
+    which the pullback reads.
+
     pullback(omc_bar, s_bar) returns the gradients of sum(omc_bar * omc
-    + s_bar * s) with respect to x_pts (Nx, n) and x_units (Nx, n), in
-    O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row sums over the
-    coordinate differences; coincident pairs contribute nothing, whatever
-    their bars, their outputs being constant 0. The kernel is symmetric
-    under swapping (x, u_x) with (y, u_y) for any vectors, so in a
-    symmetric double sum each point's gradient is twice its row side and
-    the column side is never formed. The pullback takes real input only.
-    """
-    return _PairPass(x_pts, x_units, y_pts, y_units, m,
-                     len(x_pts) * len(y_pts), 6).kernel(0, len(x_pts), 0)[:3]
-
-
-class _PairPass:
-    """One pass of `ks_pair_kernel` over blocks of rows of x against
-    columns of y: the row stacks [e_c, -x_c] for each coordinate c,
-    [u_x, -<u_x, x>] and [-x, 1], (n + 2, Nx, n + 1), and the column stacks
-    [y; 1] and [u_y; <u_y, y>], (n + 1, Ny), built once, and room for
-    `arrays` buffers of `pairs` entries, enough for the pass's largest
-    block, allocated once. Each block reads its rows and columns as slices
-    of the stacks and writes the differences and then 2 / s, s, 1 - cos
-    and q into the buffers, so what a block returns holds until the next
-    block. With four buffers a and b pass through those of 1 - cos and q,
-    and the block has no pullback (None); with six they keep buffers of
-    their own, which the pullback reads.
+    + s_bar * s) with respect to the block's x_pts (Nx, n) and x_units
+    (Nx, n), in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row
+    sums over the coordinate differences; coincident pairs contribute
+    nothing, whatever their bars, their outputs being constant 0. The
+    kernel is symmetric under swapping (x, u_x) with (y, u_y) for any
+    vectors, so in a symmetric double sum each point's gradient is twice
+    its row side and the column side is never formed. The pullback takes
+    real input only.
     """
 
     def __init__(self, x_pts, x_units, y_pts, y_units, m, pairs, arrays):
@@ -176,7 +173,7 @@ class _PairPass:
         self.buffers = [np.empty(pairs, dtype) for _ in range(arrays)]
 
     def kernel(self, lo, hi, col):
-        """`ks_pair_kernel` of the rows lo:hi against the columns col:,
+        """The kernel of the rows lo:hi against the columns col:,
         (1 - cos theta, s, pullback), and the buffer for their q, all in
         the pass's buffers."""
         n, sign = self.n, self.sign
@@ -262,8 +259,8 @@ def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
     about one of its own points. Yields (lo, hi, q, omc, s, pullback) for
     the rows lo:hi: omc is 1 - cos theta clipped to [0, 2],
     q = (omc / s)^m with each coincident pair taking its row's diag value
-    (`_ks_q`), and s and pullback are `ks_pair_kernel`'s, on the translated
-    points. Each block is a pass of its own, as in `ks_pair_kernel`, and
+    (`_ks_q`), and s and pullback are the pair kernel's (`_PairPass`), on
+    the translated points. Each block is a pass of its own, and
     `_ks_q` writes q into that pass's buffer, so a caller may keep every
     block.
     """

@@ -39,7 +39,7 @@ rounding. The round sphere stays at 16 directions everywhere. Curves
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,19 +69,21 @@ class EnergyParams:
 
     alpha: float
     m: int
-    at_pole: bool = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(float(self.alpha)):
             raise PreconditionError(f"alpha must be finite, got {self.alpha!r}")
+
+    @property
+    def at_pole(self) -> bool:
+        """-alpha - m a non-negative even integer: a finite-part pole."""
         a = -float(self.alpha)
         a_int = round(a)
         if abs(a - a_int) < POLE_SNAP_TOL:
             a = float(a_int)
         d = a - self.m
-        pole = (d > -POLE_SNAP_TOL and abs(d - round(d)) < POLE_SNAP_TOL
-                and round(d) % 2 == 0)
-        object.__setattr__(self, "at_pole", bool(pole))
+        return bool(d > -POLE_SNAP_TOL and abs(d - round(d)) < POLE_SNAP_TOL
+                    and round(d) % 2 == 0)
 
 
 # Directions of the S^1 rule of a radial profile sample on surfaces: every
@@ -314,24 +316,19 @@ def _profile_batch(patches, node, ts):
     return vals
 
 
-def radial_profile(patches: PatchStack, eps0=None) -> ProfileStack:
-    """The chord densities phi of every node of a `PatchStack`.
+def radial_profile(patches: PatchStack) -> ProfileStack:
+    """The chord densities phi of every node of a `PatchStack`, each on
+    [0, its validated radius].
 
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
     s = t^2 (see `ProfileStack`), every level's chord rows solved at once;
     ProfileFitError, carrying the node, is raised when 65 points do not
-    resolve a profile. eps0 is per node, default the stack's radii. To
-    profile some nodes of a larger stack, pass `patches.take(nodes)`: its
-    rows go to the larger stack's chord solve, and errors name the
-    positions in nodes.
+    resolve a profile. To profile some nodes of a larger stack, pass
+    `patches.take(nodes)`: its rows go to the larger stack's chord solve,
+    and errors name the positions in nodes.
     """
-    radii = patches.radii
-    eps0 = np.broadcast_to(np.asarray(radii if eps0 is None else eps0,
-                                      dtype=float), radii.shape)
-    if np.any(eps0 > radii * (1 + 1e-12)):
-        raise PreconditionError("profile radius exceeds the validated patch radius")
     return _interpolate(lambda node, t: _profile_batch(patches, node, t),
-                        patches.m, eps0)
+                        patches.m, patches.radii)
 
 
 # ----------------------------------------------------------------------

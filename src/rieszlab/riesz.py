@@ -220,13 +220,13 @@ def riesz_energy(surface, alpha,
         patches = stack.take(idx)
         eps = patches.radii
         try:
-            profiles = radial_profile(patches, eps)
+            profiles = radial_profile(patches)
         except NumericalError as exc:
             text = where(idx, exc.node)[0]
             exc.nodes = [int(idx[k]) for k in exc.nodes]
             exc.args = (f"{text}: {exc}",)
             raise
-        pf = finite_part(params, profiles, eps)
+        pf = finite_part(params, profiles)
         blend = BlendKernel(params.alpha, eps)
 
         # blend-kernel mass of each chord ball: the blend polynomial times

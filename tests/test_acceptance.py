@@ -231,7 +231,7 @@ def test_c07_radial_curvature_link():
     worst = 0.0
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
-        prof = radial_profile(patch, patch.radius)
+        prof = radial_profile(patch)
         delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         expected = math.pi * delta / 4.0
         rel = abs(2.0 * prof.taylor[0, 2] - expected) / abs(expected)

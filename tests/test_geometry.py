@@ -235,7 +235,7 @@ def test_patch_reembedding():
 
 @pytest.mark.parametrize("a, b, field", [
     (make_circle(), make_circle(1.0, (2.5, 0.0)), "both"),
-    (make_sphere(), make_sphere(1.0, (2.5, 0.0, 0.0), component=1),
+    (make_sphere(), make_sphere(1.0, (2.5, 0.0, 0.0)),
      "repatch"),
 ], ids=["circles", "spheres"])
 def test_union_keeps_every_chart_field(a, b, field):
@@ -257,7 +257,7 @@ def test_concatenated_stack_errors_name_the_stack_node():
     # one chart run per sphere: node 2 is node 1 of the second run, and a
     # chord t = 3 beyond the unit sphere's diameter has no solution
     both = make_disjoint_union(
-        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
+        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0)))
     stack = graph_patch_at(both, [(0, np.array([1.0, 0.5])),
                                   (1, np.array([1.0, 0.5])),
                                   (1, np.array([1.2, 2.0]))], 0.3)
@@ -271,7 +271,7 @@ def test_concatenated_stack_build_errors_name_the_stack_node():
     # a radius of 0.3 on a sphere of radius 0.1 fails at the first node of
     # the second chart run, node 1 of the list
     both = make_disjoint_union(
-        make_sphere(), make_sphere(0.1, (3.0, 0.0, 0.0), component=1))
+        make_sphere(), make_sphere(0.1, (3.0, 0.0, 0.0)))
     with pytest.raises(NumericalError) as exc:
         graph_patch_at(both, [(0, np.array([1.0, 0.5])),
                               (1, np.array([1.0, 0.5])),
@@ -281,7 +281,7 @@ def test_concatenated_stack_build_errors_name_the_stack_node():
 
 def test_concatenated_stack_rows_keep_their_node_shape():
     both = make_disjoint_union(
-        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
+        make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0)))
     stack = graph_patch_at(both, [(0, np.array([1.0, 0.5])),
                                   (1, np.array([1.0, 0.5])),
                                   (1, np.array([1.2, 2.0]))], 0.3)
@@ -312,8 +312,7 @@ def test_newton_failures_name_only_unconverged_rows(fn, rows):
 
 UNIONS = {
     "sphere+ellipsoid": lambda: make_disjoint_union(
-        make_sphere(), make_ellipsoid(0.8, 1.0, 1.2, (3.0, 0.0, 0.0),
-                                      component=1)),
+        make_sphere(), make_ellipsoid(0.8, 1.0, 1.2, (3.0, 0.0, 0.0))),
     "torus+sphere": lambda: make_disjoint_union(
         make_torus(2.0, 0.5), make_sphere(0.5, (0.0, 0.0, 3.0))),
     "inversion": lambda: apply_moebius(
@@ -405,6 +404,15 @@ def test_chord_rows_do_not_depend_on_their_batch(name):
             np.testing.assert_array_equal(got[rows], want)
 
 
+def _fill_rows(chart, u):
+    """(value, jacobian) of a chart at parameter rows u (R, m), read
+    through `Chart.fill` into (R, n) and (R, n, m) arrays."""
+    x = np.empty((len(u), chart.n))
+    jac = np.empty((len(u), chart.n, chart.m))
+    chart.fill(u.T, x.T, jac.transpose(1, 2, 0))
+    return x, jac
+
+
 def test_spheroid_stack_is_the_central_projection():
     # x(u) = c + diag(ax) R p(u), p(u) = (e_x + u_1 e_y - u_0 e_z) /
     # sqrt(1 + |u|^2), on random stacks and rows |u| <= 1.5
@@ -418,7 +426,7 @@ def test_spheroid_stack_is_the_central_projection():
                             ctr)
     u = rng.uniform(-1.5, 1.5, (R, 2))
     u *= np.minimum(1.0, 1.5 / np.linalg.norm(u, axis=-1))[:, None]
-    x, jac = stack.value_jacobian(u)
+    x, jac = _fill_rows(stack, u)
     p = np.einsum("rji,rj->ri", rot, (x - ctr) / ax)
     eps = np.finfo(float).eps
     assert np.max(np.abs(np.linalg.norm(p, axis=-1) - 1.0)) <= 8 * eps
@@ -427,7 +435,7 @@ def test_spheroid_stack_is_the_central_projection():
     np.testing.assert_allclose(p, ref, rtol=0, atol=16 * eps)
     # the base point and axes are those of the spherical angles at the
     # equator, bit for bit: c + a_0, and -a_2 and a_1
-    x0, jac0 = stack.value_jacobian(np.zeros((R, 2)))
+    x0, jac0 = _fill_rows(stack, np.zeros((R, 2)))
     assert np.array_equal(x0, ctr + A[:, :, 0])
     assert np.array_equal(jac0, np.stack([-A[:, :, 2], A[:, :, 1]], -1))
     # the Jacobian against central differences of the value
@@ -435,12 +443,12 @@ def test_spheroid_stack_is_the_central_projection():
     for k in range(2):
         step = np.zeros(2)
         step[k] = h
-        fd = (stack.value_jacobian(u + step)[0]
-              - stack.value_jacobian(u - step)[0]) / (2 * h)
+        fd = (_fill_rows(stack, u + step)[0]
+              - _fill_rows(stack, u - step)[0]) / (2 * h)
         np.testing.assert_allclose(jac[..., k], fd, rtol=0, atol=1e-9)
     # take(idx) has the full stack's bits on its rows
     idx = rng.permutation(R)[:97]
-    xt, jt = stack.take(idx).value_jacobian(u[idx])
+    xt, jt = _fill_rows(stack.take(idx), u[idx])
     assert np.array_equal(xt, x[idx]) and np.array_equal(jt, jac[idx])
 
 
@@ -615,7 +623,7 @@ def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
 
 def test_validate_two_disjoint_spheres():
     a = make_sphere(1.0, (0.0, 0.0, 0.0))
-    b = make_sphere(1.0, (4.0, 0.0, 0.0), component=1)
+    b = make_sphere(1.0, (4.0, 0.0, 0.0))
     both = make_disjoint_union(a, b)
     params = PatchClassParams(radius=0.3, derivative_bound=10.0,
                               volume_bound=40.0)

@@ -25,8 +25,8 @@ from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import mesh_disjoint_union, orthonormal_frames
 from rieszlab.geometry.meshes import MeshTopology
 from rieszlab.geometry.patches import cross, dot, umbilicity_defect
-from rieszlab.moebius import (combined_angle_cos_frames, ks_pair_blocks,
-                              ks_pair_kernel, ks_triangle_rows,
+from rieszlab.moebius import (_PairPass, combined_angle_cos_frames,
+                              ks_pair_blocks, ks_triangle_rows,
                               ks_unit_vectors)
 
 
@@ -135,8 +135,15 @@ def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
     return omc, s
 
 
+def _pair_kernel(x_pts, x_units, y_pts, y_units, m):
+    """(1 - cos theta, s, pullback) of every pair of rows of x and y: a
+    `_PairPass` of one block over all pairs."""
+    return _PairPass(x_pts, x_units, y_pts, y_units, m,
+                     len(x_pts) * len(y_pts), 6).kernel(0, len(x_pts), 0)[:3]
+
+
 def _stacked_kernel(x_pts, x_units, y_pts, y_units, m):
-    """`ks_pair_kernel` as it was before the passes shared their stacks and
+    """The pair kernel as it was before the passes shared their stacks and
     buffers across blocks: the same homogeneous stacks and products, all
     built per call, and a and b kept for the pullback."""
     n = x_pts.shape[-1]
@@ -283,7 +290,7 @@ CHARTS = ["sphere", "ellipsoid", "ellipsoid_inverted", "torus", "circle",
 def test_chart_curvatures_match_per_point_reference(name):
     if name == "two_spheres":
         surface = make_disjoint_union(
-            make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0), component=1))
+            make_sphere(), make_sphere(1.0, (3.0, 0.0, 0.0)))
     else:
         surface = SURFACES[name]()
     locators = _sampled_locators(surface, 60)
@@ -313,7 +320,7 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     nodes = surface.nodes(0.5)
     tangent, normal, sff = surface.curvatures(nodes.locators)
     units = ks_unit_vectors(tangent, normal)
-    omc, s, _ = ks_pair_kernel(nodes.points, units, nodes.points, units, 2)
+    omc, s, _ = _pair_kernel(nodes.points, units, nodes.points, units, 2)
     off = ~np.eye(len(s), dtype=bool)
     assert np.all(s[off] > 0.0)
     q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, s, 1.0) ** 2
@@ -333,7 +340,7 @@ KS_SUMS = {
     "ks_flow_energy": lambda mesh: ks_flow_energy(mesh),
     "energy_gradient": lambda mesh: energy_gradient(FlowState(mesh=mesh)),
     "ks_cross_energy": lambda _: ks_cross_energy(
-        make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)),
+        make_disk(1.0, z=0.0), make_disk(1.0, z=0.1)),
 }
 
 
@@ -362,7 +369,7 @@ def test_ks_energy_is_translation_invariant_far_from_the_origin():
     t = 0.6
     tilt = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), -math.sin(t)],
                      [0.0, math.sin(t), math.cos(t)]])
-    disks = make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)
+    disks = make_disk(1.0, z=0.0), make_disk(1.0, z=0.1)
     c0, c1 = (ks_cross_energy(*(_moved(d, tilt, shift) for d in disks))
               for shift in (np.zeros(3), np.full(3, 1e3)))
     assert abs(c1 - c0) <= 1e-13 * c0
@@ -377,7 +384,7 @@ def _full_square_sum(points, units, m, diag, w):
     terms = []
     for lo in range(0, len(points), 64):
         hi = min(lo + 64, len(points))
-        omc, s, _ = ks_pair_kernel(points[lo:hi], units[lo:hi], points,
+        omc, s, _ = _pair_kernel(points[lo:hi], units[lo:hi], points,
                                    units, m)
         apart = s != 0.0
         q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, s, 1.0) ** m
@@ -515,7 +522,7 @@ def test_triangle_rows_have_the_bits_of_a_kernel_per_block(name, block,
 
 
 def _disks():
-    return make_disk(1.0, z=0.0), make_disk(1.0, z=0.1, component=1)
+    return make_disk(1.0, z=0.0), make_disk(1.0, z=0.1)
 
 
 def _cross_inputs():
@@ -726,7 +733,7 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     x = rng.standard_normal((7, n))
     y = np.concatenate([rng.standard_normal((10, n)), x[:2]])  # two coincide
     fx, fy = _frames(rng, 7, n, m), _frames(rng, 12, n, m)
-    omc, s, _ = ks_pair_kernel(x, _units(fx), y, _units(fy), m)
+    omc, s, _ = _pair_kernel(x, _units(fx), y, _units(fy), m)
     ref_omc, ref_s = _einsum_kernel(x, fx, y, fy)
     assert omc.shape == s.shape == (7, 12)
     assert np.array_equal(s, ref_s)
@@ -739,7 +746,7 @@ def test_pair_kernel_rejects_codimension_two_surfaces():
     # a surface in R^4 has no unit normal, and the kernel reads nothing else
     x = np.random.default_rng(3).standard_normal((4, 4))
     with pytest.raises(UnsupportedInputError):
-        ks_pair_kernel(x, x, x, x, 2)
+        _pair_kernel(x, x, x, x, 2)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1)])
@@ -748,7 +755,7 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     h = 1e-30
     x = rng.standard_normal((9, n)) + 1j * h * rng.standard_normal((9, n))
     fx = _frames(rng, 9, n, m) + 1j * h * rng.standard_normal((9, n, m))
-    omc, s, _ = ks_pair_kernel(x, _units(fx), x, _units(fx), m)
+    omc, s, _ = _pair_kernel(x, _units(fx), x, _units(fx), m)
     ref_omc, ref_s = _einsum_kernel(x, fx, x, fx)
     assert np.max(np.abs(omc.real - ref_omc.real)) <= 1e-14
     assert np.max(np.abs(s.real - ref_s.real)) <= 1e-14
@@ -767,11 +774,11 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
     # is symmetric for them all
     ux = rng.standard_normal((5, n))
     uy = rng.standard_normal((10, n))
-    omc_xy = ks_pair_kernel(x, ux, y, uy, m)[0]
-    omc_yx = ks_pair_kernel(y, uy, x, ux, m)[0]
+    omc_xy = _pair_kernel(x, ux, y, uy, m)[0]
+    omc_yx = _pair_kernel(y, uy, x, ux, m)[0]
     assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
     omc_bar, s_bar = rng.standard_normal((2, 5, 10))
-    x_bar, ux_bar = ks_pair_kernel(x, ux, y, uy, m)[2](omc_bar, s_bar)
+    x_bar, ux_bar = _pair_kernel(x, ux, y, uy, m)[2](omc_bar, s_bar)
     # coincident pairs contribute nothing, whatever their bars
     live = np.ones((5, 10))
     live[0, 8] = live[1, 9] = 0.0
@@ -779,7 +786,7 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
 
     def derivative(xz, uz):
         # row i reads only x[i] and ux[i]: one complex step per coordinate
-        omc, s, _ = ks_pair_kernel(xz, uz, y, uy, m)
+        omc, s, _ = _pair_kernel(xz, uz, y, uy, m)
         return (live * (omc_bar * omc + s_bar * s)).sum(axis=1).imag / h
 
     scale = max(np.max(np.abs(x_bar)), np.max(np.abs(ux_bar)))

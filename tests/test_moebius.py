@@ -158,7 +158,7 @@ def test_ks_parallel_disks_monotone():
     values = []
     for gap in (0.2, 0.1, 0.05):
         a = make_disk(1.0, z=0.0)
-        b = make_disk(1.0, z=gap, component=1)
+        b = make_disk(1.0, z=gap)
         values.append(ks_cross_energy(a, b, scale=0.75))
     assert values[0] > 0
     assert values[0] < values[1] < values[2]

@@ -252,7 +252,7 @@ def test_profile_flat_patch():
         radii = np.array([1.0])
         def chord_solve(self, node, v, t):
             return t, np.zeros((len(t), 1)), np.zeros((len(t), 1, 2))
-    prof = radial_profile(Flat(), 1.0)
+    prof = radial_profile(Flat())
     np.testing.assert_allclose(prof.samples[0], 2 * math.pi, atol=1e-13)
     np.testing.assert_allclose(prof.taylor[0, 1:], 0.0, atol=1e-10)
 
@@ -260,7 +260,7 @@ def test_profile_flat_patch():
 def test_profile_circle_closed_form():
     circ = make_circle()
     patch = graph_patch_at(circ, [(0, [1.1])], 0.9)
-    prof = radial_profile(patch, 0.9)
+    prof = radial_profile(patch)
     ts = np.array([0.1, 0.4, 0.8])
     expected = 2.0 / np.sqrt(1 - ts ** 2 / 4)
     np.testing.assert_allclose(prof.evaluate(ts)[0], expected, rtol=1e-10)
@@ -273,7 +273,7 @@ def test_profile_circle_closed_form():
 def test_profile_sphere_constant():
     sph = make_sphere()
     patch = graph_patch_at(sph, [(0, [0.9, 2.0])], 0.9)
-    prof = radial_profile(patch, 0.9)
+    prof = radial_profile(patch)
     np.testing.assert_allclose(prof.samples[0], 2 * math.pi, rtol=1e-11)
     # umbilic: phi''(0) = pi Delta / 4 = 0
     assert abs(prof.taylor[0, 2]) < 1e-9
@@ -303,7 +303,7 @@ def test_profile_curvature_link_ellipsoid():
     ell = make_ellipsoid(1.0, 1.0, 1.2)
     for u in ([0.9, 0.3], [1.4, 2.2], [1.9, 4.0], [0.6, 1.0], [2.3, 5.5]):
         patch = graph_patch_at(ell, [(0, u)], 0.45)
-        prof = radial_profile(patch, patch.radius)
+        prof = radial_profile(patch)
         delta = umbilicity_defect(ell.curvatures([(0, u)])[2][0])
         expected = math.pi * delta / 4.0
         assert 2.0 * prof.taylor[0, 2] == pytest.approx(expected, rel=1e-8)

@@ -132,7 +132,7 @@ def _per_node_energy(surface, alpha, config):
     for i, loc in enumerate(outer.locators):
         patch = graph_patch_at(surface, [loc], requested)
         eps = patch.radius
-        profile = radial_profile(patch, eps)
+        profile = radial_profile(patch)
         pf = finite_part(params, profile, eps)
         blend = BlendKernel(alpha, eps)
         weight = np.zeros(m + 2 * len(blend.coeffs) - 2)     # t^(m-1) p(t)
@@ -159,18 +159,20 @@ def _per_node_energy(surface, alpha, config):
 
 def _two_spheres():
     # gap 0.05 and a requested radius of 1.5: every patch shrinks
-    return make_disjoint_union(
-        make_sphere(1.0, base_nodes=(24, 48)),
-        make_sphere(1.0, center=(2.05, 0.0, 0.0), base_nodes=(24, 48),
-                    component=1))
+    return make_disjoint_union(make_sphere(1.0),
+                               make_sphere(1.0, center=(2.05, 0.0, 0.0)))
 
 
 CASES = {
     "ellipsoid_a-4": (lambda: make_ellipsoid(1.0, 1.0, 1.2), -4.0,
                       QuadratureConfig(outer_scale=0.15, inner_scale=0.6)),
     "circle_a-4.5": (make_circle, -4.5, QuadratureConfig()),
+    # the default sphere rule at half scale: 6 x 12 outer, 12 x 24 inner
+    # and 6 x 12 half-inner nodes
     "two_spheres_shrunk": (_two_spheres, -4.0,
-                           QuadratureConfig(inner_scale=0.5, patch_radius=1.5)),
+                           QuadratureConfig(outer_scale=0.125,
+                                            inner_scale=0.25,
+                                            patch_radius=1.5)),
     "icosphere2_a-2.5": (lambda: icosphere(2), -2.5, QuadratureConfig()),
 }
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 105
+LIMIT = 97
 
 
 def _settable_values(tree) -> int:
