@@ -6,8 +6,8 @@ A ChartSurface is a list of charts with orientation fixed by parameter
 order, plus per-chart quadrature rules used for global integration. Its
 graph patches are one `PatchStack` for all located points, whatever their
 charts, and one Newton in chart parameters solves every row of it: the
-graph points of the radius check, `height` and `height_jacobian`, and the
-chord rows of `chord_solve`, each with its own residual.
+graph points of `height` and `height_jacobian` and the chord rows of
+`chord_solve`, each with its own residual.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ __all__ = [
 
 # Newton iterations of the chart patch Newton before it gives up.
 NEWTON_MAX_ITER = 60
-# Rows of one batch of the radius check's graph points: the first-level
-# chord rows of one `riesz_energy` block on the default sphere (32 nodes,
-# 16 radii, 16 directions), so the Newton's row buffers stay that size
-# whatever the number of nodes of a stack.
-GRID_ROWS = 1 << 13
 
 
 def _inv_small(A):
@@ -353,10 +348,10 @@ class ChartSurface(Surface):
         0.25 (an upper bound of its distance to the surface), polished on
         closed surfaces when the point lies within that node's curvature
         radius: then the distance to the foot point over its tangent
-        coordinates on the node's validated graph patch, trusted only
-        inside the patch radius, is exact up to rounding for points of the
-        surface. Open charts carry no parameter domain, so a foot point
-        there could lie beyond the edge; they keep the node distance."""
+        coordinates on the node's graph patch, trusted only inside the
+        patch radius, is exact up to rounding for points of the surface.
+        Open charts carry no parameter domain, so a foot point there could
+        lie beyond the edge; they keep the node distance."""
         x = np.asarray(point, dtype=float)
         rule = self.quadrature(0.25)
         dist = np.linalg.norm(rule.points - x, axis=-1)
@@ -368,27 +363,26 @@ class ChartSurface(Surface):
         radius = curvature_radius(self.curvatures([loc])[2])
         if near >= radius:
             return near
-        stack = self.patches_at([loc], radius, True)
+        stack = self.patches_at([loc], radius)
         eta = (x - stack.base_point[0]) @ stack.tangent[0]
-        if np.linalg.norm(eta) >= stack.radii[0]:
+        if np.linalg.norm(eta) >= radius:
             return near
         foot = (stack.base_point[0] + stack.tangent[0] @ eta
                 + stack.normal[0] @ stack.height(np.zeros(1, dtype=int),
                                                  eta[None])[0])
         return min(near, float(np.linalg.norm(x - foot)))
 
-    def patches_at(self, locators, radius, shrink) -> PatchStack:
+    def patches_at(self, locators, radius) -> PatchStack:
         """Graph patches at the located points, one stack for all of them.
 
         Each run of points on the same chart is repatched once; one row map
         then sends every row of the stack to its own chart, or to its own
-        chart of a chart stack (`Chart.take`). Every radius is validated
-        on a polar grid, in batches of at most GRID_ROWS grid rows, and
-        shrunk by 0.85 until the graph Newton converges there (unless
-        shrink=False). The graph points behind the grid, `height` and
-        `height_jacobian` and the chord rows of `chord_solve` are all
-        solved by one Newton in chart parameters. A failure names the chart
-        of its first failing run and that run's failing nodes."""
+        chart of a chart stack (`Chart.take`). The build solves nothing:
+        every node gets the requested radius, which `radial_profile`
+        validates on the node's own chord rows. The graph points of
+        `height` and `height_jacobian` and the chord rows of `chord_solve`
+        are all solved by one Newton in chart parameters. A failure names
+        the chart of its first failing run and every failing node."""
         runs = []                   # (chart index, chart, parameters (B_k, m))
         for k, u0 in self._runs(locators):
             chart = self.charts[k]
@@ -425,10 +419,8 @@ class ChartSurface(Surface):
             return fill
 
         def first_run(nodes):
-            """The chart of the first run among failing nodes, and those of
-            them on that run."""
-            part = run.take(nodes)
-            return f"chart {runs[part.min()][0]}", nodes[part == part.min()]
+            """The chart of the first run among failing nodes, and them."""
+            return f"chart {runs[run.take(nodes).min()][0]}", np.unique(nodes)
 
         u0 = np.concatenate([u for *_, u in runs])
         x0 = np.empty((len(u0), n))
@@ -459,8 +451,7 @@ class ChartSurface(Surface):
         def buffer(count):
             """This thread's row buffer, as wide as a chord solve's and at
             least count long: grown to a multiple of 1024 rows, so that the
-            radius check's batches and the chord solves of one call of
-            `riesz_energy` share it."""
+            chord solves of one call of `riesz_energy` share it."""
             buf = getattr(work, "rows", None)
             if buf is None or buf.shape[1] < count:
                 work.rows = buf = None          # free the old buffer first
@@ -583,7 +574,7 @@ class ChartSurface(Surface):
                 where, nodes = first_run(node[failed])
                 raise PatchRadiusError(
                     "graph-patch Newton did not converge inside the requested "
-                    f"radius ({where})", node=int(nodes[0]))
+                    f"radius ({where})", node=nodes.tolist())
             return node, x, jac
 
         def height(node, eta):
@@ -648,8 +639,8 @@ class ChartSurface(Surface):
             if len(failed):
                 where, nodes = first_run(node[failed])
                 raise NumericalError(
-                    f"chord Newton did not converge on {len(nodes)} rows "
-                    f"({where}); is t beyond the patch?", node=int(nodes[0]))
+                    f"chord Newton did not converge on {len(failed)} rows "
+                    f"({where}); is t beyond the patch?", node=nodes.tolist())
             T = T_rows.take(node, axis=-1)
             wrong = sum(sum(T[i, j] * d[i] for i in range(n)) * v[:, j]
                         for j in range(m)) <= 0.0
@@ -657,41 +648,17 @@ class ChartSurface(Surface):
                 where, nodes = first_run(node[wrong])
                 raise NumericalError(
                     f"chord Newton left the ray's side ({where})",
-                    node=int(nodes[0]))
+                    node=nodes.tolist())
             N = normal.take(node, axis=0)
             h = _heights(N, d.T.copy())
             xi = np.sqrt(np.maximum(t * t - dot(h, h), 0.0))
             return xi, h, _grad_height(jac, T, N)
 
-        # Validate each radius on a coarse polar grid (rim plus interior
-        # rings); the nodes whose grid fails shrink and are tried again.
-        if m == 1:
-            grid = np.array([[[1.0]], [[-1.0]], [[0.5]], [[-0.5]]])
-        else:
-            ang = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-            grid = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[None]
-        rings = np.array([0.35, 0.7, 0.98]) if m == 2 else np.ones(1)
-        r = np.full(len(u0), float(radius))
-        batch = max(1, GRID_ROWS // (grid.size // m * len(rings)))
-        for lo in range(0, len(r), batch):
-            todo, attempts = np.arange(lo, min(lo + batch, len(r))), 0
-            while len(todo):
-                eta = grid * (rings * r[todo, None])[..., None, None]
-                node = np.repeat(todo, eta[0].size // m)
-                *_, failed = graph_solve(node, eta.reshape(-1, m))
-                todo = np.unique(node[failed])
-                if len(todo) and (not shrink or attempts >= 40):
-                    where, nodes = first_run(todo)
-                    raise PatchRadiusError(
-                        "graph-patch Newton did not converge inside the "
-                        f"requested radius ({where})", node=nodes.tolist())
-                attempts += 1
-                r[todo] *= 0.85
         return PatchStack(base_point=x0, tangent=tangent, normal=normal,
-                          radii=r, height=height,
-                          height_jacobian=height_jacobian,
+                          radii=np.full(len(u0), float(radius)),
+                          height=height, height_jacobian=height_jacobian,
                           chord_solve=chord_solve,
-                          fit_residual=np.zeros(len(r)))
+                          fit_residual=np.zeros(len(u0)))
 
 
 # ----------------------------------------------------------------------

@@ -462,9 +462,9 @@ class TriMesh(Surface):
     def euler_characteristic(self) -> int:
         return euler_characteristic(self)
 
-    def patches_at(self, locators, radius, shrink) -> PatchStack:
+    def patches_at(self, locators, radius) -> PatchStack:
         """The vertices' quadratic graph fits, each radius capped at 0.9x
-        its 2-ring's extent (radius None takes the cap; shrink is not used).
+        its 2-ring's extent (radius None takes the cap).
 
         Chord rows are solved in closed form: along eta = xi v the height
         is xi^2 kappa / 2 with kappa_c = v^T C_c v, so xi^2 + |h|^2 = t^2

@@ -173,14 +173,14 @@ class PatchStack:
     t^2 and the height data at that point. Chart stacks solve all rows by
     one Newton in chart parameters, each row on its node's chart; mesh
     stacks in closed form on the vertex's quadratic fit, h(eta) = eta^T C
-    eta / 2 over the fitted graph's tangent plane. Errors raised for one
-    row carry that row's node.
+    eta / 2 over the fitted graph's tangent plane. Errors carry every
+    failing row's node. No radius is checked here (`radial_profile`).
     """
 
     base_point: np.ndarray        # (B, n)
     tangent: np.ndarray           # (B, n, m)
     normal: np.ndarray            # (B, n, n-m)
-    radii: np.ndarray             # (B,) validated radii
+    radii: np.ndarray             # (B,) requested radii (meshes: capped)
     height: object
     height_jacobian: object
     chord_solve: object
@@ -192,7 +192,7 @@ class PatchStack:
 
     @property
     def radius(self) -> float:
-        """The smallest validated radius of the stack."""
+        """The smallest radius of the stack."""
         return float(self.radii.min())
 
     def __len__(self):
@@ -389,15 +389,15 @@ def fit_curvature(tangent, normal, solve):
     return 0.5 * (coeffs + np.swapaxes(coeffs, -1, -2)), rms
 
 
-def graph_patch_at(surface, locators, radius, shrink=True):
+def graph_patch_at(surface, locators, radius):
     """The `PatchStack` of a list of located surface points, built in one
     batch.
 
-    Each node gets the largest validated radius <= request; with
-    shrink=False a radius that is not graph-representable raises
-    PatchRadiusError naming the node instead.
+    Each node gets the requested radius, which meshes cap at 0.9x the
+    vertex's 2-ring extent (radius None takes the cap); `radial_profile`
+    shrinks a radius that its chord rows or profile do not accept.
     """
-    return as_surface(surface).patches_at(locators, radius, shrink)
+    return as_surface(surface).patches_at(locators, radius)
 
 
 # ----------------------------------------------------------------------
@@ -490,11 +490,12 @@ def validate_patch_class(surface, params: PatchClassParams):
 
     Reports whether PATCH_CLASS_SAMPLES points spread over the scale-0.25
     rule admit graph patches of the class radius with derivative bound b
-    (measured as a sup over a 16 x 16 polar grid, and alternatively as a
-    fit residual for discrete data), and whether the total volume is within
-    the class bound. The samples form one patch stack; a failure that
-    names nodes is those samples' violation and the stack is built again
-    without them, one that names none is a violation of every sample left.
+    (measured as a sup over the 16 x 16 polar grid of `derivative_bounds`,
+    and alternatively as a fit residual for discrete data), and whether the
+    total volume is within the class bound. The samples form one patch
+    stack; a failure on that grid names its samples, which are violations,
+    and the stack is built again without them (one that names none is a
+    violation of every sample left).
     Report-valued: never raises on failure.
 
     components_in_ball counts the component labels of the rule's nodes
@@ -511,7 +512,7 @@ def validate_patch_class(surface, params: PatchClassParams):
     while todo:
         try:
             stack = graph_patch_at(surface, [locators[i] for i in todo],
-                                   params.radius, shrink=False)
+                                   params.radius)
             capped = stack.radii < params.radius * (1 - 1e-9)
             if not capped.any():
                 sups, fits = stack.derivative_bounds(), stack.fit_residual

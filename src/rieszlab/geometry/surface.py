@@ -10,10 +10,11 @@ list of located points at once; one point is a list of one.
 - `nodes(scale, subdiv=None)`: a quadrature `NodeSet`. Charts use their
   parameter rules at `scale`; meshes use their vertices, or with `subdiv`
   the centroids of every face subdivided `subdiv` times.
-- `patches_at(locators, radius, shrink)`: the `PatchStack` of a list
-  of located points, built in one batch, with its `chord_solve`: charts
-  solve chord rows by Newton in their parameters, meshes in closed form on
-  the vertex's quadratic fit.
+- `patches_at(locators, radius)`: the `PatchStack` of a list of located
+  points, built in one batch, with its `chord_solve`: charts solve chord
+  rows by Newton in their parameters, meshes in closed form on the
+  vertex's quadratic fit. Every node gets the requested radius (meshes cap
+  it), which `radial_profile` shrinks where it fails.
 - `basis_at(locator)`: the point and a positively oriented tangent basis.
 - `curvatures(locators)`: the oriented orthonormal frames and second
   fundamental forms at a list of located points, in one batch, as arrays

@@ -21,7 +21,8 @@ patches of meshes in closed form. `radial_profile` gives the profiles of
 all nodes of a stack in one pass (`ProfileStack`): the rows of every node
 at a level go to one chord solve, one DCT-I fits them all, and only the
 nodes left unresolved are sampled at the next level; `finite_part` of a
-profile stack is one array sum. One point is a stack of one node.
+profile stack is one array sum. One point is a stack of one node, and a
+node whose chord rows or profile fail shrinks its radius.
 
 On surfaces a sample of phi is a trapezoid rule over tangent directions,
 which converges geometrically on the smooth periodic integrand. The rule
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionError, ProfileFitError
+from .errors import NumericalError, PreconditionError, ProfileFitError
 from .geometry.patches import PatchStack
 
 __all__ = [
@@ -134,7 +135,8 @@ def _chebyshev_fit(values, eps0):
 
     values (B, n + 1) holds each profile's samples at `_lobatto_radii(n,
     eps0)`. Returns (coefficients (B, n + 1), zero past each profile's kept
-    count, kept counts (B,), fit residuals (B,), taylor (B, 2n + 3), zero
+    count, kept counts (B,), resolved (B,): the last quarter chopped and
+    the Taylor row finite, fit residuals (B,), taylor (B, 2n + 3), zero
     past each 2 * kept).
     """
     n = values.shape[-1] - 1
@@ -152,9 +154,12 @@ def _chebyshev_fit(values, eps0):
     residual = np.where(tail, size, 0.0).max(axis=-1)
     c[tail] = 0.0
     taylor = np.zeros((len(c), 2 * n + 3))
-    taylor[:, :-2:2] = (c @ _shifted_chebyshev(n + 1)
-                        / np.power.outer(eps0 ** 2, np.arange(n + 1)))
-    return c, keep, residual, taylor
+    with np.errstate(all="ignore"):     # out of range at tiny radii
+        taylor[:, :-2:2] = np.where(
+            tail, 0.0, c @ _shifted_chebyshev(n + 1)
+            / np.power.outer(eps0 ** 2, np.arange(n + 1)))
+    resolved = (4 * (keep - 1) <= 3 * n) & np.isfinite(taylor).all(axis=-1)
+    return c, keep, resolved, residual, taylor
 
 
 @dataclass
@@ -170,7 +175,7 @@ class ProfileStack:
     of truncation error and sampling noise per coefficient. taylor (B, W)
     holds each interpolant's coefficient of t^j, up to the first power past
     its degree and zero past it (odd ones zero, so taylor[:, 2] is
-    phi''(0) / 2).
+    phi''(0) / 2). From `radial_profile`, eps0 are the accepted radii.
     """
 
     m: int
@@ -195,61 +200,79 @@ class ProfileStack:
         def sample(node, t):
             return np.asarray(fn(t.ravel()), dtype=float).reshape(t.shape)
 
-        return _interpolate(sample, m, np.array([float(eps0)]))
+        return _interpolate(sample, m, np.array([float(eps0)]), 0)
 
 
-def _interpolate(sample, m, eps0) -> ProfileStack:
+def _interpolate(sample, m, eps0, shrinks) -> ProfileStack:
     """Sample phi at 17, 33 and then 65 Chebyshev-Lobatto points in s until
     each node's interpolant is resolved; each level reuses the earlier
     samples and samples only the nodes still unresolved. sample(node, t)
-    gives phi at radii t (b, T) of the nodes node (b,)."""
+    gives phi at radii t (b, T) of the nodes node (b,). A NumericalError
+    that names nodes, raised by sample or for the nodes that 65 points do
+    not resolve, shrinks their radii by 0.85, and every node not yet
+    resolved is sampled again, up to shrinks times."""
     B = len(eps0)
+    eps0 = np.array(eps0, dtype=float)
     width = 2 * _LEVELS[-1] + 3
     samples = [None] * B
     coefficients = [None] * B
     taylor = np.zeros((B, width))
     kept = np.zeros(B, dtype=int)
     residual = np.zeros(B)
-    todo = np.arange(B)
-    n = _LEVELS[0]
-    values = sample(todo, _lobatto_radii(n, eps0))
-    while True:
-        c, keep, res, tay = _chebyshev_fit(values, eps0[todo])
-        done = 4 * (keep - 1) <= 3 * n
-        for j in np.flatnonzero(done):
-            samples[todo[j]] = values[j]
-            coefficients[todo[j]] = c[j]
-        taylor[todo[done], :tay.shape[1]] = tay[done]
-        kept[todo[done]] = keep[done]
-        residual[todo[done]] = res[done]
-        if done.all():
-            return ProfileStack(m=m, eps0=eps0, samples=samples,
-                                coefficients=coefficients,
-                                taylor=taylor[:, :2 * kept.max() + 1],
-                                kept=kept, fit_residual=residual)
-        if n == _LEVELS[-1]:
-            j = int(np.argmin(done))
-            size = np.abs(c[j])
-            tail = float(np.max(size[3 * n // 4 + 1:]))
-            raise ProfileFitError(
-                f"radial profile unresolved at {n + 1} Chebyshev points: its "
-                f"last quarter of coefficients reaches {tail / size.max():.3g} "
-                f"of the largest (chop level {CHOP_TOL:g})", residual=tail,
-                node=int(todo[j]))
-        todo, values = todo[~done], values[~done]
-        finer = np.empty((len(todo), 2 * n + 1))
-        finer[:, ::2] = values
-        finer[:, 1::2] = sample(todo, _lobatto_radii(2 * n, eps0[todo])[:, 1::2])
-        values, n = finer, 2 * n
+    for attempt in range(shrinks + 1):
+        todo = np.flatnonzero(kept == 0)
+        n = _LEVELS[0]
+        try:
+            values = sample(todo, _lobatto_radii(n, eps0[todo]))
+            while True:
+                c, keep, done, res, tay = _chebyshev_fit(values, eps0[todo])
+                for j in np.flatnonzero(done):
+                    samples[todo[j]] = values[j]
+                    coefficients[todo[j]] = c[j]
+                taylor[todo[done], :tay.shape[1]] = tay[done]
+                kept[todo[done]] = keep[done]
+                residual[todo[done]] = res[done]
+                if done.all():
+                    return ProfileStack(m=m, eps0=eps0, samples=samples,
+                                        coefficients=coefficients,
+                                        taylor=taylor[:, :2 * kept.max() + 1],
+                                        kept=kept, fit_residual=residual)
+                if n == _LEVELS[-1]:
+                    size = np.abs(c[np.argmin(done)])
+                    tail = float(np.max(size[3 * n // 4 + 1:]))
+                    raise ProfileFitError(
+                        f"radial profile unresolved at {n + 1} Chebyshev "
+                        f"points: its last quarter of coefficients reaches "
+                        f"{tail / size.max():.3g} of the largest (chop level "
+                        f"{CHOP_TOL:g})", residual=tail,
+                        node=todo[~done].tolist())
+                todo, values = todo[~done], values[~done]
+                finer = np.empty((len(todo), 2 * n + 1))
+                finer[:, ::2] = values
+                finer[:, 1::2] = sample(
+                    todo, _lobatto_radii(2 * n, eps0[todo])[:, 1::2])
+                values, n = finer, 2 * n
+        except NumericalError as exc:
+            if not exc.nodes or attempt == shrinks:
+                if shrinks:
+                    exc.args = (f"{exc} (after {shrinks} shrinks by 0.85)",)
+                raise
+            eps0[exc.nodes] *= 0.85
 
 
 def _chord_rows(patches, v, t, node):
     """xi, dxi/dt and grad h at rows of directions v and chord radii t > 0
-    of the `PatchStack` nodes node."""
+    of the `PatchStack` nodes node. NumericalError names the nodes whose
+    graph folds along a ray, xi + <grad_v h, h> <= 0."""
     xi, h, dh = patches.chord_solve(node, v, t)
     # dxi/dt = t / (xi + <grad_v h, h>)
     hv = np.einsum("kcj,kj->kc", dh, v)
-    return xi, t / (xi + np.einsum("kc,kc->k", hv, h)), dh
+    den = xi + np.einsum("kc,kc->k", hv, h)
+    fold = ~(den > 0.0)
+    if fold.any():
+        raise NumericalError(f"the graph folds along {fold.sum()} chord rays",
+                             node=np.unique(node[fold]).tolist())
+    return xi, t / den, dh
 
 
 def _density_rows(patches, v, t, node):
@@ -318,17 +341,20 @@ def _profile_batch(patches, node, ts):
 
 def radial_profile(patches: PatchStack) -> ProfileStack:
     """The chord densities phi of every node of a `PatchStack`, each on
-    [0, its validated radius].
+    [0, the radius that its own chord rows and profile accept].
 
     phi is sampled by the angular rule at Chebyshev-Lobatto points in
-    s = t^2 (see `ProfileStack`), every level's chord rows solved at once;
-    ProfileFitError, carrying the node, is raised when 65 points do not
-    resolve a profile. To profile some nodes of a larger stack, pass
-    `patches.take(nodes)`: its rows go to the larger stack's chord solve,
-    and errors name the positions in nodes.
+    s = t^2 (see `ProfileStack`), every level's chord rows solved at once.
+    It is the one check of a patch radius: a node whose chord row does not
+    converge or leaves the ray's side, whose graph folds along a ray
+    (`_chord_rows`) or whose profile 65 points do not resolve shrinks its
+    radius by 0.85, up to 40 times, and then its error names it. To
+    profile some nodes of a larger stack, pass `patches.take(nodes)`: its
+    rows go to the larger stack's chord solve, and errors name the
+    positions in nodes.
     """
     return _interpolate(lambda node, t: _profile_batch(patches, node, t),
-                        patches.m, patches.radii)
+                        patches.m, patches.radii, 40)
 
 
 # ----------------------------------------------------------------------

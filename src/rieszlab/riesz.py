@@ -11,14 +11,14 @@ Pairs living on different connected components always see the true kernel:
 a chord ball is a statement about one graph sheet only, and cross-component
 interactions stay integrable down to contact.
 
-One patch stack is built for all outer nodes per call, its radii
-validated in batches of bounded size. The outer nodes are then taken in
-blocks of at most BLOCK_ROWS first-level chord rows and BLOCK_PAIRS node
-pairs: each block profiles its own nodes of that stack (`PatchStack.take`)
-into one profile stack and one finite-part sum. The kernel sums over the
-inner rules take a block's rows in chunks of at most KERNEL_PAIRS node
-pairs, formed in place in three reused (rows x inner) arrays, and sum each
-chunk by matrix-vector products.
+One patch stack is built for all outer nodes per call. The outer nodes
+are then taken in blocks of at most BLOCK_ROWS first-level chord rows and
+BLOCK_PAIRS node pairs: each block profiles its own nodes of that stack
+(`PatchStack.take`) into one profile stack, which shrinks the radii that
+fail, and one finite-part sum. The kernel sums over the inner rules take
+a block's rows in chunks of at most KERNEL_PAIRS node pairs, formed in
+place in three reused (rows x inner) arrays, and sum each chunk by
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -217,16 +217,15 @@ def riesz_energy(surface, alpha,
                              node=node) from exc
 
     def one_block(idx):
-        patches = stack.take(idx)
-        eps = patches.radii
         try:
-            profiles = radial_profile(patches)
+            profiles = radial_profile(stack.take(idx))
         except NumericalError as exc:
             text = where(idx, exc.node)[0]
             exc.nodes = [int(idx[k]) for k in exc.nodes]
             exc.args = (f"{text}: {exc}",)
             raise
         pf = finite_part(params, profiles)
+        eps = profiles.eps0
         blend = BlendKernel(params.alpha, eps)
 
         # blend-kernel mass of each chord ball: the blend polynomial times

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rieszlab.cli import parse_surface
-from rieszlab.errors import (NumericalError, PreconditionError,
-                             RankDeficiencyError, TopologyError,
-                             UnsupportedInputError)
+from rieszlab.errors import (NumericalError, PatchRadiusError,
+                             PreconditionError, RankDeficiencyError,
+                             TopologyError, UnsupportedInputError)
 from rieszlab.geometry import (PatchClassParams, default_patch_radius,
                                euler_characteristic, graph_patch_at,
                                icosphere, make_circle,
@@ -22,6 +22,7 @@ from rieszlab.geometry.patches import (fit_curvature, fit_tangent_frames,
                                        orthonormal_frames_adjoint,
                                        umbilicity_defect)
 from rieszlab.moebius import MoebiusMap, apply_moebius
+from rieszlab.radial import radial_profile
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
 
@@ -268,15 +269,18 @@ def test_concatenated_stack_errors_name_the_stack_node():
 
 
 def test_concatenated_stack_build_errors_name_the_stack_node():
-    # a radius of 0.3 on a sphere of radius 0.1 fails at the first node of
-    # the second chart run, node 1 of the list
+    # a radius of 0.3 on a sphere of radius 0.1: the build solves nothing
+    # and keeps the radius, and graph rows out to 0.29 fail on both nodes
+    # of the second chart run, nodes 1 and 2 of the list, and on no other
     both = make_disjoint_union(
         make_sphere(), make_sphere(0.1, (3.0, 0.0, 0.0)))
-    with pytest.raises(NumericalError) as exc:
-        graph_patch_at(both, [(0, np.array([1.0, 0.5])),
-                              (1, np.array([1.0, 0.5])),
-                              (1, np.array([1.2, 2.0]))], 0.3, shrink=False)
-    assert exc.value.node == 1
+    stack = graph_patch_at(both, [(0, np.array([1.0, 0.5])),
+                                  (1, np.array([1.0, 0.5])),
+                                  (1, np.array([1.2, 2.0]))], 0.3)
+    np.testing.assert_array_equal(stack.radii, 0.3)
+    with pytest.raises(PatchRadiusError, match=r"\(chart 1\)") as exc:
+        stack.height(np.arange(3), np.array([[0.29, 0.0]] * 3))
+    assert exc.value.node == 1 and exc.value.nodes == [1, 2]
 
 
 def test_concatenated_stack_rows_keep_their_node_shape():
@@ -323,16 +327,27 @@ UNIONS = {
 
 @pytest.mark.parametrize("name", UNIONS)
 def test_union_stack_matches_single_chart_builds(name):
-    # the one stack of every node against one build per chart, bit for bit
+    # the one stack of every node against one build per chart, bit for bit:
+    # the radii that the profiles accept at 0.3, and the frames, bounds and
+    # rows at a radius whose bound grid every node's graph Newton reaches
+    # (the inversion image's nodes 5-8 do not reach theirs at 0.3)
     surface = UNIONS[name]()
     nodes = surface.nodes(0.25)
     take = np.linspace(0, len(nodes.points) - 1, 9).astype(int)
     locators = [nodes.locators[i] for i in take]
     chart = np.array([k for k, _ in locators])
     assert set(chart) == {0, 1}
-    stack = graph_patch_at(surface, locators, 0.3)
-    singles = [graph_patch_at(surface, [loc for loc in locators
-                                        if loc[0] == k], 0.3) for k in (0, 1)]
+    per_chart = [[loc for loc in locators if loc[0] == k] for k in (0, 1)]
+    whole = radial_profile(graph_patch_at(surface, locators, 0.3))
+    parts = [radial_profile(graph_patch_at(surface, locs, 0.3))
+             for locs in per_chart]
+    np.testing.assert_array_equal(
+        whole.eps0, np.concatenate([p.eps0 for p in parts]))
+    for got, want in zip(whole.samples, [s for p in parts for s in p.samples]):
+        np.testing.assert_array_equal(got, want)
+    radius = 0.2 if name == "inversion" else 0.3
+    stack = graph_patch_at(surface, locators, radius)
+    singles = [graph_patch_at(surface, locs, radius) for locs in per_chart]
     for field in ("base_point", "tangent", "normal", "radii"):
         np.testing.assert_array_equal(
             getattr(stack, field),
@@ -462,7 +477,7 @@ def test_spheroid_stack_frames_match_the_angle_chart():
         chart = surface.charts[0]
         u = np.stack([rng.uniform(0.05, math.pi - 0.05, 30),
                       rng.uniform(0.0, 2.0 * math.pi, 30)], axis=-1)
-        stack = surface.patches_at([(0, p) for p in u], 0.05, True)
+        stack = surface.patches_at([(0, p) for p in u], 0.05)
         T, N = orthonormal_frames(chart.jacobian(u))
         np.testing.assert_allclose(stack.base_point, chart.value(u),
                                    rtol=0, atol=1e-14)
@@ -605,9 +620,9 @@ def test_validate_patch_class_measures_each_patch_once(surface, monkeypatch):
     build = type(surface).patches_at
     measure = patches.PatchStack.derivative_bounds
 
-    def counted_build(self, locators, radius, shrink):
+    def counted_build(self, locators, radius):
         sizes.append(len(locators))
-        return build(self, locators, radius, shrink)
+        return build(self, locators, radius)
 
     def counted_measure(self):
         measured.append(len(self))
@@ -689,9 +704,9 @@ def test_validate_patch_class_records_a_builds_failures_at_once(
     calls = []
     build = patches.graph_patch_at
 
-    def counted(surface, locators, radius, shrink=True):
+    def counted(surface, locators, radius):
         calls.append(len(locators))
-        return build(surface, locators, radius, shrink)
+        return build(surface, locators, radius)
 
     monkeypatch.setattr(patches, "graph_patch_at", counted)
     report = validate_patch_class(parse_surface(spec), PatchClassParams(

@@ -217,7 +217,7 @@ def test_chord_solve_against_per_row_chart_reference(surface, locators,
     # surface's own chart: the point x0 + T xi v + N h lies on it at chord
     # distance t on the ray's side, and grad h is (N^T J)(T^T J)^-1 there
     chart = surface.charts[0]
-    stack = surface.patches_at(locators, radius, True)
+    stack = surface.patches_at(locators, radius)
     v, _ = _angular_rule(surface.m, 8)
     ts = np.geomspace(1e-3, 0.95, 6)
     node = np.repeat(np.arange(len(locators)), len(ts) * len(v))
@@ -502,6 +502,64 @@ def test_profile_unresolved_raises():
     # level at every sampling level
     with pytest.raises(ProfileFitError, match="unresolved at 65"):
         ProfileStack.from_function(lambda t: 2.0 + np.abs(t - 0.5), 1, 1.0)
+
+
+def _failing_beyond(stack, node, radius):
+    """stack whose chord rows of one node fail beyond a chord radius, and
+    the largest chord radius asked of that node in each failing call."""
+    solve, asked = stack.chord_solve, []
+
+    def chord_solve(nodes, v, t):
+        mine = nodes == node
+        if np.any(t[mine] > radius):
+            asked.append(float(t[mine].max()))
+            raise NumericalError("chord rows fail", node=[node])
+        return solve(nodes, v, t)
+
+    return dataclasses.replace(stack, chord_solve=chord_solve), asked
+
+
+def test_profile_shrinks_only_the_node_whose_rows_fail():
+    # node 1's rows fail beyond 0.45: it alone shrinks, to 0.5 * 0.85, and
+    # node 0 keeps 0.5 and the samples of its own profile
+    stack = graph_patch_at(make_sphere(), [(0, [1.0, 0.5]), (0, [1.2, 2.0])],
+                           0.5)
+    spoiled, asked = _failing_beyond(stack, 1, 0.45)
+    profiles = radial_profile(spoiled)
+    assert asked == [0.5]
+    np.testing.assert_array_equal(profiles.eps0, [0.5, 0.5 * 0.85])
+    np.testing.assert_array_equal(stack.radii, 0.5)
+    alone = radial_profile(stack.take([0]))
+    np.testing.assert_array_equal(profiles.samples[0], alone.samples[0])
+    again = radial_profile(graph_patch_at(make_sphere(), [(0, [1.2, 2.0])],
+                                          0.5 * 0.85))
+    np.testing.assert_allclose(profiles.samples[1], again.samples[0],
+                               rtol=1e-14)
+
+
+def test_profile_refuses_a_node_whose_rows_fail_at_every_radius():
+    # the node is tried at its radius and after each of 40 shrinks by 0.85,
+    # then the error of its last attempt names it
+    stack = graph_patch_at(make_sphere(), [(0, [1.0, 0.5]), (0, [1.2, 2.0])],
+                           0.5)
+    spoiled, asked = _failing_beyond(stack, 1, 0.0)
+    with pytest.raises(NumericalError, match="after 40 shrinks") as exc:
+        radial_profile(spoiled)
+    assert exc.value.nodes == [1]
+    want = [0.5]
+    for _ in range(40):
+        want.append(want[-1] * 0.85)
+    assert asked == want
+
+
+def test_profile_refuses_a_fold_along_the_ray():
+    # rows past the unit circle's fold at chord sqrt(2) converge on the far
+    # side of its angle chart, where xi + <grad_v h, h> < 0
+    stack = graph_patch_at(make_circle(), [(0, [0.3])], 2.0)
+    with pytest.raises(NumericalError, match="folds along 1 chord rays"):
+        _chord_rows(stack, np.array([[1.0]]), np.array([1.6]),
+                    np.zeros(1, dtype=int))
+    assert radial_profile(stack).eps0[0] < math.sqrt(2.0)
 
 
 @st.composite

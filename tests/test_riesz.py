@@ -8,10 +8,13 @@ import pytest
 from rieszlab.cli import dump_json
 from rieszlab.errors import (PoleError, PreconditionError,
                              UnsupportedInputError)
-from rieszlab.geometry import (icosphere, make_circle, make_disjoint_union,
-                               make_ellipsoid, make_sphere)
+from rieszlab.geometry import (graph_patch_at, icosphere, make_circle,
+                               make_disjoint_union, make_ellipsoid,
+                               make_sphere)
 from rieszlab.geometry.charts import Chart, ChartSurface
 from rieszlab.moebius import MoebiusMap, apply_moebius
+from rieszlab.radial import (ANGULAR_NODES, _angular_rule, _lobatto_radii,
+                             radial_profile)
 from rieszlab.riesz import (QuadratureConfig, beta_oracle, beta_residue,
                             finite_part_at_pole, riesz_energy, scaling_check)
 
@@ -271,11 +274,12 @@ def test_union_energy_is_the_same_with_each_circles_row_fill():
 def test_inverted_ellipsoid_energy_at_set_patch_radii():
     # some patch rims of this image at radii 0.5 and 1.0 reach points whose
     # pre-images lie beyond the hemisphere of the ellipsoid's unit sphere
-    # around the base point's. The radius check must shrink those patches:
-    # a chart that reached them passed the coarse grid there and then left
-    # chord rows between the grid's directions unconverged. The energy must
-    # then agree with the default radius's. The outer rule at scale 0.15
-    # shows that failure as the default rule does.
+    # around the base point's, where chord rows do not converge, also
+    # between directions where others do. Each such node's profile must
+    # shrink its radius until every one of its chord rows converges and its
+    # profile is resolved, and the energy must agree with the default
+    # radius's. The outer rule at scale 0.15 has such nodes as the default
+    # rule does.
     surface = apply_moebius(make_ellipsoid(1.0, 1.0, 1.2),
                             MoebiusMap("inversion", center=(3.0, 0.2, 0.1),
                                        radius=2.0))
@@ -287,3 +291,51 @@ def test_inverted_ellipsoid_energy_at_set_patch_radii():
                                                    patch_radius=radius))
         assert math.isfinite(rep.value), radius
         assert abs(rep.value - ref.value) <= ref.error_estimate, radius
+
+
+def _shrunk(radius, times):
+    for _ in range(times):
+        radius *= 0.85
+    return radius
+
+
+def test_circle_radius_shrinks_below_its_fold():
+    # the unit circle's graph over a tangent line folds at chord sqrt(2);
+    # its angle chart still solves the chord rows beyond the fold, so the
+    # fold check alone shrinks every radius of 1.5 once, and the energy
+    # keeps its closed form
+    rep = riesz_energy(make_circle(), -2.5,
+                       config=QuadratureConfig(patch_radius=1.5))
+    assert rep.eps0 == pytest.approx(_shrunk(1.5, 1), rel=1e-15)
+    assert (abs(rep.value - beta_oracle("circle", 1.0, -2.5))
+            <= rep.error_estimate)
+
+
+def test_two_spheres_radius_shrinks_below_the_fold():
+    # two unit spheres at gap 0.05: a requested radius of 1.9 reaches past
+    # each sphere's fold at chord sqrt(2), where the chord rows do not
+    # converge, and shrinks twice to 1.37275; the energy agrees with the
+    # default radius's
+    two = make_disjoint_union(make_sphere(1.0),
+                              make_sphere(1.0, center=(2.05, 0.0, 0.0)))
+    ref = riesz_energy(two, -4.0)
+    rep = riesz_energy(two, -4.0, config=QuadratureConfig(patch_radius=1.9))
+    assert rep.eps0 == pytest.approx(_shrunk(1.9, 2), rel=1e-15)
+    assert rep.eps0 < math.sqrt(2.0)
+    assert abs(rep.value - ref.value) <= ref.error_estimate
+
+
+def test_profile_resolution_shrinks_a_radius_whose_rows_converge():
+    # the ellipsoid (1, 1, 2) at a requested radius of 3.0: every chord row
+    # of outer node 103's 65-point rule converges at 3.0 * 0.85^5 = 1.331,
+    # but its profile is resolved only at 1.131; the energy agrees with the
+    # default radius's
+    ell = make_ellipsoid(1.0, 1.0, 2.0)
+    stack = graph_patch_at(ell, [ell.nodes(0.25).locators[103]], 3.0)
+    v = np.repeat(_angular_rule(2, ANGULAR_NODES)[0], 64, axis=0)
+    t = np.tile(_lobatto_radii(64, np.array([_shrunk(3.0, 5)]))[0, 1:], 64)
+    stack.chord_solve(np.zeros(len(t), dtype=int), v, t)
+    assert radial_profile(stack).eps0[0] == _shrunk(3.0, 6)
+    ref = riesz_energy(ell, -4.0)
+    rep = riesz_energy(ell, -4.0, config=QuadratureConfig(patch_radius=3.0))
+    assert abs(rep.value - ref.value) <= ref.error_estimate

@@ -130,9 +130,8 @@ def _per_node_energy(surface, alpha, config):
     requested = config.patch_radius or default_patch_radius(surface)
     near, far, err, logc, eps_used = [], [], [], [], []
     for i, loc in enumerate(outer.locators):
-        patch = graph_patch_at(surface, [loc], requested)
-        eps = patch.radius
-        profile = radial_profile(patch)
+        profile = radial_profile(graph_patch_at(surface, [loc], requested))
+        eps = profile.eps0[0]
         pf = finite_part(params, profile, eps)
         blend = BlendKernel(alpha, eps)
         weight = np.zeros(m + 2 * len(blend.coeffs) - 2)     # t^(m-1) p(t)
@@ -158,7 +157,8 @@ def _per_node_energy(surface, alpha, config):
 
 
 def _two_spheres():
-    # gap 0.05 and a requested radius of 1.5: every patch shrinks
+    # gap 0.05 and a requested radius of 1.5: every patch shrinks once, as
+    # the unit sphere's graph folds at chord sqrt(2)
     return make_disjoint_union(make_sphere(1.0),
                                make_sphere(1.0, center=(2.05, 0.0, 0.0)))
 
@@ -190,7 +190,7 @@ def test_blocked_pass_matches_per_node_reference(name):
         assert rep.pole_residue == pytest.approx(ref["residue"], rel=1e-12,
                                                  abs=1e-12)
     if name == "two_spheres_shrunk":
-        assert ref["eps"].max() < 1.5 * 0.85 ** 2
+        np.testing.assert_array_equal(ref["eps"], 1.5 * 0.85)
 
 
 def test_threads_map_blocks_to_the_same_energy():
@@ -255,11 +255,15 @@ def test_profile_stack_refines_only_the_nodes_that_need_it():
 
 def _spoiled(mesh, vertex, kind):
     """mesh whose patch stacks fail at one vertex: the patch itself, its
-    chord solve, or its profile (noisy chord rows)."""
+    chord solve at every radius, or its profile at every radius: chord
+    rows with noise periodic in log t, the same at every radius up to its
+    phase, so that no shrink resolves it (the profile sees the noise of xi
+    damped by about (t |kappa|)^2, as xi / dxi/dt cancels it to first
+    order)."""
     build = mesh.patches_at
 
-    def patches_at(locators, radius, shrink=True):
-        stack = build(locators, radius, shrink)
+    def patches_at(locators, radius):
+        stack = build(locators, radius)
         if vertex not in locators:
             return stack
         k = list(locators).index(vertex)
@@ -272,7 +276,7 @@ def _spoiled(mesh, vertex, kind):
                 raise NumericalError("chord Newton did not converge on 1 rows",
                                      node=k)
             xi, h, dh = solve(node, v, t)
-            noise = np.where(node == k, 1e-6 * np.sin(1e3 * t), 0.0)
+            noise = np.where(node == k, 1e-3 * np.sin(50.0 * np.log(t)), 0.0)
             return xi * (1.0 + noise), h, dh
 
         return dataclasses.replace(stack, chord_solve=chord_solve)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import rieszlab
 
-LIMIT = 97
+LIMIT = 96
 
 
 def _settable_values(tree) -> int:
