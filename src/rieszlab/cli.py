@@ -339,6 +339,9 @@ def _cmd_model(config: RunConfig) -> dict:
 def _cmd_sweep(config: RunConfig) -> dict:
     if config.alpha is None:
         raise ConfigError("sweep needs --alpha")
+    if not config.radius > 0:
+        raise ConfigError("radius must be a positive number, got "
+                          f"{config.radius!r}")
     res = two_body_sweep(config.m, config.alpha, config.radius, config.gaps)
     if config.csv:
         with open(config.csv, "w") as fh:

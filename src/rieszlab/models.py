@@ -12,15 +12,18 @@ evaluate their integrand once on the grid of all dyadic boxes. The sums
 keep the order of a panel-by-panel and box-by-box loop, so the values do
 not depend on the batching. The two-body sweep measures the cross
 interaction of two round m-spheres at gap delta, its chords
-cancellation-free with trigonometry on the 1D rules only. For m = 1 its
-tensor grid is graded to the integrand's two scales near contact: the
-outer angle to 0.25 sqrt(delta / r), the width of the facing caps, and the
-inner offset to 0.25 delta / r, the width of the kernel peak at each row's
-mirror point; a Gauss-Legendre panel no longer than its distance to the
-nearest singularity converges geometrically, so a finer grid adds no
-accuracy. The sweep compares the energy with the annulus-pair lower bound
-lambda(delta, rho) summed over dyadic scales in one array pass. Every rule
-is read from the cached `quadrature.gauss_legendre`.
+cancellation-free with trigonometry on the 1D rules only. For m = 1 it
+works in the distance frame: each outer point's squared chords to the
+other circle are a row constant plus a row scale times sin^2 of the inner
+angle from the point's foot, so the grid is one outer product. It is
+graded to the integrand's two scales near contact: the outer angle to
+0.25 sqrt(delta / r), the width of the facing caps, and the inner angle to
+0.25 delta / r, the width of the kernel peak at each row's foot; a
+Gauss-Legendre panel no longer than its distance to the nearest
+singularity converges geometrically, so a finer grid adds no accuracy.
+The sweep compares the energy with the annulus-pair lower bound
+lambda(delta, rho) summed over dyadic scales, every gap's in one array
+pass. Every rule is read from the cached `quadrature.gauss_legendre`.
 Overflow, division by zero or an invalid operation in a model or a sweep
 is a NumericalError (`errors.checked_arithmetic`).
 """
@@ -81,7 +84,7 @@ def unit_ball_volume(m: int) -> float:
 # cutoff-law classification
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CutoffFit:
     """Classification of V(cutoff) as the cutoff shrinks to zero."""
 
@@ -172,9 +175,16 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     outer / 2^k, each with a gl_order x gl_order Gauss-Legendre product
     rule. f is evaluated once on the (levels, 3, q, q) grid of every box's
     nodes, from the broadcastable x nodes (levels, 3, q, 1) and y nodes
-    (levels, 3, 1, q); no full-grid copy of either is made. The sums run
-    in a fixed order: a box adds its q * q weighted values sequentially in
-    row-major order and a shell adds its three boxes left to right.
+    (levels, 3, 1, q); no full-grid copy of either is made, and f's values
+    are multiplied into the weight grid in place. The models' integrands
+    also work in place on the one full-grid array they form, so a call
+    holds at most two full-grid arrays (207 kB each for the orthogonal
+    model) at a time; with a new array per operation, glibc could return
+    the freed memory after each call and page-fault it back in on the
+    next (120 faults per orthogonal call after the m = 1 sweeps). The sums
+    run in a fixed order: a box adds its q * q weighted values
+    sequentially in row-major order and a shell adds its three boxes left
+    to right.
     """
     xg, wg = gauss_legendre(gl_order)
     q = len(xg)
@@ -190,8 +200,8 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     ys = (0.5 * (y1 - y0))[..., None] * (xg + 1.0) + y0[..., None]
     wx = (0.5 * (x1 - x0))[..., None] * wg
     wy = (0.5 * (y1 - y0))[..., None] * wg
-    terms = (wx[..., :, None] * wy[..., None, :]) * f(xs[..., :, None],
-                                                      ys[..., None, :])
+    terms = wx[..., :, None] * wy[..., None, :]
+    terms *= f(xs[..., :, None], ys[..., None, :])
     boxes = np.cumsum(terms.reshape(levels, 3, q * q), axis=-1)[..., -1]
     return boxes[:, 0] + boxes[:, 1] + boxes[:, 2]
 
@@ -204,7 +214,7 @@ def _check_cutoffs(cut, inside, where):
             f"cutoffs must be strictly decreasing inside {where}")
 
 
-@dataclass
+@dataclass(slots=True)
 class OrthogonalModelResult:
     value: float
     diverged: bool
@@ -251,7 +261,12 @@ def orthogonal_model_integral(alpha: float,
             f"got {a:g}")
 
     def f(t, s):
-        return (t ** 2 + s ** 2) ** (a / 2.0) * (2.0 * math.pi) ** 2 * t * s
+        v = t ** 2 + s ** 2     # in place, as (t^2+s^2)^(a/2) (2 pi)^2 t s
+        v **= a / 2.0
+        v *= (2.0 * math.pi) ** 2
+        v *= t
+        v *= s
+        return v
 
     levels = ORTHOGONAL_LEVELS
     sums = _dyadic_shell_sums_2d(f, rho, levels, BOX_ORDER)
@@ -344,7 +359,11 @@ def cone_model_scan(alpha: float, cutoffs=None) -> CutoffFit:
     _check_cutoffs(cutoffs, (cutoffs > 0.0) & (cutoffs <= 1.0), "(0, 1]")
 
     def f(r, rho):
-        return (r + rho) ** a * r * rho
+        v = r + rho                  # in place, as (r + rho)^a r rho
+        v **= a
+        v *= r
+        v *= rho
+        return v
 
     levels = int(math.ceil(-math.log2(np.min(cutoffs)))) + CONE_EXTRA_LEVELS
     sums = _dyadic_shell_sums_2d(f, 1.0, levels, BOX_ORDER)
@@ -361,21 +380,30 @@ def cone_model_scan(alpha: float, cutoffs=None) -> CutoffFit:
 # two-body sweeps
 # ----------------------------------------------------------------------
 
-def lambda_bound(m: int, alpha: float, delta: float, rho):
-    """Annulus-pair lower bound 2^a c1^2 rho^(2m+a) (1+d/rho)^a, per rho."""
+def lambda_bound(m: int, alpha: float, delta, rho):
+    """Annulus-pair lower bound 2^a c1^2 rho^(2m+a) (1+d/rho)^a, with delta
+    and rho broadcast against each other."""
     rho = np.asarray(rho, dtype=float)
-    if delta <= 0 or np.any(rho <= 0):
+    if np.any(np.asarray(delta) <= 0) or np.any(rho <= 0):
         raise PreconditionError("lambda bound needs delta, rho > 0")
     c1 = 0.9 * (1.0 - 0.5 ** m) * unit_ball_volume(m)
     return (2.0 ** alpha * c1 ** 2 * rho ** (2 * m + alpha)
             * (1.0 + delta / rho) ** alpha)
 
 
-def lambda_bound_sum(m: int, alpha: float, delta: float,
-                     rho0: float) -> float:
-    """Sum of lambda over the dyadic cascade rho0 / 2^j, j < CASCADE_TERMS."""
-    return compensated_sum(lambda_bound(
-        m, alpha, delta, rho0 / 2.0 ** np.arange(CASCADE_TERMS)))
+def lambda_bound_sum(m: int, alpha: float, delta, rho0: float):
+    """Sum of lambda over the dyadic cascade rho0 / 2^j, j < CASCADE_TERMS.
+
+    A 1-D array of deltas gives an array of sums, all terms formed in one
+    array pass and each delta's summed by one `compensated_sum`, so every
+    entry equals the scalar call's; a scalar delta gives a float.
+    """
+    delta = np.asarray(delta, dtype=float)
+    terms = lambda_bound(m, alpha, delta[..., None],
+                         rho0 / 2.0 ** np.arange(CASCADE_TERMS))
+    if delta.ndim == 0:
+        return compensated_sum(terms)
+    return np.array([compensated_sum(row) for row in terms])
 
 
 def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
@@ -386,27 +414,35 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
     power integral (the surface measure between chord distances is linear
     in t^2 from any external point), leaving a single well-graded outer
     integral; D - r = L (g + 2 r s) / (D + r) keeps it at the closed form
-    to rounding down to gap 1e-8. For m = 1, with angles measured from the
-    facing points, the outer angle runs over [0, pi] only (the pair is
-    symmetric under the reflection across the line of centres, so the
-    result is doubled), and each outer node's inner panels are graded
-    toward its mirror point on the other circle, the same panels on every
-    row. The integrand has two scales near contact: the facing caps are
-    about sqrt(g / r) wide along the outer angle, and a row's kernel peak
-    at its mirror point is about g / r wide in the inner offset (more on
-    rows away from the facing points). So the outer angle is graded toward
-    the facing points down to 0.25 sqrt(g / r) and the inner offset toward
-    the mirror point down to 0.25 g / r; each Gauss-Legendre panel is then
-    no longer than its distance to the nearest complex singularity, where
-    it converges geometrically, and finer panels add no accuracy. Its
-    squared chords come by angle addition from the 1D rules' half-angle
-    sines and cosines: nothing cancels and no transcendental function runs
-    on the grid.
+    to rounding down to gap 1e-8. For m = 1 the integral is taken in the
+    distance frame. With angles measured from the facing points, an outer
+    point at angle th lies at distance D from the other centre, D^2 - r^2 =
+    (2 r + g) (g + 4 r sin^2(th / 2)), and D - r is formed as that over
+    D + r, as for m = 2. Its squared chord to the other circle's point at
+    angle s from the foot of D is A + B sin^2(s / 2) with A = (D - r)^2 and
+    B = 4 D r: even in s and, over the grid, a row constant plus a rank-one
+    product. The outer angle runs over [0, pi] by the pair's reflection
+    symmetry and the inner one by that evenness, so the result is
+    4 r^2 sum_i wth_i sum_j ws_j (A_i + B_i sin^2(s_j / 2))^(alpha / 2).
+    The integrand has two scales near contact: the facing caps are about
+    sqrt(g / r) wide along the outer angle, and a row's kernel peak at its
+    foot is about g / r wide in the inner angle (more on rows away from
+    the facing points). So the outer angle is graded toward the facing
+    points down to 0.25 sqrt(g / r) and the inner angle toward the foot
+    down to 0.25 g / r; each Gauss-Legendre panel is then no longer than
+    its distance to the nearest complex singularity, where it converges
+    geometrically, and finer panels add no accuracy. Nothing cancels, and
+    no trigonometry runs on the grid: it is one outer product, one add and
+    one in-place power.
     """
+    r, a = float(radius), float(alpha)
+    if not (math.isfinite(r) and r > 0):
+        raise PreconditionError(f"radius must be positive and finite, got {r}")
+    if not math.isfinite(gap):
+        raise PreconditionError(f"gap must be finite, got {gap}")
     if gap <= 0:
         raise PreconditionError("gap must be positive (touching spheres are "
                                 "handled by the model scans)")
-    r, a = float(radius), float(alpha)
     if m == 2:
         # inner sphere integral from distance D: (2 pi r / D) *
         # integral_(D-r)^(D+r) t^(alpha+1) dt, with D^2 - r^2 = L (g + 2 r s)
@@ -423,27 +459,19 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
         th, wt = graded_panels(0.0, math.pi, 0.25 * math.sqrt(gap / r),
                                PANEL_ORDER)
         s, ws = graded_panels(0.0, math.pi, 0.25 * gap / r, PANEL_ORDER)
-        # inner angle th + s, s in [-pi, pi] graded toward 0; by angle
-        # addition dx = g + 2r sin^2(th / 2) + 2r sin^2((th + s) / 2) and
-        # dy = 2r sin(s / 2) cos(th + s / 2)
-        sh, ch = np.sin(0.5 * th), np.cos(0.5 * th)
-        hs, hc = np.sin(0.5 * s), np.cos(0.5 * s)
-        cs = np.stack([np.concatenate([hc[::-1], hc]),       # cos(s / 2)
-                       np.concatenate([-hs[::-1], hs])])     # sin(s / 2)
-        dx = np.stack([sh, ch], 1) @ cs
-        dx *= dx
-        dx *= 2.0 * r
-        dx += (gap + 2.0 * r * sh * sh)[:, None]
-        dy = np.stack([np.cos(th), -np.sin(th)], 1) @ (2.0 * r * cs[1] * cs)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        dx **= 0.5 * a
-        return float(2.0 * r * r * wt @ dx @ np.concatenate([ws[::-1], ws]))
+        sh = np.sin(0.5 * th)
+        q = (2.0 * r + gap) * (gap + 4.0 * r * sh * sh)
+        D = np.sqrt(r * r + q)
+        near = q / (D + r)                                   # D - r
+        hs = np.sin(0.5 * s)
+        chord2 = np.multiply.outer(4.0 * r * D, hs * hs)
+        chord2 += (near * near)[:, None]
+        chord2 **= 0.5 * a
+        return float(4.0 * r * r * wt @ chord2 @ ws)
     raise PreconditionError("two-body sweeps support m in {1, 2}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TwoBodySweepResult:
     m: int
     alpha: float
@@ -490,7 +518,7 @@ def two_body_sweep(m: int, alpha: float, radius: float,
     energies = np.array([sphere_pair_cross_energy(m, alpha, radius, g)
                          for g in gaps])
     rho0 = min(radius, 1.0)
-    lam = np.array([lambda_bound_sum(m, alpha, g, rho0) for g in gaps])
+    lam = lambda_bound_sum(m, alpha, gaps, rho0)
     dominates = bool(np.all(energies >= lam))
     if abs(alpha + 2 * m) < 1e-12:
         _, _, r2, _ = _linfit(np.log(1.0 / gaps), energies)

@@ -51,7 +51,7 @@ def graded_panels(a: float, b: float, feature: float, order: int):
 
 def compensated_sum(values) -> float:
     """Fixed-order exact-rounding sum; run-to-run deterministic."""
-    return math.fsum(float(v) for v in values)
+    return math.fsum(np.ravel(values).tolist())
 
 
 class BlendKernel:

@@ -263,6 +263,10 @@ def test_invalid_model_input_exits_3(argv, capsys):
                   "ks"], {"steps": "3"}, 2, id="config-steps-string"),
     pytest.param(["sweep", "--alpha", "-4"], {"gaps": ["a", 0.1, 0.05]}, 2,
                  id="config-gaps-string-item"),
+    pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--radius", "-1",
+                  "--gaps", "0.1"], None, 2, id="sweep-radius-negative"),
+    pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--radius", "0",
+                  "--gaps", "0.1"], None, 2, id="sweep-radius-zero"),
     pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"], [1, 2],
                  2, id="config-not-an-object"),
 ])

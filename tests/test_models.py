@@ -14,7 +14,7 @@ from rieszlab.models import (classify_cutoff_law, cone_model_scan,
                              sphere_pair_cross_energy,
                              tangent_model_scan, two_body_sweep,
                              unit_ball_volume)
-from rieszlab.quadrature import gauss_legendre
+from rieszlab.quadrature import compensated_sum, gauss_legendre
 
 
 # ----------------------------------------------------------------------
@@ -497,6 +497,8 @@ def test_lambda_bound_preconditions():
         lambda_bound(2, -4.0, 0.0, 1.0)
     with pytest.raises(PreconditionError):
         lambda_bound(2, -4.0, 0.1, np.array([1.0, 0.0]))
+    with pytest.raises(PreconditionError):
+        lambda_bound(2, -4.0, np.array([[0.1], [0.0]]), np.array([1.0, 0.5]))
 
 
 def test_lambda_bound_sum_is_the_scalar_cascade():
@@ -506,6 +508,32 @@ def test_lambda_bound_sum_is_the_scalar_cascade():
                  for j in range(models.CASCADE_TERMS)]
         assert models.lambda_bound_sum(m, alpha, delta, rho0) == \
             pytest.approx(math.fsum(terms), rel=1e-15)
+
+
+@pytest.mark.parametrize("m,alpha", [(1, -2.0), (1, -3.0), (2, -4.0),
+                                     (2, -5.5)])
+def test_lambda_bound_sum_of_an_array_is_its_scalar_calls(m, alpha):
+    # each delta's row is still one compensated sum, so the bits agree
+    deltas = np.geomspace(0.1, 1e-4, 10) * np.exp(
+        np.random.default_rng(3).uniform(-0.1, 0.1, 10))
+    for rho0 in (1.0, 0.5):
+        sums = models.lambda_bound_sum(m, alpha, deltas, rho0)
+        assert sums.shape == deltas.shape
+        assert sums.tolist() == [models.lambda_bound_sum(m, alpha, d, rho0)
+                                 for d in deltas.tolist()]
+    assert type(models.lambda_bound_sum(m, alpha, 0.1, 1.0)) is float
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(0).normal(size=3000),
+    np.random.default_rng(1).lognormal(0.0, 8.0, size=(40, 25)),
+    np.array([1e16, 1.0, -1e16]),
+    np.array([]),
+], ids=["normal", "lognormal-2d", "cancelling", "empty"])
+def test_compensated_sum_is_the_exact_rounding_of_the_terms(values):
+    total = compensated_sum(values)
+    assert type(total) is float
+    assert total.hex() == math.fsum(float(v) for v in values.ravel()).hex()
 
 
 # ----------------------------------------------------------------------
@@ -635,8 +663,8 @@ def test_circle_pair_cross_energy_at_small_gap(alpha):
 
 
 # The m = 1 grid grades the outer angle to 0.25 sqrt(g / r) and the inner
-# offset to 0.25 g / r. Either grading made 16 times coarser misses these
-# references by more than 1e-13.
+# angle to 0.25 g / r. Made 16 times coarser, the outer grading misses
+# these references by up to 3.4e-10 and the inner one by up to 8.5e-12.
 
 @pytest.mark.parametrize("alpha", [-2.0, -3.0])
 def test_circle_pair_cross_energy_at_bench_gaps(alpha):
@@ -667,6 +695,19 @@ def test_circle_pair_cross_energy_radius_law(alpha, radius):
             _two_circle_cross_energy(alpha, gap, radius), rel=1e-13)
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_circle_pair_cross_energy_closed_form_at_minus_two(radius):
+    # an oracle apart from the scipy reference: at alpha = -2 the inner
+    # integral is 2 pi r / (D^2 - r^2), and int_(-pi)^pi dth / (a + b
+    # sin^2(th / 2)) = 2 pi / sqrt(a (a + b)) gives 4 pi^2 r^2 / ((g + 2r)
+    # sqrt(g (g + 4r)))
+    for gap in np.geomspace(10.0, 1e-9, 21).tolist():
+        closed = 4.0 * math.pi ** 2 * radius ** 2 / (
+            (gap + 2.0 * radius) * math.sqrt(gap * (gap + 4.0 * radius)))
+        assert sphere_pair_cross_energy(1, -2.0, radius, gap) == \
+            pytest.approx(closed, rel=1e-13)
+
+
 def _two_sphere_closed_form(alpha, gap, r=1.0):
     """Archimedes' hat-box theorem on both spheres, centres L = 2r + gap
     apart: 4 pi^2 r^2 / (L (a+2)(a+3)) [(L+2r)^(a+3) - 2 L^(a+3) +
@@ -689,6 +730,13 @@ def test_sphere_pair_cross_energy_at_small_gap(alpha, gap):
 def test_cross_energy_gap_precondition():
     with pytest.raises(PreconditionError):
         sphere_pair_cross_energy(2, -4.0, 1.0, 0.0)
+    # a NaN gap returned NaN, a negative radius raised a math domain error
+    # and a zero one divided by zero
+    for m in (1, 2):
+        for radius, gap in ((1.0, math.nan), (1.0, math.inf), (-1.0, 0.1),
+                            (0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1)):
+            with pytest.raises(PreconditionError):
+                sphere_pair_cross_energy(m, -2.0 * m, radius, gap)
 
 
 def test_sweep_dominates_annulus_bound():
