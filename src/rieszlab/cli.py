@@ -342,6 +342,10 @@ def _cmd_sweep(config: RunConfig) -> dict:
     if not config.radius > 0:
         raise ConfigError("radius must be a positive number, got "
                           f"{config.radius!r}")
+    if not (all(g > 0 for g in config.gaps)
+            and len(set(config.gaps)) == len(config.gaps)):
+        raise ConfigError("gaps must be positive and distinct, got "
+                          f"{config.gaps!r}")
     res = two_body_sweep(config.m, config.alpha, config.radius, config.gaps)
     if config.csv:
         with open(config.csv, "w") as fh:

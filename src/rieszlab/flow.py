@@ -12,12 +12,32 @@ each stage's adjoint beside its forward. Every forward step stays
 complex-analytic, so complex step checks the adjoint to rounding.
 Riesz and Auckly-Sadun selectors differentiate by central differences:
 two energies per coordinate, O(V^3), meant for V up to about 100.
+
+One forward per vertex array. `_ks_quadrature` builds everything the
+energy reads of a vertex array (`_KSForward`): the face vectors once, the
+seed frames with their unit face vectors and vertex sums, the fit with its
+design and normal equations, the face sizes and weights. The adjoints read
+those arrays rather than rebuild them. A KS flow step evaluates the
+accepted candidate's energy and then, as the next step, the gradient at
+that same vertex array, so `ks_flow_energy` leaves its forward in a
+one-entry handoff, keyed by the mesh's topology object and the exact bits
+of its vertex array (`tobytes()`; identity is not enough, since
+`with_vertices` may alias an array its caller goes on to edit). The next
+KS gradient, and the line search's orientation check, take it when both
+match; only energies fill it. The handoff is not kept on the mesh (as
+`TriMesh._fits` is) because meshes outlive their step: a caller that keeps
+its flow states, as `bench/run.py` keeps every pass's results (4 states a
+pass, about 650 passes in 10 s), would hold one forward with its design
+for each, about 128 KB at V = 42, so over 300 MB against a whole-run peak
+RSS of 54 MB without them. One entry holds one forward; a miss, or an
+entry of another thread's flow, costs a rebuild and never a stale value.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +70,40 @@ MAX_HALVINGS = 20
 # complex-safe discrete Kusner-Sullivan energy
 # ----------------------------------------------------------------------
 
+class _KSForward(NamedTuple):
+    """What the flow energy reads of a vertex array, and its gradient with
+    it: ring offsets, the face vectors, seed frames (with the unit face
+    vectors and their vertex sums), the fit's unit vectors and solve (with
+    the fit design), the face vectors halved on triangles and their
+    lengths, and the lumped vertex weights."""
+
+    offsets: np.ndarray
+    faces: np.ndarray
+    seed: tuple
+    units: np.ndarray
+    solve: tuple
+    halved: np.ndarray
+    sizes: np.ndarray
+    weights: np.ndarray
+
+
 def _ks_quadrature(vertices, topology):
-    """What the flow energy reads of a vertex array: ring offsets, seed
-    frames, the fit's unit vectors and solve, the face vectors (halved on
-    triangles) and the lumped vertex weights."""
+    """The flow's one forward of a vertex array (`_KSForward`)."""
     idx, mask = topology.ring_table
     offsets = vertices[idx] - vertices[:, None]
-    seed = seed_frames(vertices, topology)
-    tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed)
-    e, size = face_sizes(vertices, topology)
-    weights = topology.lumped_weights(size)
-    return offsets, seed, ks_unit_vectors(tangent, normal), solve, e, weights
+    faces = face_vectors(vertices, topology)
+    seed = seed_frames(vertices, topology, faces)
+    tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed[:2])
+    halved, sizes = face_sizes(faces, topology.m)
+    return _KSForward(offsets, faces, seed, ks_unit_vectors(tangent, normal),
+                      solve, halved, sizes, topology.lumped_weights(sizes))
+
+
+def _ks_sum(vertices, topology, fwd):
+    """The KS double sum of the forward fwd of vertices."""
+    return fwd.weights @ ks_triangle_rows(vertices, fwd.units, topology.m,
+                                          np.zeros(len(vertices)),
+                                          fwd.weights, None)[0]
 
 
 def _ks_vertex_energy(vertices, topology):
@@ -70,14 +113,12 @@ def _ks_vertex_energy(vertices, topology):
     frame step `fit_tangent_frames`), the weights the lumped vertex weights
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
-    _, _, units, _, _, weights = _ks_quadrature(vertices, topology)
-    return weights @ ks_triangle_rows(vertices, units, topology.m,
-                                      np.zeros(len(vertices)), weights,
-                                      None)[0]
+    return _ks_sum(vertices, topology, _ks_quadrature(vertices, topology))
 
 
-def _ks_vertex_gradient(vertices, topology):
-    """Gradient (V, n) of `_ks_vertex_energy`, by reverse mode.
+def _ks_vertex_gradient(vertices, topology, fwd):
+    """Gradient (V, n) of `_ks_vertex_energy`, by reverse mode from the
+    forward fwd of the same vertices.
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
     unit vector) arguments, so each vertex's pair gradient is twice its
@@ -88,8 +129,7 @@ def _ks_vertex_gradient(vertices, topology):
     fit and the seed, the weight gradients through the face vectors.
     """
     m, V = topology.m, len(vertices)
-    offsets, seed, units, solve, e, weights = _ks_quadrature(vertices,
-                                                             topology)
+    units, weights = fwd.units, fwd.weights
     grad = np.empty(vertices.shape)
     units_bar = np.empty(units.shape)
     weights_bar = np.empty(V)
@@ -103,22 +143,39 @@ def _ks_vertex_gradient(vertices, topology):
         weights_bar[lo:hi] = 2.0 * (q @ weights)
         grad[lo:hi], units_bar[lo:hi] = pullback(omc_bar, s_bar)
     frame_bars = ((units_bar[..., None], None) if m == 1
-                  else (np.zeros(seed[0].shape), units_bar[..., None]))
+                  else (np.zeros(fwd.seed[0].shape), units_bar[..., None]))
     offsets_bar, *seed_bar = fit_tangent_frames_adjoint(
-        offsets, topology.ring_table[1], *seed, solve, *frame_bars)
+        fwd.offsets, topology.ring_table[1], *fwd.seed[:2], fwd.solve,
+        *frame_bars)
     np.add.at(grad, topology.ring_table[0], offsets_bar)
     grad -= offsets_bar.sum(axis=1)
-    grad += seed_frames_adjoint(vertices, topology, *seed_bar)
-    # w = incidence (|e| / (m + 1)), e halved on triangles
-    size_bar = (topology.incidence.T @ weights_bar) / (m + 1)
-    e_bar = size_bar[:, None] * e / np.sqrt(dot(e, e))[:, None]
+    grad += seed_frames_adjoint(vertices, topology, fwd.faces, fwd.seed,
+                                *seed_bar)
+    # w = vertex_sums(|e| / (m + 1)), e halved on triangles
+    size_bar = topology.face_sums(weights_bar) / (m + 1)
+    e_bar = size_bar[:, None] * fwd.halved / fwd.sizes[:, None]
     return grad + face_vectors_adjoint(vertices, topology,
                                        0.5 * e_bar if m == 2 else e_bar)
 
 
+# The forward of the last `ks_flow_energy`, keyed by its mesh's topology and
+# vertex bits: at most one entry, read by the next KS gradient and line
+# search at the same vertex array (see the module docstring).
+_handoff = {}
+
+
+def _handed_off(mesh):
+    """The handed-off forward of mesh's vertex array, or None."""
+    return _handoff.get((mesh.topology, mesh.vertices.tobytes()))
+
+
 def ks_flow_energy(mesh: TriMesh) -> float:
-    """Discrete KS energy used by the flow (diagonal cell dropped)."""
-    return float(_ks_vertex_energy(mesh.vertices, mesh.topology))
+    """Discrete KS energy used by the flow (diagonal cell dropped); leaves
+    its forward in the handoff."""
+    _handoff.clear()
+    fwd = _ks_quadrature(mesh.vertices, mesh.topology)
+    _handoff[mesh.topology, mesh.vertices.tobytes()] = fwd
+    return float(_ks_sum(mesh.vertices, mesh.topology, fwd))
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +239,11 @@ class FlowState:
     config: object = None
 
     def energy(self) -> float:
+        """The mesh's energy: the one recorded by the accepted step when the
+        trajectory's last point has this state's iteration, else evaluated."""
+        last = self.trajectory[-1] if self.trajectory else None
+        if last is not None and last.iteration == self.iteration:
+            return last.energy
         return self.selector.evaluate(self.mesh, self.config)
 
 
@@ -189,13 +251,18 @@ def energy_gradient(state: FlowState) -> np.ndarray:
     """Per-vertex energy gradient (V, n).
 
     KS: the reverse-mode gradient of the flow's quadrature sum, one pass
-    of O(V^2) pair work (`_ks_vertex_gradient`). Riesz and AS: central
+    of O(V^2) pair work (`_ks_vertex_gradient`) from the forward that
+    `ks_flow_energy` handed off at the same vertex array, or from a new
+    one. Riesz and AS: central
     differences with step 1e-5 x bounding-box diagonal, two energies per
     coordinate, so O(V^3); meant for V up to about 100.
     """
     mesh = state.mesh
     if state.selector.kind == "ks":
-        return _ks_vertex_gradient(mesh.vertices, mesh.topology)
+        fwd = _handed_off(mesh)
+        if fwd is None:
+            fwd = _ks_quadrature(mesh.vertices, mesh.topology)
+        return _ks_vertex_gradient(mesh.vertices, mesh.topology, fwd)
     V, n = mesh.vertices.shape
     grad = np.empty((V, n))
     box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
@@ -227,17 +294,15 @@ def flow_step(state: FlowState) -> FlowState:
     the state is returned with the stationary flag set (a report, not an
     error).
     """
-    last = state.trajectory[-1] if state.trajectory else None
-    if last is not None and last.iteration == state.iteration:
-        e0 = last.energy      # the energy the accepted step recorded
-    else:
-        e0 = state.energy()
+    e0 = state.energy()
     grad = energy_gradient(state)
     if float(np.linalg.norm(grad)) == 0.0:
         return replace(state, stationary=True)
     mesh = state.mesh
     step = state.step_size
-    f_old = face_vectors(mesh.vertices, mesh.topology)
+    fwd = _handed_off(mesh)
+    f_old = (face_vectors(mesh.vertices, mesh.topology) if fwd is None
+             else fwd.faces)
     for _ in range(MAX_HALVINGS + 1):
         cand = mesh.vertices - step * grad
         if _orientation_ok(f_old, mesh.topology, cand):
@@ -286,7 +351,8 @@ class ContactReport:
 
 
 def contact_monitor(state: FlowState, ceiling: float | None = None) -> ContactReport:
-    """Min distance between non-adjacent mesh elements and the current energy.
+    """Min distance between non-adjacent mesh elements and the state's
+    energy (`FlowState.energy`: after a step, the one the step recorded).
 
     ceiling_exceeded flags an energy above the configured ceiling (never
     set without a ceiling); closing_in reports, separately, whether the

@@ -54,8 +54,8 @@ class MeshTopology:
 
     Everything here depends on the faces alone, so meshes on the same faces
     (`TriMesh.with_vertices`, `translated`) share one instance. The faces
-    are read-only; rings, the 2-ring table, the vertex-face incidence
-    matrix and components are built on first use.
+    are read-only; the adjacency, rings, the 2-ring table and components
+    are built on first use.
     """
 
     def __init__(self, faces, m, num_vertices):
@@ -90,29 +90,32 @@ class MeshTopology:
 
     @cached_property
     def adjacency(self):
-        """Sparse (V, V) pattern of the vertex pairs that share a face."""
-        # scipy.sparse is imported on first use, as csgraph below: runs on
-        # charts alone never load it
-        from scipy import sparse
+        """The vertex pairs that share a face in compressed rows, (indptr
+        (V + 1,), indices): each vertex's neighbours, sorted."""
+        # numpy alone, as every table here but `components`: importing
+        # scipy.sparse adds about 20 MB to a process's resident set
         k = np.arange(self.m + 1)
         a, b = np.nonzero(k[:, None] != k[None, :])
-        V = self.num_vertices
-        return sparse.csr_matrix((np.ones(len(self.faces) * len(a)),
-                                  (self.faces[:, a].ravel(),
-                                   self.faces[:, b].ravel())), shape=(V, V))
+        return _compressed_rows(self.faces[:, a].ravel(),
+                                self.faces[:, b].ravel(), self.num_vertices)
 
     def rings(self, depth):
         """Sorted vertex ids within `depth` edges of each vertex, itself
         excluded (depth 1: the vertices sharing a face with it)."""
         if depth not in self._rings:
-            from scipy import sparse
-            reach = self.adjacency
+            indptr, indices = self.adjacency
+            V, degree = self.num_vertices, np.diff(indptr)
+            rows, cols = np.repeat(np.arange(V), degree), indices
             for _ in range(depth - 1):
-                reach = reach + reach @ self.adjacency
-            reach = (reach - sparse.diags(reach.diagonal())).tocsr()
-            reach.eliminate_zeros()
-            reach.sort_indices()
-            self._rings[depth] = np.split(reach.indices, reach.indptr[1:-1])
+                # each pair (a, b) reached, extended by every neighbour of b
+                n = degree[cols]
+                pos = np.arange(n.sum()) + np.repeat(
+                    indptr[cols] - np.cumsum(n) + n, n)
+                rows = np.concatenate([rows, np.repeat(rows, n)])
+                cols = np.concatenate([cols, indices[pos]])
+            keep = rows != cols
+            indptr, indices = _compressed_rows(rows[keep], cols[keep], V)
+            self._rings[depth] = np.split(indices, indptr[1:-1])
         return self._rings[depth]
 
     @cached_property
@@ -129,35 +132,82 @@ class MeshTopology:
     @cached_property
     def components(self):
         """Connected-component id per vertex (via shared faces)."""
-        # imported here: loading csgraph adds ~3 MB to every process's
-        # resident set, and most runs never ask for components
+        # imported here: most runs never ask for components
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
-        return connected_components(self.adjacency, directed=False)[1]
+        indptr, indices = self.adjacency
+        V = self.num_vertices
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr),
+                           shape=(V, V))
+        return connected_components(graph, directed=False)[1]
 
     def nonneighbor_min(self, d2, lo):
         """Smallest entry of d2, squared distances from the vertices lo:lo +
         len(d2) to the vertices lo:, once its diagonal and its pairs that
         share a face are set to inf in place (inf when no pair is left)."""
-        k, adj = len(d2), self.adjacency
+        k, (indptr, indices) = len(d2), self.adjacency
         d2[np.arange(k), np.arange(k)] = math.inf
-        row = np.repeat(np.arange(k), np.diff(adj.indptr[lo:lo + k + 1]))
-        col = adj.indices[adj.indptr[lo]:adj.indptr[lo + k]] - lo
+        row = np.repeat(np.arange(k), np.diff(indptr[lo:lo + k + 1]))
+        col = indices[indptr[lo]:indptr[lo + k]] - lo
         d2[row[col >= 0], col[col >= 0]] = math.inf
         return float(d2.min())
 
     def lumped_weights(self, measures):
         """Vertex weights: 1/(m+1) of the measures (F,) of their faces."""
-        return self.incidence @ (measures / (self.m + 1))
+        return self.vertex_sums(measures / (self.m + 1))
+
+    def vertex_sums(self, values):
+        """Sums (V, ...) over each vertex's faces of face values (F, ...),
+        added in face order from zero."""
+        zero = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
+        padded = np.concatenate([values, zero])
+        out = np.zeros((self.num_vertices, *values.shape[1:]),
+                       dtype=values.dtype)
+        for faces in self._vertex_faces:
+            out += padded[faces]
+        return out
+
+    def face_sums(self, values):
+        """Sums (F, ...) over each face's corners of vertex values (V, ...),
+        added in vertex order from zero: the adjoint of `vertex_sums`."""
+        out = np.zeros((len(self.faces), *values.shape[1:]),
+                       dtype=values.dtype)
+        for corner in self._sorted_corners:
+            out += values[corner]
+        return out
 
     @cached_property
-    def incidence(self):
-        """Sparse (V, F) vertex-face incidence: 1 where the vertex is a
-        corner of the face. Face-to-vertex sums are products with it."""
-        from scipy import sparse
-        F, k = len(self.faces), self.m + 1
-        return sparse.csr_matrix((np.ones(F * k), (self.faces.ravel(),
-                                                   np.repeat(np.arange(F), k))),
-                                 shape=(self.num_vertices, F))
+    def _vertex_faces(self):
+        """Each vertex's face ids in increasing order, one row per rank
+        (D, V), D the most faces at a vertex, padded with the id F: the
+        zero row that `vertex_sums` appends."""
+        corners = self.faces.ravel()
+        order = np.argsort(corners, kind="stable")
+        vertex, face = corners[order], order // (self.m + 1)
+        count = np.bincount(vertex, minlength=self.num_vertices)
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(count) - count,
+                                                 count)
+        table = np.full((count.max(initial=0), self.num_vertices),
+                        len(self.faces))
+        table[rank, vertex] = face
+        return table
+
+    @cached_property
+    def _sorted_corners(self):
+        """Each face's vertex ids in increasing order, one row per corner
+        (m + 1, F)."""
+        return np.sort(self.faces, axis=1).T
+
+
+def _compressed_rows(rows, cols, V):
+    """The distinct pairs (rows, cols) of ids below V in compressed rows,
+    (indptr (V + 1,), indices), each row's columns sorted."""
+    keys = np.sort(rows * V + cols)
+    # np.unique, which hashes, takes 3x as long on a 2-ring's 10^5 keys
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.zeros(V + 1, dtype=int)
+    np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
+    return indptr, keys % V
 
 
 def face_vectors(vertices, topology):
@@ -186,12 +236,11 @@ def face_vectors_adjoint(vertices, topology, face_bar):
     return grad
 
 
-def face_sizes(vertices, topology):
-    """`face_vectors` halved on triangles (F, n) and their lengths, the
-    faces' m-volumes (F,): no Gram determinant to cancel on thin triangles."""
-    e = face_vectors(vertices, topology)
-    if topology.m == 2:
-        e = 0.5 * e
+def face_sizes(faces, m):
+    """The `face_vectors` faces (F, n) of an m-mesh halved on triangles,
+    and their lengths, the faces' m-volumes (F,): no Gram determinant to
+    cancel on thin triangles."""
+    e = 0.5 * faces if m == 2 else faces
     return e, np.sqrt(dot(e, e))
 
 
@@ -199,9 +248,11 @@ def _unit(a):
     return a / np.sqrt(dot(a, a))[:, None]
 
 
-def seed_frames(vertices, topology):
-    """Oriented orthonormal seed frames of every vertex, from its faces:
-    (tangent (V, n, m), normal (V, n, n-m)).
+def seed_frames(vertices, topology, faces):
+    """Oriented orthonormal seed frames of every vertex, from its faces'
+    `face_vectors` faces (F, n): (tangent (V, n, m), normal (V, n, n-m),
+    (units, sums)), the last what `seed_frames_adjoint` reads: the unit
+    face vectors (F, n) and their sums at each vertex (V, n).
 
     m = 1: the tangent is the sum of the unit winding directions of its
     edges. m = 2 (in R^3 only): the normal is the normalised sum of the
@@ -210,33 +261,32 @@ def seed_frames(vertices, topology):
     first tangent. Every product is a plain one, so complex-step
     derivatives go through.
     """
-    f = _unit(face_vectors(vertices, topology))
+    f = _unit(faces)
+    a = topology.vertex_sums(f)
     if topology.m == 1:
-        return orthonormal_frames((topology.incidence @ f)[..., None])
-    nrm = _unit(topology.incidence @ f)
+        return (*orthonormal_frames(a[..., None]), (f, a))
+    nrm = _unit(a)
     e = vertices[topology.ring_table[0][:, 0]] - vertices
     e = _unit(e - dot(e, nrm)[:, None] * nrm)
-    return np.stack([e, cross(nrm, e)], axis=-1), nrm[..., None]
+    return np.stack([e, cross(nrm, e)], axis=-1), nrm[..., None], (f, a)
 
 
-def seed_frames_adjoint(vertices, topology, tangent_bar, normal_bar):
-    """Reverse-mode derivative of `seed_frames`: the gradient of
-    <tangent_bar, T> + <normal_bar, N> with respect to the vertices (V, n).
-    Real input."""
-    fv = face_vectors(vertices, topology)
-    f = _unit(fv)
-    a = topology.incidence @ f
+def seed_frames_adjoint(vertices, topology, faces, seed, tangent_bar,
+                        normal_bar):
+    """Reverse-mode derivative of `seed_frames`: from its faces and its
+    output seed, the gradient of <tangent_bar, T> + <normal_bar, N> with
+    respect to the vertices (V, n). Real input."""
+    tangent, normal, (f, a) = seed
     grad = np.zeros(vertices.shape)
     if topology.m == 1:
         a_bar = orthonormal_frames_adjoint(a[..., None], tangent_bar,
                                            normal_bar)[..., 0]
     else:
-        nrm = _unit(a)
+        nrm, t = normal[..., 0], tangent[..., 0]
         first = topology.ring_table[0][:, 0]
         e = vertices[first] - vertices
         proj = dot(e, nrm)[:, None]
         e0 = e - proj * nrm
-        t = _unit(e0)
         t_bar, u_bar = tangent_bar[..., 0], tangent_bar[..., 1]
         # u = nrm x t, t = unit(e - <e, nrm> nrm)
         nrm_bar = normal_bar[..., 0] + cross(t, u_bar)
@@ -247,7 +297,7 @@ def seed_frames_adjoint(vertices, topology, tangent_bar, normal_bar):
         a_bar = unit_adjoint(a, nrm, nrm_bar)
         np.add.at(grad, first, e_bar)
         grad -= e_bar
-    f_bar = unit_adjoint(fv, f, topology.incidence.T @ a_bar)
+    f_bar = unit_adjoint(faces, f, topology.face_sums(a_bar))
     return grad + face_vectors_adjoint(vertices, topology, f_bar)
 
 
@@ -317,7 +367,8 @@ class TriMesh(Surface):
 
     def measures(self) -> np.ndarray:
         """Per-face m-volume (edge lengths / triangle areas)."""
-        return face_sizes(self.vertices, self.topology)[1]
+        return face_sizes(face_vectors(self.vertices, self.topology),
+                          self.m)[1]
 
     def face_centroids(self) -> np.ndarray:
         return self.vertices[self.faces].mean(axis=1)
@@ -339,9 +390,9 @@ class TriMesh(Surface):
     @cached_property
     def _local_scale(self):
         # each edge's length once, summed onto both of its ends
-        adj, V = self.topology.adjacency, self.num_vertices
-        degree = np.diff(adj.indptr)
-        a, b = np.repeat(np.arange(V), degree), adj.indices
+        (indptr, b), V = self.topology.adjacency, self.num_vertices
+        degree = np.diff(indptr)
+        a = np.repeat(np.arange(V), degree)
         a, b = a[a < b], b[a < b]
         length = np.linalg.norm(self.vertices[b] - self.vertices[a], axis=-1)
         out = (np.bincount(a, length, minlength=V)
@@ -439,8 +490,9 @@ class TriMesh(Surface):
         extent 0.9x the ring's largest offset."""
         idx, mask = self.topology.ring_table
         d = self.vertices[idx] - self.vertices[:, None]      # (V, R, n)
-        tangent, normal, solve = fit_tangent_frames(
-            d, mask, *seed_frames(self.vertices, self.topology))
+        seed = seed_frames(self.vertices, self.topology,
+                           face_vectors(self.vertices, self.topology))
+        tangent, normal, solve = fit_tangent_frames(d, mask, *seed[:2])
         extent = 0.9 * np.max(np.linalg.norm(d, axis=-1) * mask, axis=1)
         fits = (tangent, normal, *fit_curvature(tangent, normal, solve),
                 extent)

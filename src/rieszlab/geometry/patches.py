@@ -290,8 +290,8 @@ def fit_tangent_frames(offsets, mask, tangent, normal):
     / s^2), by normal equations. The fitted graph's tangent plane at the
     vertex is spanned by B = T + N g^T. Returns (tangent, normal, solve):
     the frames of B, with the seed's orientation, and what `fit_curvature`
-    and `fit_tangent_frames_adjoint` read. Complex input goes through
-    (complex step).
+    and `fit_tangent_frames_adjoint` read (the design, the normal equations
+    and their solution). Complex input goes through (complex step).
     """
     d = _floating(offsets)
     mask = np.asarray(mask, dtype=float)
@@ -300,20 +300,22 @@ def fit_tangent_frames(offsets, mask, tangent, normal):
     count = mask.sum(axis=1)
     if np.any(count < k):
         raise NumericalError("not enough neighbors for a quadratic fit")
-    cols, w, _, scale, _, quad_idx = _fit_design(d, mask, tangent, normal)
+    design = _fit_design(d, mask, tangent, normal)
+    cols, w, _, scale, _, _ = design
     XY = cols * w[..., None]                               # [X | Y] weighted
     G = np.swapaxes(XY, -1, -2) @ XY
     sol = np.linalg.solve(G[:, :k, :k], G[:, :k, k:])      # (P, k, n-m)
     tilted = tangent + normal @ np.swapaxes(sol[:, :m] / scale, -1, -2)
     return (*orthonormal_frames(tilted),
-            (normal, tilted, XY, sol, scale, count, quad_idx))
+            (normal, tilted, design, XY, G, sol, count))
 
 
 def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
                                tangent_bar, normal_bar):
     """Reverse-mode derivative of `fit_tangent_frames`.
 
-    From the forward's inputs and its solve, the gradients of <tangent_bar,
+    From the forward's inputs and its solve, whose design and normal
+    equations it reads as they are, the gradients of <tangent_bar,
     T'> + <normal_bar, N'>, (T', N') the returned frames and normal_bar
     None when N' is not read, with respect to offsets (P, R, n), tangent
     (P, n, m) and normal (P, n, n-m), in that order. It runs the
@@ -323,9 +325,9 @@ def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
     """
     d = np.asarray(offsets, dtype=float)
     mask = np.asarray(mask, dtype=float)
-    _, tilted, XY, sol, scale, count, quad_idx = solve
+    _, tilted, design, XY, G, sol, count = solve
     m, k = tangent.shape[-1], sol.shape[1]
-    cols, w, dist2, _, eta, _ = _fit_design(d, mask, tangent, normal)
+    cols, w, dist2, scale, eta, quad_idx = design
     s = scale[:, 0, 0]
     # the tilt, g = sol[:m] / s
     B_bar = orthonormal_frames_adjoint(tilted, tangent_bar, normal_bar)
@@ -335,7 +337,6 @@ def fit_tangent_frames_adjoint(offsets, mask, tangent, normal, solve,
     # sol = A^-1 R with [A | R] the first k rows of G = XY^T XY
     sol_bar = np.zeros_like(sol)
     sol_bar[:, :m] = g_bar / scale
-    G = np.swapaxes(XY, -1, -2) @ XY
     Z = np.linalg.solve(np.swapaxes(G[:, :k, :k], -1, -2), sol_bar)
     G_bar = np.zeros_like(G)
     G_bar[:, :k, :k] = -Z @ np.swapaxes(sol, -1, -2)
@@ -374,7 +375,8 @@ def fit_curvature(tangent, normal, solve):
     rms (P,)), coeffs symmetric per normal component and rms the weighted
     residual of the one solve.
     """
-    seed_normal, tilted, XY, sol, scale, count, quad_idx = solve
+    seed_normal, tilted, design, XY, _, sol, count = solve
+    _, _, _, scale, _, quad_idx = design
     P, k, c = sol.shape
     m = tangent.shape[-1]
     quad = sol[:, m:] / scale ** 2                        # (P, q, n-m)

@@ -384,7 +384,9 @@ def lambda_bound(m: int, alpha: float, delta, rho):
     """Annulus-pair lower bound 2^a c1^2 rho^(2m+a) (1+d/rho)^a, with delta
     and rho broadcast against each other."""
     rho = np.asarray(rho, dtype=float)
-    if np.any(np.asarray(delta) <= 0) or np.any(rho <= 0):
+    if not math.isfinite(alpha):
+        raise PreconditionError(f"alpha must be finite, got {alpha}")
+    if not (np.all(np.asarray(delta) > 0) and np.all(rho > 0)):
         raise PreconditionError("lambda bound needs delta, rho > 0")
     c1 = 0.9 * (1.0 - 0.5 ** m) * unit_ball_volume(m)
     return (2.0 ** alpha * c1 ** 2 * rho ** (2 * m + alpha)
@@ -436,6 +438,8 @@ def sphere_pair_cross_energy(m: int, alpha: float, radius: float,
     one in-place power.
     """
     r, a = float(radius), float(alpha)
+    if not math.isfinite(a):
+        raise PreconditionError(f"alpha must be finite, got {a}")
     if not (math.isfinite(r) and r > 0):
         raise PreconditionError(f"radius must be positive and finite, got {r}")
     if not math.isfinite(gap):
@@ -513,8 +517,8 @@ def two_body_sweep(m: int, alpha: float, radius: float,
     reports honestly.
     """
     gaps = np.asarray(sorted(gaps, reverse=True), dtype=float)
-    if np.any(gaps <= 0):
-        raise PreconditionError("gaps must be positive and decreasing")
+    if not (np.all(gaps > 0) and np.all(np.diff(gaps) < 0)):
+        raise PreconditionError("gaps must be positive and distinct")
     energies = np.array([sphere_pair_cross_energy(m, alpha, radius, g)
                          for g in gaps])
     rho0 = min(radius, 1.0)

@@ -267,6 +267,10 @@ def test_invalid_model_input_exits_3(argv, capsys):
                   "--gaps", "0.1"], None, 2, id="sweep-radius-negative"),
     pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--radius", "0",
                   "--gaps", "0.1"], None, 2, id="sweep-radius-zero"),
+    pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--gaps",
+                  "0.1,0.1,0.01"], None, 2, id="sweep-gaps-repeated"),
+    pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--gaps",
+                  "0.1,-0.01"], None, 2, id="sweep-gap-negative"),
     pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"], [1, 2],
                  2, id="config-not-an-object"),
 ])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import rieszlab
+from rieszlab import flow
 from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
                            _ks_quadrature, _ks_vertex_energy, _orientation_ok,
                            contact_monitor, energy_gradient, flow_step,
@@ -180,22 +181,104 @@ def test_flow_step_reads_e0_from_the_trajectory(monkeypatch):
     assert np.array_equal(ref.mesh.vertices, state.mesh.vertices)
 
 
+@pytest.mark.parametrize("mesh", [_perturbed_sphere(),
+                                  _perturbed(polygon_circle(32))],
+                         ids=["icosphere1", "polygon32"])
+def test_flow_with_the_handoff_equals_the_flow_without_it(mesh,
+                                                          monkeypatch):
+    # each step's gradient and orientation check read the forward that the
+    # accepted step's energy left; emptied, they rebuild it: same bits
+    warm = run_flow(FlowState(mesh=mesh, step_size=1e-2), 4)
+    gradient = flow.energy_gradient
+
+    def cold(state):
+        flow._handoff.clear()
+        return gradient(state)
+
+    monkeypatch.setattr(flow, "energy_gradient", cold)
+    ref = run_flow(FlowState(mesh=mesh, step_size=1e-2), 4)
+    assert warm.iteration == ref.iteration == 4
+    assert [vars(p) for p in warm.trajectory] == [vars(p)
+                                                  for p in ref.trajectory]
+    assert warm.mesh.vertices.tobytes() == ref.mesh.vertices.tobytes()
+
+
+def test_gradient_after_an_energy_elsewhere_is_the_cold_gradient():
+    a = _perturbed_sphere(seed=1)
+    b = a.with_vertices(_perturbed_sphere(seed=2).vertices)
+    flow._handoff.clear()
+    cold = energy_gradient(FlowState(mesh=b))
+    ks_flow_energy(a)
+    assert energy_gradient(FlowState(mesh=b)).tobytes() == cold.tobytes()
+    # the handed-off forward is a's, and serves a's gradient
+    warm = energy_gradient(FlowState(mesh=a))
+    flow._handoff.clear()
+    assert warm.tobytes() == energy_gradient(FlowState(mesh=a)).tobytes()
+
+
+def test_handoff_is_not_served_after_an_edit_in_place():
+    # with_vertices may alias the caller's array, so an edit of it after
+    # the energy changes the mesh: the gradient must see the new vertices
+    vertices = _perturbed_sphere().vertices.copy()
+    mesh = icosphere(1).with_vertices(vertices)
+    assert mesh.vertices is vertices
+    ks_flow_energy(mesh)
+    vertices[3] *= 1.01
+    got = energy_gradient(FlowState(mesh=mesh))
+    flow._handoff.clear()
+    assert got.tobytes() == energy_gradient(FlowState(mesh=mesh)).tobytes()
+
+
+def test_handoff_holds_at_most_one_forward():
+    run_flow(FlowState(mesh=_perturbed_sphere(), step_size=1e-2), 3)
+    assert len(flow._handoff) == 1
+    for seed in range(3):
+        ks_flow_energy(_perturbed(polygon_circle(16), seed=seed))
+        assert len(flow._handoff) == 1
+    # gradients and complex-step energies read it and never fill it
+    (entry,) = flow._handoff.values()
+    mesh = _perturbed_sphere(seed=5)
+    energy_gradient(FlowState(mesh=mesh))
+    _ks_complex_step(mesh, [(0, 0)])
+    assert list(flow._handoff.values()) == [entry]
+
+
+def test_monitor_reads_the_recorded_energy(monkeypatch):
+    state = run_flow(FlowState(mesh=_perturbed_sphere(), step_size=1e-2), 3)
+    calls = []
+    evaluate = EnergySelector.evaluate
+
+    def counted(self, mesh, config=None):
+        calls.append(mesh)
+        return evaluate(self, mesh, config)
+
+    monkeypatch.setattr(EnergySelector, "evaluate", counted)
+    report = contact_monitor(state)
+    assert calls == []
+    assert report.energy == state.trajectory[-1].energy
+    assert report.energy == ks_flow_energy(state.mesh)
+    # a trajectory that ends at another iteration is not the mesh's energy
+    moved = replace(state, iteration=state.iteration + 1)
+    assert contact_monitor(moved).energy == ks_flow_energy(state.mesh)
+    assert len(calls) == 1
+
+
 def test_ks_flow_loads_no_scipy_beyond_sparse():
-    # the flow reads sparse mesh tables; its contact distance is numpy, so
-    # scipy.spatial (with scipy.linalg and scipy.special, 16 MB) stays out
+    # the flow's mesh tables, face sums and contact distance are numpy, so
+    # scipy stays out: scipy.sparse alone adds about 20 MB resident, and
+    # scipy.spatial (with scipy.linalg and scipy.special) 16 MB more
     src = Path(rieszlab.__file__).resolve().parents[1]
     code = ("import sys, rieszlab\n"
             "mesh = rieszlab.icosphere(1)\n"
             "mesh = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.1])\n"
-            "rieszlab.run_flow(rieszlab.FlowState(mesh=mesh), 2)\n"
-            "print(sorted({m.split('.')[1] for m in sys.modules\n"
-            "              if m.startswith('scipy.')}))")
+            "state = rieszlab.run_flow(rieszlab.FlowState(mesh=mesh), 2)\n"
+            "rieszlab.contact_monitor(state)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={"PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = ast.literal_eval(proc.stdout)
-    assert "sparse" in loaded
-    assert not {"spatial", "linalg", "special"} & set(loaded)
+    assert loaded == []
 
 
 def test_ks_flow_energy_round_sphere_is_minimal():
@@ -223,7 +306,7 @@ def test_flow_energy_is_ks_energy_without_diagonal(mesh):
         ks_energy(mesh).value, rel=1e-12)
     # the lumped weights are the same bits on both sides
     assert np.array_equal(nodes.weights,
-                          _ks_quadrature(mesh.vertices, mesh.topology)[5])
+                          _ks_quadrature(mesh.vertices, mesh.topology).weights)
 
 
 def test_gradient_near_minimizer():

@@ -403,9 +403,9 @@ def _ks_energy_reference(surface, config):
 
 
 def _flow_energy_reference(mesh):
-    _, _, units, _, _, w = _ks_quadrature(mesh.vertices, mesh.topology)
-    return _full_square_sum(mesh.vertices, units, mesh.m, np.zeros(len(w)),
-                            w)
+    fwd = _ks_quadrature(mesh.vertices, mesh.topology)
+    return _full_square_sum(mesh.vertices, fwd.units, mesh.m,
+                            np.zeros(len(fwd.weights)), fwd.weights)
 
 
 TRIANGLE_SURFACES = {
@@ -534,7 +534,7 @@ def _cross_inputs():
 
 
 def _gradient_inputs(mesh):
-    _, _, units, _, _, _ = _ks_quadrature(mesh.vertices, mesh.topology)
+    units = _ks_quadrature(mesh.vertices, mesh.topology).units
     return (mesh.vertices, units, mesh.vertices, units, mesh.m,
             np.zeros(len(units)))
 

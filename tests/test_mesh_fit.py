@@ -142,7 +142,7 @@ def test_coarse_torus_fit_normals_follow_the_faces():
     # of this mesh in the tangent plane
     mesh = torus_mesh(12, 24)
     # the sum of the unit normals of the faces at each vertex
-    ref = mesh.topology.incidence @ mesh.face_normals()
+    ref = mesh.topology.vertex_sums(mesh.face_normals())
     normals = mesh.curvatures(list(range(mesh.num_vertices)))[1][..., 0]
     for v in range(mesh.num_vertices):
         assert normals[v] @ ref[v] / np.linalg.norm(ref[v]) > 0.9, v

@@ -501,6 +501,22 @@ def test_lambda_bound_preconditions():
         lambda_bound(2, -4.0, np.array([[0.1], [0.0]]), np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_lambda_bound_refuses_a_non_finite_alpha(alpha):
+    with pytest.raises(PreconditionError):
+        lambda_bound(2, alpha, 0.1, 1.0)
+    with pytest.raises(PreconditionError):
+        models.lambda_bound_sum(2, alpha, np.array([0.1, 0.01]), 1.0)
+
+
+def test_lambda_bound_refuses_a_nan_delta():
+    # lambda_bound_sum(2, -4, nan, 1) returned NaN
+    with pytest.raises(PreconditionError):
+        models.lambda_bound_sum(2, -4.0, math.nan, 1.0)
+    with pytest.raises(PreconditionError):
+        lambda_bound(2, -4.0, np.array([0.1, math.nan]), 1.0)
+
+
 def test_lambda_bound_sum_is_the_scalar_cascade():
     # one array pass over the CASCADE_TERMS radii, against scalar calls
     for m, alpha, delta, rho0 in ((1, -2.0, 1e-3, 1.0), (2, -5.0, 0.05, 0.7)):
@@ -739,6 +755,16 @@ def test_cross_energy_gap_precondition():
                 sphere_pair_cross_energy(m, -2.0 * m, radius, gap)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_cross_energy_and_sweep_refuse_a_non_finite_alpha(m, alpha):
+    # an infinite alpha warned and returned NaN, a NaN one returned NaN
+    with pytest.raises(PreconditionError):
+        sphere_pair_cross_energy(m, alpha, 1.0, 0.1)
+    with pytest.raises(PreconditionError):
+        two_body_sweep(m, alpha, 1.0, [0.1, 0.01, 0.001])
+
+
 def test_sweep_dominates_annulus_bound():
     res = two_body_sweep(2, -4.0, 1.0, [0.1, 0.05, 0.025, 0.0125])
     assert res.dominates_bound
@@ -787,3 +813,7 @@ def test_sweep_m1_critical():
 def test_sweep_preconditions():
     with pytest.raises(PreconditionError):
         two_body_sweep(2, -4.0, 1.0, [0.1, -0.05])
+    # a repeated gap fitted the law through a duplicated point
+    for gaps in ([0.1, 0.1, 0.01], [0.01, 0.1, 0.01], [0.1, math.nan, 0.01]):
+        with pytest.raises(PreconditionError):
+            two_body_sweep(1, -2.0, 1.0, gaps)

@@ -117,6 +117,26 @@ def test_topology_matches_face_definitions():
     assert comp[0] != comp[12]
 
 
+@pytest.mark.parametrize("mesh", [torus_mesh(6, 8), polygon_circle(9)],
+                         ids=["torus", "polygon"])
+def test_face_and_vertex_sums_add_in_index_order(mesh):
+    # each vertex adds its faces' values by increasing face id, each face
+    # its corners' by increasing vertex id, from zero: the bits of the
+    # sparse incidence products they replaced
+    topology, rng = mesh.topology, np.random.default_rng(4)
+    F, V = len(mesh.faces), mesh.num_vertices
+    x = rng.standard_normal((F, 3)) * np.exp(rng.uniform(-20, 20, (F, 1)))
+    y = rng.standard_normal((V, 3)) * np.exp(rng.uniform(-20, 20, (V, 1)))
+    at_vertices, at_faces = np.zeros((V, 3)), np.zeros((F, 3))
+    for f, face in enumerate(mesh.faces):
+        for v in sorted(face):
+            at_vertices[v] += x[f]
+            at_faces[f] += y[v]
+    assert topology.vertex_sums(x).tobytes() == at_vertices.tobytes()
+    assert topology.face_sums(y).tobytes() == at_faces.tobytes()
+    assert np.array_equal(topology.vertex_sums(x[:, 0]), at_vertices[:, 0])
+
+
 def _closed_oriented_reference(faces):
     """Loop version of the topology check: directed-edge counts in a dict."""
     count = {}
