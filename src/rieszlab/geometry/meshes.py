@@ -53,9 +53,11 @@ class MeshTopology:
     """Connectivity of a simplicial mesh, built once from its faces.
 
     Everything here depends on the faces alone, so meshes on the same faces
-    (`TriMesh.with_vertices`, `translated`) share one instance. The faces
-    are read-only; the adjacency, rings, the 2-ring table and components
-    are built on first use.
+    (`TriMesh.with_vertices`, `translated`) share one instance. Every
+    vertex lies in some face. The faces are read-only; the adjacency,
+    rings, the 2-ring table and components are built on first use, with
+    numpy alone (importing scipy.sparse.csgraph would add about 33 MB to
+    a process's resident set).
     """
 
     def __init__(self, faces, m, num_vertices):
@@ -66,6 +68,11 @@ class MeshTopology:
             raise UnsupportedInputError(
                 f"face {f} {faces[f].tolist()} has a vertex id outside "
                 f"[0, {num_vertices})")
+        unused = np.flatnonzero(np.bincount(faces.ravel(),
+                                            minlength=num_vertices) == 0)
+        if len(unused):
+            # it would have no tangent, no ring and no weight
+            raise TopologyError(f"vertex {int(unused[0])} is in no face")
         self.faces = faces
         self.faces.flags.writeable = False
         self.m = m
@@ -75,8 +82,7 @@ class MeshTopology:
         if m == 1:
             heads = np.bincount(faces[:, 1], minlength=V)
             tails = np.bincount(faces[:, 0], minlength=V)
-            used = heads + tails > 0
-            closed = bool(np.all(heads[used] == 1) and np.all(tails[used] == 1))
+            closed = bool(np.all(heads == 1) and np.all(tails == 1))
             self.closed = self.oriented = closed
             return
         # each directed edge (a, b) of the triangles, counted with (b, a)
@@ -92,8 +98,6 @@ class MeshTopology:
     def adjacency(self):
         """The vertex pairs that share a face in compressed rows, (indptr
         (V + 1,), indices): each vertex's neighbours, sorted."""
-        # numpy alone, as every table here but `components`: importing
-        # scipy.sparse adds about 20 MB to a process's resident set
         k = np.arange(self.m + 1)
         a, b = np.nonzero(k[:, None] != k[None, :])
         return _compressed_rows(self.faces[:, a].ravel(),
@@ -131,15 +135,27 @@ class MeshTopology:
 
     @cached_property
     def components(self):
-        """Connected-component id per vertex (via shared faces)."""
-        # imported here: most runs never ask for components
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
+        """Connected-component id per vertex (via shared faces), numbered
+        in the order of each component's smallest vertex."""
+        # hook and jump (Shiloach and Vishkin 1982): every root hooks onto
+        # the smallest root next to its tree, then each vertex jumps to its
+        # root. Every tree with a neighbour merges, so O(log V) rounds;
+        # hooks only go down, so each root is its component's smallest id
         indptr, indices = self.adjacency
         V = self.num_vertices
-        graph = csr_matrix((np.ones(len(indices)), indices, indptr),
-                           shape=(V, V))
-        return connected_components(graph, directed=False)[1]
+        rows = np.repeat(np.arange(V), np.diff(indptr))
+        parent = np.arange(V)
+        while True:
+            hooked = parent.copy()
+            np.minimum.at(hooked, parent[rows], parent[indices])
+            if np.array_equal(hooked, parent):
+                break
+            parent = hooked
+            up = parent[parent]
+            while not np.array_equal(up, parent):
+                parent, up = up, up[up]
+        root = parent == np.arange(V)
+        return (np.cumsum(root) - 1)[parent]
 
     def nonneighbor_min(self, d2, lo):
         """Smallest entry of d2, squared distances from the vertices lo:lo +
@@ -397,7 +413,7 @@ class TriMesh(Surface):
         length = np.linalg.norm(self.vertices[b] - self.vertices[a], axis=-1)
         out = (np.bincount(a, length, minlength=V)
                + np.bincount(b, length, minlength=V))
-        out = np.divide(out, degree, out=out, where=degree > 0)
+        out /= degree
         out.flags.writeable = False
         return out
 
@@ -551,12 +567,12 @@ class TriMesh(Surface):
 def euler_characteristic(mesh: TriMesh) -> int:
     """V - E + F for closed surface meshes; 0 for closed curves. On a closed
     triangle mesh every edge lies in exactly two faces, so E = 3F/2 and
-    V - E + F = V - F/2, V counting the vertices of some face."""
+    V - E + F = V - F/2."""
     if not mesh.closed:
         raise TopologyError("Euler characteristic requires a closed mesh")
     if mesh.m == 1:
         return 0
-    return len(np.unique(mesh.faces)) - mesh.num_faces // 2
+    return mesh.num_vertices - mesh.num_faces // 2
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,34 @@ def test_mesh_file_without_faces_exits_4(tmp_path, capsys):
     assert out == "" and json.loads(err)["error"] == "UnsupportedInputError"
 
 
+@pytest.mark.parametrize("suffix", [".off", ".obj"])
+@pytest.mark.parametrize("argv", [
+    ["energy", "--energy", "ks"], ["energy", "--alpha", "-2.5"],
+    ["flow", "--energy", "ks", "--steps", "1"],
+    ["validate", "--eps0", "0.1", "--b", "10", "--V", "20"]],
+    ids=["ks", "riesz", "flow", "validate"])
+def test_mesh_file_with_a_vertex_in_no_face_exits_4(suffix, argv, tmp_path,
+                                                     capsys):
+    # KS and Riesz exited 3 on a division by its zero weight, flow on its
+    # empty ring, and validate exited 0 with a violation at every sample
+    from rieszlab.geometry import icosphere, write_obj, write_off
+    mesh, path = icosphere(1), tmp_path / f"stray{suffix}"
+    (write_off if suffix == ".off" else write_obj)(mesh, path)
+    lines = path.read_text().splitlines()
+    if suffix == ".off":
+        # vertex 42 after the 42 of the icosphere
+        lines[1] = f"43 {mesh.num_faces} 0"
+        lines.insert(44, "5 0 0")
+    else:
+        lines.append("v 5 0 0")
+    path.write_text("\n".join(lines) + "\n")
+    assert main([argv[0], "--surface", f"mesh:path={path}", *argv[1:]]) == 4
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "TopologyError"
+    assert err["message"].endswith("vertex 42 is in no face")
+
+
 def test_orthogonal_model_beyond_its_alpha_exits_4(capsys):
     # its box rule is 4e-8 off the closed form at alpha = 100
     assert main(["model", "orthogonal", "--alpha", "100"]) == 4

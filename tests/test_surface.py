@@ -2,6 +2,8 @@
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from rieszlab import (MoebiusMap, PatchClassParams, apply_moebius,
                       validate_patch_class)
 from rieszlab.errors import TopologyError, UnsupportedInputError
 from rieszlab.geometry import MeshTopology
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 ENTRY_POINTS = {
     "riesz_energy": lambda s: riesz_energy(s, -2.5),
@@ -117,6 +121,99 @@ def test_topology_matches_face_definitions():
     assert comp[0] != comp[12]
 
 
+def _union(*meshes):
+    out = meshes[0]
+    for mesh in meshes[1:]:
+        out = mesh_disjoint_union(out, mesh)
+    return out
+
+
+def _permuted(mesh, seed):
+    """The mesh with its vertex ids shuffled."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return TriMesh(verts, perm[mesh.faces], mesh.m)
+
+
+def _long_polygon(n):
+    """A closed polygon of n vertices in R^3, ids shuffled: its graph
+    diameter is n / 2, so labels that spread one edge per round take n / 2
+    whole-array rounds."""
+    th = 2 * math.pi * np.arange(n) / n
+    ring = np.stack([np.cos(th), np.sin(th), np.zeros(n)], axis=-1)
+    return _permuted(TriMesh(ring, np.c_[np.arange(n), np.roll(np.arange(n),
+                                                               -1)], 1), 3)
+
+
+@pytest.mark.parametrize("mesh", [
+    icosphere(3), torus_mesh(6, 8), polygon_circle(9),
+    _union(icosphere(1), icosphere(0).translated([3.0, 0.0, 0.0])),
+    _union(icosphere(1), torus_mesh(6, 8).translated([0.0, 5.0, 0.0]),
+           icosphere(0).translated([-3.0, 0.0, 0.0])),
+    _union(polygon_circle(9), polygon_circle(5).translated([3.0, 0.0])),
+    _union(polygon_circle(9), polygon_circle(5).translated([3.0, 0.0]),
+           polygon_circle(7).translated([0.0, 3.0])),
+    _permuted(_union(polygon_circle(9), polygon_circle(5).translated(
+        [3.0, 0.0])), 1),
+    _permuted(_union(icosphere(1), icosphere(0).translated([3.0, 0.0, 0.0])),
+              2),
+    _long_polygon(10 ** 5)],
+    ids=["icosphere3", "torus", "polygon", "two_spheres",
+         "three_surfaces", "two_polygons", "three_polygons",
+         "interleaved_polygons", "interleaved_spheres", "long_polygon"])
+def test_components_match_scipy(mesh):
+    # values and order: each component numbered by its smallest vertex
+    (indptr, indices), V = mesh.topology.adjacency, mesh.num_vertices
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(V, V))
+    count, ref = connected_components(graph, directed=False)
+    comp = mesh.topology.components
+    assert np.array_equal(comp, ref) and comp.max() + 1 == count
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_vertex_in_no_face_is_refused(m):
+    # it used to reach the energies, which failed on its zero weight and
+    # frame: "invalid value encountered in divide" or a rank-deficient chart
+    mesh = icosphere(1) if m == 2 else polygon_circle(9)
+    stray = np.r_[mesh.vertices, 5.0 + mesh.vertices[:1]]
+    with pytest.raises(TopologyError, match=f"vertex {mesh.num_vertices} is "
+                       "in no face"):
+        TriMesh(stray, mesh.faces, m)
+    with pytest.raises(TopologyError, match="vertex 0 is in no face"):
+        MeshTopology(mesh.faces[:, ::-1] + 1, m, mesh.num_vertices + 1)
+
+
+def test_mesh_energies_load_no_scipy():
+    # components are labelled with numpy, so no mesh energy, check, sweep,
+    # model scan or CLI command imports scipy (about 33 MB resident)
+    src = Path(rieszlab.__file__).resolve().parents[1]
+    code = ("import sys, rieszlab\n"
+            "from rieszlab import cli\n"
+            "mesh = rieszlab.icosphere(2)\n"
+            "mesh = mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])\n"
+            "rieszlab.ks_energy(mesh)\n"
+            "rieszlab.riesz_energy(mesh, -2.5)\n"
+            "both = rieszlab.mesh_disjoint_union(\n"
+            "    rieszlab.icosphere(1), rieszlab.icosphere(1, center=(3, 0, 0)))\n"
+            "rieszlab.validate_patch_class(\n"
+            "    both, rieszlab.PatchClassParams(0.1, 10.0, 100.0))\n"
+            "rieszlab.moebius_invariance_check(\n"
+            "    mesh, rieszlab.MoebiusMap('similarity', scale=2.0))\n"
+            "rieszlab.two_body_sweep(2, -4.0, 1.0, [0.1, 0.01])\n"
+            "rieszlab.tangent_model_scan(-2.0)\n"
+            "rieszlab.cone_model_scan(-3.0)\n"
+            "rieszlab.orthogonal_model_integral(-3.0, 1.0)\n"
+            "code = cli.main(['energy', '--surface', 'icosphere', '--energy',\n"
+            "                 'ks'])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("mesh", [torus_mesh(6, 8), polygon_circle(9)],
                          ids=["torus", "polygon"])
 def test_face_and_vertex_sums_add_in_index_order(mesh):
@@ -167,7 +264,8 @@ def test_topology_flags_match_loop_reference():
     assert [(m.closed, m.oriented) for m in _surface_meshes()] == [
         (True, True), (False, True), (False, False), (True, True),
         (True, True)]
-    line = TriMesh(polygon_circle(8).vertices, [[0, 1], [1, 2], [2, 3]], 1)
+    line = TriMesh(polygon_circle(8).vertices[:4], [[0, 1], [1, 2], [2, 3]],
+                   1)
     assert not line.closed and polygon_circle(8).closed
 
 
