@@ -4,11 +4,12 @@ The flow's discrete Kusner-Sullivan energy is `ks_energy`'s vertex
 quadrature without its diagonal cells: the same vertex fit frames (face
 seed, one normal-equation solve, closed-form tilt), lumped weights (the
 same bits, from `face_sizes`) and pair kernel, read from the mesh's shared
-topology. Its gradient is reverse mode written by hand: one pass backwards
-through the pair sum (O(V^2), in blocks of rows), the weights,
-Gram-Schmidt, the tilt, the normal
-equations (one transposed solve per vertex) and the face seed (O(V ring)),
-each stage's adjoint beside its forward. Every forward step stays
+topology. Its gradient is reverse mode written by hand: backwards through
+the pair sum (O(V^2), one pair pass of `moebius.ks_pair_blocks` whose
+blocks of rows each call their kernel's pullback), the weights,
+Gram-Schmidt, the tilt, the normal equations (one transposed solve per
+vertex) and the face seed (O(V ring)), each stage's adjoint beside its
+forward. Every forward step stays
 complex-analytic, so complex step checks the adjoint to rounding.
 Riesz and Auckly-Sadun selectors differentiate by central differences:
 two energies per coordinate, O(V^3), meant for V up to about 100.
@@ -122,19 +123,20 @@ def _ks_vertex_gradient(vertices, topology, fwd):
 
     E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
     unit vector) arguments, so each vertex's pair gradient is twice its
-    row side (`moebius._PairPass`'s pullback) and dE/dw = 2 q w. The clip of
-    1 - cos to [0, 2] only removes rounding, so its derivative is taken as
-    1 on every pair apart, as complex steps through `_ks_q` see it. The
-    unit vectors' gradients (tangent or normal) then run back through the
-    fit and the seed, the weight gradients through the face vectors.
+    row side (the pullback of `ks_pair_blocks`) and dE/dw = 2 q w. The
+    clip of 1 - cos to [0, 2] only removes rounding, so its derivative is
+    taken as 1 on every pair apart, as complex steps through `_ks_q` see
+    it. The unit vectors' gradients (tangent or normal) then run back
+    through the fit and the seed, the weight gradients through the face
+    vectors.
     """
     m, V = topology.m, len(vertices)
     units, weights = fwd.units, fwd.weights
     grad = np.empty(vertices.shape)
     units_bar = np.empty(units.shape)
     weights_bar = np.empty(V)
-    for lo, hi, q, omc, s, pullback in ks_pair_blocks(
-            vertices, units, vertices, units, m, np.zeros(V)):
+    for lo, hi, _, q, omc, s, pullback in ks_pair_blocks(
+            vertices, units, vertices, units, m, np.zeros(V), False):
         mww = (2.0 * m) * weights[lo:hi, None] * weights
         # q = (omc / s)^m; the pullback ignores the coincident pairs' bars
         with np.errstate(divide="ignore", invalid="ignore"):

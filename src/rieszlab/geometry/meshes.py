@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import PreconditionError, TopologyError, UnsupportedInputError
+from ..quadrature import PairPass
 from .patches import (PatchStack, cross, dot, fit_curvature,
                       fit_tangent_frames, orthonormal_frames,
                       orthonormal_frames_adjoint, unit_adjoint)
@@ -39,14 +40,6 @@ __all__ = [
     "read_obj",
     "write_obj",
 ]
-
-# Vertex pairs per block of an all-pairs pass (bounds its memory). A KS
-# gradient block holds about twenty (rows, columns) arrays at once. A KS
-# energy pass writes every block into four buffers allocated once: one warm
-# ks_energy of the chart ellipsoid page-faults about 220 times at 2^14 pairs
-# (128 KB arrays) and 530 times at 2^16, which is 7% slower; with fresh
-# arrays per block it faulted about 1000 and 3000 times.
-PAIR_BLOCK = 1 << 14
 
 
 class MeshTopology:
@@ -419,20 +412,13 @@ class TriMesh(Surface):
 
     def min_nonneighbor_distance(self) -> float:
         """Min distance between vertices not sharing any face (inf when
-        every pair shares one), over all pairs in blocks of rows: O(V^2)
-        light work beside the O(V^2) KS sums of its readers, the flow's
-        trajectory and `contact_monitor`; `ks_energy` takes it from its own
-        pass."""
-        pts, V = self.vertices, self.num_vertices
-        best = math.inf
-        rows = max(1, PAIR_BLOCK // V)
-        for lo in range(0, V, rows):
-            # rows against columns lo: hold every pair at least once; the
-            # bits of np.sum(d ** 2, axis=-1), one coordinate at a time
-            d2 = sum((pts[lo:lo + rows, c, None] - pts[lo:, c]) ** 2
-                     for c in range(self.n))
-            best = min(best, self.topology.nonneighbor_min(d2, lo))
-        return math.sqrt(best)
+        every pair shares one), over each unordered pair once, one triangle
+        pair pass (`PairPass`): O(V^2) light work beside the O(V^2) KS sums
+        of its readers, the flow's trajectory and `contact_monitor`;
+        `ks_energy` takes it from its own pass."""
+        pair_pass = PairPass(self.vertices, self.vertices, None, 2, float)
+        return math.sqrt(min(self.topology.nonneighbor_min(s, lo)
+                             for lo, _, _, _, s in pair_pass))
 
     def distance_to(self, point) -> float:
         """Distance from a point to the nearest simplex of the mesh."""

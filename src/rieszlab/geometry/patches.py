@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import (NumericalError, PreconditionError, RankDeficiencyError,
                       UnsupportedInputError)
+from ..quadrature import PairPass
 from .surface import as_surface
 
 __all__ = [
@@ -291,15 +292,20 @@ def fit_tangent_frames(offsets, mask, tangent, normal):
     vertex is spanned by B = T + N g^T. Returns (tangent, normal, solve):
     the frames of B, with the seed's orientation, and what `fit_curvature`
     and `fit_tangent_frames_adjoint` read (the design, the normal equations
-    and their solution). Complex input goes through (complex step).
+    and their solution). Complex input goes through (complex step). Too
+    few neighbours for the fit's m + m (m + 1) / 2 unknowns is a property
+    of the mesh: UnsupportedInputError names the first such vertex.
     """
     d = _floating(offsets)
     mask = np.asarray(mask, dtype=float)
     m = tangent.shape[-1]
     k = m + m * (m + 1) // 2
     count = mask.sum(axis=1)
-    if np.any(count < k):
-        raise NumericalError("not enough neighbors for a quadratic fit")
+    short = np.flatnonzero(count < k)
+    if len(short):
+        raise UnsupportedInputError(
+            f"vertex {short[0]} has {count[short[0]]:.0f} vertices in its "
+            f"2-ring, and the quadratic fit needs {k}")
     design = _fit_design(d, mask, tangent, normal)
     cols, w, _, scale, _, _ = design
     XY = cols * w[..., None]                               # [X | Y] weighted
@@ -531,8 +537,9 @@ def validate_patch_class(surface, params: PatchClassParams):
         if sup > params.derivative_bound:
             reasons[i] = (f"derivative sup {sup:.6g} exceeds"
                           f" b={params.derivative_bound:.6g}")
-    dist = np.linalg.norm(nodes.points[None]
-                          - nodes.points[take[todo]][:, None], axis=-1)
+    pairs = PairPass(nodes.points[take[todo]], nodes.points, 1, 2, float)
+    in_ball = [len(np.unique(nodes.component[near])) for *_, s in pairs
+               for near in np.sqrt(s, out=s) < params.radius]
     volume_ok = nodes.volume <= params.volume_bound
     return PatchValidationReport(
         passed=volume_ok and not reasons, volume=nodes.volume,
@@ -541,6 +548,5 @@ def validate_patch_class(surface, params: PatchClassParams):
                     for i in sorted(reasons)],
         b_sup_measured=max([0.0, *map(float, sups)]),
         b_fit_residual=max([0.0, *map(float, fits)]),
-        components_in_ball=[int(len(np.unique(nodes.component[near])))
-                            for near in dist < params.radius],
+        components_in_ball=in_ball,
     )

@@ -21,11 +21,11 @@ n_x - 2 <n_x, v> v, so
 three inner products per pair, each one matrix product of the point and
 vector stacks. With s = |y - x|^2 and v = (y - x) / sqrt(s), the two
 products with v share one 1 / s, so the kernel works on s and forms no
-distance. The double sums translate their points once per pass, to the
-middle of a bounding box, and the symmetric ones form each unordered pair
-once (`ks_triangle_rows`). A pass (`_PairPass`) builds its row and column
-stacks once and writes every block into the same buffers, sized by its
-largest block; a block reads its rows and columns as slices.
+distance. Every double sum is one pair pass (`ks_pair_blocks`), which
+translates its points once, to the middle of a bounding box, takes s from
+`quadrature.PairPass` and adds the KS stacks to it (`_PairPass`); the
+symmetric sums walk its triangle schedule, each unordered pair once
+(`ks_triangle_rows`).
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ import numpy as np
 
 from .errors import (NumericalError, OrientationError, PreconditionError,
                      SingularMapError, SingularPairError, UnsupportedInputError)
-from .geometry.meshes import PAIR_BLOCK
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
-from .quadrature import compensated_sum
+from .quadrature import PairPass, compensated_sum
 from .riesz import (EnergyReport, QuadratureConfig, finite_energy,
                     riesz_energy)
 
@@ -102,40 +101,30 @@ def ks_unit_vectors(tangent, normal):
     return tangent[..., 0] if tangent.shape[-1] == 1 else normal[..., 0]
 
 
-class _PairPass:
-    """The KS pair kernel: (1 - cos theta) and squared distances
-    s = |y - x|^2 for pairs of rows of x and columns of y, from one unit
-    vector (N, n) per point (`ks_unit_vectors`), and their row-side
-    pullback, in blocks of rows against columns.
+class _PairPass(PairPass):
+    """The KS pair kernel on a pair pass: 1 - cos theta for the pairs of
+    rows of x and columns of y, from one unit vector (N, n) per point
+    (`ks_unit_vectors`), beside the pass's s = |y - x|^2, and their
+    row-side pullback.
 
     Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
     (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
     b = <u_y, y - x> and c = <u_x, u_y>, cos theta = sigma (2 a b / s - c),
-    sigma = +1 on curves and -1 on surfaces. Every (Nx, Ny) term is one
-    product of an (Nx, n + 1) row stack with an (n + 1, Ny) column stack in
-    homogeneous coordinates, and no (Nx, Ny, n) temporaries: in
-    y_c - x_c = [e_c, -x_c] @ [y; 1] each product is exact and the sum is
-    rounded once, so s, summed one coordinate at a time, has the bits of
-    dot(y - x, y - x). 1 - cos is then built in one array by in-place
-    operations. The products a, b carry a rounding error of eps times the
-    points' distance from the coordinate origin, so the passes
-    (`ks_pair_blocks`, `ks_triangle_rows`) centre the points once and the
-    kernel takes them as given. Every product is a plain (non-conjugating)
-    one, so the kernel is complex-analytic in the inputs and complex-step
-    derivatives through it are exact; its buffers take the result dtype of
-    the inputs. Coincident pairs get 0 in both outputs; 1 - cos is not
-    clipped to [0, 2].
+    sigma = +1 on curves and -1 on surfaces. a and b are products of the
+    row stacks [u_x, -<u_x, x>] and [-x, 1] with [y; 1] and the column
+    stack [u_y; <u_y, y>], built once, and 1 - cos is built in place: no
+    (Nx, Ny, n) temporaries. a and b lose eps times the points' distance
+    from the origin, so `ks_pair_blocks` centres the points. The kernel is
+    complex-analytic in the inputs, and its buffers take their result
+    dtype. Coincident pairs get 0 in both outputs; 1 - cos is not clipped
+    to [0, 2].
 
-    The row stacks [e_c, -x_c] for each coordinate c, [u_x, -<u_x, x>] and
-    [-x, 1], (n + 2, Nx, n + 1), and the column stacks [y; 1] and
-    [u_y; <u_y, y>], (n + 1, Ny), are built once, and room for `arrays`
-    buffers of `pairs` entries, enough for the pass's largest block, is
-    allocated once. Each block reads its rows and columns as slices of the
-    stacks and writes the differences and then 2 / s, s, 1 - cos and q
-    into the buffers, so what a block returns holds until the next block.
-    With four buffers a and b pass through those of 1 - cos and q, and the
-    block has no pullback (None); with six they keep buffers of their own,
-    which the pullback reads.
+    `kernel` writes 2 / s into the pass's scratch and 1 - cos and q into
+    two more buffers. A triangle pass (row multiple None) serves the
+    symmetric energy, which takes no pullback: a and b go through the
+    buffers of 1 - cos and q, and the pullback is None. A pass of rows
+    against every column (row multiple 1) keeps them in two buffers of
+    their own, which its pullback reads.
 
     pullback(omc_bar, s_bar) returns the gradients of sum(omc_bar * omc
     + s_bar * s) with respect to the block's x_pts (Nx, n) and x_units
@@ -148,53 +137,40 @@ class _PairPass:
     real input only.
     """
 
-    def __init__(self, x_pts, x_units, y_pts, y_units, m, pairs, arrays):
+    def __init__(self, x_pts, x_units, y_pts, y_units, m, multiple):
         n = x_pts.shape[-1]
         if m != 1 and (n, m) != (3, 2):
             raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
                                         f"R^3, got (n, m) = ({n}, {m})")
-        self.n, self.sign = n, 1.0 if m == 1 else -1.0
-        self.x_pts, self.x_units = x_pts, x_units
-        self.y_pts, self.y_units = y_pts, y_units
         dtype = np.result_type(x_pts, x_units, y_pts, y_units)
-        self.y1 = np.ones((n + 1, len(y_pts)), dtype)
-        self.y1[:n] = y_pts.T
+        super().__init__(x_pts, y_pts, multiple,
+                         4 if multiple is None else 6, dtype)
+        self.sign = 1.0 if m == 1 else -1.0
+        self.x_units, self.y_units = x_units, y_units
         self.uy = np.empty((n + 1, len(y_pts)), dtype)
         self.uy[:n] = y_units.T
         self.uy[n] = dot(y_units, y_pts)
-        rows = self.rows = np.zeros((n + 2, len(x_pts), n + 1), dtype)
-        rows[:n, :, n] = -x_pts.T
-        for c in range(n):
-            rows[c, :, c] = 1.0
-        rows[n, :, :n] = x_units
-        rows[n, :, n] = -dot(x_units, x_pts)
-        rows[n + 1, :, :n] = -x_pts
-        rows[n + 1, :, n] = 1.0
-        self.buffers = [np.empty(pairs, dtype) for _ in range(arrays)]
+        ab = self.ab = np.empty((2, len(x_pts), n + 1), dtype)
+        ab[0, :, :n] = x_units
+        ab[0, :, n] = -dot(x_units, x_pts)
+        ab[1, :, :n] = -x_pts
+        ab[1, :, n] = 1.0
 
-    def kernel(self, lo, hi, col):
-        """The kernel of the rows lo:hi against the columns col:,
-        (1 - cos theta, s, pullback), and the buffer for their q, all in
-        the pass's buffers."""
-        n, sign = self.n, self.sign
-        rows, y1, uy = self.rows[:, lo:hi], self.y1[:, col:], self.uy[:, col:]
-        x_units = self.x_units[lo:hi]
-        shape = (hi - lo, y1.shape[1])
-        d, s, omc, q, *ab = [buffer[:shape[0] * shape[1]].reshape(shape)
-                             for buffer in self.buffers]
+    def kernel(self, lo, hi, col, d, s, omc, q, *ab):
+        """The kernel of the block (lo, hi, col, *buffers) that the pass
+        yielded: (1 - cos theta, s, pullback, the buffer for q)."""
+        n, sign = self.x.shape[-1], self.sign
+        y1, uy = self.y1[:, col:], self.uy[:, col:]
         a, b = ab or (omc, q)
-        np.square(np.matmul(rows[0], y1, out=d), out=s)
-        for c in range(1, n):
-            s += np.square(np.matmul(rows[c], y1, out=d), out=d)
         apart = s != 0.0
-        # 2 / s in the difference buffer; coincident pairs keep the 0 of their
-        # last coordinate's difference there
+        # 2 / s in the scratch buffer, which coincident pairs leave at 0
         twice_inv_s = np.divide(2.0, s, out=d, where=apart)
         # omc = 1 - sigma (2 a b / s - c), c in q's buffer, which `_ks_q`
         # fills after it
-        np.multiply(np.matmul(rows[n], y1, out=a), twice_inv_s, out=omc)
-        omc *= np.matmul(rows[n + 1], uy, out=b)
-        omc -= np.matmul(x_units, uy[:n], out=q)
+        np.multiply(np.matmul(self.ab[0, lo:hi], y1, out=a), twice_inv_s,
+                    out=omc)
+        omc *= np.matmul(self.ab[1, lo:hi], uy, out=b)
+        omc -= np.matmul(self.x_units[lo:hi], uy[:n], out=q)
         if sign > 0.0:
             np.subtract(1.0, omc, out=omc)
         else:
@@ -202,8 +178,9 @@ class _PairPass:
         omc[~apart] = 0.0
 
         def pullback(omc_bar, s_bar):
-            x_pts, y_pts, y_units = (self.x_pts[lo:hi], self.y_pts[col:],
-                                     self.y_units[col:])
+            x_pts, x_units, y_pts, y_units = (
+                self.x[lo:hi], self.x_units[lo:hi], self.y[col:],
+                self.y_units[col:])
             omc_bar = np.where(apart, omc_bar, 0.0)
             ab_bar = (-sign * twice_inv_s) * omc_bar           # d/d (a b)
             a_bar, b_bar = ab_bar * b, ab_bar * a
@@ -217,7 +194,7 @@ class _PairPass:
             # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
             x_bar = np.empty(x_pts.shape)
             for c in range(n):
-                np.matmul(rows[c], y1, out=t)
+                np.matmul(self.rows[c, lo:hi], y1, out=t)
                 x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
             x_bar *= -2.0
             row = a_bar.sum(axis=1)[:, None]
@@ -243,36 +220,29 @@ def _ks_q(omc, s, diag, m, q):
     return q
 
 
-def _box_centre(points):
-    """The middle of the points' bounding box, from their real parts, so
-    that a complex step moves no point's centred position but its own."""
-    return 0.5 * (points.real.min(axis=0) + points.real.max(axis=0))
-
-
-def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag):
-    """The pairs of the KS double sum, in blocks of x rows of at most
-    PAIR_BLOCK pairs each (bounds its memory).
+def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, triangle):
+    """The blocks of the KS double sum, one pair pass (`_PairPass`): rows of
+    x against every column of y, or with triangle (x is y) each unordered
+    pair once. Yields (lo, hi, col, q, omc, s, pullback) for the rows lo:hi
+    against the columns col:, which hold until the next block: omc is
+    1 - cos theta clipped to [0, 2], q = (omc / s)^m with each coincident
+    pair taking its row's diag value (`_ks_q`), s and pullback the pair
+    kernel's on the translated points.
 
     Both point sets are first translated to the middle of y's bounding box,
     once per call: far from the origin the kernel's products lose no digits
     to the offset, and a round body keeps half the error it would have
-    about one of its own points. Yields (lo, hi, q, omc, s, pullback) for
-    the rows lo:hi: omc is 1 - cos theta clipped to [0, 2],
-    q = (omc / s)^m with each coincident pair taking its row's diag value
-    (`_ks_q`), and s and pullback are the pair kernel's (`_PairPass`), on
-    the translated points. Each block is a pass of its own, and
-    `_ks_q` writes q into that pass's buffer, so a caller may keep every
-    block.
+    about one of its own points.
     """
-    centre = _box_centre(y_pts)
-    x_pts, y_pts = x_pts - centre, y_pts - centre
-    rows = max(1, PAIR_BLOCK // len(y_pts))
-    for lo in range(0, len(x_pts), rows):
-        hi = min(lo + rows, len(x_pts))
-        omc, s, pullback, q = _PairPass(
-            x_pts[lo:hi], x_units[lo:hi], y_pts, y_units, m,
-            (hi - lo) * len(y_pts), 6).kernel(0, hi - lo, 0)
-        yield lo, hi, _ks_q(omc, s, diag[lo:hi], m, q), omc, s, pullback
+    # from the real parts, so that a complex step moves no point's centred
+    # position but its own
+    centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
+    y_pts = y_pts - centre
+    pair_pass = _PairPass(y_pts if triangle else x_pts - centre, x_units,
+                          y_pts, y_units, m, None if triangle else 1)
+    for lo, hi, col, *buffers in pair_pass:
+        omc, s, pullback, q = pair_pass.kernel(lo, hi, col, *buffers)
+        yield lo, hi, col, _ks_q(omc, s, diag[lo:hi], m, q), omc, s, pullback
 
 
 def ks_triangle_rows(points, units, m, diag, weights, topology):
@@ -282,31 +252,18 @@ def ks_triangle_rows(points, units, m, diag, weights, topology):
     share no face of topology (`MeshTopology.nonneighbor_min` on the pass's
     own s; inf when topology is None).
 
-    The points are translated to the middle of their bounding box once, as
-    in `ks_pair_blocks`, and one `_PairPass` builds the stacks and the
-    buffers of every block. The kernel is symmetric, so each unordered pair
-    is formed once: rows lo:hi meet columns lo: only, their square block
-    lo:hi counted as it stands and the columns hi: twice, r[lo:hi] =
-    q[:, :k] @ w[lo:hi] + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Blocks
-    grow as the columns shrink and hold at most PAIR_BLOCK pairs (or one
-    row); the buffers hold the largest of them. Complex-analytic in every
+    One triangle pass: the rows lo:hi count their square block lo:hi as it
+    stands and the columns hi: twice, r[lo:hi] = q[:, :k] @ w[lo:hi]
+    + 2 (q[:, k:] @ w[hi:]) with k = hi - lo. Complex-analytic in every
     input.
     """
-    N = len(points)
-    points = points - _box_centre(points)
-    # a block of one row holds at most N pairs, any other at most PAIR_BLOCK
-    pair_pass = _PairPass(points, units, points, units, m,
-                          max(N, min(PAIR_BLOCK, N * N)), 4)
-    rows, lo, sep2 = [], 0, math.inf
-    while lo < N:
-        hi = min(N, lo + max(1, PAIR_BLOCK // (N - lo)))
-        omc, s, _, q = pair_pass.kernel(lo, hi, lo)
-        _ks_q(omc, s, diag[lo:hi], m, q)
+    rows, sep2 = [], math.inf
+    for lo, hi, _, q, _, s, _ in ks_pair_blocks(points, units, points, units,
+                                                m, diag, True):
         if topology is not None:
             sep2 = min(sep2, topology.nonneighbor_min(s, lo))
         k = hi - lo
         rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
-        lo = hi
     return np.concatenate(rows), sep2
 
 
@@ -368,8 +325,9 @@ def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
     ua = ks_unit_vectors(*surface_a.curvatures(na.locators)[:2])
     ub = ks_unit_vectors(*surface_b.curvatures(nb.locators)[:2])
     row = 0.0
-    for lo, hi, q, _, s, _ in ks_pair_blocks(
-            na.points, ua, nb.points, ub, surface_a.m, np.zeros(len(ua))):
+    for lo, hi, _, q, _, s, _ in ks_pair_blocks(
+            na.points, ua, nb.points, ub, surface_a.m, np.zeros(len(ua)),
+            False):
         if np.any(s == 0.0):
             raise SingularPairError("pieces touch: cross energy undefined")
         row = row + na.weights[lo:hi] @ q

@@ -15,10 +15,9 @@ One patch stack is built for all outer nodes per call. The outer nodes
 are then taken in blocks of at most BLOCK_ROWS first-level chord rows and
 BLOCK_PAIRS node pairs: each block profiles its own nodes of that stack
 (`PatchStack.take`) into one profile stack, which shrinks the radii that
-fail, and one finite-part sum. The kernel sums over the inner rules take
-a block's rows in chunks of at most KERNEL_PAIRS node pairs, formed in
-place in three reused (rows x inner) arrays, and sum each chunk by
-matrix-vector products.
+fail, and one finite-part sum. The kernel sums over the inner rules walk
+a block's rows through one pair pass (`quadrature.PairPass`), formed in
+place in its buffers, and sum each chunk by matrix-vector products.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .errors import (NumericalError, PoleError, PreconditionError,
                      UnsupportedInputError, checked_arithmetic)
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
-from .quadrature import BlendKernel, compensated_sum
+from .quadrature import BlendKernel, PairPass, compensated_sum
 from .radial import (_LEVELS, ANGULAR_NODES, EnergyParams, _angular_rule,
                      finite_part, radial_profile)
 
@@ -112,10 +111,9 @@ def finite_energy(energy):
 # A block of outer nodes holds at most BLOCK_ROWS chord rows at the first
 # profile level, with every sample at the angular cap ANGULAR_NODES, and
 # BLOCK_PAIRS (outer, inner) node pairs. Its kernel sums take at most
-# KERNEL_PAIRS pairs at a time, so their working arrays stay in cache.
+# PAIR_BLOCK pairs at a time, so their working arrays stay in cache.
 BLOCK_ROWS = 1 << 15
 BLOCK_PAIRS = 1 << 18
-KERNEL_PAIRS = 1 << 15
 
 
 def _block_size(m, inner_count) -> int:
@@ -129,26 +127,14 @@ def _kernel_sums(nodes, x, comp, blend):
     nodes x (B, n): (far field, same-component blend inside each ball,
     cross-component true kernel inside each ball), each (B,).
 
-    The rows go in chunks of at most KERNEL_PAIRS pairs through three
-    reused (rows, N) arrays, the coordinate differences taken from one
-    contiguous (n, N) copy of the inner points. A chunk is a multiple of 4
-    rows high: OpenBLAS forms a matrix-vector product in groups of 4 rows,
-    so each sum keeps the bits of one product over the whole block."""
-    points, w = np.ascontiguousarray(nodes.points.T), nodes.weights
-    height = max(4, KERNEL_PAIRS // max(len(w), 1) // 4 * 4)
-    d_buf = np.empty((min(height, len(x)), len(w)))
-    k_buf, s_buf = np.empty_like(d_buf), np.empty_like(d_buf)
+    The rows go in chunks of one pair pass with three buffers, a multiple
+    of 4 rows high: OpenBLAS forms a matrix-vector product in groups of 4
+    rows, so each sum keeps the bits of one product over the whole block."""
+    w = nodes.weights
     far, ball, cross = (np.empty(len(x)) for _ in range(3))
-    for lo in range(0, len(x), height):
-        rows = slice(lo, lo + height)
-        xs = x[rows]
-        d, k, s = d_buf[:len(xs)], k_buf[:len(xs)], s_buf[:len(xs)]
-        # |y - x| summed by component: the bits of np.linalg.norm on
-        # (B, N, n) differences, without its short last axis
-        np.square(np.subtract(points[0], xs[:, :1], out=d), out=d)
-        for j in range(1, len(points)):
-            np.square(np.subtract(points[j], xs[:, j, None], out=k), out=k)
-            d += k
+    for lo, hi, _, k, d, s in PairPass(x, nodes.points, 4, 3, float):
+        rows = slice(lo, hi)
+        # |y - x|: the bits of np.linalg.norm on (B, N, n) differences
         np.sqrt(d, out=d)
         in_ball = d < blend.eps[rows, None]
         same_ball = in_ball & (nodes.component[None] == comp[rows, None])

@@ -332,6 +332,25 @@ def test_mesh_file_with_a_vertex_in_no_face_exits_4(suffix, argv, tmp_path,
     assert err["message"].endswith("vertex 42 is in no face")
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--energy", "ks"], ["energy", "--alpha", "-2.5"],
+    ["flow", "--energy", "ks", "--steps", "1"],
+    ["validate", "--eps0", "0.1", "--b", "10", "--V", "20"]],
+    ids=["ks", "riesz", "flow", "validate"])
+def test_tetrahedron_file_exits_4_naming_the_vertex(argv, tmp_path, capsys):
+    # its 2-rings have 3 vertices, too few for the quadratic vertex fit;
+    # it exited 3 as a NumericalError
+    path = tmp_path / "tetrahedron.off"
+    path.write_text("OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+                    "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n")
+    assert main([argv[0], "--surface", f"mesh:path={path}", *argv[1:]]) == 4
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "UnsupportedInputError"
+    assert err["message"] == ("vertex 0 has 3 vertices in its 2-ring, and "
+                              "the quadratic fit needs 5")
+
+
 def test_orthogonal_model_beyond_its_alpha_exits_4(capsys):
     # its box rule is 4e-8 off the closed form at alpha = 100
     assert main(["model", "orthogonal", "--alpha", "100"]) == 4

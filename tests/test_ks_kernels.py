@@ -3,7 +3,9 @@ curvatures against the per-point formula they replaced, the one-vector
 pair kernel against the frame-based einsum kernel it replaced (references
 copied here), the triangle sums against full-square sums, the blocked pair
 passes against the kernel that built its stacks and arrays per call (also
-copied here), and the peak memory of the blocked KS pair sums."""
+copied here), the peak memory of the blocked KS pair sums, and the one
+pair pass that forms every squared distance: its bits, its schedules and
+one pass per call."""
 
 import math
 import tracemalloc
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import rieszlab.flow
 import rieszlab.moebius
+import rieszlab.quadrature
 from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       UnsupportedInputError,
                       apply_moebius, energy_gradient, graph_patch_at,
@@ -137,9 +140,10 @@ def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
 
 def _pair_kernel(x_pts, x_units, y_pts, y_units, m):
     """(1 - cos theta, s, pullback) of every pair of rows of x and y: a
-    `_PairPass` of one block over all pairs."""
-    return _PairPass(x_pts, x_units, y_pts, y_units, m,
-                     len(x_pts) * len(y_pts), 6).kernel(0, len(x_pts), 0)[:3]
+    `_PairPass` of one block over all pairs, its row multiple being Nx."""
+    pair_pass = _PairPass(x_pts, x_units, y_pts, y_units, m, len(x_pts))
+    (block,) = pair_pass
+    return pair_pass.kernel(*block)[:3]
 
 
 def _stacked_kernel(x_pts, x_units, y_pts, y_units, m):
@@ -429,7 +433,7 @@ def test_triangle_sums_match_the_full_square(name, rows, monkeypatch):
     if rows is not None:
         # a first block of N - 1 rows and a last block of one
         N = len(surface.nodes(config.inner_scale * 0.5).points)
-        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", N * (N - 1))
+        monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", N * (N - 1))
     ref = _ks_energy_reference(surface, config)
     assert abs(ks_energy(surface, config).value - ref) <= 1e-13 * ref
     if isinstance(surface, TriMesh):
@@ -467,7 +471,7 @@ def _triangle_rows_per_block(points, units, m, diag, weights, topology):
     points = _box_centred(points)
     rows, lo, sep2, blocks = [], 0, math.inf, 0
     while lo < N:
-        hi = min(N, lo + max(1, rieszlab.moebius.PAIR_BLOCK // (N - lo)))
+        hi = min(N, lo + max(1, rieszlab.quadrature.PAIR_BLOCK // (N - lo)))
         omc, s, _ = _stacked_kernel(points[lo:hi], units[lo:hi], points[lo:],
                                     units[lo:], m)
         q = _stacked_q(omc, s, diag[lo:hi], m)
@@ -503,7 +507,7 @@ def test_triangle_rows_have_the_bits_of_a_kernel_per_block(name, block,
     N = len(points)
     if block is not None:
         # N / 2 makes blocks of one row, each longer than PAIR_BLOCK
-        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK",
+        monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK",
                             {"N (N - 1)": N * (N - 1), "7 N": 7 * N,
                              "N / 2": N // 2}[block])
     calls = []
@@ -550,48 +554,51 @@ BLOCK_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
 def test_pair_blocks_have_the_bits_of_the_stacked_kernel(name, monkeypatch):
-    # every block is kept before any is used, and every pullback is called
-    # after the last block: a block whose arrays a later block overwrote
-    # would differ here
+    # the blocks share one pass's buffers: each block, its pullback
+    # included, is checked before the next one overwrites them
     x_pts, x_units, y_pts, y_units, m, diag = BLOCK_INPUTS[name]()
-    monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", 7 * len(y_pts))
-    blocks = list(ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag))
+    monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", 7 * len(y_pts))
     rng = np.random.default_rng(5)
-    bars = [(rng.standard_normal(q.shape), rng.standard_normal(q.shape))
-            for _, _, q, _, _, _ in blocks]
-    grads = [pullback(*bar) for (*_, pullback), bar in zip(blocks, bars)]
     centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
-    x_pts, y_pts = x_pts - centre, y_pts - centre
-    assert len(blocks) > 1 and blocks[-1][1] == len(x_pts)
-    for (lo, hi, q, omc, s, _), bar, grad in zip(blocks, bars, grads):
+    x_ref, y_ref = x_pts - centre, y_pts - centre
+    rows = []
+    for lo, hi, col, q, omc, s, pullback in ks_pair_blocks(
+            x_pts, x_units, y_pts, y_units, m, diag, False):
+        bar = rng.standard_normal(q.shape), rng.standard_normal(q.shape)
         ref_omc, ref_s, ref_pullback = _stacked_kernel(
-            x_pts[lo:hi], x_units[lo:hi], y_pts, y_units, m)
+            x_ref[lo:hi], x_units[lo:hi], y_ref, y_units, m)
         ref_q = _stacked_q(ref_omc, ref_s, diag[lo:hi], m)
+        assert col == 0
         assert np.array_equal(s, ref_s)
         assert np.array_equal(omc, ref_omc)
         assert np.array_equal(q, ref_q)
-        for got, ref in zip(grad, ref_pullback(*bar)):
+        for got, ref in zip(pullback(*bar), ref_pullback(*bar)):
             assert np.array_equal(got, ref)
+        rows.append((lo, hi))
+    assert len(rows) > 1 and rows[-1][1] == len(x_pts)
 
 
-def _stacked_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, blocks):
-    """`ks_pair_blocks` with a `_stacked_kernel` call per block; blocks
-    gets one entry per block."""
+def _stacked_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, triangle,
+                         blocks):
+    """`ks_pair_blocks` of rows against all columns with a `_stacked_kernel`
+    call per block; blocks gets one entry per block."""
+    assert not triangle
     centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
     x_pts, y_pts = x_pts - centre, y_pts - centre
-    rows = max(1, rieszlab.moebius.PAIR_BLOCK // len(y_pts))
+    rows = max(1, rieszlab.quadrature.PAIR_BLOCK // len(y_pts))
     for lo in range(0, len(x_pts), rows):
         hi = min(lo + rows, len(x_pts))
         omc, s, pullback = _stacked_kernel(x_pts[lo:hi], x_units[lo:hi],
                                            y_pts, y_units, m)
         blocks.append(lo)
-        yield lo, hi, _stacked_q(omc, s, diag[lo:hi], m), omc, s, pullback
+        yield lo, hi, 0, _stacked_q(omc, s, diag[lo:hi], m), omc, s, pullback
 
 
 def test_blocked_gradient_and_cross_energy_have_the_bits_of_the_stacked_kernel(
         monkeypatch):
     mesh = _stretched_ico2()
-    monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", 7 * len(mesh.vertices))
+    monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK",
+                        7 * len(mesh.vertices))
     grad = energy_gradient(FlowState(mesh=mesh))
     cross_energy = ks_cross_energy(*_disks())
     blocks = []
@@ -642,7 +649,7 @@ def test_pass_separation_is_min_nonneighbor_distance(name, rows,
     nodes = mesh.nodes()
     if rows is not None:
         N = len(nodes.points)
-        monkeypatch.setattr(rieszlab.moebius, "PAIR_BLOCK", N * (N - 1))
+        monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", N * (N - 1))
     tangent, normal, _ = mesh.curvatures(nodes.locators)
     sep2 = ks_triangle_rows(nodes.points, ks_unit_vectors(tangent, normal),
                             mesh.m, np.zeros(len(nodes.points)),
@@ -708,6 +715,114 @@ def test_chart_ks_energy_peak_memory():
     # stacks and arrays per block
     assert _warm_peak(ks_energy, make_ellipsoid(1.0, 1.0, 1.2)) <= (
         1.3 * 2 ** 20)
+
+
+# ----------------------------------------------------------------------
+# the pair pass
+# ----------------------------------------------------------------------
+
+def _pass_points(rng, N, n, offset, dtype):
+    points = offset + rng.standard_normal((N, n))
+    if dtype == complex:
+        points = points + 1j * rng.standard_normal((N, n))
+    return points
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pass_squared_distances_have_the_bits_of_dot(n, offset, dtype,
+                                                     monkeypatch):
+    # each difference is one exact product rounded once, so s is
+    # dot(y - x, y - x) bit for bit, in either schedule, also ~1e3 from
+    # the origin and on complex points (plain products, no conjugation)
+    monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", 300)
+    rng = np.random.default_rng(n + int(offset))
+    x = _pass_points(rng, 41, n, offset, dtype)
+    y = np.concatenate([_pass_points(rng, 30, n, offset, dtype), x[:3]])
+    blocks = 0
+    for lo, hi, col, _, s in rieszlab.quadrature.PairPass(x, y, 4, 2, dtype):
+        d = y[None, col:] - x[lo:hi, None]
+        assert s.dtype == dtype and np.array_equal(s, dot(d, d))
+        blocks += 1
+    assert blocks > 1
+    for lo, hi, col, _, s in rieszlab.quadrature.PairPass(x, x, None, 2,
+                                                          dtype):
+        d = x[None, col:] - x[lo:hi, None]
+        assert np.array_equal(s, dot(d, d))
+
+
+def _pairs_per_block(pair_pass, N):
+    """Each block's unordered pairs {i, j} as a count per (min, max)."""
+    seen = np.zeros((N, N), dtype=int)
+    for lo, hi, col in pair_pass.blocks:
+        block = np.zeros((N, N), dtype=bool)
+        i, j = np.meshgrid(np.arange(lo, hi), np.arange(col, N),
+                           indexing="ij")
+        block[np.minimum(i, j), np.maximum(i, j)] = True
+        seen += block
+    return seen
+
+
+@pytest.mark.parametrize("budget", [None, 200, "N / 2"])
+@pytest.mark.parametrize("N", [1, 2, 3, 127, 128, 129])
+def test_triangle_schedule_forms_each_pair_once(N, budget, monkeypatch):
+    # "N / 2": the first blocks are single rows longer than the budget
+    if budget is not None:
+        monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK",
+                            max(1, N // 2) if budget == "N / 2" else budget)
+    limit = rieszlab.quadrature.PAIR_BLOCK
+    points = np.random.default_rng(N).standard_normal((N, 3))
+    pair_pass = rieszlab.quadrature.PairPass(points, points, None, 2, float)
+    assert _pairs_per_block(pair_pass, N).tolist() == np.triu(
+        np.ones((N, N), dtype=int)).tolist()
+    his = [0]
+    for lo, hi, col in pair_pass.blocks:
+        assert lo == col == his[-1] < hi
+        assert (hi - lo) * (N - col) <= limit or hi - lo == 1
+        his.append(hi)
+    assert his[-1] == N
+    sizes = [(hi - lo) * (N - col) for lo, hi, col in pair_pass.blocks]
+    assert all(len(b) == max(sizes) for b in pair_pass.buffers)
+    if budget == "N / 2" and N > 1:
+        assert max(sizes) == N > limit
+    # the blocks' squared distances are the triangle of the full square
+    full = _squared_distances(points, points)
+    for lo, hi, col, _, s in pair_pass:
+        assert np.array_equal(s, full[lo:hi, col:])
+
+
+@pytest.mark.parametrize("name", sorted(KS_SUMS) + ["ks_energy_chart",
+                                                    "min_nonneighbor"])
+def test_each_pair_sum_builds_one_pass(name, monkeypatch):
+    # a pass is built once per call and walks many blocks; none is built
+    # per block
+    mesh = _stretched_ico3()
+    monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", 4000)
+    passes, blocks = [], []
+    init = rieszlab.quadrature.PairPass.__init__
+    iterate = rieszlab.quadrature.PairPass.__iter__
+
+    def counted_init(self, *args):
+        passes.append(type(self))
+        init(self, *args)
+
+    def counted_iter(self):
+        for block in iterate(self):
+            blocks.append(block[:3])
+            yield block
+
+    monkeypatch.setattr(rieszlab.quadrature.PairPass, "__init__",
+                        counted_init)
+    monkeypatch.setattr(rieszlab.quadrature.PairPass, "__iter__",
+                        counted_iter)
+    if name == "ks_energy_chart":
+        ks_energy(make_ellipsoid(1.0, 1.0, 1.2))
+    elif name == "min_nonneighbor":
+        mesh.min_nonneighbor_distance()
+    else:
+        KS_SUMS[name](mesh)
+    assert len(passes) == 1 and len(blocks) > 1
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ to the fitted graph's tangent plane) that the batched fit must reproduce.
 import numpy as np
 import pytest
 
-from rieszlab import (TriMesh, graph_patch_at, icosphere, ks_energy,
-                      make_torus, mesh_disjoint_union, polygon_circle,
+from rieszlab import (TriMesh, UnsupportedInputError, graph_patch_at,
+                      icosphere, ks_energy, ks_flow_energy, make_torus,
+                      mesh_disjoint_union, polygon_circle, riesz_energy,
                       torus_mesh)
 from rieszlab.geometry import orthonormal_frames
 
@@ -174,3 +175,32 @@ def test_moved_mesh_does_not_keep_its_parents_fit():
         for x, y in zip(moved.curvatures([vertex]),
                         fresh.curvatures([vertex])):
             assert np.array_equal(x, y)
+
+
+def _tetrahedron():
+    return TriMesh(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                             [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]),
+                   [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]], 2)
+
+
+@pytest.mark.parametrize("mesh,vertex", [
+    (_tetrahedron, 0),
+    # the tetrahedron's vertices follow the 42 of the icosphere
+    (lambda: mesh_disjoint_union(icosphere(1),
+                                 _tetrahedron().translated([5.0, 0.0, 0.0])),
+     42)], ids=["tetrahedron", "icosphere_and_tetrahedron"])
+@pytest.mark.parametrize("energy", [
+    lambda mesh: ks_energy(mesh), lambda mesh: riesz_energy(mesh, -2.5),
+    ks_flow_energy, lambda mesh: graph_patch_at(mesh, [1], None)],
+    ids=["ks", "riesz", "flow", "patch"])
+def test_two_rings_too_small_for_the_fit_are_unsupported_input(mesh, vertex,
+                                                               energy):
+    # every 2-ring of a tetrahedron has 3 vertices and the quadratic fit of
+    # a surface has 5 unknowns: a property of the mesh, which was reported
+    # as a NumericalError
+    mesh = mesh()
+    assert mesh.closed and mesh.oriented
+    with pytest.raises(UnsupportedInputError,
+                       match=f"^vertex {vertex} has 3 vertices in its 2-ring, "
+                             "and the quadratic fit needs 5$"):
+        energy(mesh)

@@ -24,9 +24,9 @@ from rieszlab import (QuadratureConfig, icosphere, make_circle,
 from rieszlab.errors import (NumericalError, PatchRadiusError,
                              ProfileFitError)
 from rieszlab.geometry import NodeSet, default_patch_radius, graph_patch_at
-from rieszlab.quadrature import BlendKernel
+from rieszlab.quadrature import PAIR_BLOCK, BlendKernel
 from rieszlab.radial import EnergyParams, finite_part, radial_profile
-from rieszlab.riesz import KERNEL_PAIRS, _block_size
+from rieszlab.riesz import _block_size
 from rieszlab.riesz import _kernel_sums as blocked_kernel_sums
 
 
@@ -61,12 +61,12 @@ def test_kernel_sums_equal_the_dense_blend_reference(alpha):
     # the blend polynomial, evaluated only in the same-component balls,
     # against the dense kernel over every (outer, inner) pair: bit for bit,
     # with a coincident node (d = 0) and in-ball pairs on another component.
-    # The second block has more than 2 KERNEL_PAIRS pairs: its rows go in
-    # chunks of 8, 8 and 7.
+    # The second block has more than 2 PAIR_BLOCK pairs: its rows go in
+    # chunks of 4, 4, 4, 4, 4 and 3.
     small = (_kernel_sum_case(3, 40, 4, 3, alpha),
              np.array([0, 1, 1, 0, 0, 1, 0, 1, 0]))
     large = _kernel_sum_case(5, 3000, 14, 7, alpha), np.arange(23) % 2
-    assert len(large[1]) * 3000 > 2 * KERNEL_PAIRS
+    assert len(large[1]) * 3000 > 2 * PAIR_BLOCK
     for (inner, x, blend), comp in (small, large):
         d = np.sqrt(sum((y[None] - c[:, None]) ** 2
                         for y, c in zip(inner.points.T, x.T)))
