@@ -555,10 +555,12 @@ def parse_args(argv=None) -> RunConfig:
     for key, val in merged.items():
         _check_type(key, val)
         _require_finite(key, val)
-    for key in ("eps0", "outer_scale", "inner_scale"):
+    for key in ("eps0", "outer_scale", "inner_scale", "step_size"):
         val = merged.get(key)
         if val is not None and not val > 0:
             raise ConfigError(f"{key} must be a positive number, got {val!r}")
+    if merged.get("steps", 0) < 0:
+        raise ConfigError(f"steps must be at least 0, got {merged['steps']!r}")
     if merged.get("data") is not None and merged["command"] != "sweep":
         raise ConfigError("only sweep writes a data file")
     return RunConfig(**merged)

@@ -5,12 +5,12 @@ quadrature without its diagonal cells: the same vertex fit frames (face
 seed, one normal-equation solve, closed-form tilt), lumped weights (the
 same bits, from `face_sizes`) and pair kernel, read from the mesh's shared
 topology. Its gradient is reverse mode written by hand: backwards through
-the pair sum (O(V^2), one pair pass of `moebius.ks_pair_blocks` whose
-blocks of rows each call their kernel's pullback), the weights,
-Gram-Schmidt, the tilt, the normal equations (one transposed solve per
-vertex) and the face seed (O(V ring)), each stage's adjoint beside its
-forward. Every forward step stays
-complex-analytic, so complex step checks the adjoint to rounding.
+the pair sum (O(V^2), `moebius.ks_pair_gradient`, which gives the bars of
+the points, unit vectors and weights from one KS pair pass), then the
+weights, Gram-Schmidt, the tilt, the normal equations (one transposed solve
+per vertex) and the face seed (O(V ring)), each stage's adjoint beside its
+forward. Every forward step stays complex-analytic, so complex step checks
+the adjoint to rounding.
 Riesz and Auckly-Sadun selectors differentiate by central differences:
 two energies per coordinate, O(V^3), meant for V up to about 100.
 
@@ -48,7 +48,7 @@ from .geometry.meshes import (TriMesh, face_sizes, face_vectors,
                               seed_frames_adjoint)
 from .geometry.patches import (dot, fit_tangent_frames,
                                fit_tangent_frames_adjoint)
-from .moebius import ks_pair_blocks, ks_triangle_rows, ks_unit_vectors
+from .moebius import ks_pair_gradient, ks_triangle_rows, ks_unit_vectors
 
 __all__ = [
     "EnergySelector",
@@ -121,29 +121,14 @@ def _ks_vertex_gradient(vertices, topology, fwd):
     """Gradient (V, n) of `_ks_vertex_energy`, by reverse mode from the
     forward fwd of the same vertices.
 
-    E = sum_ij w_i w_j q_ij with a kernel symmetric in its two (point,
-    unit vector) arguments, so each vertex's pair gradient is twice its
-    row side (the pullback of `ks_pair_blocks`) and dE/dw = 2 q w. The
-    clip of 1 - cos to [0, 2] only removes rounding, so its derivative is
-    taken as 1 on every pair apart, as complex steps through `_ks_q` see
-    it. The unit vectors' gradients (tangent or normal) then run back
-    through the fit and the seed, the weight gradients through the face
-    vectors.
+    The pair sum's bars of the points, unit vectors and weights come from
+    `ks_pair_gradient`. The unit vectors' bars (tangent or normal) then
+    run back through the fit and the seed, the weight bars through the
+    face vectors.
     """
-    m, V = topology.m, len(vertices)
-    units, weights = fwd.units, fwd.weights
-    grad = np.empty(vertices.shape)
-    units_bar = np.empty(units.shape)
-    weights_bar = np.empty(V)
-    for lo, hi, _, q, omc, s, pullback in ks_pair_blocks(
-            vertices, units, vertices, units, m, np.zeros(V), False):
-        mww = (2.0 * m) * weights[lo:hi, None] * weights
-        # q = (omc / s)^m; the pullback ignores the coincident pairs' bars
-        with np.errstate(divide="ignore", invalid="ignore"):
-            omc_bar = mww * omc ** (m - 1) / s ** m
-            s_bar = -mww * q / s
-        weights_bar[lo:hi] = 2.0 * (q @ weights)
-        grad[lo:hi], units_bar[lo:hi] = pullback(omc_bar, s_bar)
+    m = topology.m
+    grad, units_bar, weights_bar = ks_pair_gradient(vertices, fwd.units,
+                                                    fwd.weights, m)
     frame_bars = ((units_bar[..., None], None) if m == 1
                   else (np.zeros(fwd.seed[0].shape), units_bar[..., None]))
     offsets_bar, *seed_bar = fit_tangent_frames_adjoint(

@@ -21,11 +21,13 @@ n_x - 2 <n_x, v> v, so
 three inner products per pair, each one matrix product of the point and
 vector stacks. With s = |y - x|^2 and v = (y - x) / sqrt(s), the two
 products with v share one 1 / s, so the kernel works on s and forms no
-distance. Every double sum is one pair pass (`ks_pair_blocks`), which
+distance. Every double sum is one KS pair pass (`_PairPass`), which
 translates its points once, to the middle of a bounding box, takes s from
-`quadrature.PairPass` and adds the KS stacks to it (`_PairPass`); the
-symmetric sums walk its triangle schedule, each unordered pair once
-(`ks_triangle_rows`).
+`quadrature.PairPass`, adds the KS stacks to it and yields each block's
+q = ((1 - cos theta) / s)^m. It has three readers: the symmetric sums walk
+its triangle schedule, each unordered pair once (`ks_triangle_rows`); the
+cross term of two pieces (`ks_cross_energy`) and the flow's gradient
+(`ks_pair_gradient`) walk rows against every column.
 """
 
 from __future__ import annotations
@@ -102,39 +104,27 @@ def ks_unit_vectors(tangent, normal):
 
 
 class _PairPass(PairPass):
-    """The KS pair kernel on a pair pass: 1 - cos theta for the pairs of
-    rows of x and columns of y, from one unit vector (N, n) per point
-    (`ks_unit_vectors`), beside the pass's s = |y - x|^2, and their
-    row-side pullback.
+    """One KS pair pass: q = ((1 - cos theta) / s)^m and s = |y - x|^2 for
+    the pairs of rows of x against columns of y, from one unit vector
+    (N, n) per point (`ks_unit_vectors`).
 
     Curves (m = 1, any n) and surfaces in R^3 (m = 2) only; any other
     (n, m) raises UnsupportedInputError. With a = <u_x, y - x>,
     b = <u_y, y - x> and c = <u_x, u_y>, cos theta = sigma (2 a b / s - c),
     sigma = +1 on curves and -1 on surfaces. a and b are products of the
-    row stacks [u_x, -<u_x, x>] and [-x, 1] with [y; 1] and the column
-    stack [u_y; <u_y, y>], built once, and 1 - cos is built in place: no
-    (Nx, Ny, n) temporaries. a and b lose eps times the points' distance
-    from the origin, so `ks_pair_blocks` centres the points. The kernel is
-    complex-analytic in the inputs, and its buffers take their result
-    dtype. Coincident pairs get 0 in both outputs; 1 - cos is not clipped
-    to [0, 2].
+    row stacks `ab`, [u_x, -<u_x, x>] and [-x, 1], with [y; 1] and the
+    column stack [u_y; <u_y, y>], built once: no (Nx, Ny, n) temporaries.
+    The kernel is complex-analytic in the inputs, and its buffers take
+    their result dtype.
 
-    `kernel` writes 2 / s into the pass's scratch and 1 - cos and q into
-    two more buffers. A triangle pass (row multiple None) serves the
-    symmetric energy, which takes no pullback: a and b go through the
-    buffers of 1 - cos and q, and the pullback is None. A pass of rows
-    against every column (row multiple 1) keeps them in two buffers of
-    their own, which its pullback reads.
-
-    pullback(omc_bar, s_bar) returns the gradients of sum(omc_bar * omc
-    + s_bar * s) with respect to the block's x_pts (Nx, n) and x_units
-    (Nx, n), in O(Nx Ny) work from (Nx, Ny) @ (Ny, n) products and n row
-    sums over the coordinate differences; coincident pairs contribute
-    nothing, whatever their bars, their outputs being constant 0. The
-    kernel is symmetric under swapping (x, u_x) with (y, u_y) for any
-    vectors, so in a symmetric double sum each point's gradient is twice
-    its row side and the column side is never formed. The pullback takes
-    real input only.
+    a and b lose eps times the points' distance from the origin, so both
+    point sets are first translated to the middle of y's bounding box:
+    far from the origin the products lose no digits to the offset, and a
+    round body keeps half the error it would have about one of its own
+    points. The box is that of the real parts, so that a complex step
+    moves no point's centred position but its own. Rows that are the
+    columns (x is y) share their translation and stacks. Every schedule
+    writes its blocks into four buffers: d, s, 1 - cos and q.
     """
 
     def __init__(self, x_pts, x_units, y_pts, y_units, m, multiple):
@@ -143,114 +133,67 @@ class _PairPass(PairPass):
             raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
                                         f"R^3, got (n, m) = ({n}, {m})")
         dtype = np.result_type(x_pts, x_units, y_pts, y_units)
-        super().__init__(x_pts, y_pts, multiple,
-                         4 if multiple is None else 6, dtype)
-        self.sign = 1.0 if m == 1 else -1.0
-        self.x_units, self.y_units = x_units, y_units
-        self.uy = np.empty((n + 1, len(y_pts)), dtype)
-        self.uy[:n] = y_units.T
-        self.uy[n] = dot(y_units, y_pts)
-        ab = self.ab = np.empty((2, len(x_pts), n + 1), dtype)
+        centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
+        y = y_pts - centre
+        x = y if x_pts is y_pts else x_pts - centre
+        super().__init__(x, y, multiple, 4, dtype)
+        self.m, self.sign = m, 1.0 if m == 1 else -1.0
+        self.x_units = x_units
+        uy = self.uy = np.empty((n + 1, len(y)), dtype)
+        uy[:n] = y_units.T
+        uy[n] = dot(y_units, y)
+        ab = self.ab = np.empty((2, len(x), n + 1), dtype)
         ab[0, :, :n] = x_units
-        ab[0, :, n] = -dot(x_units, x_pts)
-        ab[1, :, :n] = -x_pts
+        ab[0, :, n] = -(uy[n] if x is y and x_units is y_units
+                        else dot(x_units, x))
+        ab[1, :, :n] = -x
         ab[1, :, n] = 1.0
 
-    def kernel(self, lo, hi, col, d, s, omc, q, *ab):
-        """The kernel of the block (lo, hi, col, *buffers) that the pass
-        yielded: (1 - cos theta, s, pullback, the buffer for q)."""
-        n, sign = self.x.shape[-1], self.sign
-        y1, uy = self.y1[:, col:], self.uy[:, col:]
-        a, b = ab or (omc, q)
-        apart = s != 0.0
-        # 2 / s in the scratch buffer, which coincident pairs leave at 0
-        twice_inv_s = np.divide(2.0, s, out=d, where=apart)
-        # omc = 1 - sigma (2 a b / s - c), c in q's buffer, which `_ks_q`
-        # fills after it
-        np.multiply(np.matmul(self.ab[0, lo:hi], y1, out=a), twice_inv_s,
-                    out=omc)
-        omc *= np.matmul(self.ab[1, lo:hi], uy, out=b)
-        omc -= np.matmul(self.x_units[lo:hi], uy[:n], out=q)
-        if sign > 0.0:
-            np.subtract(1.0, omc, out=omc)
-        else:
-            omc += 1.0
-        omc[~apart] = 0.0
+    def ks_blocks(self, diag):
+        """Yields (lo, hi, col, q, omc, s, twice_inv_s) for the rows lo:hi
+        against the columns col:, which hold until the next block: omc is
+        1 - cos theta clipped to [0, 2], q = (omc / s)^m with each
+        coincident pair taking its row's diag value, and twice_inv_s is
+        2 / s, 0 on coincident pairs, whose omc is 0 too.
 
-        def pullback(omc_bar, s_bar):
-            x_pts, x_units, y_pts, y_units = (
-                self.x[lo:hi], self.x_units[lo:hi], self.y[col:],
-                self.y_units[col:])
-            omc_bar = np.where(apart, omc_bar, 0.0)
-            ab_bar = (-sign * twice_inv_s) * omc_bar           # d/d (a b)
-            a_bar, b_bar = ab_bar * b, ab_bar * a
-            # d omc / d s = 2 sigma a b / s^2, which takes a_bar a / s off
-            # s_bar
-            t = a_bar * a
-            t *= twice_inv_s
-            s_bar = np.where(apart, s_bar, 0.0) - 0.5 * t
-            # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
-            # differences themselves, one coordinate at a time: s_bar @ y -
-            # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
-            x_bar = np.empty(x_pts.shape)
-            for c in range(n):
-                np.matmul(self.rows[c, lo:hi], y1, out=t)
-                x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
-            x_bar *= -2.0
-            row = a_bar.sum(axis=1)[:, None]
-            x_bar -= row * x_units + b_bar @ y_units
-            return (x_bar, a_bar @ y_pts - row * x_pts
-                    + sign * (omc_bar @ y_units))
-
-        return omc, s, pullback if ab else None, q
-
-
-def _ks_q(omc, s, diag, m, q):
-    """1 - cos clipped to [0, 2] in place and q = (omc / s)^m written into
-    q, each coincident pair taking its row's diag value. 1 - cos lies in
-    [0, 2] exactly, so the clip only removes rounding: it acts on the real
-    part, and a complex step's imaginary part goes through it unchanged,
-    also on pairs clipped to 0 (on a round body most of them)."""
-    np.clip(omc.real, 0.0, 2.0, out=omc.real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(omc, s, out=q)
-    if m == 2:
-        q *= q
-    np.copyto(q, diag[:, None], where=s == 0.0)
-    return q
-
-
-def ks_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, triangle):
-    """The blocks of the KS double sum, one pair pass (`_PairPass`): rows of
-    x against every column of y, or with triangle (x is y) each unordered
-    pair once. Yields (lo, hi, col, q, omc, s, pullback) for the rows lo:hi
-    against the columns col:, which hold until the next block: omc is
-    1 - cos theta clipped to [0, 2], q = (omc / s)^m with each coincident
-    pair taking its row's diag value (`_ks_q`), s and pullback the pair
-    kernel's on the translated points.
-
-    Both point sets are first translated to the middle of y's bounding box,
-    once per call: far from the origin the kernel's products lose no digits
-    to the offset, and a round body keeps half the error it would have
-    about one of its own points.
-    """
-    # from the real parts, so that a complex step moves no point's centred
-    # position but its own
-    centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
-    y_pts = y_pts - centre
-    pair_pass = _PairPass(y_pts if triangle else x_pts - centre, x_units,
-                          y_pts, y_units, m, None if triangle else 1)
-    for lo, hi, col, *buffers in pair_pass:
-        omc, s, pullback, q = pair_pass.kernel(lo, hi, col, *buffers)
-        yield lo, hi, col, _ks_q(omc, s, diag[lo:hi], m, q), omc, s, pullback
+        a and b go through the buffers of omc and q, c through q's, and
+        2 / s into the pass's scratch. 1 - cos lies in [0, 2] exactly, so
+        the clip only removes rounding: it acts on the real part, and a
+        complex step's imaginary part goes through it unchanged, also on
+        pairs clipped to 0 (on a round body most of them).
+        """
+        for lo, hi, col, d, s, omc, q in self:
+            y1, uy = self.y1[:, col:], self.uy[:, col:]
+            apart = s != 0.0
+            twice_inv_s = np.divide(2.0, s, out=d, where=apart)
+            # omc = 1 - sigma (2 a b / s - c)
+            np.multiply(np.matmul(self.ab[0, lo:hi], y1, out=omc),
+                        twice_inv_s, out=omc)
+            omc *= np.matmul(self.ab[1, lo:hi], uy, out=q)
+            omc -= np.matmul(self.x_units[lo:hi], uy[:-1], out=q)
+            if self.sign > 0.0:
+                np.subtract(1.0, omc, out=omc)
+            else:
+                omc += 1.0
+            coincident = np.logical_not(apart, out=apart)
+            omc[coincident] = 0.0
+            np.clip(omc.real, 0.0, 2.0, out=omc.real)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(omc, s, out=q)
+            if self.m == 2:
+                q *= q
+            np.copyto(q, diag[lo:hi, None], where=coincident)
+            del apart, coincident       # the reader's block work runs without it
+            yield lo, hi, col, q, omc, s, twice_inv_s
 
 
 def ks_triangle_rows(points, units, m, diag, weights, topology):
     """Row terms r (N,) of the symmetric KS double sum over one node set:
-    sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as in
-    `ks_pair_blocks`, and the smallest squared distance between nodes that
-    share no face of topology (`MeshTopology.nonneighbor_min` on the pass's
-    own s; inf when topology is None).
+    sum_i weights_i r_i = sum_ij weights_i weights_j q_ij, with q as
+    `_PairPass.ks_blocks` yields it, and the smallest squared distance
+    between nodes that share no face of topology
+    (`MeshTopology.nonneighbor_min` on the pass's own s; inf when topology
+    is None).
 
     One triangle pass: the rows lo:hi count their square block lo:hi as it
     stands and the columns hi: twice, r[lo:hi] = q[:, :k] @ w[lo:hi]
@@ -258,13 +201,62 @@ def ks_triangle_rows(points, units, m, diag, weights, topology):
     input.
     """
     rows, sep2 = [], math.inf
-    for lo, hi, _, q, _, s, _ in ks_pair_blocks(points, units, points, units,
-                                                m, diag, True):
+    pair_pass = _PairPass(points, units, points, units, m, None)
+    for lo, hi, _, q, _, s, _ in pair_pass.ks_blocks(diag):
         if topology is not None:
             sep2 = min(sep2, topology.nonneighbor_min(s, lo))
         k = hi - lo
         rows.append(q[:, :k] @ weights[lo:hi] + 2.0 * (q[:, k:] @ weights[hi:]))
     return np.concatenate(rows), sep2
+
+
+def ks_pair_gradient(points, units, weights, m):
+    """Gradients of the KS double sum E = sum_ij w_i w_j q_ij over one node
+    set, coincident pairs taking 0, with respect to its points (N, n), unit
+    vectors (N, n) and weights (N,): one pass of rows against every column.
+
+    The kernel is symmetric under swapping (x, u_x) with (y, u_y) for any
+    vectors, so each point's gradient is twice its row side and the column
+    side is never formed, and dE/dw = 2 q w. The row side takes
+    O(N^2) work from (rows, N) @ (N, n) products and n row sums over the
+    coordinate differences; coincident pairs contribute nothing, their
+    outputs being constant 0. The clip of 1 - cos to [0, 2] only removes
+    rounding, so its derivative is taken as 1 on every pair apart, as
+    complex steps through the pass see it. a and b are formed again from
+    the pass's stacks, two products per block. Real input only.
+    """
+    pair_pass = _PairPass(points, units, points, units, m, 1)
+    x, y1, uy, sign = pair_pass.x, pair_pass.y1, pair_pass.uy, pair_pass.sign
+    points_bar, units_bar = np.empty(x.shape), np.empty(units.shape)
+    weights_bar = np.empty(len(x))
+    for lo, hi, _, q, omc, s, twice_inv_s in pair_pass.ks_blocks(
+            np.zeros(len(x))):
+        apart = s != 0.0
+        mww = (2.0 * m) * weights[lo:hi, None] * weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omc_bar = np.where(apart, mww * omc ** (m - 1) / s ** m, 0.0)
+            s_bar = np.where(apart, -mww * q / s, 0.0)
+        weights_bar[lo:hi] = 2.0 * (q @ weights)
+        a, b = pair_pass.ab[0, lo:hi] @ y1, pair_pass.ab[1, lo:hi] @ uy
+        ab_bar = (-sign * twice_inv_s) * omc_bar               # d/d (a b)
+        a_bar, b_bar = ab_bar * b, ab_bar * a
+        # d omc / d s = 2 sigma a b / s^2, which takes a_bar a / s off s_bar
+        t = a_bar * a
+        t *= twice_inv_s
+        s_bar -= 0.5 * t
+        # s = |y - x|^2: x_bar = -2 sum_j s_bar_ij (y_j - x_i), from the
+        # differences themselves, one coordinate at a time: s_bar @ y -
+        # rowsum(s_bar) x would add eps |x| |s_bar| of rounding per pair
+        x_bar = points_bar[lo:hi]
+        for c in range(x.shape[-1]):
+            np.matmul(pair_pass.rows[c, lo:hi], y1, out=t)
+            x_bar[:, c] = np.multiply(t, s_bar, out=t).sum(axis=1)
+        x_bar *= -2.0
+        row = a_bar.sum(axis=1)[:, None]
+        x_bar -= row * units[lo:hi] + b_bar @ units
+        units_bar[lo:hi] = (a_bar @ x - row * x[lo:hi]
+                            + sign * (omc_bar @ units))
+    return points_bar, units_bar, weights_bar
 
 
 def _refuse_immersed(sep, nodes):
@@ -320,14 +312,23 @@ def ks_energy(surface, config: QuadratureConfig | None = None) -> EnergyReport:
 
 
 def ks_cross_energy(surface_a, surface_b, scale=1.0) -> float:
-    """Cross term of the Kusner-Sullivan energy between two disjoint pieces."""
-    na, nb = (as_surface(s).nodes(scale) for s in (surface_a, surface_b))
-    ua = ks_unit_vectors(*surface_a.curvatures(na.locators)[:2])
-    ub = ks_unit_vectors(*surface_b.curvatures(nb.locators)[:2])
+    """Cross term of the Kusner-Sullivan energy between two disjoint pieces:
+    sum_ij w_i w_j q_ij over the nodes i of a and j of b at scale, one pass
+    of a's rows against b's columns. The pieces may be open, but they must
+    share (n, m) (else UnsupportedInputError) and be oriented (else
+    OrientationError); touching pieces raise SingularPairError."""
+    a, b = as_surface(surface_a), as_surface(surface_b)
+    if (a.n, a.m) != (b.n, b.m):
+        raise UnsupportedInputError("KS cross energy needs pieces of matching "
+                                    "dimensions")
+    if not (a.oriented and b.oriented):
+        raise OrientationError("KS cross energy needs oriented pieces")
+    na, nb = a.nodes(scale), b.nodes(scale)
+    ua = ks_unit_vectors(*a.curvatures(na.locators)[:2])
+    ub = ks_unit_vectors(*b.curvatures(nb.locators)[:2])
+    pair_pass = _PairPass(na.points, ua, nb.points, ub, a.m, 1)
     row = 0.0
-    for lo, hi, _, q, _, s, _ in ks_pair_blocks(
-            na.points, ua, nb.points, ub, surface_a.m, np.zeros(len(ua)),
-            False):
+    for lo, hi, _, q, _, s, _ in pair_pass.ks_blocks(np.zeros(len(ua))):
         if np.any(s == 0.0):
             raise SingularPairError("pieces touch: cross energy undefined")
         row = row + na.weights[lo:hi] @ q

@@ -263,6 +263,17 @@ def test_invalid_model_input_exits_3(argv, capsys):
                   "ks"], {"steps": "3"}, 2, id="config-steps-string"),
     pytest.param(["sweep", "--alpha", "-4"], {"gaps": ["a", 0.1, 0.05]}, 2,
                  id="config-gaps-string-item"),
+    pytest.param(["flow", "--surface", "polygon:n=16", "--energy", "ks",
+                  "--step-size", "-0.01"], None, 2,
+                 id="flow-step-size-negative"),
+    pytest.param(["flow", "--surface", "polygon:n=16", "--energy", "ks",
+                  "--step-size", "0"], None, 2, id="flow-step-size-zero"),
+    pytest.param(["flow", "--surface", "polygon:n=16", "--energy", "ks",
+                  "--steps", "-3"], None, 2, id="flow-steps-negative"),
+    pytest.param(["flow", "--surface", "polygon:n=16", "--energy", "ks"],
+                 {"step_size": 0}, 2, id="config-step-size-zero"),
+    pytest.param(["flow", "--surface", "polygon:n=16", "--energy", "ks"],
+                 {"steps": -1}, 2, id="config-steps-negative"),
     pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--radius", "-1",
                   "--gaps", "0.1"], None, 2, id="sweep-radius-negative"),
     pytest.param(["sweep", "--m", "1", "--alpha", "-2", "--radius", "0",
@@ -292,6 +303,15 @@ def test_degenerate_input_exits_with_a_json_error(argv, config, code,
     # a refused config-file value is named in the message
     for key in config if isinstance(config, dict) else ():
         assert key in err["message"]
+
+
+def test_flow_of_zero_steps_evaluates_the_initial_state(capsys):
+    # 0 steps is a valid budget, unlike a negative one
+    assert main(["flow", "--surface", "polygon:n=16", "--energy", "ks",
+                 "--steps", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["iterations"] == 0 and out["stationary"] is False
+    assert out["energy_final"] == out["energy_initial"] > 0.0
 
 
 def test_mesh_file_without_faces_exits_4(tmp_path, capsys):

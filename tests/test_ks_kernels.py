@@ -1,11 +1,12 @@
 """The KS diagonal limits against isotropic probing, the batched chart
 curvatures against the per-point formula they replaced, the one-vector
 pair kernel against the frame-based einsum kernel it replaced (references
-copied here), the triangle sums against full-square sums, the blocked pair
-passes against the kernel that built its stacks and arrays per call (also
-copied here), the peak memory of the blocked KS pair sums, and the one
-pair pass that forms every squared distance: its bits, its schedules and
-one pass per call."""
+copied here), the triangle sums against full-square sums, the blocked KS
+pair passes and the pair gradient against the kernel and pullback that
+built their stacks and arrays per call (also copied here), the gradient
+against complex step, the buffers and peak memory of the blocked KS pair
+sums, and the one pair pass that forms every squared distance: its bits,
+its schedules and one pass per call."""
 
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rieszlab.flow
-import rieszlab.moebius
 import rieszlab.quadrature
 from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       UnsupportedInputError,
@@ -29,7 +29,7 @@ from rieszlab.geometry import mesh_disjoint_union, orthonormal_frames
 from rieszlab.geometry.meshes import MeshTopology
 from rieszlab.geometry.patches import cross, dot, umbilicity_defect
 from rieszlab.moebius import (_PairPass, combined_angle_cos_frames,
-                              ks_pair_blocks, ks_triangle_rows,
+                              ks_pair_gradient, ks_triangle_rows,
                               ks_unit_vectors)
 
 
@@ -138,12 +138,19 @@ def _einsum_kernel(x_pts, x_frames, y_pts, y_frames):
     return omc, s
 
 
+def _box_centred(points, box):
+    """points translated to the middle of box's bounding box (of its real
+    parts), as a KS pass translates them."""
+    return points - 0.5 * (box.real.min(axis=0) + box.real.max(axis=0))
+
+
 def _pair_kernel(x_pts, x_units, y_pts, y_units, m):
-    """(1 - cos theta, s, pullback) of every pair of rows of x and y: a
+    """(1 - cos theta clipped to [0, 2], s) of every pair of rows of x and
+    y, s on the points the pass centres (`_box_centred` by y): a
     `_PairPass` of one block over all pairs, its row multiple being Nx."""
     pair_pass = _PairPass(x_pts, x_units, y_pts, y_units, m, len(x_pts))
-    (block,) = pair_pass
-    return pair_pass.kernel(*block)[:3]
+    (block,) = pair_pass.ks_blocks(np.zeros(len(x_pts)))
+    return block[4], block[5]
 
 
 def _stacked_kernel(x_pts, x_units, y_pts, y_units, m):
@@ -324,7 +331,7 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
     nodes = surface.nodes(0.5)
     tangent, normal, sff = surface.curvatures(nodes.locators)
     units = ks_unit_vectors(tangent, normal)
-    omc, s, _ = _pair_kernel(nodes.points, units, nodes.points, units, 2)
+    omc, s = _pair_kernel(nodes.points, units, nodes.points, units, 2)
     off = ~np.eye(len(s), dtype=bool)
     assert np.all(s[off] > 0.0)
     q = np.clip(omc, 0.0, 2.0) ** 2 / np.where(off, s, 1.0) ** 2
@@ -337,6 +344,11 @@ def test_ks_energy_takes_the_limit_on_coincident_nodes_only():
 def _stretched_ico3():
     mesh = icosphere(3)
     return mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2])
+
+
+def _stretched_polygon64():
+    return polygon_circle(64).with_vertices(polygon_circle(64).vertices
+                                            * [1.0, 1.3])
 
 
 KS_SUMS = {
@@ -388,8 +400,7 @@ def _full_square_sum(points, units, m, diag, w):
     terms = []
     for lo in range(0, len(points), 64):
         hi = min(lo + 64, len(points))
-        omc, s, _ = _pair_kernel(points[lo:hi], units[lo:hi], points,
-                                   units, m)
+        omc, s = _pair_kernel(points[lo:hi], units[lo:hi], points, units, m)
         apart = s != 0.0
         q = np.clip(omc, 0.0, 2.0) ** m / np.where(apart, s, 1.0) ** m
         q = np.where(apart, q, diag[lo:hi, None])
@@ -414,8 +425,7 @@ def _flow_energy_reference(mesh):
 
 TRIANGLE_SURFACES = {
     # one block
-    "polygon64_stretched": lambda: polygon_circle(64).with_vertices(
-        polygon_circle(64).vertices * [1.0, 1.3]),
+    "polygon64_stretched": _stretched_polygon64,
     "icosphere1_stretched": lambda: icosphere(1).with_vertices(
         icosphere(1).vertices * [1.0, 1.0, 1.2]),
     # many blocks, the last one partial
@@ -460,15 +470,11 @@ def _complex_step_inputs():
             weights, None)
 
 
-def _box_centred(points):
-    return points - 0.5 * (points.real.min(axis=0) + points.real.max(axis=0))
-
-
 def _triangle_rows_per_block(points, units, m, diag, weights, topology):
     """`ks_triangle_rows` with a `_stacked_kernel` call per block; also the
     number of blocks."""
     N = len(points)
-    points = _box_centred(points)
+    points = _box_centred(points, points)
     rows, lo, sep2, blocks = [], 0, math.inf, 0
     while lo < N:
         hi = min(N, lo + max(1, rieszlab.quadrature.PAIR_BLOCK // (N - lo)))
@@ -483,12 +489,24 @@ def _triangle_rows_per_block(points, units, m, diag, weights, topology):
     return np.concatenate(rows), sep2, blocks
 
 
+def _count_yields(monkeypatch):
+    """A list that gains each block's (lo, hi, col) as the KS passes'
+    `ks_blocks` yield it."""
+    yields, ks_blocks = [], _PairPass.ks_blocks
+
+    def counted(self, diag):
+        for block in ks_blocks(self, diag):
+            yields.append(block[:3])
+            yield block
+
+    monkeypatch.setattr(_PairPass, "ks_blocks", counted)
+    return yields
+
+
 PASS_INPUTS = {
     "icosphere3_stretched": lambda: _triangle_inputs(_stretched_ico3()),
     "ellipsoid": lambda: _triangle_inputs(make_ellipsoid(1.0, 1.0, 1.2)),
-    "polygon64_stretched": lambda: _triangle_inputs(
-        polygon_circle(64).with_vertices(polygon_circle(64).vertices
-                                         * [1.0, 1.3])),
+    "polygon64_stretched": lambda: _triangle_inputs(_stretched_polygon64()),
     "ellipsoid_complex_step": _complex_step_inputs,
 }
 
@@ -510,12 +528,9 @@ def test_triangle_rows_have_the_bits_of_a_kernel_per_block(name, block,
         monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK",
                             {"N (N - 1)": N * (N - 1), "7 N": 7 * N,
                              "N / 2": N // 2}[block])
-    calls = []
-    kernel = rieszlab.moebius._PairPass.kernel
-    monkeypatch.setattr(rieszlab.moebius._PairPass, "kernel",
-                        lambda *args: calls.append(args[1:]) or kernel(*args))
+    yields = _count_yields(monkeypatch)
     rows, sep2 = ks_triangle_rows(points, units, m, diag, weights, topology)
-    passed = len(calls)
+    passed = len(yields)
     ref_rows, ref_sep2, blocks = _triangle_rows_per_block(
         points, units, m, diag, weights, topology)
     assert passed == blocks > 1
@@ -546,69 +561,92 @@ def _gradient_inputs(mesh):
 BLOCK_INPUTS = {
     "disks": _cross_inputs,
     "icosphere2_stretched": lambda: _gradient_inputs(_stretched_ico2()),
-    "polygon64_stretched": lambda: _gradient_inputs(
-        polygon_circle(64).with_vertices(polygon_circle(64).vertices
-                                         * [1.0, 1.3])),
+    "polygon64_stretched": lambda: _gradient_inputs(_stretched_polygon64()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_INPUTS))
 def test_pair_blocks_have_the_bits_of_the_stacked_kernel(name, monkeypatch):
-    # the blocks share one pass's buffers: each block, its pullback
-    # included, is checked before the next one overwrites them
+    # the blocks share one pass's buffers: each block is checked before the
+    # next one overwrites them, on rows against every column and, where the
+    # rows are the columns, on the triangle too
     x_pts, x_units, y_pts, y_units, m, diag = BLOCK_INPUTS[name]()
     monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK", 7 * len(y_pts))
-    rng = np.random.default_rng(5)
-    centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
-    x_ref, y_ref = x_pts - centre, y_pts - centre
-    rows = []
-    for lo, hi, col, q, omc, s, pullback in ks_pair_blocks(
-            x_pts, x_units, y_pts, y_units, m, diag, False):
-        bar = rng.standard_normal(q.shape), rng.standard_normal(q.shape)
-        ref_omc, ref_s, ref_pullback = _stacked_kernel(
-            x_ref[lo:hi], x_units[lo:hi], y_ref, y_units, m)
-        ref_q = _stacked_q(ref_omc, ref_s, diag[lo:hi], m)
-        assert col == 0
-        assert np.array_equal(s, ref_s)
-        assert np.array_equal(omc, ref_omc)
-        assert np.array_equal(q, ref_q)
-        for got, ref in zip(pullback(*bar), ref_pullback(*bar)):
-            assert np.array_equal(got, ref)
-        rows.append((lo, hi))
-    assert len(rows) > 1 and rows[-1][1] == len(x_pts)
+    x_ref, y_ref = _box_centred(x_pts, y_pts), _box_centred(y_pts, y_pts)
+    for multiple in (1, None) if x_pts is y_pts else (1,):
+        his = [0]
+        for lo, hi, col, q, omc, s, twice_inv_s in _PairPass(
+                x_pts, x_units, y_pts, y_units, m, multiple).ks_blocks(diag):
+            ref_omc, ref_s, _ = _stacked_kernel(
+                x_ref[lo:hi], x_units[lo:hi], y_ref[col:], y_units[col:], m)
+            ref_q = _stacked_q(ref_omc, ref_s, diag[lo:hi], m)
+            assert lo == his[-1] and col == (lo if multiple is None else 0)
+            assert np.array_equal(s, ref_s)
+            assert np.array_equal(omc, ref_omc)
+            assert np.array_equal(q, ref_q)
+            assert np.array_equal(twice_inv_s, np.divide(
+                2.0, ref_s, out=np.zeros(ref_s.shape), where=ref_s != 0.0))
+            his.append(hi)
+        assert len(his) > 2 and his[-1] == len(x_pts)
 
 
-def _stacked_pair_blocks(x_pts, x_units, y_pts, y_units, m, diag, triangle,
-                         blocks):
-    """`ks_pair_blocks` of rows against all columns with a `_stacked_kernel`
-    call per block; blocks gets one entry per block."""
-    assert not triangle
-    centre = 0.5 * (y_pts.min(axis=0) + y_pts.max(axis=0))
-    x_pts, y_pts = x_pts - centre, y_pts - centre
-    rows = max(1, rieszlab.quadrature.PAIR_BLOCK // len(y_pts))
-    for lo in range(0, len(x_pts), rows):
-        hi = min(lo + rows, len(x_pts))
-        omc, s, pullback = _stacked_kernel(x_pts[lo:hi], x_units[lo:hi],
-                                           y_pts, y_units, m)
-        blocks.append(lo)
-        yield lo, hi, 0, _stacked_q(omc, s, diag[lo:hi], m), omc, s, pullback
+def _stacked_pair_gradient(points, units, weights, m):
+    """`ks_pair_gradient` with a `_stacked_kernel` call and its pullback per
+    block of rows: the pair loop of the flow's gradient before the pass
+    held it."""
+    x = _box_centred(points, points)
+    N, rows = len(x), max(1, rieszlab.quadrature.PAIR_BLOCK // len(x))
+    points_bar, units_bar = np.empty(x.shape), np.empty(units.shape)
+    weights_bar = np.empty(N)
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        omc, s, pullback = _stacked_kernel(x[lo:hi], units[lo:hi], x, units,
+                                           m)
+        q = _stacked_q(omc, s, np.zeros(hi - lo), m)
+        mww = (2.0 * m) * weights[lo:hi, None] * weights
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omc_bar = mww * omc ** (m - 1) / s ** m
+            s_bar = -mww * q / s
+        weights_bar[lo:hi] = 2.0 * (q @ weights)
+        points_bar[lo:hi], units_bar[lo:hi] = pullback(omc_bar, s_bar)
+    return points_bar, units_bar, weights_bar
+
+
+def _stacked_cross_energy():
+    """`ks_cross_energy` of `_disks` with a `_stacked_kernel` call per block
+    of rows."""
+    x_pts, x_units, y_pts, y_units, m, diag = _cross_inputs()
+    wa, wb = (disk.nodes(1.0).weights for disk in _disks())
+    x, y = _box_centred(x_pts, y_pts), _box_centred(y_pts, y_pts)
+    rows, row = max(1, rieszlab.quadrature.PAIR_BLOCK // len(y)), 0.0
+    for lo in range(0, len(x), rows):
+        hi = min(lo + rows, len(x))
+        omc, s, _ = _stacked_kernel(x[lo:hi], x_units[lo:hi], y, y_units, m)
+        row = row + wa[lo:hi] @ _stacked_q(omc, s, diag[lo:hi], m)
+    return float(row @ wb)
 
 
 def test_blocked_gradient_and_cross_energy_have_the_bits_of_the_stacked_kernel(
         monkeypatch):
+    # blocks of 7 rows on the meshes: the pair gradient, the flow's
+    # gradient through it and the cross energy of the disks
     mesh = _stretched_ico2()
     monkeypatch.setattr(rieszlab.quadrature, "PAIR_BLOCK",
                         7 * len(mesh.vertices))
+    yields = _count_yields(monkeypatch)
+    for surface in (mesh, _stretched_polygon64()):
+        fwd = _ks_quadrature(surface.vertices, surface.topology)
+        args = surface.vertices, fwd.units, fwd.weights, surface.m
+        for got, ref in zip(ks_pair_gradient(*args),
+                            _stacked_pair_gradient(*args)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
     grad = energy_gradient(FlowState(mesh=mesh))
-    cross_energy = ks_cross_energy(*_disks())
-    blocks = []
-    for module in (rieszlab.flow, rieszlab.moebius):
-        monkeypatch.setattr(module, "ks_pair_blocks",
-                            lambda *args: _stacked_pair_blocks(*args, blocks))
+    gradient_blocks = len(yields)
+    assert ks_cross_energy(*_disks()) == _stacked_cross_energy()
+    assert gradient_blocks > 2 and len(yields) - gradient_blocks > 1
+    monkeypatch.setattr(rieszlab.flow, "ks_pair_gradient",
+                        _stacked_pair_gradient)
     assert np.array_equal(grad, energy_gradient(FlowState(mesh=mesh)))
-    gradient_blocks = len(blocks)
-    assert cross_energy == ks_cross_energy(*_disks())
-    assert gradient_blocks > 1 and len(blocks) - gradient_blocks > 1
 
 
 # ----------------------------------------------------------------------
@@ -704,7 +742,7 @@ def test_ks_pair_sums_run_in_bounded_memory(name):
 
 def test_ks_energy_peak_memory():
     # one pass builds its stacks once and writes every block into four
-    # buffers: one warm energy peaks at 0.79 MiB here, where fresh arrays
+    # buffers: one warm energy peaks at 0.78 MiB here, where fresh arrays
     # per block took 1.28 MiB and fresh temporaries in the kernel 2.16 MiB
     assert _warm_peak(KS_SUMS["ks_energy"], _stretched_ico3()) <= (
         1.0 * 2 ** 20)
@@ -715,6 +753,44 @@ def test_chart_ks_energy_peak_memory():
     # stacks and arrays per block
     assert _warm_peak(ks_energy, make_ellipsoid(1.0, 1.0, 1.2)) <= (
         1.3 * 2 ** 20)
+
+
+def test_ks_gradient_and_cross_energy_peak_memory():
+    # the gradient pass keeps four buffers and forms a and b again per
+    # block: 2.97 MiB from the handed-off forward here, 4.13 MiB with two
+    # more buffers for them and a pullback closure per block; the cross
+    # energy of two icosphere(3) 0.76 MiB, 1.04 MiB with those two buffers
+    mesh = _stretched_ico3()
+    energy_gradient(FlowState(mesh=mesh))
+    ks_flow_energy(mesh)
+    tracemalloc.start()
+    try:
+        energy_gradient(FlowState(mesh=mesh))
+        assert tracemalloc.get_traced_memory()[1] <= 3.5 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+    pieces = icosphere(3), icosphere(3, 1.0, (2.5, 0.0, 0.0))
+    assert _warm_peak(lambda _: ks_cross_energy(*pieces), None) <= (
+        0.9 * 2 ** 20)
+
+
+@pytest.mark.parametrize("name", sorted(KS_SUMS))
+def test_every_ks_pass_allocates_four_buffers(name, monkeypatch):
+    # d, s, 1 - cos and q on every schedule: the triangle of the energies,
+    # rows against columns in the gradient and the cross energy
+    passes = []
+    init = _PairPass.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        passes.append(self)
+
+    monkeypatch.setattr(_PairPass, "__init__", recorded)
+    KS_SUMS[name](_stretched_ico3())
+    assert [len(p.buffers) for p in passes] == [4]
+    lo, _, col = passes[0].blocks[-1]
+    assert lo > 0 and col == (0 if name in ("energy_gradient",
+                                            "ks_cross_energy") else lo)
 
 
 # ----------------------------------------------------------------------
@@ -848,7 +924,9 @@ def test_pair_kernel_matches_einsum_kernel(n, m):
     x = rng.standard_normal((7, n))
     y = np.concatenate([rng.standard_normal((10, n)), x[:2]])  # two coincide
     fx, fy = _frames(rng, 7, n, m), _frames(rng, 12, n, m)
-    omc, s, _ = _pair_kernel(x, _units(fx), y, _units(fy), m)
+    omc, s = _pair_kernel(x, _units(fx), y, _units(fy), m)
+    # s has the bits of the references on the points the pass centres
+    x, y = _box_centred(x, y), _box_centred(y, y)
     ref_omc, ref_s = _einsum_kernel(x, fx, y, fy)
     assert omc.shape == s.shape == (7, 12)
     assert np.array_equal(s, ref_s)
@@ -870,7 +948,7 @@ def test_pair_kernel_complex_step_matches_einsum_kernel(n, m):
     h = 1e-30
     x = rng.standard_normal((9, n)) + 1j * h * rng.standard_normal((9, n))
     fx = _frames(rng, 9, n, m) + 1j * h * rng.standard_normal((9, n, m))
-    omc, s, _ = _pair_kernel(x, _units(fx), x, _units(fx), m)
+    omc, s = _pair_kernel(x, _units(fx), x, _units(fx), m)
     ref_omc, ref_s = _einsum_kernel(x, fx, x, fx)
     assert np.max(np.abs(omc.real - ref_omc.real)) <= 1e-14
     assert np.max(np.abs(s.real - ref_s.real)) <= 1e-14
@@ -885,31 +963,29 @@ def test_pair_kernel_pullback_matches_complex_step(n, m):
     rng = np.random.default_rng(23 + n + m)
     x = rng.standard_normal((5, n))
     y = np.concatenate([rng.standard_normal((8, n)), x[:2]])  # two coincide
-    # any vectors: the row-side pullback needs no unit ones, and the kernel
-    # is symmetric for them all
+    # any vectors: the pair gradient needs no unit ones, and the kernel is
+    # symmetric for them all
     ux = rng.standard_normal((5, n))
     uy = rng.standard_normal((10, n))
     omc_xy = _pair_kernel(x, ux, y, uy, m)[0]
     omc_yx = _pair_kernel(y, uy, x, ux, m)[0]
     assert np.max(np.abs(omc_xy - omc_yx.T)) <= 1e-14 * np.max(np.abs(omc_xy))
-    omc_bar, s_bar = rng.standard_normal((2, 5, 10))
-    x_bar, ux_bar = _pair_kernel(x, ux, y, uy, m)[2](omc_bar, s_bar)
-    # coincident pairs contribute nothing, whatever their bars
-    live = np.ones((5, 10))
-    live[0, 8] = live[1, 9] = 0.0
+    # the gradient of E = sum_ij w_i w_j q_ij against one complex step of
+    # the triangle sum per point, vector and weight coordinate; each step
+    # keeps the diagonal pairs coincident, and they contribute nothing
+    w = rng.uniform(0.5, 1.5, len(y))
+    inputs = [y, uy, w]
+    bars = ks_pair_gradient(y, uy, w, m)
     h = 1e-20
 
-    def derivative(xz, uz):
-        # row i reads only x[i] and ux[i]: one complex step per coordinate
-        omc, s, _ = _pair_kernel(xz, uz, y, uy, m)
-        return (live * (omc_bar * omc + s_bar * s)).sum(axis=1).imag / h
+    def derivative(k, index):
+        z = [a.astype(complex) for a in inputs]
+        z[k][index] += 1j * h
+        rows = ks_triangle_rows(z[0], z[1], m, np.zeros(len(y)), z[2], None)[0]
+        return (z[2] @ rows).imag / h
 
-    scale = max(np.max(np.abs(x_bar)), np.max(np.abs(ux_bar)))
-    for c in range(n):
-        z = x.astype(complex)
-        z[:, c] += 1j * h
-        assert np.max(np.abs(x_bar[:, c] - derivative(z, ux))) <= 1e-13 * scale
-        uz = ux.astype(complex)
-        uz[:, c] += 1j * h
-        assert np.max(np.abs(ux_bar[:, c] - derivative(x, uz))) <= (
-            1e-13 * scale)
+    scale = max(np.max(np.abs(bars[0])), np.max(np.abs(bars[1])))
+    for k, bar in enumerate(bars):
+        for index in np.ndindex(bar.shape):
+            assert abs(bar[index] - derivative(k, index)) <= 1e-13 * (
+                scale if k < 2 else np.max(np.abs(bar)))

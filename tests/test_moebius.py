@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab.errors import (PreconditionError, SingularMapError,
-                             SingularPairError, UnsupportedInputError)
-from rieszlab.geometry import (icosphere, make_circle, make_disk,
+from rieszlab.errors import (OrientationError, PreconditionError,
+                             SingularMapError, SingularPairError,
+                             UnsupportedInputError)
+from rieszlab.flow import ks_flow_energy
+from rieszlab.geometry import (TriMesh, icosphere, make_circle, make_disk,
                                make_ellipsoid, make_saddle_surface,
                                make_sphere, mesh_disjoint_union,
                                polygon_circle)
@@ -162,6 +164,56 @@ def test_ks_parallel_disks_monotone():
         values.append(ks_cross_energy(a, b, scale=0.75))
     assert values[0] > 0
     assert values[0] < values[1] < values[2]
+
+
+CROSS_PAIRS = {
+    "icospheres": lambda: (icosphere(1, 1.0, (-1.5, 0.0, 0.0)),
+                           icosphere(2, 0.7, (1.2, 0.3, 0.0))),
+    "polygons": lambda: (polygon_circle(32), polygon_circle(48, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_PAIRS))
+def test_ks_cross_energy_is_the_off_diagonal_part_of_the_union(name):
+    # the union's KS double sum is each piece's own plus both cross terms,
+    # for the quadrature energy and for the flow's; seen to 1.5e-16 and
+    # 4.6e-16 relative, and C(a, b) = C(b, a) to 2 ulps
+    a, b = CROSS_PAIRS[name]()
+    union = mesh_disjoint_union(a, b)
+    cross = ks_cross_energy(a, b)
+    assert abs(ks_cross_energy(b, a) - cross) <= 1e-14 * cross
+    for energy in (lambda mesh: ks_energy(mesh).value, ks_flow_energy):
+        total = energy(union)
+        assert abs(energy(a) + energy(b) + 2.0 * cross - total) <= (
+            1e-13 * total)
+
+
+def _closed_32gon_in_r3():
+    t = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    return TriMesh(np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1),
+                   [(i, (i + 1) % 32) for i in range(32)], 1)
+
+
+def _one_face_reversed():
+    mesh = icosphere(1)
+    faces = mesh.faces.copy()
+    faces[0] = faces[0, ::-1]
+    return TriMesh(mesh.vertices, faces, 2)
+
+
+@pytest.mark.parametrize("piece, error", [
+    # (n, m) = (2, 1) against (3, 2), which broadcast no stacks together
+    (lambda: make_circle(), UnsupportedInputError),
+    # (3, 1) against (3, 2): m was read from the first piece alone
+    (_closed_32gon_in_r3, UnsupportedInputError),
+    (_one_face_reversed, OrientationError),
+], ids=["circle", "polygon-in-r3", "one-face-reversed"])
+def test_ks_cross_energy_refuses_pieces_it_cannot_pair(piece, error):
+    other = icosphere(1, 1.0, (3.0, 0.0, 0.0))
+    with pytest.raises(error):
+        ks_cross_energy(piece(), other)
+    with pytest.raises(error):
+        ks_cross_energy(other, piece())
 
 
 def test_ks_similarity_invariance_exact():
