@@ -561,6 +561,9 @@ def parse_args(argv=None) -> RunConfig:
             raise ConfigError(f"{key} must be a positive number, got {val!r}")
     if merged.get("steps", 0) < 0:
         raise ConfigError(f"steps must be at least 0, got {merged['steps']!r}")
+    if merged.get("threads", 1) < 1:
+        raise ConfigError("threads must be at least 1, got "
+                          f"{merged['threads']!r}")
     if merged.get("data") is not None and merged["command"] != "sweep":
         raise ConfigError("only sweep writes a data file")
     return RunConfig(**merged)

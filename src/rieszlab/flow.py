@@ -15,17 +15,23 @@ Riesz and Auckly-Sadun selectors differentiate by central differences:
 two energies per coordinate, O(V^3), meant for V up to about 100.
 
 One forward per vertex array. `_ks_quadrature` builds everything the
-energy reads of a vertex array (`_KSForward`): the face vectors once, the
+energy reads of a vertex array (`_KSForward`) from its face vectors: the
 seed frames with their unit face vectors and vertex sums, the fit with its
 design and normal equations, the face sizes and weights. The adjoints read
-those arrays rather than rebuild them. A KS flow step evaluates the
-accepted candidate's energy and then, as the next step, the gradient at
-that same vertex array, so `ks_flow_energy` leaves its forward in a
-one-entry handoff, keyed by the mesh's topology object and the exact bits
-of its vertex array (`tobytes()`; identity is not enough, since
-`with_vertices` may alias an array its caller goes on to edit). The next
-KS gradient, and the line search's orientation check, take it when both
-match; only energies fill it. The handoff is not kept on the mesh (as
+those arrays rather than rebuild them. A line-search candidate computes
+its face vectors once: its orientation check, its mesh's degeneracy check
+and, on KS, its energy's forward read the one array. A KS flow step
+evaluates the accepted candidate's energy and then, as the next step, the
+gradient at that same vertex array. So a one-entry handoff holds the
+forward of one vertex array, keyed by the mesh's topology object and the
+exact bits of its vertex array (`tobytes()`; identity is not enough, since
+`with_vertices` may alias an array its caller goes on to edit), with the
+separation (`TriMesh.min_nonneighbor_distance`) that the energy's pair
+pass measured there. The line search puts each KS candidate's forward in
+it, `ks_flow_energy` takes the forward (or builds one) and adds its
+separation, which the step records; the next KS gradient and orientation
+check take the forward. Each reads it only when both key parts match.
+The handoff is not kept on the mesh (as
 `TriMesh._fits` is) because meshes outlive their step: a caller that keeps
 its flow states, as `bench/run.py` keeps every pass's results (4 states a
 pass, about 650 passes in 10 s), would hold one forward with its design
@@ -37,6 +43,7 @@ entry of another thread's flow, costs a rebuild and never a stale value.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -88,11 +95,11 @@ class _KSForward(NamedTuple):
     weights: np.ndarray
 
 
-def _ks_quadrature(vertices, topology):
-    """The flow's one forward of a vertex array (`_KSForward`)."""
+def _ks_quadrature(vertices, topology, faces):
+    """The flow's one forward (`_KSForward`) of a vertex array, from its
+    `face_vectors` faces."""
     idx, mask = topology.ring_table
     offsets = vertices[idx] - vertices[:, None]
-    faces = face_vectors(vertices, topology)
     seed = seed_frames(vertices, topology, faces)
     tangent, normal, solve = fit_tangent_frames(offsets, mask, *seed[:2])
     halved, sizes = face_sizes(faces, topology.m)
@@ -100,11 +107,14 @@ def _ks_quadrature(vertices, topology):
                       solve, halved, sizes, topology.lumped_weights(sizes))
 
 
-def _ks_sum(vertices, topology, fwd):
-    """The KS double sum of the forward fwd of vertices."""
-    return fwd.weights @ ks_triangle_rows(vertices, fwd.units, topology.m,
-                                          np.zeros(len(vertices)),
-                                          fwd.weights, None)[0]
+def _ks_sum(vertices, m, fwd, topology):
+    """The KS double sum of the forward fwd of vertices, and from the same
+    pair pass the smallest squared distance between vertices that share no
+    face of topology (inf when topology is None)."""
+    rows, sep2 = ks_triangle_rows(vertices, fwd.units, m,
+                                  np.zeros(len(vertices)), fwd.weights,
+                                  topology)
+    return fwd.weights @ rows, sep2
 
 
 def _ks_vertex_energy(vertices, topology):
@@ -114,7 +124,8 @@ def _ks_vertex_energy(vertices, topology):
     frame step `fit_tangent_frames`), the weights the lumped vertex weights
     of `TriMesh.vertex_weights`; the diagonal cells are dropped.
     """
-    return _ks_sum(vertices, topology, _ks_quadrature(vertices, topology))
+    fwd = _ks_quadrature(vertices, topology, face_vectors(vertices, topology))
+    return _ks_sum(vertices, topology.m, fwd, None)[0]
 
 
 def _ks_vertex_gradient(vertices, topology, fwd):
@@ -145,24 +156,46 @@ def _ks_vertex_gradient(vertices, topology, fwd):
                                        0.5 * e_bar if m == 2 else e_bar)
 
 
-# The forward of the last `ks_flow_energy`, keyed by its mesh's topology and
-# vertex bits: at most one entry, read by the next KS gradient and line
-# search at the same vertex array (see the module docstring).
+# (forward, separation) of one vertex array, keyed by its mesh's topology
+# and vertex bits: at most one entry (see the module docstring).
 _handoff = {}
 
 
 def _handed_off(mesh):
-    """The handed-off forward of mesh's vertex array, or None."""
-    return _handoff.get((mesh.topology, mesh.vertices.tobytes()))
+    """The handed-off (forward, separation) of mesh's vertex array, or
+    (None, None); the separation is None until an energy has run its pass."""
+    return _handoff.get((mesh.topology, mesh.vertices.tobytes()), (None, None))
+
+
+def _hand_off(mesh, fwd, separation):
+    _handoff.clear()
+    _handoff[mesh.topology, mesh.vertices.tobytes()] = fwd, separation
+
+
+def _separation(mesh):
+    """`min_nonneighbor_distance` of mesh: the one that the KS energy's pass
+    measured at this vertex array, or its own pass."""
+    separation = _handed_off(mesh)[1]
+    return mesh.min_nonneighbor_distance() if separation is None else separation
+
+
+def _forward(mesh):
+    """The handed-off forward of mesh's vertex array, or a new one."""
+    fwd = _handed_off(mesh)[0]
+    if fwd is None:
+        fwd = _ks_quadrature(mesh.vertices, mesh.topology,
+                             face_vectors(mesh.vertices, mesh.topology))
+    return fwd
 
 
 def ks_flow_energy(mesh: TriMesh) -> float:
-    """Discrete KS energy used by the flow (diagonal cell dropped); leaves
-    its forward in the handoff."""
-    _handoff.clear()
-    fwd = _ks_quadrature(mesh.vertices, mesh.topology)
-    _handoff[mesh.topology, mesh.vertices.tobytes()] = fwd
-    return float(_ks_sum(mesh.vertices, mesh.topology, fwd))
+    """Discrete KS energy used by the flow (diagonal cell dropped), from the
+    handed-off forward of its vertex array or a new one; leaves the forward
+    and its pass's separation in the handoff."""
+    fwd = _forward(mesh)
+    energy, sep2 = _ks_sum(mesh.vertices, mesh.m, fwd, mesh.topology)
+    _hand_off(mesh, fwd, math.sqrt(sep2))
+    return float(energy)
 
 
 # ----------------------------------------------------------------------
@@ -225,12 +258,20 @@ class FlowState:
     stationary: bool = False
     config: object = None
 
-    def energy(self) -> float:
-        """The mesh's energy: the one recorded by the accepted step when the
-        trajectory's last point has this state's iteration, else evaluated."""
+    def _recorded(self):
+        """The trajectory's last point when it has this state's iteration,
+        so records this mesh, else None."""
         last = self.trajectory[-1] if self.trajectory else None
         if last is not None and last.iteration == self.iteration:
-            return last.energy
+            return last
+        return None
+
+    def energy(self) -> float:
+        """The mesh's energy: the recorded one (`_recorded`), else
+        evaluated."""
+        recorded = self._recorded()
+        if recorded is not None:
+            return recorded.energy
         return self.selector.evaluate(self.mesh, self.config)
 
 
@@ -246,10 +287,8 @@ def energy_gradient(state: FlowState) -> np.ndarray:
     """
     mesh = state.mesh
     if state.selector.kind == "ks":
-        fwd = _handed_off(mesh)
-        if fwd is None:
-            fwd = _ks_quadrature(mesh.vertices, mesh.topology)
-        return _ks_vertex_gradient(mesh.vertices, mesh.topology, fwd)
+        return _ks_vertex_gradient(mesh.vertices, mesh.topology,
+                                   _forward(mesh))
     V, n = mesh.vertices.shape
     grad = np.empty((V, n))
     box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
@@ -266,11 +305,11 @@ def energy_gradient(state: FlowState) -> np.ndarray:
     return grad
 
 
-def _orientation_ok(f_old, topology, new_vertices) -> bool:
+def _orientation_ok(f_old, faces) -> bool:
     """Reject steps that invert any simplex against the previous step: every
-    face vector f_old (edge or area normal) must keep its direction."""
-    return bool(np.all(dot(f_old, face_vectors(new_vertices, topology))
-                       > 0.0))
+    face vector f_old (edge or area normal) must keep its direction in the
+    step's face vectors faces."""
+    return bool(np.all(dot(f_old, faces) > 0.0))
 
 
 def flow_step(state: FlowState) -> FlowState:
@@ -279,26 +318,32 @@ def flow_step(state: FlowState) -> FlowState:
     A decreasing, orientation-preserving step is accepted and the next
     trial step doubles it. When none exists within MAX_HALVINGS halvings,
     the state is returned with the stationary flag set (a report, not an
-    error).
+    error). Each candidate's face vectors are computed once, for its
+    orientation check, its mesh and (KS) its energy's forward.
     """
     e0 = state.energy()
     grad = energy_gradient(state)
     if float(np.linalg.norm(grad)) == 0.0:
         return replace(state, stationary=True)
-    mesh = state.mesh
+    mesh, topology = state.mesh, state.mesh.topology
     step = state.step_size
-    fwd = _handed_off(mesh)
-    f_old = (face_vectors(mesh.vertices, mesh.topology) if fwd is None
+    fwd = _handed_off(mesh)[0]
+    f_old = (face_vectors(mesh.vertices, topology) if fwd is None
              else fwd.faces)
     for _ in range(MAX_HALVINGS + 1):
         cand = mesh.vertices - step * grad
-        if _orientation_ok(f_old, mesh.topology, cand):
-            new_mesh = mesh.with_vertices(cand)
+        faces = face_vectors(cand, topology)
+        # a flipped or zero face vector is halved here, before the mesh
+        # check could raise on it
+        if _orientation_ok(f_old, faces):
+            new_mesh = mesh._with_vertices(cand, faces)
+            if state.selector.kind == "ks":
+                _hand_off(new_mesh, _ks_quadrature(cand, topology, faces),
+                          None)
             e1 = state.selector.evaluate(new_mesh, state.config)
             if e1 < e0:
                 traj = state.trajectory + [TrajectoryPoint(
-                    state.iteration + 1, e1, step,
-                    new_mesh.min_nonneighbor_distance())]
+                    state.iteration + 1, e1, step, _separation(new_mesh))]
                 return replace(state, mesh=new_mesh, step_size=step * 2.0,
                                iteration=state.iteration + 1,
                                trajectory=traj, stationary=False)
@@ -309,9 +354,11 @@ def flow_step(state: FlowState) -> FlowState:
 def run_flow(state: FlowState, n_steps: int) -> FlowState:
     """Iterate flow_step until stationary or the step budget is exhausted."""
     if not state.trajectory:
+        # the energy first: a KS one leaves its pass's separation
+        energy = state.energy()
         state.trajectory.append(TrajectoryPoint(
-            state.iteration, state.energy(), state.step_size,
-            state.mesh.min_nonneighbor_distance()))
+            state.iteration, energy, state.step_size,
+            _separation(state.mesh)))
     for _ in range(n_steps):
         state = flow_step(state)
         if state.stationary:
@@ -339,14 +386,17 @@ class ContactReport:
 
 def contact_monitor(state: FlowState, ceiling: float | None = None) -> ContactReport:
     """Min distance between non-adjacent mesh elements and the state's
-    energy (`FlowState.energy`: after a step, the one the step recorded).
+    energy: after a step, the ones the step recorded (as
+    `FlowState.energy` reads them), else evaluated.
 
     ceiling_exceeded flags an energy above the configured ceiling (never
     set without a ceiling); closing_in reports, separately, whether the
     minimum distance shrank along the recorded trajectory.
     """
-    dmin = state.mesh.min_nonneighbor_distance()
     energy = state.energy()
+    recorded = state._recorded()
+    dmin = (_separation(state.mesh) if recorded is None
+            else recorded.min_distance)
     closing = False
     if len(state.trajectory) >= 2:
         closing = state.trajectory[-1].min_distance < state.trajectory[0].min_distance

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import PreconditionError, TopologyError, UnsupportedInputError
-from ..quadrature import PairPass
+from ..quadrature import PairPass, box_middle
 from .patches import (PatchStack, cross, dot, fit_curvature,
                       fit_tangent_frames, orthonormal_frames,
                       orthonormal_frames_adjoint, unit_adjoint)
@@ -167,23 +167,15 @@ class MeshTopology:
 
     def vertex_sums(self, values):
         """Sums (V, ...) over each vertex's faces of face values (F, ...),
-        added in face order from zero."""
+        added in face order: one gather of `_vertex_faces` and one sum
+        over its rows, which numpy adds in row order."""
         zero = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
-        padded = np.concatenate([values, zero])
-        out = np.zeros((self.num_vertices, *values.shape[1:]),
-                       dtype=values.dtype)
-        for faces in self._vertex_faces:
-            out += padded[faces]
-        return out
+        return np.concatenate([values, zero])[self._vertex_faces].sum(axis=0)
 
     def face_sums(self, values):
         """Sums (F, ...) over each face's corners of vertex values (V, ...),
-        added in vertex order from zero: the adjoint of `vertex_sums`."""
-        out = np.zeros((len(self.faces), *values.shape[1:]),
-                       dtype=values.dtype)
-        for corner in self._sorted_corners:
-            out += values[corner]
-        return out
+        added in vertex order: the adjoint of `vertex_sums`."""
+        return values[self._sorted_corners].sum(axis=0)
 
     @cached_property
     def _vertex_faces(self):
@@ -342,18 +334,22 @@ class TriMesh(Surface):
         self.m = m
         self.faces = faces
         self.topology = MeshTopology(faces, m, len(vertices))
-        self._set_vertices(vertices)
+        self._set_vertices(vertices, None)
         self.closed = self.topology.closed
         self.oriented = self.topology.oriented
 
-    def _set_vertices(self, vertices):
+    def _set_vertices(self, vertices, faces):
+        """Take the vertex array vertices, whose `face_vectors` are faces
+        (None: computed here), and check it."""
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         if self.m == 2 and self.n != 3:
             # face_vectors takes a cross product
             raise UnsupportedInputError("triangle meshes need vertices in R^3")
         if not np.all(np.isfinite(self.vertices)):
             raise UnsupportedInputError("mesh has non-finite vertex coordinates")
-        if np.any(self.measures() <= 0.0):
+        if faces is None:
+            faces = face_vectors(self.vertices, self.topology)
+        if np.any(face_sizes(faces, self.m)[1] <= 0.0):
             raise TopologyError("mesh contains a degenerate simplex")
         # with_vertices copies the mesh, and with it the fit and the local
         # scale of the old vertices
@@ -413,10 +409,13 @@ class TriMesh(Surface):
     def min_nonneighbor_distance(self) -> float:
         """Min distance between vertices not sharing any face (inf when
         every pair shares one), over each unordered pair once, one triangle
-        pair pass (`PairPass`): O(V^2) light work beside the O(V^2) KS sums
-        of its readers, the flow's trajectory and `contact_monitor`;
-        `ks_energy` takes it from its own pass."""
-        pair_pass = PairPass(self.vertices, self.vertices, None, 2, float)
+        pair pass (`PairPass`) on the vertices centred on their bounding
+        box's middle (`box_middle`). The KS pair pass centres its points
+        the same way, so `ks_energy` and the KS flow, which take the
+        separation from their own pass, have its bits; this pass serves
+        `ks_energy`'s fallback and every other flow energy."""
+        v = self.vertices - box_middle(self.vertices)
+        pair_pass = PairPass(v, v, None, 2, float)
         return math.sqrt(min(self.topology.nonneighbor_min(s, lo)
                              for lo, _, _, _, s in pair_pass))
 
@@ -446,10 +445,15 @@ class TriMesh(Surface):
 
     def with_vertices(self, vertices) -> "TriMesh":
         """Mesh on the same faces, sharing this mesh's topology."""
+        return self._with_vertices(vertices, None)
+
+    def _with_vertices(self, vertices, faces):
+        """`with_vertices`, given the `face_vectors` faces of vertices
+        (None: computed), as the flow's line search has them."""
         if len(vertices) != self.num_vertices:
             raise UnsupportedInputError("with_vertices needs one row per vertex")
         mesh = copy.copy(self)
-        mesh._set_vertices(vertices)
+        mesh._set_vertices(vertices, faces)
         return mesh
 
     # -- surface protocol ----------------------------------------------

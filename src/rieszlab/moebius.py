@@ -41,7 +41,7 @@ from .errors import (NumericalError, OrientationError, PreconditionError,
                      SingularMapError, SingularPairError, UnsupportedInputError)
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
-from .quadrature import PairPass, compensated_sum
+from .quadrature import PairPass, box_middle, compensated_sum
 from .riesz import (EnergyReport, QuadratureConfig, finite_energy,
                     riesz_energy)
 
@@ -118,12 +118,12 @@ class _PairPass(PairPass):
     their result dtype.
 
     a and b lose eps times the points' distance from the origin, so both
-    point sets are first translated to the middle of y's bounding box:
-    far from the origin the products lose no digits to the offset, and a
-    round body keeps half the error it would have about one of its own
-    points. The box is that of the real parts, so that a complex step
-    moves no point's centred position but its own. Rows that are the
-    columns (x is y) share their translation and stacks. Every schedule
+    point sets are first translated to the middle of y's bounding box
+    (`box_middle`, as `TriMesh.min_nonneighbor_distance` does): far from
+    the origin the products lose no digits to the offset, and a round body
+    keeps half the error it would have about one of its own points. Rows
+    that are the columns (x is y) share their translation and stacks, and
+    their s has the bits of `min_nonneighbor_distance`'s. Every schedule
     writes its blocks into four buffers: d, s, 1 - cos and q.
     """
 
@@ -133,7 +133,7 @@ class _PairPass(PairPass):
             raise UnsupportedInputError(f"KS pairs need curves or surfaces in "
                                         f"R^3, got (n, m) = ({n}, {m})")
         dtype = np.result_type(x_pts, x_units, y_pts, y_units)
-        centre = 0.5 * (y_pts.real.min(axis=0) + y_pts.real.max(axis=0))
+        centre = box_middle(y_pts)
         y = y_pts - centre
         x = y if x_pts is y_pts else x_pts - centre
         super().__init__(x, y, multiple, 4, dtype)

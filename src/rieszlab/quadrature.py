@@ -4,7 +4,8 @@ Small deterministic rules used throughout the library: the Gauss-Legendre
 rule of each order (the one source of such rules in the package, computed
 once per order and shared read-only), panels of it graded toward an end
 point, a fixed-order sum, a kernel equal to t^alpha outside a ball and
-smooth inside, and the pass that forms every pairwise squared distance.
+smooth inside, and the pass that forms every pairwise squared distance
+with the translation that its mesh and KS readers apply first.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "BlendKernel",
     "PAIR_BLOCK",
     "PairPass",
+    "box_middle",
 ]
 
 # Pairs per block of a pair pass, which bounds its memory: a KS gradient
@@ -150,3 +152,14 @@ class PairPass:
             for c in range(1, len(rows)):
                 s += np.square(np.matmul(rows[c], y1, out=d), out=d)
             yield lo, hi, col, d, s, *rest
+
+
+def box_middle(points):
+    """The middle of the bounding box of the real parts of points (N, n).
+
+    The KS pair pass and `TriMesh.min_nonneighbor_distance` translate their
+    points by it, so both take the same squared distances: far from the
+    origin a difference of two points then loses no digits to the offset.
+    The real parts keep a complex step from moving any point but its own.
+    """
+    return 0.5 * (points.real.min(axis=0) + points.real.max(axis=0))

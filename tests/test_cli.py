@@ -284,13 +284,21 @@ def test_invalid_model_input_exits_3(argv, capsys):
                   "0.1,-0.01"], None, 2, id="sweep-gap-negative"),
     pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"], [1, 2],
                  2, id="config-not-an-object"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5",
+                  "--threads", "0"], None, 2, id="threads-zero"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5",
+                  "--threads", "-1"], None, 2, id="threads-negative"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"],
+                 {"threads": 0}, 2, id="config-threads-zero"),
+    pytest.param(["energy", "--surface", "circle", "--alpha", "-2.5"],
+                 {"threads": -1}, 2, id="config-threads-negative"),
 ])
 def test_degenerate_input_exits_with_a_json_error(argv, config, code,
                                                   tmp_path, capsys):
-    # non-positive radii and rule scales, touching or overlapping bodies,
-    # a map centre outside the surface's space, an empty mesh and config
-    # values of the wrong type are refused before any computation, from a
-    # flag or from the config file
+    # non-positive radii, rule scales and thread counts, touching or
+    # overlapping bodies, a map centre outside the surface's space, an
+    # empty mesh and config values of the wrong type are refused before any
+    # computation, from a flag or from the config file
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -522,6 +530,20 @@ def test_non_integer_threads_environment_exits_2():
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError"
     assert "RIESZ_LAB_THREADS" in err["message"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_in_the_environment_exits_2(threads,
+                                                           monkeypatch,
+                                                           capsys):
+    # before, a count below 1 ran serially with exit 0
+    monkeypatch.setenv("RIESZ_LAB_THREADS", threads)
+    assert main(["energy", "--surface", "circle", "--alpha", "-2.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)
+    assert err["error"] == "ConfigError"
+    assert "threads" in err["message"]
 
 
 def test_inversion_center_on_chart_sphere_exits_3():

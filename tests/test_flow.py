@@ -12,6 +12,7 @@ from scipy.spatial.transform import Rotation
 
 import rieszlab
 from rieszlab import flow
+from rieszlab.geometry import meshes
 from rieszlab.flow import (EnergySelector, FlowState, TrajectoryPoint,
                            _ks_quadrature, _ks_vertex_energy, _orientation_ok,
                            contact_monitor, energy_gradient, flow_step,
@@ -263,6 +264,91 @@ def test_monitor_reads_the_recorded_energy(monkeypatch):
     assert len(calls) == 1
 
 
+def _counted(monkeypatch, calls, owner, name, count_as=None):
+    """Wrap owner.name so that each call adds one to calls[count_as or
+    name]; returns the calls' results too, in calls[(count_as or name,
+    'results')]."""
+    orig, key = getattr(owner, name), count_as or name
+
+    def wrapper(*args):
+        calls[key] = calls.get(key, 0) + 1
+        out = orig(*args)
+        calls.setdefault((key, "results"), []).append(out)
+        return out
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("mesh", [_perturbed_sphere(),
+                                  _perturbed(polygon_circle(32))],
+                         ids=["icosphere1", "polygon32"])
+def test_each_ks_candidate_takes_its_face_vectors_once(mesh, monkeypatch):
+    # the candidate's face vectors serve its orientation check, its mesh's
+    # degeneracy check and its energy's forward; the step records the
+    # separation that the energy's pair pass measured
+    state = run_flow(FlowState(mesh=mesh, step_size=0.5), 0)
+    calls = {}
+    _counted(monkeypatch, calls, flow, "face_vectors")
+    _counted(monkeypatch, calls, meshes, "face_vectors")
+    _counted(monkeypatch, calls, flow, "_orientation_ok", "candidates")
+    _counted(monkeypatch, calls, TriMesh, "min_nonneighbor_distance")
+    tried = []
+    for _ in range(3):
+        calls.clear()
+        state = flow_step(state)
+        assert not state.stationary
+        assert calls["face_vectors"] == calls["candidates"]
+        assert "min_nonneighbor_distance" not in calls
+        tried.append(calls["candidates"])
+    # some step halved: rejected candidates count too
+    assert max(tried) > 1
+    monkeypatch.undo()
+    assert (state.trajectory[-1].min_distance
+            == state.mesh.min_nonneighbor_distance())
+
+
+def test_flipped_or_zeroed_candidates_are_halved(monkeypatch):
+    # an octagon on exact coordinates, and a descent direction that moves
+    # vertex 0 by twice, then exactly once, the edge to vertex 1: the first
+    # candidate flips that edge and the second zeroes it. Both are halved
+    # by the orientation check before any mesh is built on them
+    v = np.array([(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3),
+                  (1, -3), (3, -1)], dtype=float)
+    octagon = TriMesh(v, [(k, (k + 1) % 8) for k in range(8)], 1)
+    direction = np.zeros_like(v)
+    direction[0] = v[0] - v[1]
+    monkeypatch.setattr(flow, "energy_gradient", lambda state: direction)
+    calls = {}
+    _counted(monkeypatch, calls, flow, "_orientation_ok", "candidates")
+    state = flow_step(FlowState(mesh=octagon, step_size=2.0))
+    assert calls["candidates", "results"][:3] == [False, False, True]
+    assert state.stationary or state.trajectory[-1].step_size <= 0.5
+
+
+@pytest.mark.parametrize("mesh", [
+    mesh_disjoint_union(icosphere(2, 1.0, (-1.1, 0.0, 0.0)),
+                        icosphere(2, 1.0, (1.1, 0.0, 0.0))),
+    icosphere(1).with_vertices(icosphere(1).vertices * [1.0, 1.0, 1.3])
+    .translated([0.3, -0.7, 0.11]),
+], ids=["dumbbell", "icosphere1_stretched_moved"])
+def test_monitor_reads_the_recorded_separation(mesh, monkeypatch):
+    # every point's separation, the start's too, is its mesh's bit for bit,
+    # and the monitor reads the last one: no pair pass of its own
+    state = run_flow(FlowState(mesh=mesh, step_size=1e-2), 0)
+    states = [state]
+    for _ in range(3):
+        states.append(flow_step(states[-1]))
+    state = states[-1]
+    assert state.iteration == 3
+    for s in states:
+        assert s.trajectory[-1].min_distance == s.mesh.min_nonneighbor_distance()
+    calls = {}
+    _counted(monkeypatch, calls, TriMesh, "min_nonneighbor_distance")
+    report = contact_monitor(state)
+    assert calls == {}
+    monkeypatch.undo()
+    assert report.min_distance == state.mesh.min_nonneighbor_distance()
+
+
 def test_ks_flow_loads_no_scipy_beyond_sparse():
     # the flow's mesh tables, face sums and contact distance are numpy, so
     # scipy stays out: scipy.sparse alone adds about 20 MB resident, and
@@ -305,8 +391,9 @@ def test_flow_energy_is_ks_energy_without_diagonal(mesh):
     assert ks_flow_energy(mesh) + diagonal == pytest.approx(
         ks_energy(mesh).value, rel=1e-12)
     # the lumped weights are the same bits on both sides
-    assert np.array_equal(nodes.weights,
-                          _ks_quadrature(mesh.vertices, mesh.topology).weights)
+    faces = face_vectors(mesh.vertices, mesh.topology)
+    assert np.array_equal(nodes.weights, _ks_quadrature(
+        mesh.vertices, mesh.topology, faces).weights)
 
 
 def test_gradient_near_minimizer():
@@ -386,8 +473,9 @@ def test_orientation_check_rejects_one_inverted_simplex():
     v[a] = v[b] + v[c] - v[a]
     for mesh, step in ((poly, p), (ico, v)):
         f_old = face_vectors(mesh.vertices, mesh.topology)
-        assert _orientation_ok(f_old, mesh.topology, 1.01 * mesh.vertices)
-        assert not _orientation_ok(f_old, mesh.topology, step)
+        assert _orientation_ok(f_old, face_vectors(1.01 * mesh.vertices,
+                                                   mesh.topology))
+        assert not _orientation_ok(f_old, face_vectors(step, mesh.topology))
 
 
 def test_flow_rotation_equivariance():

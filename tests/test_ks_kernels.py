@@ -26,7 +26,7 @@ from rieszlab import (FlowState, MoebiusMap, QuadratureConfig, TriMesh,
                       torus_mesh)
 from rieszlab.flow import _ks_quadrature
 from rieszlab.geometry import mesh_disjoint_union, orthonormal_frames
-from rieszlab.geometry.meshes import MeshTopology
+from rieszlab.geometry.meshes import MeshTopology, face_vectors
 from rieszlab.geometry.patches import cross, dot, umbilicity_defect
 from rieszlab.moebius import (_PairPass, combined_angle_cos_frames,
                               ks_pair_gradient, ks_triangle_rows,
@@ -417,8 +417,14 @@ def _ks_energy_reference(surface, config):
                             surface.m, diag, nodes.weights)
 
 
+def _forward(mesh):
+    """The KS flow's forward of mesh's vertex array."""
+    return _ks_quadrature(mesh.vertices, mesh.topology,
+                          face_vectors(mesh.vertices, mesh.topology))
+
+
 def _flow_energy_reference(mesh):
-    fwd = _ks_quadrature(mesh.vertices, mesh.topology)
+    fwd = _forward(mesh)
     return _full_square_sum(mesh.vertices, fwd.units, mesh.m,
                             np.zeros(len(fwd.weights)), fwd.weights)
 
@@ -553,7 +559,7 @@ def _cross_inputs():
 
 
 def _gradient_inputs(mesh):
-    units = _ks_quadrature(mesh.vertices, mesh.topology).units
+    units = _forward(mesh).units
     return (mesh.vertices, units, mesh.vertices, units, mesh.m,
             np.zeros(len(units)))
 
@@ -635,7 +641,7 @@ def test_blocked_gradient_and_cross_energy_have_the_bits_of_the_stacked_kernel(
                         7 * len(mesh.vertices))
     yields = _count_yields(monkeypatch)
     for surface in (mesh, _stretched_polygon64()):
-        fwd = _ks_quadrature(surface.vertices, surface.topology)
+        fwd = _forward(surface)
         args = surface.vertices, fwd.units, fwd.weights, surface.m
         for got, ref in zip(ks_pair_gradient(*args),
                             _stacked_pair_gradient(*args)):
@@ -679,10 +685,9 @@ SEPARATION_MESHES = {
 @pytest.mark.parametrize("name", sorted(SEPARATION_MESHES))
 def test_pass_separation_is_min_nonneighbor_distance(name, rows,
                                                      monkeypatch):
-    # the pass reads s on centred points, min_nonneighbor_distance on the
-    # vertices as given, in blocks of another height. Centring can move the
-    # last bit of a difference: the stretched and moved icosphere(0) is 1
-    # ulp apart, every other mesh here agrees bit for bit
+    # the pass and min_nonneighbor_distance both read s on the vertices
+    # centred on their bounding box's middle, so they agree bit for bit,
+    # also in blocks of another height (rows set) and far from the origin
     mesh = SEPARATION_MESHES[name]()
     nodes = mesh.nodes()
     if rows is not None:
@@ -692,8 +697,7 @@ def test_pass_separation_is_min_nonneighbor_distance(name, rows,
     sep2 = ks_triangle_rows(nodes.points, ks_unit_vectors(tangent, normal),
                             mesh.m, np.zeros(len(nodes.points)),
                             nodes.weights, mesh.topology)[1]
-    ref = mesh.min_nonneighbor_distance()
-    assert abs(math.sqrt(sep2) - ref) <= 4 * math.ulp(ref)
+    assert math.sqrt(sep2) == mesh.min_nonneighbor_distance()
 
 
 def test_only_mesh_ks_energy_masks_neighbours(monkeypatch):
@@ -711,12 +715,15 @@ def test_only_mesh_ks_energy_masks_neighbours(monkeypatch):
         "min_nonneighbor_distance", TriMesh.min_nonneighbor_distance))
     mesh = _stretched_ico3()
     ks_energy(make_ellipsoid(1.0, 1.0, 1.2))
-    for name in ("ks_flow_energy", "energy_gradient", "ks_cross_energy"):
+    for name in ("energy_gradient", "ks_cross_energy"):
         KS_SUMS[name](mesh)
     assert calls == {"nonneighbor_min": 0, "min_nonneighbor_distance": 0}
-    # the mesh's own KS pass measures the separation: no second pass
-    ks_energy(mesh)
-    assert calls["nonneighbor_min"] > 0
+    # the mesh energies' own KS passes measure the separation (ks_energy's
+    # refusal, the flow's trajectory): no second pass
+    for name in ("ks_energy", "ks_flow_energy"):
+        calls["nonneighbor_min"] = 0
+        KS_SUMS[name](mesh)
+        assert calls["nonneighbor_min"] > 0
     assert calls["min_nonneighbor_distance"] == 0
 
 
