@@ -8,7 +8,8 @@ integrated with an inner cutoff and the cutoff law classified as finite,
 logarithmic, or power growth. Each model integral is one array pass: the
 tangential scan stacks every cutoff's outer panels and takes the inner r
 integral in closed form at every node, and the orthogonal and cone models
-evaluate their integrand once on the grid of all dyadic boxes. The sums
+evaluate their integrand on the grid of all dyadic boxes, in blocks of
+whole levels of at most `PAIR_BLOCK` points. The sums
 keep the order of a panel-by-panel and box-by-box loop, so the values do
 not depend on the batching. The two-body sweep measures the cross
 interaction of two round m-spheres at gap delta, its chords
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import (PreconditionError, UnsupportedInputError,
                      checked_arithmetic)
-from .quadrature import compensated_sum, gauss_legendre, graded_panels
+from .quadrature import (PAIR_BLOCK, compensated_sum, gauss_legendre,
+                         graded_panels)
 
 __all__ = [
     "CutoffFit",
@@ -173,18 +175,21 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
 
     Shell k is the three boxes of [0, hi]^2 \\ [0, hi/2]^2 with hi =
     outer / 2^k, each with a gl_order x gl_order Gauss-Legendre product
-    rule. f is evaluated once on the (levels, 3, q, q) grid of every box's
-    nodes, from the broadcastable x nodes (levels, 3, q, 1) and y nodes
-    (levels, 3, 1, q); no full-grid copy of either is made, and f's values
-    are multiplied into the weight grid in place. The models' integrands
-    also work in place on the one full-grid array they form, so a call
-    holds at most two full-grid arrays (207 kB each for the orthogonal
-    model) at a time; with a new array per operation, glibc could return
-    the freed memory after each call and page-fault it back in on the
-    next (120 faults per orthogonal call after the m = 1 sweeps). The sums
+    rule. f is evaluated on the (levels, 3, q, q) grid of every box's
+    nodes in blocks of whole levels, each of at most PAIR_BLOCK points
+    (or one level, if a level has more), from the broadcastable x nodes
+    (n, 3, q, 1) and y nodes (n, 3, 1, q); no full-grid copy of either is
+    made, and f's values are multiplied into the block's weight grid in
+    place. The models' integrands also work in place on the one block
+    array they form, so a call holds at most two block arrays at a time,
+    each 127.9 kB at BOX_ORDER: below glibc's 128 KiB mmap threshold, so
+    their memory comes from the heap and a warm call page-faults none,
+    whatever ran or was loaded before it. The orthogonal model's 60
+    levels in one block would be 207 kB arrays, which page-fault on every
+    call unless earlier allocations have raised the threshold. The sums
     run in a fixed order: a box adds its q * q weighted values
     sequentially in row-major order and a shell adds its three boxes left
-    to right.
+    to right, so the blocking does not change them.
     """
     xg, wg = gauss_legendre(gl_order)
     q = len(xg)
@@ -200,9 +205,13 @@ def _dyadic_shell_sums_2d(f, outer, levels, gl_order):
     ys = (0.5 * (y1 - y0))[..., None] * (xg + 1.0) + y0[..., None]
     wx = (0.5 * (x1 - x0))[..., None] * wg
     wy = (0.5 * (y1 - y0))[..., None] * wg
-    terms = wx[..., :, None] * wy[..., None, :]
-    terms *= f(xs[..., :, None], ys[..., None, :])
-    boxes = np.cumsum(terms.reshape(levels, 3, q * q), axis=-1)[..., -1]
+    boxes = np.empty((levels, 3))
+    step = max(1, PAIR_BLOCK // (3 * q * q))
+    for k in range(0, levels, step):
+        b = slice(k, k + step)
+        terms = wx[b, :, :, None] * wy[b, :, None, :]
+        terms *= f(xs[b, :, :, None], ys[b, :, None, :])
+        boxes[b] = np.cumsum(terms.reshape(-1, 3, q * q), axis=-1)[..., -1]
     return boxes[:, 0] + boxes[:, 1] + boxes[:, 2]
 
 

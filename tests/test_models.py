@@ -14,7 +14,7 @@ from rieszlab.models import (classify_cutoff_law, cone_model_scan,
                              sphere_pair_cross_energy,
                              tangent_model_scan, two_body_sweep,
                              unit_ball_volume)
-from rieszlab.quadrature import compensated_sum, gauss_legendre
+from rieszlab.quadrature import PAIR_BLOCK, compensated_sum, gauss_legendre
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +406,50 @@ def test_shell_sums_equal_box_loop(cone, alpha, outer, levels, gl_order):
         # for a 2 x 2 box np.einsum flushes its running sum once per row,
         # not once per box, so the last bit may differ
         np.testing.assert_allclose(batched, loop, rtol=1e-15, atol=0.0)
+
+
+def _shell_sums_one_shot(f, outer, levels, gl_order):
+    """The shell sums with f evaluated once on every level's grid."""
+    xg, wg = gauss_legendre(gl_order)
+    q = len(xg)
+    his = [float(outer)]
+    for _ in range(levels):
+        his.append(0.5 * his[-1])
+    hi, lo = np.array(his[:-1]), np.array(his[1:])
+    zero = np.zeros(levels)
+    x0, x1 = np.stack([lo, lo, zero], -1), np.stack([hi, hi, lo], -1)
+    y0, y1 = np.stack([lo, zero, lo], -1), np.stack([hi, lo, hi], -1)
+    xs = (0.5 * (x1 - x0))[..., None] * (xg + 1.0) + x0[..., None]
+    ys = (0.5 * (y1 - y0))[..., None] * (xg + 1.0) + y0[..., None]
+    wx = (0.5 * (x1 - x0))[..., None] * wg
+    wy = (0.5 * (y1 - y0))[..., None] * wg
+    terms = wx[..., :, None] * wy[..., None, :]
+    terms *= f(xs[..., :, None], ys[..., None, :])
+    boxes = np.cumsum(terms.reshape(levels, 3, q * q), axis=-1)[..., -1]
+    return boxes[:, 0] + boxes[:, 1] + boxes[:, 2]
+
+
+@pytest.mark.parametrize("alpha", [-5.0, -4.0, -3.5, -3.0, -1.0, 0.0, 2.5])
+@pytest.mark.parametrize("integrand,outer,levels", [
+    (_orthogonal_integrand, 1.0, models.ORTHOGONAL_LEVELS),
+    (_orthogonal_integrand, 0.5, models.ORTHOGONAL_LEVELS),
+    (_cone_integrand, 1.0, 21),
+])
+def test_shell_sums_are_blocked_and_equal_one_shot(integrand, outer, levels,
+                                                   alpha):
+    f = integrand(alpha)
+    sizes = []
+
+    def recording(x, y):
+        sizes.append(np.broadcast(x, y).size)
+        return f(x, y)
+
+    blocked = models._dyadic_shell_sums_2d(recording, outer, levels,
+                                           models.BOX_ORDER)
+    assert max(sizes) <= PAIR_BLOCK
+    assert sum(sizes) == levels * 3 * models.BOX_ORDER ** 2
+    assert np.array_equal(blocked, _shell_sums_one_shot(f, outer, levels,
+                                                        models.BOX_ORDER))
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 16, 40])
