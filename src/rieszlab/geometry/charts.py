@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .surface import NodeSet, Surface
 
 __all__ = [
     "Chart",
+    "ChartLocators",
     "ChartSurface",
     "make_circle",
     "make_sphere",
@@ -195,6 +197,27 @@ class Chart:
         jac[...] = self.jacobian(uu).transpose(1, 2, 0)
 
 
+class ChartLocators(Sequence):
+    """The locators of chart nodes as arrays: chart index (N,) and
+    parameters u (N, m), read-only. Indexed like the list of pairs it
+    stands for: item i is (chart index, row i of u) as a Python int and a
+    view, a slice is again ChartLocators, and iteration yields the items in
+    order. `ChartSurface._runs` reads the arrays themselves."""
+
+    def __init__(self, index, params):
+        self.index, self.params = index, params
+        for a in (index, params):
+            a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChartLocators(self.index[i], self.params[i])
+        return int(self.index[i]), self.params[i]
+
+
 @dataclass
 class ChartSurface(Surface):
     """Closed (or open) m-submanifold of R^n given by parametric charts.
@@ -216,8 +239,8 @@ class ChartSurface(Surface):
 
     def quadrature(self, scale: float) -> NodeSet:
         """Every chart's parameter rule at scale, weighted by its volume
-        element; the locators are (chart index, u)."""
-        pts, wts, locators, comp = [], [], [], []
+        element; the locators are the `ChartLocators` of (chart index, u)."""
+        pts, wts, index, params, comp = [], [], [], [], []
         for k, chart in enumerate(self.charts):
             u, w = chart.param_rule(scale)
             jac = chart.jacobian(u)
@@ -228,12 +251,15 @@ class ChartSurface(Surface):
                 vol = np.sqrt(np.linalg.det(gram))
             pts.append(chart.value(u))
             wts.append(w * vol)
-            locators += [(k, p) for p in u]
+            index.append(np.full(len(w), k))
+            params.append(np.reshape(u, (len(w), -1)))
             comp.append(np.full(len(w), chart.component, dtype=int))
         weights = np.concatenate(wts)
         return NodeSet(points=np.concatenate(pts), weights=weights,
                        component=np.concatenate(comp),
-                       volume=float(np.sum(weights)), locators=locators)
+                       volume=float(np.sum(weights)),
+                       locators=ChartLocators(np.concatenate(index),
+                                              np.concatenate(params)))
 
     # -- surface protocol ----------------------------------------------
 
@@ -244,15 +270,22 @@ class ChartSurface(Surface):
 
     def _runs(self, locators):
         """(chart index, parameters (B, m)) of each run of located points
-        on the same chart, in order."""
-        located = [loc if isinstance(loc, tuple) and len(loc) == 2
-                   and np.isscalar(loc[0]) else (0, loc) for loc in locators]
-        ks = np.array([k for k, _ in located], dtype=int)
-        us = [u for _, u in located]
-        try:
-            u = np.array(us, dtype=float).reshape(len(us), -1)
-        except ValueError:          # scalar and (1,) parameters mixed
-            u = np.array([np.atleast_1d(x) for x in us], dtype=float)
+        on the same chart, in order. The one reader of locators: it reads
+        the arrays of `ChartLocators` as they are, and first turns any
+        other list, of pairs (chart index, u) or bare u on chart 0, into
+        them."""
+        if not isinstance(locators, ChartLocators):
+            located = [loc if isinstance(loc, tuple) and len(loc) == 2
+                       and np.isscalar(loc[0]) else (0, loc)
+                       for loc in locators]
+            us = [u for _, u in located]
+            try:
+                u = np.array(us, dtype=float).reshape(len(us), -1)
+            except ValueError:          # scalar and (1,) parameters mixed
+                u = np.array([np.atleast_1d(x) for x in us], dtype=float)
+            locators = ChartLocators(
+                np.array([k for k, _ in located], dtype=int), u)
+        ks, u = locators.index, locators.params
         cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1), len(ks)]
         return [(int(ks[a]), u[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 

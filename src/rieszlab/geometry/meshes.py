@@ -467,7 +467,7 @@ class TriMesh(Surface):
             return NodeSet(points=self.vertices,
                            weights=self.topology.lumped_weights(measures),
                            component=comp, volume=volume,
-                           locators=list(range(self.num_vertices)),
+                           locators=np.arange(self.num_vertices),
                            spacing=self.local_scale())
         p = self.vertices[self.faces]                       # (F, m+1, n)
         if self.m == 1:

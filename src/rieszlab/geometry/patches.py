@@ -555,7 +555,7 @@ def validate_patch_class(surface, params: PatchClassParams):
     return PatchValidationReport(
         passed=volume_ok and not reasons, volume=nodes.volume,
         volume_ok=volume_ok, sample_count=len(locators),
-        violations=[{"locator": repr(locators[i]), "reason": reasons[i]}
+        violations=[{"locator": str(locators[i]), "reason": reasons[i]}
                     for i in sorted(reasons)],
         b_sup_measured=max([0.0, *map(float, sups)]),
         b_fit_residual=max([0.0, *map(float, fits)]),

@@ -37,10 +37,14 @@ list of located points at once; one point is a list of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import UnsupportedInputError
+
+if TYPE_CHECKING:
+    from .charts import ChartLocators
 
 __all__ = ["Surface", "NodeSet", "as_surface"]
 
@@ -53,8 +57,12 @@ class Surface:
 class NodeSet:
     """Quadrature nodes of a surface.
 
-    locators are what `patches_at` accepts at each node (None for subdivided
-    mesh faces); spacing is the mean incident edge length of each vertex on
+    locators are what `patches_at` and `curvatures` accept, held as
+    arrays: on charts a `ChartLocators`, which indexes, slices and iterates
+    like the list of its (chart index, u) pairs; on mesh vertex nodes the
+    integer array of vertex indices; None for subdivided mesh faces. The
+    str of one locator prints a pair as its repr and a vertex index as a
+    plain int. spacing is the mean incident edge length of each vertex on
     mesh vertex nodes, and None otherwise.
     """
 
@@ -62,7 +70,7 @@ class NodeSet:
     weights: np.ndarray      # (N,) includes the volume element
     component: np.ndarray    # (N,) connected-component id
     volume: float            # total volume of the surface under this rule
-    locators: list | None = None
+    locators: ChartLocators | np.ndarray | None = None
     spacing: np.ndarray | None = None
 
 

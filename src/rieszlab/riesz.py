@@ -15,9 +15,11 @@ One patch stack is built for all outer nodes per call. The outer nodes
 are then taken in blocks of at most BLOCK_ROWS first-level chord rows and
 BLOCK_PAIRS node pairs: each block profiles its own nodes of that stack
 (`PatchStack.take`) into one profile stack, which shrinks the radii that
-fail, and one finite-part sum. The kernel sums over the inner rules walk
-a block's rows through one pair pass (`quadrature.PairPass`), formed in
-place in its buffers, and sum each chunk by matrix-vector products.
+fail, and one finite-part sum. The kernel sums over both inner rules (the
+second, at half the scale, for the error estimate) walk a block's rows
+through one pair pass (`quadrature.PairPass`) over the rules' columns side
+by side, form each kernel in place in its buffers only where it is read,
+and sum each rule's chunk by matrix-vector products of its column slice.
 """
 
 from __future__ import annotations
@@ -122,44 +124,64 @@ def _block_size(m, inner_count) -> int:
     return max(1, min(BLOCK_ROWS // rows, BLOCK_PAIRS // max(inner_count, 1)))
 
 
-def _kernel_sums(nodes, x, comp, blend):
-    """Sums of the blended kernel over one inner rule for a block of outer
-    nodes x (B, n): (far field, same-component blend inside each ball,
-    cross-component true kernel inside each ball), each (B,).
+def _kernel_sums(rules, x, comp, blend):
+    """Sums of the blended kernel over each inner rule of `rules` for a
+    block of outer nodes x (B, n): an array (rules, 3, B) holding, per
+    rule, the far field, the same-component blend inside each ball and the
+    cross-component true kernel inside each ball.
 
-    The rows go in chunks of one pair pass with three buffers, a multiple
-    of 4 rows high: OpenBLAS forms a matrix-vector product in groups of 4
-    rows, so each sum keeps the bits of one product over the whole block."""
-    w = nodes.weights
-    far, ball, cross = (np.empty(len(x)) for _ in range(3))
-    for lo, hi, _, k, d, s in PairPass(x, nodes.points, 4, 3, float):
+    One pair pass takes the rows against the columns of every rule side
+    by side, in chunks a multiple of 4 rows high, and each rule's sums are
+    matrix-vector products of its column slice: OpenBLAS forms such a
+    product in groups of 4 rows, so each sum keeps the bits of one product
+    over the whole block and rule. Each kernel is formed only where it is
+    read and zeroed elsewhere: the true kernel outside the balls, the
+    cross-component one only in chunks that have such in-ball pairs, and
+    the blend polynomial kept in the same-component balls."""
+    cuts = np.cumsum([0, *(len(rule.points) for rule in rules)])
+    parts = [(slice(a, b), rule.weights)
+             for a, b, rule in zip(cuts[:-1], cuts[1:], rules)]
+    points = np.concatenate([rule.points for rule in rules])
+    component = np.concatenate([rule.component for rule in rules])
+    sums = np.empty((len(rules), 3, len(x)))
+    far, ball, cross = (sums[:, j] for j in range(3))
+
+    def rule_sums(kernel):
+        return [kernel[:, cols] @ w for cols, w in parts]
+
+    for lo, hi, _, k, d in PairPass(x, points, 4, 2, float):
         rows = slice(lo, hi)
         # |y - x|: the bits of np.linalg.norm on (B, N, n) differences
         np.sqrt(d, out=d)
         in_ball = d < blend.eps[rows, None]
-        same_ball = in_ball & (nodes.component[None] == comp[rows, None])
-        # the true kernel wherever it is read, 1 at coincident nodes
-        np.copyto(k, d)
-        k[k == 0.0] = 1.0
-        outside = ~same_ball
-        np.power(k, blend.alpha, out=k, where=outside)
-        np.copyto(s, k)
-        np.copyto(s, 0.0, where=in_ball)
-        far[rows] = s @ w
-        np.copyto(s, 0.0)
-        np.copyto(s, k, where=in_ball ^ same_ball)
-        cross[rows] = s @ w
+        outside = ~in_ball
+        np.power(d, blend.alpha, out=k, where=outside)
+        np.copyto(k, 0.0, where=in_ball)
+        far[:, rows] = rule_sums(k)
+        apart = in_ball & (component != comp[rows, None])
+        if apart.any():
+            # the true kernel on the other components' in-ball pairs, 1 at
+            # coincident nodes
+            np.copyto(k, d)
+            k[k == 0.0] = 1.0
+            np.power(k, blend.alpha, out=k, where=apart)
+            np.copyto(k, 0.0, where=~apart)
+            cross[:, rows] = rule_sums(k)
+            outside |= apart
+        else:
+            cross[:, rows] = 0.0
         # the blend polynomial by Horner in t^2, kept in the same-component
         # balls only
         tt = np.multiply(d, d, out=d)
         coeffs = blend.coeffs[rows]
-        k[:] = coeffs[:, -1, None]
-        for c in coeffs[:, -2::-1].T:
+        np.multiply(coeffs[:, -1, None], tt, out=k)
+        k += coeffs[:, -2, None]
+        for c in coeffs[:, -3::-1].T:
             np.multiply(k, tt, out=k)
             k += c[:, None]
         np.copyto(k, 0.0, where=outside)
-        ball[rows] = k @ w
-    return far, ball, cross
+        ball[:, rows] = rule_sums(k)
+    return sums
 
 
 @finite_energy
@@ -193,7 +215,7 @@ def riesz_energy(surface, alpha,
         if node is None:
             return f"outer nodes {idx[0]}-{idx[-1]}", None
         i = int(idx[node])
-        return f"outer node {i} (locator {outer.locators[i]!r})", i
+        return f"outer node {i} (locator {outer.locators[i]})", i
 
     try:
         stack = graph_patch_at(surface, outer.locators, requested)
@@ -226,9 +248,9 @@ def riesz_energy(surface, alpha,
                     * np.einsum("bi,bi->b", np.abs(blend.coeffs), mass[:, :, 0]))
 
         x, comp = outer.points[idx], outer.component[idx]
-        far_val, ball_blend, cross_val = _kernel_sums(inner, x, comp, blend)
-        rule_err = np.abs(far_val + ball_blend + cross_val
-                          - sum(_kernel_sums(inner_half, x, comp, blend)))
+        (far_val, ball_blend, cross_val), half = _kernel_sums(
+            (inner, inner_half), x, comp, blend)
+        rule_err = np.abs(far_val + ball_blend + cross_val - sum(half))
         return (pf.value + ball_blend - corr, far_val + cross_val,
                 pf.error_estimate + corr_err + rule_err, pf.log_coefficient,
                 eps)

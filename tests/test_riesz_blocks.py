@@ -24,7 +24,8 @@ from rieszlab import (QuadratureConfig, icosphere, make_circle,
 from rieszlab.errors import (NumericalError, PatchRadiusError,
                              ProfileFitError)
 from rieszlab.geometry import NodeSet, default_patch_radius, graph_patch_at
-from rieszlab.quadrature import PAIR_BLOCK, BlendKernel
+from rieszlab import riesz
+from rieszlab.quadrature import PAIR_BLOCK, BlendKernel, PairPass
 from rieszlab.radial import EnergyParams, finite_part, radial_profile
 from rieszlab.riesz import _block_size
 from rieszlab.riesz import _kernel_sums as blocked_kernel_sums
@@ -43,56 +44,73 @@ def _kernel_sums(nodes, x, comp, alpha, blend, eps):
 
 
 def _kernel_sum_case(seed, n_inner, near, far, alpha):
-    """inner nodes on two components; outer nodes on two of them (d = 0),
-    near some more and at random; random ball radii"""
+    """two inner rules, on two components each: the first of n_inner nodes,
+    the second of 333; outer nodes on the first rule's nodes and on the
+    second's (d = 0), near some more and far away (no node in their balls);
+    random ball radii"""
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n_inner, 3))
-    component = (np.arange(n_inner) % 3 == 0).astype(int)
-    inner = NodeSet(points=points, weights=rng.uniform(0.5, 1.5, n_inner),
-                    component=component, volume=1.0)
     x = np.concatenate([points[:2],
                         points[:near] + 1e-3 * rng.normal(size=(near, 3)),
-                        rng.normal(size=(far, 3))])
-    return inner, x, BlendKernel(alpha, rng.uniform(0.5, 1.2, len(x)))
+                        rng.normal(size=(far, 3)) + (20.0, 0.0, 0.0)])
+    second = np.concatenate([x[2:3], rng.normal(size=(332, 3))])
+    rules = tuple(NodeSet(points=p, weights=rng.uniform(0.5, 1.5, len(p)),
+                          component=(np.arange(len(p)) % 3 == 0).astype(int),
+                          volume=1.0) for p in (points, second))
+    return rules, x, BlendKernel(alpha, rng.uniform(0.5, 1.2, len(x)))
+
+
+def _dense_kernel_sums(rule, x, comp, blend):
+    """(far, ball, cross) of one rule as dense products over the block"""
+    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
+                    for y, c in zip(rule.points.T, x.T)))
+    in_ball = d < blend.eps[:, None]
+    same = rule.component[None] == comp[:, None]
+    assert (d == 0).any() and (in_ball & ~same).any()
+    with np.errstate(divide="ignore"):
+        kernel = np.where(d > 0, d, 1.0) ** blend.alpha
+    w = rule.weights
+    return (np.where(in_ball, 0.0, kernel) @ w,
+            np.where(in_ball & same, blend(d), 0.0) @ w,
+            np.where(in_ball & ~same, kernel, 0.0) @ w)
 
 
 @pytest.mark.parametrize("alpha", [-4.0, -2.5])
 def test_kernel_sums_equal_the_dense_blend_reference(alpha):
-    # the blend polynomial, evaluated only in the same-component balls,
-    # against the dense kernel over every (outer, inner) pair: bit for bit,
-    # with a coincident node (d = 0) and in-ball pairs on another component.
-    # The second block has more than 2 PAIR_BLOCK pairs: its rows go in
-    # chunks of 4, 4, 4, 4, 4 and 3.
-    small = (_kernel_sum_case(3, 40, 4, 3, alpha),
+    # one pass over two rules side by side against the dense kernel over
+    # every (outer, inner) pair of each rule: bit for bit, with a
+    # coincident node (d = 0) and in-ball pairs on another component in
+    # each rule, a second rule 333 columns wide at an odd column offset
+    # (41 and 2999) and blocks of 9 and 23 rows. The large block has more
+    # than 2 PAIR_BLOCK pairs: its rows go in chunks of 4, 4, 4, 4, 4 and 3,
+    # and the last two chunks, far away, have no cross-component pair in a
+    # ball. One rule alone is the one-part case.
+    small = (_kernel_sum_case(3, 41, 4, 3, alpha),
              np.array([0, 1, 1, 0, 0, 1, 0, 1, 0]))
-    large = _kernel_sum_case(5, 3000, 14, 7, alpha), np.arange(23) % 2
-    assert len(large[1]) * 3000 > 2 * PAIR_BLOCK
-    for (inner, x, blend), comp in (small, large):
-        d = np.sqrt(sum((y[None] - c[:, None]) ** 2
-                        for y, c in zip(inner.points.T, x.T)))
-        in_ball = d < blend.eps[:, None]
-        same = inner.component[None] == comp[:, None]
-        assert (d == 0).any() and (in_ball & ~same).any()
-        with np.errstate(divide="ignore"):
-            kernel = np.where(d > 0, d, 1.0) ** alpha
-        w = inner.weights
-        expected = (np.where(in_ball, 0.0, kernel) @ w,
-                    np.where(in_ball & same, blend(d), 0.0) @ w,
-                    np.where(in_ball & ~same, kernel, 0.0) @ w)
-        got = blocked_kernel_sums(inner, x, comp, blend)
-        for sums, ref in zip(got, expected):
-            assert np.array_equal(sums, ref)
+    large = _kernel_sum_case(5, 2999, 14, 7, alpha), np.arange(23) % 2
+    assert len(large[1]) * 3332 > 2 * PAIR_BLOCK
+    for (rules, x, blend), comp in (small, large):
+        expected = [_dense_kernel_sums(rule, x, comp, blend) for rule in rules]
+        if len(x) == 23:
+            assert not any(cross[16:].any() for _, _, cross in expected)
+        for part in (slice(0, 2), slice(0, 1), slice(1, 2)):
+            got = blocked_kernel_sums(rules[part], x, comp, blend)
+            assert got.shape == (len(expected[part]), 3, len(x))
+            for sums, ref in zip(got, expected[part]):
+                for a, b in zip(sums, ref):
+                    assert np.array_equal(a, b)
 
 
 def _sphere_block():
-    """The default sphere's first outer block at alpha = -4: its inner rule,
-    points, components and blend kernel."""
+    """The default sphere's first outer block at alpha = -4: its inner rules
+    (scales 1 and 0.5), points, components and blend kernel."""
     sphere = make_sphere()
-    outer, inner = sphere.nodes(0.25), sphere.nodes(1.0)
-    size = _block_size(2, len(inner.points) + len(sphere.nodes(0.5).points))
+    outer = sphere.nodes(0.25)
+    rules = sphere.nodes(1.0), sphere.nodes(0.5)
+    size = _block_size(2, sum(len(rule.points) for rule in rules))
     patches = graph_patch_at(sphere, outer.locators[:size],
                              default_patch_radius(sphere))
-    return (inner, outer.points[:size], outer.component[:size],
+    return (rules, outer.points[:size], outer.component[:size],
             BlendKernel(-4.0, patches.radii))
 
 
@@ -107,12 +125,28 @@ def _traced_peak(call):
 
 
 def test_kernel_sums_run_in_cache_sized_chunks():
-    # 32 outer rows x 4608 inner nodes: every (rows, N) temporary of the
-    # whole block was 1.2 MB, and one call peaked at 8.2 MiB
-    inner, x, comp, blend = _sphere_block()
-    assert x.shape == (32, 3) and len(inner.points) == 4608
-    peak = _traced_peak(lambda: blocked_kernel_sums(inner, x, comp, blend))
+    # 32 outer rows x (4608 + 1152) inner nodes: every (rows, N) temporary
+    # of the whole block would be 1.5 MB
+    rules, x, comp, blend = _sphere_block()
+    assert x.shape == (32, 3)
+    assert [len(rule.points) for rule in rules] == [4608, 1152]
+    peak = _traced_peak(lambda: blocked_kernel_sums(rules, x, comp, blend))
     assert peak <= 2 * 2 ** 20
+
+
+def test_sphere_energy_takes_one_pair_pass_per_block(monkeypatch):
+    # the default sphere's 288 outer nodes go in 9 blocks, and each block's
+    # kernel sums over both inner rules are one pass
+    passes = []
+
+    class Counted(PairPass):
+        def __init__(self, *args):
+            passes.append(len(args[1]))
+            super().__init__(*args)
+
+    monkeypatch.setattr(riesz, "PairPass", Counted)
+    riesz_energy(make_sphere(), -4.0)
+    assert passes == [4608 + 1152] * 9
 
 
 def test_sphere_energy_runs_in_bounded_memory():

@@ -13,7 +13,8 @@ import rieszlab
 from rieszlab import (MoebiusMap, PatchClassParams, apply_moebius,
                       as_energy, combined_angle_cos, default_patch_radius,
                       graph_patch_at, icosphere, ks_cross_energy, ks_energy,
-                      make_circle, mesh_disjoint_union,
+                      make_circle, make_disjoint_union, make_sphere,
+                      make_torus, mesh_disjoint_union,
                       moebius_invariance_check, polygon_circle, riesz_energy,
                       scaling_check, TriMesh, torus_mesh,
                       validate_patch_class)
@@ -360,3 +361,59 @@ def test_local_scale_follows_with_vertices():
     np.testing.assert_allclose(moved.local_scale(), _loop_local_scale(moved),
                                rtol=1e-15, atol=0)
     assert not np.allclose(moved.local_scale(), before)
+
+
+def _listed_locators(surface, scale):
+    """The locators of a chart rule as a list of (chart index, u) pairs,
+    one row of each chart's parameter rule per pair"""
+    return [(k, u) for k, chart in enumerate(surface.charts)
+            for u in chart.param_rule(scale)[0]]
+
+
+@pytest.mark.parametrize("surface", [
+    make_sphere(), make_torus(1.0, 0.5),
+    make_disjoint_union(make_sphere(), make_sphere(center=(3.0, 0.0, 0.0)))],
+    ids=["sphere", "torus", "two-charts"])
+def test_chart_locators_are_arrays_that_index_like_their_list(surface):
+    rule = surface.nodes(0.25)
+    locators, listed = rule.locators, _listed_locators(surface, 0.25)
+    assert len(locators) == len(listed) == len(rule.points)
+    for i in (0, 1, len(listed) // 2, -1):
+        (k, u), (k_ref, u_ref) = locators[i], listed[i]
+        assert type(k) is int and k == k_ref
+        assert np.array_equal(u, u_ref)
+        assert repr(locators[i]) == repr(listed[i])
+        assert str(locators[i]) == repr(listed[i])
+    part = locators[5:17]
+    assert type(part) is type(locators) and len(part) == 12
+    assert [repr(loc) for loc in part] == [repr(loc) for loc in listed[5:17]]
+    assert [k for k, _ in locators] == [k for k, _ in listed]
+    assert np.array_equal(np.array([u for _, u in locators]),
+                          np.array([u for _, u in listed]))
+    # the array form and the list form give the same bits
+    for a, b in zip(surface.curvatures(locators), surface.curvatures(listed)):
+        assert np.array_equal(a, b)
+    radius = default_patch_radius(surface)
+    stack, ref = (surface.patches_at(locs, radius)
+                  for locs in (locators, listed))
+    for field in ("base_point", "tangent", "normal", "radii", "fit_residual"):
+        assert np.array_equal(getattr(stack, field), getattr(ref, field))
+    node = np.arange(len(listed))
+    v = np.tile([[0.6, 0.8]], (len(node), 1))
+    t = 0.5 * radius * np.ones(len(node))
+    for a, b in zip(stack.chord_solve(node, v, t), ref.chord_solve(node, v, t)):
+        assert np.array_equal(a, b)
+    eta = 0.3 * radius * v
+    assert np.array_equal(stack.height(node, eta), ref.height(node, eta))
+
+
+def test_mesh_locators_are_an_integer_array():
+    mesh = icosphere(2)
+    locators = mesh.nodes().locators
+    assert isinstance(locators, np.ndarray) and locators.dtype.kind == "i"
+    assert np.array_equal(locators, np.arange(mesh.num_vertices))
+    assert str(locators[7]) == "7"
+    for a, b in zip(mesh.curvatures(locators),
+                    mesh.curvatures(list(range(mesh.num_vertices)))):
+        assert np.array_equal(a, b)
+    assert mesh.nodes(subdiv=1).locators is None
