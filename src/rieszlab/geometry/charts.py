@@ -13,6 +13,7 @@ graph points of `height` and `height_jacobian` and the chord rows of
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import threading
 from collections.abc import Sequence
@@ -150,6 +151,22 @@ def _grad_height(J, T, N):
     return out
 
 
+def _volume_element(jac):
+    """The volume element of a chart per row of its Jacobian (..., n, m),
+    m in {1, 2}, in closed form: |d_0 x| on curves and, on surfaces, the
+    square root of the sum of the squared 2 x 2 minors of the Jacobian,
+    in the order of their row pairs (Lagrange's identity: sqrt(det J^T J),
+    in R^3 |d_0 x x d_1 x|). A sum of squares cannot cancel or go negative,
+    as the Gram determinant EG - F^2 does on a thin chart."""
+    a = jac[..., 0]
+    if jac.shape[-1] == 1:
+        return np.sqrt(dot(a, a))
+    b = jac[..., 1]
+    return np.sqrt(sum((a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+                       for i, j in itertools.combinations(range(jac.shape[-2]),
+                                                          2)))
+
+
 class Chart:
     """One smooth parametric piece of a surface.
 
@@ -239,18 +256,13 @@ class ChartSurface(Surface):
 
     def quadrature(self, scale: float) -> NodeSet:
         """Every chart's parameter rule at scale, weighted by its volume
-        element; the locators are the `ChartLocators` of (chart index, u)."""
+        element in closed form (`_volume_element`); the locators are the
+        `ChartLocators` of (chart index, u)."""
         pts, wts, index, params, comp = [], [], [], [], []
         for k, chart in enumerate(self.charts):
             u, w = chart.param_rule(scale)
-            jac = chart.jacobian(u)
-            gram = np.einsum("...ji,...jk->...ik", jac, jac)
-            if self.m == 1:
-                vol = np.sqrt(gram[..., 0, 0])
-            else:
-                vol = np.sqrt(np.linalg.det(gram))
             pts.append(chart.value(u))
-            wts.append(w * vol)
+            wts.append(w * _volume_element(chart.jacobian(u)))
             index.append(np.full(len(w), k))
             params.append(np.reshape(u, (len(w), -1)))
             comp.append(np.full(len(w), chart.component, dtype=int))

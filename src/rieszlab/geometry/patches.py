@@ -87,8 +87,11 @@ def orthonormal_frames(jac) -> tuple[np.ndarray, np.ndarray]:
     Gram-Schmidt on the tangent columns in parameter order keeps their
     orientation; the normal frame completes a basis with det [T | N] > 0.
     (n, m) is one of (2, 1), (3, 1) and (3, 2). Every product is a plain
-    (non-conjugating) one, so complex-step derivatives go through; the rank
-    check reads the real parts of the Gram-Schmidt pivots.
+    (non-conjugating) one, so complex-step derivatives go through. The rank
+    check reads the real parts of the Gram-Schmidt pivots, row by row and
+    free of scale: each row's smallest pivot must be nonzero and at least
+    1e-13 times its largest, so a chart of any size passes as long as it
+    is well conditioned.
     """
     jac = _floating(jac)
     n, m = jac.shape[-2:]
@@ -106,7 +109,8 @@ def orthonormal_frames(jac) -> tuple[np.ndarray, np.ndarray]:
             pivots.append(np.sqrt(dot(b, b)))
             b = b / pivots[1][..., None]
     piv = np.abs(np.array(pivots).real)
-    if not piv.min(initial=np.inf) >= 1e-13 * piv.max(initial=1.0):
+    low, high = piv.min(axis=0), piv.max(axis=0)
+    if not np.all((low > 0.0) & (low >= 1e-13 * high)):
         raise RankDeficiencyError("chart Jacobian is rank deficient")
     if m == 2:
         return np.stack([t, b], axis=-1), cross(t, b)[..., None]

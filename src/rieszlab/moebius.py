@@ -413,14 +413,22 @@ class MoebiusMap:
             return np.zeros(x.shape[:-1] + (n, n, n))
         c = self.center if self.center is not None else np.zeros(n)
         d = x - c
-        rho2 = np.sum(d * d, axis=-1)[..., None, None, None]
-        eye = np.eye(n)
-        t1 = np.einsum("ia,...b->...iab", eye, d)
-        t2 = np.einsum("ib,...a->...iab", eye, d)
-        t3 = np.einsum("ab,...i->...iab", eye, d)
-        t4 = np.einsum("...i,...a,...b->...iab", d, d, d)
-        return self.radius ** 2 * (-2.0 * (t1 + t2 + t3) / rho2 ** 2
-                                   + 8.0 * t4 / rho2 ** 3)
+        # an array at one point too: a float's ** 2 is pow, an array's squares
+        rho2 = np.asarray(np.sum(d * d, axis=-1))
+        # by component rows, the points last: delta_ia d_b + delta_ib d_a +
+        # delta_ab d_i added in that order where each term is present (the
+        # absent ones stay exact zeros), and d_i d_a d_b left to right
+        d = np.moveaxis(d, -1, 0)
+        t = np.zeros((n, n, n) + x.shape[:-1])
+        t4 = np.empty_like(t)
+        for i in range(n):
+            t[i, i] += d
+            t[i, :, i] += d
+            for a in range(n):
+                t[i, a, a] += d[i]
+                np.multiply(d[i] * d[a], d, out=t4[i, a])
+        out = self.radius ** 2 * (-2.0 * t / rho2 ** 2 + 8.0 * t4 / rho2 ** 3)
+        return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
 
 
 def apply_moebius(surface, mmap: MoebiusMap):

@@ -18,8 +18,11 @@ BLOCK_PAIRS node pairs: each block profiles its own nodes of that stack
 fail, and one finite-part sum. The kernel sums over both inner rules (the
 second, at half the scale, for the error estimate) walk a block's rows
 through one pair pass (`quadrature.PairPass`) over the rules' columns side
-by side, form each kernel in place in its buffers only where it is read,
-and sum each rule's chunk by matrix-vector products of its column slice.
+by side, form each kernel in place in its buffers from the squared
+distances s, with no square root (s^(alpha/2) by products and one division
+when alpha/2 is a negative integer, as at the threshold alpha = -2m), keep
+it only where it is read, and sum each rule's chunk by matrix-vector
+products of its column slice.
 """
 
 from __future__ import annotations
@@ -124,6 +127,25 @@ def _block_size(m, inner_count) -> int:
     return max(1, min(BLOCK_ROWS // rows, BLOCK_PAIRS // max(inner_count, 1)))
 
 
+def _kernel_power(s, half, out):
+    """s^half into out for squared distances s (out is not s): the true
+    kernel |y - x|^alpha at half = alpha / 2. A negative integer half, as
+    at alpha = -2m and every negative even alpha, is a power of s by
+    products, squares taken from the leading bit of -half, and one
+    division; any other half is one np.power. Coincident pairs (s = 0)
+    divide by zero, to inf, wherever half < 0."""
+    p = -half
+    if p < 1 or p != int(p):
+        return np.power(s, half, out=out)
+    src = s
+    for bit in bin(int(p))[3:]:
+        np.multiply(src, src, out=out)
+        if bit == "1":
+            out *= s
+        src = out
+    return np.divide(1.0, src, out=out)
+
+
 def _kernel_sums(rules, x, comp, blend):
     """Sums of the blended kernel over each inner rule of `rules` for a
     block of outer nodes x (B, n): an array (rules, 3, B) holding, per
@@ -134,50 +156,53 @@ def _kernel_sums(rules, x, comp, blend):
     by side, in chunks a multiple of 4 rows high, and each rule's sums are
     matrix-vector products of its column slice: OpenBLAS forms such a
     product in groups of 4 rows, so each sum keeps the bits of one product
-    over the whole block and rule. Each kernel is formed only where it is
-    read and zeroed elsewhere: the true kernel outside the balls, the
-    cross-component one only in chunks that have such in-ball pairs, and
-    the blend polynomial kept in the same-component balls."""
+    over the whole block and rule. Every kernel is formed from the squared
+    distances s that the pass yields, without a square root: the ball test
+    is s < eps^2, the true kernel is s^(alpha/2) (`_kernel_power`) and the
+    blend polynomial, even in t, is a polynomial in s. Each kernel is kept
+    only where it is read and zeroed elsewhere: the true kernel outside
+    the balls and, in chunks that have such pairs, on the other
+    components' in-ball pairs, and the blend polynomial in the
+    same-component balls. A block whose rows and columns all lie on one
+    component has no cross-component pairs to look for."""
     cuts = np.cumsum([0, *(len(rule.points) for rule in rules)])
     parts = [(slice(a, b), rule.weights)
              for a, b, rule in zip(cuts[:-1], cuts[1:], rules)]
     points = np.concatenate([rule.points for rule in rules])
     component = np.concatenate([rule.component for rule in rules])
-    sums = np.empty((len(rules), 3, len(x)))
+    one_component = (component == comp[0]).all() and (comp == comp[0]).all()
+    half = 0.5 * blend.alpha
+    eps2 = np.square(blend.eps)
+    sums = np.zeros((len(rules), 3, len(x)))
     far, ball, cross = (sums[:, j] for j in range(3))
 
     def rule_sums(kernel):
         return [kernel[:, cols] @ w for cols, w in parts]
 
-    for lo, hi, _, k, d in PairPass(x, points, 4, 2, float):
+    for lo, hi, _, k, s in PairPass(x, points, 4, 2, float):
         rows = slice(lo, hi)
-        # |y - x|: the bits of np.linalg.norm on (B, N, n) differences
-        np.sqrt(d, out=d)
-        in_ball = d < blend.eps[rows, None]
+        in_ball = s < eps2[rows, None]
+        with np.errstate(divide="ignore"):
+            _kernel_power(s, half, k)
         outside = ~in_ball
-        np.power(d, blend.alpha, out=k, where=outside)
+        if not one_component:
+            apart = in_ball & (component != comp[rows, None])
+            if apart.any():
+                # the true kernel on the other components' in-ball pairs, 1
+                # at coincident nodes
+                kernel = np.where(apart, k, 0.0)
+                kernel[apart & (s == 0.0)] = 1.0
+                cross[:, rows] = rule_sums(kernel)
+                outside |= apart
         np.copyto(k, 0.0, where=in_ball)
         far[:, rows] = rule_sums(k)
-        apart = in_ball & (component != comp[rows, None])
-        if apart.any():
-            # the true kernel on the other components' in-ball pairs, 1 at
-            # coincident nodes
-            np.copyto(k, d)
-            k[k == 0.0] = 1.0
-            np.power(k, blend.alpha, out=k, where=apart)
-            np.copyto(k, 0.0, where=~apart)
-            cross[:, rows] = rule_sums(k)
-            outside |= apart
-        else:
-            cross[:, rows] = 0.0
-        # the blend polynomial by Horner in t^2, kept in the same-component
+        # the blend polynomial by Horner in s, kept in the same-component
         # balls only
-        tt = np.multiply(d, d, out=d)
         coeffs = blend.coeffs[rows]
-        np.multiply(coeffs[:, -1, None], tt, out=k)
+        np.multiply(coeffs[:, -1, None], s, out=k)
         k += coeffs[:, -2, None]
         for c in coeffs[:, -3::-1].T:
-            np.multiply(k, tt, out=k)
+            np.multiply(k, s, out=k)
             k += c[:, None]
         np.copyto(k, 0.0, where=outside)
         ball[:, rows] = rule_sums(k)

@@ -16,13 +16,16 @@ from rieszlab.geometry import (PatchClassParams, default_patch_radius,
                                orthonormal_frames, polygon_circle, read_obj,
                                read_off, torus_mesh, validate_patch_class,
                                write_obj, write_off)
-from rieszlab.geometry.charts import (_graph_patch_surface, _inv_small,
-                                      _rotations_taking_ex, _spheroid_stack)
+from rieszlab.geometry.charts import (Chart, ChartSurface,
+                                      _graph_patch_surface, _inv_small,
+                                      _product_rule, _rotations_taking_ex,
+                                      _spheroid_stack)
 from rieszlab.geometry.patches import (fit_curvature, fit_tangent_frames,
                                        orthonormal_frames_adjoint,
                                        umbilicity_defect)
-from rieszlab.moebius import MoebiusMap, apply_moebius
+from rieszlab.moebius import MoebiusMap, apply_moebius, ks_energy
 from rieszlab.radial import radial_profile
+from rieszlab.riesz import riesz_energy
 
 SHAPES = [(2, 1), (3, 1), (3, 2)]
 
@@ -137,6 +140,115 @@ def test_orthonormal_frames_reject_rank_deficiency(shape):
     jac[2, :, -1] = 0.0 if shape[1] == 1 else 2.0 * jac[2, :, 0]
     with pytest.raises(RankDeficiencyError):
         orthonormal_frames(jac)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_orthonormal_frames_rank_check_is_free_of_scale(shape):
+    # each row's pivots are compared with each other, not with 1: a stack
+    # of a unit row and a row scaled by 1e-20 is accepted, and each row
+    # gets the frames it had before the scaling; a deficient tiny row is
+    # still refused
+    jac = np.random.default_rng(2).standard_normal((2, *shape))
+    tiny = jac * np.array([1.0, 1e-20])[:, None, None]
+    for got, want in zip(orthonormal_frames(tiny), orthonormal_frames(jac)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+    tiny[1, :, -1] = 1e-14 * tiny[1, :, 0] if shape[1] == 2 else 0.0
+    with pytest.raises(RankDeficiencyError):
+        orthonormal_frames(tiny)
+
+
+@pytest.mark.parametrize("radius", [1e-14, 1e-20])
+def test_tiny_spheres_have_the_unit_sphere_energy(radius):
+    # E_-4 of a 2-sphere is free of scale (2m + alpha = 0); the charts of
+    # a tiny sphere are as well conditioned as the unit sphere's
+    unit = riesz_energy(make_sphere(), -4.0).value
+    assert riesz_energy(make_sphere(radius), -4.0).value == pytest.approx(
+        unit, rel=1e-12)
+
+
+def test_tiny_ellipsoid_has_the_unit_ks_energy():
+    unit = ks_energy(make_ellipsoid(1.0, 1.0, 1.2)).value
+    tiny = ks_energy(make_ellipsoid(1e-30, 1e-30, 1.2e-30)).value
+    assert tiny == pytest.approx(unit, rel=1e-14)
+
+
+def _minors_volume(jac):
+    """sqrt of the sum of the squared 2 x 2 minors of (..., n, 2) Jacobians
+    in the order of their row pairs, |d_0 x| of (..., n, 1) ones"""
+    n, m = jac.shape[-2:]
+    a = jac[..., 0]
+    if m == 1:
+        return np.sqrt(sum(a[..., i] ** 2 for i in range(n)))
+    b = jac[..., 1]
+    return np.sqrt(sum((a[..., i] * b[..., j] - a[..., j] * b[..., i]) ** 2
+                       for i in range(n) for j in range(i + 1, n)))
+
+
+def _gram_volume(jac):
+    gram = np.einsum("...ji,...jk->...ik", jac, jac)
+    if jac.shape[-1] == 1:
+        return np.sqrt(gram[..., 0, 0])
+    return np.sqrt(np.linalg.det(gram))
+
+
+VOLUME_SURFACES = {
+    "sphere": make_sphere,
+    "ellipsoid": lambda: make_ellipsoid(1.0, 1.0, 1.2),
+    "torus": lambda: make_torus(1.0, 0.5),
+    "circle": make_circle,
+    "moebius_image": lambda: apply_moebius(
+        make_ellipsoid(1.0, 1.0, 1.2),
+        MoebiusMap("inversion", center=(3.0, 0.2, 0.1), radius=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VOLUME_SURFACES))
+def test_chart_weights_take_the_volume_element_in_closed_form(name):
+    # each chart's weights are its parameter rule times the minors form of
+    # its volume element, bit for bit, and agree with the Gram determinant
+    # to 2e-15 relative
+    surface = VOLUME_SURFACES[name]()
+    for scale in (1.0, 0.5, 0.25):
+        nodes = surface.nodes(scale)
+        lo = 0
+        for chart in surface.charts:
+            u, w = chart.param_rule(scale)
+            jac = chart.jacobian(u)
+            got = nodes.weights[lo:lo + len(w)]
+            assert np.array_equal(got, w * _minors_volume(jac))
+            np.testing.assert_allclose(got, w * _gram_volume(jac),
+                                       rtol=2e-15, atol=0)
+            lo += len(w)
+        assert lo == len(nodes.weights)
+    if name == "sphere":
+        assert surface.nodes(1.0).volume == pytest.approx(4.0 * math.pi,
+                                                          rel=1e-14)
+
+
+def test_thin_chart_keeps_its_area():
+    # (u, v) -> (u + v, u + (1 + 1e-9) v, 0) is regular, with area element
+    # (1 + 1e-9) - 1, where the Gram determinant EG - F^2 of its Jacobian
+    # cancels to 0
+    h = 1.0 + 1e-9
+
+    def value(u):
+        return np.stack([u[..., 0] + u[..., 1], u[..., 0] + h * u[..., 1],
+                         np.zeros(u.shape[:-1])], axis=-1)
+
+    def jacobian(u):
+        jac = np.zeros(u.shape[:-1] + (3, 2))
+        jac[..., 0, :] = 1.0
+        jac[..., 1, 0], jac[..., 1, 1] = 1.0, h
+        return jac
+
+    rule = _product_rule([(0.0, 1.0), (0.0, 1.0)], (6, 6), (False, False))
+    chart = Chart(2, 3, value, jacobian, None, rule)
+    thin = ChartSurface(m=2, n=3, charts=[chart], closed=False,
+                        euler_char=None)
+    nodes = thin.nodes(1.0)
+    _, w = rule(1.0)
+    assert np.array_equal(nodes.weights, w * (h - 1.0))
+    assert nodes.volume == pytest.approx(h - 1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 1), (4, 2), (1, 1)])

@@ -436,3 +436,25 @@ def test_transformed_hessian_has_the_bits_of_its_einsum():
                + np.einsum("...ijk,...jp,...kq->...ipq", mmap.hessian(x), J,
                            J))
         assert np.array_equal(image.charts[k].hessian(u), ref)
+
+
+def test_inversion_hessian_has_the_bits_of_its_einsum_terms():
+    # (t1 + t2 + t3) as sparse adds of d and t4 as products left to right:
+    # the bits of the einsum form, on random points of R^2 and R^3, one
+    # point and stacks
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        mmap = MoebiusMap("inversion", center=rng.normal(size=n), radius=1.7)
+        c = mmap.center
+        for shape in ((n,), (50, n), (4, 6, n)):
+            x = rng.normal(size=shape)
+            d = x - c
+            rho2 = np.sum(d * d, axis=-1)[..., None, None, None]
+            eye = np.eye(n)
+            t1 = np.einsum("ia,...b->...iab", eye, d)
+            t2 = np.einsum("ib,...a->...iab", eye, d)
+            t3 = np.einsum("ab,...i->...iab", eye, d)
+            t4 = np.einsum("...i,...a,...b->...iab", d, d, d)
+            ref = mmap.radius ** 2 * (-2.0 * (t1 + t2 + t3) / rho2 ** 2
+                                      + 8.0 * t4 / rho2 ** 3)
+            assert np.array_equal(mmap.hessian(x), ref)

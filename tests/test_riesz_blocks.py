@@ -27,7 +27,7 @@ from rieszlab.geometry import NodeSet, default_patch_radius, graph_patch_at
 from rieszlab import riesz
 from rieszlab.quadrature import PAIR_BLOCK, BlendKernel, PairPass
 from rieszlab.radial import EnergyParams, finite_part, radial_profile
-from rieszlab.riesz import _block_size
+from rieszlab.riesz import _block_size, _kernel_power
 from rieszlab.riesz import _kernel_sums as blocked_kernel_sums
 
 
@@ -61,12 +61,31 @@ def _kernel_sum_case(seed, n_inner, near, far, alpha):
 
 
 def _dense_kernel_sums(rule, x, comp, blend):
-    """(far, ball, cross) of one rule as dense products over the block"""
-    d = np.sqrt(sum((y[None] - c[:, None]) ** 2
-                    for y, c in zip(rule.points.T, x.T)))
+    """(far, ball, cross) of one rule as dense products over the block, on
+    the squared distances s as the pair pass forms them: the kernel
+    s^(alpha/2) of `_kernel_power`, 1 at coincident nodes, and the blend
+    polynomial by Horner in s"""
+    s = sum((y[None] - c[:, None]) ** 2 for y, c in zip(rule.points.T, x.T))
+    in_ball = s < blend.eps[:, None] ** 2
+    same = rule.component[None] == comp[:, None]
+    assert (s == 0).any()
+    kernel = _kernel_power(np.where(s > 0, s, 1.0), 0.5 * blend.alpha,
+                           np.empty_like(s))
+    poly = np.zeros_like(s)
+    for c in blend.coeffs.T[::-1]:
+        poly = poly * s + c[:, None]
+    w = rule.weights
+    return (np.where(in_ball, 0.0, kernel) @ w,
+            np.where(in_ball & same, poly, 0.0) @ w,
+            np.where(in_ball & ~same, kernel, 0.0) @ w)
+
+
+def _distance_kernel_sums(rule, x, comp, blend):
+    """(far, ball, cross) of one rule in the distance form: d^alpha and
+    blend(d) on d = |y - x|"""
+    d = np.linalg.norm(rule.points[None] - x[:, None], axis=-1)
     in_ball = d < blend.eps[:, None]
     same = rule.component[None] == comp[:, None]
-    assert (d == 0).any() and (in_ball & ~same).any()
     with np.errstate(divide="ignore"):
         kernel = np.where(d > 0, d, 1.0) ** blend.alpha
     w = rule.weights
@@ -75,22 +94,32 @@ def _dense_kernel_sums(rule, x, comp, blend):
             np.where(in_ball & ~same, kernel, 0.0) @ w)
 
 
-@pytest.mark.parametrize("alpha", [-4.0, -2.5])
+def _kernel_sum_blocks(alpha):
+    """a block of 9 rows and one of 23, each on two rules with a coincident
+    node and in-ball pairs on another component, and their components"""
+    small = (_kernel_sum_case(3, 41, 4, 3, alpha),
+             np.array([0, 1, 1, 0, 0, 1, 0, 1, 0]))
+    large = _kernel_sum_case(5, 2999, 14, 7, alpha), np.arange(23) % 2
+    return small, large
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -2.5, -4.0, -6.0])
 def test_kernel_sums_equal_the_dense_blend_reference(alpha):
     # one pass over two rules side by side against the dense kernel over
     # every (outer, inner) pair of each rule: bit for bit, with a
-    # coincident node (d = 0) and in-ball pairs on another component in
+    # coincident node (s = 0) and in-ball pairs on another component in
     # each rule, a second rule 333 columns wide at an odd column offset
     # (41 and 2999) and blocks of 9 and 23 rows. The large block has more
     # than 2 PAIR_BLOCK pairs: its rows go in chunks of 4, 4, 4, 4, 4 and 3,
     # and the last two chunks, far away, have no cross-component pair in a
-    # ball. One rule alone is the one-part case.
-    small = (_kernel_sum_case(3, 41, 4, 3, alpha),
-             np.array([0, 1, 1, 0, 0, 1, 0, 1, 0]))
-    large = _kernel_sum_case(5, 2999, 14, 7, alpha), np.arange(23) % 2
+    # ball. One rule alone is the one-part case. alpha/2 = -1, -2 and -3
+    # take one division after no product, a square and a square and a
+    # product; -1.25 takes np.power.
+    small, large = _kernel_sum_blocks(alpha)
     assert len(large[1]) * 3332 > 2 * PAIR_BLOCK
     for (rules, x, blend), comp in (small, large):
         expected = [_dense_kernel_sums(rule, x, comp, blend) for rule in rules]
+        assert all(cross.any() for _, _, cross in expected)
         if len(x) == 23:
             assert not any(cross[16:].any() for _, _, cross in expected)
         for part in (slice(0, 2), slice(0, 1), slice(1, 2)):
@@ -99,6 +128,37 @@ def test_kernel_sums_equal_the_dense_blend_reference(alpha):
             for sums, ref in zip(got, expected[part]):
                 for a, b in zip(sums, ref):
                     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -2.5, -4.0, -6.0])
+def test_kernel_sums_match_the_distance_form(alpha):
+    # the squared-distance pass against d^alpha and blend(d) on
+    # d = np.linalg.norm(y - x): each sum within 1e-14 of the largest sum
+    # of its kind (far, ball, cross) in its rule
+    for (rules, x, blend), comp in _kernel_sum_blocks(alpha):
+        got = blocked_kernel_sums(rules, x, comp, blend)
+        for sums, rule in zip(got, rules):
+            for a, b in zip(sums, _distance_kernel_sums(rule, x, comp, blend)):
+                np.testing.assert_allclose(a, b, rtol=0,
+                                           atol=1e-14 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("alpha", [-2.5, -4.0])
+def test_one_component_block_has_no_cross_sums(alpha):
+    # every row and column on one component: no pair is cross-component,
+    # the cross sums are exact zeros and the far and ball sums are the
+    # dense reference's, bit for bit
+    (rules, x, blend), comp = _kernel_sum_blocks(alpha)[1]
+    rules = tuple(dataclasses.replace(rule, component=np.zeros(
+        len(rule.points), dtype=int)) for rule in rules)
+    comp = np.zeros(len(x), dtype=int)
+    got = blocked_kernel_sums(rules, x, comp, blend)
+    assert not got[:, 2].any()
+    for sums, rule in zip(got, rules):
+        ref = _dense_kernel_sums(rule, x, comp, blend)
+        assert np.array_equal(sums[0], ref[0])
+        assert np.array_equal(sums[1], ref[1])
+        assert not ref[2].any()
 
 
 def _sphere_block():
