@@ -81,9 +81,10 @@ _EXPORTS = {
     **dict.fromkeys((
         "EnergyParams", "FinitePartResult", "ProfileStack", "finite_part",
         "radial_profile"), "radial"),
+    **dict.fromkeys(("EnergyReport", "QuadratureConfig"), "quadrature"),
     **dict.fromkeys((
-        "EnergyReport", "QuadratureConfig", "beta_oracle", "beta_residue",
-        "finite_part_at_pole", "riesz_energy", "scaling_check"), "riesz"),
+        "beta_oracle", "beta_residue", "finite_part_at_pole", "riesz_energy",
+        "scaling_check"), "riesz"),
 }
 
 __all__ = list(_EXPORTS)

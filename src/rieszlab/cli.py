@@ -5,6 +5,10 @@ invariance, validate. Configuration comes from flags with an optional JSON
 config file (flags override the file). All floats are printed with 17
 significant digits so outputs round-trip losslessly and identical configs
 produce byte-identical files.
+
+Each command imports the layers it runs when it runs: a sweep or a model
+scan loads `models` and no geometry, and the KS energy of a mesh loads no
+Riesz engine, charts, models or flow.
 """
 
 from __future__ import annotations
@@ -15,23 +19,16 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (ConfigError, NumericalError, PreconditionError,
                      RieszLabError, UnsupportedInputError)
-from .geometry import (PatchClassParams, icosphere, make_circle,
-                       make_cylinder_patch, make_disjoint_union,
-                       make_ellipsoid, make_saddle_surface, make_sphere,
-                       make_torus, mesh_disjoint_union, polygon_circle,
-                       read_obj, read_off, torus_mesh, validate_patch_class,
-                       write_off)
-from .flow import (EnergySelector, FlowState, contact_monitor, run_flow,
-                   write_trajectory_csv)
-from .models import (cone_model_scan, orthogonal_model_integral,
-                     tangent_model_scan, two_body_sweep)
-from .moebius import MoebiusMap, as_energy, ks_energy, moebius_invariance_check
-from .riesz import QuadratureConfig, beta_oracle, riesz_energy
+from .quadrature import QuadratureConfig
+
+if TYPE_CHECKING:
+    from .moebius import MoebiusMap
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -116,44 +113,49 @@ def _require_finite(name, value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-def _two_spheres(gap, r):
-    a = make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
-    b = make_sphere(r, (r + gap / 2.0, 0.0, 0.0))
-    return make_disjoint_union(a, b)
+def _two_spheres(g, gap, r):
+    a = g.make_sphere(r, (-(r + gap / 2.0), 0.0, 0.0))
+    b = g.make_sphere(r, (r + gap / 2.0, 0.0, 0.0))
+    return g.make_disjoint_union(a, b)
 
 
-def _dumbbell(gap, r, subdiv):
-    a = icosphere(int(subdiv), r, (-(r + gap / 2.0), 0.0, 0.0))
-    b = icosphere(int(subdiv), r, (r + gap / 2.0, 0.0, 0.0))
-    return mesh_disjoint_union(a, b)
+def _dumbbell(g, gap, r, subdiv):
+    a = g.icosphere(int(subdiv), r, (-(r + gap / 2.0), 0.0, 0.0))
+    b = g.icosphere(int(subdiv), r, (r + gap / 2.0, 0.0, 0.0))
+    return g.mesh_disjoint_union(a, b)
 
 
-def _mesh_file(path):
+def _mesh_file(g, path):
     if not path or not os.path.exists(str(path)):
         raise ConfigError(f"mesh path {path!r} does not exist")
     path = str(path)
-    return read_off(path) if path.endswith(".off") else read_obj(path)
+    return g.read_off(path) if path.endswith(".off") else g.read_obj(path)
 
 
 # The catalog: each surface's parameters with their defaults, in the order
 # its builder takes them and an unknown-key message lists them. Any other
 # key is a ConfigError, so a misspelt key never silently runs the default.
+# A builder takes the geometry package first, whose names load only their
+# own modules (charts or meshes).
 _SURFACES = {
-    "circle": ({"r": 1.0}, make_circle),
+    "circle": ({"r": 1.0}, lambda g, r: g.make_circle(r)),
     "sphere": ({"r": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
-               lambda r, cx, cy, cz: make_sphere(r, (cx, cy, cz))),
-    "ellipsoid": ({"a": 1.0, "b": 1.0, "c": 1.2}, make_ellipsoid),
-    "torus": ({"R": 2.0, "r": 0.5}, make_torus),
-    "cylinder": ({"r": 1.0, "L": 1.0}, make_cylinder_patch),
-    "saddle": ({"extent": 1.0}, make_saddle_surface),
+               lambda g, r, cx, cy, cz: g.make_sphere(r, (cx, cy, cz))),
+    "ellipsoid": ({"a": 1.0, "b": 1.0, "c": 1.2},
+                  lambda g, a, b, c: g.make_ellipsoid(a, b, c)),
+    "torus": ({"R": 2.0, "r": 0.5}, lambda g, R, r: g.make_torus(R, r)),
+    "cylinder": ({"r": 1.0, "L": 1.0},
+                 lambda g, r, L: g.make_cylinder_patch(r, L)),
+    "saddle": ({"extent": 1.0},
+               lambda g, extent: g.make_saddle_surface(extent)),
     "two-spheres": ({"gap": 0.5, "r": 1.0}, _two_spheres),
     "icosphere": ({"subdiv": 1, "r": 1.0, "cx": 0.0, "cy": 0.0, "cz": 0.0},
-                  lambda subdiv, r, cx, cy, cz:
-                  icosphere(int(subdiv), r, (cx, cy, cz))),
+                  lambda g, subdiv, r, cx, cy, cz:
+                  g.icosphere(int(subdiv), r, (cx, cy, cz))),
     "torusmesh": ({"nu": 24, "nv": 48, "R": 2.0, "r": 0.5},
-                  lambda nu, nv, R, r: torus_mesh(int(nu), int(nv), R, r)),
+                  lambda g, nu, nv, R, r: g.torus_mesh(int(nu), int(nv), R, r)),
     "polygon": ({"n": 64, "r": 1.0},
-                lambda n, r: polygon_circle(int(n), r)),
+                lambda g, n, r: g.polygon_circle(int(n), r)),
     "dumbbell": ({"gap": 0.5, "r": 1.0, "subdiv": 1}, _dumbbell),
     "mesh": ({"path": None}, _mesh_file),
 }
@@ -209,8 +211,9 @@ def parse_surface(spec: str):
     _check_keys("surface", name, kv, spec, params)
     values = {**params, **kv}
     _check_sizes(kv, values, spec)
+    from . import geometry
     try:
-        return build(*values.values())
+        return build(geometry, *values.values())
     except RieszLabError:
         raise
     except Exception as exc:
@@ -220,6 +223,7 @@ def parse_surface(spec: str):
 def parse_map(spec: str, n: int) -> MoebiusMap:
     """A Moebius map of R^n, n in {2, 3}; its centre is (cx, cy), or
     (cx, cy, cz) in R^3."""
+    from .moebius import MoebiusMap
     name, kv = _parse_kv(spec)
     _check_keys("map", name, kv, spec, _MAP_KEYS.get(name))
     for k, v in kv.items():
@@ -295,12 +299,15 @@ def _cmd_energy(config: RunConfig) -> dict:
     qc = config.quad_config()
     energy = config.energy or "riesz"
     if energy == "ks":
+        from .moebius import ks_energy
         rep = ks_energy(surface, qc)
     elif energy == "as":
+        from .moebius import as_energy
         rep = as_energy(surface, config.s, qc)
     else:
         if config.alpha is None:
             raise ConfigError("energy command needs --alpha (or --energy ks/as)")
+        from .riesz import riesz_energy
         rep = riesz_energy(surface, config.alpha, config=qc)
     return {"command": "energy", "surface": config.surface,
             "energy": energy, "alpha": config.alpha,
@@ -312,12 +319,15 @@ def _cmd_beta(config: RunConfig) -> dict:
         raise ConfigError("beta oracle supports --surface circle|sphere")
     if config.z is None:
         raise ConfigError("beta command needs --z")
+    from .riesz import beta_oracle
     value = beta_oracle(config.surface, config.radius, config.z)
     return {"command": "beta", "surface": config.surface,
             "radius": config.radius, "z": config.z, "value": value}
 
 
 def _cmd_model(config: RunConfig) -> dict:
+    from .models import (cone_model_scan, orthogonal_model_integral,
+                         tangent_model_scan)
     kind = config.model
     if kind == "orthogonal":
         res = orthogonal_model_integral(config.alpha, config.rho)
@@ -346,6 +356,7 @@ def _cmd_sweep(config: RunConfig) -> dict:
             and len(set(config.gaps)) == len(config.gaps)):
         raise ConfigError("gaps must be positive and distinct, got "
                           f"{config.gaps!r}")
+    from .models import two_body_sweep
     res = two_body_sweep(config.m, config.alpha, config.radius, config.gaps)
     if config.csv:
         with open(config.csv, "w") as fh:
@@ -364,6 +375,9 @@ def _cmd_flow(config: RunConfig) -> dict:
     if not hasattr(mesh, "vertices"):
         raise UnsupportedInputError("flow needs a mesh surface "
                                     "(icosphere, polygon, dumbbell, file)")
+    from .flow import (EnergySelector, FlowState, contact_monitor, run_flow,
+                       write_trajectory_csv)
+    from .geometry import write_off
     if config.energy == "ks":
         selector = EnergySelector("ks")
     elif config.energy == "as":
@@ -397,6 +411,7 @@ def _cmd_invariance(config: RunConfig) -> dict:
     if selector not in ("ks", "as"):
         raise ConfigError("invariance checks a Moebius-invariant energy, "
                           f"ks or as, not {selector!r}")
+    from .moebius import moebius_invariance_check
     rep = moebius_invariance_check(surface, mmap, selector, config.s,
                                    config.quad_config())
     return {"command": "invariance", "report": rep.as_dict()}
@@ -405,6 +420,7 @@ def _cmd_invariance(config: RunConfig) -> dict:
 def _cmd_validate(config: RunConfig) -> dict:
     surface = parse_surface(config.surface)
     radius = 0.1 if config.eps0 is None else config.eps0
+    from .geometry import PatchClassParams, validate_patch_class
     params = PatchClassParams(radius=radius, derivative_bound=config.b,
                               volume_bound=config.volume_bound)
     report = validate_patch_class(surface, params)

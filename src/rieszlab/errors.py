@@ -2,10 +2,14 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
 UnsupportedInputError -> 4. `checked_arithmetic` turns numpy's overflow,
-division-by-zero and invalid-operation warnings into NumericalErrors.
+division-by-zero and invalid-operation warnings into NumericalErrors, and
+`finite_energy`, on top of it, also an energy report whose value or error
+estimate is not finite; every energy (Riesz, Kusner-Sullivan,
+Auckly-Sadun) is wrapped in it.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -49,6 +53,26 @@ def checked_arithmetic(func):
         except FloatingPointError as exc:
             raise NumericalError(
                 f"{func.__name__} is not finite: {exc}") from exc
+
+    return checked
+
+
+def finite_energy(energy):
+    """Decorator: an energy function returning an `EnergyReport` raises
+    NumericalError, not NaN or inf, when its arithmetic overflows or is
+    invalid (`checked_arithmetic`), or when its value or error estimate is
+    not finite."""
+    arithmetic = checked_arithmetic(energy)
+
+    @functools.wraps(energy)
+    def checked(*args, **kwargs):
+        report = arithmetic(*args, **kwargs)
+        if not (math.isfinite(report.value)
+                and math.isfinite(report.error_estimate)):
+            raise NumericalError(
+                f"{energy.__name__} is not finite: value {report.value}, "
+                f"error estimate {report.error_estimate}")
+        return report
 
     return checked
 

@@ -570,7 +570,13 @@ def euler_characteristic(mesh: TriMesh) -> int:
 # ----------------------------------------------------------------------
 
 def icosphere(subdiv=1, radius=1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
-    """Subdivided icosahedron projected to the sphere, outward oriented."""
+    """Subdivided icosahedron projected to the sphere, outward oriented.
+
+    Each subdivision is one array pass: the midpoint of every edge is a new
+    vertex, numbered in the order the edge first appears over the faces'
+    (ab, bc, ca), and each face (a, b, c) becomes (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca).
+    """
     if not (subdiv >= 0 and radius > 0):
         raise PreconditionError(f"icosphere needs subdiv >= 0 and radius > 0, "
                                 f"got {subdiv!r} and {radius!r}")
@@ -581,33 +587,36 @@ def icosphere(subdiv=1, radius=1.0, center=(0.0, 0.0, 0.0)) -> TriMesh:
         [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
     ], dtype=float)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = list(map(tuple, verts))
+    ])
     for _ in range(subdiv):
-        cache = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = frozenset((i, j))
-            if key in cache:
-                return cache[key]
-            p = np.array(verts[i]) + np.array(verts[j])
-            p /= np.linalg.norm(p)
-            verts.append(tuple(p))
-            cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    pts = np.asarray(verts) * float(radius) + np.asarray(center, dtype=float)
-    mesh = TriMesh(pts, np.asarray(faces), 2)
+        # the edges ab, bc, ca of each face, face by face
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1)
+        edges = edges.reshape(-1, 2)
+        key = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, slot = np.unique(key, return_index=True,
+                                   return_inverse=True)
+        # the slots where an edge first appears, in order, number the
+        # new vertices
+        is_first = np.zeros(len(edges), dtype=bool)
+        is_first[first] = True
+        number = np.cumsum(is_first) + (len(verts) - 1)
+        i, j = edges[is_first].T
+        p = verts[i] + verts[j]
+        # the bits of np.linalg.norm of each row, which a row-wise sum of
+        # squares or einsum does not always give
+        p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+        verts = np.concatenate([verts, p])
+        ab, bc, ca = number[first][slot.reshape(-1, 3)].T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=-1).reshape(-1, 3)
+    pts = verts * float(radius) + np.asarray(center, dtype=float)
+    mesh = TriMesh(pts, faces, 2)
     # Ensure outward orientation.
     ctr = np.asarray(center, dtype=float)
     nrm = mesh.face_normals()
@@ -624,15 +633,15 @@ def torus_mesh(n_u=24, n_v=48, major=2.0, minor=0.5) -> TriMesh:
     w = major + minor * np.cos(T)
     pts = np.stack([w * np.cos(P), w * np.sin(P), minor * np.sin(T)],
                    axis=-1).reshape(-1, 3)
-    faces = []
-    for i in range(n_u):
-        for j in range(n_v):
-            a = i * n_v + j
-            b = ((i + 1) % n_u) * n_v + j
-            c = ((i + 1) % n_u) * n_v + (j + 1) % n_v
-            d = i * n_v + (j + 1) % n_v
-            faces += [(a, b, c), (a, c, d)]
-    return TriMesh(pts, np.asarray(faces), 2)
+    # the quad (i, j) is split into (a, b, c) and (a, c, d), with a at
+    # (i, j), b at (i + 1, j), c at (i + 1, j + 1) and d at (i, j + 1)
+    i = np.arange(n_u)[:, None] * n_v
+    i1 = np.roll(i, -1, axis=0)
+    j = np.arange(n_v)
+    j1 = np.roll(j, -1)
+    a, b, c, d = i + j, i1 + j, i1 + j1, i + j1
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return TriMesh(pts, faces, 2)
 
 
 def polygon_circle(n=64, radius=1.0) -> TriMesh:

@@ -28,6 +28,12 @@ q = ((1 - cos theta) / s)^m. It has three readers: the symmetric sums walk
 its triangle schedule, each unordered pair once (`ks_triangle_rows`); the
 cross term of two pieces (`ks_cross_energy`) and the flow's gradient
 (`ks_pair_gradient`) walk rows against every column.
+
+The KS energy, the Moebius maps and the invariance check load no Riesz
+engine (`riesz.py`, `radial.py`): the energies' shared types come from
+`quadrature` and `finite_energy` from `errors`, and only `as_energy`,
+whose E_(-4) term is a Riesz energy, imports `riesz_energy`, when it is
+called.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (NumericalError, OrientationError, PreconditionError,
-                     SingularMapError, SingularPairError, UnsupportedInputError)
+                     SingularMapError, SingularPairError, UnsupportedInputError,
+                     finite_energy)
 from .geometry.patches import dot, orthonormal_frames, umbilicity_defect
 from .geometry.surface import as_surface
-from .quadrature import PairPass, box_middle, compensated_sum
-from .riesz import (EnergyReport, QuadratureConfig, finite_energy,
-                    riesz_energy)
+from .quadrature import (EnergyReport, PairPass, QuadratureConfig, box_middle,
+                         compensated_sum)
 
 __all__ = [
     "MoebiusMap",
@@ -357,6 +363,7 @@ def as_energy(surface, s: float, config: QuadratureConfig | None = None) -> Ener
                      0.0)
     int_delta = compensated_sum(weights * deltas)
     int_dlogd = compensated_sum(weights * dlogd)
+    from .riesz import riesz_energy
     base = riesz_energy(surface, -4.0, config=config)
     topo = 0.5 * math.pi ** 2 * chi
     value = base.value + math.pi / 16.0 * int_dlogd + topo + s * int_delta

@@ -6,16 +6,24 @@ once per order and shared read-only), panels of it graded toward an end
 point, a fixed-order sum, a kernel equal to t^alpha outside a ball and
 smooth inside, and the pass that forms every pairwise squared distance
 with the translation that its mesh and KS readers apply first.
+
+It also holds the two types that every energy shares, its resolution
+knobs (`QuadratureConfig`) and its result (`EnergyReport`), so that the
+Kusner-Sullivan and Auckly-Sadun energies read them without loading the
+Riesz engine (`riesz.py` and `radial.py`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "QuadratureConfig",
+    "EnergyReport",
     "gauss_legendre",
     "graded_panels",
     "compensated_sum",
@@ -30,6 +38,42 @@ __all__ = [
 # ks_energy of the chart ellipsoid page-faults about 220 times at 2^14 pairs
 # (128 KB arrays) and 530 times at 2^16, which is 7% slower.
 PAIR_BLOCK = 1 << 14
+
+
+@dataclass
+class QuadratureConfig:
+    """Resolution knobs shared by the energy assemblers."""
+
+    outer_scale: float = 0.25        # scale on the surface base rule (outer x)
+    inner_scale: float = 1.0         # far-field rule (inner y)
+    patch_radius: float | None = None
+    threads: int = 1
+    # face subdivision for mesh inner nodes: a constant, not a field, that
+    # riesz_energy and the benchmark's layer tracer read through the config
+    mesh_inner_subdiv = 1
+
+
+@dataclass
+class EnergyReport:
+    """Energy value with its near/far split and regularization metadata."""
+
+    value: float
+    near: float
+    far: float
+    eps0: float
+    error_estimate: float
+    pole_residue: float | None = None
+
+    def as_dict(self):
+        return {
+            "value": self.value,
+            "near": self.near,
+            "far": self.far,
+            "eps0": self.eps0,
+            "error_estimate": self.error_estimate,
+            "pole": None if self.pole_residue is None
+                    else {"residue": self.pole_residue},
+        }
 
 
 @functools.cache

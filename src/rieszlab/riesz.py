@@ -23,27 +23,32 @@ distances s, with no square root (s^(alpha/2) by products and one division
 when alpha/2 is a negative integer, as at the threshold alpha = -2m), keep
 it only where it is read, and sum each rule's chunk by matrix-vector
 products of its column slice.
+
+The energies' shared types, `QuadratureConfig` and `EnergyReport`, live in
+`quadrature` and the `finite_energy` check in `errors`; this module and
+`radial` are the Riesz engine, which the Kusner-Sullivan energy, the
+Moebius maps and the KS flow do not load (`as_energy` and the Riesz and
+AS flows import `riesz_energy` when they are called). `from rieszlab.riesz import
+QuadratureConfig` still resolves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NumericalError, PoleError, PreconditionError,
-                     UnsupportedInputError, checked_arithmetic)
+                     UnsupportedInputError, finite_energy)
 from .geometry.patches import default_patch_radius, graph_patch_at
 from .geometry.surface import as_surface
-from .quadrature import BlendKernel, PairPass, compensated_sum
+from .quadrature import (BlendKernel, EnergyReport, PairPass,
+                         QuadratureConfig, compensated_sum)
 from .radial import (_LEVELS, ANGULAR_NODES, EnergyParams, _angular_rule,
                      finite_part, radial_profile)
 
 __all__ = [
-    "QuadratureConfig",
-    "EnergyReport",
     "riesz_energy",
     "beta_oracle",
     "beta_residue",
@@ -51,62 +56,6 @@ __all__ = [
     "scaling_check",
     "ScalingReport",
 ]
-
-
-@dataclass
-class QuadratureConfig:
-    """Resolution knobs shared by the energy assemblers."""
-
-    outer_scale: float = 0.25        # scale on the surface base rule (outer x)
-    inner_scale: float = 1.0         # far-field rule (inner y)
-    patch_radius: float | None = None
-    threads: int = 1
-    # face subdivision for mesh inner nodes: a constant, not a field, that
-    # riesz_energy and the benchmark's layer tracer read through the config
-    mesh_inner_subdiv = 1
-
-
-@dataclass
-class EnergyReport:
-    """Energy value with its near/far split and regularization metadata."""
-
-    value: float
-    near: float
-    far: float
-    eps0: float
-    error_estimate: float
-    pole_residue: float | None = None
-
-    def as_dict(self):
-        return {
-            "value": self.value,
-            "near": self.near,
-            "far": self.far,
-            "eps0": self.eps0,
-            "error_estimate": self.error_estimate,
-            "pole": None if self.pole_residue is None
-                    else {"residue": self.pole_residue},
-        }
-
-
-def finite_energy(energy):
-    """Decorator: an energy function returning an `EnergyReport` raises
-    NumericalError, not NaN or inf, when its arithmetic overflows or is
-    invalid (`checked_arithmetic`), or when its value or error estimate is
-    not finite."""
-    arithmetic = checked_arithmetic(energy)
-
-    @functools.wraps(energy)
-    def checked(*args, **kwargs):
-        report = arithmetic(*args, **kwargs)
-        if not (math.isfinite(report.value)
-                and math.isfinite(report.error_estimate)):
-            raise NumericalError(
-                f"{energy.__name__} is not finite: value {report.value}, "
-                f"error estimate {report.error_estimate}")
-        return report
-
-    return checked
 
 
 # ----------------------------------------------------------------------

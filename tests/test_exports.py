@@ -114,6 +114,15 @@ def test_unknown_name_is_an_attribute_error(package):
     assert not hasattr(pkg, "__main__")
 
 
+def test_shared_energy_types_resolve_where_they_did():
+    # defined in quadrature since the KS path stopped loading riesz.py;
+    # the old import path still names the same classes
+    from rieszlab.riesz import EnergyReport, QuadratureConfig
+    assert QuadratureConfig is rieszlab.QuadratureConfig
+    assert EnergyReport is rieszlab.EnergyReport
+    assert rieszlab._EXPORTS["QuadratureConfig"] == "quadrature"
+
+
 def _run_fresh(code):
     """The JSON that `code` prints in a fresh interpreter on this rieszlab."""
     src = str(Path(rieszlab.__file__).resolve().parents[1])
@@ -154,7 +163,32 @@ ENTRY_POINTS = {
         state = rieszlab.run_flow(rieszlab.FlowState(mesh=mesh), 2)
         assert state.iteration == 2
     """,
+    "ks_static": """
+        mesh = rieszlab.icosphere(2)
+        rieszlab.ks_energy(mesh.with_vertices(mesh.vertices * [1.0, 1.0, 1.2]))
+        inversion = rieszlab.MoebiusMap("inversion", center=(3.0, 0.2, 0.1),
+                                        radius=2.0)
+        rieszlab.moebius_invariance_check(
+            rieszlab.make_ellipsoid(1.0, 1.0, 1.2), inversion, refine=False)
+    """,
+    "cli_sweep": """
+        from rieszlab import cli
+        assert cli.main(["sweep", "--m", "1", "--alpha", "-2", "--gaps",
+                         "0.1,0.01"]) == 0
+    """,
+    "cli_model": """
+        from rieszlab import cli
+        assert cli.main(["model", "cone", "--alpha", "-4"]) == 0
+    """,
+    "cli_ks_mesh": """
+        from rieszlab import cli
+        assert cli.main(["energy", "--surface", "icosphere",
+                         "--energy", "ks"]) == 0
+    """,
 }
+
+# the Riesz engine: riesz_energy and the radial finite part under it
+RIESZ_ENGINE = {"rieszlab.riesz", "rieszlab.radial"}
 
 
 def _loaded_by(entry):
@@ -184,4 +218,26 @@ def test_chart_riesz_loads_no_mesh_flow_or_models():
 def test_ks_flow_loads_no_charts_or_models():
     loaded = _loaded_by("ks_flow")
     assert "rieszlab.flow" in loaded
-    assert not loaded & {"rieszlab.geometry.charts", "rieszlab.models"}
+    assert not loaded & {"rieszlab.geometry.charts", "rieszlab.models",
+                         *RIESZ_ENGINE}
+
+
+def test_ks_static_loads_no_riesz_engine_models_or_flow():
+    loaded = _loaded_by("ks_static")
+    assert {"rieszlab.moebius", "rieszlab.geometry.charts",
+            "rieszlab.geometry.meshes"} <= loaded
+    assert not loaded & {"rieszlab.models", "rieszlab.flow", *RIESZ_ENGINE}
+
+
+@pytest.mark.parametrize("entry", ["cli_sweep", "cli_model"])
+def test_cli_sweep_and_model_load_only_their_layers(entry):
+    assert _loaded_by(entry) == {"rieszlab", "rieszlab.cli",
+                                 "rieszlab.errors", "rieszlab.quadrature",
+                                 "rieszlab.models"}
+
+
+def test_cli_ks_of_a_mesh_loads_no_riesz_engine_charts_models_or_flow():
+    loaded = _loaded_by("cli_ks_mesh")
+    assert {"rieszlab.moebius", "rieszlab.geometry.meshes"} <= loaded
+    assert not loaded & {"rieszlab.geometry.charts", "rieszlab.models",
+                         "rieszlab.flow", *RIESZ_ENGINE}

@@ -7,7 +7,8 @@ from rieszlab.cli import parse_surface
 from rieszlab.errors import (NumericalError, PatchRadiusError,
                              PreconditionError, RankDeficiencyError,
                              TopologyError, UnsupportedInputError)
-from rieszlab.geometry import (PatchClassParams, default_patch_radius,
+from rieszlab.geometry import (PatchClassParams, TriMesh,
+                               default_patch_radius,
                                euler_characteristic, graph_patch_at,
                                icosphere, make_circle,
                                make_cylinder_patch,
@@ -688,6 +689,92 @@ def test_euler_characteristic_additive():
     b = torus_mesh(8, 16)
     both = mesh_disjoint_union(a, b.translated([10.0, 0, 0]))
     assert euler_characteristic(both) == 2
+
+
+def _loop_icosphere(subdiv, radius, center):
+    """icosphere as it was built before its array form: one midpoint per
+    edge, found through a dict, face by face."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+    ], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = list(map(tuple, verts))
+    for _ in range(subdiv):
+        cache = {}
+        new_faces = []
+
+        def midpoint(i, j):
+            key = frozenset((i, j))
+            if key in cache:
+                return cache[key]
+            p = np.array(verts[i]) + np.array(verts[j])
+            p /= np.linalg.norm(p)
+            verts.append(tuple(p))
+            cache[key] = len(verts) - 1
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    pts = np.asarray(verts) * float(radius) + np.asarray(center, dtype=float)
+    faces = np.asarray(faces)
+    ctr = np.asarray(center, dtype=float)
+    mesh = TriMesh(pts, faces, 2)
+    outward = np.einsum("ij,ij->i", mesh.face_normals(),
+                        mesh.face_centroids() - ctr)
+    return pts, (faces if np.mean(outward > 0) >= 0.5 else faces[:, ::-1])
+
+
+def _loop_torus_faces(n_u, n_v):
+    """torus_mesh's faces as they were built before their array form."""
+    faces = []
+    for i in range(n_u):
+        for j in range(n_v):
+            a = i * n_v + j
+            b = ((i + 1) % n_u) * n_v + j
+            c = ((i + 1) % n_u) * n_v + (j + 1) % n_v
+            d = i * n_v + (j + 1) % n_v
+            faces += [(a, b, c), (a, c, d)]
+    return np.asarray(faces)
+
+
+@pytest.mark.parametrize("subdiv", range(6))
+@pytest.mark.parametrize("radius, center", [(1.0, (0.0, 0.0, 0.0)),
+                                            (1.7, (0.3, -1.2, 2.5))],
+                         ids=["unit", "offcentre"])
+def test_icosphere_has_the_bits_of_the_loop_subdivision(subdiv, radius,
+                                                        center):
+    pts, faces = _loop_icosphere(subdiv, radius, center)
+    mesh = icosphere(subdiv, radius, center)
+    assert np.array_equal(mesh.vertices, pts)
+    assert np.array_equal(mesh.faces, faces)
+    assert mesh.faces.dtype == faces.dtype
+
+
+@pytest.mark.parametrize("n_u, n_v", [(3, 3), (3, 7), (5, 4), (12, 24),
+                                      (24, 48)])
+def test_torus_mesh_faces_have_the_bits_of_the_loops(n_u, n_v):
+    mesh = torus_mesh(n_u, n_v)
+    th = 2 * math.pi * np.arange(n_u) / n_u
+    ph = 2 * math.pi * np.arange(n_v) / n_v
+    T, P = np.meshgrid(th, ph, indexing="ij")
+    w = 2.0 + 0.5 * np.cos(T)
+    pts = np.stack([w * np.cos(P), w * np.sin(P), 0.5 * np.sin(T)],
+                   axis=-1).reshape(-1, 3)
+    faces = _loop_torus_faces(n_u, n_v)
+    assert np.array_equal(mesh.vertices, pts)
+    assert np.array_equal(mesh.faces, faces)
+    assert mesh.faces.dtype == faces.dtype
 
 
 def test_open_mesh_rejected():

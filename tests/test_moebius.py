@@ -290,6 +290,17 @@ def test_as_linear_in_s():
     assert e1 - e0 == pytest.approx(int_delta, rel=1e-9)
 
 
+def test_as_energy_keeps_its_report():
+    # the report that as_energy gave while it imported riesz_energy on
+    # module load, not on call: every field keeps its bits
+    cfg = QuadratureConfig(outer_scale=0.12, inner_scale=0.5)
+    rep = as_energy(make_ellipsoid(1.0, 1.0, 1.2), 0.5, cfg)
+    assert rep.as_dict() == {
+        "value": 0.14060945178262346, "near": -79.31082908093498,
+        "far": 69.59864664039459, "eps0": 0.7560048501967771,
+        "error_estimate": 0.04747828851483215, "pole": None}
+
+
 def test_as_rejects_curves():
     with pytest.raises(UnsupportedInputError):
         as_energy(make_circle(), 0.0)
